@@ -18,7 +18,7 @@ from pathlib import Path
 from cmlab.arithfn import l2_norm_sq
 from cmlab.closeness import closeness_integral
 from cmlab.goldbach import restricted_prime_fn
-from cmlab.models import LambdaQParams, beta_sieve_weights, model_t_nu, model_t_nu_plus, untruncated_level
+from cmlab.models import LambdaQParams, model_t_nu, model_t_nu_plus, untruncated_sieve
 
 EXPONENTS = [0.20, 0.25, 0.30, 0.35, 0.40, 0.45]
 
@@ -34,8 +34,7 @@ def main() -> int:
     params = LambdaQParams(big_q=big_q, window=(y, 2 * y), c_nu=1.0)
     primes_fn = restricted_prime_fn(2 * y, (y, 2 * y))
     t_nu = model_t_nu(params)
-    sieve = beta_sieve_weights(float(untruncated_level(big_q, 10)), float(big_q), beta=10)
-    t_plus = model_t_nu_plus(params, sieve)
+    t_plus = model_t_nu_plus(params, untruncated_sieve(big_q))
     ref = l2_norm_sq(primes_fn)
 
     out = Path(args.out)

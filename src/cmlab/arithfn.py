@@ -110,9 +110,6 @@ class ArithFn:
             out[lo - start : hi - start] = self.values[lo - self.support_start : hi - self.support_start]
         return out
 
-    def scale(self, c: Number) -> "ArithFn":
-        return ArithFn(self.support_start, self.values * c)
-
 
 def common_window(f: ArithFn, g: ArithFn) -> tuple[int, int]:
     start = min(f.support_start, g.support_start)

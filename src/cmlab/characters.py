@@ -133,9 +133,6 @@ class DirichletCharacter:
             self.e_order, self.principal, exps, np.conj(self.values),
         )
 
-    def is_same(self, other: "DirichletCharacter") -> bool:
-        return self.modulus == other.modulus and self.label == other.label
-
 
 def _orders_of(q: int) -> list[int]:
     return _group_tables(q)[1]

@@ -21,9 +21,9 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Callable, Optional
+from typing import Any, Callable, Optional
 
 import numpy as np
 
@@ -49,58 +49,103 @@ from .goldbach import (
     singular_series,
     singular_series_product,
 )
-from .models import LambdaQParams, beta_sieve_weights, lambda_q_window, model_t_nu, model_t_nu_plus
+from .models import (
+    LambdaQParams,
+    beta_sieve_weights,
+    lambda_q_window,
+    model_t_nu,
+    model_t_nu_plus,
+    untruncated_level,
+    untruncated_sieve,
+)
 
 ENV_PREFIX = "CML_"
 
 
+@dataclass(frozen=True)
+class Param:
+    """One parameter of a subcommand: config/env key, flag, type and default.
+
+    A callable default is called with the parameters resolved above it."""
+
+    key: str
+    flag: str
+    type: Callable = str
+    default: Any = None
+    choices: Optional[tuple] = None
+
+
+SEED = Param("seed", "--seed", int, 0)
+
+
 @dataclass
 class ExperimentSpec:
-    """Resolved invocation: subcommand, full parameter map, output dir, seed."""
+    """Resolved invocation: subcommand, typed parameter map, output dir, seed,
+    and the keys set by config, environment or flag rather than by default."""
 
     name: str
     params: dict
     out: Path
     seed: int
+    given: frozenset
+
+    def echo(self) -> dict:
+        """The parameters reports embed; keys resolved to None stay unset."""
+        return {key: value for key, value in sorted(self.params.items()) if value is not None}
 
     def header_lines(self) -> list[str]:
         lines = [f"# subcommand = {self.name}", f"# seed = {self.seed}"]
-        for key in sorted(self.params):
-            lines.append(f"# {key} = {self.params[key]}")
+        for key, value in self.echo().items():
+            lines.append(f"# {key} = {value}")
         return lines
 
 
-def _resolve(name: str, args: argparse.Namespace, keys: list[str]) -> ExperimentSpec:
-    params: dict = {}
-    config_path = getattr(args, "config", None)
-    if config_path:
-        for raw in Path(config_path).read_text().splitlines():
+def _cast(param: Param, raw: str):
+    try:
+        value = param.type(raw)
+    except ValueError:
+        raise DomainError(f"invalid value {raw!r} for {param.key}") from None
+    if param.choices is not None and value not in param.choices:
+        raise DomainError(f"invalid value {raw!r} for {param.key}; choose from {list(param.choices)}")
+    return value
+
+
+def _resolve(args: argparse.Namespace) -> ExperimentSpec:
+    rows = {param.key: param for param in (*args.table, SEED)}
+    given: dict = {}
+    if args.config:
+        for raw in Path(args.config).read_text().splitlines():
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
             if "=" not in line:
                 raise DomainError(f"malformed config line: {raw!r}")
             key, value = (part.strip() for part in line.split("=", 1))
-            if key not in keys:
-                raise DomainError(f"unknown config key {key!r} for {name}")
-            params[key] = value
-    for key in keys:
+            if key not in rows:
+                raise DomainError(f"unknown config key {key!r} for {args.name}")
+            given[key] = _cast(rows[key], value)
+    for key, param in rows.items():
         env = os.environ.get(ENV_PREFIX + key.upper())
         if env is not None:
-            params[key] = env
-    for key in keys:
+            given[key] = _cast(param, env)
+    for key in rows:
         value = getattr(args, key, None)
-        if value is not None:
-            params[key] = value
-    out = Path(getattr(args, "out", "cmlab-out"))
-    seed = int(params.get("seed", getattr(args, "seed", 0) or 0))
-    return ExperimentSpec(name=name, params=params, out=out, seed=seed)
+        if value is not None:  # argparse has already cast and checked it
+            given[key] = value
+    params: dict = {}
+    for key, param in rows.items():
+        if key in given:
+            params[key] = given[key]
+        else:
+            params[key] = param.default(params) if callable(param.default) else param.default
+    seed = params.pop("seed")
+    return ExperimentSpec(name=args.name, params=params, out=Path(args.out), seed=seed, given=frozenset(given))
 
 
 def _write_summary(spec: ExperimentSpec, payload: dict) -> Path:
     spec.out.mkdir(parents=True, exist_ok=True)
     path = spec.out / f"{spec.name.replace(' ', '-')}-summary.json"
-    body = {"subcommand": spec.name, "seed": spec.seed, "params": {k: str(v) for k, v in spec.params.items()}}
+    body = {"subcommand": spec.name, "seed": spec.seed, "params": {k: str(v) for k, v in spec.echo().items()}}
     body.update(payload)
     path.write_text(json.dumps(body, sort_keys=True, indent=1) + "\n")
     return path
@@ -116,27 +161,32 @@ def _write_csv(spec: ExperimentSpec, name: str, write_body: Callable) -> Path:
     return path
 
 
+BIG_Q = Param("big_q", "--Q", int, 10)
+C_NU = Param("c_nu", "--c-nu", float, 1.0)
+GRID = Param("grid", "--grid", str, "small", ("small", "medium"))
+
+
 # ---------------------------------------------------------------------------
 # verify subcommands
 # ---------------------------------------------------------------------------
 
+GALLAGHER = (
+    Param("delta", "--delta", float, 50.0),
+    Param("trials", "--trials", int, 100),
+    Param("span", "--span", int, 10_000),
+    Param("start", "--start", int, 10_000),
+)
 
-def _cmd_verify_gallagher(args) -> int:
-    keys = ["delta", "trials", "span", "start", "seed"]
-    spec = _resolve("verify gallagher", args, keys)
-    delta = float(spec.params.get("delta", 50.0))
-    trials = int(spec.params.get("trials", 100))
-    span = int(spec.params.get("span", 10_000))
-    start = int(spec.params.get("start", 10_000))
-    spec.params.update({"delta": delta, "trials": trials, "span": span, "start": start})
 
+def _cmd_verify_gallagher(spec: ExperimentSpec) -> int:
+    p = spec.params
     rng = np.random.default_rng(spec.seed)
     ratios = []
-    for _ in range(trials):
-        values = rng.choice([-1.0, 1.0], size=span)
-        f = ArithFn(start, values)
-        lhs = gallagher_lhs(f, delta)
-        rhs = gallagher_rhs(f, delta)
+    for _ in range(p["trials"]):
+        values = rng.choice([-1.0, 1.0], size=p["span"])
+        f = ArithFn(p["start"], values)
+        lhs = gallagher_lhs(f, p["delta"])
+        rhs = gallagher_rhs(f, p["delta"])
         ratios.append(lhs / rhs)
     worst = max(ratios)
 
@@ -146,7 +196,7 @@ def _cmd_verify_gallagher(args) -> int:
             fh.write(f"{i},{ratio:.10g}\n")
 
     _write_csv(spec, "gallagher-ratios.csv", body)
-    canonical = (delta, trials, span, start, spec.seed) == (50.0, 100, 10_000, 10_000, 7)
+    canonical = (p["delta"], p["trials"], p["span"], p["start"], spec.seed) == (50.0, 100, 10_000, 10_000, 7)
     ok = worst <= constants.GALLAGHER_RATIO_CEILING
     if canonical:
         ok = ok and worst <= constants.GALLAGHER_RANDOM_BASELINE * constants.REGRESSION_HEADROOM
@@ -156,16 +206,12 @@ def _cmd_verify_gallagher(args) -> int:
         "baseline_checked": canonical,
         "passed": ok,
     })
-    print(f"gallagher: max lhs/rhs ratio {worst:.4f} over {trials} trials (ceiling {constants.GALLAGHER_RATIO_CEILING})")
+    print(f"gallagher: max lhs/rhs ratio {worst:.4f} over {p['trials']} trials (ceiling {constants.GALLAGHER_RATIO_CEILING})")
     return 0 if ok else 1
 
 
-def _cmd_verify_lambda_q(args) -> int:
-    keys = ["big_q", "grid", "seed"]
-    spec = _resolve("verify lambda_q_short", args, keys)
-    big_q = int(spec.params.get("big_q", 10))
-    grid = str(spec.params.get("grid", "small"))
-    spec.params.update({"big_q": big_q, "grid": grid})
+def _cmd_verify_lambda_q(spec: ExperimentSpec) -> int:
+    big_q, grid = spec.params["big_q"], spec.params["grid"]
     report = verify_lambda_q_short_sums(
         default_lambda_q_sweep(big_q=big_q, scale=grid), ceiling=constants.SHORT_SUM_RATIO_CEILING
     )
@@ -178,11 +224,8 @@ def _cmd_verify_lambda_q(args) -> int:
     return 0 if ok else 1
 
 
-def _cmd_verify_sieve(args) -> int:
-    keys = ["grid", "seed"]
-    spec = _resolve("verify sieve_short", args, keys)
-    grid = str(spec.params.get("grid", "small"))
-    spec.params.update({"grid": grid})
+def _cmd_verify_sieve(spec: ExperimentSpec) -> int:
+    grid = spec.params["grid"]
     report = verify_sieve_short_sums(default_sieve_sweep(scale=grid), ceiling=constants.SHORT_SUM_RATIO_CEILING)
     _write_csv(spec, "sieve-short-sums.csv", report.write_csv)
     ok = report.passed
@@ -193,23 +236,24 @@ def _cmd_verify_sieve(args) -> int:
     return 0 if ok else 1
 
 
-def _cmd_verify_closeness(args) -> int:
-    keys = ["y", "h_exponent", "big_q", "c_nu", "workers", "seed"]
-    spec = _resolve("verify closeness", args, keys)
-    y = int(spec.params.get("y", 100_000))
-    h_exp = float(spec.params.get("h_exponent", 0.3))
-    big_q = int(spec.params.get("big_q", 10))
-    c_nu = float(spec.params.get("c_nu", 1.0))
+CLOSENESS = (
+    Param("y", "--Y", int, 100_000),
+    Param("h_exponent", "--h-exponent", float, 0.3),
+    BIG_Q,
+    C_NU,
     # results are worker-count invariant (per-arc merge in index order)
-    workers = int(spec.params.get("workers", os.cpu_count() or 1))
-    spec.params.update({"y": y, "h_exponent": h_exp, "big_q": big_q, "c_nu": c_nu, "workers": workers})
+    Param("workers", "--workers", int, lambda p: os.cpu_count() or 1),
+)
 
-    h = y**h_exp
-    params = LambdaQParams(big_q=big_q, window=(y, 2 * y), c_nu=c_nu)
+
+def _cmd_verify_closeness(spec: ExperimentSpec) -> int:
+    p = spec.params
+    y, big_q, workers = p["y"], p["big_q"], p["workers"]
+    h = y ** p["h_exponent"]
+    params = LambdaQParams(big_q=big_q, window=(y, 2 * y), c_nu=p["c_nu"])
     primes_fn = restricted_prime_fn(2 * y, (y, 2 * y))
     t_nu = model_t_nu(params)
-    sieve = beta_sieve_weights(_untruncated(big_q), float(big_q), beta=10)
-    t_plus = model_t_nu_plus(params, sieve)
+    t_plus = model_t_nu_plus(params, untruncated_sieve(big_q))
     ref = l2_norm_sq(primes_fn)
     rep1 = closeness_integral(primes_fn, t_nu, h, reference_norm=ref, workers=workers)
     rep2 = closeness_integral(t_nu, t_plus, h, reference_norm=ref, workers=workers)
@@ -219,7 +263,7 @@ def _cmd_verify_closeness(args) -> int:
     # at any scale; the absolute 0.1 level and the baselines are pinned at the
     # canonical parameter point only
     ok = bool(rep2.theta_effective <= rep1.theta_effective)
-    canonical = (y, h_exp, big_q, c_nu) == (100_000, 0.3, 10, 1.0)
+    canonical = (y, p["h_exponent"], big_q, p["c_nu"]) == (100_000, 0.3, 10, 1.0)
     if canonical:
         head = constants.REGRESSION_HEADROOM
         ok = ok and rep1.theta_effective <= 0.1
@@ -237,53 +281,42 @@ def _cmd_verify_closeness(args) -> int:
     return 0 if ok else 1
 
 
-def _untruncated(z: int) -> float:
-    from .models import untruncated_level
-
-    return float(untruncated_level(z, 10))
-
-
 # ---------------------------------------------------------------------------
 # pipeline / exceptional / series / model
 # ---------------------------------------------------------------------------
 
+PIPELINE = (
+    Param("preset", "--preset", str, None, tuple(sorted(PRESETS))),
+    Param("x", "--X", int, 200_000),
+    Param("y", "--Y", int),
+    Param("h", "--H", int),
+    BIG_Q,
+    C_NU,
+    Param("c_omega", "--c-omega", float, 1.0),
+    Param("kappa", "--kappa", float),
+    Param("max_final_fraction", "--max-final-fraction", float, 0.01),
+)
+# a preset fixes the whole model, so no other model row may be set alongside it
+PRESET_FIXES = tuple(p.key for p in PIPELINE if p.key not in ("preset", "max_final_fraction"))
 
-def _cmd_pipeline(args) -> int:
-    keys = ["preset", "x", "y", "h", "big_q", "c_nu", "c_omega", "kappa", "max_final_fraction", "seed"]
-    spec = _resolve("pipeline", args, keys)
-    preset = spec.params.get("preset")
-    if preset is not None:
-        if preset not in PRESETS:
-            raise DomainError(f"unknown preset {preset!r}; choose from {sorted(PRESETS)}")
-        config = PRESETS[preset]()
+
+def _cmd_pipeline(spec: ExperimentSpec) -> int:
+    p = spec.params
+    if p["preset"] is not None:
+        conflicts = [key for key in PRESET_FIXES if key in spec.given]
+        if conflicts:
+            raise DomainError(f"preset {p['preset']!r} fixes {', '.join(conflicts)}; set either the preset or these")
+        config = PRESETS[p["preset"]]()
     else:
-        x = int(spec.params.get("x", 200_000))
-        config = desk_config(
-            x,
-            big_q=int(spec.params["big_q"]) if "big_q" in spec.params else 10,
-            c_nu=float(spec.params.get("c_nu", 1.0)),
-            c_omega=float(spec.params.get("c_omega", 1.0)),
-        )
-        overrides = {}
-        if "y" in spec.params:
-            overrides["y"] = int(spec.params["y"])
-        if "h" in spec.params:
-            overrides["h"] = int(spec.params["h"])
-        if "kappa" in spec.params:
-            overrides["kappa"] = float(spec.params["kappa"])
-        if overrides:
-            from dataclasses import replace
-
-            config = replace(config, **overrides)
-    max_fraction = float(spec.params.get("max_final_fraction", 0.01))
+        config = desk_config(p["x"], big_q=p["big_q"], c_nu=p["c_nu"], c_omega=p["c_omega"])
+        config = replace(config, **{key: p[key] for key in ("y", "h", "kappa") if p[key] is not None})
     spec.params.update(config.to_dict())
-    spec.params["max_final_fraction"] = max_fraction
 
     nu, omega, a, b = desk_pipeline_inputs(config)
     report = run_pipeline(config, nu, omega, a, b)
     _write_csv(spec, "pipeline-chain.csv", report.write_csv)
     ok = (
-        report.final_failure_fraction <= max_fraction
+        report.final_failure_fraction <= p["max_final_fraction"]
         and report.step_positivity_violations == 0
         and report.minorization_violations == 0
     )
@@ -296,12 +329,14 @@ def _cmd_pipeline(args) -> int:
     return 0 if ok else 1
 
 
-def _cmd_exceptional(args) -> int:
-    keys = ["x", "h", "seed"]
-    spec = _resolve("exceptional", args, keys)
-    x = int(spec.params.get("x", 1_000_000))
-    h = int(spec.params.get("h", x - 4))
-    spec.params.update({"x": x, "h": h})
+EXCEPTIONAL = (
+    Param("x", "--X", int, 1_000_000),
+    Param("h", "--H", int, lambda p: p["x"] - 4),
+)
+
+
+def _cmd_exceptional(spec: ExperimentSpec) -> int:
+    x, h = spec.params["x"], spec.params["h"]
     exceptions = exceptional_set(x, h)
 
     def body(fh):
@@ -315,23 +350,23 @@ def _cmd_exceptional(args) -> int:
     return 0
 
 
-def _cmd_series(args) -> int:
-    keys = ["n_start", "n_stop", "n_step", "q_max", "prime_bound", "seed"]
-    spec = _resolve("series", args, keys)
-    n_start = int(spec.params.get("n_start", 4))
-    n_stop = int(spec.params.get("n_stop", 100))
-    n_step = int(spec.params.get("n_step", 2))
-    q_max = int(spec.params.get("q_max", 1_000))
-    prime_bound = int(spec.params.get("prime_bound", 100_000))
-    spec.params.update({
-        "n_start": n_start, "n_stop": n_stop, "n_step": n_step,
-        "q_max": q_max, "prime_bound": prime_bound,
-    })
+SERIES = (
+    Param("n_start", "--n-start", int, 4),
+    Param("n_stop", "--n-stop", int, 100),
+    Param("n_step", "--n-step", int, 2),
+    Param("q_max", "--q-max", int, 1_000),
+    Param("prime_bound", "--prime-bound", int, 100_000),
+)
+
+
+def _cmd_series(spec: ExperimentSpec) -> int:
+    p = spec.params
+    n_start, n_stop, n_step = p["n_start"], p["n_stop"], p["n_step"]
 
     def body(fh):
         fh.write("n,partial_sum,euler_product\n")
         for n in range(n_start, n_stop + 1, n_step):
-            fh.write(f"{n},{singular_series(n, q_max):.10g},{singular_series_product(n, prime_bound):.10g}\n")
+            fh.write(f"{n},{singular_series(n, p['q_max']):.10g},{singular_series_product(n, p['prime_bound']):.10g}\n")
 
     _write_csv(spec, "singular-series.csv", body)
     _write_summary(spec, {"rows": (n_stop - n_start) // n_step + 1, "passed": True})
@@ -339,33 +374,31 @@ def _cmd_series(args) -> int:
     return 0
 
 
-def _cmd_model(args) -> int:
-    keys = ["which", "y", "big_q", "c_nu", "beta", "level", "sift", "seed"]
-    spec = _resolve("model", args, keys)
-    which = str(spec.params.get("which", "lambda_q"))
-    y = int(spec.params.get("y", 10_000))
-    big_q = int(spec.params.get("big_q", 10))
-    c_nu = float(spec.params.get("c_nu", 1.0))
-    spec.params.update({"which": which, "y": y, "big_q": big_q, "c_nu": c_nu})
-    params = LambdaQParams(big_q=big_q, window=(y, 2 * y), c_nu=c_nu)
+MODEL = (
+    Param("which", "--which", str, "lambda_q", ("lambda_q", "t_nu", "t_nu_plus")),
+    Param("y", "--Y", int, 10_000),
+    BIG_Q,
+    C_NU,
+    # only t_nu_plus builds a sieve, so the other models leave these unset and
+    # unechoed; untruncated_level is also exponential in pi(z)
+    Param("beta", "--beta", int, lambda p: 10 if p["which"] == "t_nu_plus" else None),
+    Param("sift", "--sift", float, lambda p: float(p["big_q"]) if p["which"] == "t_nu_plus" else None),
+    Param("level", "--level", float,
+          lambda p: float(untruncated_level(int(p["sift"]))) if p["which"] == "t_nu_plus" else None),
+)
+
+
+def _cmd_model(spec: ExperimentSpec) -> int:
+    p = spec.params
+    which, y, big_q = p["which"], p["y"], p["big_q"]
+    params = LambdaQParams(big_q=big_q, window=(y, 2 * y), c_nu=p["c_nu"])
     if which == "lambda_q":
         fn = ArithFn(y + 1, lambda_q_window(y + 1, 2 * y + 1, big_q))
     elif which == "t_nu":
         fn = model_t_nu(params)
-    elif which == "t_nu_plus":
-        beta = int(spec.params.get("beta", 10))
-        sift = float(spec.params.get("sift", big_q))
-        level = float(spec.params.get("level", _untruncated(int(sift))))
-        sieve = beta_sieve_weights(level, sift, beta=beta)
-        fn = model_t_nu_plus(params, sieve)
     else:
-        raise DomainError(f"unknown model {which!r}")
-    spec.out.mkdir(parents=True, exist_ok=True)
-    path = spec.out / f"model-{which}.txt"
-    with open(path, "w") as fh:
-        for line in spec.header_lines():
-            fh.write(line + "\n")
-        write_arithfn(fn, fh)
+        fn = model_t_nu_plus(params, beta_sieve_weights(p["level"], p["sift"], beta=p["beta"]))
+    path = _write_csv(spec, f"model-{which}.txt", lambda fh: write_arithfn(fn, fh))
     _write_summary(spec, {"file": str(path), "length": len(fn), "passed": True})
     print(f"model: wrote {which} window of length {len(fn)} to {path}")
     return 0
@@ -375,14 +408,17 @@ def _cmd_model(args) -> int:
 # argument wiring
 # ---------------------------------------------------------------------------
 
-
-def _add_common(sp: argparse.ArgumentParser) -> None:
-    # the shared flags are also accepted after the subcommand; SUPPRESS keeps
-    # the top-level value unless the flag actually appears here
-    sp.add_argument("--out", default=argparse.SUPPRESS, help=argparse.SUPPRESS)
-    sp.add_argument("--config", default=argparse.SUPPRESS, help=argparse.SUPPRESS)
-    sp.add_argument("--seed", type=int, default=argparse.SUPPRESS, help=argparse.SUPPRESS)
-    sp.add_argument("--workers", type=int, default=argparse.SUPPRESS, help=argparse.SUPPRESS)
+# (subcommand, help, handler, parameter table)
+COMMANDS = (
+    ("verify gallagher", "Gallagher's inequality on random +-1 data", _cmd_verify_gallagher, GALLAGHER),
+    ("verify lambda_q_short", "Lambda_Q twisted short-sum sweep", _cmd_verify_lambda_q, (BIG_Q, GRID)),
+    ("verify sieve_short", "sieve-model twisted short-sum sweep", _cmd_verify_sieve, (GRID,)),
+    ("verify closeness", "short-interval Fourier closeness of the models", _cmd_verify_closeness, CLOSENESS),
+    ("pipeline", "run the minorant-transfer chain", _cmd_pipeline, PIPELINE),
+    ("exceptional", "exhaustive E(X, H) scan", _cmd_exceptional, EXCEPTIONAL),
+    ("series", "singular series table", _cmd_series, SERIES),
+    ("model", "dump a model window", _cmd_model, MODEL),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -391,78 +427,21 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out", default="cmlab-out", help="output directory for reports")
     parser.add_argument("--config", default=None, help="key=value config file")
     parser.add_argument("--seed", type=int, default=None, help="seed for randomized sweeps")
-    parser.add_argument("--workers", type=int, default=None, help="cap library parallelism")
     sub = parser.add_subparsers(dest="command", required=True)
-
     verify = sub.add_parser("verify", help="run a verification harness")
     vsub = verify.add_subparsers(dest="harness", required=True)
 
-    vg = vsub.add_parser("gallagher")
-    vg.add_argument("--delta", type=float, default=None)
-    vg.add_argument("--trials", type=int, default=None)
-    vg.add_argument("--span", type=int, default=None)
-    vg.add_argument("--start", type=int, default=None)
-    _add_common(vg)
-    vg.set_defaults(handler=_cmd_verify_gallagher)
-
-    vl = vsub.add_parser("lambda_q_short")
-    vl.add_argument("--Q", dest="big_q", type=int, default=None)
-    vl.add_argument("--grid", choices=["small", "medium"], default=None)
-    _add_common(vl)
-    vl.set_defaults(handler=_cmd_verify_lambda_q)
-
-    vs = vsub.add_parser("sieve_short")
-    vs.add_argument("--grid", choices=["small", "medium"], default=None)
-    _add_common(vs)
-    vs.set_defaults(handler=_cmd_verify_sieve)
-
-    vc = vsub.add_parser("closeness")
-    vc.add_argument("--Y", dest="y", type=int, default=None)
-    vc.add_argument("--h-exponent", dest="h_exponent", type=float, default=None)
-    vc.add_argument("--Q", dest="big_q", type=int, default=None)
-    vc.add_argument("--c-nu", dest="c_nu", type=float, default=None)
-    _add_common(vc)
-    vc.set_defaults(handler=_cmd_verify_closeness)
-
-    pipe = sub.add_parser("pipeline", help="run the minorant-transfer chain")
-    pipe.add_argument("--preset", choices=sorted(PRESETS), default=None)
-    pipe.add_argument("--X", dest="x", type=int, default=None)
-    pipe.add_argument("--Y", dest="y", type=int, default=None)
-    pipe.add_argument("--H", dest="h", type=int, default=None)
-    pipe.add_argument("--Q", dest="big_q", type=int, default=None)
-    pipe.add_argument("--c-nu", dest="c_nu", type=float, default=None)
-    pipe.add_argument("--c-omega", dest="c_omega", type=float, default=None)
-    pipe.add_argument("--kappa", type=float, default=None)
-    pipe.add_argument("--max-final-fraction", dest="max_final_fraction", type=float, default=None)
-    _add_common(pipe)
-    pipe.set_defaults(handler=_cmd_pipeline)
-
-    exc = sub.add_parser("exceptional", help="exhaustive E(X, H) scan")
-    exc.add_argument("--X", dest="x", type=int, default=None)
-    exc.add_argument("--H", dest="h", type=int, default=None)
-    _add_common(exc)
-    exc.set_defaults(handler=_cmd_exceptional)
-
-    ser = sub.add_parser("series", help="singular series table")
-    ser.add_argument("--n-start", dest="n_start", type=int, default=None)
-    ser.add_argument("--n-stop", dest="n_stop", type=int, default=None)
-    ser.add_argument("--n-step", dest="n_step", type=int, default=None)
-    ser.add_argument("--q-max", dest="q_max", type=int, default=None)
-    ser.add_argument("--prime-bound", dest="prime_bound", type=int, default=None)
-    _add_common(ser)
-    ser.set_defaults(handler=_cmd_series)
-
-    mod = sub.add_parser("model", help="dump a model window")
-    mod.add_argument("--which", choices=["lambda_q", "t_nu", "t_nu_plus"], default=None)
-    mod.add_argument("--Y", dest="y", type=int, default=None)
-    mod.add_argument("--Q", dest="big_q", type=int, default=None)
-    mod.add_argument("--c-nu", dest="c_nu", type=float, default=None)
-    mod.add_argument("--beta", type=int, default=None)
-    mod.add_argument("--level", type=float, default=None, metavar="D")
-    mod.add_argument("--sift", type=float, default=None, metavar="Z")
-    _add_common(mod)
-    mod.set_defaults(handler=_cmd_model)
-
+    for name, help_text, handler, table in COMMANDS:
+        group, _, leaf = name.rpartition(" ")
+        sp = (vsub if group else sub).add_parser(leaf, help=help_text)
+        for param in table:
+            sp.add_argument(param.flag, dest=param.key, type=param.type, choices=param.choices, default=None)
+        # the shared flags are also accepted after the subcommand; SUPPRESS keeps
+        # the top-level value unless the flag actually appears here
+        sp.add_argument("--out", default=argparse.SUPPRESS, help=argparse.SUPPRESS)
+        sp.add_argument("--config", default=argparse.SUPPRESS, help=argparse.SUPPRESS)
+        sp.add_argument("--seed", type=int, default=argparse.SUPPRESS, help=argparse.SUPPRESS)
+        sp.set_defaults(handler=handler, name=name, table=table)
     return parser
 
 
@@ -470,7 +449,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.handler(args)
+        return args.handler(_resolve(args))
     except (DomainError, ContractError, CapacityError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -28,7 +28,7 @@ import json
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import IO, Iterable, Optional, Sequence
+from typing import IO, Iterable, Optional
 
 import numpy as np
 
@@ -261,44 +261,6 @@ def closeness_integral(
         grid_resolution=size,
         per_arc=per_arc,
     )
-
-
-def character_window_energies(
-    f: ArithFn,
-    q: int,
-    h: float,
-    main_scale: float,
-    exceptional: Sequence = (),
-) -> list[tuple]:
-    """Per-character window-sum energies at modulus q (optional diagnostics).
-
-    For each character chi mod q returns (chi, sum_t |S_chi(t)|^2) with
-
-        S_chi(t) = sum_{t - w < n <= t} ( f(n) chi(n) - delta_chi * main_scale ),
-
-    w = floor(q sqrt(h) / 3) and delta_chi = 1 exactly for the principal
-    character.  Characters appearing in `exceptional` (matched by label) are
-    skipped: an exceptional set is an input hypothesis supplied by the caller,
-    never something this toolkit tries to discover.  Windows range over the
-    support of f.
-    """
-    from .characters import characters_mod
-
-    if h < 1:
-        raise DomainError("need h >= 1")
-    width = max(1, int(q * math.sqrt(h) / 3.0))
-    skip = {tuple(chi.label) for chi in exceptional}
-    ns = f.indices()
-    out = []
-    for chi in characters_mod(q):
-        if tuple(chi.label) in skip:
-            continue
-        vals = f.values * chi.values[ns % q]
-        if chi.principal:
-            vals = vals - main_scale
-        sums = _window_sums(vals.astype(np.complex128), width)
-        out.append((chi, float(np.sum(np.abs(sums) ** 2))))
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -26,14 +26,7 @@ from .arith import cached_primes, euler_phi, mobius, prime_flags, rough_flags, w
 from .arithfn import ArithFn, convolve, subtract
 from .characters import ramanujan_sum
 from .errors import CapacityError, ContractError, DomainError
-from .models import (
-    LambdaQParams,
-    SieveSystem,
-    beta_sieve_weights,
-    model_t_nu,
-    model_t_nu_plus,
-    untruncated_level,
-)
+from .models import LambdaQParams, SieveSystem, model_t_nu, model_t_nu_plus, untruncated_sieve
 
 DESK_X_CAP = 10**9
 
@@ -260,19 +253,6 @@ PRESETS = {
 }
 
 
-def desk_sieve(config: PipelineConfig, beta: int = 10) -> SieveSystem:
-    """Sieve for the nonnegative model at desk scale: z = Q, level raised to the
-    untruncation threshold.
-
-    The asymptotic level H^{1/10} collapses below 2 at desk sizes (it would
-    leave only the d = 1 weight, making the model a constant), so the desk
-    default keeps z = Q and raises the level until the sieve equals the exact
-    Q-rough indicator; the ideal level is kept in the config's `ideal` map.
-    """
-    level = max(float(untruncated_level(config.big_q, beta)), config.h ** (1.0 / 10.0))
-    return beta_sieve_weights(level, float(config.big_q), beta=beta)
-
-
 # ---------------------------------------------------------------------------
 # pipeline
 # ---------------------------------------------------------------------------
@@ -361,8 +341,8 @@ def run_pipeline(
 
     nu must live on (Y, 2Y] and omega on (X-3Y, X-Y]; a must be nonnegative and
     dominate omega, b must dominate nu.  t_nu / t_nu_plus default to the models
-    built from the config (Lambda_Q scaled by c_nu, and the rescaled desk
-    sieve).
+    built from the config (Lambda_Q scaled by c_nu, and the rescaled
+    untruncated sieve at z = Q).
     """
     _require_support(nu, config.nu_window, "nu")
     _require_support(omega, config.omega_window, "omega")
@@ -372,7 +352,7 @@ def run_pipeline(
     if t_nu is None:
         t_nu = model_t_nu(config.lambda_q_params())
     if t_nu_plus is None:
-        t_nu_plus = model_t_nu_plus(config.lambda_q_params(), sieve or desk_sieve(config))
+        t_nu_plus = model_t_nu_plus(config.lambda_q_params(), sieve or untruncated_sieve(config.big_q))
     if np.min(t_nu_plus.values, initial=0) < 0:
         raise ContractError("t_nu_plus must be nonnegative")
 
@@ -381,12 +361,14 @@ def run_pipeline(
     kappa = config.kappa
     ns = np.arange(config.x - config.h, config.x + 1, dtype=np.int64)
 
+    def window(f: ArithFn, g: ArithFn, method: str) -> np.ndarray:
+        # the full convolution is dropped as soon as [X-H, X] is read from it
+        return _eval_window(convolve(f, g, method=method), ns)
+
     # approximation steps, computed on the difference functions so that a
     # collapsed chain (nu = T = T+) is exactly zero
-    c_step2 = convolve(a, subtract(nu, t_nu_plus), method="fft")
-    c_step4 = convolve(omega, subtract(t_nu_plus, t_nu), method="direct")
-    step2 = np.abs(_eval_window(c_step2, ns))
-    step4 = np.abs(_eval_window(c_step4, ns))
+    step2 = np.abs(window(a, subtract(nu, t_nu_plus), "fft"))
+    step4 = np.abs(window(omega, subtract(t_nu_plus, t_nu), "direct"))
     exceptions_step2 = int(np.sum(step2 > kappa))
     exceptions_step4 = int(np.sum(step4 > kappa))
 
@@ -395,14 +377,10 @@ def run_pipeline(
     # summation cannot produce a spurious sign, so "exactly zero violations"
     # needs no tolerance; a genuine minorization breach shows up honestly here
     # and in the minorization count.
-    diff_a_omega = subtract(a, omega)
-    c_pos = convolve(diff_a_omega, t_nu_plus, method="direct")
-    positivity_violations = int(np.sum(_eval_window(c_pos, ns) < 0))
+    positivity_violations = int(np.sum(window(subtract(a, omega), t_nu_plus, "direct") < 0))
 
-    c_ab = convolve(a, b, method="fft")
-    c_omega_t = convolve(omega, t_nu, method="direct")
-    ab = _eval_window(c_ab, ns)
-    om = _eval_window(c_omega_t, ns)
+    ab = window(a, b, "fft")
+    om = window(omega, t_nu, "direct")
 
     even = ns % 2 == 0
     fails = ab < om - 2 * kappa

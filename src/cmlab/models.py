@@ -34,7 +34,7 @@ from typing import IO
 
 import numpy as np
 
-from .arith import cached_primes, euler_phi, mobius, rough_flags
+from .arith import cached_primes, euler_phi, mobius
 from .arithfn import ArithFn, TWO_PI
 from .characters import ramanujan_sum
 from .errors import CapacityError, ContractError, DomainError
@@ -160,27 +160,16 @@ def lambda_q_short_sum(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class VMertens:
-    """V(z) = prod_{p <= z} (1 - 1/p)."""
-
-    z: float
-    value: float
-
-    @classmethod
-    def compute(cls, z: float) -> "VMertens":
-        if z < 0:
-            raise DomainError("z must be >= 0")
-        value = 1.0
-        for p in cached_primes(int(z)):
-            if p > z:
-                break
-            value *= 1.0 - 1.0 / int(p)
-        return cls(z, value)
-
-
 def mertens_product(z: float) -> float:
-    return VMertens.compute(z).value
+    """V(z) = prod_{p <= z} (1 - 1/p)."""
+    if z < 0:
+        raise DomainError("z must be >= 0")
+    value = 1.0
+    for p in cached_primes(int(z)):
+        if p > z:
+            break
+        value *= 1.0 - 1.0 / int(p)
+    return value
 
 
 _MAX_WEIGHTS = 1 << 20
@@ -279,6 +268,17 @@ def untruncated_level(sift: float, beta: int = 10) -> int:
     return best
 
 
+def untruncated_sieve(sift: float, beta: int = 10) -> SieveSystem:
+    """The sieve of sifting range z at its untruncated level: theta_n is exactly
+    the indicator of z-rough n.
+
+    This is the desk default for the nonnegative model.  The asymptotic level
+    H^{1/10} collapses below 2 at desk sizes, which would leave only the d = 1
+    weight and make the model a constant.
+    """
+    return beta_sieve_weights(float(untruncated_level(sift, beta)), float(sift), beta=beta)
+
+
 def model_t_nu_plus(params: LambdaQParams, sieve: SieveSystem) -> ArithFn:
     """c_nu * V(z)^{-1} * theta_n on the window (lo, hi], zero elsewhere.
 
@@ -319,11 +319,6 @@ def sieve_short_sum(
         predicted = 0j
         budget = (h_prime / q_twist + sieve.level + q_twist) * math.log(q_twist * h_prime)
     return actual, predicted, float(budget)
-
-
-def rough_indicator_window(start: int, stop: int, z: float) -> np.ndarray:
-    """Indicator of z-rough integers on [start, stop) (sieve exactness oracle)."""
-    return rough_flags(start, stop, z).astype(np.int64)
 
 
 # ---------------------------------------------------------------------------

@@ -28,6 +28,16 @@ class TestExitCodes:
         with pytest.raises(SystemExit):
             run(["--out", str(tmp_path), "pipeline", "--preset", "nope"])
 
+    def test_preset_with_model_flag_exits_2(self, tmp_path, capsys):
+        # the preset fixes Y, so --Y would be silently dropped
+        assert run(["--out", str(tmp_path), "pipeline", "--preset", "desk-small", "--Y", "2000"]) == 2
+        assert "fixes y" in capsys.readouterr().err
+
+    def test_workers_belongs_to_closeness_only(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            run(["--out", str(tmp_path), "series", "--workers", "3"])
+        assert exc.value.code == 2
+
 
 class TestVerify:
     def test_gallagher(self, tmp_path):
@@ -113,6 +123,18 @@ class TestModelDump:
             fn = read_arithfn(fh)
         assert float(fn.values.min()) >= 0.0
 
+    def test_t_nu_plus_header_has_resolved_sieve_defaults(self, tmp_path):
+        assert run(["--out", str(tmp_path), "model", "--which", "t_nu_plus", "--Y", "1000", "--Q", "5"]) == 0
+        header = (tmp_path / "model-t_nu_plus.txt").read_text().splitlines()
+        assert "# beta = 10" in header
+        assert "# sift = 5.0" in header
+        assert "# level = 48828125.0" in header  # untruncated_level(5) = 5^11
+
+    def test_lambda_q_header_omits_sieve_parameters(self, tmp_path):
+        assert run(["--out", str(tmp_path), "model", "--which", "lambda_q", "--Y", "1000", "--Q", "5"]) == 0
+        text = (tmp_path / "model-lambda_q.txt").read_text()
+        assert "# beta" not in text and "# sift" not in text and "# level" not in text
+
 
 class TestParameterResolution:
     def test_config_file(self, tmp_path):
@@ -135,6 +157,15 @@ class TestParameterResolution:
         text = (tmp_path / "exceptional-set.csv").read_text()
         assert "# x = 12000" in text
 
+    def test_bad_config_value_exits_2(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("x = abc\n")
+        assert run(["--out", str(tmp_path), "--config", str(cfg), "exceptional"]) == 2
+
+    def test_bad_env_value_exits_2(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("CML_H", "1e3")
+        assert run(["--out", str(tmp_path), "exceptional", "--X", "10000"]) == 2
+
     def test_flag_beats_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv("CML_X", "12000")
         assert run(["--out", str(tmp_path), "exceptional", "--X", "9000", "--H", "50"]) == 0
@@ -146,4 +177,5 @@ class TestSeedPlacement:
         code = run(["--out", str(tmp_path), "verify", "gallagher",
                     "--trials", "5", "--span", "2000", "--seed", "3"])
         assert code == 0
-        assert "# seed = 3" in (tmp_path / "gallagher-ratios.csv").read_text()
+        text = (tmp_path / "gallagher-ratios.csv").read_text()
+        assert "# seed = 3" in text and text.count("seed") == 1

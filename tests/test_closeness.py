@@ -223,36 +223,6 @@ class TestSweeps:
         assert report.summary()["points"] == 1
 
 
-class TestCharacterDiagnostics:
-    def test_matched_mean_suppresses_principal_energy(self):
-        from cmlab.arith import rough_flags
-        from cmlab.closeness import character_window_energies
-        from cmlab.models import mertens_product
-
-        # rescaled rough indicator has unit mean, so the principal-character
-        # window sums should be pure fluctuation
-        z = 5.0
-        v = mertens_product(z)
-        vals = rough_flags(10_001, 20_001, z).astype(float) / v
-        f = ArithFn(10_001, vals)
-        energies = character_window_energies(f, 3, 100.0, main_scale=1.0)
-        principal = next(e for chi, e in energies if chi.principal)
-        mismatched = character_window_energies(f, 3, 100.0, main_scale=5.0)
-        principal_bad = next(e for chi, e in mismatched if chi.principal)
-        assert principal < principal_bad / 100
-
-    def test_exceptional_list_is_honored(self):
-        from cmlab.characters import characters_mod
-        from cmlab.closeness import character_window_energies
-
-        f = ArithFn(1_000, np.ones(5_000))
-        chars = characters_mod(5)
-        skipped = [c for c in chars if not c.principal][:2]
-        energies = character_window_energies(f, 5, 50.0, 1.0, exceptional=skipped)
-        assert len(energies) == len(chars) - 2
-        assert all(e >= 0 for _, e in energies)
-
-
 class TestEstimatorAgainstExhaustiveGrid:
     def test_reported_sup_tracks_full_grid_sup(self):
         # oracle: the window integral evaluated at EVERY grid frequency, not

@@ -13,7 +13,6 @@ from cmlab.goldbach import (
     convolve_with_lambda_q_model,
     desk_config,
     desk_pipeline_inputs,
-    desk_sieve,
     exceptional_set,
     goldbach_count,
     restricted_prime_fn,
@@ -22,7 +21,7 @@ from cmlab.goldbach import (
     singular_series_product,
     singular_series_smooth_sum,
 )
-from cmlab.models import LambdaQParams, model_t_nu
+from cmlab.models import LambdaQParams, model_t_nu, untruncated_sieve
 
 
 class TestExceptionalSet:
@@ -157,7 +156,7 @@ class TestPipelineConfig:
 
     def test_desk_sieve_is_exact_rough_model(self):
         config = PRESETS["desk-small"]()
-        sieve = desk_sieve(config)
+        sieve = untruncated_sieve(config.big_q)
         theta = sieve.theta_window(1001, 2001)
         assert np.array_equal(theta, rough_flags(1001, 2001, config.big_q).astype(np.int64))
 

@@ -9,7 +9,6 @@ from cmlab.errors import ContractError, DomainError
 from cmlab.models import (
     LambdaQParams,
     SieveSystem,
-    VMertens,
     beta_sieve_weights,
     lambda_q,
     lambda_q_direct,
@@ -20,7 +19,7 @@ from cmlab.models import (
     model_t_nu_plus,
     read_sieve,
     sieve_short_sum,
-    untruncated_level,
+    untruncated_sieve,
     write_sieve,
 )
 
@@ -98,8 +97,7 @@ class TestLambdaQShortSum:
 class TestBetaSieve:
     def test_untruncated_is_exact_rough_indicator(self):
         for z in (2, 3, 5, 7):
-            level = untruncated_level(z, beta=10)
-            sieve = beta_sieve_weights(float(level), float(z), beta=10)
+            sieve = untruncated_sieve(z)
             theta = sieve.theta_window(1, 100_001)
             rough = rough_flags(1, 100_001, z).astype(np.int64)
             assert np.array_equal(theta, rough)
@@ -166,7 +164,8 @@ class TestMertens:
         vs = [mertens_product(z) for z in (2, 3, 5, 7, 11, 100)]
         assert all(0 < v <= 0.5 for v in vs)
         assert vs == sorted(vs, reverse=True)
-        assert VMertens.compute(10.0).value == mertens_product(10)
+        with pytest.raises(DomainError):
+            mertens_product(-1)
 
 
 class TestModels:
@@ -187,7 +186,7 @@ class TestModels:
         y = 10_000
         params = LambdaQParams(big_q=10, window=(y, 2 * y), c_nu=1.0)
         t_nu = model_t_nu(params)
-        sieve = beta_sieve_weights(float(untruncated_level(10, 10)), 10.0, beta=10)
+        sieve = untruncated_sieve(10)
         t_plus = model_t_nu_plus(params, sieve)
         m1 = float(t_nu.values.mean())
         m2 = float(t_plus.values.mean())
@@ -204,7 +203,7 @@ class TestSieveShortSum:
     def test_untruncated_rough_count(self):
         # q = 1: V(z)^{-1} sum theta_n approximates the window length because
         # theta is the exact rough indicator there
-        sieve = beta_sieve_weights(float(untruncated_level(10, 10)), 10.0, beta=10)
+        sieve = untruncated_sieve(10)
         t, h = 50_000, 7_000.0
         actual, predicted, _ = sieve_short_sum(t, h, sieve, r=0, q_twist=1)
         rough_count = int(rough_flags(t - 7000 + 1, t + 1, 10).sum())
