@@ -11,13 +11,14 @@ Modules:
 """
 
 from .arith import euler_phi, is_rough, mobius, sieve_primes, weighted_prime_fn
-from .arithfn import ArithFn, convolve, fourier_eval, l1_norm, l2_norm_sq, short_interval_sums
+from .arithfn import ArithFn, convolve, convolve_window, fourier_eval, l1_norm, l2_norm_sq, short_interval_sums
 from .characters import characters_mod, exponential_from_characters, gauss_sum, ramanujan_sum
 from .closeness import closeness_integral, farey_dissection, gallagher_lhs, gallagher_rhs
 from .goldbach import (
     PipelineConfig,
     PipelineReport,
     desk_config,
+    exceptional_scan,
     exceptional_set,
     run_pipeline,
     singular_series,

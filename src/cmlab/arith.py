@@ -19,37 +19,36 @@ from .errors import DomainError
 _SEGMENT = 1 << 20
 
 
-def _odd_sieve_flags(limit: int) -> np.ndarray:
-    """Plain Eratosthenes flags for 0..limit (inclusive)."""
-    flags = np.ones(limit + 1, dtype=bool)
-    flags[:2] = False
-    for p in range(2, math.isqrt(limit) + 1):
-        if flags[p]:
-            flags[p * p :: p] = False
+def interval_prime_flags(lo: int, hi: int) -> np.ndarray:
+    """Boolean array of length hi-lo+1 with flags[i] = (lo + i is prime).
+
+    Segmented sieve of Eratosthenes: the base primes p <= sqrt(hi) come from
+    the same sieve on [0, sqrt(hi)], and each crosses off its multiples from
+    max(p*p, lo) on.  Memory is O(sqrt(hi) + hi - lo), whatever lo is.
+    """
+    if lo < 0 or hi < lo - 1:
+        raise DomainError("need 0 <= lo <= hi + 1")
+    flags = np.ones(hi - lo + 1, dtype=bool)
+    flags[: max(0, 2 - lo)] = False
+    root = math.isqrt(max(hi, 0))
+    if root >= 2:
+        for p in np.flatnonzero(interval_prime_flags(0, root)).tolist():
+            first = max(p * p, -(-lo // p) * p)
+            flags[first - lo :: p] = False
     return flags
 
 
 def sieve_primes(limit: int) -> np.ndarray:
     """All primes <= limit, ascending.
 
-    Segmented sieve of Eratosthenes: working memory is O(sqrt(limit) + segment)
-    on top of the returned array.  limit < 2 yields an empty array.
+    Sieves [0, limit] in segments with `interval_prime_flags`: working memory
+    is O(sqrt(limit) + segment) on top of the returned array.  limit < 2
+    yields an empty array.
     """
-    if limit < 2:
-        return np.array([], dtype=np.int64)
-    root = math.isqrt(limit)
-    base = np.flatnonzero(_odd_sieve_flags(root)).astype(np.int64)
-    chunks = [base]
-    lo = root + 1
-    while lo <= limit:
-        hi = min(lo + _SEGMENT, limit + 1)  # exclusive
-        seg = np.ones(hi - lo, dtype=bool)
-        for p in base:
-            start = ((lo + p - 1) // p) * p
-            if start < hi:
-                seg[start - lo :: p] = False
-        chunks.append(np.flatnonzero(seg).astype(np.int64) + lo)
-        lo = hi
+    chunks = [np.array([], dtype=np.int64)]
+    for lo in range(0, limit + 1, _SEGMENT):
+        hi = min(lo + _SEGMENT - 1, limit)
+        chunks.append(np.flatnonzero(interval_prime_flags(lo, hi)).astype(np.int64) + lo)
     return np.concatenate(chunks)
 
 
@@ -60,9 +59,7 @@ def prime_flags(limit: int) -> np.ndarray:
     """
     if limit < 0:
         raise DomainError("limit must be nonnegative")
-    if limit < 2:
-        return np.zeros(limit + 1, dtype=bool)
-    return _odd_sieve_flags(limit)
+    return interval_prime_flags(0, limit)
 
 
 # Shared monotone prime cache.  Never mutated in place: replaced wholesale
@@ -199,7 +196,7 @@ def weighted_prime_fn(x: int) -> ArithFn:
     """The log-weighted prime indicator on [2, x]: log n at primes, 0 elsewhere."""
     if x < 2:
         raise DomainError("weighted_prime_fn requires x >= 2")
-    flags = prime_flags(x)[2:]
-    ns = np.arange(2, x + 1, dtype=np.float64)
-    values = np.where(flags, np.log(ns), 0.0)
+    idx = np.flatnonzero(prime_flags(x)[2:])
+    values = np.zeros(x - 1)
+    values[idx] = np.log(idx + 2.0)
     return ArithFn(2, values)

@@ -101,14 +101,19 @@ class ArithFn:
 
     def embed(self, start: int, stop: int) -> np.ndarray:
         """Values of f on [start, stop) as a dense array (zeros outside support)."""
-        if stop < start:
-            raise DomainError("stop < start")
-        out = np.zeros(stop - start, dtype=self.values.dtype if self.kind != "int" else np.float64)
-        lo = max(start, self.support_start)
-        hi = min(stop, self.support_stop)
-        if lo < hi:
-            out[lo - start : hi - start] = self.values[lo - self.support_start : hi - self.support_start]
-        return out
+        return _dense(self, start, stop, self.values.dtype if self.kind != "int" else np.float64)
+
+
+def _dense(f: ArithFn, start: int, stop: int, dtype) -> np.ndarray:
+    """f on [start, stop) as a dense array of the given dtype; start may be negative."""
+    if stop < start:
+        raise DomainError("stop < start")
+    out = np.zeros(stop - start, dtype=dtype)
+    lo = max(start, f.support_start)
+    hi = min(stop, f.support_stop)
+    if lo < hi:
+        out[lo - start : hi - start] = f.values[lo - f.support_start : hi - f.support_start]
+    return out
 
 
 def common_window(f: ArithFn, g: ArithFn) -> tuple[int, int]:
@@ -137,63 +142,120 @@ def l1_norm(f: ArithFn) -> float:
 # -- convolution -----------------------------------------------------------
 
 _DIRECT_COST_LIMIT = 1 << 21  # len(f)*len(g) above this switches "auto" to the transform path
+# convolve_window goes direct while its multiply-adds stay below this many times
+# size * log2(size) of the transform.  On a 2-vCPU Xeon a multiply-add costs
+# 0.2-0.6 ns and a transform point 5-7 ns, so the two meet near 12-20.
+_WINDOW_FFT_RATIO = 8
+
+# Round-off constant of the float FFT product.  Percival (Math. Comp. 72 (2003),
+# Thm 5.1) bounds every entry of the error of an FFT convolution of length
+# N = 2**n by |a|_2 |b|_2 ((1+u)^(3n) (1+u sqrt5)^(3n+1) (1+beta)^(3n) - 1), with
+# u = 2**-53 and beta the twiddle error.  For beta <= u the bracket is
+# ((6 + 3 sqrt5) n + sqrt5) u + O((nu)^2) < 16 n u for n >= 1.  That proof is
+# for radix-2 complex transforms; numpy's pocketfft runs mixed-radix real ones
+# of the same depth, so c doubles it.  On random integer inputs of length
+# 2**7 to 2**15 the measured error stays below 0.3% of the resulting bound.
+_FFT_ROUNDOFF_C = 32.0
 
 
 def convolve(f: ArithFn, g: ArithFn, method: str = "auto") -> ArithFn:
     """Additive convolution (f*g)(n) = sum_{a+b=n} f(a) g(b).
 
     Two execution paths: "direct" quadratic summation and "fft" with
-    power-of-two zero padding.  The transform result is rounded back to exact
-    integers only when both inputs are integer-valued and the magnitudes stay
-    below 2**52.
+    power-of-two zero padding.  On both, integer inputs give the exact integer
+    result whenever no output can reach 2**62, and a real result otherwise.
     """
     if len(f) == 0 or len(g) == 0:
         raise DomainError("convolve requires nonempty supports")
     out_start = f.support_start + g.support_start
-    out_len = len(f) + len(g) - 1
-    if out_start + out_len > SUPPORT_BOUND:
+    if out_start + len(f) + len(g) - 1 > SUPPORT_BOUND:
         raise CapacityError("convolution support exceeds the global index bound")
     if method == "auto":
         method = "direct" if len(f) * len(g) <= _DIRECT_COST_LIMIT else "fft"
     if method == "direct":
         out = _convolve_direct(f.values, g.values)
     elif method == "fft":
-        out = _convolve_fft(f.values, g.values, out_len)
+        out = _convolve_fft(f.values, g.values)
     else:
         raise DomainError(f"unknown convolution method {method!r}")
     return ArithFn(out_start, out)
 
 
-def _convolve_direct(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    both_int = a.dtype.kind == "i" and b.dtype.kind == "i"
-    if both_int:
-        # int64 accumulation is exact but wraps silently; fall back to float
-        # when the worst-case magnitude could overflow.
-        bound = min(
-            float(np.sum(np.abs(a))) * float(np.max(np.abs(b), initial=0)),
-            float(np.sum(np.abs(b))) * float(np.max(np.abs(a), initial=0)),
-        )
-        if bound < 2.0**62:
-            return np.convolve(a, b)
+def window_preimage(g: ArithFn, lo: int, hi: int) -> tuple[int, int]:
+    """[start, stop): the m that (f*g)(n) reads from f for lo <= n <= hi.
+
+    (f*g)(n) = sum_m f(m) g(n - m) sees only the m with n - m in g's support.
+    """
+    return lo - (g.support_stop - 1), hi - g.support_start + 1
+
+
+def convolve_window(f: ArithFn, g: ArithFn, lo: int, hi: int) -> np.ndarray:
+    """(f*g)(n) for the integers lo <= n <= hi only, as a dense array.
+
+    f is cut to `window_preimage(g, lo, hi)` and convolved against g in "valid"
+    mode: directly, at (hi - lo + 1) * len(g) multiply-adds however long f is,
+    or through the transform of the cut f and g once those multiply-adds pass
+    _WINDOW_FFT_RATIO * size * log2(size).  Dtypes and exactness are those of
+    `convolve`; n outside the support of f*g reads 0.
+    """
+    if len(f) == 0 or len(g) == 0:
+        raise DomainError("convolve_window requires nonempty supports")
+    if hi < lo:
+        raise DomainError("need lo <= hi")
+    start, stop = window_preimage(g, lo, hi)
+    cut = _dense(f, start, stop, f.values.dtype)
+    size = _fft_size(len(cut) + len(g) - 1)
+    direct = (hi - lo + 1) * len(g) <= _WINDOW_FFT_RATIO * size * math.log2(size)
+    return (_convolve_direct if direct else _convolve_fft)(cut, g.values, "valid")
+
+
+def _fits_int64(a: np.ndarray, b: np.ndarray) -> bool:
+    """No output of the integer convolution a*b can reach 2**62 in magnitude."""
+    bound = min(
+        float(np.sum(np.abs(a))) * float(np.max(np.abs(b), initial=0)),
+        float(np.sum(np.abs(b))) * float(np.max(np.abs(a), initial=0)),
+    )
+    return bound < 2.0**62
+
+
+def _convolve_direct(a: np.ndarray, b: np.ndarray, mode: str = "full") -> np.ndarray:
+    if a.dtype.kind == "i" and b.dtype.kind == "i" and not _fits_int64(a, b):
+        # int64 accumulation is exact but wraps silently
         a = a.astype(np.float64)
         b = b.astype(np.float64)
-    return np.convolve(a, b)
+    return np.convolve(a, b, mode)
 
 
-def _convolve_fft(a: np.ndarray, b: np.ndarray, out_len: int) -> np.ndarray:
-    both_int = a.dtype.kind == "i" and b.dtype.kind == "i"
-    size = 1 << max(1, (out_len - 1).bit_length())
-    if a.dtype.kind == "c" or b.dtype.kind == "c":
-        raw = np.fft.ifft(np.fft.fft(a, size) * np.fft.fft(b, size))[:out_len]
+def _fft_size(out_len: int) -> int:
+    return 1 << max(1, (out_len - 1).bit_length())
+
+
+def _convolve_fft(a: np.ndarray, b: np.ndarray, mode: str = "full") -> np.ndarray:
+    """a*b through the transform; mode as in np.convolve ("full" or "valid").
+
+    Integer inputs are rounded back to int64 only under the proven round-off
+    bound, and are otherwise convolved directly, which is exact.
+    """
+    out_len = len(a) + len(b) - 1
+    size = _fft_size(out_len)
+    if a.dtype.kind == "i" and b.dtype.kind == "i" and _fits_int64(a, b):
+        bound = float(np.linalg.norm(a)) * float(np.linalg.norm(b)) * _FFT_ROUNDOFF_C * math.log2(size)
+        if bound * 2.0**-53 >= 0.5:
+            return np.convolve(a, b, mode)
+        out = np.rint(_fft_real(a, b, size, out_len)).astype(np.int64)
+    elif a.dtype.kind == "c" or b.dtype.kind == "c":
+        out = np.fft.ifft(np.fft.fft(a, size) * np.fft.fft(b, size))[:out_len]
     else:
-        raw = np.fft.irfft(
-            np.fft.rfft(a.astype(np.float64), size) * np.fft.rfft(b.astype(np.float64), size), size
-        )[:out_len]
-    if both_int:
-        rounded = np.rint(raw)
-        if np.max(np.abs(rounded), initial=0.0) < 2.0**52:
-            return rounded.astype(np.int64)
-    return raw
+        out = _fft_real(a, b, size, out_len)
+    if mode == "valid":
+        short, long = sorted((len(a), len(b)))
+        out = out[short - 1 : long]
+    return out
+
+
+def _fft_real(a: np.ndarray, b: np.ndarray, size: int, out_len: int) -> np.ndarray:
+    spec = np.fft.rfft(a.astype(np.float64), size) * np.fft.rfft(b.astype(np.float64), size)
+    return np.fft.irfft(spec, size)[:out_len]
 
 
 # -- Fourier side -----------------------------------------------------------

@@ -43,7 +43,7 @@ from .goldbach import (
     PRESETS,
     desk_config,
     desk_pipeline_inputs,
-    exceptional_set,
+    exceptional_scan,
     run_pipeline,
     restricted_prime_fn,
     singular_series,
@@ -337,16 +337,16 @@ EXCEPTIONAL = (
 
 def _cmd_exceptional(spec: ExperimentSpec) -> int:
     x, h = spec.params["x"], spec.params["h"]
-    exceptions = exceptional_set(x, h)
+    scan = exceptional_scan(x, h)
 
     def body(fh):
         fh.write("n\n")
-        for n in exceptions:
+        for n in scan.exceptions:
             fh.write(f"{n}\n")
 
     _write_csv(spec, "exceptional-set.csv", body)
-    _write_summary(spec, {"count": len(exceptions), "passed": True})
-    print(f"exceptional: |E({x}, {h})| = {len(exceptions)}")
+    _write_summary(spec, {**scan.summary(), "passed": True})
+    print(f"exceptional: |E({x}, {h})| = {len(scan.exceptions)}")
     return 0
 
 

@@ -1,7 +1,7 @@
 """Problem-level objects: exceptional sets, the singular series, the model
 convolution, and the end-to-end minorant-transfer pipeline.
 
-The pipeline evaluates, for every n in [X-H, X], the chain
+The pipeline evaluates, by windowed convolution on [X-H, X], the chain
 
     a*b(n)  >=  a*nu(n)  ~  a*T+(n)  >=  omega*T+(n)  ~  omega*T(n)
 
@@ -9,7 +9,9 @@ where T = c_nu Lambda_Q on (Y, 2Y], T+ is the nonnegative sieve model, nu <= b
 and omega <= a pointwise, a >= 0 and T+ >= 0.  The two >= steps are pointwise
 inequalities and must never fail; the two ~ steps are approximations whose
 violations at slack kappa are counted.  The final verdict per even n is the
-lower bound a*b(n) >= omega*T(n) - 2 kappa.
+lower bound a*b(n) >= omega*T(n) - 2 kappa.  Each step costs (H+1) times the
+length of its second factor, or one transform of about that length plus H
+when that is cheaper, never a full convolution of length up to 2X.
 """
 
 from __future__ import annotations
@@ -22,13 +24,20 @@ from typing import IO, Optional
 
 import numpy as np
 
-from .arith import cached_primes, euler_phi, mobius, prime_flags, rough_flags, weighted_prime_fn
-from .arithfn import ArithFn, convolve, subtract
+from .arith import cached_primes, euler_phi, interval_prime_flags, mobius, rough_flags, weighted_prime_fn
+from .arithfn import ArithFn, convolve, convolve_window, subtract, window_preimage
 from .characters import ramanujan_sum
 from .errors import CapacityError, ContractError, DomainError
 from .models import LambdaQParams, SieveSystem, model_t_nu, model_t_nu_plus, untruncated_sieve
 
-DESK_X_CAP = 10**9
+DESK_X_CAP = 10**9  # X of the desk pipeline inputs, which hold Lambda' on [2, X]
+SCAN_BLOCK = 1 << 20  # integers of [X-H, X] that exceptional_scan sifts at a time; even
+SCAN_CAP = 10**8  # sqrt(X) + block + P in exceptional_scan; about 13 bytes each, 1.3 GB at the cap
+# Every even 4 <= n <= 4*10^18 is p + q with a prime p < 10^4 (Oliveira e Silva,
+# Herzog, Pardi, Math. Comp. 83 (2014)), so the first pass of exceptional_scan
+# decides every desk-scale n; larger bounds are tried only so that the result
+# never rests on that computation.
+LEAST_PRIME_START = 10**4
 
 
 # ---------------------------------------------------------------------------
@@ -36,31 +45,84 @@ DESK_X_CAP = 10**9
 # ---------------------------------------------------------------------------
 
 
-def exceptional_set(x: int, h: int) -> list[int]:
+@dataclass(frozen=True)
+class ExceptionalScan:
+    """E(X, H) together with what decided it.
+
+    p_bound is the final prime bound P; max_least_prime is the largest least
+    prime p of a partition n = p + q over the scanned n, attained at
+    max_least_n (both None when no n has a partition).
+    """
+
+    exceptions: tuple[int, ...]
+    p_bound: int
+    max_least_prime: Optional[int]
+    max_least_n: Optional[int]
+
+    def summary(self) -> dict:
+        return {
+            "count": len(self.exceptions),
+            "p_bound": self.p_bound,
+            "max_least_prime": self.max_least_prime,
+            "max_least_n": self.max_least_n,
+        }
+
+
+def exceptional_scan(x: int, h: int) -> ExceptionalScan:
     """Even n in [x-h, x] that are not a sum of two primes (exhaustive check).
 
-    Uses a sieve up to x and an early-exit search over small prime subtrahends,
-    which almost always terminates within a handful of lookups.
+    Works through [x-h, x] in blocks of SCAN_BLOCK integers.  Each block sieves
+    only [block start - P, block end] and the primes p <= P, then drops, one
+    vectorised step per ascending p, every n with n - p >= 2 prime.  If an n is
+    left for which primes above P remain untried, P grows 16-fold and the block
+    reruns, so the result is exact.  Memory is O(sqrt(x) + min(h, SCAN_BLOCK) + P);
+    a working set over SCAN_CAP raises CapacityError before it is allocated.
     """
     if x - h < 4:
         raise DomainError("need X - H >= 4")
-    if x > DESK_X_CAP:
-        raise CapacityError(f"X = {x} beyond the desk cap {DESK_X_CAP}")
-    flags = prime_flags(x)
-    primes = np.flatnonzero(flags)
-    out = []
-    start = x - h if (x - h) % 2 == 0 else x - h + 1
-    for n in range(start, x + 1, 2):
-        hit = False
-        for p in primes:
-            if p > n - 2:
+    p_bound = LEAST_PRIME_START
+    exceptions: list[int] = []
+    least_p = least_n = None
+    for first in range(x - h + (x - h) % 2, x + 1, SCAN_BLOCK):
+        last = min(first + SCAN_BLOCK - 1, x)
+        while True:
+            working_set = math.isqrt(x) + last - first + p_bound
+            if working_set > SCAN_CAP:
+                raise CapacityError(
+                    f"E(X, H) working set sqrt(X) + block + P = {working_set} beyond the cap {SCAN_CAP}"
+                )
+            left, p, n = _sift_partitions(first, last, p_bound)
+            if len(left) == 0 or int(left[-1]) - 2 <= p_bound:
                 break
-            if flags[n - p]:
-                hit = True
-                break
-        if not hit:
-            out.append(n)
-    return out
+            p_bound *= 16
+        exceptions += left.tolist()
+        if p is not None and (least_p is None or p > least_p):
+            least_p, least_n = p, n
+    return ExceptionalScan(tuple(exceptions), p_bound, least_p, least_n)
+
+
+def _sift_partitions(start: int, x: int, p_bound: int) -> tuple[np.ndarray, Optional[int], Optional[int]]:
+    """The even n in [start, x] with no partition n = p + q, p <= p_bound, and
+    the largest least p among the others with its smallest n."""
+    lo = max(0, start - p_bound)
+    flags = interval_prime_flags(lo, x)
+    left = np.arange(start, x + 1, 2, dtype=np.int64)
+    least_p = least_n = None
+    for p in cached_primes(p_bound).tolist():
+        k = int(np.searchsorted(left, p + 2))  # left[k:] are the n with n - p >= 2
+        if k == len(left):
+            break
+        tail = left[k:]
+        hit = flags[tail - (p + lo)]
+        if hit.any():
+            least_p, least_n = p, int(tail[hit][0])
+            left = np.concatenate((left[:k], tail[~hit]))
+    return left, least_p, least_n
+
+
+def exceptional_set(x: int, h: int) -> list[int]:
+    """The list of `exceptional_scan(x, h)`."""
+    return list(exceptional_scan(x, h).exceptions)
 
 
 def goldbach_count(n: int, flags: np.ndarray) -> int:
@@ -337,7 +399,7 @@ def run_pipeline(
     t_nu_plus: Optional[ArithFn] = None,
     sieve: Optional[SieveSystem] = None,
 ) -> PipelineReport:
-    """Evaluate the whole transfer chain on [X-H, X] by exact convolution.
+    """Evaluate the whole transfer chain by windowed convolution on [X-H, X].
 
     nu must live on (Y, 2Y] and omega on (X-3Y, X-Y]; a must be nonnegative and
     dominate omega, b must dominate nu.  t_nu / t_nu_plus default to the models
@@ -359,28 +421,27 @@ def run_pipeline(
     minorization = _pointwise_violations(nu, b) + _pointwise_violations(omega, a)
 
     kappa = config.kappa
-    ns = np.arange(config.x - config.h, config.x + 1, dtype=np.int64)
-
-    def window(f: ArithFn, g: ArithFn, method: str) -> np.ndarray:
-        # the full convolution is dropped as soon as [X-H, X] is read from it
-        return _eval_window(convolve(f, g, method=method), ns)
+    lo, hi = config.x - config.h, config.x
+    ns = np.arange(lo, hi + 1, dtype=np.int64)
 
     # approximation steps, computed on the difference functions so that a
     # collapsed chain (nu = T = T+) is exactly zero
-    step2 = np.abs(window(a, subtract(nu, t_nu_plus), "fft"))
-    step4 = np.abs(window(omega, subtract(t_nu_plus, t_nu), "direct"))
+    step2 = np.abs(convolve_window(a, subtract(nu, t_nu_plus), lo, hi))
+    step4 = np.abs(convolve_window(omega, subtract(t_nu_plus, t_nu), lo, hi))
     exceptions_step2 = int(np.sum(step2 > kappa))
     exceptions_step4 = int(np.sum(step4 > kappa))
 
-    # pointwise step a*T+ >= omega*T+, computed as (a - omega) * T+.  When the
-    # minorization omega <= a holds, every product is nonnegative and IEEE
-    # summation cannot produce a spurious sign, so "exactly zero violations"
-    # needs no tolerance; a genuine minorization breach shows up honestly here
-    # and in the minorization count.
-    positivity_violations = int(np.sum(window(subtract(a, omega), t_nu_plus, "direct") < 0))
+    # pointwise step a*T+ >= omega*T+, computed as (a - omega) * T+ with a cut
+    # to the m the window reads.  When the minorization omega <= a holds, every
+    # product is nonnegative and IEEE summation cannot produce a spurious sign,
+    # so "exactly zero violations" needs no tolerance; a genuine minorization
+    # breach shows up honestly here and in the minorization count.
+    start, stop = window_preimage(t_nu_plus, lo, hi)
+    a_cut = ArithFn(max(start, 0), a.embed(max(start, 0), stop))
+    positivity_violations = int(np.sum(convolve_window(subtract(a_cut, omega), t_nu_plus, lo, hi) < 0))
 
-    ab = window(a, b, "fft")
-    om = window(omega, t_nu, "direct")
+    ab = convolve_window(a, b, lo, hi)
+    om = convolve_window(omega, t_nu, lo, hi)
 
     even = ns % 2 == 0
     fails = ab < om - 2 * kappa
@@ -409,31 +470,23 @@ def run_pipeline(
     )
 
 
-def _eval_window(f: ArithFn, ns: np.ndarray) -> np.ndarray:
-    out = np.zeros(len(ns), dtype=np.float64)
-    lo = max(int(ns[0]), f.support_start)
-    hi = min(int(ns[-1]) + 1, f.support_stop)
-    if lo < hi:
-        vals = f.values[lo - f.support_start : hi - f.support_start]
-        out[lo - int(ns[0]) : hi - int(ns[0])] = np.real(vals)
-    return out
-
-
 def restricted_prime_fn(x: int, window: tuple[int, int]) -> ArithFn:
     """The log-weighted prime function cut to the integers (lo, hi]."""
-    lo, hi = window
-    if hi > x:
+    if window[1] > x:
         raise DomainError("window exceeds the prime table")
-    full = weighted_prime_fn(x)
-    vals = full.embed(lo + 1, hi + 1)
-    return ArithFn(lo + 1, vals)
+    return _cut(weighted_prime_fn(x), window)
+
+
+def _cut(f: ArithFn, window: tuple[int, int]) -> ArithFn:
+    lo, hi = window
+    return ArithFn(lo + 1, f.embed(lo + 1, hi + 1))
 
 
 def desk_pipeline_inputs(config: PipelineConfig) -> tuple[ArithFn, ArithFn, ArithFn, ArithFn]:
     """(nu, omega, a, b) for the desk run: the trivial minorants nu = Lambda'
     restricted to (Y, 2Y], omega = Lambda' restricted to (X-3Y, X-Y], and
     a = b = Lambda' on [2, X]."""
+    if config.x > DESK_X_CAP:
+        raise CapacityError(f"X = {config.x} beyond the desk cap {DESK_X_CAP}")
     lam = weighted_prime_fn(config.x)
-    nu = restricted_prime_fn(config.x, config.nu_window)
-    omega = restricted_prime_fn(config.x, config.omega_window)
-    return nu, omega, lam, lam
+    return _cut(lam, config.nu_window), _cut(lam, config.omega_window), lam, lam

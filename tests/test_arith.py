@@ -9,6 +9,7 @@ from cmlab.arith import (
     FactoredInteger,
     euler_phi,
     factorize,
+    interval_prime_flags,
     is_rough,
     mobius,
     prime_flags,
@@ -25,6 +26,30 @@ def trial_division_primes(limit):
         if all(n % d for d in range(2, int(math.isqrt(n)) + 1)):
             out.append(n)
     return out
+
+
+def miller_rabin(n):
+    """Deterministic for n < 3.3 * 10^24 with the prime bases up to 37."""
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    if n < 2:
+        return False
+    for p in bases:
+        if n % p == 0:
+            return n == p
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in bases:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
 def odd_only_sieve(limit):
@@ -56,6 +81,24 @@ class TestSievePrimes:
         primes = sieve_primes(1_000_000)
         assert len(primes) == 78_498
         assert primes.tolist() == odd_only_sieve(1_000_000)
+
+
+class TestIntervalPrimeFlags:
+    def test_windows_match_full_flags(self, flags_1e6):
+        windows = [(0, 0), (0, 1), (0, 2), (2, 2), (4, 3), (7, 7), (0, 1000), (123_456, 124_000), (990_000, 1_000_000)]
+        for lo, hi in windows:
+            assert np.array_equal(interval_prime_flags(lo, hi), flags_1e6[lo : hi + 1])
+
+    def test_far_window_against_miller_rabin(self):
+        lo = 10**12 - 2000
+        flags = interval_prime_flags(lo, 10**12)
+        assert flags.tolist() == [miller_rabin(n) for n in range(lo, 10**12 + 1)]
+
+    def test_domain(self):
+        with pytest.raises(DomainError):
+            interval_prime_flags(-1, 5)
+        with pytest.raises(DomainError):
+            interval_prime_flags(10, 8)
 
 
 class TestMultiplicativeFunctions:
@@ -149,6 +192,10 @@ class TestWeightedPrimeFn:
         direct = sum(math.log(p) for p in trial_division_primes(10_000))
         assert float(np.sum(f.values)) == pytest.approx(direct, rel=1e-12)
         assert abs(float(np.sum(f.values)) - 10_000) / 10_000 < 0.03
+
+    def test_log_only_at_primes_matches_dense_log(self, flags_1e6):
+        dense = np.where(flags_1e6[2:], np.log(np.arange(2, 1_000_001, dtype=np.float64)), 0.0)
+        assert np.array_equal(weighted_prime_fn(1_000_000).values, dense)
 
     def test_flags_consistency(self, flags_1e6):
         assert bool(flags_1e6[999_983])  # largest prime below 1e6

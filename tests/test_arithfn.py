@@ -6,10 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cmlab import arithfn
 from cmlab.arith import weighted_prime_fn
 from cmlab.arithfn import (
     ArithFn,
     convolve,
+    convolve_window,
     fourier_eval,
     l1_norm,
     l2_norm_sq,
@@ -71,6 +73,25 @@ class TestConvolve:
         assert t.kind == "int"
         assert np.array_equal(t.values, d.values)
 
+    def test_fft_int_rounding_at_large_magnitudes(self):
+        # outputs up to 2**50 < 2**52: plain rounding of the transform is off by
+        # one at a few entries here, so only the proven bound may allow it
+        gen = np.random.default_rng(0)
+        a = gen.integers(0, 2**18, size=2**16)
+        b = gen.integers(0, 2**18, size=2**16)
+        t = convolve(fn(0, a), fn(0, b), method="fft")
+        # exact oracle: every int64 product and partial sum stays below 2**52
+        exact = np.convolve(a, b)
+        assert t.kind == "int"
+        assert np.array_equal(t.values, exact)
+
+    def test_fft_int_beyond_the_rounding_bound_is_exact(self, rng):
+        f = fn(0, rng.integers(-(2**30), 2**30, size=3000))
+        g = fn(5, rng.integers(-(2**20), 2**20, size=2000))
+        t = convolve(f, g, method="fft")
+        assert t.kind == "int"
+        assert np.array_equal(t.values, convolve(f, g, method="direct").values)
+
     def test_empty_is_domain_error(self):
         with pytest.raises(DomainError):
             convolve(ArithFn.zero(), ArithFn.point_mass(1))
@@ -101,6 +122,72 @@ class TestConvolve:
         start, stop = min(r1.support_start, r2.support_start), max(r1.support_stop, r2.support_stop)
         rhs = r1.embed(start, stop) + r2.embed(start, stop)
         assert np.allclose(lhs.embed(start, stop), rhs, rtol=0, atol=1e-9)
+
+
+class TestConvolveWindow:
+    def _read(self, f, g, lo, hi):
+        full = convolve(f, g, method="direct")
+        return np.array([full(n) for n in range(lo, hi + 1)], dtype=full.values.dtype)
+
+    def _cases(self, rng):
+        f_int = fn(40, rng.integers(-1000, 1000, size=300))
+        g_int = fn(7, rng.integers(-1000, 1000, size=50))
+        f_real = fn(40, rng.normal(size=300))
+        g_real = fn(7, rng.normal(size=50))
+        g_cplx = fn(7, rng.normal(size=50) + 1j * rng.normal(size=50))
+        return [(f_int, g_int), (f_real, g_real), (f_int, g_real), (f_real, g_cplx), (g_real, f_real)]
+
+    def test_matches_full_convolution(self, rng):
+        # f*g lives on [47, 395] in every case; windows inside, straddling
+        # either end, covering everything, and wholly outside
+        windows = [(100, 164), (0, 60), (380, 450), (0, 500), (47, 47), (395, 395), (0, 46), (396, 900)]
+        for f, g in self._cases(rng):
+            for lo, hi in windows:
+                got = convolve_window(f, g, lo, hi)
+                want = self._read(f, g, lo, hi)
+                assert len(got) == hi - lo + 1
+                if f.kind == g.kind == "int":
+                    assert got.dtype == np.int64
+                    assert np.array_equal(got, want)
+                else:
+                    assert np.allclose(got, want, rtol=0, atol=1e-9)
+
+    def test_long_window_takes_the_transform(self, rng, monkeypatch):
+        # (H + 1) * len(g) = 1.2 * 10**8 multiply-adds: the direct path would
+        # cost several times the transform of the cut f against g
+        def refuse(*args, **kwargs):
+            raise AssertionError("direct path taken for a long window")
+
+        f_int = fn(3, rng.integers(-1000, 1000, size=24000))
+        g_int = fn(11, rng.integers(-1000, 1000, size=12000))
+        f_real, g_real = fn(3, rng.normal(size=24000)), fn(11, rng.normal(size=12000))
+        lo, hi = 15000, 24999
+        want_int = self._read(f_int, g_int, lo, hi)
+        want_real = self._read(f_real, g_real, lo, hi)
+        monkeypatch.setattr(arithfn, "_convolve_direct", refuse)
+        got_int = convolve_window(f_int, g_int, lo, hi)
+        assert got_int.dtype == np.int64
+        assert np.array_equal(got_int, want_int)
+        got_real = convolve_window(f_real, g_real, lo, hi)
+        assert np.allclose(got_real, want_real, rtol=0, atol=1e-8)
+
+    def test_outside_support_is_zero(self, rng):
+        f = fn(40, rng.integers(1, 9, size=30))
+        g = fn(7, rng.integers(1, 9, size=20))
+        assert not convolve_window(f, g, 0, 46).any()
+        assert not convolve_window(f, g, 96, 300).any()
+
+    def test_int_overflow_guard(self):
+        big = fn(0, np.full(4, 2**40))
+        got = convolve_window(big, big, 0, 6)
+        assert got.dtype == np.float64
+        assert got[3] == 4 * 2.0**80
+
+    def test_domain(self):
+        with pytest.raises(DomainError):
+            convolve_window(ArithFn.zero(), ArithFn.point_mass(1), 0, 3)
+        with pytest.raises(DomainError):
+            convolve_window(ArithFn.point_mass(1), ArithFn.point_mass(1), 3, 2)
 
 
 class TestFourier:

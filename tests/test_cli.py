@@ -97,6 +97,13 @@ class TestExceptional:
         ]
         assert rows == ["n"]  # empty body: no exceptions
 
+    def test_summary_names_the_deciding_prime(self, tmp_path):
+        assert run(["--out", str(tmp_path), "exceptional", "--X", "600000", "--H", "100000"]) == 0
+        summary = json.loads((tmp_path / "exceptional-summary.json").read_text())
+        assert summary["count"] == 0
+        assert (summary["max_least_prime"], summary["max_least_n"]) == (523, 503_222)
+        assert summary["p_bound"] >= 523
+
 
 class TestSeries:
     def test_table(self, tmp_path):

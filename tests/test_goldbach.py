@@ -4,15 +4,17 @@ import math
 import numpy as np
 import pytest
 
-from cmlab.arith import prime_flags, rough_flags
+from cmlab import goldbach
+from cmlab.arith import interval_prime_flags, rough_flags
 from cmlab.arithfn import ArithFn, convolve
-from cmlab.errors import ContractError, DomainError
+from cmlab.errors import CapacityError, ContractError, DomainError
 from cmlab.goldbach import (
     PRESETS,
     PipelineConfig,
     convolve_with_lambda_q_model,
     desk_config,
     desk_pipeline_inputs,
+    exceptional_scan,
     exceptional_set,
     goldbach_count,
     restricted_prime_fn,
@@ -41,6 +43,48 @@ class TestExceptionalSet:
     def test_domain(self):
         with pytest.raises(DomainError):
             exceptional_set(10, 8)
+
+    def test_beyond_the_pipeline_cap(self):
+        # Oliveira e Silva, Herzog, Pardi (2014): every even n <= 4*10^18 is
+        # p + q with a prime p < 10^4
+        scan = exceptional_scan(10**12, 10**4)
+        assert exceptional_set(10**12, 10**4) == []
+        assert scan.p_bound == goldbach.LEAST_PRIME_START
+        assert scan.max_least_prime < 10**4
+        partner = scan.max_least_n - scan.max_least_prime
+        assert interval_prime_flags(partner, partner)[0]
+
+    def test_least_prime_record(self):
+        # 503222 is the first even n whose least partition prime is 523
+        scan = exceptional_scan(1_000_000, 1_000_000 - 4)
+        assert (scan.max_least_prime, scan.max_least_n) == (523, 503_222)
+
+    def test_growing_prime_bound_stays_exact(self, monkeypatch, flags_1e6):
+        monkeypatch.setattr(goldbach, "LEAST_PRIME_START", 3)
+        scan = exceptional_scan(5000, 200)
+        assert scan.p_bound > 3
+        assert list(scan.exceptions) == [n for n in range(4800, 5001, 2) if goldbach_count(n, flags_1e6) == 0]
+
+    def test_working_set_over_cap_fails_up_front(self, monkeypatch):
+        with pytest.raises(CapacityError):
+            exceptional_set(10**17, 10)  # sqrt(X) alone is over the cap
+        # sqrt(10^6) + block + 10^4 against a cap of 2 * 10^4
+        monkeypatch.setattr(goldbach, "SCAN_CAP", 20_000)
+        assert exceptional_set(10**6, 10) == []
+        with pytest.raises(CapacityError):
+            exceptional_set(10**6, 10_000)
+
+    def test_blocks_bound_the_working_set_not_h(self, monkeypatch, flags_1e6):
+        # the record n = 503222 is the last even n of the first 1024-block
+        whole = exceptional_scan(504_200, 2000)
+        assert whole.max_least_n == 503_222
+        monkeypatch.setattr(goldbach, "SCAN_BLOCK", 1024)
+        monkeypatch.setattr(goldbach, "SCAN_CAP", 12_000)  # sqrt(X) + 1023 + 10^4 fits, H does not
+        assert exceptional_scan(504_200, 2000) == whole
+        monkeypatch.setattr(goldbach, "LEAST_PRIME_START", 3)
+        grown = exceptional_scan(5000, 4000)
+        assert grown.p_bound > 3
+        assert list(grown.exceptions) == [n for n in range(1000, 5001, 2) if goldbach_count(n, flags_1e6) == 0]
 
 
 class TestSingularSeries:
@@ -211,6 +255,10 @@ class TestPipeline:
                 continue
             assert (abs(conv(n)) < 1.0) == (n in missing)
 
+    def test_inputs_beyond_desk_cap_fail_up_front(self):
+        with pytest.raises(CapacityError):
+            desk_pipeline_inputs(desk_config(goldbach.DESK_X_CAP + 2))
+
     def test_support_misconfiguration_rejected(self):
         config = desk_config(200_000, big_q=10)
         nu, omega, a, b = desk_pipeline_inputs(config)
@@ -242,7 +290,39 @@ class TestPipeline:
         assert '"final_failures": 0' in js
 
 
+class TestPipelineScaling:
+    def test_pipeline_makes_no_full_convolution(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("run_pipeline must read [X-H, X] through convolve_window")
+
+        monkeypatch.setattr(goldbach, "convolve", refuse)
+        config = PRESETS["desk-small"]()
+        report = run_pipeline(config, *desk_pipeline_inputs(config))
+        assert report.final_failures == 0
+
+    def test_trimmed_steps_match_full_convolutions(self):
+        config = PRESETS["desk-small"]()
+        nu, omega, a, b = desk_pipeline_inputs(config)
+        report = run_pipeline(config, nu, omega, a, b)
+        full = convolve(a, b, method="fft")
+        ab = np.array([row[1] for row in report.rows])
+        assert np.allclose(ab, [full(n) for n, *_ in report.rows], rtol=1e-12, atol=1e-6)
+
+
 class TestMinorizationReporting:
+    def test_broken_minorant_fires_positivity_check(self):
+        # a bump of omega at a composite m read by the window: a(m) = 0 < omega(m),
+        # so (a - omega) * T+ goes negative wherever T+(n - m) > 0
+        config = PRESETS["desk-small"]()
+        nu, omega, a, b = desk_pipeline_inputs(config)
+        m = 198_000
+        assert config.x - config.h - 2 * config.y <= m <= config.x - config.y - 1
+        bumped = omega.values.copy()
+        bumped[m - omega.support_start] += 1.0
+        report = run_pipeline(config, nu, ArithFn(omega.support_start, bumped), a, b)
+        assert report.step_positivity_violations > 0
+        assert report.minorization_violations > 0
+
     def test_omega_exceeding_a_is_counted_not_fatal(self):
         config = desk_config(200_000, big_q=10)
         nu, omega, a, b = desk_pipeline_inputs(config)
