@@ -279,18 +279,17 @@ def power_spectrum(f: ArithFn, oversample: int = 8, min_size: int = 64) -> tuple
     M is the smallest power of two >= max(oversample * len(f), min_size), so the
     grid has at least `oversample` samples per 1/span.  Support offset only
     changes the phase of f-hat, never the magnitude, so the window offset is
-    irrelevant here.
+    irrelevant here.  For real f the spectrum is even, so it is the half-length
+    real transform mirrored onto the full grid.
     """
     if oversample < 1:
         raise DomainError("oversample must be >= 1")
     n = max(len(f) * oversample, min_size, 1)
     size = 1 << (n - 1).bit_length()
-    vals = f.values
     if f.kind == "complex":
-        spec = np.fft.fft(np.conj(vals), size)
-    else:
-        spec = np.fft.fft(vals.astype(np.float64), size)
-    return size, np.abs(spec) ** 2
+        return size, np.abs(np.fft.fft(np.conj(f.values), size)) ** 2
+    half = np.abs(np.fft.rfft(f.values.astype(np.float64), size)) ** 2
+    return size, np.concatenate([half, half[-2:0:-1]])
 
 
 def parseval_check(f: ArithFn, oversample: int = 2) -> tuple[float, float]:

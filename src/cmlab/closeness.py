@@ -12,13 +12,28 @@ estimated two ways and reported together:
 
         (1/(q^2 H)) * sum_t | sum_{t - w < n <= t} (f-g)(n) e(r n / q) |^2,
 
-    with window width w = floor(q sqrt(H) / 3) and t stepping by 1;
+    with window width w = floor(q sqrt(H) / 3) and t over every integer whose
+    window meets the support;
 
   * a direct spot check: |(f-g)-hat|^2 on a dense FFT grid, integrated over
     [alpha - 1/H, alpha + 1/H] for alpha sampled inside the widest arcs.
 
 The first is an upper bound up to the pinned Gallagher constant; the second is
-a lower-bound probe.  Regressions in either are visible in the report.
+a lower-bound probe.  Regressions in either are visible in the report, which
+also says which of the two set the estimate.
+
+Both read one power spectrum of the real d = f - g.  A pair n, n + h lies in
+w - |h| of the windows when |h| < w and in none otherwise, so with the
+autocorrelation A(h) = sum_n d(n) d(n + h) the window functional is exactly
+
+    sum_t |sum_{t - w < n <= t} d(n) e(r n / q)|^2
+        = w A(0) + 2 sum_{h=1}^{w-1} (w - h) A(h) cos(2 pi r h / q).
+
+A(h) is the inverse transform of |d-hat|^2 on a grid of M points, which is
+free of wrap-around for h <= M - span.  The spot check's grid has M >= 8 span,
+and every 4th of its points is a grid of M/4 >= 2 span points, while
+w <= H/3 < span/6; so one inverse transform of a quarter of the spectrum serves
+every arc, and each arc then costs O(w).
 """
 
 from __future__ import annotations
@@ -26,13 +41,12 @@ from __future__ import annotations
 import csv
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import IO, Iterable, Optional
 
 import numpy as np
 
-from .arithfn import ArithFn, _window_sums, l2_norm_sq, power_spectrum, subtract, twist_values
+from .arithfn import TWO_PI, ArithFn, _window_sums, l2_norm_sq, power_spectrum, subtract
 from .errors import DomainError
 from .models import SieveSystem, lambda_q_short_sum, sieve_short_sum
 
@@ -156,7 +170,11 @@ def gallagher_lhs(f: ArithFn, delta: float, oversample: int = 8) -> float:
 
 @dataclass(frozen=True)
 class ClosenessReport:
-    """Estimate of the short-interval closeness functional for a pair (f, g)."""
+    """Estimate of the short-interval closeness functional for a pair (f, g).
+
+    farey_arc is the (q, r) of the arc that attains farey_bound; spot_alpha is
+    the grid point that attains spot_estimate (None when every sample is 0).
+    """
 
     sup_estimate: float
     theta_effective: float
@@ -167,18 +185,35 @@ class ClosenessReport:
     order: int
     grid_resolution: int
     per_arc: tuple = field(repr=False)
+    farey_arc: tuple[int, int]
+    spot_alpha: Optional[float]
+
+    @property
+    def decided_by(self) -> str:
+        """"farey" when the Farey bound sets sup_estimate, "spot" when the spot probe does."""
+        return "farey" if self.farey_bound >= self.spot_estimate else "spot"
+
+    def decision(self) -> dict:
+        """Which estimate set sup_estimate, where each one peaked, and their ratio."""
+        return {
+            "decided_by": self.decided_by,
+            "farey_bound": self.farey_bound,
+            "farey_arc": list(self.farey_arc),
+            "spot_estimate": self.spot_estimate,
+            "spot_alpha": self.spot_alpha,
+            "farey_over_spot": self.farey_bound / self.spot_estimate if self.spot_estimate else None,
+        }
 
     def to_json(self) -> str:
         payload = {
             "sup_estimate": self.sup_estimate,
             "theta_effective": self.theta_effective,
-            "farey_bound": self.farey_bound,
-            "spot_estimate": self.spot_estimate,
             "reference_norm": self.reference_norm,
             "h": self.h,
             "order": self.order,
             "grid_resolution": self.grid_resolution,
             "arc_count": len(self.per_arc),
+            **self.decision(),
         }
         return json.dumps(payload, sort_keys=True)
 
@@ -189,11 +224,11 @@ class ClosenessReport:
             writer.writerow([arc.q, arc.r, f"{arc.center:.12g}", f"{arc.lo:.12g}", f"{arc.hi:.12g}", f"{value:.12g}"])
 
 
-def _arc_functional(diff: ArithFn, arc: FareyArc, h: float) -> float:
-    width = max(1, int(arc.q * math.sqrt(h) / 3.0))
-    twisted = twist_values(diff, arc.r, arc.q)
-    sums = _window_sums(twisted, width)
-    return float(np.sum(np.abs(sums) ** 2) / (arc.q**2 * h))
+def _arc_functional(acf: np.ndarray, arc: FareyArc, h: float) -> float:
+    w = max(1, int(arc.q * math.sqrt(h) / 3.0))
+    lags = np.arange(1, w)
+    cos = np.cos(TWO_PI * (arc.r * lags % arc.q) / arc.q)
+    return float(w * acf[0] + 2.0 * np.dot((w - lags) * acf[1:w], cos)) / (arc.q**2 * h)
 
 
 def closeness_integral(
@@ -203,28 +238,28 @@ def closeness_integral(
     reference_norm: Optional[float] = None,
     spot_arcs: int = 16,
     max_samples_per_arc: int = 128,
-    workers: int = 1,
 ) -> ClosenessReport:
     """Estimate sup_alpha of the windowed L^2 closeness of f and g (see module docstring)."""
     if h < 1:
         raise DomainError("need H >= 1 so the dissection order is at least 1")
     diff = subtract(f, g)
+    if diff.kind == "complex":
+        raise DomainError("the closeness functional needs real-valued f and g")
     span = len(diff)
     if span <= 2 * h:
         raise DomainError("supports must span more than 2H")
     order = int(math.isqrt(int(h)))
     arcs = farey_dissection(order)
+    size, spec = power_spectrum(diff, oversample=8)
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            contribs = list(pool.map(lambda a: _arc_functional(diff, a, h), arcs))
-    else:
-        contribs = [_arc_functional(diff, a, h) for a in arcs]
+    # A(h): every 4th bin is the spectrum on a grid of M/4 points (module docstring)
+    acf = np.fft.irfft(spec[: size // 2 + 1 : 4], size // 4)
+    contribs = [_arc_functional(acf, arc, h) for arc in arcs]
     per_arc = tuple(zip(arcs, contribs))
     farey_bound = max(contribs)
+    best_arc = arcs[contribs.index(farey_bound)]
 
     # direct spot check on the widest arcs
-    size, spec = power_spectrum(diff, oversample=8)
     half = min(int(size / h), (size - 1) // 2)
     csum = np.concatenate([[0.0], np.cumsum(spec)])
 
@@ -237,7 +272,7 @@ def closeness_integral(
             total = (csum[size] - csum[lo_m]) + csum[hi_m + 1]
         return float(total) / size
 
-    spot = 0.0
+    spot, spot_alpha = 0.0, None
     widest = sorted(arcs, key=lambda a: a.width, reverse=True)[:spot_arcs]
     for arc in widest:
         k_lo = math.ceil(arc.lo * size)
@@ -246,7 +281,9 @@ def closeness_integral(
             continue
         stride = max(1, (k_hi - k_lo) // max_samples_per_arc)
         for k in range(k_lo, k_hi + 1, stride):
-            spot = max(spot, window_integral(k))
+            value = window_integral(k)
+            if value > spot:
+                spot, spot_alpha = value, (k % size) / size
 
     sup_estimate = max(farey_bound, spot)
     ref = reference_norm if reference_norm is not None else (l2_norm_sq(f) or 1.0)
@@ -260,6 +297,8 @@ def closeness_integral(
         order=order,
         grid_resolution=size,
         per_arc=per_arc,
+        farey_arc=(best_arc.q, best_arc.r),
+        spot_alpha=spot_alpha,
     )
 
 

@@ -238,6 +238,15 @@ class TestFourier:
         for k in (0, 1, size // 3, size - 2):
             assert spec[k] == pytest.approx(abs(fourier_eval(f, k / size)) ** 2, abs=1e-8)
 
+    def test_real_spectrum_equals_complex_cast(self, rng):
+        # the mirrored half-length real transform against the full complex one
+        for length, oversample in ((1, 1), (37, 8), (64, 1), (1000, 8)):
+            vals = rng.normal(size=length)
+            size, spec = power_spectrum(fn(4, vals), oversample=oversample)
+            size_c, spec_c = power_spectrum(fn(4, vals.astype(np.complex128)), oversample=oversample)
+            assert size == size_c == len(spec)
+            assert np.max(np.abs(spec - spec_c)) <= 1e-12 * np.max(spec_c)
+
 
 class TestNorms:
     def test_scaled_point_mass(self):

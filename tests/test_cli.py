@@ -77,6 +77,24 @@ class TestVerify:
         summary = json.loads((tmp_path / "verify-closeness-summary.json").read_text())
         assert summary["theta_model_vs_sieve"] <= summary["theta_primes_vs_model"]
 
+    def test_closeness_summary_says_what_set_theta(self, tmp_path):
+        # at the canonical point the spot probe, not the Farey bound, sets theta
+        code = run(["--out", str(tmp_path), "verify", "closeness"])
+        assert code == 0
+        summary = json.loads((tmp_path / "verify-closeness-summary.json").read_text())
+        assert summary["passed"] is True
+        assert summary["theta_primes_vs_model"] == pytest.approx(0.04797, abs=5e-6)
+        decision = summary["primes_vs_model"]
+        assert decision["decided_by"] == "spot"
+        assert decision["spot_estimate"] == pytest.approx(5.70e4, rel=1e-3)
+        assert decision["farey_bound"] == pytest.approx(2.60e4, rel=1e-3)
+        assert decision["farey_over_spot"] == pytest.approx(decision["farey_bound"] / decision["spot_estimate"])
+        assert decision["farey_arc"] == [1, 0]
+        assert 0.0 <= decision["spot_alpha"] < 1.0
+        assert summary["model_vs_sieve"]["decided_by"] in ("farey", "spot")
+        # --workers is accepted and ignored, so no report depends on the CPU count
+        assert "# workers" not in (tmp_path / "closeness-primes-vs-model-arcs.csv").read_text()
+
 
 class TestPipeline:
     def test_preset_run(self, tmp_path):

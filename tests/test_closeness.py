@@ -1,11 +1,12 @@
 import io
+import json
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from cmlab.arithfn import ArithFn
+from cmlab.arithfn import ArithFn, subtract
 from cmlab.closeness import (
     FareyArc,
     closeness_integral,
@@ -171,19 +172,49 @@ class TestClosenessIntegral:
         f = ArithFn(0, rng.normal(size=100))
         with pytest.raises(DomainError):
             closeness_integral(f, f, 64.0)
-
-    def test_worker_invariance(self, rng):
         f, g = self._pair(rng)
-        a = closeness_integral(f, g, 64.0, workers=1)
-        b = closeness_integral(f, g, 64.0, workers=4)
-        assert a.sup_estimate == b.sup_estimate
-        assert [c for _, c in a.per_arc] == [c for _, c in b.per_arc]
+        with pytest.raises(DomainError):  # the autocorrelation route is for real d
+            closeness_integral(ArithFn(1_000, f.values * 1j), g, 64.0)
+
+    def test_arc_functionals_match_brute_force_windows(self, rng):
+        # oracle: twist d(n) by an explicit exp at absolute n and sum |window|^2
+        # over every t whose window meets the support, one t at a time
+        def brute(d, q, r, h):
+            w = max(1, int(q * math.sqrt(h) / 3.0))
+            ns = d.indices()
+            twisted = d.values * np.exp(2j * np.pi * r * ns / q)
+            total = 0.0
+            for t in range(d.support_start, d.support_stop + w - 1):
+                lo, hi = max(t - w + 1, d.support_start), t
+                total += abs(np.sum(twisted[lo - d.support_start : hi - d.support_start + 1])) ** 2
+            return total / (q**2 * h), w
+
+        # h = 4: order 2, both windows of width 1; h = 150: every q <= 12 with
+        # every coprime r, widths 4 to 48; the 0/1 arc wraps in both
+        for h, span in ((4.0, 50), (150.0, 700)):
+            f = ArithFn(1_003, rng.normal(size=span))
+            g = ArithFn(1_000, rng.normal(size=span))
+            rep = closeness_integral(f, g, h)
+            assert rep.per_arc[0][0].lo < 0
+            pairs = {(arc.q, arc.r) for arc, _ in rep.per_arc}
+            assert pairs == {(q, r) for q in range(1, rep.order + 1) for r in range(q) if math.gcd(r, q) == 1}
+            widths = set()
+            for arc, value in rep.per_arc:
+                oracle, w = brute(subtract(f, g), arc.q, arc.r, h)
+                widths.add(w)
+                assert value == pytest.approx(oracle, rel=1e-10)
+            assert (min(widths) == 1) == (h == 4.0)
 
     def test_report_serialization(self, rng):
         f, g = self._pair(rng)
         rep = closeness_integral(f, g, 64.0)
         js = rep.to_json()
         assert '"sup_estimate"' in js
+        payload = json.loads(js)
+        assert payload["decided_by"] == rep.decided_by in ("farey", "spot")
+        assert payload["farey_arc"] in [[arc.q, arc.r] for arc, _ in rep.per_arc]
+        assert 0.0 <= payload["spot_alpha"] < 1.0
+        assert payload["farey_over_spot"] == pytest.approx(rep.farey_bound / rep.spot_estimate)
         buf = io.StringIO()
         rep.write_arc_csv(buf)
         lines = buf.getvalue().splitlines()

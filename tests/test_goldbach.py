@@ -59,6 +59,20 @@ class TestExceptionalSet:
         scan = exceptional_scan(1_000_000, 1_000_000 - 4)
         assert (scan.max_least_prime, scan.max_least_n) == (523, 503_222)
 
+    def test_record_tie_across_blocks_keeps_the_smallest_n(self, monkeypatch, flags_1e6):
+        # on [4200, 4600] the largest least prime is attained at three n, each
+        # in its own 64-block; the report must name the first of them
+        least = {
+            n: next(p for p in range(2, n) if flags_1e6[p] and flags_1e6[n - p])
+            for n in range(4200, 4601, 2)
+        }
+        record = max(least.values())
+        ties = [n for n, p in least.items() if p == record]
+        assert len({(n - 4200) // 64 for n in ties}) >= 2
+        monkeypatch.setattr(goldbach, "SCAN_BLOCK", 64)
+        scan = exceptional_scan(4600, 400)
+        assert (scan.max_least_prime, scan.max_least_n) == (record, ties[0])
+
     def test_growing_prime_bound_stays_exact(self, monkeypatch, flags_1e6):
         monkeypatch.setattr(goldbach, "LEAST_PRIME_START", 3)
         scan = exceptional_scan(5000, 200)
