@@ -20,6 +20,9 @@ import numpy as np
 from .errors import CapacityError, DomainError
 
 SUPPORT_BOUND = 1 << 40  # guards convolution index arithmetic
+# grid points of one power spectrum; a real transform of 2**25 points peaked at
+# 1.05 GB RSS, so the cap is about 4 GB (Y = 10**7 in `verify closeness` fits)
+SPECTRUM_CAP = 1 << 27
 
 Number = Union[int, float, complex]
 TWO_PI = 2.0 * math.pi
@@ -50,8 +53,7 @@ class ArithFn:
     def __post_init__(self):
         if self.support_start < 0:
             raise DomainError("support_start must be >= 0")
-        arr = _coerce(self.values)
-        arr = arr.copy()
+        arr = _coerce(self.values)  # a fresh array: every branch copies through astype
         arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
         if self.support_start + len(arr) > SUPPORT_BOUND:
@@ -273,19 +275,21 @@ def fourier_eval(f: ArithFn, alpha: float) -> complex:
     return complex(math.fsum(terms.real), math.fsum(terms.imag))
 
 
-def power_spectrum(f: ArithFn, oversample: int = 8, min_size: int = 64) -> tuple[int, np.ndarray]:
+def power_spectrum(f: ArithFn, oversample: int = 8) -> tuple[int, np.ndarray]:
     """|f-hat|^2 sampled on the uniform grid k/M, k = 0..M-1.
 
-    M is the smallest power of two >= max(oversample * len(f), min_size), so the
+    M is the smallest power of two >= max(oversample * len(f), 64), so the
     grid has at least `oversample` samples per 1/span.  Support offset only
     changes the phase of f-hat, never the magnitude, so the window offset is
     irrelevant here.  For real f the spectrum is even, so it is the half-length
-    real transform mirrored onto the full grid.
+    real transform mirrored onto the full grid.  M above SPECTRUM_CAP raises
+    CapacityError before anything is transformed.
     """
     if oversample < 1:
         raise DomainError("oversample must be >= 1")
-    n = max(len(f) * oversample, min_size, 1)
-    size = 1 << (n - 1).bit_length()
+    size = 1 << (max(len(f) * oversample, 64) - 1).bit_length()
+    if size > SPECTRUM_CAP:
+        raise CapacityError(f"power spectrum grid of {size} points beyond the cap {SPECTRUM_CAP}")
     if f.kind == "complex":
         return size, np.abs(np.fft.fft(np.conj(f.values), size)) ** 2
     half = np.abs(np.fft.rfft(f.values.astype(np.float64), size)) ** 2

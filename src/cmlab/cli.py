@@ -384,11 +384,11 @@ MODEL = (
     BIG_Q,
     C_NU,
     # only t_nu_plus builds a sieve, so the other models leave these unset and
-    # unechoed; untruncated_level is also exponential in pi(z)
+    # unechoed; the level defaults to the untruncated one at the resolved beta
     Param("beta", "--beta", int, lambda p: 10 if p["which"] == "t_nu_plus" else None),
     Param("sift", "--sift", float, lambda p: float(p["big_q"]) if p["which"] == "t_nu_plus" else None),
     Param("level", "--level", float,
-          lambda p: float(untruncated_level(int(p["sift"]))) if p["which"] == "t_nu_plus" else None),
+          lambda p: float(untruncated_level(p["sift"], p["beta"])) if p["which"] == "t_nu_plus" else None),
 )
 
 

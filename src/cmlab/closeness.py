@@ -30,10 +30,10 @@ autocorrelation A(h) = sum_n d(n) d(n + h) the window functional is exactly
         = w A(0) + 2 sum_{h=1}^{w-1} (w - h) A(h) cos(2 pi r h / q).
 
 A(h) is the inverse transform of |d-hat|^2 on a grid of M points, which is
-free of wrap-around for h <= M - span.  The spot check's grid has M >= 8 span,
-and every 4th of its points is a grid of M/4 >= 2 span points, while
-w <= H/3 < span/6; so one inverse transform of a quarter of the spectrum serves
-every arc, and each arc then costs O(w).
+free of wrap-around for h <= M - span.  The spot check's grid has
+M >= OVERSAMPLE span = 8 span, and every 4th of its points is a grid of
+M/4 >= 2 span points, while w <= H/3 < span/6; so one inverse transform of a
+quarter of the spectrum serves every arc, and each arc then costs O(w).
 """
 
 from __future__ import annotations
@@ -49,6 +49,12 @@ import numpy as np
 from .arithfn import TWO_PI, ArithFn, _window_sums, l2_norm_sq, power_spectrum, subtract
 from .errors import DomainError
 from .models import SieveSystem, lambda_q_short_sum, sieve_short_sum
+
+# grid points per 1/span of every power spectrum read here; the quadrature of
+# gallagher_lhs and the wrap-free autocorrelation of closeness_integral need 8
+OVERSAMPLE = 8
+SPOT_ARCS = 16  # the spot check probes this many of the widest Farey arcs
+SPOT_SAMPLES_PER_ARC = 128  # at a stride of about 1/128 of each arc's width
 
 # ---------------------------------------------------------------------------
 # Farey dissection
@@ -136,22 +142,20 @@ def gallagher_rhs(f: ArithFn, delta: float) -> float:
     if not (2 < delta < span / 2):
         raise DomainError("need 2 < Delta < span/2")
     width = max(1, int(delta / 2))
-    sums = _window_sums(f.values.astype(np.complex128), width)
+    sums = _window_sums(f.values.astype(np.complex128 if f.kind == "complex" else np.float64), width)
     return float(np.sum(np.abs(sums) ** 2) / delta**2)
 
 
-def gallagher_lhs(f: ArithFn, delta: float, oversample: int = 8) -> float:
+def gallagher_lhs(f: ArithFn, delta: float) -> float:
     """integral_{-1/Delta}^{1/Delta} |f-hat(beta)|^2 d beta by trapezoid quadrature.
 
-    The grid is the FFT grid k/M with M >= oversample * span (>= 8 samples per
+    The grid is the FFT grid k/M with M >= OVERSAMPLE * span (8 samples per
     1/span), plus exact handling of the interval endpoints.
     """
     span = len(f)
     if not (2 < delta < span / 2):
         raise DomainError("need 2 < Delta < span/2")
-    if oversample < 8:
-        raise DomainError("grid must supply at least 8 samples per 1/span")
-    size, spec = power_spectrum(f, oversample=oversample)
+    size, spec = power_spectrum(f, oversample=OVERSAMPLE)
     k_hi = math.floor(size / delta)
     k_lo = -k_hi
     ks = np.arange(k_lo, k_hi + 1)
@@ -236,8 +240,6 @@ def closeness_integral(
     g: ArithFn,
     h: float,
     reference_norm: Optional[float] = None,
-    spot_arcs: int = 16,
-    max_samples_per_arc: int = 128,
 ) -> ClosenessReport:
     """Estimate sup_alpha of the windowed L^2 closeness of f and g (see module docstring)."""
     if h < 1:
@@ -250,7 +252,7 @@ def closeness_integral(
         raise DomainError("supports must span more than 2H")
     order = int(math.isqrt(int(h)))
     arcs = farey_dissection(order)
-    size, spec = power_spectrum(diff, oversample=8)
+    size, spec = power_spectrum(diff, oversample=OVERSAMPLE)
 
     # A(h): every 4th bin is the spectrum on a grid of M/4 points (module docstring)
     acf = np.fft.irfft(spec[: size // 2 + 1 : 4], size // 4)
@@ -273,13 +275,13 @@ def closeness_integral(
         return float(total) / size
 
     spot, spot_alpha = 0.0, None
-    widest = sorted(arcs, key=lambda a: a.width, reverse=True)[:spot_arcs]
+    widest = sorted(arcs, key=lambda a: a.width, reverse=True)[:SPOT_ARCS]
     for arc in widest:
         k_lo = math.ceil(arc.lo * size)
         k_hi = math.floor(arc.hi * size)
         if k_hi < k_lo:
             continue
-        stride = max(1, (k_hi - k_lo) // max_samples_per_arc)
+        stride = max(1, (k_hi - k_lo) // SPOT_SAMPLES_PER_ARC)
         for k in range(k_lo, k_hi + 1, stride):
             value = window_integral(k)
             if value > spot:

@@ -28,7 +28,7 @@ from .arith import cached_primes, euler_phi, interval_prime_flags, mobius, rough
 from .arithfn import ArithFn, convolve, convolve_window, subtract, window_preimage
 from .characters import ramanujan_sum
 from .errors import CapacityError, ContractError, DomainError
-from .models import LambdaQParams, SieveSystem, model_t_nu, model_t_nu_plus, untruncated_sieve
+from .models import LambdaQParams, model_t_nu, model_t_nu_plus, untruncated_sieve
 
 DESK_X_CAP = 10**9  # X of the desk pipeline inputs, which hold Lambda' on [2, X]
 SCAN_BLOCK = 1 << 20  # integers of [X-H, X] that exceptional_scan sifts at a time; even
@@ -244,9 +244,9 @@ class PipelineConfig:
     """Desk-scale parameters of the minorant-transfer pipeline.
 
     The asymptotic shape (Y = X^{21/40+eps}, H = Y^{1/9+2eps}, Q = (log X)^A,
-    kappa = Y / log Y) degenerates at desk sizes, so `desk_config` applies
-    floors (H >= 64, Q >= 3, Y >= 10^3) and records the un-floored values in
-    `ideal` for reporting.
+    kappa = Y / log Y) degenerates at desk sizes, so `desk_config`, at A = A_POWER
+    and eps = EPS, applies floors (H >= 64, Q >= 3, Y >= 10^3) and records the
+    un-floored values in `ideal` for reporting.
     """
 
     x: int
@@ -285,10 +285,12 @@ class PipelineConfig:
         }
 
 
+A_POWER = 1.0  # A of Q = (log X)^A and of theta_target = (log Y)^-A
+EPS = 0.1  # eps of H = Y^{1/9 + 2 eps}
+
+
 def desk_config(
     x: int,
-    a_power: float = 1.0,
-    eps: float = 0.1,
     big_q: Optional[int] = None,
     c_nu: float = 1.0,
     c_omega: float = 1.0,
@@ -296,14 +298,14 @@ def desk_config(
     """Apply the exponent map with desk floors; keep both ideal and floored values."""
     ideal_y = x ** (21.0 / 40.0)
     y = max(1000, round(ideal_y))
-    ideal_h = y ** (1.0 / 9.0 + 2 * eps)
+    ideal_h = y ** (1.0 / 9.0 + 2 * EPS)
     h = max(64, round(ideal_h))
-    ideal_q = math.log(x) ** a_power
+    ideal_q = math.log(x) ** A_POWER
     q = big_q if big_q is not None else max(3, round(ideal_q))
     kappa = y / math.log(y)
-    theta_target = math.log(y) ** (-a_power)
+    theta_target = math.log(y) ** (-A_POWER)
     return PipelineConfig(
-        x=x, h=h, y=y, big_q=q, a_power=a_power, c_nu=c_nu, c_omega=c_omega,
+        x=x, h=h, y=y, big_q=q, a_power=A_POWER, c_nu=c_nu, c_omega=c_omega,
         kappa=kappa, theta_target=theta_target,
         ideal={"y": ideal_y, "h": ideal_h, "big_q": ideal_q},
     )
@@ -397,7 +399,6 @@ def run_pipeline(
     b: ArithFn,
     t_nu: Optional[ArithFn] = None,
     t_nu_plus: Optional[ArithFn] = None,
-    sieve: Optional[SieveSystem] = None,
 ) -> PipelineReport:
     """Evaluate the whole transfer chain by windowed convolution on [X-H, X].
 
@@ -414,7 +415,7 @@ def run_pipeline(
     if t_nu is None:
         t_nu = model_t_nu(config.lambda_q_params())
     if t_nu_plus is None:
-        t_nu_plus = model_t_nu_plus(config.lambda_q_params(), sieve or untruncated_sieve(config.big_q))
+        t_nu_plus = model_t_nu_plus(config.lambda_q_params(), untruncated_sieve(config.big_q))
     if np.min(t_nu_plus.values, initial=0) < 0:
         raise ContractError("t_nu_plus must be nonnegative")
 

@@ -35,7 +35,7 @@ from typing import IO
 import numpy as np
 
 from .arith import cached_primes, euler_phi, mobius
-from .arithfn import ArithFn, TWO_PI
+from .arithfn import ArithFn, TWO_PI, twist_values
 from .characters import ramanujan_sum
 from .errors import CapacityError, ContractError, DomainError
 
@@ -136,16 +136,7 @@ def lambda_q_short_sum(
     otherwise; the budget is Q^3 resp. q'Q + Q^3 (up to the empirical constant
     pinned in `constants`).
     """
-    if q_twist < 1 or math.gcd(r, q_twist) != 1:
-        raise DomainError("twist must be a reduced fraction r/q' with q' >= 1")
-    if h_prime <= 0 or t <= h_prime:
-        raise DomainError("need H' > 0 and t > H'")
-    width = int(h_prime)
-    start = t - width + 1
-    vals = lambda_q_window(start, t + 1, big_q)
-    ns = np.arange(start, t + 1, dtype=np.int64)
-    phases = np.exp((TWO_PI * 1j * r / q_twist) * (ns % q_twist))
-    actual = complex(np.sum(vals * phases))
+    actual = complex(_twisted_short_sum(t, h_prime, r, q_twist, lambda lo, hi: lambda_q_window(lo, hi, big_q)))
     if q_twist <= big_q:
         predicted = complex(mobius(q_twist) * h_prime / euler_phi(q_twist))
         budget = float(big_q**3)
@@ -153,6 +144,19 @@ def lambda_q_short_sum(
         predicted = 0j
         budget = float(q_twist * big_q + big_q**3)
     return actual, predicted, budget
+
+
+def _twisted_short_sum(t: int, h_prime: float, r: int, q_twist: int, window) -> np.complex128:
+    """sum_{t - floor(H') < n <= t} v(n) e(r n / q') with v = window(lo, t + 1) on [lo, t].
+
+    Checks the twist r/q' and the window for both model short sums.
+    """
+    if q_twist < 1 or math.gcd(r, q_twist) != 1:
+        raise DomainError("twist must be a reduced fraction r/q' with q' >= 1")
+    if h_prime <= 0 or t <= h_prime:
+        raise DomainError("need H' > 0 and t > H'")
+    lo = t - int(h_prime) + 1
+    return np.sum(twist_values(ArithFn(lo, window(lo, t + 1)), r, q_twist))
 
 
 # ---------------------------------------------------------------------------
@@ -250,33 +254,28 @@ def beta_sieve_weights(level: float, sift: float, beta: int = 10) -> SieveSystem
 def untruncated_level(sift: float, beta: int = 10) -> int:
     """Smallest integer level at which the sieve admits every squarefree z-smooth d.
 
-    Maximizes prefix * p_m^beta over decreasing prime chains at odd positions.
+    That is the largest p_1 ... p_{m-1} * p_m^(beta+1) over decreasing prime
+    chains p_1 > ... > p_m <= z with m odd.  The i-th prime of such a chain is
+    at most the i-th largest prime P_i <= z, so for each m the chain of the m
+    largest primes maximizes every factor at once.
     """
-    primes = [int(p) for p in cached_primes(int(sift)) if p <= sift][::-1]
-    best = 1
-
-    def walk(prefix: int, idx: int, pos: int):
-        nonlocal best
-        for i in range(idx, len(primes)):
-            p = primes[i]
-            m = pos + 1
-            if m % 2 == 1:
-                best = max(best, prefix * p ** (beta + 1))
-            walk(prefix * p, i + 1, m)
-
-    walk(1, 0, 0)
+    best = prefix = 1
+    for m, p in enumerate(reversed(cached_primes(int(sift)).tolist()), start=1):
+        if m % 2 == 1:
+            best = max(best, prefix * p ** (beta + 1))
+        prefix *= p
     return best
 
 
-def untruncated_sieve(sift: float, beta: int = 10) -> SieveSystem:
-    """The sieve of sifting range z at its untruncated level: theta_n is exactly
-    the indicator of z-rough n.
+def untruncated_sieve(sift: float) -> SieveSystem:
+    """The beta = 10 sieve of sifting range z at its untruncated level: theta_n
+    is exactly the indicator of z-rough n.
 
     This is the desk default for the nonnegative model.  The asymptotic level
     H^{1/10} collapses below 2 at desk sizes, which would leave only the d = 1
     weight and make the model a constant.
     """
-    return beta_sieve_weights(float(untruncated_level(sift, beta)), float(sift), beta=beta)
+    return beta_sieve_weights(float(untruncated_level(sift)), float(sift))
 
 
 def model_t_nu_plus(params: LambdaQParams, sieve: SieveSystem) -> ArithFn:
@@ -301,17 +300,7 @@ def sieve_short_sum(
     budget H' e^{-log D / log z} + q D for q <= z, else 0 with the divisor-sum
     budget (H'/q + D + q) log(q H').
     """
-    if q_twist < 1 or math.gcd(r, q_twist) != 1:
-        raise DomainError("twist must be a reduced fraction r/q with q >= 1")
-    if h_prime <= 0 or t <= h_prime:
-        raise DomainError("need H' > 0 and t > H'")
-    width = int(h_prime)
-    start = t - width + 1
-    theta = sieve.theta_window(start, t + 1).astype(np.float64)
-    ns = np.arange(start, t + 1, dtype=np.int64)
-    phases = np.exp((TWO_PI * 1j * r / q_twist) * (ns % q_twist))
-    v = mertens_product(sieve.sift)
-    actual = complex(np.sum(theta * phases) / v)
+    actual = complex(_twisted_short_sum(t, h_prime, r, q_twist, sieve.theta_window) / mertens_product(sieve.sift))
     if q_twist <= sieve.sift:
         predicted = complex(mobius(q_twist) * h_prime / euler_phi(q_twist))
         budget = h_prime * math.exp(-math.log(sieve.level) / math.log(sieve.sift)) + q_twist * sieve.level

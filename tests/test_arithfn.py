@@ -248,6 +248,15 @@ class TestFourier:
             assert np.max(np.abs(spec - spec_c)) <= 1e-12 * np.max(spec_c)
 
 
+    def test_spectrum_over_cap_fails_up_front(self, monkeypatch):
+        f = fn(0, np.ones(1000))
+        monkeypatch.setattr(arithfn, "SPECTRUM_CAP", 8192)
+        assert power_spectrum(f, oversample=8)[0] == 8192
+        for values in (f.values, f.values.astype(np.complex128)):
+            with pytest.raises(CapacityError):
+                power_spectrum(fn(0, values), oversample=9)  # 9000 points round up to 2^14
+
+
 class TestNorms:
     def test_scaled_point_mass(self):
         f = ArithFn.point_mass(5, 3.0)
@@ -349,3 +358,13 @@ class TestWindowAlgebra:
         f = ArithFn.ones(0, 4)
         with pytest.raises(ValueError):
             f.values[0] = 7
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.int32, bool, np.float64, np.float32, np.complex128])
+    def test_values_are_a_copy_and_the_callers_array_stays_writable(self, dtype):
+        caller = np.arange(4).astype(dtype)
+        f = ArithFn(0, caller)
+        assert not np.shares_memory(f.values, caller)
+        assert caller.flags.writeable and not f.values.flags.writeable
+        first = f(0)
+        caller[0] = 1
+        assert f(0) == first

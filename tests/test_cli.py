@@ -1,10 +1,14 @@
 import json
 import os
 
+import numpy as np
 import pytest
 
+from cmlab import arithfn
+from cmlab.arith import rough_flags
 from cmlab.arithfn import read_arithfn
 from cmlab.cli import main
+from cmlab.models import mertens_product
 
 
 def run(argv):
@@ -96,6 +100,15 @@ class TestVerify:
         assert "# workers" not in (tmp_path / "closeness-primes-vs-model-arcs.csv").read_text()
 
 
+    def test_closeness_spectrum_over_cap_exits_2(self, tmp_path, monkeypatch, capsys):
+        # Y = 1000: d = f - g spans 1000 points, a spectrum grid of 2^13
+        argv = ["--out", str(tmp_path), "verify", "closeness", "--Y", "1000"]
+        assert run(argv) == 0
+        monkeypatch.setattr(arithfn, "SPECTRUM_CAP", 1 << 12)
+        assert run(argv) == 2
+        assert "beyond the cap" in capsys.readouterr().err
+
+
 class TestPipeline:
     def test_preset_run(self, tmp_path):
         assert run(["--out", str(tmp_path), "pipeline", "--preset", "desk-small"]) == 0
@@ -154,6 +167,19 @@ class TestModelDump:
         assert "# beta = 10" in header
         assert "# sift = 5.0" in header
         assert "# level = 48828125.0" in header  # untruncated_level(5) = 5^11
+
+    def test_t_nu_plus_default_level_follows_beta(self, tmp_path):
+        # untruncated_level(5, 12) = 5^13; the beta = 10 level 5^11 would leave
+        # a truncated sieve that weighs n in (2000, 4000] that are not 5-rough
+        argv = ["--out", str(tmp_path), "model", "--which", "t_nu_plus", "--Y", "2000", "--Q", "5", "--beta", "12"]
+        assert run(argv) == 0
+        path = tmp_path / "model-t_nu_plus.txt"
+        assert "# level = 1220703125.0" in path.read_text().splitlines()
+        with open(path) as fh:
+            fn = read_arithfn(fh)
+        assert fn.support_start == 2001
+        expected = (1.0 / mertens_product(5.0)) * rough_flags(2001, 4001, 5).astype(np.float64)
+        assert np.array_equal(fn.values, expected)
 
     def test_lambda_q_header_omits_sieve_parameters(self, tmp_path):
         assert run(["--out", str(tmp_path), "model", "--which", "lambda_q", "--Y", "1000", "--Q", "5"]) == 0

@@ -19,9 +19,28 @@ from cmlab.models import (
     model_t_nu_plus,
     read_sieve,
     sieve_short_sum,
+    untruncated_level,
     untruncated_sieve,
     write_sieve,
 )
+
+
+def untruncated_level_walk(sift, beta):
+    """Largest p_1 ... p_{m-1} * p_m^(beta+1) over every decreasing prime chain
+    of primes <= z with m odd, by walking all 2^pi(z) chains (oracle)."""
+    primes = [int(p) for p in sieve_primes(int(sift))][::-1]
+    best = 1
+
+    def walk(prefix, idx, pos):
+        nonlocal best
+        for i in range(idx, len(primes)):
+            p = primes[i]
+            if (pos + 1) % 2 == 1:
+                best = max(best, prefix * p ** (beta + 1))
+            walk(prefix * p, i + 1, pos + 1)
+
+    walk(1, 0, 0)
+    return best
 
 
 class TestLambdaQ:
@@ -101,6 +120,11 @@ class TestBetaSieve:
             theta = sieve.theta_window(1, 100_001)
             rough = rough_flags(1, 100_001, z).astype(np.int64)
             assert np.array_equal(theta, rough)
+
+    def test_untruncated_level_closed_form_matches_walk(self):
+        for z in np.arange(0.0, 40.5, 0.5):
+            for beta in range(1, 13):
+                assert untruncated_level(z, beta) == untruncated_level_walk(z, beta), (z, beta)
 
     def test_z2_weights(self):
         sieve = beta_sieve_weights(2048.0, 2.0, beta=10)
