@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, replace
@@ -49,15 +50,7 @@ from .goldbach import (
     singular_series,
     singular_series_product,
 )
-from .models import (
-    LambdaQParams,
-    beta_sieve_weights,
-    lambda_q_window,
-    model_t_nu,
-    model_t_nu_plus,
-    untruncated_level,
-    untruncated_sieve,
-)
+from .models import LambdaQParams, lambda_q_window, model_t_nu, model_t_nu_plus, untruncated_level
 
 ENV_PREFIX = "CML_"
 
@@ -255,7 +248,7 @@ def _cmd_verify_closeness(spec: ExperimentSpec) -> int:
     params = LambdaQParams(big_q=big_q, window=(y, 2 * y), c_nu=p["c_nu"])
     primes_fn = restricted_prime_fn(2 * y, (y, 2 * y))
     t_nu = model_t_nu(params)
-    t_plus = model_t_nu_plus(params, untruncated_sieve(big_q))
+    t_plus = model_t_nu_plus(params, big_q)
     ref = l2_norm_sq(primes_fn)
     rep1 = closeness_integral(primes_fn, t_nu, h, reference_norm=ref)
     rep2 = closeness_integral(t_nu, t_plus, h, reference_norm=ref)
@@ -296,7 +289,6 @@ PIPELINE = (
     Param("h", "--H", int),
     BIG_Q,
     C_NU,
-    Param("c_omega", "--c-omega", float, 1.0),
     Param("kappa", "--kappa", float),
     Param("max_final_fraction", "--max-final-fraction", float, 0.01),
 )
@@ -312,7 +304,7 @@ def _cmd_pipeline(spec: ExperimentSpec) -> int:
             raise DomainError(f"preset {p['preset']!r} fixes {', '.join(conflicts)}; set either the preset or these")
         config = PRESETS[p["preset"]]()
     else:
-        config = desk_config(p["x"], big_q=p["big_q"], c_nu=p["c_nu"], c_omega=p["c_omega"])
+        config = desk_config(p["x"], big_q=p["big_q"], c_nu=p["c_nu"])
         config = replace(config, **{key: p[key] for key in ("y", "h", "kappa") if p[key] is not None})
     spec.params.update(config.to_dict())
 
@@ -378,6 +370,22 @@ def _cmd_series(spec: ExperimentSpec) -> int:
     return 0
 
 
+def _untruncated_level(p: dict) -> Optional[float]:
+    """The smallest float level at or above untruncated_level(sift, beta), so
+    that the default model is the untruncated sieve even where the integer level
+    is not a float; None for the models that build no sieve."""
+    if p["which"] != "t_nu_plus":
+        return None
+    exact = untruncated_level(p["sift"], p["beta"])
+    try:
+        level = float(exact)
+    except OverflowError:
+        raise DomainError(
+            f"the untruncated level at sift = {p['sift']}, beta = {p['beta']} exceeds the float range; pass --level"
+        ) from None
+    return level if level >= exact else math.nextafter(level, math.inf)
+
+
 MODEL = (
     Param("which", "--which", str, "lambda_q", ("lambda_q", "t_nu", "t_nu_plus")),
     Param("y", "--Y", int, 10_000),
@@ -387,8 +395,7 @@ MODEL = (
     # unechoed; the level defaults to the untruncated one at the resolved beta
     Param("beta", "--beta", int, lambda p: 10 if p["which"] == "t_nu_plus" else None),
     Param("sift", "--sift", float, lambda p: float(p["big_q"]) if p["which"] == "t_nu_plus" else None),
-    Param("level", "--level", float,
-          lambda p: float(untruncated_level(p["sift"], p["beta"])) if p["which"] == "t_nu_plus" else None),
+    Param("level", "--level", float, _untruncated_level),
 )
 
 
@@ -401,7 +408,7 @@ def _cmd_model(spec: ExperimentSpec) -> int:
     elif which == "t_nu":
         fn = model_t_nu(params)
     else:
-        fn = model_t_nu_plus(params, beta_sieve_weights(p["level"], p["sift"], beta=p["beta"]))
+        fn = model_t_nu_plus(params, p["sift"], p["level"], p["beta"])
     path = _write_csv(spec, f"model-{which}.txt", lambda fh: write_arithfn(fn, fh))
     _write_summary(spec, {"file": str(path), "length": len(fn), "passed": True})
     print(f"model: wrote {which} window of length {len(fn)} to {path}")

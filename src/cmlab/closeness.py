@@ -48,7 +48,7 @@ import numpy as np
 
 from .arithfn import TWO_PI, ArithFn, _window_sums, l2_norm_sq, power_spectrum, subtract
 from .errors import DomainError
-from .models import SieveSystem, lambda_q_short_sum, sieve_short_sum
+from .models import SieveSystem, beta_sieve_weights, lambda_q_short_sum, sieve_short_sum
 
 # grid points per 1/span of every power spectrum read here; the quadrature of
 # gallagher_lhs and the wrap-free autocorrelation of closeness_integral need 8
@@ -436,8 +436,6 @@ def _smallest_coprime(q: int, start: int) -> int:
 
 def default_sieve_sweep(scale: str = "small") -> list[tuple[SieveSystem, dict]]:
     """Sieve systems in the regime log D / log z >= beta + 1 plus both twist branches."""
-    from .models import beta_sieve_weights
-
     systems = [
         beta_sieve_weights(10_000.0, 10.0, beta=3),  # untruncated at this level
         beta_sieve_weights(10_000.0, 12.0, beta=2),

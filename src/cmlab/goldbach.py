@@ -28,7 +28,7 @@ from .arith import cached_primes, euler_phi, interval_prime_flags, mobius, rough
 from .arithfn import ArithFn, convolve, convolve_window, subtract, window_preimage
 from .characters import ramanujan_sum
 from .errors import CapacityError, ContractError, DomainError
-from .models import LambdaQParams, model_t_nu, model_t_nu_plus, untruncated_sieve
+from .models import LambdaQParams, model_t_nu, model_t_nu_plus
 
 DESK_X_CAP = 10**9  # X of the desk pipeline inputs, which hold Lambda' on [2, X]
 SCAN_BLOCK = 1 << 20  # integers of [X-H, X] that exceptional_scan sifts at a time; even
@@ -255,7 +255,6 @@ class PipelineConfig:
     big_q: int
     a_power: float
     c_nu: float
-    c_omega: float
     kappa: float
     theta_target: float
     ideal: dict = field(default_factory=dict)
@@ -263,7 +262,7 @@ class PipelineConfig:
     def __post_init__(self):
         if not (2 < self.h < self.y < self.x):
             raise DomainError("need 2 < H < Y < X")
-        if self.big_q < 1 or self.kappa <= 0 or self.c_nu < 0 or self.c_omega < 0:
+        if self.big_q < 1 or self.kappa <= 0 or self.c_nu < 0:
             raise DomainError("need Q >= 1, kappa > 0, nonnegative densities")
 
     @property
@@ -280,7 +279,7 @@ class PipelineConfig:
     def to_dict(self) -> dict:
         return {
             "x": self.x, "h": self.h, "y": self.y, "big_q": self.big_q,
-            "a_power": self.a_power, "c_nu": self.c_nu, "c_omega": self.c_omega,
+            "a_power": self.a_power, "c_nu": self.c_nu,
             "kappa": self.kappa, "theta_target": self.theta_target, "ideal": dict(self.ideal),
         }
 
@@ -293,7 +292,6 @@ def desk_config(
     x: int,
     big_q: Optional[int] = None,
     c_nu: float = 1.0,
-    c_omega: float = 1.0,
 ) -> PipelineConfig:
     """Apply the exponent map with desk floors; keep both ideal and floored values."""
     ideal_y = x ** (21.0 / 40.0)
@@ -305,7 +303,7 @@ def desk_config(
     kappa = y / math.log(y)
     theta_target = math.log(y) ** (-A_POWER)
     return PipelineConfig(
-        x=x, h=h, y=y, big_q=q, a_power=A_POWER, c_nu=c_nu, c_omega=c_omega,
+        x=x, h=h, y=y, big_q=q, a_power=A_POWER, c_nu=c_nu,
         kappa=kappa, theta_target=theta_target,
         ideal={"y": ideal_y, "h": ideal_h, "big_q": ideal_q},
     )
@@ -415,7 +413,7 @@ def run_pipeline(
     if t_nu is None:
         t_nu = model_t_nu(config.lambda_q_params())
     if t_nu_plus is None:
-        t_nu_plus = model_t_nu_plus(config.lambda_q_params(), untruncated_sieve(config.big_q))
+        t_nu_plus = model_t_nu_plus(config.lambda_q_params(), config.big_q)
     if np.min(t_nu_plus.values, initial=0) < 0:
         raise ContractError("t_nu_plus must be nonnegative")
 

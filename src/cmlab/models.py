@@ -22,6 +22,11 @@ grouping the inclusion-exclusion by that prefix gives
 
 Imposing the inequality at even positions as well breaks nonnegativity
 (already beta=1, z=10, D=100 yields theta(35) = -1).
+
+At levels D >= untruncated_level(z, beta) every squarefree z-smooth d is
+admitted, so theta_n = sum_{d | gcd(n, P(z))} mu(d) is exactly the indicator of
+z-rough n.  `model_t_nu_plus` reads that indicator from `rough_flags` instead
+of enumerating the 2^pi(z) weights, and builds weights only below that level.
 """
 
 from __future__ import annotations
@@ -30,11 +35,11 @@ import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 from types import MappingProxyType
-from typing import IO
+from typing import Optional
 
 import numpy as np
 
-from .arith import cached_primes, euler_phi, mobius
+from .arith import cached_primes, euler_phi, mobius, rough_flags
 from .arithfn import ArithFn, TWO_PI, twist_values
 from .characters import ramanujan_sum
 from .errors import CapacityError, ContractError, DomainError
@@ -214,10 +219,6 @@ class SieveSystem:
                 out[first - start :: d] += lam
         return out
 
-    @property
-    def support(self) -> list[int]:
-        return sorted(self.weights)
-
 
 def beta_sieve_weights(level: float, sift: float, beta: int = 10) -> SieveSystem:
     """Weights of the upper-bound combinatorial sieve (see module docstring).
@@ -267,28 +268,29 @@ def untruncated_level(sift: float, beta: int = 10) -> int:
     return best
 
 
-def untruncated_sieve(sift: float) -> SieveSystem:
-    """The beta = 10 sieve of sifting range z at its untruncated level: theta_n
-    is exactly the indicator of z-rough n.
+def model_t_nu_plus(
+    params: LambdaQParams, sift: float, level: Optional[float] = None, beta: int = 10
+) -> ArithFn:
+    """c_nu * V(z)^{-1} * theta_n(D, z) on the window (lo, hi], zero elsewhere.
 
-    This is the desk default for the nonnegative model.  The asymptotic level
-    H^{1/10} collapses below 2 at desk sizes, which would leave only the d = 1
-    weight and make the model a constant.
+    With no level, or a level D >= untruncated_level(z, beta), theta is the
+    z-rough indicator (see the module docstring).  That is the desk default:
+    the asymptotic level H^{1/10} collapses below 2 at desk sizes, which would
+    leave only the d = 1 weight and make the model a constant.  Below that
+    level theta comes from the truncated weights; it is nonnegative, and a
+    negative value would mean the sieve construction is broken, so that is
+    checked outright.
     """
-    return beta_sieve_weights(float(untruncated_level(sift)), float(sift))
-
-
-def model_t_nu_plus(params: LambdaQParams, sieve: SieveSystem) -> ArithFn:
-    """c_nu * V(z)^{-1} * theta_n on the window (lo, hi], zero elsewhere.
-
-    Everywhere nonnegative; a negative theta would mean the sieve construction
-    is broken, so that is checked outright.
-    """
-    v = mertens_product(sieve.sift)
-    theta = sieve.theta_window(params.support_start, params.window[1] + 1)
-    if theta.min(initial=0) < 0:
-        raise ContractError("sieve weights are not an upper-bound system")
-    return ArithFn(params.support_start, (params.c_nu / v) * theta.astype(np.float64))
+    if sift < 2 or beta < 1:
+        raise DomainError("need z >= 2 and beta >= 1")
+    start, stop = params.support_start, params.window[1] + 1
+    if level is None or level >= untruncated_level(sift, beta):
+        theta = rough_flags(start, stop, sift)
+    else:
+        theta = beta_sieve_weights(level, sift, beta).theta_window(start, stop)
+        if theta.min(initial=0) < 0:
+            raise ContractError("sieve weights are not an upper-bound system")
+    return ArithFn(start, (params.c_nu / mertens_product(sift)) * theta.astype(np.float64))
 
 
 def sieve_short_sum(
@@ -308,26 +310,3 @@ def sieve_short_sum(
         predicted = 0j
         budget = (h_prime / q_twist + sieve.level + q_twist) * math.log(q_twist * h_prime)
     return actual, predicted, float(budget)
-
-
-# ---------------------------------------------------------------------------
-# serialization
-# ---------------------------------------------------------------------------
-
-
-def write_sieve(sieve: SieveSystem, fh: IO[str]) -> None:
-    """Header `beta D z`, then `d lambda_d` lines sorted by d."""
-    fh.write(f"{sieve.beta} {sieve.level!r} {sieve.sift!r}\n")
-    for d in sieve.support:
-        fh.write(f"{d} {sieve.weights[d]}\n")
-
-
-def read_sieve(fh: IO[str]) -> SieveSystem:
-    beta_s, level_s, sift_s = fh.readline().split()
-    weights = {}
-    for line in fh:
-        if not line.strip():
-            continue
-        d, lam = line.split()
-        weights[int(d)] = int(lam)
-    return SieveSystem(int(beta_s), float(level_s), float(sift_s), weights)

@@ -299,8 +299,7 @@ def test_criterion_6_closeness_ordering():
     params = LambdaQParams(big_q=10, window=(y, 2 * y), c_nu=1.0)
     primes_fn = restricted_prime_fn(2 * y, (y, 2 * y))
     t_nu = model_t_nu(params)
-    sieve = beta_sieve_weights(float(untruncated_level(10, 10)), 10.0, beta=10)
-    t_plus = model_t_nu_plus(params, sieve)
+    t_plus = model_t_nu_plus(params, 10)
     ref = l2_norm_sq(primes_fn)
 
     rep1 = closeness_integral(primes_fn, t_nu, h, reference_norm=ref)

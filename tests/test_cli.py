@@ -100,6 +100,12 @@ class TestVerify:
         assert "# workers" not in (tmp_path / "closeness-primes-vs-model-arcs.csv").read_text()
 
 
+    def test_closeness_beyond_q_72(self, tmp_path):
+        # pi(73) = 21, so enumerating the untruncated sieve would pass the 2^20
+        # weight cap; Y = 10^4 because at Y = 1000 the ordering itself fails
+        # (at Q = 71 as at Q = 100)
+        assert run(["--out", str(tmp_path), "verify", "closeness", "--Y", "10000", "--Q", "100"]) == 0
+
     def test_closeness_spectrum_over_cap_exits_2(self, tmp_path, monkeypatch, capsys):
         # Y = 1000: d = f - g spans 1000 points, a spectrum grid of 2^13
         argv = ["--out", str(tmp_path), "verify", "closeness", "--Y", "1000"]
@@ -117,6 +123,9 @@ class TestPipeline:
         assert "# x = 200000" in body
         summary = json.loads((tmp_path / "pipeline-summary.json").read_text())
         assert summary["report"]["final_failures"] == 0
+
+    def test_beyond_q_72(self, tmp_path):
+        assert run(["--out", str(tmp_path), "pipeline", "--X", "200000", "--Q", "100"]) == 0
 
 
 class TestExceptional:
@@ -180,6 +189,23 @@ class TestModelDump:
         assert fn.support_start == 2001
         expected = (1.0 / mertens_product(5.0)) * rough_flags(2001, 4001, 5).astype(np.float64)
         assert np.array_equal(fn.values, expected)
+
+    @pytest.mark.parametrize("big_q", [80, 75])
+    def test_t_nu_plus_default_is_the_rough_indicator(self, tmp_path, big_q):
+        # float(untruncated_level(75)) lies below the integer level, so the
+        # default rounds up to the next float to stay untruncated
+        argv = ["--out", str(tmp_path), "model", "--which", "t_nu_plus", "--Y", "1000", "--Q", str(big_q)]
+        assert run(argv) == 0
+        with open(tmp_path / "model-t_nu_plus.txt") as fh:
+            fn = read_arithfn(fh)
+        expected = (1.0 / mertens_product(big_q)) * rough_flags(1001, 2001, big_q).astype(np.float64)
+        assert np.array_equal(fn.values, expected)
+
+    def test_t_nu_plus_level_beyond_float_range_exits_2(self, tmp_path, capsys):
+        argv = ["--out", str(tmp_path), "model", "--which", "t_nu_plus", "--Y", "1000", "--Q", "800"]
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert "sift = 800.0" in err and "beta = 10" in err
 
     def test_lambda_q_header_omits_sieve_parameters(self, tmp_path):
         assert run(["--out", str(tmp_path), "model", "--which", "lambda_q", "--Y", "1000", "--Q", "5"]) == 0

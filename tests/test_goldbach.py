@@ -23,7 +23,14 @@ from cmlab.goldbach import (
     singular_series_product,
     singular_series_smooth_sum,
 )
-from cmlab.models import LambdaQParams, model_t_nu, untruncated_sieve
+from cmlab.models import (
+    LambdaQParams,
+    beta_sieve_weights,
+    mertens_product,
+    model_t_nu,
+    model_t_nu_plus,
+    untruncated_level,
+)
 
 
 class TestExceptionalSet:
@@ -210,13 +217,19 @@ class TestPipelineConfig:
     def test_validation(self):
         with pytest.raises(DomainError):
             PipelineConfig(x=100, h=10, y=200, big_q=3, a_power=1.0, c_nu=1.0,
-                           c_omega=1.0, kappa=10.0, theta_target=0.1)
+                           kappa=10.0, theta_target=0.1)
 
     def test_desk_sieve_is_exact_rough_model(self):
+        # the pipeline's default T+ (read from rough_flags) is the model of the
+        # enumerated untruncated weights, bit for bit
         config = PRESETS["desk-small"]()
-        sieve = untruncated_sieve(config.big_q)
+        t_plus = model_t_nu_plus(config.lambda_q_params(), config.big_q)
+        sieve = beta_sieve_weights(float(untruncated_level(config.big_q)), config.big_q)
         theta = sieve.theta_window(1001, 2001)
         assert np.array_equal(theta, rough_flags(1001, 2001, config.big_q).astype(np.int64))
+        expected = (config.c_nu / mertens_product(config.big_q)) * theta.astype(np.float64)
+        assert t_plus.support_start == 1001
+        assert np.array_equal(t_plus.values, expected)
 
 
 class TestPipeline:

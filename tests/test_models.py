@@ -1,9 +1,9 @@
-import io
 import math
 
 import numpy as np
 import pytest
 
+from cmlab import models
 from cmlab.arith import euler_phi, mobius, rough_flags, sieve_primes, weighted_prime_fn
 from cmlab.errors import ContractError, DomainError
 from cmlab.models import (
@@ -17,11 +17,8 @@ from cmlab.models import (
     mertens_product,
     model_t_nu,
     model_t_nu_plus,
-    read_sieve,
     sieve_short_sum,
     untruncated_level,
-    untruncated_sieve,
-    write_sieve,
 )
 
 
@@ -115,8 +112,9 @@ class TestLambdaQShortSum:
 
 class TestBetaSieve:
     def test_untruncated_is_exact_rough_indicator(self):
-        for z in (2, 3, 5, 7):
-            sieve = untruncated_sieve(z)
+        # the identity model_t_nu_plus relies on when it reads rough_flags
+        for z in (2, 3, 5, 7, 10):
+            sieve = beta_sieve_weights(float(untruncated_level(z)), z)
             theta = sieve.theta_window(1, 100_001)
             rough = rough_flags(1, 100_001, z).astype(np.int64)
             assert np.array_equal(theta, rough)
@@ -171,15 +169,6 @@ class TestBetaSieve:
         with pytest.raises(DomainError):
             beta_sieve_weights(100.0, 1.5)
 
-    def test_serialization_round_trip(self):
-        sieve = beta_sieve_weights(3_000.0, 30.0, beta=1)
-        buf = io.StringIO()
-        write_sieve(sieve, buf)
-        buf.seek(0)
-        back = read_sieve(buf)
-        assert back.weights == sieve.weights
-        assert (back.beta, back.level, back.sift) == (sieve.beta, sieve.level, sieve.sift)
-
 
 class TestMertens:
     def test_value_and_monotonicity(self):
@@ -210,24 +199,43 @@ class TestModels:
         y = 10_000
         params = LambdaQParams(big_q=10, window=(y, 2 * y), c_nu=1.0)
         t_nu = model_t_nu(params)
-        sieve = untruncated_sieve(10)
-        t_plus = model_t_nu_plus(params, sieve)
+        t_plus = model_t_nu_plus(params, 10)
         m1 = float(t_nu.values.mean())
         m2 = float(t_plus.values.mean())
         assert abs(m1 - m2) <= 0.05 * abs(m1)
 
-    def test_t_plus_nonnegative_enforced(self):
+    def test_t_plus_nonnegative_enforced(self, monkeypatch):
+        # D = 10 is below untruncated_level(3, 2) = 27, so the weights are built
         params = LambdaQParams(big_q=3, window=(100, 200), c_nu=1.0)
-        broken = SieveSystem(beta=1, level=10.0, sift=3.0, weights={1: 1, 2: -1, 3: -1, 6: -1})
-        with pytest.raises(ContractError):
-            model_t_nu_plus(params, broken)
+        broken = SieveSystem(beta=2, level=10.0, sift=3.0, weights={1: 1, 2: -1, 3: -1, 6: -1})
+        monkeypatch.setattr(models, "beta_sieve_weights", lambda level, sift, beta: broken)
+        with pytest.raises(ContractError, match="upper-bound"):
+            model_t_nu_plus(params, 3.0, 10.0, beta=2)
+
+    def test_t_plus_reads_the_level_it_is_given(self):
+        # no level, or one at the untruncated level, reads rough_flags; a lower
+        # level builds the truncated weights; both give c_nu / V(z) * theta
+        params = LambdaQParams(big_q=10, window=(1000, 3000), c_nu=0.7)
+        cases = (
+            ((10.0,), beta_sieve_weights(float(untruncated_level(10)), 10.0)),
+            ((10.0, float(untruncated_level(10, 3)), 3), beta_sieve_weights(float(untruncated_level(10, 3)), 10.0, 3)),
+            ((30.0, 3_000.0, 1), beta_sieve_weights(3_000.0, 30.0, 1)),
+            ((10.0, 10_000.0, 10), beta_sieve_weights(10_000.0, 10.0, 10)),
+        )
+        for args, sieve in cases:
+            t_plus = model_t_nu_plus(params, *args)
+            expected = (0.7 / mertens_product(sieve.sift)) * sieve.theta_window(1001, 3001).astype(np.float64)
+            assert t_plus.support_start == 1001
+            assert np.array_equal(t_plus.values, expected), args
+        with pytest.raises(DomainError):
+            model_t_nu_plus(params, 1.5)
 
 
 class TestSieveShortSum:
     def test_untruncated_rough_count(self):
         # q = 1: V(z)^{-1} sum theta_n approximates the window length because
         # theta is the exact rough indicator there
-        sieve = untruncated_sieve(10)
+        sieve = beta_sieve_weights(float(untruncated_level(10)), 10.0)
         t, h = 50_000, 7_000.0
         actual, predicted, _ = sieve_short_sum(t, h, sieve, r=0, q_twist=1)
         rough_count = int(rough_flags(t - 7000 + 1, t + 1, 10).sum())
