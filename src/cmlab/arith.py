@@ -1,9 +1,9 @@
 """Exact integer arithmetic substrate: primes, multiplicative functions, rough numbers.
 
 All integer quantities are exact 64-bit (or Python int); floating point enters
-only through the natural-log weights of the prime function.  The prime cache is
-immutable after construction and shared read-only, so everything here is safe
-for concurrent use.
+only through the natural-log weights of the prime function.  The prime cache
+and the mu/phi table are immutable after construction and shared read-only, so
+everything here is safe for concurrent use.
 """
 
 from __future__ import annotations
@@ -14,9 +14,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arithfn import ArithFn
-from .errors import DomainError
+from .errors import CapacityError, DomainError
 
 _SEGMENT = 1 << 20
+MU_PHI_CAP = 1 << 27  # bytes of the mu/phi table, 9 per entry: q up to about 1.5*10^7
 
 
 def interval_prime_flags(lo: int, hi: int) -> np.ndarray:
@@ -102,19 +103,6 @@ class FactoredInteger:
         if prod != self.n or self.n < 1:
             raise DomainError("factorization does not reconstruct n")
 
-    @property
-    def divisor_count(self) -> int:
-        out = 1
-        for _, e in self.factors:
-            out *= e + 1
-        return out
-
-    def divisors(self) -> list[int]:
-        divs = [1]
-        for p, e in self.factors:
-            divs = [d * p**k for d in divs for k in range(e + 1)]
-        return sorted(divs)
-
 
 def factorize(n: int) -> FactoredInteger:
     """Factor n >= 1 by trial division against the cached prime list."""
@@ -137,8 +125,35 @@ def factorize(n: int) -> FactoredInteger:
     return FactoredInteger(n, tuple(out))
 
 
+# Shared mu/phi table, grown on demand and handed out read-only like the prime cache.
+_mu_phi = (np.zeros(1, dtype=np.int8), np.zeros(1, dtype=np.int64))
+
+
+def mu_phi_table(limit: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only (mu, phi) on [0, limit] with mu[0] = phi[0] = 0, one strided pass
+    per prime p (phi[m] -= phi[m] // p stays exact: p still divides phi[m] then).
+    Raises CapacityError rather than allocate beyond MU_PHI_CAP bytes.
+    """
+    global _mu_phi
+    mu, phi = _mu_phi
+    if limit >= len(mu):
+        size = max(limit + 1, min(max(2 * len(mu), 1 << 10), MU_PHI_CAP // 9))
+        if 9 * size > MU_PHI_CAP:
+            raise CapacityError(f"mu/phi table of {size} entries beyond the cap {MU_PHI_CAP} bytes")
+        mu, phi = np.ones(size, dtype=np.int8), np.arange(size, dtype=np.int64)
+        mu[0] = 0
+        for p in cached_primes(size - 1).tolist():
+            mu[p::p] *= -1
+            mu[p * p :: p * p] = 0
+            phi[p::p] -= phi[p::p] // p
+        mu.setflags(write=False)
+        phi.setflags(write=False)
+        _mu_phi = (mu, phi)
+    return mu[: limit + 1], phi[: limit + 1]
+
+
 def mobius(n: int) -> int:
-    """Mobius function mu(n) in {-1, 0, 1}."""
+    """Mobius function mu(n) in {-1, 0, 1}, by factorization (oracle for mu_phi_table)."""
     if n < 1:
         raise DomainError("mobius requires n >= 1")
     fi = factorize(n)
@@ -149,7 +164,7 @@ def mobius(n: int) -> int:
 
 
 def euler_phi(n: int) -> int:
-    """Euler totient phi(n)."""
+    """Euler totient phi(n), by factorization (oracle for mu_phi_table)."""
     if n < 1:
         raise DomainError("euler_phi requires n >= 1")
     out = 1

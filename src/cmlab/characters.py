@@ -21,7 +21,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .arith import euler_phi, factorize, mobius
+from .arith import euler_phi, factorize, mu_phi_table
 from .errors import CapacityError, DomainError
 
 MAX_MODULUS = 10**5  # table-based construction bound
@@ -190,15 +190,18 @@ def gauss_sum(chi: DirichletCharacter) -> complex:
     return complex(np.sum(chi.values * e))
 
 
-def ramanujan_sum(q: int, n: int) -> int:
+def ramanujan_sum(q, n):
     """c_q(n) = sum over a mod q, gcd(a,q)=1, of e(a n / q), via the closed form
-    mu(q/g) phi(q) / phi(q/g) with g = gcd(q, n).  Always a rational integer.
+    mu(q/g) phi(q) / phi(q/g) with g = gcd(q, n), read from `mu_phi_table`.  q
+    and n broadcast as integer arrays; scalars give an int.
     """
-    if q < 1:
+    q, n = np.asarray(q, dtype=np.int64), np.asarray(n, dtype=np.int64)
+    if q.min(initial=1) < 1:
         raise DomainError("ramanujan_sum requires q >= 1")
-    g = math.gcd(q, n)
-    qg = q // g
-    return mobius(qg) * (euler_phi(q) // euler_phi(qg))
+    mu, phi = mu_phi_table(int(q.max(initial=1)))
+    qg = q // np.gcd(q, n)
+    out = mu[qg] * (phi[q] // phi[qg])
+    return int(out) if out.ndim == 0 else out
 
 
 def ramanujan_sum_direct(q: int, n: int) -> complex:

@@ -24,7 +24,7 @@ from typing import IO, Optional
 
 import numpy as np
 
-from .arith import cached_primes, euler_phi, interval_prime_flags, mobius, rough_flags, weighted_prime_fn
+from .arith import cached_primes, interval_prime_flags, mu_phi_table, rough_flags, weighted_prime_fn
 from .arithfn import ArithFn, convolve, convolve_window, subtract, window_preimage
 from .characters import ramanujan_sum
 from .errors import CapacityError, ContractError, DomainError
@@ -143,13 +143,14 @@ def singular_series(n: int, q_max: int) -> float:
     """Partial sum over q <= q_max of |mu(q)| c_q(n) / phi(q)^2."""
     if n < 2 or q_max < 1:
         raise DomainError("need n >= 2 and q_max >= 1")
-    total = 0.0
-    for q in range(1, q_max + 1):
-        mu = mobius(q)
-        if mu == 0:
-            continue
-        total += ramanujan_sum(q, n) / euler_phi(q) ** 2
-    return total
+    return _ascending_sum(np.flatnonzero(mu_phi_table(q_max)[0]), n)
+
+
+def _ascending_sum(qs: np.ndarray, n: int) -> float:
+    """Sum of c_q(n) / phi(q)^2 over the qs, added left to right in their order
+    (np.add.accumulate does; np.sum adds pairwise and moves the last bits)."""
+    phi = mu_phi_table(int(qs.max()))[1]
+    return float(np.add.accumulate(ramanujan_sum(qs, n) / phi[qs] ** 2)[-1])
 
 
 def singular_series_product(n: int, prime_bound: int) -> float:
@@ -161,8 +162,8 @@ def singular_series_product(n: int, prime_bound: int) -> float:
     """
     if n < 2 or prime_bound < 2:
         raise DomainError("need n >= 2 and prime_bound >= 2")
-    ps = cached_primes(prime_bound).astype(np.float64)
-    c_p = np.where(np.mod(n, cached_primes(prime_bound)) == 0, ps - 1.0, -1.0)
+    ps = cached_primes(prime_bound)
+    c_p = np.where(np.mod(n, ps) == 0, ps - 1.0, -1.0)
     return float(np.prod(1.0 + c_p / (ps - 1.0) ** 2))
 
 
@@ -170,15 +171,13 @@ def singular_series_smooth_sum(n: int, prime_bound: int) -> float:
     """Sum over ALL squarefree q composed of primes <= prime_bound.
 
     Exactly equal to `singular_series_product` by multiplicativity; serves as
-    the independent series-side oracle for the product path.
+    the independent series-side oracle for the product path.  Its largest q, the
+    primorial of prime_bound, has to fit `mu_phi_table` (prime_bound < 23).
     """
-    qs = [1]
-    for p in cached_primes(prime_bound):
-        qs = qs + [q * int(p) for q in qs]
-    total = 0.0
-    for q in qs:
-        total += ramanujan_sum(q, n) / euler_phi(q) ** 2
-    return total
+    qs = np.ones(1, dtype=np.int64)
+    for p in cached_primes(prime_bound).tolist():
+        qs = np.concatenate([qs, qs * p])
+    return _ascending_sum(qs, n)
 
 
 # ---------------------------------------------------------------------------
@@ -217,21 +216,15 @@ def convolve_with_lambda_q_model(
     vals = omega.values[w_lo - omega.support_start : w_hi - omega.support_start]
     n1s = np.arange(w_lo, w_hi, dtype=np.int64)
     total = 0.0
-    for q in range(1, params.big_q + 1):
-        mu = mobius(q)
-        if mu == 0:
-            continue
-        c_table = np.array([ramanujan_sum(q, rem) for rem in range(q)], dtype=np.float64)
-        total += mu / euler_phi(q) * float(np.sum(vals * c_table[(n - n1s) % q]))
+    mu, phi = mu_phi_table(params.big_q)
+    for q in np.flatnonzero(mu).tolist():
+        total += int(mu[q]) / int(phi[q]) * float(np.sum(vals * ramanujan_sum(q, n - n1s).astype(np.float64)))
     return params.c_nu * total
 
 
 def _is_rough_supported(omega: ArithFn, z: float) -> bool:
-    if len(omega) == 0:
-        return True
     nz = omega.values != 0
-    rough = rough_flags(omega.support_start, omega.support_stop, z)
-    return bool(np.all(rough[nz] if nz.any() else True))
+    return not nz.any() or bool(np.all(rough_flags(omega.support_start, omega.support_stop, z)[nz]))
 
 
 # ---------------------------------------------------------------------------

@@ -39,7 +39,7 @@ from typing import Optional
 
 import numpy as np
 
-from .arith import cached_primes, euler_phi, mobius, rough_flags
+from .arith import cached_primes, euler_phi, mobius, mu_phi_table, rough_flags
 from .arithfn import ArithFn, TWO_PI, twist_values
 from .characters import ramanujan_sum
 from .errors import CapacityError, ContractError, DomainError
@@ -49,27 +49,21 @@ from .errors import CapacityError, ContractError, DomainError
 # ---------------------------------------------------------------------------
 
 
+def _mu_phi(q: int) -> tuple[int, int]:
+    mu, phi = mu_phi_table(q)
+    return int(mu[q]), int(phi[q])
+
+
 @lru_cache(maxsize=512)
 def _lambda_q_residue_table(q: int) -> np.ndarray:
-    """Row r -> mu(q) c_q(r) / phi(q), indexed by residues r mod q."""
-    mu = mobius(q)
-    if mu == 0:
-        return np.zeros(q)
-    phi = euler_phi(q)
-    row = np.array([ramanujan_sum(q, r) for r in range(q)], dtype=np.float64)
-    return (mu / phi) * row
+    """Row r -> mu(q) c_q(r) / phi(q), indexed by residues r mod q (q squarefree)."""
+    mu, phi = _mu_phi(q)
+    return (mu / phi) * ramanujan_sum(q, np.arange(q)).astype(np.float64)
 
 
 def lambda_q(n: int, big_q: int) -> float:
     """Lambda_Q(n) by the Ramanujan-sum closed form."""
-    if n < 0 or big_q < 1:
-        raise DomainError("need n >= 0 and Q >= 1")
-    total = 0.0
-    for q in range(1, big_q + 1):
-        tbl = _lambda_q_residue_table(q)
-        if tbl.any():
-            total += tbl[n % q]
-    return total
+    return float(lambda_q_window(n, n + 1, big_q)[0])
 
 
 def lambda_q_window(start: int, stop: int, big_q: int) -> np.ndarray:
@@ -78,10 +72,8 @@ def lambda_q_window(start: int, stop: int, big_q: int) -> np.ndarray:
         raise DomainError("bad window or Q")
     out = np.zeros(stop - start)
     idx = np.arange(start, stop, dtype=np.int64)
-    for q in range(1, big_q + 1):
-        tbl = _lambda_q_residue_table(q)
-        if tbl.any():
-            out += tbl[idx % q]
+    for q in np.flatnonzero(mu_phi_table(big_q)[0]).tolist():
+        out += _lambda_q_residue_table(q)[idx % q]
     return out
 
 
@@ -143,12 +135,9 @@ def lambda_q_short_sum(
     """
     actual = complex(_twisted_short_sum(t, h_prime, r, q_twist, lambda lo, hi: lambda_q_window(lo, hi, big_q)))
     if q_twist <= big_q:
-        predicted = complex(mobius(q_twist) * h_prime / euler_phi(q_twist))
-        budget = float(big_q**3)
-    else:
-        predicted = 0j
-        budget = float(q_twist * big_q + big_q**3)
-    return actual, predicted, budget
+        mu, phi = _mu_phi(q_twist)
+        return actual, complex(mu * h_prime / phi), float(big_q**3)
+    return actual, 0j, float(q_twist * big_q + big_q**3)
 
 
 def _twisted_short_sum(t: int, h_prime: float, r: int, q_twist: int, window) -> np.complex128:
@@ -304,9 +293,7 @@ def sieve_short_sum(
     """
     actual = complex(_twisted_short_sum(t, h_prime, r, q_twist, sieve.theta_window) / mertens_product(sieve.sift))
     if q_twist <= sieve.sift:
-        predicted = complex(mobius(q_twist) * h_prime / euler_phi(q_twist))
+        mu, phi = _mu_phi(q_twist)
         budget = h_prime * math.exp(-math.log(sieve.level) / math.log(sieve.sift)) + q_twist * sieve.level
-    else:
-        predicted = 0j
-        budget = (h_prime / q_twist + sieve.level + q_twist) * math.log(q_twist * h_prime)
-    return actual, predicted, float(budget)
+        return actual, complex(mu * h_prime / phi), float(budget)
+    return actual, 0j, float((h_prime / q_twist + sieve.level + q_twist) * math.log(q_twist * h_prime))

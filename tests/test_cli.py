@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from cmlab import arithfn
+from cmlab import arith, arithfn
 from cmlab.arith import rough_flags
 from cmlab.arithfn import read_arithfn
 from cmlab.cli import main
@@ -154,6 +154,15 @@ class TestSeries:
         ]
         assert rows[0] == "n,partial_sum,euler_product"
         assert len(rows) == 1 + 9
+
+    def test_mu_phi_table_over_cap_exits_2(self, tmp_path, monkeypatch, capsys):
+        argv = ["--out", str(tmp_path), "series", "--q-max", "1000"]
+        assert run(argv) == 0
+        # a fresh table for q <= 1000 holds 1001 entries of 9 bytes
+        monkeypatch.setattr(arith, "_mu_phi", (np.zeros(1, dtype=np.int8), np.zeros(1, dtype=np.int64)))
+        monkeypatch.setattr(arith, "MU_PHI_CAP", 9000)
+        assert run(argv) == 2
+        assert "beyond the cap 9000 bytes" in capsys.readouterr().err
 
 
 class TestModelDump:

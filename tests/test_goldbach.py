@@ -1,11 +1,12 @@
 import io
 import math
+import sys
 
 import numpy as np
 import pytest
 
-from cmlab import goldbach
-from cmlab.arith import interval_prime_flags, rough_flags
+from cmlab import goldbach, models
+from cmlab.arith import euler_phi, interval_prime_flags, mobius, rough_flags
 from cmlab.arithfn import ArithFn, convolve
 from cmlab.errors import CapacityError, ContractError, DomainError
 from cmlab.goldbach import (
@@ -28,7 +29,10 @@ from cmlab.models import (
     beta_sieve_weights,
     mertens_product,
     model_t_nu,
+    lambda_q_short_sum,
+    lambda_q_window,
     model_t_nu_plus,
+    sieve_short_sum,
     untruncated_level,
 )
 
@@ -147,6 +151,35 @@ class TestSingularSeries:
     def test_domain(self):
         with pytest.raises(DomainError):
             singular_series(1, 10)
+
+    @pytest.mark.parametrize("q_max", [1, 4, 97, 1000])
+    def test_equals_the_scalar_ascending_loop(self, q_max):
+        for n in (2, 3, 9, 30, 97, 1024, 9999, 30030):
+            total = 0.0
+            for q in range(1, q_max + 1):
+                if mobius(q) == 0:
+                    continue
+                qg = q // math.gcd(q, n)
+                total += mobius(qg) * (euler_phi(q) // euler_phi(qg)) / euler_phi(q) ** 2
+            assert singular_series(n, q_max) == total
+
+
+def test_c_q_paths_do_not_factorize(monkeypatch):
+    def refuse(n):
+        raise AssertionError(f"factorize({n}) called")
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("cmlab") and hasattr(module, "factorize"):
+            monkeypatch.setattr(module, "factorize", refuse)
+    assert singular_series(30, 1000) > 0
+    models._lambda_q_residue_table.cache_clear()
+    assert len(lambda_q_window(1000, 1100, 30)) == 100
+    params = LambdaQParams(big_q=10, window=(1000, 2000), c_nu=1.0)
+    omega = ArithFn(3000, np.where(rough_flags(3000, 4000, 10.0), 0.09, 0.0))
+    assert convolve_with_lambda_q_model(omega, params, 5000, method="ramanujan") > 0
+    assert lambda_q_short_sum(100_000, 1000.0, 10, r=1, q_twist=6)[1] == 1000.0 / 2
+    sieve = beta_sieve_weights(1000.0, 10.0, 1)
+    assert sieve_short_sum(100_000, 1000.0, sieve, r=1, q_twist=3)[1] == -1000.0 / 2
 
 
 class TestModelConvolution:
