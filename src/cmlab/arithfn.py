@@ -20,8 +20,8 @@ import numpy as np
 from .errors import CapacityError, DomainError
 
 SUPPORT_BOUND = 1 << 40  # guards convolution index arithmetic
-# grid points of one power spectrum; a real transform of 2**25 points peaked at
-# 1.05 GB RSS, so the cap is about 4 GB (Y = 10**7 in `verify closeness` fits)
+# grid points of one power spectrum.  At the cap (`verify closeness --Y 10**7`)
+# numpy 2.4's real transform alone peaked at 3.1 GB RSS and the run at 3.5 GB
 SPECTRUM_CAP = 1 << 27
 
 Number = Union[int, float, complex]
@@ -275,31 +275,33 @@ def fourier_eval(f: ArithFn, alpha: float) -> complex:
     return complex(math.fsum(terms.real), math.fsum(terms.imag))
 
 
-def power_spectrum(f: ArithFn, oversample: int = 8) -> tuple[int, np.ndarray]:
-    """|f-hat|^2 sampled on the uniform grid k/M, k = 0..M-1.
+def spectrum_size(length: int, oversample: int) -> int:
+    """M, the smallest power of two >= max(oversample * length, 64).
 
-    M is the smallest power of two >= max(oversample * len(f), 64), so the
-    grid has at least `oversample` samples per 1/span.  Support offset only
-    changes the phase of f-hat, never the magnitude, so the window offset is
-    irrelevant here.  For real f the spectrum is even, so it is the half-length
-    real transform mirrored onto the full grid.  M above SPECTRUM_CAP raises
-    CapacityError before anything is transformed.
+    M above SPECTRUM_CAP raises CapacityError, so no caller allocates a grid
+    beyond the cap.
     """
     if oversample < 1:
         raise DomainError("oversample must be >= 1")
-    size = 1 << (max(len(f) * oversample, 64) - 1).bit_length()
+    size = 1 << (max(length * oversample, 64) - 1).bit_length()
     if size > SPECTRUM_CAP:
         raise CapacityError(f"power spectrum grid of {size} points beyond the cap {SPECTRUM_CAP}")
+    return size
+
+
+def power_spectrum(f: ArithFn, oversample: int = 8) -> tuple[int, np.ndarray]:
+    """|f-hat|^2 sampled on the uniform grid k/M, M = spectrum_size(len(f), oversample).
+
+    The grid has at least `oversample` samples per 1/span.  Support offset only
+    changes the phase of f-hat, never the magnitude, so the window offset is
+    irrelevant here.  Complex f gives all M bins k = 0..M-1.  For real f the
+    spectrum is even, so only the half k = 0..M/2 (M/2 + 1 bins) is returned;
+    bin k of the full grid is bin min(k, M - k) of the half.
+    """
+    size = spectrum_size(len(f), oversample)
     if f.kind == "complex":
         return size, np.abs(np.fft.fft(np.conj(f.values), size)) ** 2
-    half = np.abs(np.fft.rfft(f.values.astype(np.float64), size)) ** 2
-    return size, np.concatenate([half, half[-2:0:-1]])
-
-
-def parseval_check(f: ArithFn, oversample: int = 2) -> tuple[float, float]:
-    """(grid mean of |f-hat|^2, l2 norm squared) — equal when the grid resolves f."""
-    size, spec = power_spectrum(f, oversample=oversample)
-    return float(np.sum(spec) / size), l2_norm_sq(f)
+    return size, np.abs(np.fft.rfft(f.values.astype(np.float64), size)) ** 2
 
 
 # -- short interval sums ------------------------------------------------------

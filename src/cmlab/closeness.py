@@ -33,7 +33,13 @@ A(h) is the inverse transform of |d-hat|^2 on a grid of M points, which is
 free of wrap-around for h <= M - span.  The spot check's grid has
 M >= OVERSAMPLE span = 8 span, and every 4th of its points is a grid of
 M/4 >= 2 span points, while w <= H/3 < span/6; so one inverse transform of a
-quarter of the spectrum serves every arc, and each arc then costs O(w).
+quarter of the spectrum serves every arc, and each arc then costs O(w).  As d
+is real, |d-hat|^2 is even and only its half k = 0..M/2 is computed; the spot
+check folds each window of bins onto it.
+
+Gallagher's quadrature (gallagher_lhs) keeps the trapezoid rule on the same
+M-point grid but never builds it: the rule is a fixed weighting of A(h),
+which a spectrum on 2 span points carries (see _gallagher_weights).
 """
 
 from __future__ import annotations
@@ -42,16 +48,18 @@ import csv
 import json
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import IO, Iterable, Optional
 
 import numpy as np
 
-from .arithfn import TWO_PI, ArithFn, _window_sums, l2_norm_sq, power_spectrum, subtract
+from .arithfn import TWO_PI, ArithFn, _window_sums, l2_norm_sq, power_spectrum, spectrum_size, subtract
 from .errors import DomainError
 from .models import SieveSystem, beta_sieve_weights, lambda_q_short_sum, sieve_short_sum
 
-# grid points per 1/span of every power spectrum read here; the quadrature of
-# gallagher_lhs and the wrap-free autocorrelation of closeness_integral need 8
+# grid points per 1/span of the spectrum of closeness_integral, whose every 4th
+# point is a wrap-free grid for the autocorrelation, and of the trapezoid rule
+# of gallagher_lhs, which reads a spectrum of only 2 points per 1/span
 OVERSAMPLE = 8
 SPOT_ARCS = 16  # the spot check probes this many of the widest Farey arcs
 SPOT_SAMPLES_PER_ARC = 128  # at a stride of about 1/128 of each arc's width
@@ -149,22 +157,54 @@ def gallagher_rhs(f: ArithFn, delta: float) -> float:
 def gallagher_lhs(f: ArithFn, delta: float) -> float:
     """integral_{-1/Delta}^{1/Delta} |f-hat(beta)|^2 d beta by trapezoid quadrature.
 
-    The grid is the FFT grid k/M with M >= OVERSAMPLE * span (8 samples per
-    1/span), plus exact handling of the interval endpoints.
+    The rule is the trapezoid on the grid k/M, M = spectrum_size(span, OVERSAMPLE)
+    (8 samples per 1/span), over |k| <= k_hi = floor(M/Delta), plus the slivers
+    between the outermost grid points and +-1/Delta.  It is linear in |f-hat|^2,
+    so it is read as sum_h c(h) A(h) off the autocorrelation A of f (see
+    _gallagher_weights), through one transform of 2 * span points instead of M.
     """
     span = len(f)
     if not (2 < delta < span / 2):
         raise DomainError("need 2 < Delta < span/2")
-    size, spec = power_spectrum(f, oversample=OVERSAMPLE)
-    k_hi = math.floor(size / delta)
-    k_lo = -k_hi
-    ks = np.arange(k_lo, k_hi + 1)
-    vals = spec[np.mod(ks, size)]
-    inner = float(np.trapezoid(vals, dx=1.0 / size)) if len(ks) > 1 else 0.0
-    # boundary slivers between +-1/Delta and the outermost grid points
+    weights = _gallagher_weights(span, float(delta))
+    _, spec = power_spectrum(f, oversample=2)
+    if f.kind == "complex":
+        return float(np.dot(spec, np.concatenate([weights, weights[-2:0:-1]])))
+    # each interior bin of the half spectrum stands for bins k and n - k
+    return float(2.0 * np.dot(spec, weights) - spec[0] * weights[0] - spec[-1] * weights[-1])
+
+
+@lru_cache(maxsize=8)
+def _gallagher_weights(span: int, delta: float) -> np.ndarray:
+    """The trapezoid rule of gallagher_lhs as weights on the half of an n-point spectrum.
+
+    |f-hat(beta)|^2 = sum_{|h| < span} A(h) e(beta h), and summing e(k h / M)
+    over |k| <= k_hi gives the Dirichlet kernel D(h), so the rule is
+    sum_h c(h) A(h) with c(0) = 2 k_hi / M + 2 sliver and, for h != 0,
+
+        c(h) = (D(h) - cos(2 pi h k_hi / M)) / M + 2 sliver cos(2 pi h k_hi / M),
+        D(h) = sin((2 k_hi + 1) pi h / M) / sin(pi h / M).
+
+    On a grid of n >= 2 span - 1 points A(h) is the inverse transform of the
+    spectrum free of wrap-around, so sum_h c(h) A(h) = (1/n) sum_k |f-hat(k/n)|^2 C(k)
+    with C the transform of c laid on that grid (c(-h) at n - h).  C is real
+    and even; the weights are C/n on k = 0..n/2, built once per (span, Delta).
+    """
+    size = spectrum_size(span, OVERSAMPLE)
+    k_hi = math.floor(size / delta)  # >= 16, as M >= 8 span and Delta < span/2
     sliver = 1.0 / delta - k_hi / size
-    inner += sliver * float(spec[k_hi % size] + spec[k_lo % size])
-    return inner
+    x = np.pi * np.arange(1, span) / size
+    edge = np.cos(2 * k_hi * x)
+    c = np.empty(span)
+    c[0] = 2 * k_hi / size + 2 * sliver
+    c[1:] = (np.sin((2 * k_hi + 1) * x) / np.sin(x) - edge) / size + 2 * sliver * edge
+    n = spectrum_size(span, 2)
+    circ = np.zeros(n)
+    circ[:span] = c
+    circ[n - span + 1 :] = c[:0:-1]  # c(-h) = c(h) at grid point n - h
+    weights = np.fft.rfft(circ).real / n
+    weights.setflags(write=False)
+    return weights
 
 
 # ---------------------------------------------------------------------------
@@ -255,7 +295,7 @@ def closeness_integral(
     size, spec = power_spectrum(diff, oversample=OVERSAMPLE)
 
     # A(h): every 4th bin is the spectrum on a grid of M/4 points (module docstring)
-    acf = np.fft.irfft(spec[: size // 2 + 1 : 4], size // 4)
+    acf = np.fft.irfft(spec[::4], size // 4)
     contribs = [_arc_functional(acf, arc, h) for arc in arcs]
     per_arc = tuple(zip(arcs, contribs))
     farey_bound = max(contribs)
@@ -264,14 +304,19 @@ def closeness_integral(
     # direct spot check on the widest arcs
     half = min(int(size / h), (size - 1) // 2)
     csum = np.concatenate([[0.0], np.cumsum(spec)])
+    mid = size // 2
+
+    def prefix(x: int) -> float:
+        """Sum of bins 0..x-1 of the full grid; its bins mid+1..x-1 mirror size-x+1..mid-1."""
+        return csum[x] if x <= mid + 1 else csum[mid + 1] + csum[mid] - csum[size - x + 1]
 
     def window_integral(k: int) -> float:
         lo, hi = k - half, k + half  # inclusive bin range, circular
         lo_m, hi_m = lo % size, hi % size
         if lo_m <= hi_m:
-            total = csum[hi_m + 1] - csum[lo_m]
+            total = prefix(hi_m + 1) - prefix(lo_m)
         else:
-            total = (csum[size] - csum[lo_m]) + csum[hi_m + 1]
+            total = (prefix(size) - prefix(lo_m)) + prefix(hi_m + 1)
         return float(total) / size
 
     spot, spot_alpha = 0.0, None

@@ -40,7 +40,7 @@ from typing import Optional
 import numpy as np
 
 from .arith import cached_primes, euler_phi, mobius, mu_phi_table, rough_flags
-from .arithfn import ArithFn, TWO_PI, twist_values
+from .arithfn import ArithFn, TWO_PI
 from .characters import ramanujan_sum
 from .errors import CapacityError, ContractError, DomainError
 
@@ -133,24 +133,31 @@ def lambda_q_short_sum(
     otherwise; the budget is Q^3 resp. q'Q + Q^3 (up to the empirical constant
     pinned in `constants`).
     """
-    actual = complex(_twisted_short_sum(t, h_prime, r, q_twist, lambda lo, hi: lambda_q_window(lo, hi, big_q)))
+    actual = _twisted_short_sum(t, h_prime, r, q_twist, lambda lo, hi: lambda_q_window(lo, hi, big_q))
     if q_twist <= big_q:
         mu, phi = _mu_phi(q_twist)
         return actual, complex(mu * h_prime / phi), float(big_q**3)
     return actual, 0j, float(q_twist * big_q + big_q**3)
 
 
-def _twisted_short_sum(t: int, h_prime: float, r: int, q_twist: int, window) -> np.complex128:
+def _twisted_short_sum(t: int, h_prime: float, r: int, q_twist: int, window) -> complex:
     """sum_{t - floor(H') < n <= t} v(n) e(r n / q') with v = window(lo, t + 1) on [lo, t].
 
-    Checks the twist r/q' and the window for both model short sums.
+    e(r n / q') depends on n mod q' only, so v is summed per residue class
+    first and each class sum twisted once.  Checks the twist r/q' and the
+    window for both model short sums.
     """
     if q_twist < 1 or math.gcd(r, q_twist) != 1:
         raise DomainError("twist must be a reduced fraction r/q' with q' >= 1")
     if h_prime <= 0 or t <= h_prime:
         raise DomainError("need H' > 0 and t > H'")
     lo = t - int(h_prime) + 1
-    return np.sum(twist_values(ArithFn(lo, window(lo, t + 1)), r, q_twist))
+    values = window(lo, t + 1)
+    if q_twist == 1:
+        return complex(np.sum(values))
+    classes = np.bincount(np.arange(lo, t + 1) % q_twist, weights=values, minlength=q_twist)
+    phases = (r % q_twist) * np.arange(q_twist) % q_twist  # r a mod q' for the class a
+    return complex(np.dot(classes, np.exp((TWO_PI * 1j / q_twist) * phases)))
 
 
 # ---------------------------------------------------------------------------
@@ -291,7 +298,7 @@ def sieve_short_sum(
     budget H' e^{-log D / log z} + q D for q <= z, else 0 with the divisor-sum
     budget (H'/q + D + q) log(q H').
     """
-    actual = complex(_twisted_short_sum(t, h_prime, r, q_twist, sieve.theta_window) / mertens_product(sieve.sift))
+    actual = _twisted_short_sum(t, h_prime, r, q_twist, sieve.theta_window) / mertens_product(sieve.sift)
     if q_twist <= sieve.sift:
         mu, phi = _mu_phi(q_twist)
         budget = h_prime * math.exp(-math.log(sieve.level) / math.log(sieve.sift)) + q_twist * sieve.level

@@ -15,7 +15,6 @@ from cmlab.arithfn import (
     fourier_eval,
     l1_norm,
     l2_norm_sq,
-    parseval_check,
     power_spectrum,
     read_arithfn,
     short_interval_sums,
@@ -227,26 +226,33 @@ class TestFourier:
         assert abs(lhs - rhs) <= 1e-8 * scale
 
     def test_parseval_on_grid(self, rng):
+        # mean of |f-hat|^2 over the full grid, read from the half: the
+        # interior bins stand for two grid points each
         for _ in range(10):
             f = fn(11, rng.normal(size=int(rng.integers(4, 200))))
-            mean_spec, l2 = parseval_check(f, oversample=2)
-            assert mean_spec == pytest.approx(l2, rel=1e-6)
+            size, spec = power_spectrum(f, oversample=2)
+            assert len(spec) == size // 2 + 1
+            mean_spec = (2.0 * np.sum(spec) - spec[0] - spec[-1]) / size
+            assert mean_spec == pytest.approx(l2_norm_sq(f), rel=1e-6)
 
     def test_power_spectrum_matches_pointwise(self, rng):
         f = fn(4, rng.normal(size=37))
         size, spec = power_spectrum(f, oversample=8)
-        for k in (0, 1, size // 3, size - 2):
+        assert len(spec) == size // 2 + 1
+        for k in (0, 1, size // 3, size // 2):
             assert spec[k] == pytest.approx(abs(fourier_eval(f, k / size)) ** 2, abs=1e-8)
+        # bins beyond M/2 mirror the half: |f-hat(-x)| = |f-hat(x)| for real f
+        for k in (size // 2 + 1, size - 2):
+            assert spec[size - k] == pytest.approx(abs(fourier_eval(f, k / size)) ** 2, abs=1e-8)
 
     def test_real_spectrum_equals_complex_cast(self, rng):
-        # the mirrored half-length real transform against the full complex one
+        # the real transform's half against the first M/2 + 1 bins of the full complex one
         for length, oversample in ((1, 1), (37, 8), (64, 1), (1000, 8)):
             vals = rng.normal(size=length)
             size, spec = power_spectrum(fn(4, vals), oversample=oversample)
             size_c, spec_c = power_spectrum(fn(4, vals.astype(np.complex128)), oversample=oversample)
-            assert size == size_c == len(spec)
-            assert np.max(np.abs(spec - spec_c)) <= 1e-12 * np.max(spec_c)
-
+            assert size == size_c == len(spec_c) == 2 * (len(spec) - 1)
+            assert np.max(np.abs(spec - spec_c[: size // 2 + 1])) <= 1e-12 * np.max(spec_c)
 
     def test_spectrum_over_cap_fails_up_front(self, monkeypatch):
         f = fn(0, np.ones(1000))

@@ -117,14 +117,33 @@ class TestGallagher:
 
     def test_lhs_against_dense_quadrature(self, rng):
         # independent oracle: direct Riemann sum of |f-hat|^2 on a fine grid
-        vals = rng.normal(size=64)
-        f = ArithFn(10, vals)
-        delta = 8.0
-        grid = np.linspace(-1 / delta, 1 / delta, 4001)
-        ns = np.arange(10, 74)
-        fhat = np.exp(2j * np.pi * np.outer(grid, ns)) @ vals
-        oracle = np.trapezoid(np.abs(fhat) ** 2, grid)
-        assert gallagher_lhs(f, delta) == pytest.approx(oracle, rel=1e-3)
+        for vals in (rng.normal(size=64), rng.normal(size=64) + 1j * rng.normal(size=64)):
+            f = ArithFn(10, vals)
+            delta = 8.0
+            grid = np.linspace(-1 / delta, 1 / delta, 4001)
+            ns = np.arange(10, 74)
+            fhat = np.exp(2j * np.pi * np.outer(grid, ns)) @ vals
+            oracle = np.trapezoid(np.abs(fhat) ** 2, grid)
+            assert gallagher_lhs(f, delta) == pytest.approx(oracle, rel=1e-3)
+
+    @pytest.mark.parametrize("span", [64, 1000, 10_000])
+    def test_lhs_equals_full_grid_trapezoid(self, rng, span):
+        # oracle: the trapezoid rule on the full grid of M >= 8 span points,
+        # from one complex transform of f, plus the two end slivers
+        def trapezoid(f, delta):
+            size = 1 << (max(8 * span, 64) - 1).bit_length()
+            spec = np.abs(np.fft.fft(f.values, size)) ** 2
+            k_hi = math.floor(size / delta)
+            vals = spec[np.arange(-k_hi, k_hi + 1) % size]
+            sliver = 1.0 / delta - k_hi / size
+            return np.trapezoid(vals, dx=1.0 / size) + sliver * (vals[0] + vals[-1])
+
+        for delta in (8.0, 10.3, 30.0, span / 2 - 0.5, span / 2 - 1e-9):
+            if not 2 < delta < span / 2:
+                continue
+            for vals in (rng.normal(size=span), rng.normal(size=span) + 1j * rng.normal(size=span)):
+                f = ArithFn(17, vals)
+                assert gallagher_lhs(f, delta) == pytest.approx(trapezoid(f, delta), rel=1e-12)
 
     def test_domain(self):
         f = ArithFn(0, np.ones(100))
@@ -269,7 +288,8 @@ class TestEstimatorAgainstExhaustiveGrid:
             rep = closeness_integral(f, g, h)
 
             d = subtract(f, g)
-            size, spec = power_spectrum(d, oversample=8)
+            size, half_spec = power_spectrum(d, oversample=8)
+            spec = np.concatenate([half_spec, half_spec[-2:0:-1]])  # the even spectrum on all M bins
             half = min(int(size / h), (size - 1) // 2)
             csum = np.concatenate([[0.0], np.cumsum(spec)])
             width = 2 * half + 1
@@ -282,3 +302,48 @@ class TestEstimatorAgainstExhaustiveGrid:
             true_sup = max(float(interior), float(wrap)) / size
             ratio = true_sup / rep.sup_estimate
             assert 0.8 <= ratio <= 1.25
+
+    def test_folded_spot_probe_equals_full_grid_probe(self):
+        # oracle: the spot probe on the mirrored full grid, prefix sums over
+        # all M bins, the same windows; the 0/1 arc's windows wrap bin 0 and
+        # the 1/2 arc's windows straddle bin M/2
+        from cmlab.arithfn import power_spectrum
+
+        def full_grid_probe(d, h):
+            size, half_spec = power_spectrum(d, oversample=8)
+            spec = np.concatenate([half_spec, half_spec[-2:0:-1]])
+            csum = np.concatenate([[0.0], np.cumsum(spec)])
+            half = min(int(size / h), (size - 1) // 2)
+            best, best_alpha, wraps, straddles = 0.0, None, 0, 0
+            arcs = sorted(farey_dissection(int(math.isqrt(int(h)))), key=lambda a: a.width, reverse=True)
+            for arc in arcs[:16]:
+                k_lo, k_hi = math.ceil(arc.lo * size), math.floor(arc.hi * size)
+                for k in range(k_lo, k_hi + 1, max(1, (k_hi - k_lo) // 128)):
+                    lo, hi = (k - half) % size, (k + half) % size
+                    if lo <= hi:
+                        total = csum[hi + 1] - csum[lo]
+                    else:
+                        total = csum[size] - csum[lo] + csum[hi + 1]
+                        wraps += 1
+                    straddles += lo <= size // 2 <= hi
+                    if total / size > best:
+                        best, best_alpha = float(total) / size, (k % size) / size
+            return best, best_alpha, wraps, straddles
+
+        # a mean puts the peak of |d-hat|^2 at 0, an alternating sign at 1/2,
+        # so the largest window is one that wraps 0 resp. straddles M/2
+        rng = np.random.default_rng(11)
+        for span, h in ((2_000, 64.0), (3_001, 150.0), (700, 36.0)):
+            signs = (-1.0) ** np.arange(span)
+            for peak, bias in ((None, 0.0), (0.0, 1.0), (0.5, signs), (0.0, -1.0), (0.5, -signs)):
+                f = ArithFn(1000, rng.normal(size=span) + 2.0 * bias)
+                g = ArithFn(1003, rng.normal(size=span))
+                rep = closeness_integral(f, g, h)
+                spot, alpha, wraps, straddles = full_grid_probe(subtract(f, g), h)
+                assert wraps > 0 and straddles > 0
+                if peak is not None:
+                    assert min(abs(alpha - peak), 1 - abs(alpha - peak)) <= 1 / h
+                # |d-hat|^2 is even, so the windows at alpha and -alpha hold the
+                # same value; rounding picks which of such a tie is reported
+                assert rep.spot_alpha in (alpha, (1.0 - alpha) % 1.0)
+                assert rep.spot_estimate == pytest.approx(spot, rel=1e-12)

@@ -5,6 +5,7 @@ import pytest
 
 from cmlab import models
 from cmlab.arith import euler_phi, mobius, rough_flags, sieve_primes, weighted_prime_fn
+from cmlab.arithfn import TWO_PI
 from cmlab.errors import ContractError, DomainError
 from cmlab.models import (
     LambdaQParams,
@@ -108,6 +109,38 @@ class TestLambdaQShortSum:
             lambda_q_short_sum(100, 200.0, 5)  # t <= H'
         with pytest.raises(DomainError):
             lambda_q_short_sum(1000, 10.0, 5, r=2, q_twist=4)  # gcd(r, q') > 1
+
+
+def fsum_twisted_sum(values, lo, r, q):
+    """sum of v(lo + i) e(r (lo + i) / q), one term at a time with the exact
+    phase r n mod q, each part added by math.fsum (oracle)."""
+    terms = [(v, TWO_PI * ((r * (lo + i)) % q) / q) for i, v in enumerate(values.tolist())]
+    return complex(
+        math.fsum(v * math.cos(phase) for v, phase in terms),
+        math.fsum(v * math.sin(phase) for v, phase in terms),
+    )
+
+
+@pytest.mark.parametrize("q_twist", [1, 2, 97, 211])
+def test_short_sums_match_fsum_oracle(q_twist):
+    # r = q' - 1 and r = -1 are the same twist; H' = 150 < q' = 211 leaves
+    # residue classes the window never reaches; the sieve is truncated, so
+    # theta takes values beyond 0 and 1
+    sieve = beta_sieve_weights(3_000.0, 30.0, beta=1)
+    rs = {0} if q_twist == 1 else {1, -1, q_twist - 1, q_twist // 2 + 1}
+    for t, h in ((100_003, 997.0), (500_009, 10_000.0), (5_000, 150.0)):
+        lo = t - int(h) + 1
+        lam = lambda_q_window(lo, t + 1, 10)
+        theta = sieve.theta_window(lo, t + 1) / mertens_product(sieve.sift)
+        for r in rs:
+            if math.gcd(r, q_twist) != 1:
+                continue
+            actual = lambda_q_short_sum(t, h, 10, r=r, q_twist=q_twist)[0]
+            oracle = fsum_twisted_sum(lam, lo, r, q_twist)
+            assert abs(actual - oracle) <= 1e-12 * abs(oracle)
+            actual = sieve_short_sum(t, h, sieve, r=r, q_twist=q_twist)[0]
+            oracle = fsum_twisted_sum(theta, lo, r, q_twist)
+            assert abs(actual - oracle) <= 1e-12 * abs(oracle)
 
 
 class TestBetaSieve:
