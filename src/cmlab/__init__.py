@@ -2,7 +2,7 @@
 
 Modules:
   arith       primes, multiplicative functions, rough numbers, weighted primes
-  arithfn     finitely supported functions: convolution, Fourier side, norms
+  arithfn     finitely supported real functions: convolution, Fourier side, norms
   characters  Dirichlet characters, Gauss sums, Ramanujan sums
   models      the major-arc model Lambda_Q and the rescaled upper-bound sieve
   closeness   Farey dissection, Gallagher functional, closeness estimates
@@ -11,7 +11,7 @@ Modules:
 """
 
 from .arith import euler_phi, is_rough, mobius, sieve_primes, weighted_prime_fn
-from .arithfn import ArithFn, convolve, convolve_window, fourier_eval, l1_norm, l2_norm_sq, short_interval_sums
+from .arithfn import ArithFn, convolve, convolve_window, fourier_eval, l1_norm, l2_norm_sq
 from .characters import characters_mod, exponential_from_characters, gauss_sum, ramanujan_sum
 from .closeness import closeness_integral, farey_dissection, gallagher_lhs, gallagher_rhs
 from .goldbach import (

@@ -2,10 +2,9 @@
 
 Representation: (Z/qZ)* is decomposed into cyclic components with fixed
 generators (odd prime powers get their smallest primitive root; 2^e with e >= 3
-splits into <-1> x <5>).  A character is the tuple of exponents it assigns to
-those generators, and each value is stored as an exact root-of-unity exponent
-t meaning e(t / e_order), alongside a cached complex table.  Equality and
-principality tests use the exponents; numerics use the cache, so orthogonality
+splits into <-1> x <5>).  A character is labelled by the tuple of exponents it
+assigns to those generators.  Its q values are read from one cached table of
+the roots of unity e(t / e_order) at exact integer exponents t, so orthogonality
 tests do not accumulate tolerance from repeated transcendental evaluations.
 
 Character enumeration order is lexicographic in the generator exponents, which
@@ -107,35 +106,25 @@ def _group_tables(q: int):
 class DirichletCharacter:
     """A completely multiplicative character mod q.
 
-    exponents[r] = t means chi(r) = e(t / e_order); exponents[r] = -1 marks
-    gcd(r, q) > 1 where chi vanishes.
+    values[r] = chi(r), which is 0 where gcd(r, q) > 1.
     """
 
     modulus: int
     label: tuple[int, ...]  # exponent tuple over the group generators
-    e_order: int
     principal: bool
-    exponents: np.ndarray = field(repr=False)
     values: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        for arr in (self.exponents, self.values):
-            if arr.flags.writeable and arr.base is None:
-                arr.setflags(write=False)
+        if self.values.flags.writeable and self.values.base is None:
+            self.values.setflags(write=False)
 
     def __call__(self, n: int) -> complex:
         return complex(self.values[n % self.modulus])
 
     def conj(self) -> "DirichletCharacter":
-        exps = np.where(self.exponents >= 0, (-self.exponents) % self.e_order, -1)
-        return DirichletCharacter(
-            self.modulus, tuple((-a) % s for a, s in zip(self.label, _orders_of(self.modulus))),
-            self.e_order, self.principal, exps, np.conj(self.values),
-        )
-
-
-def _orders_of(q: int) -> list[int]:
-    return _group_tables(q)[1]
+        orders = _group_tables(self.modulus)[1]
+        label = tuple((-a) % s for a, s in zip(self.label, orders))
+        return DirichletCharacter(self.modulus, label, self.principal, np.conj(self.values))
 
 
 @lru_cache(maxsize=64)
@@ -146,9 +135,8 @@ def _root_table(e_order: int) -> np.ndarray:
 def characters_mod(q: int) -> list[DirichletCharacter]:
     """All phi(q) Dirichlet characters mod q, exactly one of them principal.
 
-    Table-based: each character stores phi(q) exponents plus q cached complex
-    values, so cost grows as phi(q) * q; comfortable for q up to a few
-    thousand, hard-capped at 10^5.
+    Table-based: each character stores q complex values, so cost grows as
+    phi(q) * q; comfortable for q up to a few thousand, hard-capped at 10^5.
     """
     gens, orders, e_order, dlog = _group_tables(q)
     k = len(gens)
@@ -161,15 +149,12 @@ def characters_mod(q: int) -> list[DirichletCharacter]:
             t = (dlog[:, :k] @ weights) % e_order
         else:
             t = np.zeros(q, dtype=np.int64)
-        exps = np.where(coprime, t, -1)
         values = np.where(coprime, roots[np.where(coprime, t, 0)], 0.0 + 0.0j)
         out.append(
             DirichletCharacter(
                 modulus=q,
                 label=tuple(label),
-                e_order=e_order,
                 principal=all(a == 0 for a in label),
-                exponents=exps,
                 values=values,
             )
         )

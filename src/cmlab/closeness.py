@@ -53,7 +53,7 @@ from typing import IO, Iterable, Optional
 
 import numpy as np
 
-from .arithfn import TWO_PI, ArithFn, _window_sums, l2_norm_sq, power_spectrum, spectrum_size, subtract
+from .arithfn import TWO_PI, ArithFn, l2_norm_sq, power_spectrum, spectrum_size, subtract
 from .errors import DomainError
 from .models import SieveSystem, beta_sieve_weights, lambda_q_short_sum, sieve_short_sum
 
@@ -144,14 +144,26 @@ def farey_dissection(order: int) -> list[FareyArc]:
 # ---------------------------------------------------------------------------
 
 
+def _window_sums(values: np.ndarray, width: int) -> np.ndarray:
+    """S[j] = sum of values[j-width+1 .. j] extended over windows touching the support.
+
+    Output index j corresponds to t = support_start + j for j in
+    0 .. len(values)+width-1, i.e. all t with (t-width, t] intersecting the window.
+    """
+    padded = np.concatenate([values, np.zeros(width)])
+    csum = np.cumsum(padded)
+    out = csum.copy()
+    out[width:] -= csum[:-width]
+    return out
+
+
 def gallagher_rhs(f: ArithFn, delta: float) -> float:
     """Delta^{-2} sum_t |sum_{t - floor(Delta/2) < n <= t} f(n)|^2."""
     span = len(f)
     if not (2 < delta < span / 2):
         raise DomainError("need 2 < Delta < span/2")
-    width = max(1, int(delta / 2))
-    sums = _window_sums(f.values.astype(np.complex128 if f.kind == "complex" else np.float64), width)
-    return float(np.sum(np.abs(sums) ** 2) / delta**2)
+    sums = _window_sums(f.values, int(delta / 2))
+    return float(np.sum(sums**2) / delta**2)
 
 
 def gallagher_lhs(f: ArithFn, delta: float) -> float:
@@ -168,8 +180,6 @@ def gallagher_lhs(f: ArithFn, delta: float) -> float:
         raise DomainError("need 2 < Delta < span/2")
     weights = _gallagher_weights(span, float(delta))
     _, spec = power_spectrum(f, oversample=2)
-    if f.kind == "complex":
-        return float(np.dot(spec, np.concatenate([weights, weights[-2:0:-1]])))
     # each interior bin of the half spectrum stands for bins k and n - k
     return float(2.0 * np.dot(spec, weights) - spec[0] * weights[0] - spec[-1] * weights[-1])
 
@@ -217,7 +227,8 @@ class ClosenessReport:
     """Estimate of the short-interval closeness functional for a pair (f, g).
 
     farey_arc is the (q, r) of the arc that attains farey_bound; spot_alpha is
-    the grid point that attains spot_estimate (None when every sample is 0).
+    the grid point that attains spot_estimate, folded into [0, 1/2] (None when
+    every sample is 0): |d-hat|^2 is even, so alpha and 1 - alpha tie.
     """
 
     sup_estimate: float
@@ -285,8 +296,6 @@ def closeness_integral(
     if h < 1:
         raise DomainError("need H >= 1 so the dissection order is at least 1")
     diff = subtract(f, g)
-    if diff.kind == "complex":
-        raise DomainError("the closeness functional needs real-valued f and g")
     span = len(diff)
     if span <= 2 * h:
         raise DomainError("supports must span more than 2H")
@@ -330,7 +339,7 @@ def closeness_integral(
         for k in range(k_lo, k_hi + 1, stride):
             value = window_integral(k)
             if value > spot:
-                spot, spot_alpha = value, (k % size) / size
+                spot, spot_alpha = value, min(k % size, -k % size) / size
 
     sup_estimate = max(farey_bound, spot)
     ref = reference_norm if reference_norm is not None else (l2_norm_sq(f) or 1.0)

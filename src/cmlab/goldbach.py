@@ -197,18 +197,15 @@ def convolve_with_lambda_q_model(
     method "direct": materializes T and convolves.  Both paths agree to 1e-6
     relative; "auto" picks the shortcut when the support is Q-rough.
     """
+    if method not in ("auto", "ramanujan", "direct"):
+        raise DomainError(f"unknown method {method!r}")
+    rough = method != "direct" and _is_rough_supported(omega, params.big_q)
+    if method == "ramanujan" and not rough:
+        raise ContractError("Ramanujan shortcut requires omega supported on Q-rough numbers")
+    if not rough:
+        return convolve(omega, model_t_nu(params))(n)
     lo, hi = params.window
     n1_lo, n1_hi = n - hi, n - lo  # n1 with lo < n - n1 <= hi, i.e. n1 in [n-hi, n-lo)
-    if method == "auto":
-        method = "ramanujan" if _is_rough_supported(omega, params.big_q) else "direct"
-    if method == "direct":
-        t_nu = model_t_nu(params)
-        conv = convolve(omega, t_nu)
-        return float(np.real(conv(n)))
-    if method != "ramanujan":
-        raise DomainError(f"unknown method {method!r}")
-    if not _is_rough_supported(omega, params.big_q):
-        raise ContractError("Ramanujan shortcut requires omega supported on Q-rough numbers")
     w_lo = max(n1_lo, omega.support_start)
     w_hi = min(n1_hi, omega.support_stop)
     if w_lo >= w_hi:

@@ -179,8 +179,13 @@ class TestExponentialIdentity:
 
 class TestConjugation:
     def test_conj_values(self):
-        for chi in characters_mod(7):
-            bar = chi.conj()
-            for n in range(7):
-                assert bar(n) == pytest.approx(np.conj(chi(n)), abs=1e-12)
-            assert bar.principal == chi.principal
+        for q in (7, 16, 15):
+            chars = characters_mod(q)
+            by_label = {chi.label: chi for chi in chars}
+            for chi in chars:
+                bar = chi.conj()
+                for n in range(q):
+                    assert bar(n) == pytest.approx(np.conj(chi(n)), abs=1e-12)
+                assert bar.principal == chi.principal
+                # the label is that of the enumerated conjugate character
+                assert np.allclose(by_label[bar.label].values, bar.values, atol=1e-12)

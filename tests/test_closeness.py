@@ -117,14 +117,14 @@ class TestGallagher:
 
     def test_lhs_against_dense_quadrature(self, rng):
         # independent oracle: direct Riemann sum of |f-hat|^2 on a fine grid
-        for vals in (rng.normal(size=64), rng.normal(size=64) + 1j * rng.normal(size=64)):
-            f = ArithFn(10, vals)
-            delta = 8.0
-            grid = np.linspace(-1 / delta, 1 / delta, 4001)
-            ns = np.arange(10, 74)
-            fhat = np.exp(2j * np.pi * np.outer(grid, ns)) @ vals
-            oracle = np.trapezoid(np.abs(fhat) ** 2, grid)
-            assert gallagher_lhs(f, delta) == pytest.approx(oracle, rel=1e-3)
+        vals = rng.normal(size=64)
+        f = ArithFn(10, vals)
+        delta = 8.0
+        grid = np.linspace(-1 / delta, 1 / delta, 4001)
+        ns = np.arange(10, 74)
+        fhat = np.exp(2j * np.pi * np.outer(grid, ns)) @ vals
+        oracle = np.trapezoid(np.abs(fhat) ** 2, grid)
+        assert gallagher_lhs(f, delta) == pytest.approx(oracle, rel=1e-3)
 
     @pytest.mark.parametrize("span", [64, 1000, 10_000])
     def test_lhs_equals_full_grid_trapezoid(self, rng, span):
@@ -141,9 +141,32 @@ class TestGallagher:
         for delta in (8.0, 10.3, 30.0, span / 2 - 0.5, span / 2 - 1e-9):
             if not 2 < delta < span / 2:
                 continue
-            for vals in (rng.normal(size=span), rng.normal(size=span) + 1j * rng.normal(size=span)):
-                f = ArithFn(17, vals)
-                assert gallagher_lhs(f, delta) == pytest.approx(trapezoid(f, delta), rel=1e-12)
+            f = ArithFn(17, rng.normal(size=span))
+            assert gallagher_lhs(f, delta) == pytest.approx(trapezoid(f, delta), rel=1e-12)
+
+    def test_rhs_point_mass_window_membership(self):
+        # windows (t - w, t] with w = floor(13.7 / 2) = 6: a unit mass lies in w
+        # of them, and two masses d apart share w - d of them if d < w, else none
+        delta, w = 13.7, 6
+        single = np.zeros(100)
+        single[49] = 1.0  # n = 50 on a support starting at 1
+        assert gallagher_rhs(ArithFn(1, single), delta) == w / delta**2
+        for d in range(1, 9):
+            pair = single.copy()
+            pair[49 + d] = 1.0
+            shared = max(0, w - d)
+            assert gallagher_rhs(ArithFn(1, pair), delta) == pytest.approx((2 * w + 2 * shared) / delta**2, rel=1e-15)
+
+    def test_rhs_against_double_loop(self, rng):
+        # non-integer Delta on an offset support; t over every window meeting it
+        f = ArithFn(17, rng.choice([-1.0, 1.0], size=300))
+        delta = 27.7
+        width = int(delta / 2)
+        total = 0.0
+        for t in range(17, 17 + 300 + width):
+            total += sum(f(n) for n in range(t - width + 1, t + 1)) ** 2
+        assert total > 0
+        assert gallagher_rhs(f, delta) == pytest.approx(total / delta**2, rel=1e-12)
 
     def test_domain(self):
         f = ArithFn(0, np.ones(100))
@@ -192,7 +215,7 @@ class TestClosenessIntegral:
         with pytest.raises(DomainError):
             closeness_integral(f, f, 64.0)
         f, g = self._pair(rng)
-        with pytest.raises(DomainError):  # the autocorrelation route is for real d
+        with pytest.raises(DomainError):  # complex values are refused on construction
             closeness_integral(ArithFn(1_000, f.values * 1j), g, 64.0)
 
     def test_arc_functionals_match_brute_force_windows(self, rng):
@@ -232,7 +255,7 @@ class TestClosenessIntegral:
         payload = json.loads(js)
         assert payload["decided_by"] == rep.decided_by in ("farey", "spot")
         assert payload["farey_arc"] in [[arc.q, arc.r] for arc, _ in rep.per_arc]
-        assert 0.0 <= payload["spot_alpha"] < 1.0
+        assert 0.0 <= payload["spot_alpha"] <= 0.5
         assert payload["farey_over_spot"] == pytest.approx(rep.farey_bound / rep.spot_estimate)
         buf = io.StringIO()
         rep.write_arc_csv(buf)
@@ -344,6 +367,6 @@ class TestEstimatorAgainstExhaustiveGrid:
                 if peak is not None:
                     assert min(abs(alpha - peak), 1 - abs(alpha - peak)) <= 1 / h
                 # |d-hat|^2 is even, so the windows at alpha and -alpha hold the
-                # same value; rounding picks which of such a tie is reported
-                assert rep.spot_alpha in (alpha, (1.0 - alpha) % 1.0)
+                # same value, and the report folds the tie into [0, 1/2]
+                assert rep.spot_alpha == min(alpha, 1.0 - alpha)
                 assert rep.spot_estimate == pytest.approx(spot, rel=1e-12)

@@ -5,9 +5,9 @@ import sys
 import numpy as np
 import pytest
 
-from cmlab import goldbach, models
+from cmlab import arithfn, goldbach, models
 from cmlab.arith import euler_phi, interval_prime_flags, mobius, rough_flags
-from cmlab.arithfn import ArithFn, convolve
+from cmlab.arithfn import ArithFn
 from cmlab.errors import CapacityError, ContractError, DomainError
 from cmlab.goldbach import (
     PRESETS,
@@ -234,6 +234,30 @@ class TestModelConvolution:
         val = convolve_with_lambda_q_model(omega, params, 2000, method="direct")
         assert np.isfinite(val)
 
+    def test_auto_sieves_the_support_once_and_routes_by_roughness(self, monkeypatch):
+        checks = []
+
+        def counted(omega, z):
+            checks.append(z)
+            return rough(omega, z)
+
+        def refuse(*args):
+            raise AssertionError("the Ramanujan route materialized T")
+
+        rough = goldbach._is_rough_supported
+        monkeypatch.setattr(goldbach, "_is_rough_supported", counted)
+        params = LambdaQParams(big_q=10, window=(1000, 2000), c_nu=1.0)
+        omega = self._omega(5000, 1000)
+        want = convolve_with_lambda_q_model(omega, params, 5000, method="ramanujan")
+        monkeypatch.setattr(goldbach, "model_t_nu", refuse)
+        assert convolve_with_lambda_q_model(omega, params, 5000) == want
+        assert checks == [10, 10]
+        monkeypatch.undo()
+        smooth, params = ArithFn(1200, np.ones(500)), LambdaQParams(big_q=10, window=(500, 1000), c_nu=1.0)
+        assert convolve_with_lambda_q_model(smooth, params, 2000) == convolve_with_lambda_q_model(
+            smooth, params, 2000, method="direct"
+        )
+
 
 class TestPipelineConfig:
     def test_desk_floors(self):
@@ -308,7 +332,7 @@ class TestPipeline:
         # two independent code paths: a*b(n) > 0 versus the exhaustive search
         config = PRESETS["desk-small"]()
         nu, omega, a, b = desk_pipeline_inputs(config)
-        conv = convolve(a, b, method="fft")
+        conv = ArithFn(a.support_start + b.support_start, arithfn._convolve_fft(a.values, b.values))
         missing = set(exceptional_set(config.x, config.h))
         for n in range(config.x - config.h, config.x + 1):
             if n % 2:
@@ -364,7 +388,7 @@ class TestPipelineScaling:
         config = PRESETS["desk-small"]()
         nu, omega, a, b = desk_pipeline_inputs(config)
         report = run_pipeline(config, nu, omega, a, b)
-        full = convolve(a, b, method="fft")
+        full = ArithFn(a.support_start + b.support_start, arithfn._convolve_fft(a.values, b.values))
         ab = np.array([row[1] for row in report.rows])
         assert np.allclose(ab, [full(n) for n, *_ in report.rows], rtol=1e-12, atol=1e-6)
 
