@@ -197,10 +197,7 @@ def rough_flags(start: int, stop: int, z: float) -> np.ndarray:
     if start < 1 or stop < start:
         raise DomainError("need 1 <= start <= stop")
     out = np.ones(stop - start, dtype=bool)
-    for p in cached_primes(int(z)):
-        p = int(p)
-        if p > z:
-            break
+    for p in cached_primes(int(z)).tolist():
         first = ((start + p - 1) // p) * p
         if first < stop:
             out[first - start :: p] = False

@@ -1,31 +1,28 @@
 """Dirichlet characters mod q, Gauss sums, Ramanujan sums.
 
-Representation: (Z/qZ)* is decomposed into cyclic components with fixed
-generators (odd prime powers get their smallest primitive root; 2^e with e >= 3
-splits into <-1> x <5>).  A character is labelled by the tuple of exponents it
-assigns to those generators.  Its q values are read from one cached table of
-the roots of unity e(t / e_order) at exact integer exponents t, so orthogonality
-tests do not accumulate tolerance from repeated transcendental evaluations.
-
-Character enumeration order is lexicographic in the generator exponents, which
-makes runs reproducible.
+A character mod q is a row of one table: `characters_mod(q)` returns the
+complex128 array of shape (phi(q), q) whose row j holds chi_j(0), ..., chi_j(q-1),
+which is 0 where gcd(r, q) > 1.  (Z/qZ)* is decomposed into cyclic components
+with fixed generators (odd prime powers get their smallest primitive root; 2^e
+with e >= 3 splits into <-1> x <5>), and the rows run over the tuples of
+exponents a character assigns to those generators in lexicographic order: row 0
+is the principal character, and runs are reproducible.  Every value is read from
+one table of the roots of unity e(t / e) at exact integer exponents t, e the
+exponent of the group, so orthogonality tests do not accumulate tolerance from
+repeated transcendental evaluations.  A table over CHARACTER_TABLE_CAP bytes
+raises CapacityError before it is allocated.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
-from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
-from .arith import euler_phi, factorize, mu_phi_table
+from .arith import factorize, mu_phi_table
 from .errors import CapacityError, DomainError
 
-MAX_MODULUS = 10**5  # table-based construction bound
-
-TWO_PI = 2.0 * math.pi
+CHARACTER_TABLE_CAP = 1 << 27  # bytes of the (phi(q), q) table, 16 per value: prime q up to 2887
 
 
 def _primitive_root_prime_power(p: int, e: int) -> int:
@@ -68,111 +65,41 @@ def _unit_group(q: int) -> list[tuple[int, int]]:
     return out
 
 
-@lru_cache(maxsize=256)
-def _group_tables(q: int):
-    """(generators, orders, e_order, dlog table) for (Z/qZ)*.
-
-    dlog has shape (q, k): dlog[r] holds the exponent tuple of residue r over
-    the generators, or -1 on residues not coprime to q.
-    """
+def characters_mod(q: int) -> np.ndarray:
+    """The (phi(q), q) complex128 table of all Dirichlet characters mod q, one per
+    row in lexicographic order of the generator exponents; row 0 is principal."""
     if q < 1:
         raise DomainError("modulus must be >= 1")
-    if q > MAX_MODULUS:
-        raise CapacityError(f"modulus {q} exceeds table bound {MAX_MODULUS}")
+    if 16 * q > CHARACTER_TABLE_CAP:  # phi(q) >= 1: fail before q is factorized
+        raise CapacityError(f"character table of at least {q} values beyond the cap {CHARACTER_TABLE_CAP} bytes")
     gens = _unit_group(q)
     orders = [s for _, s in gens]
-    k = len(gens)
-    e_order = 1
-    for s in orders:
-        e_order = e_order * s // math.gcd(e_order, s)
-    dlog = -np.ones((q, max(k, 1)), dtype=np.int64)
-    pow_tables = []
-    for g, s in gens:
-        row = np.empty(s, dtype=np.int64)
+    phi = math.prod(orders)
+    if 16 * phi * q > CHARACTER_TABLE_CAP:
+        raise CapacityError(f"character table of {phi} x {q} values beyond the cap {CHARACTER_TABLE_CAP} bytes")
+    k, e = len(orders), math.lcm(*orders)
+    exps = np.indices(orders, dtype=np.int64).reshape(k, phi).T  # row i: the exponents of unit i
+    units = np.full(phi, 1 % q, dtype=np.int64)
+    for l, (g, s) in enumerate(gens):
+        powers = np.empty(s, dtype=np.int64)
         acc = 1
         for j in range(s):
-            row[j] = acc
-            acc = (acc * g) % q
-        pow_tables.append(row)
-    for exps in itertools.product(*(range(s) for s in orders)):
-        r = 1 % q
-        for table, a in zip(pow_tables, exps):
-            r = (r * int(table[a])) % q
-        dlog[r, : k or 1] = exps if k else 0
-    return gens, orders, e_order, dlog
+            powers[j] = acc
+            acc = acc * g % q
+        units = units * powers[exps[:, l]] % q
+    # chi_j(unit i) = e(sum_l a_jl a_il / s_l), at the exact exponent t mod e
+    t = (exps * np.array([e // s for s in orders], dtype=np.int64)) @ exps.T % e
+    table = np.zeros((phi, q), dtype=np.complex128)
+    table[:, units] = np.exp(2j * np.pi * np.arange(e) / e)[t]
+    return table
 
 
-@dataclass(frozen=True, eq=False)
-class DirichletCharacter:
-    """A completely multiplicative character mod q.
-
-    values[r] = chi(r), which is 0 where gcd(r, q) > 1.
-    """
-
-    modulus: int
-    label: tuple[int, ...]  # exponent tuple over the group generators
-    principal: bool
-    values: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        if self.values.flags.writeable and self.values.base is None:
-            self.values.setflags(write=False)
-
-    def __call__(self, n: int) -> complex:
-        return complex(self.values[n % self.modulus])
-
-    def conj(self) -> "DirichletCharacter":
-        orders = _group_tables(self.modulus)[1]
-        label = tuple((-a) % s for a, s in zip(self.label, orders))
-        return DirichletCharacter(self.modulus, label, self.principal, np.conj(self.values))
-
-
-@lru_cache(maxsize=64)
-def _root_table(e_order: int) -> np.ndarray:
-    return np.exp(2j * np.pi * np.arange(e_order) / e_order)
-
-
-def characters_mod(q: int) -> list[DirichletCharacter]:
-    """All phi(q) Dirichlet characters mod q, exactly one of them principal.
-
-    Table-based: each character stores q complex values, so cost grows as
-    phi(q) * q; comfortable for q up to a few thousand, hard-capped at 10^5.
-    """
-    gens, orders, e_order, dlog = _group_tables(q)
-    k = len(gens)
-    roots = _root_table(e_order)
-    coprime = dlog[:, 0] >= 0
-    out = []
-    for label in itertools.product(*(range(s) for s in orders)):
-        if k:
-            weights = np.array([label[i] * (e_order // orders[i]) for i in range(k)], dtype=np.int64)
-            t = (dlog[:, :k] @ weights) % e_order
-        else:
-            t = np.zeros(q, dtype=np.int64)
-        values = np.where(coprime, roots[np.where(coprime, t, 0)], 0.0 + 0.0j)
-        out.append(
-            DirichletCharacter(
-                modulus=q,
-                label=tuple(label),
-                principal=all(a == 0 for a in label),
-                values=values,
-            )
-        )
-    return out
-
-
-def principal_character(q: int) -> DirichletCharacter:
-    for chi in characters_mod(q):
-        if chi.principal:
-            return chi
-    raise AssertionError("unreachable")
-
-
-def gauss_sum(chi: DirichletCharacter) -> complex:
-    """tau(chi) = sum over r mod q, gcd(r,q)=1, of chi(r) e(r/q)."""
-    q = chi.modulus
+def gauss_sum(chi: np.ndarray) -> complex:
+    """tau(chi) = sum over r mod q, gcd(r,q)=1, of chi(r) e(r/q), for a row chi of
+    `characters_mod(q)`."""
+    q = len(chi)
     e = np.exp(2j * np.pi * np.arange(q) / q)
-    return complex(np.sum(chi.values * e))
+    return complex(np.sum(chi * e))
 
 
 def ramanujan_sum(q, n):
@@ -207,8 +134,6 @@ def exponential_from_characters(r: int, n: int, q: int) -> complex:
         raise DomainError("modulus must be >= 1")
     if math.gcd(r * n, q) != 1:
         raise DomainError("identity requires gcd(rn, q) = 1")
-    total = 0j
+    table = characters_mod(q)
     rn = (r * n) % q
-    for chi in characters_mod(q):
-        total += gauss_sum(chi.conj()) * chi(rn)
-    return total / euler_phi(q)
+    return complex(sum(gauss_sum(np.conj(chi)) * chi[rn] for chi in table) / len(table))

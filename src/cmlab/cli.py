@@ -357,16 +357,18 @@ SERIES = (
 
 def _cmd_series(spec: ExperimentSpec) -> int:
     p = spec.params
-    n_start, n_stop, n_step = p["n_start"], p["n_stop"], p["n_step"]
+    if p["n_step"] < 1:
+        raise DomainError(f"n_step must be >= 1, got {p['n_step']}")
+    ns = range(p["n_start"], p["n_stop"] + 1, p["n_step"])
 
     def body(fh):
         fh.write("n,partial_sum,euler_product\n")
-        for n in range(n_start, n_stop + 1, n_step):
+        for n in ns:
             fh.write(f"{n},{singular_series(n, p['q_max']):.10g},{singular_series_product(n, p['prime_bound']):.10g}\n")
 
     _write_csv(spec, "singular-series.csv", body)
-    _write_summary(spec, {"rows": (n_stop - n_start) // n_step + 1, "passed": True})
-    print(f"series: wrote singular series for n = {n_start}..{n_stop}")
+    _write_summary(spec, {"rows": len(ns), "passed": True})
+    print(f"series: wrote singular series for n = {p['n_start']}..{p['n_stop']}")
     return 0
 
 
@@ -390,19 +392,25 @@ MODEL = (
     Param("which", "--which", str, "lambda_q", ("lambda_q", "t_nu", "t_nu_plus")),
     Param("y", "--Y", int, 10_000),
     BIG_Q,
-    C_NU,
-    # only t_nu_plus builds a sieve, so the other models leave these unset and
-    # unechoed; the level defaults to the untruncated one at the resolved beta
+    # lambda_q is unscaled and only t_nu_plus builds a sieve, so the other models
+    # leave these unset and unechoed, and reject them when given (MODEL_UNREAD);
+    # the level defaults to the untruncated one at the resolved beta
+    Param("c_nu", "--c-nu", float, lambda p: 1.0 if p["which"] != "lambda_q" else None),
     Param("beta", "--beta", int, lambda p: 10 if p["which"] == "t_nu_plus" else None),
     Param("sift", "--sift", float, lambda p: float(p["big_q"]) if p["which"] == "t_nu_plus" else None),
     Param("level", "--level", float, _untruncated_level),
 )
+MODEL_UNREAD = {"lambda_q": ("c_nu", "beta", "sift", "level"), "t_nu": ("beta", "sift", "level"), "t_nu_plus": ()}
 
 
 def _cmd_model(spec: ExperimentSpec) -> int:
     p = spec.params
     which, y, big_q = p["which"], p["y"], p["big_q"]
-    params = LambdaQParams(big_q=big_q, window=(y, 2 * y), c_nu=p["c_nu"])
+    unread = [key for key in MODEL_UNREAD[which] if key in spec.given]
+    if unread:
+        raise DomainError(f"model {which!r} does not read {', '.join(unread)}")
+    # lambda_q reads no c_nu, but its Y and Q are checked here all the same
+    params = LambdaQParams(big_q=big_q, window=(y, 2 * y), c_nu=p["c_nu"] or 0.0)
     if which == "lambda_q":
         fn = ArithFn(y + 1, lambda_q_window(y + 1, 2 * y + 1, big_q))
     elif which == "t_nu":

@@ -25,6 +25,9 @@ from typing import IO, Optional
 import numpy as np
 
 from .arith import cached_primes, interval_prime_flags, mu_phi_table, rough_flags, weighted_prime_fn
+# `convolve` is not called here but stays bound: perfbench/test_perfbench.py checks
+# that the tracer wraps goldbach.convolve with arithfn.convolve, and
+# test_pipeline_makes_no_full_convolution patches it to show run_pipeline never calls it
 from .arithfn import ArithFn, convolve, convolve_window, subtract, window_preimage
 from .characters import ramanujan_sum
 from .errors import CapacityError, ContractError, DomainError
@@ -185,25 +188,16 @@ def singular_series_smooth_sum(n: int, prime_bound: int) -> float:
 # ---------------------------------------------------------------------------
 
 
-def convolve_with_lambda_q_model(
-    omega: ArithFn, params: LambdaQParams, n: int, method: str = "auto"
-) -> float:
-    """(omega * T)(n) for T = c_nu Lambda_Q restricted to the params window.
-
-    method "ramanujan": sum_{q <= Q} (mu(q)/phi(q)) sum_{n1} omega(n1) c_q(n - n1)
-    over the n1 with n - n1 inside the window.  Requires omega to be supported
-    on Q-rough numbers (that is the hypothesis under which the expansion's
-    character sums collapse to Ramanujan sums); raises ContractError otherwise.
-    method "direct": materializes T and convolves.  Both paths agree to 1e-6
-    relative; "auto" picks the shortcut when the support is Q-rough.
+def convolve_with_lambda_q_model(omega: ArithFn, params: LambdaQParams, n: int) -> float:
+    """(omega * T)(n) for T = c_nu Lambda_Q restricted to the params window, as
+    sum_{q <= Q} (mu(q)/phi(q)) sum_{n1} omega(n1) c_q(n - n1) over the n1 with
+    n - n1 inside the window; T is never materialized.  Requires omega to be
+    supported on Q-rough numbers (that is the hypothesis under which the
+    expansion's character sums collapse to Ramanujan sums); raises ContractError
+    otherwise.
     """
-    if method not in ("auto", "ramanujan", "direct"):
-        raise DomainError(f"unknown method {method!r}")
-    rough = method != "direct" and _is_rough_supported(omega, params.big_q)
-    if method == "ramanujan" and not rough:
+    if not _is_rough_supported(omega, params.big_q):
         raise ContractError("Ramanujan shortcut requires omega supported on Q-rough numbers")
-    if not rough:
-        return convolve(omega, model_t_nu(params))(n)
     lo, hi = params.window
     n1_lo, n1_hi = n - hi, n - lo  # n1 with lo < n - n1 <= hi, i.e. n1 in [n-hi, n-lo)
     w_lo = max(n1_lo, omega.support_start)

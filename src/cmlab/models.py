@@ -112,10 +112,6 @@ class LambdaQParams:
     def support_start(self) -> int:
         return self.window[0] + 1
 
-    @property
-    def length(self) -> int:
-        return self.window[1] - self.window[0]
-
 
 def model_t_nu(params: LambdaQParams) -> ArithFn:
     """c_nu * Lambda_Q on the window (lo, hi], zero elsewhere."""
@@ -171,8 +167,6 @@ def mertens_product(z: float) -> float:
         raise DomainError("z must be >= 0")
     value = 1.0
     for p in cached_primes(int(z)):
-        if p > z:
-            break
         value *= 1.0 - 1.0 / int(p)
     return value
 
@@ -227,7 +221,7 @@ def beta_sieve_weights(level: float, sift: float, beta: int = 10) -> SieveSystem
     if beta < 1:
         raise DomainError("beta must be >= 1")
     d_floor = int(level)
-    primes = [int(p) for p in cached_primes(int(sift)) if p <= sift][::-1]  # descending
+    primes = cached_primes(int(sift)).tolist()[::-1]  # descending
     weights: dict[int, int] = {1: 1}
 
     def extend(prefix_prod: int, idx: int, pos: int, sign: int):

@@ -12,8 +12,8 @@ import pytest
 
 from cmlab import arithfn, constants
 from cmlab.arith import euler_phi, mobius, prime_flags, rough_flags, weighted_prime_fn
-from cmlab.arithfn import ArithFn, l2_norm_sq
-from cmlab.characters import characters_mod, gauss_sum, principal_character, ramanujan_sum
+from cmlab.arithfn import ArithFn, convolve, l2_norm_sq
+from cmlab.characters import characters_mod, gauss_sum, ramanujan_sum
 from cmlab.closeness import (
     closeness_integral,
     default_lambda_q_sweep,
@@ -120,8 +120,8 @@ def test_criterion_1_oracle_equivalences(rng):
         else:
             omega = restricted_prime_fn(n, (lo - 1, hi - 1))
         params = LambdaQParams(big_q=big_q, window=(y, 2 * y), c_nu=c_nu)
-        short = convolve_with_lambda_q_model(omega, params, n, method="ramanujan")
-        direct = convolve_with_lambda_q_model(omega, params, n, method="direct")
+        short = convolve_with_lambda_q_model(omega, params, n)
+        direct = convolve(omega, model_t_nu(params))(n)
         scale = max(abs(direct), 1e-9)
         worst_model = max(worst_model, abs(short - direct) / scale)
     checks.append(
@@ -142,16 +142,15 @@ def test_criterion_2_characters():
 
     worst = 0.0
     for q in range(1, 201):
-        chars = characters_mod(q)
+        table = characters_mod(q)
         phi = euler_phi(q)
-        table = np.array([c.values for c in chars])
         gram = table @ np.conj(table.T)
         worst = max(worst, float(np.max(np.abs(gram - phi * np.eye(phi)))))
     checks.append(("orthogonality, q <= 200", worst <= 1e-8, f"max |gram - phi*I| = {worst:.2e}"))
 
     tau_ok = True
     for q in range(1, 101):
-        tau = gauss_sum(principal_character(q))
+        tau = gauss_sum(characters_mod(q)[0])
         if round(tau.real) != mobius(q) or abs(tau - mobius(q)) > 1e-9:
             tau_ok = False
     checks.append(("tau(principal) == mu(q), q <= 100", tau_ok, "exact after rounding"))
@@ -168,9 +167,8 @@ def test_criterion_2_characters():
 
     worst_id = 0.0
     for q in range(1, 101):
-        chars = characters_mod(q)
-        taus = np.array([gauss_sum(c.conj()) for c in chars])
-        table = np.array([c.values for c in chars])
+        table = characters_mod(q)
+        taus = np.array([gauss_sum(np.conj(chi)) for chi in table])
         lhs = taus @ table  # entry m: sum_chi tau(conj chi) chi(m)
         for m in range(q):
             if math.gcd(m, q) != 1:

@@ -5,13 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cmlab import characters
 from cmlab.arith import euler_phi, mobius
 from cmlab.characters import (
-    DirichletCharacter,
     characters_mod,
     exponential_from_characters,
     gauss_sum,
-    principal_character,
     ramanujan_sum,
     ramanujan_sum_direct,
 )
@@ -22,27 +21,28 @@ def e(x):
     return np.exp(2j * np.pi * x)
 
 
+def coprime_indicator(q):
+    return np.array([math.gcd(r, q) == 1 for r in range(q)], dtype=np.complex128)
+
+
 class TestConstruction:
     def test_trivial_modulus(self):
-        chars = characters_mod(1)
-        assert len(chars) == 1
-        chi = chars[0]
-        assert chi.principal
+        table = characters_mod(1)
+        assert table.shape == (1, 1) and table.dtype == np.complex128
         for n in range(-3, 10):
-            assert chi(n) == 1
+            assert table[0, n % 1] == 1
 
     def test_mod_4(self):
-        chars = characters_mod(4)
-        assert len(chars) == 2
-        nonprincipal = [c for c in chars if not c.principal]
-        assert len(nonprincipal) == 1
-        assert nonprincipal[0](3) == pytest.approx(-1)
+        table = characters_mod(4)
+        assert table.shape == (2, 4)
+        assert np.array_equal(table[0], coprime_indicator(4))
+        assert table[1, 3] == pytest.approx(-1)
 
     def test_mod_5_is_c4_table(self):
         # (Z/5)* is cyclic of order 4 with generator 2: rows must be the C4 table
-        chars = characters_mod(5)
-        assert len(chars) == 4
-        rows = sorted(tuple(np.round(c(2**k), 9) for k in range(4)) for c in chars)
+        table = characters_mod(5)
+        assert len(table) == 4
+        rows = sorted(tuple(np.round(row[2**k % 5], 9) for k in range(4)) for row in table)
         i = 1j
         expected = sorted(
             tuple(np.round(w**k, 9) for k in range(4)) for w in (1, i, -1, -i)
@@ -51,66 +51,85 @@ class TestConstruction:
 
     def test_count_and_single_principal(self):
         for q in (2, 3, 6, 8, 12, 16, 24, 30, 45, 64):
-            chars = characters_mod(q)
-            assert len(chars) == euler_phi(q)
-            assert sum(c.principal for c in chars) == 1
+            table = characters_mod(q)
+            assert table.shape == (euler_phi(q), q)
+            # row 0 is the coprimality indicator, and it is the only such row
+            principal = [np.array_equal(row, coprime_indicator(q)) for row in table]
+            assert principal[0] and sum(principal) == 1
 
     def test_complete_multiplicativity(self, rng):
         for q in (7, 12, 16, 45):
-            for chi in characters_mod(q):
+            for row in characters_mod(q):
                 for _ in range(20):
                     m, n = rng.integers(0, 4 * q, size=2)
-                    assert chi(m * n) == pytest.approx(chi(m) * chi(n), abs=1e-10)
+                    assert row[m * n % q] == pytest.approx(row[m % q] * row[n % q], abs=1e-10)
 
     def test_vanishing_iff_not_coprime(self):
         for q in (6, 9, 20):
-            for chi in characters_mod(q):
+            for row in characters_mod(q):
                 for n in range(q):
                     if math.gcd(n, q) > 1:
-                        assert chi(n) == 0
+                        assert row[n] == 0
                     else:
-                        assert abs(chi(n)) == pytest.approx(1.0)
+                        assert abs(row[n]) == pytest.approx(1.0)
 
     def test_orthogonality_sample(self):
         for q in (3, 8, 15, 36, 50):
-            chars = characters_mod(q)
+            table = characters_mod(q)
             phi = euler_phi(q)
-            table = np.array([c.values for c in chars])
             gram = table @ np.conj(table.T)
             assert np.allclose(gram, phi * np.eye(phi), atol=1e-8)
 
-    def test_capacity(self):
+    def test_capacity(self, monkeypatch):
         with pytest.raises(CapacityError):
             characters_mod(10**5 + 1)
+        # a modulus over the cap on its own is refused before it is factorized
+        monkeypatch.setattr(characters, "_unit_group", None)
+        with pytest.raises(CapacityError):
+            characters_mod(10**18)
+
+    def test_byte_cap(self, monkeypatch):
+        # 16 bytes per value: the 12 x 13 table mod 13 takes 2496 bytes
+        monkeypatch.setattr(characters, "CHARACTER_TABLE_CAP", 16 * 12 * 13 - 1)
+        with pytest.raises(CapacityError):
+            characters_mod(13)
+        monkeypatch.setattr(characters, "CHARACTER_TABLE_CAP", 16 * 12 * 13)
+        assert characters_mod(13).shape == (12, 13)
 
     def test_enumeration_is_reproducible(self):
-        a = [c.label for c in characters_mod(36)]
-        b = [c.label for c in characters_mod(36)]
-        assert a == b == sorted(a)
+        a, b = characters_mod(36), characters_mod(36)
+        assert a is not b and np.array_equal(a, b)
+        # row j is the character with the j-th exponent tuple in lexicographic
+        # order: it sends generator g_l of order s_l to e(a_l / s_l)
+        for q in (36, 40, 63):
+            gens = characters._unit_group(q)
+            orders = [s for _, s in gens]
+            for j, row in enumerate(characters_mod(q)):
+                for (g, s), a_l in zip(gens, np.unravel_index(j, orders)):
+                    assert row[g] == pytest.approx(e(a_l / s), abs=1e-12)
 
 
 class TestGaussSums:
     def test_principal_is_mobius(self):
-        assert gauss_sum(principal_character(6)) == pytest.approx(mobius(6))
-        assert gauss_sum(principal_character(4)) == pytest.approx(mobius(4))
+        assert gauss_sum(characters_mod(6)[0]) == pytest.approx(mobius(6))
+        assert gauss_sum(characters_mod(4)[0]) == pytest.approx(mobius(4))
 
     def test_principal_is_mobius_up_to_100(self):
         for q in range(1, 101):
-            tau = gauss_sum(principal_character(q))
+            tau = gauss_sum(characters_mod(q)[0])
             assert round(tau.real) == mobius(q)
             assert tau == pytest.approx(mobius(q), abs=1e-9)
 
     def test_nonprincipal_mod_5_has_modulus_sqrt5(self):
-        for chi in characters_mod(5):
-            if not chi.principal:
-                direct = sum(chi(r) * e(r / 5) for r in range(1, 5))
-                assert gauss_sum(chi) == pytest.approx(direct, abs=1e-12)
-                assert abs(gauss_sum(chi)) == pytest.approx(math.sqrt(5), abs=1e-9)
+        for row in characters_mod(5)[1:]:
+            direct = sum(row[r] * e(r / 5) for r in range(1, 5))
+            assert gauss_sum(row) == pytest.approx(direct, abs=1e-12)
+            assert abs(gauss_sum(row)) == pytest.approx(math.sqrt(5), abs=1e-9)
 
     def test_magnitude_bound(self):
         for q in (8, 9, 12, 21, 40):
-            for chi in characters_mod(q):
-                assert abs(gauss_sum(chi)) <= math.sqrt(q) + 1e-9
+            for row in characters_mod(q):
+                assert abs(gauss_sum(row)) <= math.sqrt(q) + 1e-9
 
 
 class TestRamanujanSums:
@@ -168,24 +187,20 @@ class TestExponentialIdentity:
     def test_aggregate_identity(self):
         # sum_chi tau(conj chi) chi(m) = phi(q) e(m/q) for gcd(m, q) = 1
         for q in (5, 9, 16, 30):
-            chars = characters_mod(q)
-            taus = [gauss_sum(c.conj()) for c in chars]
+            table = characters_mod(q)
+            taus = [gauss_sum(np.conj(row)) for row in table]
             for m in range(1, q):
                 if math.gcd(m, q) != 1:
                     continue
-                total = sum(t * c(m) for t, c in zip(taus, chars))
+                total = sum(t * row[m] for t, row in zip(taus, table))
                 assert total == pytest.approx(euler_phi(q) * e(m / q), abs=1e-8)
 
 
 class TestConjugation:
     def test_conj_values(self):
         for q in (7, 16, 15):
-            chars = characters_mod(q)
-            by_label = {chi.label: chi for chi in chars}
-            for chi in chars:
-                bar = chi.conj()
-                for n in range(q):
-                    assert bar(n) == pytest.approx(np.conj(chi(n)), abs=1e-12)
-                assert bar.principal == chi.principal
-                # the label is that of the enumerated conjugate character
-                assert np.allclose(by_label[bar.label].values, bar.values, atol=1e-12)
+            table = characters_mod(q)
+            for row in table:
+                bar = np.conj(row)
+                # the conjugate of a character is exactly one row of the table
+                assert sum(np.allclose(bar, other, atol=1e-12) for other in table) == 1

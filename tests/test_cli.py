@@ -155,6 +155,18 @@ class TestSeries:
         assert rows[0] == "n,partial_sum,euler_product"
         assert len(rows) == 1 + 9
 
+    def test_empty_range_has_no_rows(self, tmp_path):
+        assert run(["--out", str(tmp_path), "series", "--n-start", "10", "--n-stop", "4"]) == 0
+        summary = json.loads((tmp_path / "series-summary.json").read_text())
+        assert summary["rows"] == 0
+        rows = [l for l in (tmp_path / "singular-series.csv").read_text().splitlines() if not l.startswith("#")]
+        assert rows == ["n,partial_sum,euler_product"]
+
+    def test_step_below_one_exits_2(self, tmp_path, capsys):
+        for step in ("0", "-2"):
+            assert run(["--out", str(tmp_path), "series", "--n-step", step]) == 2
+            assert "n_step must be >= 1" in capsys.readouterr().err
+
     def test_mu_phi_table_over_cap_exits_2(self, tmp_path, monkeypatch, capsys):
         argv = ["--out", str(tmp_path), "series", "--q-max", "1000"]
         assert run(argv) == 0
@@ -220,6 +232,26 @@ class TestModelDump:
         assert run(["--out", str(tmp_path), "model", "--which", "lambda_q", "--Y", "1000", "--Q", "5"]) == 0
         text = (tmp_path / "model-lambda_q.txt").read_text()
         assert "# beta" not in text and "# sift" not in text and "# level" not in text
+        assert "# c_nu" not in text
+
+    @pytest.mark.parametrize("which, extra, named", [
+        ("t_nu", ["--beta", "3", "--sift", "7", "--level", "99"], "beta, sift, level"),
+        ("lambda_q", ["--c-nu", "2"], "c_nu"),
+    ])
+    def test_parameters_the_model_does_not_read_exit_2(self, tmp_path, capsys, which, extra, named):
+        argv = ["--out", str(tmp_path), "model", "--which", which, "--Y", "100", "--Q", "5"]
+        assert run(argv + extra) == 2
+        assert f"model {which!r} does not read {named}" in capsys.readouterr().err
+
+    def test_unread_parameter_from_env_or_config_exits_2(self, tmp_path, monkeypatch):
+        argv = ["--out", str(tmp_path), "model", "--which", "lambda_q", "--Y", "100"]
+        monkeypatch.setenv("CML_C_NU", "2")
+        assert run(argv) == 2
+        monkeypatch.delenv("CML_C_NU")
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("sift = 7\n")
+        assert run(["--config", str(cfg)] + argv) == 2
+        assert run(argv) == 0
 
 
 class TestParameterResolution:

@@ -7,7 +7,7 @@ import pytest
 
 from cmlab import arithfn, goldbach, models
 from cmlab.arith import euler_phi, interval_prime_flags, mobius, rough_flags
-from cmlab.arithfn import ArithFn
+from cmlab.arithfn import ArithFn, convolve
 from cmlab.errors import CapacityError, ContractError, DomainError
 from cmlab.goldbach import (
     PRESETS,
@@ -176,7 +176,7 @@ def test_c_q_paths_do_not_factorize(monkeypatch):
     assert len(lambda_q_window(1000, 1100, 30)) == 100
     params = LambdaQParams(big_q=10, window=(1000, 2000), c_nu=1.0)
     omega = ArithFn(3000, np.where(rough_flags(3000, 4000, 10.0), 0.09, 0.0))
-    assert convolve_with_lambda_q_model(omega, params, 5000, method="ramanujan") > 0
+    assert convolve_with_lambda_q_model(omega, params, 5000) > 0
     assert lambda_q_short_sum(100_000, 1000.0, 10, r=1, q_twist=6)[1] == 1000.0 / 2
     sieve = beta_sieve_weights(1000.0, 10.0, 1)
     assert sieve_short_sum(100_000, 1000.0, sieve, r=1, q_twist=3)[1] == -1000.0 / 2
@@ -192,7 +192,7 @@ class TestModelConvolution:
     def test_q1_collapses_to_plain_sum(self):
         params = LambdaQParams(big_q=1, window=(500, 1000), c_nu=0.8)
         omega = self._omega(2000, 500, z=1.0)
-        got = convolve_with_lambda_q_model(omega, params, 2000, method="ramanujan")
+        got = convolve_with_lambda_q_model(omega, params, 2000)
         assert got == pytest.approx(0.8 * float(np.sum(omega.values)))
 
     def test_shortcut_equals_direct_convolution(self):
@@ -200,8 +200,8 @@ class TestModelConvolution:
         params = LambdaQParams(big_q=10, window=(y, 2 * y), c_nu=1.0)
         n = 5000
         omega = self._omega(n, y)
-        short = convolve_with_lambda_q_model(omega, params, n, method="ramanujan")
-        direct = convolve_with_lambda_q_model(omega, params, n, method="direct")
+        short = convolve_with_lambda_q_model(omega, params, n)
+        direct = convolve(omega, model_t_nu(params))(n)
         assert short == pytest.approx(direct, rel=1e-6)
 
     def test_prime_omega_shortcut_vs_direct(self):
@@ -210,8 +210,8 @@ class TestModelConvolution:
         n = 5000
         params = LambdaQParams(big_q=10, window=(y, 2 * y), c_nu=0.5)
         omega = restricted_prime_fn(2 * n, (n - 2 * y, n - y))
-        short = convolve_with_lambda_q_model(omega, params, n, method="ramanujan")
-        direct = convolve_with_lambda_q_model(omega, params, n, method="direct")
+        short = convolve_with_lambda_q_model(omega, params, n)
+        direct = convolve(omega, model_t_nu(params))(n)
         assert short == pytest.approx(direct, rel=1e-6)
 
     def test_uniform_rough_omega_gives_partial_singular_series(self):
@@ -229,12 +229,9 @@ class TestModelConvolution:
         params = LambdaQParams(big_q=10, window=(500, 1000), c_nu=1.0)
         omega = ArithFn(1200, np.ones(500))  # hits multiples of small primes
         with pytest.raises(ContractError):
-            convolve_with_lambda_q_model(omega, params, 2000, method="ramanujan")
-        # but the direct path accepts it
-        val = convolve_with_lambda_q_model(omega, params, 2000, method="direct")
-        assert np.isfinite(val)
+            convolve_with_lambda_q_model(omega, params, 2000)
 
-    def test_auto_sieves_the_support_once_and_routes_by_roughness(self, monkeypatch):
+    def test_sieves_the_support_once_and_never_builds_t(self, monkeypatch):
         checks = []
 
         def counted(omega, z):
@@ -242,21 +239,16 @@ class TestModelConvolution:
             return rough(omega, z)
 
         def refuse(*args):
-            raise AssertionError("the Ramanujan route materialized T")
+            raise AssertionError("the model convolution materialized T")
 
         rough = goldbach._is_rough_supported
         monkeypatch.setattr(goldbach, "_is_rough_supported", counted)
+        for name in ("model_t_nu", "convolve", "convolve_window"):
+            monkeypatch.setattr(goldbach, name, refuse)
         params = LambdaQParams(big_q=10, window=(1000, 2000), c_nu=1.0)
         omega = self._omega(5000, 1000)
-        want = convolve_with_lambda_q_model(omega, params, 5000, method="ramanujan")
-        monkeypatch.setattr(goldbach, "model_t_nu", refuse)
-        assert convolve_with_lambda_q_model(omega, params, 5000) == want
-        assert checks == [10, 10]
-        monkeypatch.undo()
-        smooth, params = ArithFn(1200, np.ones(500)), LambdaQParams(big_q=10, window=(500, 1000), c_nu=1.0)
-        assert convolve_with_lambda_q_model(smooth, params, 2000) == convolve_with_lambda_q_model(
-            smooth, params, 2000, method="direct"
-        )
+        assert convolve_with_lambda_q_model(omega, params, 5000) > 0
+        assert checks == [10]
 
 
 class TestPipelineConfig:
