@@ -204,11 +204,25 @@ def rough_flags(start: int, stop: int, z: float) -> np.ndarray:
     return out
 
 
+def prime_weights(start: int, stop: int) -> np.ndarray:
+    """Lambda' on [start, stop) as a dense array: log n at primes n, 0 elsewhere.
+
+    Sieves only [max(start, 0), stop) with `interval_prime_flags`, so memory is
+    O(sqrt(stop) + stop - start).  It has the signature of `ArithFn.embed`
+    (start may be negative), so it and any bound f.embed are block sources.
+    """
+    if stop < start:
+        raise DomainError("stop < start")
+    out = np.zeros(stop - start)
+    lo = max(start, 0)
+    if lo < stop:
+        idx = np.flatnonzero(interval_prime_flags(lo, stop - 1))
+        out[idx + (lo - start)] = np.log(idx + float(lo))
+    return out
+
+
 def weighted_prime_fn(x: int) -> ArithFn:
     """The log-weighted prime indicator on [2, x]: log n at primes, 0 elsewhere."""
     if x < 2:
         raise DomainError("weighted_prime_fn requires x >= 2")
-    idx = np.flatnonzero(prime_flags(x)[2:])
-    values = np.zeros(x - 1)
-    values[idx] = np.log(idx + 2.0)
-    return ArithFn(2, values)
+    return ArithFn(2, prime_weights(2, x + 1))

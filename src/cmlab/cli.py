@@ -316,7 +316,12 @@ def _cmd_pipeline(spec: ExperimentSpec) -> int:
         and report.step_positivity_violations == 0
         and report.minorization_violations == 0
     )
-    _write_summary(spec, {"report": report.summary(), "passed": ok})
+    _write_summary(spec, {
+        "report": report.summary(),
+        "passed": ok,
+        "segments_streamed": report.segments,
+        "working_set_values": report.working_set,
+    })
     print(
         f"pipeline: final failures {report.final_failures}/{report.even_count} even n "
         f"(fraction {report.final_failure_fraction:.4f}), "
@@ -357,8 +362,11 @@ SERIES = (
 
 def _cmd_series(spec: ExperimentSpec) -> int:
     p = spec.params
+    # checked before the CSV is opened, so a bad bound leaves no file behind
     if p["n_step"] < 1:
         raise DomainError(f"n_step must be >= 1, got {p['n_step']}")
+    if p["n_start"] < 2 or p["q_max"] < 1 or p["prime_bound"] < 2:
+        raise DomainError("need n_start >= 2, q_max >= 1 and prime_bound >= 2")
     ns = range(p["n_start"], p["n_stop"] + 1, p["n_step"])
 
     def body(fh):

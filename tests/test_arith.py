@@ -14,6 +14,7 @@ from cmlab.arith import (
     mobius,
     mu_phi_table,
     prime_flags,
+    prime_weights,
     rough_flags,
     sieve_primes,
     weighted_prime_fn,
@@ -203,6 +204,15 @@ class TestWeightedPrimeFn:
     def test_log_only_at_primes_matches_dense_log(self, flags_1e6):
         dense = np.where(flags_1e6[2:], np.log(np.arange(2, 1_000_001, dtype=np.float64)), 0.0)
         assert np.array_equal(weighted_prime_fn(1_000_000).values, dense)
+
+    @pytest.mark.parametrize("start, stop", [(-5, 20), (0, 0), (0, 1), (1, 3), (2, 3), (999_000, 1_000_001)])
+    def test_prime_weights_is_the_embedding(self, start, stop):
+        whole = weighted_prime_fn(1_000_000)
+        assert np.array_equal(prime_weights(start, stop), whole.embed(start, stop))
+
+    def test_prime_weights_rejects_reversed_range(self):
+        with pytest.raises(DomainError):
+            prime_weights(10, 9)
 
     def test_flags_consistency(self, flags_1e6):
         assert bool(flags_1e6[999_983])  # largest prime below 1e6

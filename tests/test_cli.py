@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from cmlab import arith, arithfn
+from cmlab import arith, arithfn, goldbach
 from cmlab.arith import rough_flags
 from cmlab.arithfn import read_arithfn
 from cmlab.cli import main
@@ -127,6 +127,27 @@ class TestPipeline:
     def test_beyond_q_72(self, tmp_path):
         assert run(["--out", str(tmp_path), "pipeline", "--X", "200000", "--Q", "100"]) == 0
 
+    def test_summary_reports_the_stream(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(goldbach, "PIPELINE_SEGMENT", 1 << 16)
+        assert run(["--out", str(tmp_path), "pipeline", "--preset", "desk-small"]) == 0
+        summary = json.loads((tmp_path / "pipeline-summary.json").read_text())
+        assert summary["segments_streamed"] == 4  # [0, 200000] in segments of 2^16
+        config = goldbach.PRESETS["desk-small"]()
+        assert summary["working_set_values"] == goldbach.pipeline_working_set(config)
+        assert set(summary) == {
+            "subcommand", "seed", "params", "report", "passed", "segments_streamed", "working_set_values",
+        }
+
+    def test_working_set_over_cap_exits_2_before_sieving(self, tmp_path, monkeypatch, capsys):
+        def refuse(start, stop):
+            raise AssertionError("sieved before the capacity check")
+
+        monkeypatch.setattr(goldbach, "prime_weights", refuse)
+        # 10 (Y + H) alone is over the 10^8 values of the cap
+        assert run(["--out", str(tmp_path), "pipeline", "--X", "20000000", "--Y", "10000000"]) == 2
+        assert "beyond the cap" in capsys.readouterr().err
+        assert not (tmp_path / "pipeline-chain.csv").exists()
+
 
 class TestExceptional:
     def test_small_window(self, tmp_path):
@@ -161,6 +182,12 @@ class TestSeries:
         assert summary["rows"] == 0
         rows = [l for l in (tmp_path / "singular-series.csv").read_text().splitlines() if not l.startswith("#")]
         assert rows == ["n,partial_sum,euler_product"]
+
+    @pytest.mark.parametrize("flag, value", [("--n-start", "1"), ("--q-max", "0"), ("--prime-bound", "1")])
+    def test_bad_bound_exits_2_and_writes_nothing(self, tmp_path, flag, value):
+        assert run(["--out", str(tmp_path), "series", flag, value]) == 2
+        assert not (tmp_path / "singular-series.csv").exists()
+        assert not (tmp_path / "series-summary.json").exists()
 
     def test_step_below_one_exits_2(self, tmp_path, capsys):
         for step in ("0", "-2"):

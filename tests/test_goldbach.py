@@ -5,8 +5,8 @@ import sys
 import numpy as np
 import pytest
 
-from cmlab import arithfn, goldbach, models
-from cmlab.arith import euler_phi, interval_prime_flags, mobius, rough_flags
+from cmlab import arith, arithfn, goldbach, models
+from cmlab.arith import euler_phi, interval_prime_flags, mobius, prime_weights, rough_flags, weighted_prime_fn
 from cmlab.arithfn import ArithFn, convolve
 from cmlab.errors import CapacityError, ContractError, DomainError
 from cmlab.goldbach import (
@@ -251,6 +251,30 @@ class TestModelConvolution:
         assert checks == [10]
 
 
+class TestRestrictedPrimeFn:
+    @pytest.mark.parametrize("window", [(0, 500), (1, 500), (2, 500), (100_000, 200_000)])
+    def test_equals_the_cut_of_the_whole_table(self, window, monkeypatch):
+        lo, hi = window
+        whole = weighted_prime_fn(200_000).embed(lo + 1, hi + 1)
+        sieved = []
+
+        def recording(start, stop):
+            sieved.append((start, stop))
+            return interval(start, stop)
+
+        interval = arith.interval_prime_flags
+        monkeypatch.setattr(arith, "interval_prime_flags", recording)
+        f = restricted_prime_fn(200_000, window)
+        assert f.support_start == lo + 1
+        assert np.array_equal(f.values, whole)
+        # the window itself, and the base primes up to sqrt(hi)
+        assert all(start >= lo + 1 or stop <= math.isqrt(hi) for start, stop in sieved)
+
+    def test_window_beyond_x_rejected(self):
+        with pytest.raises(DomainError):
+            restricted_prime_fn(1000, (500, 1001))
+
+
 class TestPipelineConfig:
     def test_desk_floors(self):
         config = desk_config(200_000, big_q=10)
@@ -286,7 +310,7 @@ class TestPipeline:
         config = desk_config(200_000, big_q=10)
         nu = restricted_prime_fn(config.x, config.nu_window)
         omega = restricted_prime_fn(config.x, config.omega_window)
-        report = run_pipeline(config, nu, omega, a=omega, b=nu, t_nu=nu, t_nu_plus=nu)
+        report = run_pipeline(config, nu, omega, a=omega.embed, b=nu.embed, t_nu=nu, t_nu_plus=nu)
         assert report.exceptions_step2 == 0
         assert report.exceptions_step4 == 0
         assert report.final_failures == 0
@@ -324,16 +348,39 @@ class TestPipeline:
         # two independent code paths: a*b(n) > 0 versus the exhaustive search
         config = PRESETS["desk-small"]()
         nu, omega, a, b = desk_pipeline_inputs(config)
-        conv = ArithFn(a.support_start + b.support_start, arithfn._convolve_fft(a.values, b.values))
+        conv = ArithFn(0, arithfn._convolve_fft(a(0, config.x + 1), b(0, config.x + 1)))
         missing = set(exceptional_set(config.x, config.h))
         for n in range(config.x - config.h, config.x + 1):
             if n % 2:
                 continue
             assert (abs(conv(n)) < 1.0) == (n in missing)
 
-    def test_inputs_beyond_desk_cap_fail_up_front(self):
+    def test_inputs_beyond_desk_cap_fail_up_front(self, monkeypatch):
+        config = PRESETS["desk-small"]()
+        nu, omega, a, b = desk_pipeline_inputs(config)
+        reads = []
+
+        def source(start, stop):
+            reads.append((start, stop))
+            return prime_weights(start, stop)
+
+        monkeypatch.setattr(goldbach, "prime_weights", source)
+        monkeypatch.setattr(goldbach, "PIPELINE_CAP", goldbach.pipeline_working_set(config) - 1)
         with pytest.raises(CapacityError):
-            desk_pipeline_inputs(desk_config(goldbach.DESK_X_CAP + 2))
+            desk_pipeline_inputs(config)
+        with pytest.raises(CapacityError):
+            run_pipeline(config, nu, omega, source, source)
+        assert reads == []
+        monkeypatch.setattr(goldbach, "PIPELINE_CAP", goldbach.pipeline_working_set(config))
+        assert run_pipeline(config, *desk_pipeline_inputs(config)).working_set == goldbach.PIPELINE_CAP
+        assert reads
+
+    def test_working_set_counts_y_not_x(self):
+        # about 10^6 values at X = 10^9 (8 MB), the base primes, two segments and 10(Y + H)
+        assert goldbach.pipeline_working_set(desk_config(10**9, big_q=10)) < 1_100_000
+        with pytest.raises(CapacityError):
+            desk_pipeline_inputs(PipelineConfig(x=2 * 10**7, h=64, y=10**7, big_q=10, a_power=1.0,
+                                                c_nu=1.0, kappa=1.0, theta_target=0.1))
 
     def test_support_misconfiguration_rejected(self):
         config = desk_config(200_000, big_q=10)
@@ -380,9 +427,91 @@ class TestPipelineScaling:
         config = PRESETS["desk-small"]()
         nu, omega, a, b = desk_pipeline_inputs(config)
         report = run_pipeline(config, nu, omega, a, b)
-        full = ArithFn(a.support_start + b.support_start, arithfn._convolve_fft(a.values, b.values))
+        full = ArithFn(0, arithfn._convolve_fft(a(0, config.x + 1), b(0, config.x + 1)))
         ab = np.array([row[1] for row in report.rows])
         assert np.allclose(ab, [full(n) for n, *_ in report.rows], rtol=1e-12, atol=1e-6)
+
+    @pytest.mark.parametrize("preset", ["desk-small", "desk-medium"])
+    def test_tiny_blocks_match_one_shot_convolution(self, preset, monkeypatch):
+        # segments of 1000 divide X, so the last segment holds m = X alone
+        config = PRESETS[preset]()
+        inputs = desk_pipeline_inputs(config)
+        whole = run_pipeline(config, *inputs)
+        calls = []
+
+        def counted(f, g, lo, hi):
+            calls.append(len(g))
+            return convolve_window(f, g, lo, hi)
+
+        convolve_window = goldbach.convolve_window
+        monkeypatch.setattr(goldbach, "convolve_window", counted)
+        monkeypatch.setattr(goldbach, "PIPELINE_SEGMENT", 1000)
+        monkeypatch.setattr(goldbach, "PIPELINE_CHUNK", 1 << 7)
+        report = run_pipeline(config, *inputs)
+        chunk = 4 * (config.h + 1)  # above 2^7
+        lengths = [min(1000, config.x + 1 - s) for s in range(0, config.x + 1, 1000)]
+        assert report.segments == len(lengths) == config.x // 1000 + 1
+        assert len(calls) == 4 + sum(-(-n // chunk) for n in lengths)  # steps 2, 4, positivity, omega*T
+        assert report.summary() == whole.summary()
+        lam = weighted_prime_fn(config.x)
+        full = ArithFn(4, arithfn._convolve_fft(lam.values, lam.values))
+        ab = np.array([row[1] for row in report.rows])
+        assert np.allclose(ab, [full(n) for n, *_ in report.rows], rtol=1e-12, atol=1e-6)
+        assert [row[3] for row in report.rows] == [row[3] for row in whole.rows]
+
+    @pytest.mark.parametrize("m", [10, 150_000, 197_500, 199_500])
+    def test_negative_a_on_any_read_is_a_contract_error(self, m, monkeypatch):
+        # 10 and 150000 are read only by the a*b stream, 197500 also by step 2
+        # and the positivity step, 199500 also on omega's window
+        config = PRESETS["desk-small"]()
+        nu, omega, a, b = desk_pipeline_inputs(config)
+
+        def dented(start, stop):
+            values = a(start, stop)
+            if start <= m < stop:
+                values[m - start] = -1e-9
+            return values
+
+        monkeypatch.setattr(goldbach, "PIPELINE_SEGMENT", 1 << 16)
+        with pytest.raises(ContractError, match="a must be nonnegative"):
+            run_pipeline(config, nu, omega, dented, b)
+
+    @pytest.mark.parametrize("segment", [1 << 10, goldbach.PIPELINE_SEGMENT])
+    def test_reads_stay_within_a_segment_or_a_window(self, segment, monkeypatch):
+        config = PRESETS["desk-medium"]()
+        nu, omega, _, _ = desk_pipeline_inputs(config)
+        longest = [0]
+
+        def source(start, stop):
+            longest[0] = max(longest[0], stop - start)
+            return prime_weights(start, stop)
+
+        monkeypatch.setattr(goldbach, "PIPELINE_SEGMENT", segment)
+        report = run_pipeline(config, nu, omega, source, source)
+        assert report.final_failures == 0
+        assert longest[0] <= max(segment + config.h, 2 * config.y)
+        assert longest[0] < config.x // 2
+
+    @pytest.mark.parametrize("segment", [1 << 10, goldbach.PIPELINE_SEGMENT])
+    def test_negative_b_counted_once(self, segment, monkeypatch):
+        # nu = 0 outside its window, so b < 0 there breaks nu <= b; a point read
+        # by two segments, or inside nu's window, is counted once
+        config = PRESETS["desk-small"]()
+        nu, omega, a, _ = desk_pipeline_inputs(config)
+        lo, hi = config.x - config.h, config.x
+        below_tile = hi - 51 * (1 << 10) - 5  # in the tile of segment 51
+        assert lo - 51 * (1 << 10) + 1 <= below_tile  # and in segment 50's read of b
+        negative = [10, below_tile, 123_457, 1500]  # 1500 in nu's window, counted there
+
+        def b(start, stop):
+            values = prime_weights(start, stop)
+            for n in negative:
+                if start <= n < stop:
+                    values[n - start] = -1.0
+            return values
+
+        monkeypatch.setattr(goldbach, "PIPELINE_SEGMENT", segment)
+        assert run_pipeline(config, nu, omega, a, b).minorization_violations == len(negative)
 
 
 class TestMinorizationReporting:
