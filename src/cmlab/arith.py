@@ -24,18 +24,16 @@ def interval_prime_flags(lo: int, hi: int) -> np.ndarray:
     """Boolean array of length hi-lo+1 with flags[i] = (lo + i is prime).
 
     Segmented sieve of Eratosthenes: the base primes p <= sqrt(hi) come from
-    the same sieve on [0, sqrt(hi)], and each crosses off its multiples from
-    max(p*p, lo) on.  Memory is O(sqrt(hi) + hi - lo), whatever lo is.
+    `cached_primes`, shared by every call, and each crosses off its multiples
+    from max(p*p, lo) on.  Memory is O(sqrt(hi) + hi - lo), whatever lo is.
     """
     if lo < 0 or hi < lo - 1:
         raise DomainError("need 0 <= lo <= hi + 1")
     flags = np.ones(hi - lo + 1, dtype=bool)
     flags[: max(0, 2 - lo)] = False
-    root = math.isqrt(max(hi, 0))
-    if root >= 2:
-        for p in np.flatnonzero(interval_prime_flags(0, root)).tolist():
-            first = max(p * p, -(-lo // p) * p)
-            flags[first - lo :: p] = False
+    for p in cached_primes(math.isqrt(max(hi, 0))).tolist():
+        first = max(p * p, -(-lo // p) * p)
+        flags[first - lo :: p] = False
     return flags
 
 
@@ -63,22 +61,37 @@ def prime_flags(limit: int) -> np.ndarray:
     return interval_prime_flags(0, limit)
 
 
-# Shared monotone prime cache.  Never mutated in place: replaced wholesale
-# when it has to grow, and handed out as read-only views.
-_cache_limit = 0
-_cache_primes = np.array([], dtype=np.int64)
+# Shared monotone prime cache: (limit, all primes <= limit).  Never mutated in
+# place: replaced wholesale when it has to grow, and handed out as read-only views.
+_prime_cache = (0, np.array([], dtype=np.int64))
 
 
 def cached_primes(limit: int) -> np.ndarray:
-    """Read-only array of all primes <= limit, served from a growing cache."""
-    global _cache_limit, _cache_primes
-    if limit > _cache_limit:
-        grown = sieve_primes(max(limit, 2 * _cache_limit, 1 << 10))
-        grown.setflags(write=False)
-        _cache_primes = grown
-        _cache_limit = max(limit, 2 * _cache_limit, 1 << 10)
-    cut = int(np.searchsorted(_cache_primes, limit, side="right"))
-    return _cache_primes[:cut]
+    """Read-only array of all primes <= limit, served from a growing cache.
+
+    Growing to a new limit L first covers sqrt(L) directly, by the plain sieve
+    of [0, sqrt(L)], so that the segments `sieve_primes` then cuts from [0, L]
+    find their base primes in the cache and growth never recurses.
+    """
+    global _prime_cache
+    if limit > _prime_cache[0]:
+        size = max(limit, 2 * _prime_cache[0], 1 << 10)
+        root = math.isqrt(size)
+        if root > _prime_cache[0]:
+            flags = np.ones(root + 1, dtype=bool)
+            flags[:2] = False
+            for p in range(2, math.isqrt(root) + 1):
+                if flags[p]:
+                    flags[p * p :: p] = False
+            _prime_cache = (root, _read_only(np.flatnonzero(flags)))
+        _prime_cache = (size, _read_only(sieve_primes(size)))
+    primes = _prime_cache[1]
+    return primes[: int(np.searchsorted(primes, limit, side="right"))]
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
 
 
 @dataclass(frozen=True)

@@ -320,6 +320,7 @@ def _cmd_pipeline(spec: ExperimentSpec) -> int:
         "report": report.summary(),
         "passed": ok,
         "segments_streamed": report.segments,
+        "values_streamed": report.values_streamed,
         "working_set_values": report.working_set,
     })
     print(

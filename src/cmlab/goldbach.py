@@ -17,8 +17,12 @@ Only a*b reaches all of [0, X]; every other input lives in a window of size
 O(Y).  a and b are therefore block sources, read a segment at a time: a run
 holds O(sqrt(X) + segment + H + Y) values (`pipeline_working_set`), and a
 working set above PIPELINE_CAP raises CapacityError before anything is sieved.
-At Q = 10 on a 2-core machine, X = 10^8 ran in about 4 s and X = 10^9 in about
-60 s, each under 50 MB peak RSS.
+a*b(n) is split at m0 = ceil((X-H)/2): the pairs (m, n-m) with one part below
+m0 come from [0, m0) against its mirror near X, the rest from one window of at
+most H+1 values around X/2.  When b is a, the two mirrored halves are one sum,
+so each integer of [0, X] is sieved once (H more per segment) and a*b makes
+about (H+1)(X+1)/2 multiply-adds.  At Q = 10 on a 2-core machine, X = 10^8 ran
+in about 2.3 s and X = 10^9 in about 27 s, each under 50 MB peak RSS.
 """
 
 from __future__ import annotations
@@ -333,7 +337,8 @@ class PipelineReport:
     even_count: int
     odd_count: int
     odd_final_failures: int
-    segments: int  # segments of a that a*b streamed
+    segments: int  # segments of [0, m0) that a*b streamed
+    values_streamed: int  # source values the a*b stream read
     working_set: int  # pipeline_working_set(config), in values
     rows: tuple = field(repr=False)  # (n, a*b(n), omega*T(n), verdict)
 
@@ -368,10 +373,11 @@ class PipelineReport:
 
 
 def pipeline_working_set(config: PipelineConfig) -> int:
-    """Values a pipeline run holds at once: the base primes up to sqrt(X), a
-    segment of a and the segment + H values of b it meets, and at most ten
-    windows of Y + H values (nu, omega, T, T+, a on the step preimages and on
-    omega's window, and the differences of one step)."""
+    """Values a pipeline run holds at once: the base primes up to sqrt(X), two
+    blocks of the a*b stream (a segment of [0, m0) and the segment + H values
+    of its mirror), and at most ten windows of Y + H values (nu, omega, T, T+,
+    a on the step preimages and on omega's window, and the differences of one
+    step).  The middle window of a*b holds at most 2(H + 1) values."""
     return math.isqrt(config.x) + 2 * PIPELINE_SEGMENT + 10 * (config.y + config.h)
 
 
@@ -424,9 +430,14 @@ def run_pipeline(
     untruncated sieve at z = Q).
 
     a is read on the m that step 2 and the positivity step reach and on
-    omega's window, b on nu's window; a*b is the sum over the segments
-    [s, s + PIPELINE_SEGMENT) of [0, X] of a with the b they meet, convolved in
-    chunks.  Every read of a is checked nonnegative, raising ContractError.
+    omega's window, b on nu's window.  a*b splits at m0 = ceil((X-H)/2): the
+    segments [s, s + PIPELINE_SEGMENT) of [0, m0) of a meet b on their mirror
+    near X and those of b meet a, each convolved in chunks, and one window
+    [m0, X - m0] of both holds the rest.  When b is a, the two mirrored sums
+    are one, read and convolved once and doubled.  The stream reads
+    X + 1 + segments * H values (`values_streamed`), twice that when b is not
+    a.  Every read of a is checked nonnegative, raising ContractError; b < 0
+    outside nu's window is counted once per point as a minorization violation.
     """
     working_set = _require_capacity(config)
     _require_support(nu, config.nu_window, "nu")
@@ -469,24 +480,51 @@ def run_pipeline(
     # and in the minorization count.
     positivity_violations = int(np.sum(convolve_window(subtract(a_near, omega), t_nu_plus, lo, hi) < 0))
 
-    ab = np.zeros(hi - lo + 1)
+    # a*b(n) = sum_{m < m0} a(m) b(n-m) + sum_{m < m0} b(m) a(n-m) + sum_{m0 <= m <= n-m0} a(m) b(n-m)
+    # for n >= lo >= 2 m0 - 1.  Each pair (first, second) streams the segments
+    # [s, stop) of [0, m0) of first against the mirrored block [lo - stop + 1, hi - s]
+    # of second; when b is a the two pairs are one read, made once and doubled.
+    # The last sum is one window [m0, hi - m0] of at most H + 1 values of each.
+    m0 = -(-lo // 2)
+    pairs = ((a, b),) if b is a else ((a, b), (b, a))
     chunk = max(PIPELINE_CHUNK, 4 * (config.h + 1))
-    segments = 0
-    for s in range(0, hi + 1, PIPELINE_SEGMENT):
-        a_seg = _read_nonnegative(a, s, min(s + PIPELINE_SEGMENT, hi + 1))
-        b_start = max(lo - s - len(a_seg) + 1, 0)  # b on [b_start, hi - s] meets the segment
-        b_seg = b(b_start, hi - s + 1)
-        for c in range(s, s + len(a_seg), chunk):
-            a_chunk = a_seg[c - s : c - s + chunk]
-            c_start = max(lo - c - len(a_chunk) + 1, 0)
-            partner = ArithFn(c_start, b_seg[c_start - b_start : hi - c + 1 - b_start])
-            ab += convolve_window(partner, ArithFn(c, a_chunk), lo, hi)
-        # b on [fresh, hi - s] is met by no later segment: these ranges tile [0, X]
-        fresh = max(hi - s - len(a_seg) + 1, 0)
-        negative = b_seg[fresh - b_start :] < -1e-12
-        negative[max(nu.support_start - fresh, 0) : max(nu.support_stop - fresh, 0)] = False
-        minorization += int(np.count_nonzero(negative))
+    ab = np.zeros(hi - lo + 1)
+    segments = streamed = 0
+
+    def read(source: BlockSource, start: int, stop: int) -> np.ndarray:
+        nonlocal streamed
+        streamed += stop - start
+        return _read_nonnegative(a, start, stop) if source is a else source(start, stop)
+
+    def count_negative(values: np.ndarray, start: int) -> int:
+        negative = values < -1e-12
+        negative[max(nu.support_start - start, 0) : max(nu.support_stop - start, 0)] = False
+        return int(np.count_nonzero(negative))
+
+    # b < 0 off nu's window breaks nu <= b; it is counted on the low tiles of
+    # b, the fresh part [hi - stop + 1, hi - s] of each mirror of b and the
+    # middle window, which tile [0, X]
+    for s in range(0, m0, PIPELINE_SEGMENT):
+        stop = min(s + PIPELINE_SEGMENT, m0)
+        for first, second in pairs:
+            low = read(first, s, stop)
+            base = lo - stop + 1
+            mirror = read(second, base, hi - s + 1)
+            if first is b:
+                minorization += count_negative(low, s)
+            if second is b:
+                minorization += count_negative(mirror[hi - stop + 1 - base :], hi - stop + 1)
+            for c in range(s, stop, chunk):
+                part = ArithFn(c, low[c - s : c - s + chunk])
+                cut = lo - part.support_stop + 1  # the chunk meets the mirror on [cut, hi - c]
+                ab += convolve_window(ArithFn(cut, mirror[cut - base : hi - c + 1 - base]), part, lo, hi)
         segments += 1
+    if b is a:
+        ab *= 2
+    a_mid = read(a, m0, hi - m0 + 1)
+    b_mid = a_mid if b is a else read(b, m0, hi - m0 + 1)
+    minorization += count_negative(b_mid, m0)
+    ab += convolve_window(ArithFn(m0, a_mid), ArithFn(m0, b_mid), lo, hi)
     om = convolve_window(omega, t_nu, lo, hi)
 
     even = ns % 2 == 0
@@ -513,6 +551,7 @@ def run_pipeline(
         odd_count=int(np.sum(~even)),
         odd_final_failures=odd_final_failures,
         segments=segments,
+        values_streamed=streamed,
         working_set=working_set,
         rows=tuple(rows),
     )
@@ -533,9 +572,10 @@ def desk_pipeline_inputs(config: PipelineConfig) -> tuple[ArithFn, ArithFn, Bloc
     sieved on its window only, and a = b = `prime_weights`, the block source of
     Lambda'.
 
-    run_pipeline then sieves [0, X] twice, a segment at a time, makes about
-    (H+1)(X+1) multiply-adds for a*b (or the transforms of its chunks, when
-    cheaper), and holds O(sqrt(X) + segment + H + Y) values,
+    a is b, so run_pipeline then sieves [0, X] once, a segment at a time
+    (H more values per segment), makes about (H+1)(X+1)/2 multiply-adds for
+    a*b (or the transforms of its chunks, when cheaper), and holds
+    O(sqrt(X) + segment + H + Y) values,
     `pipeline_working_set(config)`.  A working set above PIPELINE_CAP = 10^8
     values raises CapacityError here, before anything is sieved.
     """

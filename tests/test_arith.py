@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cmlab import arith
 from cmlab.arith import (
     FactoredInteger,
+    cached_primes,
     euler_phi,
     factorize,
     interval_prime_flags,
@@ -95,6 +97,23 @@ class TestIntervalPrimeFlags:
         lo = 10**12 - 2000
         flags = interval_prime_flags(lo, 10**12)
         assert flags.tolist() == [miller_rabin(n) for n in range(lo, 10**12 + 1)]
+
+    def test_against_plain_sieve_at_low_starts_and_across_squares(self):
+        plain = np.zeros(10**6 + 3, dtype=bool)
+        plain[odd_only_sieve(len(plain) - 1)] = True
+        windows = [(lo, hi) for lo in range(5) for hi in range(lo - 1, 60)]
+        windows += [(p * p - d, p * p + e) for p in (2, 3, 5, 7, 11, 97, 997) for d in (0, 1, 2) for e in (-1, 0, 1, 2)]
+        for lo, hi in windows:
+            assert np.array_equal(interval_prime_flags(lo, hi), plain[lo : hi + 1]), (lo, hi)
+
+    def test_cold_prime_cache_grows_without_recursing(self, monkeypatch):
+        # interval_prime_flags reads its base primes from cached_primes, which
+        # grows through sieve_primes and so through interval_prime_flags
+        monkeypatch.setattr(arith, "_prime_cache", (0, np.array([], dtype=np.int64)))
+        assert cached_primes(5).tolist() == [2, 3, 5]
+        assert cached_primes(10**5).tolist() == odd_only_sieve(10**5)
+        monkeypatch.setattr(arith, "_prime_cache", (0, np.array([], dtype=np.int64)))
+        assert interval_prime_flags(10**6 - 100, 10**6).tolist() == [miller_rabin(n) for n in range(10**6 - 100, 10**6 + 1)]
 
     def test_domain(self):
         with pytest.raises(DomainError):

@@ -131,11 +131,15 @@ class TestPipeline:
         monkeypatch.setattr(goldbach, "PIPELINE_SEGMENT", 1 << 16)
         assert run(["--out", str(tmp_path), "pipeline", "--preset", "desk-small"]) == 0
         summary = json.loads((tmp_path / "pipeline-summary.json").read_text())
-        assert summary["segments_streamed"] == 4  # [0, 200000] in segments of 2^16
         config = goldbach.PRESETS["desk-small"]()
+        m0 = -(-(config.x - config.h) // 2)  # 99968: [0, m0) in segments of 2^16
+        assert summary["segments_streamed"] == -(-m0 // (1 << 16)) == 2
+        # the low segments, their mirrors of H more values each and the middle window tile [0, X]
+        assert summary["values_streamed"] == config.x + 1 + 2 * config.h
         assert summary["working_set_values"] == goldbach.pipeline_working_set(config)
         assert set(summary) == {
-            "subcommand", "seed", "params", "report", "passed", "segments_streamed", "working_set_values",
+            "subcommand", "seed", "params", "report", "passed", "segments_streamed", "values_streamed",
+            "working_set_values",
         }
 
     def test_working_set_over_cap_exits_2_before_sieving(self, tmp_path, monkeypatch, capsys):

@@ -433,7 +433,8 @@ class TestPipelineScaling:
 
     @pytest.mark.parametrize("preset", ["desk-small", "desk-medium"])
     def test_tiny_blocks_match_one_shot_convolution(self, preset, monkeypatch):
-        # segments of 1000 divide X, so the last segment holds m = X alone
+        # a*b streams [0, m0), m0 = ceil((X - H) / 2) = X/2 - 32 at both presets,
+        # so the last of its segments of 1000 holds 968 integers
         config = PRESETS[preset]()
         inputs = desk_pipeline_inputs(config)
         whole = run_pipeline(config, *inputs)
@@ -449,15 +450,92 @@ class TestPipelineScaling:
         monkeypatch.setattr(goldbach, "PIPELINE_CHUNK", 1 << 7)
         report = run_pipeline(config, *inputs)
         chunk = 4 * (config.h + 1)  # above 2^7
-        lengths = [min(1000, config.x + 1 - s) for s in range(0, config.x + 1, 1000)]
-        assert report.segments == len(lengths) == config.x // 1000 + 1
-        assert len(calls) == 4 + sum(-(-n // chunk) for n in lengths)  # steps 2, 4, positivity, omega*T
+        m0 = -(-(config.x - config.h) // 2)
+        lengths = [min(1000, m0 - s) for s in range(0, m0, 1000)]
+        assert lengths[-1] == 968
+        assert report.segments == len(lengths) == -(-m0 // 1000)
+        # b is a, so one pair per segment; steps 2, 4, positivity, omega*T and the middle window
+        assert len(calls) == 5 + sum(-(-n // chunk) for n in lengths)
         assert report.summary() == whole.summary()
         lam = weighted_prime_fn(config.x)
         full = ArithFn(4, arithfn._convolve_fft(lam.values, lam.values))
         ab = np.array([row[1] for row in report.rows])
         assert np.allclose(ab, [full(n) for n, *_ in report.rows], rtol=1e-12, atol=1e-6)
         assert [row[3] for row in report.rows] == [row[3] for row in whole.rows]
+
+    @pytest.mark.parametrize("x", [200_000, 200_001])  # X - H even, then odd
+    def test_half_stream_is_both_pairs(self, x, monkeypatch):
+        config = desk_config(x, big_q=10)
+        assert config.h == 64
+        nu, omega, a, _ = desk_pipeline_inputs(config)
+        reads = []
+
+        def source(start, stop):
+            reads.append((start, stop))
+            return a(start, stop)
+
+        monkeypatch.setattr(goldbach, "PIPELINE_SEGMENT", 1 << 12)
+        same = run_pipeline(config, nu, omega, source, source)
+        # before the stream, run_pipeline reads nu's window, omega's window and
+        # the preimage of the steps; the stream's reads tile [0, X] with one
+        # overlap of H per segment
+        stream = reads[3:]
+        m0 = -(-(x - config.h) // 2)
+        assert stream[-1] == (m0, x - m0 + 1)  # the middle window, at most H + 1 values
+        assert sum(stop - start for start, stop in stream) == same.values_streamed
+        assert same.values_streamed == x + 1 + same.segments * config.h
+        covered = np.zeros(x + 1, dtype=bool)
+        for start, stop in stream:
+            covered[start:stop] = True
+        assert covered.all()
+
+        other = run_pipeline(config, nu, omega, source, lambda start, stop: source(start, stop))
+        assert other.summary() == same.summary()
+        assert other.values_streamed == 2 * same.values_streamed
+        ab, ab_other = (np.array([row[1] for row in r.rows]) for r in (same, other))
+        assert np.max(np.abs(ab - ab_other)) <= 1e-12 * np.max(np.abs(ab))
+        assert [row[3] for row in same.rows] == [row[3] for row in other.rows]
+
+    @pytest.mark.parametrize("x", [200_000, 200_001])
+    def test_split_matches_one_shot_convolution_on_dense_sources(self, x, monkeypatch):
+        # Lambda' vanishes on even m, so it cannot tell where the halves meet;
+        # sources that vanish nowhere do
+        config = desk_config(x, big_q=10)
+        nu, omega, _, _ = desk_pipeline_inputs(config)
+
+        def ones(start, stop):
+            return np.ones(stop - start)
+
+        def ramp(start, stop):
+            return 1.0 + np.arange(start, stop) % 7
+
+        monkeypatch.setattr(goldbach, "PIPELINE_SEGMENT", 1 << 12)
+        for a, b in ((ones, ones), (ones, ramp), (ramp, ones)):
+            report = run_pipeline(config, nu, omega, a, b)
+            full = arithfn._convolve_fft(a(0, x + 1), b(0, x + 1))
+            ab = np.array([row[1] for row in report.rows])
+            assert np.max(np.abs(ab - full[x - config.h : x + 1])) <= 1e-12 * np.max(ab)
+
+    @pytest.mark.parametrize("x", [200_000, 200_001])
+    def test_negative_b_counted_once_at_the_tile_edges(self, x, monkeypatch):
+        # low tiles [s, stop) of [0, m0), the middle window [m0, X - m0] and
+        # the fresh mirrors [X - stop + 1, X - s], at segments of 2^10
+        config = desk_config(x, big_q=10)
+        nu, omega, a, _ = desk_pipeline_inputs(config)
+        m0 = -(-(config.x - config.h) // 2)
+        negative = [0, 3071, 3072, m0 - 1, m0, x - m0, x - m0 + 1, x - 3072, x - 3071, x]
+        assert len(set(negative)) == len(negative)
+        assert not any(nu.support_start <= n < nu.support_stop for n in negative)
+
+        def b(start, stop):
+            values = prime_weights(start, stop)
+            for n in negative:
+                if start <= n < stop:
+                    values[n - start] = -1.0
+            return values
+
+        monkeypatch.setattr(goldbach, "PIPELINE_SEGMENT", 1 << 10)
+        assert run_pipeline(config, nu, omega, a, b).minorization_violations == len(negative)
 
     @pytest.mark.parametrize("m", [10, 150_000, 197_500, 199_500])
     def test_negative_a_on_any_read_is_a_contract_error(self, m, monkeypatch):
