@@ -1,25 +1,28 @@
 """Desk-scale circle-method laboratory.
 
 Modules:
-  arith       primes, multiplicative functions, rough numbers, weighted primes
-  arithfn     finitely supported real functions: convolution, Fourier side, norms
-  characters  Dirichlet characters, Gauss sums, Ramanujan sums
+  arith       primes, the mu/phi table, rough numbers, Lambda' on a window
+  arithfn     finitely supported real functions: windowed convolution, spectra, norms
+  characters  Ramanujan sums c_q(n) by their closed form
   models      the major-arc model Lambda_Q and the rescaled upper-bound sieve
   closeness   Farey dissection, Gallagher functional, closeness estimates
   goldbach    exceptional sets, singular series, the minorant-transfer pipeline
   cli         experiment runner (`cmlab ...`)
+
+The package holds what a `cmlab` subcommand reaches, and exports only such
+names; the reference implementations the tests check it against live in
+tests/oracles.py.
 """
 
-from .arith import euler_phi, is_rough, mobius, sieve_primes, weighted_prime_fn
-from .arithfn import ArithFn, convolve, convolve_window, fourier_eval, l1_norm, l2_norm_sq
-from .characters import characters_mod, exponential_from_characters, gauss_sum, ramanujan_sum
+from .arith import sieve_primes
+from .arithfn import ArithFn, convolve_window, l2_norm_sq
+from .characters import ramanujan_sum
 from .closeness import closeness_integral, farey_dissection, gallagher_lhs, gallagher_rhs
 from .goldbach import (
     PipelineConfig,
     PipelineReport,
     desk_config,
     exceptional_scan,
-    exceptional_set,
     run_pipeline,
     singular_series,
     singular_series_product,
@@ -28,7 +31,6 @@ from .models import (
     LambdaQParams,
     SieveSystem,
     beta_sieve_weights,
-    lambda_q,
     lambda_q_short_sum,
     model_t_nu,
     model_t_nu_plus,

@@ -1,4 +1,4 @@
-"""Exact integer arithmetic substrate: primes, multiplicative functions, rough numbers.
+"""Exact integer arithmetic substrate: primes, the mu/phi table, rough numbers, Lambda'.
 
 All integer quantities are exact 64-bit (or Python int); floating point enters
 only through the natural-log weights of the prime function.  The prime cache
@@ -9,11 +9,9 @@ everything here is safe for concurrent use.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .arithfn import ArithFn
 from .errors import CapacityError, DomainError
 
 _SEGMENT = 1 << 20
@@ -51,16 +49,6 @@ def sieve_primes(limit: int) -> np.ndarray:
     return np.concatenate(chunks)
 
 
-def prime_flags(limit: int) -> np.ndarray:
-    """Boolean array of length limit+1 with flags[n] = (n is prime).
-
-    Memory is O(limit); intended for desk-scale limits (<= ~10^8).
-    """
-    if limit < 0:
-        raise DomainError("limit must be nonnegative")
-    return interval_prime_flags(0, limit)
-
-
 # Shared monotone prime cache: (limit, all primes <= limit).  Never mutated in
 # place: replaced wholesale when it has to grow, and handed out as read-only views.
 _prime_cache = (0, np.array([], dtype=np.int64))
@@ -94,50 +82,6 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
-class FactoredInteger:
-    """A positive integer together with its prime factorization.
-
-    factors is a tuple of (prime, exponent) pairs with strictly increasing
-    primes and exponents >= 1; the product reconstructs n exactly.
-    """
-
-    n: int
-    factors: tuple[tuple[int, int], ...]
-
-    def __post_init__(self):
-        prod = 1
-        last_p = 0
-        for p, e in self.factors:
-            if p <= last_p or e < 1:
-                raise DomainError("factors must be (increasing prime, exponent>=1) pairs")
-            prod *= p**e
-            last_p = p
-        if prod != self.n or self.n < 1:
-            raise DomainError("factorization does not reconstruct n")
-
-
-def factorize(n: int) -> FactoredInteger:
-    """Factor n >= 1 by trial division against the cached prime list."""
-    if n < 1:
-        raise DomainError("factorize requires n >= 1")
-    m = n
-    out = []
-    for p in cached_primes(math.isqrt(n)):
-        p = int(p)
-        if p * p > m:
-            break
-        if m % p == 0:
-            e = 0
-            while m % p == 0:
-                m //= p
-                e += 1
-            out.append((p, e))
-    if m > 1:
-        out.append((m, 1))
-    return FactoredInteger(n, tuple(out))
-
-
 # Shared mu/phi table, grown on demand and handed out read-only like the prime cache.
 _mu_phi = (np.zeros(1, dtype=np.int8), np.zeros(1, dtype=np.int64))
 
@@ -163,46 +107,6 @@ def mu_phi_table(limit: int) -> tuple[np.ndarray, np.ndarray]:
         phi.setflags(write=False)
         _mu_phi = (mu, phi)
     return mu[: limit + 1], phi[: limit + 1]
-
-
-def mobius(n: int) -> int:
-    """Mobius function mu(n) in {-1, 0, 1}, by factorization (oracle for mu_phi_table)."""
-    if n < 1:
-        raise DomainError("mobius requires n >= 1")
-    fi = factorize(n)
-    for _, e in fi.factors:
-        if e >= 2:
-            return 0
-    return -1 if len(fi.factors) % 2 else 1
-
-
-def euler_phi(n: int) -> int:
-    """Euler totient phi(n), by factorization (oracle for mu_phi_table)."""
-    if n < 1:
-        raise DomainError("euler_phi requires n >= 1")
-    out = 1
-    for p, e in factorize(n).factors:
-        out *= p ** (e - 1) * (p - 1)
-    return out
-
-
-def is_rough(n: int, z: float) -> bool:
-    """True iff every prime divisor of n exceeds z (vacuously true for n = 1)."""
-    if n < 1:
-        raise DomainError("is_rough requires n >= 1")
-    if n == 1:
-        return True
-    m = n
-    for p in cached_primes(math.isqrt(n)):
-        p = int(p)
-        if p > z or p * p > m:
-            break
-        if m % p == 0:
-            return False
-    # No prime <= min(z, sqrt(n)) divides n.  A composite n always has a prime
-    # factor <= sqrt(n), so the only way n can still fail is n itself being a
-    # prime <= z.
-    return n > z
 
 
 def rough_flags(start: int, stop: int, z: float) -> np.ndarray:
@@ -232,10 +136,3 @@ def prime_weights(start: int, stop: int) -> np.ndarray:
         idx = np.flatnonzero(interval_prime_flags(lo, stop - 1))
         out[idx + (lo - start)] = np.log(idx + float(lo))
     return out
-
-
-def weighted_prime_fn(x: int) -> ArithFn:
-    """The log-weighted prime indicator on [2, x]: log n at primes, 0 elsewhere."""
-    if x < 2:
-        raise DomainError("weighted_prime_fn requires x >= 2")
-    return ArithFn(2, prime_weights(2, x + 1))

@@ -70,23 +70,6 @@ class ArithFn:
             return self.values[n - self.support_start].item()
         return 0.0
 
-    def indices(self) -> np.ndarray:
-        return np.arange(self.support_start, self.support_stop, dtype=np.int64)
-
-    # -- constructors ----------------------------------------------------
-
-    @classmethod
-    def point_mass(cls, n: int, value: float = 1.0) -> "ArithFn":
-        return cls(n, np.asarray([value]))
-
-    @classmethod
-    def ones(cls, start: int, length: int) -> "ArithFn":
-        return cls(start, np.ones(length))
-
-    @classmethod
-    def zero(cls) -> "ArithFn":
-        return cls(0, np.zeros(0))
-
     # -- arithmetic on shared windows -------------------------------------
 
     def embed(self, start: int, stop: int) -> np.ndarray:
@@ -120,13 +103,9 @@ def l2_norm_sq(f: ArithFn) -> float:
     return float(np.sum(f.values**2))
 
 
-def l1_norm(f: ArithFn) -> float:
-    return float(np.sum(np.abs(f.values)))
-
-
 # -- convolution -----------------------------------------------------------
 
-# convolve_window goes direct while its multiply-adds stay below this many times
+# convolve_valid goes direct while its multiply-adds stay below this many times
 # size * log2(size) of the transform.  On a 2-vCPU Xeon a multiply-add costs
 # 0.2-0.6 ns and a transform point 5-7 ns, so the two meet near 12-20.
 _WINDOW_FFT_RATIO = 8
@@ -153,22 +132,30 @@ def window_preimage(g: ArithFn, lo: int, hi: int) -> tuple[int, int]:
 def convolve_window(f: ArithFn, g: ArithFn, lo: int, hi: int) -> np.ndarray:
     """(f*g)(n) for the integers lo <= n <= hi only, as a dense float64 array.
 
-    f is cut to `window_preimage(g, lo, hi)` and convolved against g in "valid"
-    mode: directly, at (hi - lo + 1) * len(g) multiply-adds however long f is,
-    or through the transform of the cut f and g once those multiply-adds pass
-    _WINDOW_FFT_RATIO * size * log2(size).  n outside the support of f*g reads 0.
+    f is cut to `window_preimage(g, lo, hi)` and `convolve_valid` takes it
+    against g: (hi - lo + 1) * len(g) multiply-adds however long f is, or one
+    transform when that is cheaper.  n outside the support of f*g reads 0.
     """
     if len(f) == 0 or len(g) == 0:
         raise DomainError("convolve_window requires nonempty supports")
     if hi < lo:
         raise DomainError("need lo <= hi")
-    cut = f.embed(*window_preimage(g, lo, hi))
-    size = _fft_size(len(cut) + len(g) - 1)
-    direct = (hi - lo + 1) * len(g) <= _WINDOW_FFT_RATIO * size * math.log2(size)
-    return (_convolve_direct if direct else _convolve_fft)(cut, g.values, "valid")
+    return convolve_valid(f.embed(*window_preimage(g, lo, hi)), g.values)
 
 
-_convolve_direct = np.convolve  # the direct path of convolve_window
+def convolve_valid(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The len(x) - len(y) + 1 values of x*y at which y lies wholly inside x
+    (np.convolve's "valid" mode), for len(x) >= len(y) >= 1.
+
+    Direct, at (len(x) - len(y) + 1) * len(y) multiply-adds, or through the
+    transform once those pass _WINDOW_FFT_RATIO * size * log2(size).
+    """
+    size = _fft_size(len(x) + len(y) - 1)
+    direct = (len(x) - len(y) + 1) * len(y) <= _WINDOW_FFT_RATIO * size * math.log2(size)
+    return (_convolve_direct if direct else _convolve_fft)(x, y, "valid")
+
+
+_convolve_direct = np.convolve  # the direct path of convolve_valid
 
 
 def _fft_size(out_len: int) -> int:
@@ -187,18 +174,6 @@ def _convolve_fft(a: np.ndarray, b: np.ndarray, mode: str = "full") -> np.ndarra
 
 
 # -- Fourier side -----------------------------------------------------------
-
-
-def fourier_eval(f: ArithFn, alpha: float) -> complex:
-    """f-hat(alpha) = sum_n f(n) e(alpha n), e(z) = exp(2 pi i z).
-
-    Uses compensated (exact fsum) accumulation of the real and imaginary parts.
-    """
-    if len(f) == 0:
-        return 0j
-    phase = TWO_PI * alpha * f.indices().astype(np.float64)
-    terms = f.values * np.exp(1j * phase)
-    return complex(math.fsum(terms.real), math.fsum(terms.imag))
 
 
 def spectrum_size(length: int, oversample: int) -> int:
@@ -239,16 +214,3 @@ def write_arithfn(f: ArithFn, fh: IO[str]) -> None:
     fh.write(f"{f.support_start} {len(f)} real\n")
     for v in f.values:
         fh.write(f"{float(v)!r}\n")
-
-
-def read_arithfn(fh: IO[str]) -> ArithFn:
-    line = fh.readline()
-    while line.startswith("#"):  # tolerate report preambles
-        line = fh.readline()
-    header = line.split()
-    if len(header) != 3:
-        raise DomainError("malformed header")
-    start, length, kind = int(header[0]), int(header[1]), header[2]
-    if kind != "real":
-        raise DomainError(f"unsupported kind {kind!r}: values are real")
-    return ArithFn(start, np.array([float(fh.readline()) for _ in range(length)]))

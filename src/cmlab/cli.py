@@ -173,6 +173,8 @@ GALLAGHER = (
 
 def _cmd_verify_gallagher(spec: ExperimentSpec) -> int:
     p = spec.params
+    if p["trials"] < 1:  # checked before the CSV is opened, as in series
+        raise DomainError(f"trials must be >= 1, got {p['trials']}")
     rng = np.random.default_rng(spec.seed)
     ratios = []
     for _ in range(p["trials"]):

@@ -93,16 +93,6 @@ class FareyArc:
     def width(self) -> float:
         return self.hi - self.lo
 
-    @property
-    def containment_radius(self) -> float:
-        return 1.0 / (self.q * self.order)
-
-    def contains(self, alpha: float) -> bool:
-        a = alpha % 1.0
-        if self.lo < 0:
-            return a < self.hi or a >= self.lo + 1.0
-        return self.lo <= a < self.hi
-
 
 def _farey_fractions(order: int) -> list[tuple[int, int]]:
     """The Farey sequence of the given order on [0, 1], ascending."""

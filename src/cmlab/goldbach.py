@@ -1,5 +1,5 @@
-"""Problem-level objects: exceptional sets, the singular series, the model
-convolution, and the end-to-end minorant-transfer pipeline.
+"""Problem-level objects: exceptional sets, the singular series and the
+end-to-end minorant-transfer pipeline.
 
 The pipeline evaluates, by windowed convolution on [X-H, X], the chain
 
@@ -35,17 +35,17 @@ from typing import IO, Callable, Optional
 
 import numpy as np
 
-from .arith import cached_primes, interval_prime_flags, mu_phi_table, prime_weights, rough_flags
+from .arith import cached_primes, interval_prime_flags, mu_phi_table, prime_weights
 # `convolve` is not called here but stays bound: perfbench/test_perfbench.py checks
 # that the tracer wraps goldbach.convolve with arithfn.convolve, and
 # test_pipeline_makes_no_full_convolution patches it to show run_pipeline never calls it
-from .arithfn import ArithFn, convolve, convolve_window, subtract, window_preimage
+from .arithfn import ArithFn, convolve, convolve_valid, convolve_window, subtract, window_preimage
 from .characters import ramanujan_sum
 from .errors import CapacityError, ContractError, DomainError
 from .models import LambdaQParams, model_t_nu, model_t_nu_plus
 
 PIPELINE_SEGMENT = 1 << 18  # integers m whose a(m) run_pipeline reads at a time
-# integers m of a segment that one convolve_window takes: at least this many,
+# integers m of a segment that one convolve_valid takes: at least this many,
 # so that its H+1 outputs reuse cached values, and at least 4(H+1), so that the
 # H values of b beyond the chunk stay a quarter of it at most
 PIPELINE_CHUNK = 1 << 16
@@ -97,8 +97,8 @@ def exceptional_scan(x: int, h: int) -> ExceptionalScan:
     reruns, so the result is exact.  Memory is O(sqrt(x) + min(h, SCAN_BLOCK) + P);
     a working set over SCAN_CAP raises CapacityError before it is allocated.
     """
-    if x - h < 4:
-        raise DomainError("need X - H >= 4")
+    if h < 0 or x - h < 4:
+        raise DomainError("need H >= 0 and X - H >= 4")
     p_bound = LEAST_PRIME_START
     exceptions: list[int] = []
     least_p = least_n = None
@@ -139,20 +139,6 @@ def _sift_partitions(start: int, x: int, p_bound: int) -> tuple[np.ndarray, Opti
     return left, least_p, least_n
 
 
-def exceptional_set(x: int, h: int) -> list[int]:
-    """The list of `exceptional_scan(x, h)`."""
-    return list(exceptional_scan(x, h).exceptions)
-
-
-def goldbach_count(n: int, flags: np.ndarray) -> int:
-    """Number of ordered prime pairs (p, q) with p + q = n (test oracle)."""
-    total = 0
-    for p in range(2, n - 1):
-        if flags[p] and flags[n - p]:
-            total += 1
-    return total
-
-
 # ---------------------------------------------------------------------------
 # singular series
 # ---------------------------------------------------------------------------
@@ -184,54 +170,6 @@ def singular_series_product(n: int, prime_bound: int) -> float:
     ps = cached_primes(prime_bound)
     c_p = np.where(np.mod(n, ps) == 0, ps - 1.0, -1.0)
     return float(np.prod(1.0 + c_p / (ps - 1.0) ** 2))
-
-
-def singular_series_smooth_sum(n: int, prime_bound: int) -> float:
-    """Sum over ALL squarefree q composed of primes <= prime_bound.
-
-    Exactly equal to `singular_series_product` by multiplicativity; serves as
-    the independent series-side oracle for the product path.  Its largest q, the
-    primorial of prime_bound, has to fit `mu_phi_table` (prime_bound < 23).
-    """
-    qs = np.ones(1, dtype=np.int64)
-    for p in cached_primes(prime_bound).tolist():
-        qs = np.concatenate([qs, qs * p])
-    return _ascending_sum(qs, n)
-
-
-# ---------------------------------------------------------------------------
-# omega * T_nu via Ramanujan sums
-# ---------------------------------------------------------------------------
-
-
-def convolve_with_lambda_q_model(omega: ArithFn, params: LambdaQParams, n: int) -> float:
-    """(omega * T)(n) for T = c_nu Lambda_Q restricted to the params window, as
-    sum_{q <= Q} (mu(q)/phi(q)) sum_{n1} omega(n1) c_q(n - n1) over the n1 with
-    n - n1 inside the window; T is never materialized.  Requires omega to be
-    supported on Q-rough numbers (that is the hypothesis under which the
-    expansion's character sums collapse to Ramanujan sums); raises ContractError
-    otherwise.
-    """
-    if not _is_rough_supported(omega, params.big_q):
-        raise ContractError("Ramanujan shortcut requires omega supported on Q-rough numbers")
-    lo, hi = params.window
-    n1_lo, n1_hi = n - hi, n - lo  # n1 with lo < n - n1 <= hi, i.e. n1 in [n-hi, n-lo)
-    w_lo = max(n1_lo, omega.support_start)
-    w_hi = min(n1_hi, omega.support_stop)
-    if w_lo >= w_hi:
-        return 0.0
-    vals = omega.values[w_lo - omega.support_start : w_hi - omega.support_start]
-    n1s = np.arange(w_lo, w_hi, dtype=np.int64)
-    total = 0.0
-    mu, phi = mu_phi_table(params.big_q)
-    for q in np.flatnonzero(mu).tolist():
-        total += int(mu[q]) / int(phi[q]) * float(np.sum(vals * ramanujan_sum(q, n - n1s).astype(np.float64)))
-    return params.c_nu * total
-
-
-def _is_rough_supported(omega: ArithFn, z: float) -> bool:
-    nz = omega.values != 0
-    return not nz.any() or bool(np.all(rough_flags(omega.support_start, omega.support_stop, z)[nz]))
 
 
 # ---------------------------------------------------------------------------
@@ -515,9 +453,9 @@ def run_pipeline(
             if second is b:
                 minorization += count_negative(mirror[hi - stop + 1 - base :], hi - stop + 1)
             for c in range(s, stop, chunk):
-                part = ArithFn(c, low[c - s : c - s + chunk])
-                cut = lo - part.support_stop + 1  # the chunk meets the mirror on [cut, hi - c]
-                ab += convolve_window(ArithFn(cut, mirror[cut - base : hi - c + 1 - base]), part, lo, hi)
+                part = low[c - s : c - s + chunk]
+                cut = lo - c - len(part) + 1  # the chunk meets the mirror on [cut, hi - c]
+                ab += convolve_valid(mirror[cut - base : hi - c + 1 - base], part)
         segments += 1
     if b is a:
         ab *= 2

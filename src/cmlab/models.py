@@ -39,7 +39,7 @@ from typing import Optional
 
 import numpy as np
 
-from .arith import cached_primes, euler_phi, mobius, mu_phi_table, rough_flags
+from .arith import cached_primes, mu_phi_table, rough_flags
 from .arithfn import ArithFn, TWO_PI
 from .characters import ramanujan_sum
 from .errors import CapacityError, ContractError, DomainError
@@ -61,11 +61,6 @@ def _lambda_q_residue_table(q: int) -> np.ndarray:
     return (mu / phi) * ramanujan_sum(q, np.arange(q)).astype(np.float64)
 
 
-def lambda_q(n: int, big_q: int) -> float:
-    """Lambda_Q(n) by the Ramanujan-sum closed form."""
-    return float(lambda_q_window(n, n + 1, big_q)[0])
-
-
 def lambda_q_window(start: int, stop: int, big_q: int) -> np.ndarray:
     """Lambda_Q(n) for n in [start, stop), vectorized via residue tables."""
     if stop < start or start < 0 or big_q < 1:
@@ -75,20 +70,6 @@ def lambda_q_window(start: int, stop: int, big_q: int) -> np.ndarray:
     for q in np.flatnonzero(mu_phi_table(big_q)[0]).tolist():
         out += _lambda_q_residue_table(q)[idx % q]
     return out
-
-
-def lambda_q_direct(n: int, big_q: int) -> float:
-    """Direct double sum over q <= Q and reduced residues a (test oracle)."""
-    total = 0j
-    for q in range(1, big_q + 1):
-        mu = mobius(q)
-        if mu == 0:
-            continue
-        phi = euler_phi(q)
-        for a in range(1, q + 1):
-            if math.gcd(a, q) == 1:
-                total += (mu / phi) * np.exp(TWO_PI * 1j * a * (n % q) / q)
-    return float(total.real)
 
 
 @dataclass(frozen=True)
@@ -191,12 +172,6 @@ class SieveSystem:
         if any(d > self.level for d in self.weights):
             raise ContractError("weights must be supported on d <= D")
         object.__setattr__(self, "weights", MappingProxyType(dict(self.weights)))
-
-    def theta(self, n: int) -> int:
-        """theta_n = sum over admitted d | n of lambda_d."""
-        if n < 1:
-            raise DomainError("theta requires n >= 1")
-        return sum(lam for d, lam in self.weights.items() if n % d == 0)
 
     def theta_window(self, start: int, stop: int) -> np.ndarray:
         """theta_n for n in [start, stop), by strided accumulation."""

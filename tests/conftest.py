@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
-from cmlab.arith import prime_flags
+from cmlab.arith import interval_prime_flags
 
 
 @pytest.fixture(scope="session")
 def flags_1e6():
-    return prime_flags(1_000_000)
+    return interval_prime_flags(0, 1_000_000)
 
 
 @pytest.fixture(scope="session")

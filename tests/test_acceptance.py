@@ -11,9 +11,9 @@ import numpy as np
 import pytest
 
 from cmlab import arithfn, constants
-from cmlab.arith import euler_phi, mobius, prime_flags, rough_flags, weighted_prime_fn
+from cmlab.arith import rough_flags
 from cmlab.arithfn import ArithFn, convolve, l2_norm_sq
-from cmlab.characters import characters_mod, gauss_sum, ramanujan_sum
+from cmlab.characters import ramanujan_sum
 from cmlab.closeness import (
     closeness_integral,
     default_lambda_q_sweep,
@@ -25,15 +25,13 @@ from cmlab.closeness import (
 )
 from cmlab.goldbach import (
     PRESETS,
-    convolve_with_lambda_q_model,
     desk_config,
     desk_pipeline_inputs,
-    exceptional_set,
+    exceptional_scan,
     restricted_prime_fn,
     run_pipeline,
     singular_series,
     singular_series_product,
-    singular_series_smooth_sum,
 )
 from cmlab.models import (
     LambdaQParams,
@@ -42,6 +40,14 @@ from cmlab.models import (
     model_t_nu,
     model_t_nu_plus,
     untruncated_level,
+)
+from oracles import (
+    characters_mod,
+    convolve_with_lambda_q_model,
+    euler_phi,
+    gauss_sum,
+    mobius,
+    singular_series_smooth_sum,
 )
 
 
@@ -380,7 +386,7 @@ def test_criterion_7_pipeline():
 def test_criterion_8_goldbach_ground_truth():
     checks = []
 
-    full = exceptional_set(1_000_000, 1_000_000 - 4)
+    full = list(exceptional_scan(1_000_000, 1_000_000 - 4).exceptions)
     checks.append(
         ("E(10^6, 10^6 - 4) empty: every even in [4, 10^6] is a Goldbach number",
          full == [], f"{len(full)} exceptions")
@@ -391,7 +397,7 @@ def test_criterion_8_goldbach_ground_truth():
     for _ in range(20):
         h = int(gen.integers(2, 10_001))
         x = int(gen.integers(h + 4, 1_000_001))
-        worst_windows += len(exceptional_set(x, h))
+        worst_windows += len(exceptional_scan(x, h).exceptions)
     checks.append(("20 random windows (X <= 10^6, H <= 10^4) all empty", worst_windows == 0,
                    f"total exceptions = {worst_windows}"))
 

@@ -7,21 +7,16 @@ from hypothesis import strategies as st
 
 from cmlab import arith
 from cmlab.arith import (
-    FactoredInteger,
     cached_primes,
-    euler_phi,
-    factorize,
     interval_prime_flags,
-    is_rough,
-    mobius,
     mu_phi_table,
-    prime_flags,
     prime_weights,
     rough_flags,
     sieve_primes,
-    weighted_prime_fn,
 )
+from cmlab.arithfn import ArithFn
 from cmlab.errors import DomainError
+from oracles import FactoredInteger, euler_phi, factorize, is_rough, mobius
 
 
 def trial_division_primes(limit):
@@ -202,31 +197,31 @@ class TestRoughness:
 
 class TestWeightedPrimeFn:
     def test_window_of_ten(self):
-        f = weighted_prime_fn(10)
+        f = ArithFn(2, prime_weights(2, 11))
         nonzero = {n: f(n) for n in range(2, 11) if f(n) != 0}
         assert set(nonzero) == {2, 3, 5, 7}
         for p, v in nonzero.items():
             assert v == pytest.approx(math.log(p))
 
     def test_single_point(self):
-        f = weighted_prime_fn(2)
+        f = ArithFn(2, prime_weights(2, 3))
         assert len(f) == 1
         assert f(2) == pytest.approx(math.log(2))
 
     def test_pnt_mass(self):
         # direct summation oracle: sum of log p over primes <= 1e4
-        f = weighted_prime_fn(10_000)
+        f = ArithFn(2, prime_weights(2, 10_001))
         direct = sum(math.log(p) for p in trial_division_primes(10_000))
         assert float(np.sum(f.values)) == pytest.approx(direct, rel=1e-12)
         assert abs(float(np.sum(f.values)) - 10_000) / 10_000 < 0.03
 
     def test_log_only_at_primes_matches_dense_log(self, flags_1e6):
         dense = np.where(flags_1e6[2:], np.log(np.arange(2, 1_000_001, dtype=np.float64)), 0.0)
-        assert np.array_equal(weighted_prime_fn(1_000_000).values, dense)
+        assert np.array_equal(ArithFn(2, prime_weights(2, 1_000_001)).values, dense)
 
     @pytest.mark.parametrize("start, stop", [(-5, 20), (0, 0), (0, 1), (1, 3), (2, 3), (999_000, 1_000_001)])
     def test_prime_weights_is_the_embedding(self, start, stop):
-        whole = weighted_prime_fn(1_000_000)
+        whole = ArithFn(2, prime_weights(2, 1_000_001))
         assert np.array_equal(prime_weights(start, stop), whole.embed(start, stop))
 
     def test_prime_weights_rejects_reversed_range(self):

@@ -6,9 +6,9 @@ import pytest
 
 from cmlab import arith, arithfn, goldbach
 from cmlab.arith import rough_flags
-from cmlab.arithfn import read_arithfn
 from cmlab.cli import main
 from cmlab.models import mertens_product
+from oracles import read_arithfn
 
 
 def run(argv):
@@ -36,6 +36,15 @@ class TestExitCodes:
         # the preset fixes Y, so --Y would be silently dropped
         assert run(["--out", str(tmp_path), "pipeline", "--preset", "desk-small", "--Y", "2000"]) == 2
         assert "fixes y" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "gallagher", "--trials", "0"],  # no ratio to take the max of
+        ["verify", "gallagher", "--trials", "-3"],
+        ["exceptional", "--X", "100", "--H", "-5"],  # an empty interval
+    ])
+    def test_empty_request_exits_2_and_writes_nothing(self, tmp_path, argv):
+        assert run(["--out", str(tmp_path), *argv]) == 2
+        assert list(tmp_path.iterdir()) == []
 
     def test_workers_belongs_to_closeness_only(self, tmp_path):
         with pytest.raises(SystemExit) as exc:

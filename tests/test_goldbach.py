@@ -6,23 +6,19 @@ import numpy as np
 import pytest
 
 from cmlab import arith, arithfn, goldbach, models
-from cmlab.arith import euler_phi, interval_prime_flags, mobius, prime_weights, rough_flags, weighted_prime_fn
+from cmlab.arith import interval_prime_flags, prime_weights, rough_flags
 from cmlab.arithfn import ArithFn, convolve
 from cmlab.errors import CapacityError, ContractError, DomainError
 from cmlab.goldbach import (
     PRESETS,
     PipelineConfig,
-    convolve_with_lambda_q_model,
     desk_config,
     desk_pipeline_inputs,
     exceptional_scan,
-    exceptional_set,
-    goldbach_count,
     restricted_prime_fn,
     run_pipeline,
     singular_series,
     singular_series_product,
-    singular_series_smooth_sum,
 )
 from cmlab.models import (
     LambdaQParams,
@@ -35,31 +31,41 @@ from cmlab.models import (
     sieve_short_sum,
     untruncated_level,
 )
+import oracles
+from oracles import (
+    convolve_with_lambda_q_model,
+    euler_phi,
+    goldbach_count,
+    mobius,
+    singular_series_smooth_sum,
+)
 
 
 class TestExceptionalSet:
     def test_small_window_all_goldbach(self):
-        assert exceptional_set(100, 96) == []
+        assert exceptional_scan(100, 96).exceptions == ()
 
     def test_hand_window(self):
         # 8 = 3 + 5, 10 = 3 + 7 = 5 + 5
-        assert exceptional_set(10, 2) == []
+        assert exceptional_scan(10, 2).exceptions == ()
 
     def test_agrees_with_counting_oracle(self, flags_1e6):
         for x, h in [(5000, 200), (99_990, 50)]:
-            reported = set(exceptional_set(x, h))
+            reported = set(exceptional_scan(x, h).exceptions)
             for n in range(x - h if (x - h) % 2 == 0 else x - h + 1, x + 1, 2):
                 assert (goldbach_count(n, flags_1e6) == 0) == (n in reported)
 
     def test_domain(self):
         with pytest.raises(DomainError):
-            exceptional_set(10, 8)
+            exceptional_scan(10, 8)
+        with pytest.raises(DomainError):  # [105, 100] is empty, not free of exceptions
+            exceptional_scan(100, -5)
 
     def test_beyond_the_pipeline_cap(self):
         # Oliveira e Silva, Herzog, Pardi (2014): every even n <= 4*10^18 is
         # p + q with a prime p < 10^4
         scan = exceptional_scan(10**12, 10**4)
-        assert exceptional_set(10**12, 10**4) == []
+        assert scan.exceptions == ()
         assert scan.p_bound == goldbach.LEAST_PRIME_START
         assert scan.max_least_prime < 10**4
         partner = scan.max_least_n - scan.max_least_prime
@@ -92,12 +98,12 @@ class TestExceptionalSet:
 
     def test_working_set_over_cap_fails_up_front(self, monkeypatch):
         with pytest.raises(CapacityError):
-            exceptional_set(10**17, 10)  # sqrt(X) alone is over the cap
+            exceptional_scan(10**17, 10)  # sqrt(X) alone is over the cap
         # sqrt(10^6) + block + 10^4 against a cap of 2 * 10^4
         monkeypatch.setattr(goldbach, "SCAN_CAP", 20_000)
-        assert exceptional_set(10**6, 10) == []
+        assert exceptional_scan(10**6, 10).exceptions == ()
         with pytest.raises(CapacityError):
-            exceptional_set(10**6, 10_000)
+            exceptional_scan(10**6, 10_000)
 
     def test_blocks_bound_the_working_set_not_h(self, monkeypatch, flags_1e6):
         # the record n = 503222 is the last even n of the first 1024-block
@@ -168,9 +174,10 @@ def test_c_q_paths_do_not_factorize(monkeypatch):
     def refuse(n):
         raise AssertionError(f"factorize({n}) called")
 
-    for name, module in list(sys.modules.items()):
-        if name.startswith("cmlab") and hasattr(module, "factorize"):
-            monkeypatch.setattr(module, "factorize", refuse)
+    # factorize is a test oracle: no module of the package binds it, so none
+    # of the c_q paths below can reach it except through the oracles
+    assert not [name for name, module in sys.modules.items() if name.startswith("cmlab") and hasattr(module, "factorize")]
+    monkeypatch.setattr(oracles, "factorize", refuse)
     assert singular_series(30, 1000) > 0
     models._lambda_q_residue_table.cache_clear()
     assert len(lambda_q_window(1000, 1100, 30)) == 100
@@ -241,10 +248,10 @@ class TestModelConvolution:
         def refuse(*args):
             raise AssertionError("the model convolution materialized T")
 
-        rough = goldbach._is_rough_supported
-        monkeypatch.setattr(goldbach, "_is_rough_supported", counted)
+        rough = oracles._is_rough_supported
+        monkeypatch.setattr(oracles, "_is_rough_supported", counted)
         for name in ("model_t_nu", "convolve", "convolve_window"):
-            monkeypatch.setattr(goldbach, name, refuse)
+            monkeypatch.setattr(oracles, name, refuse, raising=False)
         params = LambdaQParams(big_q=10, window=(1000, 2000), c_nu=1.0)
         omega = self._omega(5000, 1000)
         assert convolve_with_lambda_q_model(omega, params, 5000) > 0
@@ -255,7 +262,7 @@ class TestRestrictedPrimeFn:
     @pytest.mark.parametrize("window", [(0, 500), (1, 500), (2, 500), (100_000, 200_000)])
     def test_equals_the_cut_of_the_whole_table(self, window, monkeypatch):
         lo, hi = window
-        whole = weighted_prime_fn(200_000).embed(lo + 1, hi + 1)
+        whole = ArithFn(2, prime_weights(2, 200_001)).embed(lo + 1, hi + 1)
         sieved = []
 
         def recording(start, stop):
@@ -349,7 +356,7 @@ class TestPipeline:
         config = PRESETS["desk-small"]()
         nu, omega, a, b = desk_pipeline_inputs(config)
         conv = ArithFn(0, arithfn._convolve_fft(a(0, config.x + 1), b(0, config.x + 1)))
-        missing = set(exceptional_set(config.x, config.h))
+        missing = set(exceptional_scan(config.x, config.h).exceptions)
         for n in range(config.x - config.h, config.x + 1):
             if n % 2:
                 continue
@@ -440,12 +447,17 @@ class TestPipelineScaling:
         whole = run_pipeline(config, *inputs)
         calls = []
 
-        def counted(f, g, lo, hi):
-            calls.append(len(g))
+        def counted_window(f, g, lo, hi):
+            calls.append("window")
             return convolve_window(f, g, lo, hi)
 
-        convolve_window = goldbach.convolve_window
-        monkeypatch.setattr(goldbach, "convolve_window", counted)
+        def counted_valid(x, y):
+            calls.append("valid")
+            return convolve_valid(x, y)
+
+        convolve_window, convolve_valid = goldbach.convolve_window, goldbach.convolve_valid
+        monkeypatch.setattr(goldbach, "convolve_window", counted_window)
+        monkeypatch.setattr(goldbach, "convolve_valid", counted_valid)
         monkeypatch.setattr(goldbach, "PIPELINE_SEGMENT", 1000)
         monkeypatch.setattr(goldbach, "PIPELINE_CHUNK", 1 << 7)
         report = run_pipeline(config, *inputs)
@@ -454,10 +466,13 @@ class TestPipelineScaling:
         lengths = [min(1000, m0 - s) for s in range(0, m0, 1000)]
         assert lengths[-1] == 968
         assert report.segments == len(lengths) == -(-m0 // 1000)
-        # b is a, so one pair per segment; steps 2, 4, positivity, omega*T and the middle window
-        assert len(calls) == 5 + sum(-(-n // chunk) for n in lengths)
+        # steps 2, 4, positivity, omega*T and the middle window take one
+        # convolve_window each; b is a, so one pair per segment, and each chunk
+        # of a segment is one convolve_valid against its mirror
+        assert calls.count("window") == 5
+        assert calls.count("valid") == sum(-(-n // chunk) for n in lengths)
         assert report.summary() == whole.summary()
-        lam = weighted_prime_fn(config.x)
+        lam = ArithFn(2, prime_weights(2, config.x + 1))
         full = ArithFn(4, arithfn._convolve_fft(lam.values, lam.values))
         ab = np.array([row[1] for row in report.rows])
         assert np.allclose(ab, [full(n) for n, *_ in report.rows], rtol=1e-12, atol=1e-6)

@@ -4,15 +4,13 @@ import numpy as np
 import pytest
 
 from cmlab import models
-from cmlab.arith import euler_phi, mobius, rough_flags, sieve_primes, weighted_prime_fn
-from cmlab.arithfn import TWO_PI
+from cmlab.arith import prime_weights, rough_flags, sieve_primes
+from cmlab.arithfn import TWO_PI, ArithFn
 from cmlab.errors import ContractError, DomainError
 from cmlab.models import (
     LambdaQParams,
     SieveSystem,
     beta_sieve_weights,
-    lambda_q,
-    lambda_q_direct,
     lambda_q_short_sum,
     lambda_q_window,
     mertens_product,
@@ -21,6 +19,8 @@ from cmlab.models import (
     sieve_short_sum,
     untruncated_level,
 )
+import oracles
+from oracles import euler_phi, lambda_q_direct, mobius
 
 
 def untruncated_level_walk(sift, beta):
@@ -43,23 +43,23 @@ def untruncated_level_walk(sift, beta):
 
 class TestLambdaQ:
     def test_q1_is_one(self):
-        assert all(lambda_q(n, 1) == 1.0 for n in range(0, 50))
+        assert all(lambda_q_window(n, n + 1, 1)[0] == 1.0 for n in range(0, 50))
 
     def test_q2_is_parity(self):
         # 1 - e(n/2): 0 at even n, 2 at odd n
         for n in range(30):
-            assert lambda_q(n, 2) == pytest.approx(0.0 if n % 2 == 0 else 2.0)
+            assert lambda_q_window(n, n + 1, 2)[0] == pytest.approx(0.0 if n % 2 == 0 else 2.0)
 
     def test_fast_form_equals_direct_sum(self):
-        assert lambda_q(210, 30) == pytest.approx(lambda_q_direct(210, 30), abs=1e-8)
+        assert lambda_q_window(210, 211, 30)[0] == pytest.approx(lambda_q_direct(210, 30), abs=1e-8)
         for n in (0, 1, 17, 100, 841):
             for big_q in (3, 12, 25):
-                assert lambda_q(n, big_q) == pytest.approx(lambda_q_direct(n, big_q), abs=1e-8)
+                assert lambda_q_window(n, n + 1, big_q)[0] == pytest.approx(lambda_q_direct(n, big_q), abs=1e-8)
 
     def test_window_matches_scalar(self):
         window = lambda_q_window(100, 200, 15)
         for i, n in enumerate(range(100, 200)):
-            assert window[i] == pytest.approx(lambda_q(n, 15), abs=1e-12)
+            assert window[i] == pytest.approx(lambda_q_window(n, n + 1, 15)[0], abs=1e-12)
 
     def test_progression_averages_follow_primes(self):
         # mean of Lambda_Q on n = a (mod q), n <= N approximates the mean of the
@@ -67,7 +67,7 @@ class TestLambdaQ:
         n_max = 100_000
         big_q = 20
         model = lambda_q_window(1, n_max + 1, big_q)
-        primes = weighted_prime_fn(n_max).embed(1, n_max + 1)
+        primes = ArithFn(2, prime_weights(2, n_max + 1)).embed(1, n_max + 1)
         for q in range(1, big_q + 1):
             for a in range(q):
                 if math.gcd(a, q) != 1:
@@ -96,11 +96,11 @@ class TestLambdaQShortSum:
         assert abs(actual) <= 2 * budget
 
     def test_direct_window_oracle(self):
-        # windowed sum recomputed from scalar lambda_q values
+        # windowed sum recomputed from Lambda_Q one n at a time
         t, h, big_q, r, q = 2000, 50.0, 8, 3, 5
         actual, _, _ = lambda_q_short_sum(t, h, big_q, r=r, q_twist=q)
         direct = sum(
-            lambda_q(n, big_q) * np.exp(2j * np.pi * r * n / q) for n in range(t - 50 + 1, t + 1)
+            lambda_q_window(n, n + 1, big_q)[0] * np.exp(2j * np.pi * r * n / q) for n in range(t - 50 + 1, t + 1)
         )
         assert actual == pytest.approx(direct, abs=1e-9)
 
@@ -180,7 +180,7 @@ class TestBetaSieve:
             assert int(theta.min()) >= 0
             for p in sieve_primes(10_000).tolist():
                 if p > sieve.sift:
-                    assert sieve.theta(p) == 1
+                    assert oracles.theta(sieve, p) == 1
 
     def test_weight_invariants(self):
         sieve = beta_sieve_weights(3_000.0, 30.0, beta=1)
@@ -194,7 +194,7 @@ class TestBetaSieve:
         # 35 and stays nonnegative
         sieve = beta_sieve_weights(100.0, 10.0, beta=1)
         assert 35 in sieve.weights
-        assert sieve.theta(35) == 0
+        assert oracles.theta(sieve, 35) == 0
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):
