@@ -310,8 +310,7 @@ def _cmd_pipeline(spec: ExperimentSpec) -> int:
         config = replace(config, **{key: p[key] for key in ("y", "h", "kappa") if p[key] is not None})
     spec.params.update(config.to_dict())
 
-    nu, omega, a, b = desk_pipeline_inputs(config)
-    report = run_pipeline(config, nu, omega, a, b)
+    report = run_pipeline(config, *desk_pipeline_inputs(config))
     _write_csv(spec, "pipeline-chain.csv", report.write_csv)
     ok = (
         report.final_failure_fraction <= p["max_final_fraction"]
@@ -370,6 +369,8 @@ def _cmd_series(spec: ExperimentSpec) -> int:
         raise DomainError(f"n_step must be >= 1, got {p['n_step']}")
     if p["n_start"] < 2 or p["q_max"] < 1 or p["prime_bound"] < 2:
         raise DomainError("need n_start >= 2, q_max >= 1 and prime_bound >= 2")
+    if p["n_stop"] < p["n_start"]:
+        raise DomainError(f"empty range: n_stop {p['n_stop']} < n_start {p['n_start']}")
     ns = range(p["n_start"], p["n_stop"] + 1, p["n_step"])
 
     def body(fh):

@@ -45,7 +45,6 @@ which a spectrum on 2 span points carries (see _gallagher_weights).
 from __future__ import annotations
 
 import csv
-import json
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -248,19 +247,6 @@ class ClosenessReport:
             "spot_alpha": self.spot_alpha,
             "farey_over_spot": self.farey_bound / self.spot_estimate if self.spot_estimate else None,
         }
-
-    def to_json(self) -> str:
-        payload = {
-            "sup_estimate": self.sup_estimate,
-            "theta_effective": self.theta_effective,
-            "reference_norm": self.reference_norm,
-            "h": self.h,
-            "order": self.order,
-            "grid_resolution": self.grid_resolution,
-            "arc_count": len(self.per_arc),
-            **self.decision(),
-        }
-        return json.dumps(payload, sort_keys=True)
 
     def write_arc_csv(self, fh: IO[str]) -> None:
         writer = csv.writer(fh)

@@ -3,32 +3,32 @@ end-to-end minorant-transfer pipeline.
 
 The pipeline evaluates, by windowed convolution on [X-H, X], the chain
 
-    a*b(n)  >=  a*nu(n)  ~  a*T+(n)  >=  omega*T+(n)  ~  omega*T(n)
+    a*a(n)  >=  a*nu(n)  ~  a*T+(n)  >=  omega*T+(n)  ~  omega*T(n)
 
-where T = c_nu Lambda_Q on (Y, 2Y], T+ is the nonnegative sieve model, nu <= b
-and omega <= a pointwise, a >= 0 and T+ >= 0.  The two >= steps are pointwise
+where T = c_nu Lambda_Q on (Y, 2Y], T+ is the nonnegative sieve model, a >= 0
+is the prime weight both summands of a binary Goldbach partition carry, and
+nu <= a and omega <= a are its two minorants.  The two >= steps are pointwise
 inequalities and must never fail; the two ~ steps are approximations whose
 violations at slack kappa are counted.  The final verdict per even n is the
-lower bound a*b(n) >= omega*T(n) - 2 kappa.  Each step costs (H+1) times the
+lower bound a*a(n) >= omega*T(n) - 2 kappa.  Each step costs (H+1) times the
 length of its second factor, or one transform of about that length plus H
 when that is cheaper, never a full convolution of length up to 2X.
 
-Only a*b reaches all of [0, X]; every other input lives in a window of size
-O(Y).  a and b are therefore block sources, read a segment at a time: a run
-holds O(sqrt(X) + segment + H + Y) values (`pipeline_working_set`), and a
-working set above PIPELINE_CAP raises CapacityError before anything is sieved.
-a*b(n) is split at m0 = ceil((X-H)/2): the pairs (m, n-m) with one part below
-m0 come from [0, m0) against its mirror near X, the rest from one window of at
-most H+1 values around X/2.  When b is a, the two mirrored halves are one sum,
-so each integer of [0, X] is sieved once (H more per segment) and a*b makes
-about (H+1)(X+1)/2 multiply-adds.  At Q = 10 on a 2-core machine, X = 10^8 ran
-in about 2.3 s and X = 10^9 in about 27 s, each under 50 MB peak RSS.
+Only a*a reaches all of [0, X]; every other input lives in a window of size
+O(Y).  a is therefore a block source, read a segment at a time: a run holds
+O(sqrt(X) + segment + H + Y) values (`pipeline_working_set`), and a working
+set above PIPELINE_CAP raises CapacityError before anything is sieved.
+a*a(n) is split at m0 = ceil((X-H)/2): the pairs (m, n-m) with one part below
+m0 come twice from [0, m0) against its mirror near X, the rest from one
+window of at most H+1 values around X/2.  So each integer of [0, X] is sieved
+once (H more per segment) and a*a makes about (H+1)(X+1)/2 multiply-adds.
+At Q = 10 on a 2-core machine, X = 10^8 ran in about 2.3 s and X = 10^9 in
+about 27 s, each under 50 MB peak RSS.
 """
 
 from __future__ import annotations
 
 import csv
-import json
 import math
 from dataclasses import dataclass, field
 from typing import IO, Callable, Optional
@@ -47,7 +47,7 @@ from .models import LambdaQParams, model_t_nu, model_t_nu_plus
 PIPELINE_SEGMENT = 1 << 18  # integers m whose a(m) run_pipeline reads at a time
 # integers m of a segment that one convolve_valid takes: at least this many,
 # so that its H+1 outputs reuse cached values, and at least 4(H+1), so that the
-# H values of b beyond the chunk stay a quarter of it at most
+# H values of the mirror beyond the chunk stay a quarter of it at most
 PIPELINE_CHUNK = 1 << 16
 PIPELINE_CAP = 10**8  # values a pipeline run holds at once (pipeline_working_set); 8 bytes each
 SCAN_BLOCK = 1 << 20  # integers of [X-H, X] that exceptional_scan sifts at a time; even
@@ -269,16 +269,16 @@ class PipelineReport:
     config: PipelineConfig
     exceptions_step2: int  # |a*nu - a*T+| > kappa
     exceptions_step4: int  # |omega*T+ - omega*T| > kappa
-    final_failures: int  # even n with a*b(n) < omega*T(n) - 2 kappa
-    minorization_violations: int  # nu > b or omega > a anywhere
+    final_failures: int  # even n with a*a(n) < omega*T(n) - 2 kappa
+    minorization_violations: int  # nu > a or omega > a on their windows
     step_positivity_violations: int  # a*T+ < omega*T+ (must be 0)
     even_count: int
     odd_count: int
     odd_final_failures: int
-    segments: int  # segments of [0, m0) that a*b streamed
-    values_streamed: int  # source values the a*b stream read
+    segments: int  # segments of [0, m0) that a*a streamed
+    values_streamed: int  # values of a the a*a stream read
     working_set: int  # pipeline_working_set(config), in values
-    rows: tuple = field(repr=False)  # (n, a*b(n), omega*T(n), verdict)
+    rows: tuple = field(repr=False)  # (n, a*a(n), omega*T(n), verdict)
 
     @property
     def final_failure_fraction(self) -> float:
@@ -298,12 +298,7 @@ class PipelineReport:
             "odd_final_failures": self.odd_final_failures,
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.summary(), sort_keys=True)
-
     def write_csv(self, fh: IO[str]) -> None:
-        for key, value in sorted(self.config.to_dict().items()):
-            fh.write(f"# {key} = {value}\n")
         writer = csv.writer(fh)
         writer.writerow(["n", "lambda_conv", "omega_model_conv", "verdict"])
         for n, ab, om, verdict in self.rows:
@@ -312,10 +307,10 @@ class PipelineReport:
 
 def pipeline_working_set(config: PipelineConfig) -> int:
     """Values a pipeline run holds at once: the base primes up to sqrt(X), two
-    blocks of the a*b stream (a segment of [0, m0) and the segment + H values
+    blocks of the a*a stream (a segment of [0, m0) and the segment + H values
     of its mirror), and at most ten windows of Y + H values (nu, omega, T, T+,
     a on the step preimages and on omega's window, and the differences of one
-    step).  The middle window of a*b holds at most 2(H + 1) values."""
+    step).  The middle window of a*a holds at most 2(H + 1) values."""
     return math.isqrt(config.x) + 2 * PIPELINE_SEGMENT + 10 * (config.y + config.h)
 
 
@@ -343,39 +338,28 @@ def _require_support(f: ArithFn, window: tuple[int, int], name: str) -> None:
         )
 
 
-def _read_nonnegative(a: BlockSource, start: int, stop: int) -> np.ndarray:
-    values = a(start, stop)
-    if np.min(values, initial=0) < 0:
-        raise ContractError("a must be nonnegative")
-    return values
-
-
 def run_pipeline(
     config: PipelineConfig,
     nu: ArithFn,
     omega: ArithFn,
     a: BlockSource,
-    b: BlockSource,
     t_nu: Optional[ArithFn] = None,
     t_nu_plus: Optional[ArithFn] = None,
 ) -> PipelineReport:
     """Evaluate the whole transfer chain by windowed convolution on [X-H, X].
 
     nu must live on (Y, 2Y] and omega on (X-3Y, X-Y]; a must be nonnegative and
-    dominate omega, b must dominate nu.  a and b are block sources, such as
-    `prime_weights` or a bound f.embed.  t_nu / t_nu_plus default to the models
-    built from the config (Lambda_Q scaled by c_nu, and the rescaled
-    untruncated sieve at z = Q).
+    dominate both.  a is a block source, such as `prime_weights` or a bound
+    f.embed.  t_nu / t_nu_plus default to the models built from the config
+    (Lambda_Q scaled by c_nu, and the rescaled untruncated sieve at z = Q).
 
-    a is read on the m that step 2 and the positivity step reach and on
-    omega's window, b on nu's window.  a*b splits at m0 = ceil((X-H)/2): the
-    segments [s, s + PIPELINE_SEGMENT) of [0, m0) of a meet b on their mirror
-    near X and those of b meet a, each convolved in chunks, and one window
-    [m0, X - m0] of both holds the rest.  When b is a, the two mirrored sums
-    are one, read and convolved once and doubled.  The stream reads
-    X + 1 + segments * H values (`values_streamed`), twice that when b is not
-    a.  Every read of a is checked nonnegative, raising ContractError; b < 0
-    outside nu's window is counted once per point as a minorization violation.
+    a is read on nu's and omega's windows, on the m that step 2 and the
+    positivity step reach, and by the a*a stream.  a*a splits at
+    m0 = ceil((X-H)/2): each segment [s, s + PIPELINE_SEGMENT) of [0, m0)
+    meets its mirror near X, convolved in chunks, and the sum is doubled; one
+    window [m0, X - m0] holds the rest.  The stream reads X + 1 + segments * H
+    values (`values_streamed`).  Every read of a is checked nonnegative,
+    raising ContractError.
     """
     working_set = _require_capacity(config)
     _require_support(nu, config.nu_window, "nu")
@@ -388,10 +372,19 @@ def run_pipeline(
     if np.min(t_nu_plus.values, initial=0) < 0:
         raise ContractError("t_nu_plus must be nonnegative")
 
-    # nu <= b and omega <= a on their windows; outside nu's window nu = 0, so
-    # b < 0 there is counted below while a*b streams b
-    minorization = int(np.sum(nu.values > b(nu.support_start, nu.support_stop) + 1e-12))
-    minorization += int(np.sum(omega.values > _read_nonnegative(a, omega.support_start, omega.support_stop) + 1e-12))
+    values_read = 0
+
+    def read(start: int, stop: int) -> np.ndarray:
+        nonlocal values_read
+        values = a(start, stop)
+        if np.min(values, initial=0) < 0:
+            raise ContractError("a must be nonnegative")
+        values_read += stop - start
+        return values
+
+    # nu <= a and omega <= a on their windows; off them both are 0 <= a
+    minorization = int(np.sum(nu.values > read(nu.support_start, nu.support_stop) + 1e-12))
+    minorization += int(np.sum(omega.values > read(omega.support_start, omega.support_stop) + 1e-12))
 
     kappa = config.kappa
     lo, hi = config.x - config.h, config.x
@@ -402,7 +395,7 @@ def run_pipeline(
     step_cut, positivity_cut = window_preimage(nu_gap, lo, hi), window_preimage(t_nu_plus, lo, hi)
     start = max(min(step_cut[0], positivity_cut[0]), 0)
     stop = max(step_cut[1], positivity_cut[1])
-    a_near = ArithFn(start, _read_nonnegative(a, start, stop))
+    a_near = ArithFn(start, read(start, stop))
 
     # approximation steps, computed on the difference functions so that a
     # collapsed chain (nu = T = T+) is exactly zero
@@ -418,51 +411,28 @@ def run_pipeline(
     # and in the minorization count.
     positivity_violations = int(np.sum(convolve_window(subtract(a_near, omega), t_nu_plus, lo, hi) < 0))
 
-    # a*b(n) = sum_{m < m0} a(m) b(n-m) + sum_{m < m0} b(m) a(n-m) + sum_{m0 <= m <= n-m0} a(m) b(n-m)
-    # for n >= lo >= 2 m0 - 1.  Each pair (first, second) streams the segments
-    # [s, stop) of [0, m0) of first against the mirrored block [lo - stop + 1, hi - s]
-    # of second; when b is a the two pairs are one read, made once and doubled.
-    # The last sum is one window [m0, hi - m0] of at most H + 1 values of each.
+    # a*a(n) = 2 sum_{m < m0} a(m) a(n-m) + sum_{m0 <= m <= n-m0} a(m) a(n-m) for
+    # n >= lo >= 2 m0 - 1.  Each segment [s, stop) of [0, m0) meets its mirrored
+    # block [lo - stop + 1, hi - s]; the last sum is one window [m0, hi - m0] of
+    # at most H + 1 values.
     m0 = -(-lo // 2)
-    pairs = ((a, b),) if b is a else ((a, b), (b, a))
     chunk = max(PIPELINE_CHUNK, 4 * (config.h + 1))
     ab = np.zeros(hi - lo + 1)
-    segments = streamed = 0
-
-    def read(source: BlockSource, start: int, stop: int) -> np.ndarray:
-        nonlocal streamed
-        streamed += stop - start
-        return _read_nonnegative(a, start, stop) if source is a else source(start, stop)
-
-    def count_negative(values: np.ndarray, start: int) -> int:
-        negative = values < -1e-12
-        negative[max(nu.support_start - start, 0) : max(nu.support_stop - start, 0)] = False
-        return int(np.count_nonzero(negative))
-
-    # b < 0 off nu's window breaks nu <= b; it is counted on the low tiles of
-    # b, the fresh part [hi - stop + 1, hi - s] of each mirror of b and the
-    # middle window, which tile [0, X]
+    segments = 0
+    before_stream = values_read
     for s in range(0, m0, PIPELINE_SEGMENT):
         stop = min(s + PIPELINE_SEGMENT, m0)
-        for first, second in pairs:
-            low = read(first, s, stop)
-            base = lo - stop + 1
-            mirror = read(second, base, hi - s + 1)
-            if first is b:
-                minorization += count_negative(low, s)
-            if second is b:
-                minorization += count_negative(mirror[hi - stop + 1 - base :], hi - stop + 1)
-            for c in range(s, stop, chunk):
-                part = low[c - s : c - s + chunk]
-                cut = lo - c - len(part) + 1  # the chunk meets the mirror on [cut, hi - c]
-                ab += convolve_valid(mirror[cut - base : hi - c + 1 - base], part)
+        low = read(s, stop)
+        base = lo - stop + 1
+        mirror = read(base, hi - s + 1)
+        for c in range(s, stop, chunk):
+            part = low[c - s : c - s + chunk]
+            cut = lo - c - len(part) + 1  # the chunk meets the mirror on [cut, hi - c]
+            ab += convolve_valid(mirror[cut - base : hi - c + 1 - base], part)
         segments += 1
-    if b is a:
-        ab *= 2
-    a_mid = read(a, m0, hi - m0 + 1)
-    b_mid = a_mid if b is a else read(b, m0, hi - m0 + 1)
-    minorization += count_negative(b_mid, m0)
-    ab += convolve_window(ArithFn(m0, a_mid), ArithFn(m0, b_mid), lo, hi)
+    ab *= 2
+    middle = ArithFn(m0, read(m0, hi - m0 + 1))
+    ab += convolve_window(middle, middle, lo, hi)
     om = convolve_window(omega, t_nu, lo, hi)
 
     even = ns % 2 == 0
@@ -489,7 +459,7 @@ def run_pipeline(
         odd_count=int(np.sum(~even)),
         odd_final_failures=odd_final_failures,
         segments=segments,
-        values_streamed=streamed,
+        values_streamed=values_read - before_stream,
         working_set=working_set,
         rows=tuple(rows),
     )
@@ -504,20 +474,19 @@ def restricted_prime_fn(x: int, window: tuple[int, int]) -> ArithFn:
     return ArithFn(lo + 1, prime_weights(lo + 1, hi + 1))
 
 
-def desk_pipeline_inputs(config: PipelineConfig) -> tuple[ArithFn, ArithFn, BlockSource, BlockSource]:
-    """(nu, omega, a, b) for the desk run: the trivial minorants nu = Lambda'
+def desk_pipeline_inputs(config: PipelineConfig) -> tuple[ArithFn, ArithFn, BlockSource]:
+    """(nu, omega, a) for the desk run: the trivial minorants nu = Lambda'
     restricted to (Y, 2Y] and omega = Lambda' restricted to (X-3Y, X-Y], each
-    sieved on its window only, and a = b = `prime_weights`, the block source of
+    sieved on its window only, and a = `prime_weights`, the block source of
     Lambda'.
 
-    a is b, so run_pipeline then sieves [0, X] once, a segment at a time
-    (H more values per segment), makes about (H+1)(X+1)/2 multiply-adds for
-    a*b (or the transforms of its chunks, when cheaper), and holds
-    O(sqrt(X) + segment + H + Y) values,
-    `pipeline_working_set(config)`.  A working set above PIPELINE_CAP = 10^8
+    run_pipeline then sieves [0, X] once, a segment at a time (H more values
+    per segment), makes about (H+1)(X+1)/2 multiply-adds for a*a (or the
+    transforms of its chunks, when cheaper), and holds
+    O(sqrt(X) + segment + H + Y) values, `pipeline_working_set(config)`.  A working set above PIPELINE_CAP = 10^8
     values raises CapacityError here, before anything is sieved.
     """
     _require_capacity(config)
     nu = restricted_prime_fn(config.x, config.nu_window)
     omega = restricted_prime_fn(config.x, config.omega_window)
-    return nu, omega, prime_weights, prime_weights
+    return nu, omega, prime_weights

@@ -338,7 +338,11 @@ def test_criterion_7_pipeline():
     config = desk_config(200_000, big_q=10)
     nu = restricted_prime_fn(config.x, config.nu_window)
     omega = restricted_prime_fn(config.x, config.omega_window)
-    collapsed = run_pipeline(config, nu, omega, a=omega.embed, b=nu.embed, t_nu=nu, t_nu_plus=nu)
+    # a = nu + omega: nu*nu lives on (2Y, 4Y] and omega*omega beyond 2(X - 3Y) > X,
+    # so a*a = 2 omega*nu on [X-H, X]
+    both = ArithFn(nu.support_start, nu.embed(nu.support_start, omega.support_stop)
+                   + omega.embed(nu.support_start, omega.support_stop))
+    collapsed = run_pipeline(config, nu, omega, both.embed, t_nu=nu, t_nu_plus=nu)
     all_zero = (
         collapsed.exceptions_step2 == 0
         and collapsed.exceptions_step4 == 0
@@ -359,6 +363,7 @@ def test_criterion_7_pipeline():
         ("desk-small: pointwise domination step has zero violations",
          report_run.step_positivity_violations == 0, "a*T+ >= omega*T+ everywhere")
     )
+    # "b" in the text is the weight of the second summand, which here is a itself
     checks.append(
         ("desk-small: minorization violations exactly 0",
          report_run.minorization_violations == 0, "nu <= b and omega <= a")

@@ -130,6 +130,11 @@ class TestPipeline:
         body = (tmp_path / "pipeline-chain.csv").read_text()
         assert "n,lambda_conv,omega_model_conv,verdict" in body
         assert "# x = 200000" in body
+        # the config keys are echoed once, with the parameters
+        comments = [line for line in body.splitlines() if line.startswith("# ")]
+        keys = [line.split(" = ")[0] for line in comments]
+        assert len(keys) == len(set(keys))
+        assert {"# a_power", "# theta_target", "# ideal", "# kappa"} <= set(keys)
         summary = json.loads((tmp_path / "pipeline-summary.json").read_text())
         assert summary["report"]["final_failures"] == 0
 
@@ -189,12 +194,14 @@ class TestSeries:
         assert rows[0] == "n,partial_sum,euler_product"
         assert len(rows) == 1 + 9
 
-    def test_empty_range_has_no_rows(self, tmp_path):
-        assert run(["--out", str(tmp_path), "series", "--n-start", "10", "--n-stop", "4"]) == 0
-        summary = json.loads((tmp_path / "series-summary.json").read_text())
-        assert summary["rows"] == 0
-        rows = [l for l in (tmp_path / "singular-series.csv").read_text().splitlines() if not l.startswith("#")]
-        assert rows == ["n,partial_sum,euler_product"]
+    def test_empty_range_exits_2_and_writes_nothing(self, tmp_path, capsys):
+        assert run(["--out", str(tmp_path), "series", "--n-start", "10", "--n-stop", "4"]) == 2
+        assert "empty range" in capsys.readouterr().err
+        assert not (tmp_path / "singular-series.csv").exists()
+        assert not (tmp_path / "series-summary.json").exists()
+        # a range of one n is not empty
+        assert run(["--out", str(tmp_path), "series", "--n-start", "10", "--n-stop", "10"]) == 0
+        assert json.loads((tmp_path / "series-summary.json").read_text())["rows"] == 1
 
     @pytest.mark.parametrize("flag, value", [("--n-start", "1"), ("--q-max", "0"), ("--prime-bound", "1")])
     def test_bad_bound_exits_2_and_writes_nothing(self, tmp_path, flag, value):

@@ -1,5 +1,4 @@
 import io
-import json
 import math
 from fractions import Fraction
 
@@ -251,9 +250,7 @@ class TestClosenessIntegral:
     def test_report_serialization(self, rng):
         f, g = self._pair(rng)
         rep = closeness_integral(f, g, 64.0)
-        js = rep.to_json()
-        assert '"sup_estimate"' in js
-        payload = json.loads(js)
+        payload = rep.decision()
         assert payload["decided_by"] == rep.decided_by in ("farey", "spot")
         assert payload["farey_arc"] in [[arc.q, arc.r] for arc, _ in rep.per_arc]
         assert 0.0 <= payload["spot_alpha"] <= 0.5

@@ -317,7 +317,11 @@ class TestPipeline:
         config = desk_config(200_000, big_q=10)
         nu = restricted_prime_fn(config.x, config.nu_window)
         omega = restricted_prime_fn(config.x, config.omega_window)
-        report = run_pipeline(config, nu, omega, a=omega.embed, b=nu.embed, t_nu=nu, t_nu_plus=nu)
+        # a = nu + omega: nu*nu lives on (2Y, 4Y] and omega*omega beyond
+        # 2(X - 3Y) > X, so a*a = 2 omega*nu on [X-H, X]
+        both = ArithFn(nu.support_start, nu.embed(nu.support_start, omega.support_stop)
+                       + omega.embed(nu.support_start, omega.support_stop))
+        report = run_pipeline(config, nu, omega, both.embed, t_nu=nu, t_nu_plus=nu)
         assert report.exceptions_step2 == 0
         assert report.exceptions_step4 == 0
         assert report.final_failures == 0
@@ -329,16 +333,16 @@ class TestPipeline:
         from dataclasses import replace
 
         config = replace(desk_config(200_000, big_q=10), kappa=1e18)
-        nu, omega, a, b = desk_pipeline_inputs(config)
-        report = run_pipeline(config, nu, omega, a, b)
+        nu, omega, a = desk_pipeline_inputs(config)
+        report = run_pipeline(config, nu, omega, a)
         assert report.exceptions_step2 == 0
         assert report.exceptions_step4 == 0
         assert report.final_failures == 0
 
     def test_desk_small_run(self):
         config = PRESETS["desk-small"]()
-        nu, omega, a, b = desk_pipeline_inputs(config)
-        report = run_pipeline(config, nu, omega, a, b)
+        nu, omega, a = desk_pipeline_inputs(config)
+        report = run_pipeline(config, nu, omega, a)
         assert report.final_failures == 0
         assert report.step_positivity_violations == 0
         assert report.minorization_violations == 0
@@ -346,16 +350,16 @@ class TestPipeline:
 
     def test_counts_bounded_by_window(self):
         config = PRESETS["desk-small"]()
-        nu, omega, a, b = desk_pipeline_inputs(config)
-        report = run_pipeline(config, nu, omega, a, b)
+        nu, omega, a = desk_pipeline_inputs(config)
+        report = run_pipeline(config, nu, omega, a)
         for count in (report.exceptions_step2, report.exceptions_step4, report.final_failures):
             assert 0 <= count <= config.h + 1
 
     def test_representation_verdicts_match_exceptional_set(self, flags_1e6):
-        # two independent code paths: a*b(n) > 0 versus the exhaustive search
+        # two independent code paths: a*a(n) > 0 versus the exhaustive search
         config = PRESETS["desk-small"]()
-        nu, omega, a, b = desk_pipeline_inputs(config)
-        conv = ArithFn(0, arithfn._convolve_fft(a(0, config.x + 1), b(0, config.x + 1)))
+        nu, omega, a = desk_pipeline_inputs(config)
+        conv = ArithFn(0, arithfn._convolve_fft(a(0, config.x + 1), a(0, config.x + 1)))
         missing = set(exceptional_scan(config.x, config.h).exceptions)
         for n in range(config.x - config.h, config.x + 1):
             if n % 2:
@@ -364,7 +368,7 @@ class TestPipeline:
 
     def test_inputs_beyond_desk_cap_fail_up_front(self, monkeypatch):
         config = PRESETS["desk-small"]()
-        nu, omega, a, b = desk_pipeline_inputs(config)
+        nu, omega, a = desk_pipeline_inputs(config)
         reads = []
 
         def source(start, stop):
@@ -376,7 +380,7 @@ class TestPipeline:
         with pytest.raises(CapacityError):
             desk_pipeline_inputs(config)
         with pytest.raises(CapacityError):
-            run_pipeline(config, nu, omega, source, source)
+            run_pipeline(config, nu, omega, source)
         assert reads == []
         monkeypatch.setattr(goldbach, "PIPELINE_CAP", goldbach.pipeline_working_set(config))
         assert run_pipeline(config, *desk_pipeline_inputs(config)).working_set == goldbach.PIPELINE_CAP
@@ -391,33 +395,31 @@ class TestPipeline:
 
     def test_support_misconfiguration_rejected(self):
         config = desk_config(200_000, big_q=10)
-        nu, omega, a, b = desk_pipeline_inputs(config)
+        nu, omega, a = desk_pipeline_inputs(config)
         shifted = ArithFn(nu.support_start + 5_000, nu.values)
         with pytest.raises(ContractError):
-            run_pipeline(config, shifted, omega, a, b)
+            run_pipeline(config, shifted, omega, a)
         with pytest.raises(ContractError):
-            run_pipeline(config, nu, shifted, a, b)
+            run_pipeline(config, nu, shifted, a)
 
     def test_minorization_violation_detected(self):
         config = desk_config(200_000, big_q=10)
-        nu, omega, a, b = desk_pipeline_inputs(config)
+        nu, omega, a = desk_pipeline_inputs(config)
         inflated = ArithFn(nu.support_start, nu.values * 2 + 1e-6)
-        report = run_pipeline(config, inflated, omega, a, b)
+        report = run_pipeline(config, inflated, omega, a)
         assert report.minorization_violations > 0
 
     def test_csv_and_json_reports(self):
         config = PRESETS["desk-small"]()
-        nu, omega, a, b = desk_pipeline_inputs(config)
-        report = run_pipeline(config, nu, omega, a, b)
+        nu, omega, a = desk_pipeline_inputs(config)
+        report = run_pipeline(config, nu, omega, a)
         buf = io.StringIO()
         report.write_csv(buf)
-        text = buf.getvalue()
-        assert text.startswith("#")
-        header_rows = [l for l in text.splitlines() if not l.startswith("#")]
-        assert header_rows[0] == "n,lambda_conv,omega_model_conv,verdict"
-        assert len(header_rows) == 1 + config.h + 1
-        js = report.to_json()
-        assert '"final_failures": 0' in js
+        # the config comments are the CLI's header; the report writes the table only
+        rows = buf.getvalue().splitlines()
+        assert rows[0] == "n,lambda_conv,omega_model_conv,verdict"
+        assert len(rows) == 1 + config.h + 1
+        assert report.summary()["final_failures"] == 0
 
 
 class TestPipelineScaling:
@@ -432,15 +434,15 @@ class TestPipelineScaling:
 
     def test_trimmed_steps_match_full_convolutions(self):
         config = PRESETS["desk-small"]()
-        nu, omega, a, b = desk_pipeline_inputs(config)
-        report = run_pipeline(config, nu, omega, a, b)
-        full = ArithFn(0, arithfn._convolve_fft(a(0, config.x + 1), b(0, config.x + 1)))
+        nu, omega, a = desk_pipeline_inputs(config)
+        report = run_pipeline(config, nu, omega, a)
+        full = ArithFn(0, arithfn._convolve_fft(a(0, config.x + 1), a(0, config.x + 1)))
         ab = np.array([row[1] for row in report.rows])
         assert np.allclose(ab, [full(n) for n, *_ in report.rows], rtol=1e-12, atol=1e-6)
 
     @pytest.mark.parametrize("preset", ["desk-small", "desk-medium"])
     def test_tiny_blocks_match_one_shot_convolution(self, preset, monkeypatch):
-        # a*b streams [0, m0), m0 = ceil((X - H) / 2) = X/2 - 32 at both presets,
+        # a*a streams [0, m0), m0 = ceil((X - H) / 2) = X/2 - 32 at both presets,
         # so the last of its segments of 1000 holds 968 integers
         config = PRESETS[preset]()
         inputs = desk_pipeline_inputs(config)
@@ -467,8 +469,8 @@ class TestPipelineScaling:
         assert lengths[-1] == 968
         assert report.segments == len(lengths) == -(-m0 // 1000)
         # steps 2, 4, positivity, omega*T and the middle window take one
-        # convolve_window each; b is a, so one pair per segment, and each chunk
-        # of a segment is one convolve_valid against its mirror
+        # convolve_window each, and each chunk of a segment is one
+        # convolve_valid against its mirror
         assert calls.count("window") == 5
         assert calls.count("valid") == sum(-(-n // chunk) for n in lengths)
         assert report.summary() == whole.summary()
@@ -482,7 +484,7 @@ class TestPipelineScaling:
     def test_half_stream_is_both_pairs(self, x, monkeypatch):
         config = desk_config(x, big_q=10)
         assert config.h == 64
-        nu, omega, a, _ = desk_pipeline_inputs(config)
+        nu, omega, a = desk_pipeline_inputs(config)
         reads = []
 
         def source(start, stop):
@@ -490,7 +492,7 @@ class TestPipelineScaling:
             return a(start, stop)
 
         monkeypatch.setattr(goldbach, "PIPELINE_SEGMENT", 1 << 12)
-        same = run_pipeline(config, nu, omega, source, source)
+        same = run_pipeline(config, nu, omega, source)
         # before the stream, run_pipeline reads nu's window, omega's window and
         # the preimage of the steps; the stream's reads tile [0, X] with one
         # overlap of H per segment
@@ -504,19 +506,12 @@ class TestPipelineScaling:
             covered[start:stop] = True
         assert covered.all()
 
-        other = run_pipeline(config, nu, omega, source, lambda start, stop: source(start, stop))
-        assert other.summary() == same.summary()
-        assert other.values_streamed == 2 * same.values_streamed
-        ab, ab_other = (np.array([row[1] for row in r.rows]) for r in (same, other))
-        assert np.max(np.abs(ab - ab_other)) <= 1e-12 * np.max(np.abs(ab))
-        assert [row[3] for row in same.rows] == [row[3] for row in other.rows]
-
     @pytest.mark.parametrize("x", [200_000, 200_001])
     def test_split_matches_one_shot_convolution_on_dense_sources(self, x, monkeypatch):
         # Lambda' vanishes on even m, so it cannot tell where the halves meet;
         # sources that vanish nowhere do
         config = desk_config(x, big_q=10)
-        nu, omega, _, _ = desk_pipeline_inputs(config)
+        nu, omega, _ = desk_pipeline_inputs(config)
 
         def ones(start, stop):
             return np.ones(stop - start)
@@ -525,39 +520,20 @@ class TestPipelineScaling:
             return 1.0 + np.arange(start, stop) % 7
 
         monkeypatch.setattr(goldbach, "PIPELINE_SEGMENT", 1 << 12)
-        for a, b in ((ones, ones), (ones, ramp), (ramp, ones)):
-            report = run_pipeline(config, nu, omega, a, b)
-            full = arithfn._convolve_fft(a(0, x + 1), b(0, x + 1))
+        for a in (ones, ramp):
+            report = run_pipeline(config, nu, omega, a)
+            full = arithfn._convolve_fft(a(0, x + 1), a(0, x + 1))
             ab = np.array([row[1] for row in report.rows])
             assert np.max(np.abs(ab - full[x - config.h : x + 1])) <= 1e-12 * np.max(ab)
 
-    @pytest.mark.parametrize("x", [200_000, 200_001])
-    def test_negative_b_counted_once_at_the_tile_edges(self, x, monkeypatch):
-        # low tiles [s, stop) of [0, m0), the middle window [m0, X - m0] and
-        # the fresh mirrors [X - stop + 1, X - s], at segments of 2^10
-        config = desk_config(x, big_q=10)
-        nu, omega, a, _ = desk_pipeline_inputs(config)
-        m0 = -(-(config.x - config.h) // 2)
-        negative = [0, 3071, 3072, m0 - 1, m0, x - m0, x - m0 + 1, x - 3072, x - 3071, x]
-        assert len(set(negative)) == len(negative)
-        assert not any(nu.support_start <= n < nu.support_stop for n in negative)
-
-        def b(start, stop):
-            values = prime_weights(start, stop)
-            for n in negative:
-                if start <= n < stop:
-                    values[n - start] = -1.0
-            return values
-
-        monkeypatch.setattr(goldbach, "PIPELINE_SEGMENT", 1 << 10)
-        assert run_pipeline(config, nu, omega, a, b).minorization_violations == len(negative)
-
-    @pytest.mark.parametrize("m", [10, 150_000, 197_500, 199_500])
+    @pytest.mark.parametrize("m", [10, 150_000, 197_500, 199_500, 99_968, 100_032, 200_000])
     def test_negative_a_on_any_read_is_a_contract_error(self, m, monkeypatch):
-        # 10 and 150000 are read only by the a*b stream, 197500 also by step 2
-        # and the positivity step, 199500 also on omega's window
+        # 10 and 150000 are read only by the a*a stream, 197500 also by step 2
+        # and the positivity step, 199500 also on omega's window; at segments of
+        # 2^16, m0 = 99968 is read only by the middle window [m0, X - m0],
+        # X - m0 = 100032 by it and the last mirror, X by the first mirror only
         config = PRESETS["desk-small"]()
-        nu, omega, a, b = desk_pipeline_inputs(config)
+        nu, omega, a = desk_pipeline_inputs(config)
 
         def dented(start, stop):
             values = a(start, stop)
@@ -567,12 +543,12 @@ class TestPipelineScaling:
 
         monkeypatch.setattr(goldbach, "PIPELINE_SEGMENT", 1 << 16)
         with pytest.raises(ContractError, match="a must be nonnegative"):
-            run_pipeline(config, nu, omega, dented, b)
+            run_pipeline(config, nu, omega, dented)
 
     @pytest.mark.parametrize("segment", [1 << 10, goldbach.PIPELINE_SEGMENT])
     def test_reads_stay_within_a_segment_or_a_window(self, segment, monkeypatch):
         config = PRESETS["desk-medium"]()
-        nu, omega, _, _ = desk_pipeline_inputs(config)
+        nu, omega, _ = desk_pipeline_inputs(config)
         longest = [0]
 
         def source(start, stop):
@@ -580,31 +556,10 @@ class TestPipelineScaling:
             return prime_weights(start, stop)
 
         monkeypatch.setattr(goldbach, "PIPELINE_SEGMENT", segment)
-        report = run_pipeline(config, nu, omega, source, source)
+        report = run_pipeline(config, nu, omega, source)
         assert report.final_failures == 0
         assert longest[0] <= max(segment + config.h, 2 * config.y)
         assert longest[0] < config.x // 2
-
-    @pytest.mark.parametrize("segment", [1 << 10, goldbach.PIPELINE_SEGMENT])
-    def test_negative_b_counted_once(self, segment, monkeypatch):
-        # nu = 0 outside its window, so b < 0 there breaks nu <= b; a point read
-        # by two segments, or inside nu's window, is counted once
-        config = PRESETS["desk-small"]()
-        nu, omega, a, _ = desk_pipeline_inputs(config)
-        lo, hi = config.x - config.h, config.x
-        below_tile = hi - 51 * (1 << 10) - 5  # in the tile of segment 51
-        assert lo - 51 * (1 << 10) + 1 <= below_tile  # and in segment 50's read of b
-        negative = [10, below_tile, 123_457, 1500]  # 1500 in nu's window, counted there
-
-        def b(start, stop):
-            values = prime_weights(start, stop)
-            for n in negative:
-                if start <= n < stop:
-                    values[n - start] = -1.0
-            return values
-
-        monkeypatch.setattr(goldbach, "PIPELINE_SEGMENT", segment)
-        assert run_pipeline(config, nu, omega, a, b).minorization_violations == len(negative)
 
 
 class TestMinorizationReporting:
@@ -612,19 +567,19 @@ class TestMinorizationReporting:
         # a bump of omega at a composite m read by the window: a(m) = 0 < omega(m),
         # so (a - omega) * T+ goes negative wherever T+(n - m) > 0
         config = PRESETS["desk-small"]()
-        nu, omega, a, b = desk_pipeline_inputs(config)
+        nu, omega, a = desk_pipeline_inputs(config)
         m = 198_000
         assert config.x - config.h - 2 * config.y <= m <= config.x - config.y - 1
         bumped = omega.values.copy()
         bumped[m - omega.support_start] += 1.0
-        report = run_pipeline(config, nu, ArithFn(omega.support_start, bumped), a, b)
+        report = run_pipeline(config, nu, ArithFn(omega.support_start, bumped), a)
         assert report.step_positivity_violations > 0
         assert report.minorization_violations > 0
 
     def test_omega_exceeding_a_is_counted_not_fatal(self):
         config = desk_config(200_000, big_q=10)
-        nu, omega, a, b = desk_pipeline_inputs(config)
+        nu, omega, a = desk_pipeline_inputs(config)
         spiked = omega.values.copy()
         spiked[len(spiked) // 2] += 100.0  # omega > a at one point
-        report = run_pipeline(config, nu, ArithFn(omega.support_start, spiked), a, b)
+        report = run_pipeline(config, nu, ArithFn(omega.support_start, spiked), a)
         assert report.minorization_violations >= 1

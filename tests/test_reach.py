@@ -4,8 +4,11 @@ A walk over the source, from `cmlab.cli.main`, follows every name and
 attribute a reached body mentions to each module-level function, class or
 assignment of that name in any module of the package.  Only attributes of
 modules from outside the package (np.convolve, math.gcd) are not followed.
-Matching by name alone over-approximates reachability, so a definition the walk
-misses is reached by no subcommand: it belongs in tests/oracles.py, or nowhere.
+A reached class brings its bases, decorators, class-level statements and
+dunder methods (which Python calls for it); any other method or property is
+reached only when its name is mentioned.  Matching by name alone
+over-approximates reachability, so a definition the walk misses is reached by
+no subcommand: it belongs in tests/oracles.py, or nowhere.
 """
 
 import ast
@@ -24,8 +27,9 @@ ALLOWED = {
 
 
 def _definitions():
-    """name -> [(module, node)] for every module-level def, class and assignment,
-    and the names that `import` binds to modules from outside the package."""
+    """name -> [(owner, node)] for every module-level def, class and assignment
+    (owner "module") and every method (owner "module.Class"), and the names
+    that `import` binds to modules from outside the package."""
     defs, foreign = {}, set()
     for path in sorted(SRC.glob("*.py")):
         for node in ast.parse(path.read_text()).body:
@@ -41,11 +45,24 @@ def _definitions():
                 continue
             for name in names:
                 defs.setdefault(name, []).append((path.stem, node))
+            if isinstance(node, ast.ClassDef):
+                for method in node.body:
+                    if isinstance(method, ast.FunctionDef):
+                        defs.setdefault(method.name, []).append((f"{path.stem}.{node.name}", method))
     return defs, foreign
 
 
+def _parts(node):
+    """The nodes a reached definition walks: a class without the methods that
+    are reached by name."""
+    if not isinstance(node, ast.ClassDef):
+        return [node]
+    implicit = [n for n in node.body if not isinstance(n, ast.FunctionDef) or n.name.startswith("__")]
+    return [*node.bases, *node.keywords, *node.decorator_list, *implicit]
+
+
 def _reached(defs, foreign):
-    """(module, name) of every definition reached from cli.main."""
+    """(owner, name) of every definition reached from cli.main."""
     reached = set()
     todo = [node for module, node in defs["main"] if module == "cli"]
     seen = set()
@@ -54,7 +71,7 @@ def _reached(defs, foreign):
         if id(node) in seen:
             continue
         seen.add(id(node))
-        for sub in ast.walk(node):
+        for sub in (sub for part in _parts(node) for sub in ast.walk(part)):
             if isinstance(sub, ast.Name):
                 name = sub.id
             elif isinstance(sub, ast.Attribute):
@@ -70,23 +87,29 @@ def _reached(defs, foreign):
     return reached
 
 
-def _public(defs):
+def _public(defs, reached):
+    """Public module-level functions and classes, and the public methods and
+    properties of reached classes."""
+    classes = {f"{owner}.{name}" for owner, name in reached}
     return {
-        (module, name)
+        (owner, name)
         for name, entries in defs.items()
-        for module, node in entries
-        if not name.startswith("_") and isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        for owner, node in entries
+        if not name.startswith("_")
+        and isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and ("." not in owner or owner in classes)
     }
 
 
 def test_every_public_definition_is_reached_from_the_cli():
     defs, foreign = _definitions()
-    unreached = {f"{m}.{n}" for m, n in _public(defs) - _reached(defs, foreign)}
+    reached = _reached(defs, foreign)
+    unreached = {f"{owner}.{name}" for owner, name in _public(defs, reached) - reached}
     assert unreached == ALLOWED
 
 
 def test_package_exports_only_reached_names():
-    reached = {name for _, name in _reached(*_definitions())}
+    reached = {name for owner, name in _reached(*_definitions()) if "." not in owner}
     exported = {name for name in vars(cmlab) if not name.startswith("_")}
     modules = {path.stem for path in SRC.glob("*.py")}
     assert exported - modules - reached == set()
