@@ -71,6 +71,15 @@ class Param:
 SEED = Param("seed", "--seed", int, 0)
 
 
+def finite_float(raw) -> float:
+    """The type of every float parameter: nan and +-inf raise DomainError, so
+    argparse and _cast alike refuse them as invalid usage (exit 2)."""
+    value = float(raw)
+    if not math.isfinite(value):
+        raise DomainError(f"{raw!r} is not a finite number")
+    return value
+
+
 @dataclass
 class ExperimentSpec:
     """Resolved invocation: subcommand, typed parameter map, output dir, seed,
@@ -155,7 +164,7 @@ def _write_csv(spec: ExperimentSpec, name: str, write_body: Callable) -> Path:
 
 
 BIG_Q = Param("big_q", "--Q", int, 10)
-C_NU = Param("c_nu", "--c-nu", float, 1.0)
+C_NU = Param("c_nu", "--c-nu", finite_float, 1.0)
 GRID = Param("grid", "--grid", str, "small", ("small", "medium"))
 
 
@@ -164,7 +173,7 @@ GRID = Param("grid", "--grid", str, "small", ("small", "medium"))
 # ---------------------------------------------------------------------------
 
 GALLAGHER = (
-    Param("delta", "--delta", float, 50.0),
+    Param("delta", "--delta", finite_float, 50.0),
     Param("trials", "--trials", int, 100),
     Param("span", "--span", int, 10_000),
     Param("start", "--start", int, 10_000),
@@ -233,7 +242,7 @@ def _cmd_verify_sieve(spec: ExperimentSpec) -> int:
 
 CLOSENESS = (
     Param("y", "--Y", int, 100_000),
-    Param("h_exponent", "--h-exponent", float, 0.3),
+    Param("h_exponent", "--h-exponent", finite_float, 0.3),
     BIG_Q,
     C_NU,
     # accepted and ignored: each Farey arc costs O(width) after one transform,
@@ -291,8 +300,8 @@ PIPELINE = (
     Param("h", "--H", int),
     BIG_Q,
     C_NU,
-    Param("kappa", "--kappa", float),
-    Param("max_final_fraction", "--max-final-fraction", float, 0.01),
+    Param("kappa", "--kappa", finite_float),
+    Param("max_final_fraction", "--max-final-fraction", finite_float, 0.01),
 )
 # a preset fixes the whole model, so no other model row may be set alongside it
 PRESET_FIXES = tuple(p.key for p in PIPELINE if p.key not in ("preset", "max_final_fraction"))
@@ -407,10 +416,10 @@ MODEL = (
     # lambda_q is unscaled and only t_nu_plus builds a sieve, so the other models
     # leave these unset and unechoed, and reject them when given (MODEL_UNREAD);
     # the level defaults to the untruncated one at the resolved beta
-    Param("c_nu", "--c-nu", float, lambda p: 1.0 if p["which"] != "lambda_q" else None),
+    Param("c_nu", "--c-nu", finite_float, lambda p: 1.0 if p["which"] != "lambda_q" else None),
     Param("beta", "--beta", int, lambda p: 10 if p["which"] == "t_nu_plus" else None),
-    Param("sift", "--sift", float, lambda p: float(p["big_q"]) if p["which"] == "t_nu_plus" else None),
-    Param("level", "--level", float, _untruncated_level),
+    Param("sift", "--sift", finite_float, lambda p: float(p["big_q"]) if p["which"] == "t_nu_plus" else None),
+    Param("level", "--level", finite_float, _untruncated_level),
 )
 MODEL_UNREAD = {"lambda_q": ("c_nu", "beta", "sift", "level"), "t_nu": ("beta", "sift", "level"), "t_nu_plus": ()}
 

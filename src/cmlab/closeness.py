@@ -35,7 +35,12 @@ M >= OVERSAMPLE span = 8 span, and every 4th of its points is a grid of
 M/4 >= 2 span points, while w <= H/3 < span/6; so one inverse transform of a
 quarter of the spectrum serves every arc, and each arc then costs O(w).  As d
 is real, |d-hat|^2 is even and only its half k = 0..M/2 is computed; the spot
-check folds each window of bins onto it.
+check folds each window of bins onto it.  That half comes from power_spectrum
+in pieces by k mod r, r = M/P = 8: the bins of one residue are a transform of
+P = 2^ceil(log2 span) points, so no M-point transform or buffer is ever held.
+The spot check reads all its windows at once off one prefix sum of the half
+and runs first; the autocorrelation then keeps only every 4th bin of the
+half, so neither the prefix sum nor the half is held during its transform.
 
 Gallagher's quadrature (gallagher_lhs) keeps the trapezoid rule on the same
 M-point grid but never builds it: the rule is a fixed weighting of A(h),
@@ -262,6 +267,44 @@ def _arc_functional(acf: np.ndarray, arc: FareyArc, h: float) -> float:
     return float(w * acf[0] + 2.0 * np.dot((w - lags) * acf[1:w], cos)) / (arc.q**2 * h)
 
 
+def _spot_probe(spec: np.ndarray, size: int, h: float, arcs: list[FareyArc]) -> tuple[float, Optional[float]]:
+    """The largest window integral of |d-hat|^2 over [k - M/H, k + M/H] at the
+    sampled bins k of the SPOT_ARCS widest arcs, and its alpha folded into [0, 1/2].
+
+    spec is the half k = 0..M/2 of the M-point grid; every window is read off
+    one prefix sum of it, its bins past M/2 mirrored.  The first of equal
+    maxima wins, and (0.0, None) stands for no positive window.
+    """
+    radius = min(int(size / h), (size - 1) // 2)  # in bins
+    csum = np.empty(len(spec) + 1)
+    csum[0] = 0.0
+    np.cumsum(spec, out=csum[1:])
+    mid = size // 2
+    top = csum[mid + 1] + csum[mid]  # bins 0..M/2 plus their mirrors M/2+1..M-1
+
+    def prefix(x: np.ndarray) -> np.ndarray:
+        """Sums of bins 0..x-1 of the full grid; its bins mid+1..x-1 mirror size-x+1..mid-1."""
+        near = x <= mid + 1
+        return np.where(near, csum[np.where(near, x, 0)], top - csum[np.where(near, 0, size - x + 1)])
+
+    widest = sorted(arcs, key=lambda a: a.width, reverse=True)[:SPOT_ARCS]
+    bins = []
+    for arc in widest:
+        k_lo, k_hi = math.ceil(arc.lo * size), math.floor(arc.hi * size)
+        bins.append(np.arange(k_lo, k_hi + 1, max(1, (k_hi - k_lo) // SPOT_SAMPLES_PER_ARC)))
+    ks = np.concatenate(bins)
+    lo, hi = (ks - radius) % size, (ks + radius) % size  # inclusive bin range, circular
+    p_lo, p_hi = prefix(lo), prefix(hi + 1)
+    whole = top - csum[1]  # prefix(size), the sum over every bin
+    total = np.where(lo <= hi, p_hi - p_lo, (whole - p_lo) + p_hi)
+    values = total / size
+    if not len(values) or not values.max() > 0.0:
+        return 0.0, None
+    best = int(np.argmax(values))
+    k = int(ks[best])
+    return float(values[best]), min(k % size, -k % size) / size
+
+
 def closeness_integral(
     f: ArithFn,
     g: ArithFn,
@@ -278,44 +321,18 @@ def closeness_integral(
     order = int(math.isqrt(int(h)))
     arcs = farey_dissection(order)
     size, spec = power_spectrum(diff, oversample=OVERSAMPLE)
+    # first, so that its prefix sums are freed before the autocorrelation is built
+    spot, spot_alpha = _spot_probe(spec, size, h, arcs)
 
-    # A(h): every 4th bin is the spectrum on a grid of M/4 points (module docstring)
-    acf = np.fft.irfft(spec[::4], size // 4)
+    # A(h): every 4th bin is the spectrum on a grid of M/4 points (module docstring);
+    # the half is not read again, so it is dropped before the inverse transform
+    quarter = spec[::4].astype(np.complex128)
+    del spec
+    acf = np.fft.irfft(quarter, size // 4)
     contribs = [_arc_functional(acf, arc, h) for arc in arcs]
     per_arc = tuple(zip(arcs, contribs))
     farey_bound = max(contribs)
     best_arc = arcs[contribs.index(farey_bound)]
-
-    # direct spot check on the widest arcs
-    half = min(int(size / h), (size - 1) // 2)
-    csum = np.concatenate([[0.0], np.cumsum(spec)])
-    mid = size // 2
-
-    def prefix(x: int) -> float:
-        """Sum of bins 0..x-1 of the full grid; its bins mid+1..x-1 mirror size-x+1..mid-1."""
-        return csum[x] if x <= mid + 1 else csum[mid + 1] + csum[mid] - csum[size - x + 1]
-
-    def window_integral(k: int) -> float:
-        lo, hi = k - half, k + half  # inclusive bin range, circular
-        lo_m, hi_m = lo % size, hi % size
-        if lo_m <= hi_m:
-            total = prefix(hi_m + 1) - prefix(lo_m)
-        else:
-            total = (prefix(size) - prefix(lo_m)) + prefix(hi_m + 1)
-        return float(total) / size
-
-    spot, spot_alpha = 0.0, None
-    widest = sorted(arcs, key=lambda a: a.width, reverse=True)[:SPOT_ARCS]
-    for arc in widest:
-        k_lo = math.ceil(arc.lo * size)
-        k_hi = math.floor(arc.hi * size)
-        if k_hi < k_lo:
-            continue
-        stride = max(1, (k_hi - k_lo) // SPOT_SAMPLES_PER_ARC)
-        for k in range(k_lo, k_hi + 1, stride):
-            value = window_integral(k)
-            if value > spot:
-                spot, spot_alpha = value, min(k % size, -k % size) / size
 
     sup_estimate = max(farey_bound, spot)
     ref = reference_norm if reference_norm is not None else (l2_norm_sq(f) or 1.0)

@@ -200,7 +200,7 @@ class PipelineConfig:
     def __post_init__(self):
         if not (2 < self.h < self.y < self.x):
             raise DomainError("need 2 < H < Y < X")
-        if self.big_q < 1 or self.kappa <= 0 or self.c_nu < 0:
+        if self.big_q < 1 or not self.kappa > 0 or not self.c_nu >= 0:  # nan fails too
             raise DomainError("need Q >= 1, kappa > 0, nonnegative densities")
 
     @property

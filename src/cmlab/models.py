@@ -86,7 +86,7 @@ class LambdaQParams:
         lo, hi = self.window
         if hi <= lo:
             raise DomainError("window must be nonempty")
-        if self.c_nu < 0:
+        if not self.c_nu >= 0:  # nan fails too
             raise DomainError("c_nu must be >= 0")
 
     @property

@@ -20,7 +20,7 @@ import numpy as np
 from cmlab.arith import cached_primes, mu_phi_table, rough_flags
 from cmlab.arithfn import TWO_PI, ArithFn
 from cmlab.characters import ramanujan_sum
-from cmlab.closeness import FareyArc
+from cmlab.closeness import SPOT_ARCS, SPOT_SAMPLES_PER_ARC, FareyArc
 from cmlab.errors import CapacityError, ContractError, DomainError
 from cmlab.goldbach import _ascending_sum
 from cmlab.models import LambdaQParams, SieveSystem
@@ -361,3 +361,32 @@ def contains(arc: FareyArc, alpha: float) -> bool:
     if arc.lo < 0:
         return a < arc.hi or a >= arc.lo + 1.0
     return arc.lo <= a < arc.hi
+
+
+def spot_probe_loop(spec: np.ndarray, size: int, h: float, arcs: list) -> tuple:
+    """The spot probe of closeness_integral as one Python loop over the sampled
+    bins: (largest window integral, its alpha folded into [0, 1/2]), or (0.0, None).
+
+    Each window reads the same prefix sums of the half spectrum, in the same
+    order of operations, so the vectorized probe must agree bit for bit.
+    """
+    half = min(int(size / h), (size - 1) // 2)
+    csum = np.concatenate([[0.0], np.cumsum(spec)])
+    mid = size // 2
+
+    def prefix(x: int) -> float:
+        return csum[x] if x <= mid + 1 else csum[mid + 1] + csum[mid] - csum[size - x + 1]
+
+    spot, spot_alpha = 0.0, None
+    for arc in sorted(arcs, key=lambda a: a.width, reverse=True)[:SPOT_ARCS]:
+        k_lo, k_hi = math.ceil(arc.lo * size), math.floor(arc.hi * size)
+        for k in range(k_lo, k_hi + 1, max(1, (k_hi - k_lo) // SPOT_SAMPLES_PER_ARC)):
+            lo, hi = (k - half) % size, (k + half) % size
+            if lo <= hi:
+                total = prefix(hi + 1) - prefix(lo)
+            else:
+                total = (prefix(size) - prefix(lo)) + prefix(hi + 1)
+            value = float(total) / size
+            if value > spot:
+                spot, spot_alpha = value, min(k % size, -k % size) / size
+    return spot, spot_alpha

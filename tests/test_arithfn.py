@@ -216,6 +216,33 @@ class TestFourier:
             spec_c = np.abs(np.fft.fft(vals.astype(np.complex128), size)) ** 2
             assert np.max(np.abs(spec - spec_c[: size // 2 + 1])) <= 1e-12 * np.max(spec_c)
 
+    # the half is built from pieces of P = 2^ceil(log2 len) points, r = M/P of
+    # them by k mod r; lengths 1, 2, 3, 7 sit on the 64-point floor (r = 32,
+    # 32, 16, 8), 1024 and 1025 on either side of a power of two, and None
+    # draws an odd length, at r = 1, 2 and 8
+    @pytest.mark.parametrize("length, oversample", [
+        (1, 8), (2, 8), (3, 8), (7, 8), (1024, 8), (1025, 8), (None, 1), (None, 2), (None, 8),
+    ])
+    def test_split_spectrum_equals_one_transform(self, rng, length, oversample):
+        length = length or 2 * int(rng.integers(50, 5000)) + 1
+        vals = rng.normal(size=length)
+        size, spec = power_spectrum(fn(4, vals), oversample=oversample)
+        assert size == arithfn.spectrum_size(length, oversample)
+        ref = np.abs(np.fft.rfft(vals, size)) ** 2
+        assert np.max(np.abs(spec - ref)) <= 1e-12 * np.max(ref)
+
+    @pytest.mark.parametrize("oversample, rfft_sizes, ffts", [(2, [2048], 0), (8, [1024], 4)])
+    def test_transforms_taken(self, monkeypatch, oversample, rfft_sizes, ffts):
+        # r <= 2 is one real transform of M points; r = 8 is one real transform
+        # of P points and r/2 complex ones, and never one of M points
+        sizes, complex_calls = [], []
+        rfft, fft = np.fft.rfft, np.fft.fft
+        monkeypatch.setattr(np.fft, "rfft", lambda a, n=None, **kw: sizes.append(n) or rfft(a, n, **kw))
+        monkeypatch.setattr(np.fft, "fft", lambda a, *args, **kw: complex_calls.append(len(a)) or fft(a, *args, **kw))
+        power_spectrum(fn(0, np.ones(1000)), oversample=oversample)
+        assert sizes == rfft_sizes
+        assert complex_calls == [1024] * ffts
+
     def test_spectrum_over_cap_fails_up_front(self, monkeypatch):
         f = fn(0, np.ones(1000))
         monkeypatch.setattr(arithfn, "SPECTRUM_CAP", 8192)

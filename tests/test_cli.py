@@ -46,6 +46,31 @@ class TestExitCodes:
         assert run(["--out", str(tmp_path), *argv]) == 2
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("argv", [
+        ["pipeline", "--kappa", "nan"],  # every `ab < om - 2*kappa` was False: "passed"
+        ["pipeline", "--c-nu", "nan"],
+        ["pipeline", "--c-nu", "inf"],
+        ["verify", "closeness", "--h-exponent", "nan"],  # a traceback converting nan to int
+        ["model", "--which", "t_nu", "--Y", "1000", "--c-nu", "nan"],  # a NaN dump
+        ["pipeline", "--max-final-fraction", "nan"],
+    ])
+    def test_non_finite_float_exits_2_and_writes_nothing(self, tmp_path, argv):
+        with pytest.raises(SystemExit) as exc:
+            run(["--out", str(tmp_path), *argv])
+        assert exc.value.code == 2
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("key, value", [("kappa", "nan"), ("c_nu", "-inf"), ("h_exponent", "NaN")])
+    def test_non_finite_float_from_env_or_config_exits_2(self, tmp_path, monkeypatch, key, value):
+        argv = ["verify", "closeness"] if key == "h_exponent" else ["pipeline"]
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key} = {value}\n")
+        out = tmp_path / "out"
+        assert run(["--out", str(out), "--config", str(cfg), *argv]) == 2
+        monkeypatch.setenv("CML_" + key.upper(), value)
+        assert run(["--out", str(out), *argv]) == 2
+        assert not out.exists()
+
     def test_workers_belongs_to_closeness_only(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             run(["--out", str(tmp_path), "series", "--workers", "3"])

@@ -1,11 +1,16 @@
 import io
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from cmlab.arithfn import ArithFn, subtract
+import cmlab
+from cmlab.arithfn import ArithFn, power_spectrum, subtract
 from cmlab.closeness import (
     FareyArc,
     closeness_integral,
@@ -18,7 +23,7 @@ from cmlab.closeness import (
     verify_sieve_short_sums,
 )
 from cmlab.errors import DomainError
-from oracles import containment_radius, contains
+from oracles import containment_radius, contains, spot_probe_loop
 
 
 def brute_force_farey_centers(order):
@@ -368,3 +373,44 @@ class TestEstimatorAgainstExhaustiveGrid:
                 # same value, and the report folds the tie into [0, 1/2]
                 assert rep.spot_alpha == min(alpha, 1.0 - alpha)
                 assert rep.spot_estimate == pytest.approx(spot, rel=1e-12)
+
+    def test_spot_probe_equals_loop_bit_for_bit(self):
+        # the probe reads every window off the prefix sums at once; on the same
+        # spectrum it must give the loop's figures exactly, with the first of
+        # tied windows winning (a point mass has |d-hat|^2 = 1 on every bin)
+        # and (0.0, None) for d = 0
+        rng = np.random.default_rng(17)
+        for span, h in ((2_000, 64.0), (3_001, 150.0), (700, 36.0), (5_000, 9.0)):
+            f = ArithFn(1000, rng.normal(size=span))
+            mass = ArithFn(1000, np.eye(1, span).ravel())
+            zero = ArithFn(1000, np.zeros(span))
+            for a, b in ((f, ArithFn(1003, rng.normal(size=span))), (mass, zero), (f, f)):
+                rep = closeness_integral(a, b, h)
+                size, spec = power_spectrum(subtract(a, b), oversample=8)
+                arcs = farey_dissection(math.isqrt(int(h)))
+                assert (rep.spot_estimate, rep.spot_alpha) == spot_probe_loop(spec, size, h, arcs)
+
+
+# peak RSS of `verify closeness --Y 1000000 --h-exponent 0.45 --Q 10` on a
+# 2-core x86-64 host with numpy 2.4: 262 MB with one rfft of the 2^23-point
+# grid, 150 MB with the grid built from pieces of 2^20 points; the bound sits
+# halfway, so either side of it is far from the host's noise
+CLOSENESS_PEAK_BOUND_MB = 205
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is counted in KB on Linux only")
+def test_closeness_peak_rss_at_one_million(tmp_path):
+    probe = (
+        "import resource, sys\n"
+        "from cmlab.cli import main\n"
+        "code = main(sys.argv[1:])\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+        "sys.exit(code)\n"
+    )
+    src = Path(cmlab.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src), "OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1"}
+    argv = ["--out", str(tmp_path), "verify", "closeness", "--Y", "1000000", "--h-exponent", "0.45", "--Q", "10"]
+    done = subprocess.run([sys.executable, "-c", probe, *argv], capture_output=True, text=True, env=env, timeout=300)
+    assert done.returncode == 0, done.stderr
+    peak_mb = int(done.stdout.split()[-1]) / 1024
+    assert peak_mb < CLOSENESS_PEAK_BOUND_MB

@@ -1,6 +1,7 @@
 import io
 import math
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -299,6 +300,12 @@ class TestPipelineConfig:
             PipelineConfig(x=100, h=10, y=200, big_q=3, a_power=1.0, c_nu=1.0,
                            kappa=10.0, theta_target=0.1)
 
+    @pytest.mark.parametrize("field", ["kappa", "c_nu"])
+    def test_nan_fails_validation(self, field):
+        # nan compares False with everything, so `kappa <= 0` alone let it through
+        with pytest.raises(DomainError):
+            replace(desk_config(200_000, big_q=10), **{field: math.nan})
+
     def test_desk_sieve_is_exact_rough_model(self):
         # the pipeline's default T+ (read from rough_flags) is the model of the
         # enumerated untruncated weights, bit for bit
@@ -330,8 +337,6 @@ class TestPipeline:
         assert report.step_positivity_violations == 0
 
     def test_huge_kappa_clears_exceptions(self):
-        from dataclasses import replace
-
         config = replace(desk_config(200_000, big_q=10), kappa=1e18)
         nu, omega, a = desk_pipeline_inputs(config)
         report = run_pipeline(config, nu, omega, a)

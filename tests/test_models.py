@@ -219,6 +219,12 @@ class TestModels:
         params = LambdaQParams(big_q=5, window=(100, 200), c_nu=0.0)
         assert not model_t_nu(params).values.any()
 
+    @pytest.mark.parametrize("c_nu", [-1.0, math.nan])
+    def test_scale_must_be_nonnegative(self, c_nu):
+        # nan compares False with everything, so `c_nu < 0` alone let it through
+        with pytest.raises(DomainError):
+            LambdaQParams(big_q=5, window=(100, 200), c_nu=c_nu)
+
     def test_q1_constant(self):
         params = LambdaQParams(big_q=1, window=(10, 30), c_nu=0.7)
         t = model_t_nu(params)
