@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import IO
+from typing import IO, Iterator
 
 import numpy as np
 
@@ -21,8 +21,8 @@ from .errors import CapacityError, DomainError
 
 SUPPORT_BOUND = 1 << 40  # guards convolution index arithmetic
 # grid points of one power spectrum.  At the cap (`verify closeness --Y 10**7`)
-# power_spectrum holds the M/2-point half and one piece of M/8 points, and the
-# run peaked at 1.7 GB RSS with numpy 2.4; no larger grid has been measured
+# spectrum_classes holds classes of M/16 points, and the run peaked at 0.8 GB
+# RSS with numpy 2.4; no larger grid has been measured
 SPECTRUM_CAP = 1 << 27
 
 TWO_PI = 2.0 * math.pi
@@ -197,59 +197,53 @@ def power_spectrum(f: ArithFn, oversample: int = 8) -> tuple[int, np.ndarray]:
     The grid has at least `oversample` samples per 1/span.  Support offset only
     changes the phase of f-hat, never the magnitude, so the window offset is
     irrelevant here.  f is real, so the spectrum is even and only the half
-    k = 0..M/2 (M/2 + 1 bins) is returned; bin k of the full grid is bin
-    min(k, M - k) of the half.
-
-    No M-point transform is taken (the four-step split of D. H. Bailey, "FFTs
-    in external or hierarchical memory", J. Supercomputing 4, 1990).  With
-    P = 2^ceil(log2 len(f)) >= len(f) and r = M/P, bin k = r j + s of the grid
-    is sum_m f(m) e(-m s/M) e(-m j/P), so the bins of residue s are exactly
-    the P-point transform of f(m) e(-m s/M), free of wrap-around.  Piece 0 is
-    the real transform of f and fills the bins r j.  Piece s, 0 < s <= r/2,
-    fills the bins r j + s, j < P/2; for s < r/2 its upper half, reversed,
-    fills the bins of residue r - s, as M - (r j + s) = r (P - 1 - j) + r - s.
-    Beside the half, the transforms hold P points at a time.  When r <= 2
-    the split saves nothing and one real transform of M points is taken.
+    k = 0..M/2 (M/2 + 1 bins) is returned, from one real transform of M points;
+    bin k of the full grid is bin min(k, M - k) of the half.
     """
     size = spectrum_size(len(f), oversample)
-    x = f.values
-    piece = 1 << max(1, (len(x) - 1).bit_length())
+    return size, np.abs(np.fft.rfft(f.values, size)) ** 2
+
+
+def spectrum_classes(x: np.ndarray, size: int) -> Iterator[tuple[int, np.ndarray]]:
+    """|x-hat|^2 on the grid k/M, M = size a power of two >= len(x), one residue
+    class of k mod r at a time (the four-step split of D. H. Bailey, "FFTs in
+    external or hierarchical memory", J. Supercomputing 4, 1990).
+
+    With L = 2^(ceil(log2 len(x)) - 1) and r = M/L, class c is the array
+    v_c[t] = |x-hat((r t + c)/M)|^2, t < L.  As e(-m (r t + c)/M) =
+    e(-m c/M) e(-m t/L) and e(-L c/M) = e(-c/r), v_c is |the L-point transform
+    of e(-m c/M) (x(m) + e(-c/r) x(m + L))|^2, so no M-point transform or
+    buffer is held.  Class 0 is one real transform.  x is real, so class r - c
+    is class c reversed (M - (r t + r - c) = r (L - 1 - t) + c), and only the
+    pairs (c, v_c) for c = 0..r/2 are yielded, each v_c a fresh array.
+    """
+    n = len(x)
+    if size < n or size & (size - 1):
+        raise DomainError("size must be a power of two >= len(x)")
+    piece = 1 << max(0, (n - 1).bit_length() - 1)
     r = size // piece
-    if r <= 2:
-        return size, np.abs(np.fft.rfft(x, size)) ** 2
-    half = np.empty(size // 2 + 1)
-    _squared_modulus(np.fft.rfft(x, piece), half[::r])
-    z = np.zeros(piece, dtype=np.complex128)
-    upper = np.empty(piece // 2)  # reversed after, as |z|^2 into a reversed view is slow
-    for s in range(1, r // 2 + 1):
-        _phases(z, len(x), s / size)
-        z[: len(x)] *= x
-        z[len(x) :] = 0.0
+    fold = x[:piece].copy()
+    fold[: n - piece] += x[piece:]
+    half = np.abs(np.fft.rfft(fold)) ** 2
+    yield 0, np.concatenate([half, half[1 : piece - len(half) + 1][::-1]])  # v_0[L - t] = v_0[t]
+    del fold, half  # before the buffer of the complex classes is made
+    z = np.empty(piece, dtype=np.complex128)
+    for c in range(1, r // 2 + 1):
+        upper = np.exp(-1j * TWO_PI * c / r)  # e(-L c/M)
+        z.real, z.imag = x[:piece], 0.0
+        z.real[: n - piece] += upper.real * x[piece:]
+        z.imag[: n - piece] = upper.imag * x[piece:]
+        _twist(z, c / size)
         np.fft.fft(z, out=z)
-        _squared_modulus(z[: piece // 2], half[s::r])
-        if s < r // 2:
-            _squared_modulus(z[piece // 2 :], upper)
-            half[r - s :: r] = upper[::-1]
-    return size, half
+        yield c, np.abs(z) ** 2
 
 
-def _squared_modulus(z: np.ndarray, out: np.ndarray) -> None:
-    """out = |z|^2, written in place (out may be a strided view)."""
-    np.square(np.abs(z, out=out), out=out)
-
-
-def _phases(out: np.ndarray, n: int, turn: float) -> None:
-    """out[m] = e(-m turn) for 0 <= m < n, as the outer product of two tables of
-    about sqrt(n) phases; it may write up to the next multiple of their width,
-    which stays within a power of two len(out) >= n."""
-    cols = 1 << ((n.bit_length() + 1) // 2)
-    rows = -(-n // cols)
-    angle = -TWO_PI * turn
-    np.multiply.outer(
-        np.exp(1j * angle * cols * np.arange(rows)),
-        np.exp(1j * angle * np.arange(cols)),
-        out=out[: rows * cols].reshape(rows, cols),
-    )
+def _twist(z: np.ndarray, turn: float) -> None:
+    """z[m] *= e(-m turn) in place, len(z) a power of two, by two tables of about sqrt(len(z)) phases."""
+    cols = 1 << ((len(z).bit_length() - 1) // 2)
+    grid = z.reshape(-1, cols)
+    grid *= np.exp(-1j * TWO_PI * turn * cols * np.arange(len(grid)))[:, None]
+    grid *= np.exp(-1j * TWO_PI * turn * np.arange(cols))
 
 
 # -- serialization -------------------------------------------------------------

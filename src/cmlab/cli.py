@@ -29,8 +29,9 @@ from typing import Any, Callable, Optional
 import numpy as np
 
 from . import constants
-from .arithfn import ArithFn, l2_norm_sq, write_arithfn
+from .arithfn import ArithFn, l2_norm_sq, spectrum_size, write_arithfn
 from .closeness import (
+    OVERSAMPLE,
     closeness_integral,
     default_lambda_q_sweep,
     default_sieve_sweep,
@@ -256,6 +257,7 @@ def _cmd_verify_closeness(spec: ExperimentSpec) -> int:
     p = spec.params
     y, big_q = p["y"], p["big_q"]
     h = y ** p["h_exponent"]
+    spectrum_size(y, OVERSAMPLE)  # the grid of f - g on (Y, 2Y], checked before anything is sieved
     params = LambdaQParams(big_q=big_q, window=(y, 2 * y), c_nu=p["c_nu"])
     primes_fn = restricted_prime_fn(2 * y, (y, 2 * y))
     t_nu = model_t_nu(params)

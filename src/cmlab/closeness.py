@@ -29,18 +29,15 @@ autocorrelation A(h) = sum_n d(n) d(n + h) the window functional is exactly
     sum_t |sum_{t - w < n <= t} d(n) e(r n / q)|^2
         = w A(0) + 2 sum_{h=1}^{w-1} (w - h) A(h) cos(2 pi r h / q).
 
-A(h) is the inverse transform of |d-hat|^2 on a grid of M points, which is
-free of wrap-around for h <= M - span.  The spot check's grid has
-M >= OVERSAMPLE span = 8 span, and every 4th of its points is a grid of
-M/4 >= 2 span points, while w <= H/3 < span/6; so one inverse transform of a
-quarter of the spectrum serves every arc, and each arc then costs O(w).  As d
-is real, |d-hat|^2 is even and only its half k = 0..M/2 is computed; the spot
-check folds each window of bins onto it.  That half comes from power_spectrum
-in pieces by k mod r, r = M/P = 8: the bins of one residue are a transform of
-P = 2^ceil(log2 span) points, so no M-point transform or buffer is ever held.
-The spot check reads all its windows at once off one prefix sum of the half
-and runs first; the autocorrelation then keeps only every 4th bin of the
-half, so neither the prefix sum nor the half is held during its transform.
+A(h) is the inverse transform of |d-hat|^2 on a grid of M points, free of
+wrap-around for h <= M - span.  The spot check's grid has M >= OVERSAMPLE
+span = 8 span points, its bins 4j are a grid of M/4 >= 2 span points, and
+w <= H/3 < span/6; so A(h), h < w, is read off those bins and each arc costs
+O(w).  No array of M or M/2 points is held: spectrum_classes gives the grid
+one residue class k = c mod r at a time (r = 16 once span >= 8), each a
+transform of M/r points.  Each class c = 0 mod 4 adds its share of A(h), and
+every class adds its bins in each sampled window of the spot check, off its
+running sums (class r - c is class c reversed and reads the same sums).
 
 Gallagher's quadrature (gallagher_lhs) keeps the trapezoid rule on the same
 M-point grid but never builds it: the rule is a fixed weighting of A(h),
@@ -57,7 +54,7 @@ from typing import IO, Iterable, Optional
 
 import numpy as np
 
-from .arithfn import TWO_PI, ArithFn, l2_norm_sq, power_spectrum, spectrum_size, subtract
+from .arithfn import TWO_PI, ArithFn, l2_norm_sq, power_spectrum, spectrum_classes, spectrum_size, subtract
 from .errors import DomainError
 from .models import SieveSystem, beta_sieve_weights, lambda_q_short_sum, sieve_short_sum
 
@@ -175,7 +172,7 @@ def gallagher_lhs(f: ArithFn, delta: float) -> float:
     weights = _gallagher_weights(span, float(delta))
     _, spec = power_spectrum(f, oversample=2)
     # each interior bin of the half spectrum stands for bins k and n - k
-    return float(2.0 * np.dot(spec, weights) - spec[0] * weights[0] - spec[-1] * weights[-1])
+    return float(2.0 * np.einsum("i,i->", spec, weights) - spec[0] * weights[0] - spec[-1] * weights[-1])
 
 
 @lru_cache(maxsize=8)
@@ -260,49 +257,39 @@ class ClosenessReport:
             writer.writerow([arc.q, arc.r, f"{arc.center:.12g}", f"{arc.lo:.12g}", f"{arc.hi:.12g}", f"{value:.12g}"])
 
 
+def _arc_width(q: int, h: float) -> int:
+    """w, the window width of the arc of denominator q."""
+    return max(1, int(q * math.sqrt(h) / 3.0))
+
+
 def _arc_functional(acf: np.ndarray, arc: FareyArc, h: float) -> float:
-    w = max(1, int(arc.q * math.sqrt(h) / 3.0))
+    w = _arc_width(arc.q, h)
     lags = np.arange(1, w)
     cos = np.cos(TWO_PI * (arc.r * lags % arc.q) / arc.q)
     return float(w * acf[0] + 2.0 * np.dot((w - lags) * acf[1:w], cos)) / (arc.q**2 * h)
 
 
-def _spot_probe(spec: np.ndarray, size: int, h: float, arcs: list[FareyArc]) -> tuple[float, Optional[float]]:
-    """The largest window integral of |d-hat|^2 over [k - M/H, k + M/H] at the
-    sampled bins k of the SPOT_ARCS widest arcs, and its alpha folded into [0, 1/2].
-
-    spec is the half k = 0..M/2 of the M-point grid; every window is read off
-    one prefix sum of it, its bins past M/2 mirrored.  The first of equal
-    maxima wins, and (0.0, None) stands for no positive window.
-    """
-    radius = min(int(size / h), (size - 1) // 2)  # in bins
-    csum = np.empty(len(spec) + 1)
-    csum[0] = 0.0
-    np.cumsum(spec, out=csum[1:])
-    mid = size // 2
-    top = csum[mid + 1] + csum[mid]  # bins 0..M/2 plus their mirrors M/2+1..M-1
-
-    def prefix(x: np.ndarray) -> np.ndarray:
-        """Sums of bins 0..x-1 of the full grid; its bins mid+1..x-1 mirror size-x+1..mid-1."""
-        near = x <= mid + 1
-        return np.where(near, csum[np.where(near, x, 0)], top - csum[np.where(near, 0, size - x + 1)])
-
-    widest = sorted(arcs, key=lambda a: a.width, reverse=True)[:SPOT_ARCS]
+def _spot_bins(size: int, arcs: list[FareyArc]) -> np.ndarray:
+    """The bins the spot check samples: about SPOT_SAMPLES_PER_ARC in each of the SPOT_ARCS widest arcs."""
     bins = []
-    for arc in widest:
+    for arc in sorted(arcs, key=lambda a: a.width, reverse=True)[:SPOT_ARCS]:
         k_lo, k_hi = math.ceil(arc.lo * size), math.floor(arc.hi * size)
         bins.append(np.arange(k_lo, k_hi + 1, max(1, (k_hi - k_lo) // SPOT_SAMPLES_PER_ARC)))
-    ks = np.concatenate(bins)
-    lo, hi = (ks - radius) % size, (ks + radius) % size  # inclusive bin range, circular
-    p_lo, p_hi = prefix(lo), prefix(hi + 1)
-    whole = top - csum[1]  # prefix(size), the sum over every bin
-    total = np.where(lo <= hi, p_hi - p_lo, (whole - p_lo) + p_hi)
-    values = total / size
-    if not len(values) or not values.max() > 0.0:
-        return 0.0, None
-    best = int(np.argmax(values))
-    k = int(ks[best])
-    return float(values[best]), min(k % size, -k % size) / size
+    return np.concatenate(bins)
+
+
+def _class_window_sums(cum: np.ndarray, c: int, r: int, lo: np.ndarray, hi: np.ndarray, mirror: bool) -> np.ndarray:
+    """Sums over the bins k = c mod r of each window [lo, hi] (lo > hi wraps past M - 1), off the running
+    sums cum[t] = v[0] + ... + v[t] of class c, or with mirror of the class that is class c reversed."""
+    length = len(cum)
+    t0, t1 = (lo - c + r - 1) // r, (hi - c + r) // r  # the t of the window are t0 <= t < t1
+    if mirror:
+        t0, t1 = length - t1, length - t0
+
+    def before(t):  # v[0] + ... + v[t - 1]
+        return np.where(t > 0, cum[t - 1], 0.0)
+
+    return before(t1) - before(t0) + np.where(lo > hi, cum[-1], 0.0)
 
 
 def closeness_integral(
@@ -320,15 +307,30 @@ def closeness_integral(
         raise DomainError("supports must span more than 2H")
     order = int(math.isqrt(int(h)))
     arcs = farey_dissection(order)
-    size, spec = power_spectrum(diff, oversample=OVERSAMPLE)
-    # first, so that its prefix sums are freed before the autocorrelation is built
-    spot, spot_alpha = _spot_probe(spec, size, h, arcs)
+    size = spectrum_size(span, OVERSAMPLE)
+    ks = _spot_bins(size, arcs)
+    radius = min(int(size / h), (size - 1) // 2)  # in bins
+    lo, hi = (ks - radius) % size, (ks + radius) % size  # inclusive bin range, circular
+    totals = np.zeros(len(ks))
+    acf = np.zeros(_arc_width(order, h))
+    turn = TWO_PI * np.arange(len(acf)) / size
+    for c, v in spectrum_classes(diff.values, size):
+        r = size // len(v)
+        mirrored = 0 < c < r // 2  # class r - c is v reversed
+        if c % 4 == 0:
+            # A(h) = (4/M) sum_j |d-hat(4j/M)|^2 e(4jh/M) (module docstring), of which
+            # the bins r t + c carry (4/M) Re[e(ch/M) conj(v-hat(h))]
+            vhat = np.fft.rfft(v)[: len(acf)].copy()  # the copy frees the whole transform at once
+            acf += (4.0 / size) * (1 + mirrored) * (np.cos(c * turn) * vhat.real + np.sin(c * turn) * vhat.imag)
+        np.cumsum(v, out=v)
+        totals += _class_window_sums(v, c, r, lo, hi, mirror=False)
+        if mirrored:
+            totals += _class_window_sums(v, r - c, r, lo, hi, mirror=True)
+    values = totals / size
+    best = int(np.argmax(values))  # the first of equal maxima
+    spot, k = max(float(values[best]), 0.0), int(ks[best])
+    spot_alpha = min(k % size, -k % size) / size if spot > 0.0 else None  # folded into [0, 1/2]
 
-    # A(h): every 4th bin is the spectrum on a grid of M/4 points (module docstring);
-    # the half is not read again, so it is dropped before the inverse transform
-    quarter = spec[::4].astype(np.complex128)
-    del spec
-    acf = np.fft.irfft(quarter, size // 4)
     contribs = [_arc_functional(acf, arc, h) for arc in arcs]
     per_arc = tuple(zip(arcs, contribs))
     farey_bound = max(contribs)

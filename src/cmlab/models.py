@@ -3,6 +3,7 @@ upper-bound sieve model.
 
 Lambda_Q(n) = sum_{q <= Q} sum_{a mod q, gcd(a,q)=1} (mu(q)/phi(q)) e(a n / q)
             = sum_{q <= Q} mu(q) c_q(n) / phi(q)          (Ramanujan closed form)
+            = sum_{d | n, d <= Q} d g_Q(d)                 (see lambda_q_window)
 
 is the density model the primes follow in progressions to moduli up to Q.  The
 nonnegative companion is theta_n(D, z), an upper-bound combinatorial sieve of
@@ -33,15 +34,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 from types import MappingProxyType
-from typing import Optional
+from typing import Iterable, Optional
 
 import numpy as np
 
 from .arith import cached_primes, mu_phi_table, rough_flags
 from .arithfn import ArithFn, TWO_PI
-from .characters import ramanujan_sum
 from .errors import CapacityError, ContractError, DomainError
 
 # ---------------------------------------------------------------------------
@@ -54,22 +53,30 @@ def _mu_phi(q: int) -> tuple[int, int]:
     return int(mu[q]), int(phi[q])
 
 
-@lru_cache(maxsize=512)
-def _lambda_q_residue_table(q: int) -> np.ndarray:
-    """Row r -> mu(q) c_q(r) / phi(q), indexed by residues r mod q (q squarefree)."""
-    mu, phi = _mu_phi(q)
-    return (mu / phi) * ramanujan_sum(q, np.arange(q)).astype(np.float64)
+def _divisor_sum(start: int, stop: int, weights: Iterable[tuple[int, float]], dtype) -> np.ndarray:
+    """sum_{d | n} w(d) for n in [start, stop), one strided pass per pair (d, w(d))."""
+    out = np.zeros(stop - start, dtype=dtype)
+    for d, w in weights:
+        out[-start % d :: d] += w
+    return out
 
 
 def lambda_q_window(start: int, stop: int, big_q: int) -> np.ndarray:
-    """Lambda_Q(n) for n in [start, stop), vectorized via residue tables."""
+    """Lambda_Q(n) for n in [start, stop), as a divisor sum over d <= Q.
+
+    As c_q(n) = sum_{d | (q, n)} d mu(q/d), Lambda_Q(n) = sum_{d | n, d <= Q} d g(d)
+    with g(d) = sum_{q <= Q, d | q} mu(q) mu(q/d) / phi(q).  Only q = d m with
+    gcd(m, d) = 1 count, so g(d) = (mu(d)/phi(d)) sum_{m <= Q/d, (m, d) = 1} mu(m)^2 / phi(m).
+    """
     if stop < start or start < 0 or big_q < 1:
         raise DomainError("bad window or Q")
-    out = np.zeros(stop - start)
-    idx = np.arange(start, stop, dtype=np.int64)
-    for q in np.flatnonzero(mu_phi_table(big_q)[0]).tolist():
-        out += _lambda_q_residue_table(q)[idx % q]
-    return out
+    mu, phi = mu_phi_table(big_q)
+    inv_phi = np.where(mu != 0, 1.0 / np.maximum(phi, 1), 0.0)  # mu(m)^2 / phi(m)
+    weights = []
+    for d in np.flatnonzero(mu).tolist():
+        m = np.arange(1, big_q // d + 1)
+        weights.append((d, d * mu[d] / phi[d] * inv_phi[m][np.gcd(m, d) == 1].sum()))
+    return _divisor_sum(start, stop, weights, np.float64)
 
 
 @dataclass(frozen=True)
@@ -177,12 +184,7 @@ class SieveSystem:
         """theta_n for n in [start, stop), by strided accumulation."""
         if start < 1 or stop < start:
             raise DomainError("need 1 <= start <= stop")
-        out = np.zeros(stop - start, dtype=np.int64)
-        for d, lam in self.weights.items():
-            first = ((start + d - 1) // d) * d
-            if first < stop:
-                out[first - start :: d] += lam
-        return out
+        return _divisor_sum(start, stop, self.weights.items(), np.int64)
 
 
 def beta_sieve_weights(level: float, sift: float, beta: int = 10) -> SieveSystem:

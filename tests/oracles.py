@@ -363,29 +363,37 @@ def contains(arc: FareyArc, alpha: float) -> bool:
     return arc.lo <= a < arc.hi
 
 
-def spot_probe_loop(spec: np.ndarray, size: int, h: float, arcs: list) -> tuple:
+def spot_probe_loop(classes: list, size: int, h: float, arcs: list) -> tuple:
     """The spot probe of closeness_integral as one Python loop over the sampled
     bins: (largest window integral, its alpha folded into [0, 1/2]), or (0.0, None).
 
-    Each window reads the same prefix sums of the half spectrum, in the same
-    order of operations, so the vectorized probe must agree bit for bit.
+    classes are the pairs (c, v_c) of `spectrum_classes` on the M-point grid,
+    class r - c being v_c reversed for 0 < c < r/2.  Each window is summed
+    class by class, in the order the classes come, off the same running sums
+    (a reversed class read through the running sums of its mirror) and with
+    the same operations, so the vectorized probe must agree bit for bit.
     """
-    half = min(int(size / h), (size - 1) // 2)
-    csum = np.concatenate([[0.0], np.cumsum(spec)])
-    mid = size // 2
+    radius = min(int(size / h), (size - 1) // 2)
+    sums = [(c, np.concatenate([[0.0], np.cumsum(v)])) for c, v in classes]
+    r = size // (len(sums[0][1]) - 1)
+    length = size // r
 
-    def prefix(x: int) -> float:
-        return csum[x] if x <= mid + 1 else csum[mid + 1] + csum[mid] - csum[size - x + 1]
+    def part(csum, c, lo, hi, mirror):
+        t0, t1 = (lo - c + r - 1) // r, (hi - c + r) // r
+        if mirror:
+            t0, t1 = length - t1, length - t0
+        return (csum[t1] - csum[t0]) + (csum[length] if lo > hi else 0.0)
 
     spot, spot_alpha = 0.0, None
     for arc in sorted(arcs, key=lambda a: a.width, reverse=True)[:SPOT_ARCS]:
         k_lo, k_hi = math.ceil(arc.lo * size), math.floor(arc.hi * size)
         for k in range(k_lo, k_hi + 1, max(1, (k_hi - k_lo) // SPOT_SAMPLES_PER_ARC)):
-            lo, hi = (k - half) % size, (k + half) % size
-            if lo <= hi:
-                total = prefix(hi + 1) - prefix(lo)
-            else:
-                total = (prefix(size) - prefix(lo)) + prefix(hi + 1)
+            lo, hi = (k - radius) % size, (k + radius) % size
+            total = 0.0
+            for c, csum in sums:
+                total += part(csum, c, lo, hi, False)
+                if 0 < c < r // 2:
+                    total += part(csum, r - c, lo, hi, True)
             value = float(total) / size
             if value > spot:
                 spot, spot_alpha = value, min(k % size, -k % size) / size

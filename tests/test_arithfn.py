@@ -14,6 +14,7 @@ from cmlab.arithfn import (
     convolve_window,
     l2_norm_sq,
     power_spectrum,
+    spectrum_classes,
     subtract,
     write_arithfn,
 )
@@ -216,32 +217,44 @@ class TestFourier:
             spec_c = np.abs(np.fft.fft(vals.astype(np.complex128), size)) ** 2
             assert np.max(np.abs(spec - spec_c[: size // 2 + 1])) <= 1e-12 * np.max(spec_c)
 
-    # the half is built from pieces of P = 2^ceil(log2 len) points, r = M/P of
-    # them by k mod r; lengths 1, 2, 3, 7 sit on the 64-point floor (r = 32,
-    # 32, 16, 8), 1024 and 1025 on either side of a power of two, and None
-    # draws an odd length, at r = 1, 2 and 8
+    # the classes k mod r have L = 2^(ceil(log2 len) - 1) points each, r = M/L
+    # of them; lengths 1, 2, 3, 7 sit on the 64-point floor (r = 64, 64, 32,
+    # 16), 1024 and 1025 on either side of a power of two, and None draws an
+    # odd length, at r = 2, 4 and 16
     @pytest.mark.parametrize("length, oversample", [
         (1, 8), (2, 8), (3, 8), (7, 8), (1024, 8), (1025, 8), (None, 1), (None, 2), (None, 8),
     ])
     def test_split_spectrum_equals_one_transform(self, rng, length, oversample):
         length = length or 2 * int(rng.integers(50, 5000)) + 1
         vals = rng.normal(size=length)
-        size, spec = power_spectrum(fn(4, vals), oversample=oversample)
-        assert size == arithfn.spectrum_size(length, oversample)
-        ref = np.abs(np.fft.rfft(vals, size)) ** 2
-        assert np.max(np.abs(spec - ref)) <= 1e-12 * np.max(ref)
+        size = arithfn.spectrum_size(length, oversample)
+        grid = np.full(size, np.nan)
+        classes = list(spectrum_classes(vals, size))
+        r = size // len(classes[0][1])
+        assert [c for c, _ in classes] == list(range(r // 2 + 1))
+        for c, v in classes:
+            grid[c::r] = v
+            if 0 < c < r // 2:
+                grid[r - c :: r] = v[::-1]  # class r - c is class c reversed
+        half = np.abs(np.fft.rfft(vals, size)) ** 2
+        ref = np.concatenate([half, half[-2:0:-1]])  # all M bins
+        assert np.max(np.abs(grid - ref)) <= 1e-12 * np.max(ref)
 
-    @pytest.mark.parametrize("oversample, rfft_sizes, ffts", [(2, [2048], 0), (8, [1024], 4)])
-    def test_transforms_taken(self, monkeypatch, oversample, rfft_sizes, ffts):
-        # r <= 2 is one real transform of M points; r = 8 is one real transform
-        # of P points and r/2 complex ones, and never one of M points
+    @pytest.mark.parametrize("oversample", [2, 8])
+    def test_transforms_taken(self, monkeypatch, oversample):
+        # power_spectrum is one real transform of M points; spectrum_classes is
+        # one real transform of L = 512 points and r/2 complex ones, r = M/L,
+        # and never one of M points
         sizes, complex_calls = [], []
         rfft, fft = np.fft.rfft, np.fft.fft
-        monkeypatch.setattr(np.fft, "rfft", lambda a, n=None, **kw: sizes.append(n) or rfft(a, n, **kw))
+        monkeypatch.setattr(np.fft, "rfft", lambda a, n=None, **kw: sizes.append(n or len(a)) or rfft(a, n, **kw))
         monkeypatch.setattr(np.fft, "fft", lambda a, *args, **kw: complex_calls.append(len(a)) or fft(a, *args, **kw))
+        size = arithfn.spectrum_size(1000, oversample)
         power_spectrum(fn(0, np.ones(1000)), oversample=oversample)
-        assert sizes == rfft_sizes
-        assert complex_calls == [1024] * ffts
+        assert (sizes, complex_calls) == ([size], [])
+        sizes.clear()
+        list(spectrum_classes(np.ones(1000), size))
+        assert (sizes, complex_calls) == ([512], [512] * (size // 512 // 2))
 
     def test_spectrum_over_cap_fails_up_front(self, monkeypatch):
         f = fn(0, np.ones(1000))

@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from cmlab import arith, arithfn, goldbach
+from cmlab import arith, arithfn, cli, goldbach
 from cmlab.arith import rough_flags
 from cmlab.cli import main
 from cmlab.models import mertens_product
@@ -147,6 +147,16 @@ class TestVerify:
         monkeypatch.setattr(arithfn, "SPECTRUM_CAP", 1 << 12)
         assert run(argv) == 2
         assert "beyond the cap" in capsys.readouterr().err
+
+    def test_closeness_spectrum_over_cap_exits_2_before_sieving(self, tmp_path, monkeypatch, capsys):
+        def refuse(x, window):
+            raise AssertionError("sieved before the capacity check")
+
+        monkeypatch.setattr(cli, "restricted_prime_fn", refuse)
+        # Y = 2*10^7: a grid of 2^28 points, over the 2^27 of the cap
+        assert run(["--out", str(tmp_path), "verify", "closeness", "--Y", "20000000"]) == 2
+        assert "beyond the cap" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
 
 
 class TestPipeline:

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -10,9 +11,10 @@ import numpy as np
 import pytest
 
 import cmlab
-from cmlab.arithfn import ArithFn, power_spectrum, subtract
+from cmlab.arithfn import ArithFn, power_spectrum, spectrum_classes, subtract
 from cmlab.closeness import (
     FareyArc,
+    _gallagher_weights,
     closeness_integral,
     default_lambda_q_sweep,
     default_sieve_sweep,
@@ -148,6 +150,20 @@ class TestGallagher:
                 continue
             f = ArithFn(17, rng.normal(size=span))
             assert gallagher_lhs(f, delta) == pytest.approx(trapezoid(f, delta), rel=1e-12)
+
+    def test_lhs_reads_its_weights_outside_blas(self, rng, monkeypatch):
+        # np.dot of 16,385 floats goes through OpenBLAS, whose threads cost
+        # more than the sum; the reduction must give the dot's value
+        f = ArithFn(10_000, rng.choice([-1.0, 1.0], size=10_000))
+        weights = _gallagher_weights(10_000, 50.0)
+        _, spec = power_spectrum(f, oversample=2)
+        dot = 2.0 * np.dot(spec, weights) - spec[0] * weights[0] - spec[-1] * weights[-1]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("np.dot called")
+
+        monkeypatch.setattr(np, "dot", refuse)
+        assert gallagher_lhs(f, 50.0) == pytest.approx(dot, rel=1e-12)
 
     def test_rhs_point_mass_window_membership(self):
         # windows (t - w, t] with w = floor(13.7 / 2) = 6: a unit mass lies in w
@@ -374,11 +390,24 @@ class TestEstimatorAgainstExhaustiveGrid:
                 assert rep.spot_alpha == min(alpha, 1.0 - alpha)
                 assert rep.spot_estimate == pytest.approx(spot, rel=1e-12)
 
+    def test_no_half_grid_is_held(self, rng):
+        # span 2^17: M = 2^20, and the half alone would be M/2 floats; the
+        # classes hold 2^16 points at a time
+        f, g = (ArithFn(1000, rng.normal(size=1 << 17)) for _ in range(2))
+        tracemalloc.start()
+        try:
+            rep = closeness_integral(f, g, 100.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.grid_resolution == 1 << 20
+        assert peak < (rep.grid_resolution // 2) * 8
+
     def test_spot_probe_equals_loop_bit_for_bit(self):
-        # the probe reads every window off the prefix sums at once; on the same
-        # spectrum it must give the loop's figures exactly, with the first of
-        # tied windows winning (a point mass has |d-hat|^2 = 1 on every bin)
-        # and (0.0, None) for d = 0
+        # the probe reads every window off the prefix sums of each residue
+        # class at once; on the same classes it must give the loop's figures
+        # exactly, with the first of tied windows winning (a point mass has
+        # |d-hat|^2 = 1 on every bin) and (0.0, None) for d = 0
         rng = np.random.default_rng(17)
         for span, h in ((2_000, 64.0), (3_001, 150.0), (700, 36.0), (5_000, 9.0)):
             f = ArithFn(1000, rng.normal(size=span))
@@ -386,16 +415,18 @@ class TestEstimatorAgainstExhaustiveGrid:
             zero = ArithFn(1000, np.zeros(span))
             for a, b in ((f, ArithFn(1003, rng.normal(size=span))), (mass, zero), (f, f)):
                 rep = closeness_integral(a, b, h)
-                size, spec = power_spectrum(subtract(a, b), oversample=8)
+                size = rep.grid_resolution
+                classes = list(spectrum_classes(subtract(a, b).values, size))
                 arcs = farey_dissection(math.isqrt(int(h)))
-                assert (rep.spot_estimate, rep.spot_alpha) == spot_probe_loop(spec, size, h, arcs)
+                assert (rep.spot_estimate, rep.spot_alpha) == spot_probe_loop(classes, size, h, arcs)
 
 
 # peak RSS of `verify closeness --Y 1000000 --h-exponent 0.45 --Q 10` on a
 # 2-core x86-64 host with numpy 2.4: 262 MB with one rfft of the 2^23-point
-# grid, 150 MB with the grid built from pieces of 2^20 points; the bound sits
-# halfway, so either side of it is far from the host's noise
-CLOSENESS_PEAK_BOUND_MB = 205
+# grid, 150 MB with its half built from pieces of 2^20 points, 101 MB with
+# the grid read by residue class, 2^19 points at a time; the bound sits halfway
+# between the last two, so either side of it is far from the host's noise
+CLOSENESS_PEAK_BOUND_MB = 125
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is counted in KB on Linux only")

@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from cmlab import arith, arithfn, goldbach, models
+from cmlab import arith, arithfn, goldbach
 from cmlab.arith import interval_prime_flags, prime_weights, rough_flags
 from cmlab.arithfn import ArithFn, convolve
 from cmlab.errors import CapacityError, ContractError, DomainError
@@ -180,7 +180,6 @@ def test_c_q_paths_do_not_factorize(monkeypatch):
     assert not [name for name, module in sys.modules.items() if name.startswith("cmlab") and hasattr(module, "factorize")]
     monkeypatch.setattr(oracles, "factorize", refuse)
     assert singular_series(30, 1000) > 0
-    models._lambda_q_residue_table.cache_clear()
     assert len(lambda_q_window(1000, 1100, 30)) == 100
     params = LambdaQParams(big_q=10, window=(1000, 2000), c_nu=1.0)
     omega = ArithFn(3000, np.where(rough_flags(3000, 4000, 10.0), 0.09, 0.0))

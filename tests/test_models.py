@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -224,6 +225,19 @@ class TestModels:
         # nan compares False with everything, so `c_nu < 0` alone let it through
         with pytest.raises(DomainError):
             LambdaQParams(big_q=5, window=(100, 200), c_nu=c_nu)
+
+    @pytest.mark.parametrize("big_q", [10, 100])
+    def test_t_nu_peak_is_two_windows(self, big_q):
+        # Lambda_Q is one array of divisor sums and c_nu scales it into a
+        # second; an index array or a gathered row per modulus would be a third
+        params = LambdaQParams(big_q=big_q, window=(10**6, 2 * 10**6))
+        tracemalloc.start()
+        try:
+            t = model_t_nu(params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * t.values.nbytes + (1 << 16)
 
     def test_q1_constant(self):
         params = LambdaQParams(big_q=1, window=(10, 30), c_nu=0.7)
