@@ -21,7 +21,6 @@ from .closeness import closeness_integral, farey_dissection, gallagher_lhs, gall
 from .goldbach import (
     PipelineConfig,
     PipelineReport,
-    desk_config,
     exceptional_scan,
     run_pipeline,
     singular_series,

@@ -22,7 +22,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Optional
 
@@ -43,7 +43,7 @@ from .closeness import (
 from .errors import CapacityError, ContractError, DomainError
 from .goldbach import (
     PRESETS,
-    desk_config,
+    PipelineConfig,
     desk_pipeline_inputs,
     exceptional_scan,
     run_pipeline,
@@ -305,7 +305,7 @@ PIPELINE = (
     Param("kappa", "--kappa", finite_float),
     Param("max_final_fraction", "--max-final-fraction", finite_float, 0.01),
 )
-# a preset fixes the whole model, so no other model row may be set alongside it
+# the model rows, PipelineConfig's fields: a preset fixes them all, so none may be set alongside it
 PRESET_FIXES = tuple(p.key for p in PIPELINE if p.key not in ("preset", "max_final_fraction"))
 
 
@@ -315,10 +315,9 @@ def _cmd_pipeline(spec: ExperimentSpec) -> int:
         conflicts = [key for key in PRESET_FIXES if key in spec.given]
         if conflicts:
             raise DomainError(f"preset {p['preset']!r} fixes {', '.join(conflicts)}; set either the preset or these")
-        config = PRESETS[p["preset"]]()
+        config = PRESETS[p["preset"]]
     else:
-        config = desk_config(p["x"], big_q=p["big_q"], c_nu=p["c_nu"])
-        config = replace(config, **{key: p[key] for key in ("y", "h", "kappa") if p[key] is not None})
+        config = PipelineConfig(**{key: p[key] for key in PRESET_FIXES})
     spec.params.update(config.to_dict())
 
     report = run_pipeline(config, *desk_pipeline_inputs(config))

@@ -14,6 +14,10 @@ lower bound a*a(n) >= omega*T(n) - 2 kappa.  Each step costs (H+1) times the
 length of its second factor, or one transform of about that length plus H
 when that is cheaper, never a full convolution of length up to 2X.
 
+`PipelineConfig` is the one place the geometry is derived: Y, H and kappa
+follow X and the resolved Y unless given, and a Y that would start omega's
+window below 0 (3Y > X + 1) is refused when the config is built.
+
 Only a*a reaches all of [0, X]; every other input lives in a window of size
 O(Y).  a is therefore a block source, read a segment at a time: a run holds
 O(sqrt(X) + segment + H + Y) values (`pipeline_working_set`), and a working
@@ -177,29 +181,47 @@ def singular_series_product(n: int, prime_bound: int) -> float:
 # ---------------------------------------------------------------------------
 
 
+A_POWER = 1.0  # A of Q = (log X)^A and of theta_target = (log Y)^-A
+EPS = 0.1  # eps of H = Y^{1/9 + 2 eps}
+
+
 @dataclass(frozen=True)
 class PipelineConfig:
     """Desk-scale parameters of the minorant-transfer pipeline.
 
-    The asymptotic shape (Y = X^{21/40+eps}, H = Y^{1/9+2eps}, Q = (log X)^A,
-    kappa = Y / log Y) degenerates at desk sizes, so `desk_config`, at A = A_POWER
-    and eps = EPS, applies floors (H >= 64, Q >= 3, Y >= 10^3) and records the
-    un-floored values in `ideal` for reporting.
+    The asymptotic shape Y = X^{21/40+eps}, H = Y^{1/9+2eps}, kappa = Y / log Y
+    (and Q = (log X)^A, theta_target = (log Y)^-A at A = A_POWER) degenerates
+    at desk sizes.  Each of Y, H and kappa left None is derived here, from X
+    and the resolved Y, with the floors Y >= 10^3 and H >= 64 at eps = EPS;
+    Q is always given.  `to_dict` reports theta_target and the un-floored
+    values (`ideal`) next to the fields.
     """
 
     x: int
-    h: int
-    y: int
     big_q: int
-    a_power: float
-    c_nu: float
-    kappa: float
-    theta_target: float
-    ideal: dict = field(default_factory=dict)
+    c_nu: float = 1.0
+    y: Optional[int] = None
+    h: Optional[int] = None
+    kappa: Optional[float] = None
 
     def __post_init__(self):
+        # X^{21/40}, Y^{1/9 + 2 eps} and Y / log Y are real and finite only for
+        # X, Y > 1; whatever fails here fails 2 < H < Y < X as well
+        if self.x < 5 or (self.y is not None and self.y < 4):
+            raise DomainError("need 2 < H < Y < X")
+        # the dataclass is frozen, so the derived values are set through object
+        if self.y is None:
+            object.__setattr__(self, "y", max(1000, round(self.x ** (21.0 / 40.0))))
+        if self.h is None:
+            object.__setattr__(self, "h", max(64, round(self.y ** (1.0 / 9.0 + 2 * EPS))))
+        if self.kappa is None:
+            object.__setattr__(self, "kappa", self.y / math.log(self.y))
         if not (2 < self.h < self.y < self.x):
             raise DomainError("need 2 < H < Y < X")
+        if 3 * self.y > self.x + 1:
+            raise DomainError(
+                f"omega's window (X - 3Y, X - Y] starts below 0: 3Y = {3 * self.y} > X + 1 = {self.x + 1}"
+            )
         if self.big_q < 1 or not self.kappa > 0 or not self.c_nu >= 0:  # nan fails too
             raise DomainError("need Q >= 1, kappa > 0, nonnegative densities")
 
@@ -217,39 +239,16 @@ class PipelineConfig:
     def to_dict(self) -> dict:
         return {
             "x": self.x, "h": self.h, "y": self.y, "big_q": self.big_q,
-            "a_power": self.a_power, "c_nu": self.c_nu,
-            "kappa": self.kappa, "theta_target": self.theta_target, "ideal": dict(self.ideal),
+            "a_power": A_POWER, "c_nu": self.c_nu,
+            "kappa": self.kappa, "theta_target": math.log(self.y) ** (-A_POWER),
+            "ideal": {"y": self.x ** (21.0 / 40.0), "h": self.y ** (1.0 / 9.0 + 2 * EPS),
+                      "big_q": math.log(self.x) ** A_POWER},
         }
 
 
-A_POWER = 1.0  # A of Q = (log X)^A and of theta_target = (log Y)^-A
-EPS = 0.1  # eps of H = Y^{1/9 + 2 eps}
-
-
-def desk_config(
-    x: int,
-    big_q: Optional[int] = None,
-    c_nu: float = 1.0,
-) -> PipelineConfig:
-    """Apply the exponent map with desk floors; keep both ideal and floored values."""
-    ideal_y = x ** (21.0 / 40.0)
-    y = max(1000, round(ideal_y))
-    ideal_h = y ** (1.0 / 9.0 + 2 * EPS)
-    h = max(64, round(ideal_h))
-    ideal_q = math.log(x) ** A_POWER
-    q = big_q if big_q is not None else max(3, round(ideal_q))
-    kappa = y / math.log(y)
-    theta_target = math.log(y) ** (-A_POWER)
-    return PipelineConfig(
-        x=x, h=h, y=y, big_q=q, a_power=A_POWER, c_nu=c_nu,
-        kappa=kappa, theta_target=theta_target,
-        ideal={"y": ideal_y, "h": ideal_h, "big_q": ideal_q},
-    )
-
-
 PRESETS = {
-    "desk-small": lambda: desk_config(200_000, big_q=10),
-    "desk-medium": lambda: desk_config(1_000_000, big_q=10),
+    "desk-small": PipelineConfig(200_000, big_q=10),
+    "desk-medium": PipelineConfig(1_000_000, big_q=10),
 }
 
 

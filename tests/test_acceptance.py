@@ -25,7 +25,7 @@ from cmlab.closeness import (
 )
 from cmlab.goldbach import (
     PRESETS,
-    desk_config,
+    PipelineConfig,
     desk_pipeline_inputs,
     exceptional_scan,
     restricted_prime_fn,
@@ -335,7 +335,7 @@ def test_criterion_6_closeness_ordering():
 def test_criterion_7_pipeline():
     checks = []
 
-    config = desk_config(200_000, big_q=10)
+    config = PipelineConfig(200_000, big_q=10)
     nu = restricted_prime_fn(config.x, config.nu_window)
     omega = restricted_prime_fn(config.x, config.omega_window)
     # a = nu + omega: nu*nu lives on (2Y, 4Y] and omega*omega beyond 2(X - 3Y) > X,
@@ -352,7 +352,7 @@ def test_criterion_7_pipeline():
     )
     checks.append(("collapsed chain: zero exceptions at every step", all_zero, str(collapsed.summary())))
 
-    preset = PRESETS["desk-small"]()
+    preset = PRESETS["desk-small"]
     report_run = run_pipeline(preset, *desk_pipeline_inputs(preset))
     frac = report_run.final_failure_fraction
     checks.append(
@@ -363,10 +363,9 @@ def test_criterion_7_pipeline():
         ("desk-small: pointwise domination step has zero violations",
          report_run.step_positivity_violations == 0, "a*T+ >= omega*T+ everywhere")
     )
-    # "b" in the text is the weight of the second summand, which here is a itself
     checks.append(
         ("desk-small: minorization violations exactly 0",
-         report_run.minorization_violations == 0, "nu <= b and omega <= a")
+         report_run.minorization_violations == 0, "nu <= a and omega <= a")
     )
     total = preset.h + 1
     step2_frac = report_run.exceptions_step2 / total

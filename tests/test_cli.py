@@ -1,9 +1,16 @@
 import json
+import math
 import os
+import re
+import shlex
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import cmlab
 from cmlab import arith, arithfn, cli, goldbach
 from cmlab.arith import rough_flags
 from cmlab.cli import main
@@ -180,7 +187,7 @@ class TestPipeline:
         monkeypatch.setattr(goldbach, "PIPELINE_SEGMENT", 1 << 16)
         assert run(["--out", str(tmp_path), "pipeline", "--preset", "desk-small"]) == 0
         summary = json.loads((tmp_path / "pipeline-summary.json").read_text())
-        config = goldbach.PRESETS["desk-small"]()
+        config = goldbach.PRESETS["desk-small"]
         m0 = -(-(config.x - config.h) // 2)  # 99968: [0, m0) in segments of 2^16
         assert summary["segments_streamed"] == -(-m0 // (1 << 16)) == 2
         # the low segments, their mirrors of H more values each and the middle window tile [0, X]
@@ -197,9 +204,54 @@ class TestPipeline:
 
         monkeypatch.setattr(goldbach, "prime_weights", refuse)
         # 10 (Y + H) alone is over the 10^8 values of the cap
-        assert run(["--out", str(tmp_path), "pipeline", "--X", "20000000", "--Y", "10000000"]) == 2
+        assert run(["--out", str(tmp_path), "pipeline", "--X", "40000000", "--Y", "10000000"]) == 2
         assert "beyond the cap" in capsys.readouterr().err
         assert not (tmp_path / "pipeline-chain.csv").exists()
+
+    def test_explicit_y_sets_h_kappa_and_theta_target(self, tmp_path):
+        # H = Y^{1/9 + 2 eps} and kappa = Y / log Y follow the Y given, not the
+        # Y = X^{21/40} that --X alone would set (which gave h = 64, kappa = 321.2).
+        # The run holds about 100 MB, so it gets its own process: a child started
+        # by subprocess reports the test process's peak RSS as its own, and
+        # test_closeness_peak_rss_at_one_million reads a child's peak
+        src = Path(cmlab.__file__).resolve().parents[1]
+        argv = ["--out", str(tmp_path), "pipeline", "--X", "3000000", "--Y", "700000"]
+        done = subprocess.run([sys.executable, "-m", "cmlab.cli", *argv], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": str(src)}, timeout=300)
+        assert done.returncode == 0, done.stderr
+        header = (tmp_path / "pipeline-chain.csv").read_text().splitlines()
+        assert "# h = 66" in header
+        assert "# kappa = 52010.44281055973" in header
+        config = json.loads((tmp_path / "pipeline-summary.json").read_text())["report"]["config"]
+        assert config["theta_target"] == 1 / math.log(700_000)
+        assert config["ideal"]["h"] == 700_000 ** (1 / 9 + 0.2)
+
+    @pytest.mark.parametrize("argv, named", [
+        (["--X", "10000", "--Y", "3334"], "3Y = 10002 > X + 1 = 10001"),
+        (["--X", "10000", "--Y", "4000", "--H", "100"], "3Y = 12000 > X + 1 = 10001"),
+    ])
+    def test_omega_window_below_zero_exits_2_before_sieving(self, tmp_path, monkeypatch, capsys, argv, named):
+        def refuse(start, stop):
+            raise AssertionError("sieved before the geometry check")
+
+        monkeypatch.setattr(goldbach, "prime_weights", refuse)
+        assert run(["--out", str(tmp_path), "pipeline", *argv]) == 2
+        assert named in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+        monkeypatch.undo()
+        # at 3Y = X - 1, omega's window (X - 3Y, X - Y] starts at 1
+        assert run(["--out", str(tmp_path), "pipeline", "--X", "10000", "--Y", "3333"]) == 0
+
+    def test_preset_is_its_x(self, tmp_path):
+        assert run(["--out", str(tmp_path / "preset"), "pipeline", "--preset", "desk-small"]) == 0
+        assert run(["--out", str(tmp_path / "x"), "pipeline", "--X", "200000"]) == 0
+
+        def outputs(name):
+            summary = json.loads((tmp_path / name / "pipeline-summary.json").read_text())
+            chain = (tmp_path / name / "pipeline-chain.csv").read_text().splitlines()
+            return summary["report"], [line for line in chain if not line.startswith("#")]
+
+        assert outputs("preset") == outputs("x")
 
 
 class TestExceptional:
@@ -379,3 +431,15 @@ class TestSeedPlacement:
         assert code == 0
         text = (tmp_path / "gallagher-ratios.csv").read_text()
         assert "# seed = 3" in text and text.count("seed") == 1
+
+
+class TestReadme:
+    def test_cli_examples_run(self, tmp_path):
+        # every `cmlab ...` line of the README's CLI block, so a renamed or
+        # dropped flag fails here instead of leaving the docs wrong
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        block = re.search(r"## CLI\n\n```sh\n(.*?)```", readme, re.S).group(1)
+        commands = [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("cmlab ")]
+        assert commands
+        for i, argv in enumerate(commands):
+            assert run(["--out", str(tmp_path / str(i)), *argv]) == 0, argv

@@ -1,7 +1,6 @@
 import io
 import math
 import sys
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,7 +12,6 @@ from cmlab.errors import CapacityError, ContractError, DomainError
 from cmlab.goldbach import (
     PRESETS,
     PipelineConfig,
-    desk_config,
     desk_pipeline_inputs,
     exceptional_scan,
     restricted_prime_fn,
@@ -284,31 +282,42 @@ class TestRestrictedPrimeFn:
 
 class TestPipelineConfig:
     def test_desk_floors(self):
-        config = desk_config(200_000, big_q=10)
+        config = PipelineConfig(200_000, big_q=10)
         assert (config.x, config.y, config.h, config.big_q) == (200_000, 1000, 64, 10)
-        assert config.ideal["y"] == pytest.approx(200_000 ** (21 / 40))
+        assert config.to_dict()["ideal"]["y"] == pytest.approx(200_000 ** (21 / 40))
         assert config.kappa == pytest.approx(1000 / math.log(1000))
 
+    def test_given_y_sets_h_and_kappa(self):
+        config = PipelineConfig(3_000_000, big_q=10, y=700_000)
+        assert (config.h, config.kappa) == (66, 700_000 / math.log(700_000))
+        given = PipelineConfig(3_000_000, big_q=10, y=700_000, h=100, kappa=5.0)
+        assert (given.h, given.kappa) == (100, 5.0)
+
+    @pytest.mark.parametrize("x, y", [(-5, None), (4, None), (200_000, 1), (200_000, -7)])
+    def test_degenerate_x_or_y_is_a_domain_error(self, x, y):
+        # no traceback from log(1), a complex power or the like
+        with pytest.raises(DomainError, match="need 2 < H < Y < X"):
+            PipelineConfig(x, big_q=10, y=y)
+
     def test_window_arithmetic(self):
-        config = desk_config(200_000, big_q=10)
+        config = PipelineConfig(200_000, big_q=10)
         assert config.nu_window == (1000, 2000)
         assert config.omega_window == (197_000, 199_000)
 
     def test_validation(self):
         with pytest.raises(DomainError):
-            PipelineConfig(x=100, h=10, y=200, big_q=3, a_power=1.0, c_nu=1.0,
-                           kappa=10.0, theta_target=0.1)
+            PipelineConfig(x=100, h=10, y=200, big_q=3, kappa=10.0)
 
     @pytest.mark.parametrize("field", ["kappa", "c_nu"])
     def test_nan_fails_validation(self, field):
         # nan compares False with everything, so `kappa <= 0` alone let it through
         with pytest.raises(DomainError):
-            replace(desk_config(200_000, big_q=10), **{field: math.nan})
+            PipelineConfig(200_000, big_q=10, **{field: math.nan})
 
     def test_desk_sieve_is_exact_rough_model(self):
         # the pipeline's default T+ (read from rough_flags) is the model of the
         # enumerated untruncated weights, bit for bit
-        config = PRESETS["desk-small"]()
+        config = PRESETS["desk-small"]
         t_plus = model_t_nu_plus(config.lambda_q_params(), config.big_q)
         sieve = beta_sieve_weights(float(untruncated_level(config.big_q)), config.big_q)
         theta = sieve.theta_window(1001, 2001)
@@ -320,7 +329,7 @@ class TestPipelineConfig:
 
 class TestPipeline:
     def test_collapsed_chain_is_exact(self):
-        config = desk_config(200_000, big_q=10)
+        config = PipelineConfig(200_000, big_q=10)
         nu = restricted_prime_fn(config.x, config.nu_window)
         omega = restricted_prime_fn(config.x, config.omega_window)
         # a = nu + omega: nu*nu lives on (2Y, 4Y] and omega*omega beyond
@@ -336,7 +345,7 @@ class TestPipeline:
         assert report.step_positivity_violations == 0
 
     def test_huge_kappa_clears_exceptions(self):
-        config = replace(desk_config(200_000, big_q=10), kappa=1e18)
+        config = PipelineConfig(200_000, big_q=10, kappa=1e18)
         nu, omega, a = desk_pipeline_inputs(config)
         report = run_pipeline(config, nu, omega, a)
         assert report.exceptions_step2 == 0
@@ -344,7 +353,7 @@ class TestPipeline:
         assert report.final_failures == 0
 
     def test_desk_small_run(self):
-        config = PRESETS["desk-small"]()
+        config = PRESETS["desk-small"]
         nu, omega, a = desk_pipeline_inputs(config)
         report = run_pipeline(config, nu, omega, a)
         assert report.final_failures == 0
@@ -353,7 +362,7 @@ class TestPipeline:
         assert report.even_count + report.odd_count == config.h + 1
 
     def test_counts_bounded_by_window(self):
-        config = PRESETS["desk-small"]()
+        config = PRESETS["desk-small"]
         nu, omega, a = desk_pipeline_inputs(config)
         report = run_pipeline(config, nu, omega, a)
         for count in (report.exceptions_step2, report.exceptions_step4, report.final_failures):
@@ -361,7 +370,7 @@ class TestPipeline:
 
     def test_representation_verdicts_match_exceptional_set(self, flags_1e6):
         # two independent code paths: a*a(n) > 0 versus the exhaustive search
-        config = PRESETS["desk-small"]()
+        config = PRESETS["desk-small"]
         nu, omega, a = desk_pipeline_inputs(config)
         conv = ArithFn(0, arithfn._convolve_fft(a(0, config.x + 1), a(0, config.x + 1)))
         missing = set(exceptional_scan(config.x, config.h).exceptions)
@@ -371,7 +380,7 @@ class TestPipeline:
             assert (abs(conv(n)) < 1.0) == (n in missing)
 
     def test_inputs_beyond_desk_cap_fail_up_front(self, monkeypatch):
-        config = PRESETS["desk-small"]()
+        config = PRESETS["desk-small"]
         nu, omega, a = desk_pipeline_inputs(config)
         reads = []
 
@@ -392,13 +401,12 @@ class TestPipeline:
 
     def test_working_set_counts_y_not_x(self):
         # about 10^6 values at X = 10^9 (8 MB), the base primes, two segments and 10(Y + H)
-        assert goldbach.pipeline_working_set(desk_config(10**9, big_q=10)) < 1_100_000
+        assert goldbach.pipeline_working_set(PipelineConfig(10**9, big_q=10)) < 1_100_000
         with pytest.raises(CapacityError):
-            desk_pipeline_inputs(PipelineConfig(x=2 * 10**7, h=64, y=10**7, big_q=10, a_power=1.0,
-                                                c_nu=1.0, kappa=1.0, theta_target=0.1))
+            desk_pipeline_inputs(PipelineConfig(4 * 10**7, big_q=10, y=10**7))
 
     def test_support_misconfiguration_rejected(self):
-        config = desk_config(200_000, big_q=10)
+        config = PipelineConfig(200_000, big_q=10)
         nu, omega, a = desk_pipeline_inputs(config)
         shifted = ArithFn(nu.support_start + 5_000, nu.values)
         with pytest.raises(ContractError):
@@ -407,14 +415,14 @@ class TestPipeline:
             run_pipeline(config, nu, shifted, a)
 
     def test_minorization_violation_detected(self):
-        config = desk_config(200_000, big_q=10)
+        config = PipelineConfig(200_000, big_q=10)
         nu, omega, a = desk_pipeline_inputs(config)
         inflated = ArithFn(nu.support_start, nu.values * 2 + 1e-6)
         report = run_pipeline(config, inflated, omega, a)
         assert report.minorization_violations > 0
 
     def test_csv_and_json_reports(self):
-        config = PRESETS["desk-small"]()
+        config = PRESETS["desk-small"]
         nu, omega, a = desk_pipeline_inputs(config)
         report = run_pipeline(config, nu, omega, a)
         buf = io.StringIO()
@@ -432,12 +440,12 @@ class TestPipelineScaling:
             raise AssertionError("run_pipeline must read [X-H, X] through convolve_window")
 
         monkeypatch.setattr(goldbach, "convolve", refuse)
-        config = PRESETS["desk-small"]()
+        config = PRESETS["desk-small"]
         report = run_pipeline(config, *desk_pipeline_inputs(config))
         assert report.final_failures == 0
 
     def test_trimmed_steps_match_full_convolutions(self):
-        config = PRESETS["desk-small"]()
+        config = PRESETS["desk-small"]
         nu, omega, a = desk_pipeline_inputs(config)
         report = run_pipeline(config, nu, omega, a)
         full = ArithFn(0, arithfn._convolve_fft(a(0, config.x + 1), a(0, config.x + 1)))
@@ -448,7 +456,7 @@ class TestPipelineScaling:
     def test_tiny_blocks_match_one_shot_convolution(self, preset, monkeypatch):
         # a*a streams [0, m0), m0 = ceil((X - H) / 2) = X/2 - 32 at both presets,
         # so the last of its segments of 1000 holds 968 integers
-        config = PRESETS[preset]()
+        config = PRESETS[preset]
         inputs = desk_pipeline_inputs(config)
         whole = run_pipeline(config, *inputs)
         calls = []
@@ -486,7 +494,7 @@ class TestPipelineScaling:
 
     @pytest.mark.parametrize("x", [200_000, 200_001])  # X - H even, then odd
     def test_half_stream_is_both_pairs(self, x, monkeypatch):
-        config = desk_config(x, big_q=10)
+        config = PipelineConfig(x, big_q=10)
         assert config.h == 64
         nu, omega, a = desk_pipeline_inputs(config)
         reads = []
@@ -514,7 +522,7 @@ class TestPipelineScaling:
     def test_split_matches_one_shot_convolution_on_dense_sources(self, x, monkeypatch):
         # Lambda' vanishes on even m, so it cannot tell where the halves meet;
         # sources that vanish nowhere do
-        config = desk_config(x, big_q=10)
+        config = PipelineConfig(x, big_q=10)
         nu, omega, _ = desk_pipeline_inputs(config)
 
         def ones(start, stop):
@@ -536,7 +544,7 @@ class TestPipelineScaling:
         # and the positivity step, 199500 also on omega's window; at segments of
         # 2^16, m0 = 99968 is read only by the middle window [m0, X - m0],
         # X - m0 = 100032 by it and the last mirror, X by the first mirror only
-        config = PRESETS["desk-small"]()
+        config = PRESETS["desk-small"]
         nu, omega, a = desk_pipeline_inputs(config)
 
         def dented(start, stop):
@@ -551,7 +559,7 @@ class TestPipelineScaling:
 
     @pytest.mark.parametrize("segment", [1 << 10, goldbach.PIPELINE_SEGMENT])
     def test_reads_stay_within_a_segment_or_a_window(self, segment, monkeypatch):
-        config = PRESETS["desk-medium"]()
+        config = PRESETS["desk-medium"]
         nu, omega, _ = desk_pipeline_inputs(config)
         longest = [0]
 
@@ -570,7 +578,7 @@ class TestMinorizationReporting:
     def test_broken_minorant_fires_positivity_check(self):
         # a bump of omega at a composite m read by the window: a(m) = 0 < omega(m),
         # so (a - omega) * T+ goes negative wherever T+(n - m) > 0
-        config = PRESETS["desk-small"]()
+        config = PRESETS["desk-small"]
         nu, omega, a = desk_pipeline_inputs(config)
         m = 198_000
         assert config.x - config.h - 2 * config.y <= m <= config.x - config.y - 1
@@ -581,7 +589,7 @@ class TestMinorizationReporting:
         assert report.minorization_violations > 0
 
     def test_omega_exceeding_a_is_counted_not_fatal(self):
-        config = desk_config(200_000, big_q=10)
+        config = PipelineConfig(200_000, big_q=10)
         nu, omega, a = desk_pipeline_inputs(config)
         spiked = omega.values.copy()
         spiked[len(spiked) // 2] += 100.0  # omega > a at one point
