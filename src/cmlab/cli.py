@@ -22,7 +22,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Any, Callable, Optional
 
@@ -37,8 +37,7 @@ from .closeness import (
     default_sieve_sweep,
     gallagher_lhs,
     gallagher_rhs,
-    verify_lambda_q_short_sums,
-    verify_sieve_short_sums,
+    verify_short_sums,
 )
 from .errors import CapacityError, ContractError, DomainError
 from .goldbach import (
@@ -51,6 +50,7 @@ from .goldbach import (
     singular_series,
     singular_series_product,
 )
+from .constants import Check, regression
 from .models import LambdaQParams, lambda_q_window, model_t_nu, model_t_nu_plus, untruncated_level
 
 ENV_PREFIX = "CML_"
@@ -145,13 +145,17 @@ def _resolve(args: argparse.Namespace) -> ExperimentSpec:
     return ExperimentSpec(name=args.name, params=params, out=Path(args.out), seed=seed, given=frozenset(given))
 
 
-def _write_summary(spec: ExperimentSpec, payload: dict) -> Path:
+def _verdict(spec: ExperimentSpec, checks: list[Check], payload: dict) -> int:
+    """Write the JSON summary: the payload, each check and passed, their conjunction.
+    The exit code is 1 when a check failed."""
+    passed = all(check.passed for check in checks)
+    body = {"subcommand": spec.name, "seed": spec.seed, "params": {k: str(v) for k, v in spec.echo().items()}}
+    rows = [{**asdict(check), "margin": check.margin, "passed": check.passed} for check in checks]
+    body.update(payload, checks=rows, passed=passed)
     spec.out.mkdir(parents=True, exist_ok=True)
     path = spec.out / f"{spec.name.replace(' ', '-')}-summary.json"
-    body = {"subcommand": spec.name, "seed": spec.seed, "params": {k: str(v) for k, v in spec.echo().items()}}
-    body.update(payload)
     path.write_text(json.dumps(body, sort_keys=True, indent=1) + "\n")
-    return path
+    return 0 if passed else 1
 
 
 def _write_csv(spec: ExperimentSpec, name: str, write_body: Callable) -> Path:
@@ -201,44 +205,34 @@ def _cmd_verify_gallagher(spec: ExperimentSpec) -> int:
             fh.write(f"{i},{ratio:.10g}\n")
 
     _write_csv(spec, "gallagher-ratios.csv", body)
-    canonical = (p["delta"], p["trials"], p["span"], p["start"], spec.seed) == (50.0, 100, 10_000, 10_000, 7)
-    ok = worst <= constants.GALLAGHER_RATIO_CEILING
-    if canonical:
-        ok = ok and worst <= constants.GALLAGHER_RANDOM_BASELINE * constants.REGRESSION_HEADROOM
-    _write_summary(spec, {
-        "max_ratio": worst,
-        "ceiling": constants.GALLAGHER_RATIO_CEILING,
-        "baseline_checked": canonical,
-        "passed": ok,
-    })
+    checks = [
+        Check("max ratio", worst, constants.GALLAGHER_RATIO_CEILING),
+        *regression("max ratio vs baseline", worst, constants.GALLAGHER_RANDOM_BASELINE,
+                    (p["delta"], p["trials"], p["span"], p["start"], spec.seed), (50.0, 100, 10_000, 10_000, 7)),
+    ]
     print(f"gallagher: max lhs/rhs ratio {worst:.4f} over {p['trials']} trials (ceiling {constants.GALLAGHER_RATIO_CEILING})")
-    return 0 if ok else 1
+    return _verdict(spec, checks, {"max_ratio": worst})
+
+
+def _sweep_verdict(spec: ExperimentSpec, name: str, report, baseline: float, point, measured_at) -> int:
+    """Write a short-sum sweep's CSV and its verdict: the max ratio under the ceiling and the baseline."""
+    _write_csv(spec, f"{name.replace('_', '-')}-short-sums.csv", report.write_csv)
+    print(f"{name}_short: max ratio {report.max_ratio:.4f} over {len(report.rows)} points")
+    return _verdict(spec, [
+        Check("max ratio", report.max_ratio, constants.SHORT_SUM_RATIO_CEILING),
+        *regression("max ratio vs baseline", report.max_ratio, baseline, point, measured_at),
+    ], {"report": report.summary()})
 
 
 def _cmd_verify_lambda_q(spec: ExperimentSpec) -> int:
     big_q, grid = spec.params["big_q"], spec.params["grid"]
-    report = verify_lambda_q_short_sums(
-        default_lambda_q_sweep(big_q=big_q, scale=grid), ceiling=constants.SHORT_SUM_RATIO_CEILING
-    )
-    _write_csv(spec, "lambda-q-short-sums.csv", report.write_csv)
-    ok = report.passed
-    if (big_q, grid) == (10, "small"):
-        ok = ok and report.max_ratio <= constants.LAMBDA_Q_SWEEP_BASELINE * constants.REGRESSION_HEADROOM
-    _write_summary(spec, {"report": report.summary(), "passed": ok})
-    print(f"lambda_q_short: max ratio {report.max_ratio:.4f} over {len(report.rows)} points")
-    return 0 if ok else 1
+    report = verify_short_sums(*default_lambda_q_sweep(big_q=big_q, scale=grid))
+    return _sweep_verdict(spec, "lambda_q", report, constants.LAMBDA_Q_SWEEP_BASELINE, (big_q, grid), (10, "small"))
 
 
 def _cmd_verify_sieve(spec: ExperimentSpec) -> int:
-    grid = spec.params["grid"]
-    report = verify_sieve_short_sums(default_sieve_sweep(scale=grid), ceiling=constants.SHORT_SUM_RATIO_CEILING)
-    _write_csv(spec, "sieve-short-sums.csv", report.write_csv)
-    ok = report.passed
-    if grid == "small":
-        ok = ok and report.max_ratio <= constants.SIEVE_SWEEP_BASELINE * constants.REGRESSION_HEADROOM
-    _write_summary(spec, {"report": report.summary(), "passed": ok})
-    print(f"sieve_short: max ratio {report.max_ratio:.4f} over {len(report.rows)} points")
-    return 0 if ok else 1
+    report = verify_short_sums(*default_sieve_sweep(scale=spec.params["grid"]))
+    return _sweep_verdict(spec, "sieve", report, constants.SIEVE_SWEEP_BASELINE, spec.params["grid"], "small")
 
 
 CLOSENESS = (
@@ -267,28 +261,28 @@ def _cmd_verify_closeness(spec: ExperimentSpec) -> int:
     rep2 = closeness_integral(t_nu, t_plus, h, reference_norm=ref)
     _write_csv(spec, "closeness-primes-vs-model-arcs.csv", lambda fh: rep1.write_arc_csv(fh))
     _write_csv(spec, "closeness-model-vs-sieve-arcs.csv", lambda fh: rep2.write_arc_csv(fh))
-    # the ordering (sieve model at least as close as the raw primes) must hold
-    # at any scale; the absolute 0.1 level and the baselines are pinned at the
-    # canonical parameter point only
-    ok = bool(rep2.theta_effective <= rep1.theta_effective)
-    canonical = (y, p["h_exponent"], big_q, p["c_nu"]) == (100_000, 0.3, 10, 1.0)
-    if canonical:
-        head = constants.REGRESSION_HEADROOM
-        ok = ok and rep1.theta_effective <= 0.1
-        ok = ok and rep1.theta_effective <= constants.THETA_PRIMES_VS_MODEL_BASELINE * head
-        ok = ok and rep2.theta_effective <= constants.THETA_MODEL_VS_SIEVE_BASELINE * head
-    _write_summary(spec, {
-        "theta_primes_vs_model": float(rep1.theta_effective),
-        "theta_model_vs_sieve": float(rep2.theta_effective),
-        "passed": bool(ok),
+    theta1, theta2 = float(rep1.theta_effective), float(rep2.theta_effective)
+    # the ordering (sieve model at least as close as the raw primes) must hold at any
+    # scale; the absolute 0.1 level and the baselines are pinned at the canonical point
+    point, canonical = (y, p["h_exponent"], big_q, p["c_nu"]), (100_000, 0.3, 10, 1.0)
+    checks = [
+        Check("theta ordering", theta2, theta1),
+        *([Check("theta_primes_vs_model level", theta1, 0.1)] if point == canonical else []),
+        *regression("theta_primes_vs_model vs baseline", theta1, constants.THETA_PRIMES_VS_MODEL_BASELINE,
+                    point, canonical),
+        *regression("theta_model_vs_sieve vs baseline", theta2, constants.THETA_MODEL_VS_SIEVE_BASELINE,
+                    point, canonical),
+    ]
+    print(
+        f"closeness: theta(primes, model) = {theta1:.5f} (set by {rep1.decided_by}), "
+        f"theta(model, sieve model) = {theta2:.5f} (set by {rep2.decided_by})"
+    )
+    return _verdict(spec, checks, {
+        "theta_primes_vs_model": theta1,
+        "theta_model_vs_sieve": theta2,
         "primes_vs_model": rep1.decision(),
         "model_vs_sieve": rep2.decision(),
     })
-    print(
-        f"closeness: theta(primes, model) = {rep1.theta_effective:.5f} (set by {rep1.decided_by}), "
-        f"theta(model, sieve model) = {rep2.theta_effective:.5f} (set by {rep2.decided_by})"
-    )
-    return 0 if ok else 1
 
 
 # ---------------------------------------------------------------------------
@@ -322,24 +316,30 @@ def _cmd_pipeline(spec: ExperimentSpec) -> int:
 
     report = run_pipeline(config, *desk_pipeline_inputs(config))
     _write_csv(spec, "pipeline-chain.csv", report.write_csv)
-    ok = (
-        report.final_failure_fraction <= p["max_final_fraction"]
-        and report.step_positivity_violations == 0
-        and report.minorization_violations == 0
+    frac = report.final_failure_fraction
+    step2, step4 = report.exceptions_step2 / (config.h + 1), report.exceptions_step4 / (config.h + 1)
+    checks = [
+        Check("final failure fraction", frac, p["max_final_fraction"]),
+        Check("step positivity violations", report.step_positivity_violations, 0),
+        Check("minorization violations", report.minorization_violations, 0),
+    ]
+    for name, value, baseline in (
+        ("final failure fraction", frac, constants.PIPELINE_FINAL_FAILURE_FRACTION_BASELINE),
+        ("step2 exception fraction", step2, constants.PIPELINE_STEP2_EXCEPTION_FRACTION_BASELINE),
+        ("step4 exception fraction", step4, constants.PIPELINE_STEP4_EXCEPTION_FRACTION_BASELINE),
+    ):
+        checks += regression(f"{name} vs baseline", value, baseline, config, PRESETS["desk-small"])
+    print(
+        f"pipeline: final failures {report.final_failures}/{report.even_count} even n "
+        f"(fraction {frac:.4f}), "
+        f"step2 exceptions {report.exceptions_step2}, step4 exceptions {report.exceptions_step4}"
     )
-    _write_summary(spec, {
+    return _verdict(spec, checks, {
         "report": report.summary(),
-        "passed": ok,
         "segments_streamed": report.segments,
         "values_streamed": report.values_streamed,
         "working_set_values": report.working_set,
     })
-    print(
-        f"pipeline: final failures {report.final_failures}/{report.even_count} even n "
-        f"(fraction {report.final_failure_fraction:.4f}), "
-        f"step2 exceptions {report.exceptions_step2}, step4 exceptions {report.exceptions_step4}"
-    )
-    return 0 if ok else 1
 
 
 EXCEPTIONAL = (
@@ -358,9 +358,8 @@ def _cmd_exceptional(spec: ExperimentSpec) -> int:
             fh.write(f"{n}\n")
 
     _write_csv(spec, "exceptional-set.csv", body)
-    _write_summary(spec, {**scan.summary(), "passed": True})
     print(f"exceptional: |E({x}, {h})| = {len(scan.exceptions)}")
-    return 0
+    return _verdict(spec, [], scan.summary())
 
 
 SERIES = (
@@ -389,9 +388,8 @@ def _cmd_series(spec: ExperimentSpec) -> int:
             fh.write(f"{n},{singular_series(n, p['q_max']):.10g},{singular_series_product(n, p['prime_bound']):.10g}\n")
 
     _write_csv(spec, "singular-series.csv", body)
-    _write_summary(spec, {"rows": len(ns), "passed": True})
     print(f"series: wrote singular series for n = {p['n_start']}..{p['n_stop']}")
-    return 0
+    return _verdict(spec, [], {"rows": len(ns)})
 
 
 def _untruncated_level(p: dict) -> Optional[float]:
@@ -440,9 +438,8 @@ def _cmd_model(spec: ExperimentSpec) -> int:
     else:
         fn = model_t_nu_plus(params, p["sift"], p["level"], p["beta"])
     path = _write_csv(spec, f"model-{which}.txt", lambda fh: write_arithfn(fn, fh))
-    _write_summary(spec, {"file": str(path), "length": len(fn), "passed": True})
     print(f"model: wrote {which} window of length {len(fn)} to {path}")
-    return 0
+    return _verdict(spec, [], {"file": str(path), "length": len(fn)})
 
 
 # ---------------------------------------------------------------------------

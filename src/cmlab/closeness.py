@@ -50,7 +50,7 @@ import csv
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import IO, Iterable, Optional
+from typing import IO, Callable, Iterable, Optional
 
 import numpy as np
 
@@ -377,18 +377,10 @@ class SweepRow:
 @dataclass(frozen=True)
 class SweepReport:
     rows: tuple
-    ceiling: float
 
     @property
     def max_ratio(self) -> float:
         return max((row.ratio for row in self.rows), default=0.0)
-
-    @property
-    def passed(self) -> bool:
-        return self.max_ratio <= self.ceiling
-
-    def worst(self) -> Optional[SweepRow]:
-        return max(self.rows, key=lambda r: r.ratio, default=None)
 
     def write_csv(self, fh: IO[str]) -> None:
         if not self.rows:
@@ -410,40 +402,17 @@ class SweepReport:
             )
 
     def summary(self) -> dict:
-        worst = self.worst()
-        return {
-            "points": len(self.rows),
-            "max_ratio": self.max_ratio,
-            "ceiling": self.ceiling,
-            "passed": self.passed,
-            "worst_params": worst.params if worst else None,
-        }
+        worst = max(self.rows, key=lambda r: r.ratio, default=None)
+        return {"points": len(self.rows), "max_ratio": self.max_ratio, "worst_params": worst.params if worst else None}
 
 
-def verify_lambda_q_short_sums(sweep: Iterable[dict], ceiling: float) -> SweepReport:
-    """Run the major-arc short-sum check on a grid of (t, h_prime, big_q, r, q_twist)."""
-    rows = []
-    for point in sweep:
-        actual, predicted, budget = lambda_q_short_sum(
-            t=point["t"], h_prime=point["h_prime"], big_q=point["big_q"],
-            r=point["r"], q_twist=point["q_twist"],
-        )
-        rows.append(SweepRow(params=dict(point), actual=actual, predicted=predicted, budget=budget))
-    return SweepReport(rows=tuple(rows), ceiling=ceiling)
-
-
-def verify_sieve_short_sums(sweep: Iterable[tuple[SieveSystem, dict]], ceiling: float) -> SweepReport:
-    """Run the sieve short-sum check on (sieve, point) pairs."""
-    rows = []
-    for sieve, point in sweep:
-        actual, predicted, budget = sieve_short_sum(
-            t=point["t"], h_prime=point["h_prime"], sieve=sieve,
-            r=point["r"], q_twist=point["q_twist"],
-        )
-        params = dict(point)
-        params.update({"beta": sieve.beta, "level": sieve.level, "sift": sieve.sift})
-        rows.append(SweepRow(params=params, actual=actual, predicted=predicted, budget=budget))
-    return SweepReport(rows=tuple(rows), ceiling=ceiling)
+def verify_short_sums(short_sum: Callable, sweep: Iterable[tuple[object, dict]]) -> SweepReport:
+    """Run a short-sum check over (model, point) pairs: short_sum(t, h_prime, model,
+    r=, q_twist=) gives (actual, predicted, budget), and the point is the row's parameters."""
+    return SweepReport(rows=tuple(
+        SweepRow(point, *short_sum(point["t"], point["h_prime"], model, r=point["r"], q_twist=point["q_twist"]))
+        for model, point in sweep
+    ))
 
 
 # ---------------------------------------------------------------------------
@@ -451,8 +420,8 @@ def verify_sieve_short_sums(sweep: Iterable[tuple[SieveSystem, dict]], ceiling: 
 # ---------------------------------------------------------------------------
 
 
-def default_lambda_q_sweep(big_q: int = 10, scale: str = "small") -> list[dict]:
-    """>= 100 grid points exercising both twist branches of the short-sum check."""
+def default_lambda_q_sweep(big_q: int = 10, scale: str = "small") -> tuple[Callable, list[tuple[int, dict]]]:
+    """lambda_q_short_sum and >= 100 (Q, point) pairs exercising both twist branches of its check."""
     if scale == "small":
         ts = [100_003, 500_009]
         hs = [997.0, 10_000.0]
@@ -467,13 +436,13 @@ def default_lambda_q_sweep(big_q: int = 10, scale: str = "small") -> list[dict]:
         for r in rs:
             for t in ts:
                 for h in hs:
-                    points.append({"t": t, "h_prime": h, "big_q": big_q, "r": r, "q_twist": q_twist})
+                    points.append((big_q, {"t": t, "h_prime": h, "big_q": big_q, "r": r, "q_twist": q_twist}))
     for q_twist in (big_q + 1, big_q + 3, 2 * big_q + 3, 97):
         for r in (1, q_twist - 1):
             for t in ts:
                 for h in hs:
-                    points.append({"t": t, "h_prime": h, "big_q": big_q, "r": r, "q_twist": q_twist})
-    return points
+                    points.append((big_q, {"t": t, "h_prime": h, "big_q": big_q, "r": r, "q_twist": q_twist}))
+    return lambda_q_short_sum, points
 
 
 def _smallest_coprime(q: int, start: int) -> int:
@@ -483,8 +452,9 @@ def _smallest_coprime(q: int, start: int) -> int:
     return c if c < q else 1
 
 
-def default_sieve_sweep(scale: str = "small") -> list[tuple[SieveSystem, dict]]:
-    """Sieve systems in the regime log D / log z >= beta + 1 plus both twist branches."""
+def default_sieve_sweep(scale: str = "small") -> tuple[Callable, list[tuple[SieveSystem, dict]]]:
+    """sieve_short_sum and its (sieve, point) pairs: systems in the regime log D / log z >= beta + 1
+    plus both twist branches; each point names its system's beta, level and sift."""
     systems = [
         beta_sieve_weights(10_000.0, 10.0, beta=3),  # untruncated at this level
         beta_sieve_weights(10_000.0, 12.0, beta=2),
@@ -500,6 +470,7 @@ def default_sieve_sweep(scale: str = "small") -> list[tuple[SieveSystem, dict]]:
         raise DomainError(f"unknown sweep scale {scale!r}")
     points = []
     for sieve in systems:
+        system = {"beta": sieve.beta, "level": sieve.level, "sift": sieve.sift}
         z = int(sieve.sift)
         small_q = [q for q in (1, 2, 3, 5, 7, 11, 13, 25) if q <= z]
         large_q = [q for q in (11, 13, 37, 101, 211) if q > z][:3]
@@ -508,5 +479,5 @@ def default_sieve_sweep(scale: str = "small") -> list[tuple[SieveSystem, dict]]:
             for r in rs:
                 for t in ts:
                     for h in hs:
-                        points.append((sieve, {"t": t, "h_prime": h, "r": r, "q_twist": q_twist}))
-    return points
+                        points.append((sieve, {"t": t, "h_prime": h, "r": r, "q_twist": q_twist, **system}))
+    return sieve_short_sum, points

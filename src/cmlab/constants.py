@@ -12,6 +12,8 @@ UP in the last digit so bit-level FFT differences across BLAS builds cannot
 trip the check.
 """
 
+from dataclasses import dataclass
+
 # hard ceilings, asserted on every run
 SHORT_SUM_RATIO_CEILING = 4.0  # major-arc and sieve short-sum sweeps
 GALLAGHER_RATIO_CEILING = 20.0  # lhs/rhs over seeded random +-1 functions
@@ -34,3 +36,28 @@ THETA_MODEL_VS_SIEVE_BASELINE = 0.00750
 PIPELINE_FINAL_FAILURE_FRACTION_BASELINE = 0.0
 PIPELINE_STEP2_EXCEPTION_FRACTION_BASELINE = 0.30
 PIPELINE_STEP4_EXCEPTION_FRACTION_BASELINE = 0.25
+
+
+@dataclass(frozen=True)
+class Check:
+    """One verdict, value <= bound, with its signed margin (bound - value) / |bound|,
+    or bound - value when the bound is 0: negative when value exceeds the bound."""
+
+    name: str
+    value: float
+    bound: float
+
+    @property
+    def passed(self) -> bool:
+        return bool(self.value <= self.bound)
+
+    @property
+    def margin(self) -> float:
+        room = float(self.bound - self.value)
+        return room / abs(self.bound) if self.bound else room
+
+
+def regression(name: str, value: float, baseline: float, point, measured_at) -> list[Check]:
+    """value <= baseline * REGRESSION_HEADROOM, as a one-check list at the parameter point
+    where the baseline was measured; anywhere else the baseline says nothing: no check."""
+    return [Check(name, value, baseline * REGRESSION_HEADROOM)] if point == measured_at else []

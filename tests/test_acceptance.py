@@ -1,7 +1,10 @@
 """Acceptance suite.
 
 Each test covers one acceptance criterion end to end and prints a PASS/FAIL
-line (visible with `pytest -s` or in failure output).  Tolerances are pinned
+line (visible with `pytest -s` or in failure output), then one line per check
+with its value, bound and margin.  Every check is a cmlab.constants.Check,
+value <= bound: a lower bound is written as a shortfall bounded by 0, and an
+exact property as a count of failures bounded by 0.  Tolerances are pinned
 here and in cmlab.constants; nothing is deferred to later calibration.
 """
 
@@ -20,9 +23,9 @@ from cmlab.closeness import (
     default_sieve_sweep,
     gallagher_lhs,
     gallagher_rhs,
-    verify_lambda_q_short_sums,
-    verify_sieve_short_sums,
+    verify_short_sums,
 )
+from cmlab.constants import Check, regression
 from cmlab.goldbach import (
     PRESETS,
     PipelineConfig,
@@ -36,6 +39,7 @@ from cmlab.goldbach import (
 from cmlab.models import (
     LambdaQParams,
     beta_sieve_weights,
+    lambda_q_window,
     mertens_product,
     model_t_nu,
     model_t_nu_plus,
@@ -51,11 +55,12 @@ from oracles import (
 )
 
 
-def report(criterion: str, checks: list[tuple[str, bool, str]]) -> None:
-    ok = all(flag for _, flag, _ in checks)
+def report(criterion: str, checks: list[Check]) -> None:
+    ok = all(check.passed for check in checks)
     print(f"\nACCEPTANCE {criterion}: {'PASS' if ok else 'FAIL'}")
-    for desc, flag, detail in checks:
-        print(f"  [{'ok' if flag else 'FAIL'}] {desc}: {detail}")
+    for check in checks:
+        print(f"  [{'ok' if check.passed else 'FAIL'}] {check.name}: "
+              f"value {check.value:.6g}, bound {check.bound:.6g}, margin {check.margin:+.3g}")
     assert ok, f"acceptance criterion failed: {criterion}"
 
 
@@ -76,13 +81,12 @@ def test_criterion_1_oracle_equivalences(rng):
         direct = table[np.mod(np.outer(coprime, ns), q)].sum(axis=0)
         closed = np.array([ramanujan_sum(q, int(n)) for n in ns], dtype=np.float64)
         worst = max(worst, float(np.max(np.abs(direct - closed))))
-    checks.append(("ramanujan closed form == direct sum (q, n <= 300)", worst <= 1e-6, f"max |diff| = {worst:.2e}"))
+    checks.append(Check("ramanujan closed form == direct sum (q, n <= 300): max |diff|", worst, 1e-6))
 
-    # Lambda_Q fast form vs direct double sum, every n <= 1000 and Q <= 50
+    # lambda_q_window vs the direct double sum, every n <= 1000 and Q <= 50
     n_max, q_max = 1000, 50
     ns = np.arange(0, n_max + 1)
     direct_acc = np.zeros(n_max + 1, dtype=np.complex128)
-    fast_acc = np.zeros(n_max + 1)
     worst_lq = 0.0
     for q in range(1, q_max + 1):
         mu = mobius(q)
@@ -91,13 +95,8 @@ def test_criterion_1_oracle_equivalences(rng):
             coprime = np.array([a for a in range(1, q + 1) if math.gcd(a, q) == 1])
             table = np.exp(2j * np.pi * np.arange(q) / q)
             direct_acc += (mu / phi) * table[np.mod(np.outer(coprime, ns), q)].sum(axis=0)
-            c_table = np.array([ramanujan_sum(q, r) for r in range(q)], dtype=np.float64)
-            fast_acc += (mu / phi) * c_table[ns % q]
-        worst_lq = max(worst_lq, float(np.max(np.abs(direct_acc - fast_acc))))
-    checks.append(
-        ("Lambda_Q fast form == direct double sum (n <= 1e3, Q <= 50)", worst_lq <= 1e-8,
-         f"max |diff| = {worst_lq:.2e}")
-    )
+        worst_lq = max(worst_lq, float(np.max(np.abs(direct_acc - lambda_q_window(0, n_max + 1, q)))))
+    checks.append(Check("Lambda_Q fast form == direct double sum (n <= 1e3, Q <= 50): max |diff|", worst_lq, 1e-8))
 
     # FFT vs direct convolution on 200 random instances of span <= 512
     gen = np.random.default_rng(101)
@@ -109,7 +108,7 @@ def test_criterion_1_oracle_equivalences(rng):
         t = arithfn._convolve_fft(f.values, g.values)
         scale = max(float(np.max(np.abs(d))), 1e-12)
         worst_conv = max(worst_conv, float(np.max(np.abs(d - t))) / scale)
-    checks.append(("FFT == direct convolution (200 instances)", worst_conv <= 1e-6, f"max rel diff = {worst_conv:.2e}"))
+    checks.append(Check("FFT == direct convolution (200 instances): max rel diff", worst_conv, 1e-6))
 
     # model convolution: Ramanujan shortcut vs direct convolution, 20 configurations
     worst_model = 0.0
@@ -130,10 +129,7 @@ def test_criterion_1_oracle_equivalences(rng):
         direct = convolve(omega, model_t_nu(params))(n)
         scale = max(abs(direct), 1e-9)
         worst_model = max(worst_model, abs(short - direct) / scale)
-    checks.append(
-        ("model convolution shortcut == direct (20 configs)", worst_model <= 1e-6,
-         f"max rel diff = {worst_model:.2e}")
-    )
+    checks.append(Check("model convolution shortcut == direct (20 configs): max rel diff", worst_model, 1e-6))
 
     report("1 oracle equivalences", checks)
 
@@ -152,24 +148,19 @@ def test_criterion_2_characters():
         phi = euler_phi(q)
         gram = table @ np.conj(table.T)
         worst = max(worst, float(np.max(np.abs(gram - phi * np.eye(phi)))))
-    checks.append(("orthogonality, q <= 200", worst <= 1e-8, f"max |gram - phi*I| = {worst:.2e}"))
+    checks.append(Check("orthogonality, q <= 200: max |gram - phi*I|", worst, 1e-8))
 
-    tau_ok = True
+    misses = 0
     for q in range(1, 101):
         tau = gauss_sum(characters_mod(q)[0])
-        if round(tau.real) != mobius(q) or abs(tau - mobius(q)) > 1e-9:
-            tau_ok = False
-    checks.append(("tau(principal) == mu(q), q <= 100", tau_ok, "exact after rounding"))
+        misses += round(tau.real) != mobius(q) or abs(tau - mobius(q)) > 1e-9
+    checks.append(Check("tau(principal) == mu(q), q <= 100, exact after rounding: q that miss", misses, 0))
 
-    bound_ok = True
     worst_excess = -1.0
     for q in range(1, 101):
         for chi in characters_mod(q):
-            excess = abs(gauss_sum(chi)) - math.sqrt(q)
-            worst_excess = max(worst_excess, excess)
-            if excess > 1e-9:
-                bound_ok = False
-    checks.append(("|tau(chi)| <= sqrt(q) + 1e-9, q <= 100", bound_ok, f"max excess = {worst_excess:.2e}"))
+            worst_excess = max(worst_excess, abs(gauss_sum(chi)) - math.sqrt(q))
+    checks.append(Check("|tau(chi)| <= sqrt(q) + 1e-9, q <= 100: max excess", worst_excess, 1e-9))
 
     worst_id = 0.0
     for q in range(1, 101):
@@ -184,8 +175,7 @@ def test_criterion_2_characters():
         if q == 1:
             worst_id = max(worst_id, abs(lhs[0] - 1.0))
     checks.append(
-        ("character expansion of e(m/q) in aggregate, q <= 100", worst_id <= 1e-7,
-         f"max |lhs - phi(q) e(m/q)| = {worst_id:.2e}")
+        Check("character expansion of e(m/q) in aggregate, q <= 100: max |lhs - phi(q) e(m/q)|", worst_id, 1e-7)
     )
 
     report("2 character suite", checks)
@@ -207,15 +197,16 @@ def test_criterion_3_sieve_suite():
         beta_sieve_weights(float(untruncated_level(7, 10)), 7.0, beta=10),
     ]
     min_theta = min(int(s.theta_window(1, 1_000_001).min()) for s in test_systems)
-    checks.append(("theta_n >= 0 for n <= 10^6, every test system", min_theta >= 0, f"min theta = {min_theta}"))
+    checks.append(Check("theta_n >= 0 for n <= 10^6, every test system: shortfall -min theta", -min_theta, 0))
 
-    exact = True
+    mismatches = 0
     for z in (2, 3, 5, 7):
         sieve = beta_sieve_weights(float(untruncated_level(z, 10)), float(z), beta=10)
         theta = sieve.theta_window(1, 1_000_001)
         rough = rough_flags(1, 1_000_001, z).astype(np.int64)
-        exact = exact and bool(np.array_equal(theta, rough))
-    checks.append(("untruncated sieve == z-rough indicator, z in {2,3,5,7}", exact, "exhaustive to 10^6"))
+        mismatches += int(np.count_nonzero(theta != rough))
+    checks.append(Check("untruncated sieve == z-rough indicator, z in {2,3,5,7}, exhaustive to 10^6: n that differ",
+                        mismatches, 0))
 
     # scaled sieve mean vs rough density on (10^4, 2*10^4] at z = 10, level 10^4.
     # The truncation exponent must satisfy z^(beta+1) <= level or the level
@@ -228,10 +219,7 @@ def test_criterion_3_sieve_suite():
     theta_mean = float(sieve.theta_window(10_001, 20_001).mean())
     rough_density = float(rough_flags(10_001, 20_001, z).mean())
     rel = abs(theta_mean / v - rough_density / v) / (rough_density / v)
-    checks.append(
-        (f"scaled mean vs rough density within 5% (z=10, D=1e4, beta={beta})", rel <= 0.05,
-         f"V^-1 mean = {theta_mean / v:.4f}, V^-1 density = {rough_density / v:.4f}, rel diff = {rel:.4f}")
-    )
+    checks.append(Check(f"scaled mean vs rough density within 5% (z=10, D=1e4, beta={beta}): rel diff", rel, 0.05))
 
     report("3 sieve suite", checks)
 
@@ -242,30 +230,17 @@ def test_criterion_3_sieve_suite():
 
 
 def test_criterion_4_short_sum_sweeps():
-    checks = []
-    head = constants.REGRESSION_HEADROOM
-
-    sweep = default_lambda_q_sweep(big_q=10, scale="small")
-    rep = verify_lambda_q_short_sums(sweep, ceiling=constants.SHORT_SUM_RATIO_CEILING)
-    checks.append(
-        (f"major-arc sweep ({len(rep.rows)} points) ratio <= 4.0", rep.passed,
-         f"max ratio = {rep.max_ratio:.4f}")
-    )
-    checks.append(
-        ("major-arc sweep non-regression", rep.max_ratio <= constants.LAMBDA_Q_SWEEP_BASELINE * head,
-         f"baseline {constants.LAMBDA_Q_SWEEP_BASELINE}")
-    )
-
-    sweep2 = default_sieve_sweep(scale="small")
-    rep2 = verify_sieve_short_sums(sweep2, ceiling=constants.SHORT_SUM_RATIO_CEILING)
-    checks.append(
-        (f"sieve sweep ({len(rep2.rows)} points) ratio <= 4.0", rep2.passed,
-         f"max ratio = {rep2.max_ratio:.4f}")
-    )
-    checks.append(
-        ("sieve sweep non-regression", rep2.max_ratio <= constants.SIEVE_SWEEP_BASELINE * head,
-         f"baseline {constants.SIEVE_SWEEP_BASELINE}")
-    )
+    ceiling = constants.SHORT_SUM_RATIO_CEILING
+    big_q, grid = 10, "small"
+    rep = verify_short_sums(*default_lambda_q_sweep(big_q=big_q, scale=grid))
+    rep2 = verify_short_sums(*default_sieve_sweep(scale=grid))
+    checks = [
+        Check(f"major-arc sweep ({len(rep.rows)} points) ratio <= 4.0: max ratio", rep.max_ratio, ceiling),
+        *regression("major-arc sweep non-regression", rep.max_ratio, constants.LAMBDA_Q_SWEEP_BASELINE,
+                    (big_q, grid), (10, "small")),
+        Check(f"sieve sweep ({len(rep2.rows)} points) ratio <= 4.0: max ratio", rep2.max_ratio, ceiling),
+        *regression("sieve sweep non-regression", rep2.max_ratio, constants.SIEVE_SWEEP_BASELINE, grid, "small"),
+    ]
     assert len(rep.rows) >= 100 and len(rep2.rows) >= 100
 
     report("4 short-sum sweeps", checks)
@@ -277,17 +252,18 @@ def test_criterion_4_short_sum_sweeps():
 
 
 def test_criterion_5_gallagher():
-    gen = np.random.default_rng(7)
+    delta, trials, span, start, seed = point = (50.0, 100, 10_000, 10_000, 7)
+    gen = np.random.default_rng(seed)
     ratios = []
-    for _ in range(100):
-        f = ArithFn(10_000, gen.choice([-1.0, 1.0], size=10_000))
-        ratios.append(gallagher_lhs(f, 50.0) / gallagher_rhs(f, 50.0))
+    for _ in range(trials):
+        f = ArithFn(start, gen.choice([-1.0, 1.0], size=span))
+        ratios.append(gallagher_lhs(f, delta) / gallagher_rhs(f, delta))
     worst = max(ratios)
     checks = [
-        ("max lhs/rhs over 100 seeded random functions <= 20", worst <= constants.GALLAGHER_RATIO_CEILING,
-         f"max ratio = {worst:.4f}"),
-        ("non-regression", worst <= constants.GALLAGHER_RANDOM_BASELINE * constants.REGRESSION_HEADROOM,
-         f"baseline {constants.GALLAGHER_RANDOM_BASELINE}"),
+        Check("max lhs/rhs over 100 seeded random functions <= 20: max ratio", worst,
+              constants.GALLAGHER_RATIO_CEILING),
+        *regression("non-regression", worst, constants.GALLAGHER_RANDOM_BASELINE,
+                    point, (50.0, 100, 10_000, 10_000, 7)),
     ]
     report("5 Gallagher inequality", checks)
 
@@ -298,31 +274,25 @@ def test_criterion_5_gallagher():
 
 
 def test_criterion_6_closeness_ordering():
-    y = 100_000
-    h = y**0.3
-    params = LambdaQParams(big_q=10, window=(y, 2 * y), c_nu=1.0)
+    y, h_exponent, big_q, c_nu = point = (100_000, 0.3, 10, 1.0)
+    h = y**h_exponent
+    params = LambdaQParams(big_q=big_q, window=(y, 2 * y), c_nu=c_nu)
     primes_fn = restricted_prime_fn(2 * y, (y, 2 * y))
     t_nu = model_t_nu(params)
-    t_plus = model_t_nu_plus(params, 10)
+    t_plus = model_t_nu_plus(params, big_q)
     ref = l2_norm_sq(primes_fn)
 
-    rep1 = closeness_integral(primes_fn, t_nu, h, reference_norm=ref)
-    rep2 = closeness_integral(t_nu, t_plus, h, reference_norm=ref)
-    head = constants.REGRESSION_HEADROOM
+    theta1 = closeness_integral(primes_fn, t_nu, h, reference_norm=ref).theta_effective
+    theta2 = closeness_integral(t_nu, t_plus, h, reference_norm=ref).theta_effective
+    measured_at = (100_000, 0.3, 10, 1.0)
 
     checks = [
-        ("theta(model, sieve model) <= theta(primes, model)",
-         rep2.theta_effective <= rep1.theta_effective,
-         f"{rep2.theta_effective:.5f} <= {rep1.theta_effective:.5f}"),
-        ("both <= 0.1 of ||weighted primes||_2^2",
-         rep1.theta_effective <= 0.1 and rep2.theta_effective <= 0.1,
-         f"reference norm = {ref:.4g}"),
-        ("non-regression (primes vs model)",
-         rep1.theta_effective <= constants.THETA_PRIMES_VS_MODEL_BASELINE * head,
-         f"baseline {constants.THETA_PRIMES_VS_MODEL_BASELINE}"),
-        ("non-regression (model vs sieve model)",
-         rep2.theta_effective <= constants.THETA_MODEL_VS_SIEVE_BASELINE * head,
-         f"baseline {constants.THETA_MODEL_VS_SIEVE_BASELINE}"),
+        Check("theta(model, sieve model) <= theta(primes, model)", theta2, theta1),
+        Check("both <= 0.1 of ||weighted primes||_2^2: the larger", max(theta1, theta2), 0.1),
+        *regression("non-regression (primes vs model)", theta1, constants.THETA_PRIMES_VS_MODEL_BASELINE,
+                    point, measured_at),
+        *regression("non-regression (model vs sieve model)", theta2, constants.THETA_MODEL_VS_SIEVE_BASELINE,
+                    point, measured_at),
     ]
     report("6 closeness ordering", checks)
 
@@ -343,41 +313,32 @@ def test_criterion_7_pipeline():
     both = ArithFn(nu.support_start, nu.embed(nu.support_start, omega.support_stop)
                    + omega.embed(nu.support_start, omega.support_stop))
     collapsed = run_pipeline(config, nu, omega, both.embed, t_nu=nu, t_nu_plus=nu)
-    all_zero = (
-        collapsed.exceptions_step2 == 0
-        and collapsed.exceptions_step4 == 0
-        and collapsed.final_failures == 0
-        and collapsed.minorization_violations == 0
-        and collapsed.step_positivity_violations == 0
+    exceptions = (
+        collapsed.exceptions_step2
+        + collapsed.exceptions_step4
+        + collapsed.final_failures
+        + collapsed.minorization_violations
+        + collapsed.step_positivity_violations
     )
-    checks.append(("collapsed chain: zero exceptions at every step", all_zero, str(collapsed.summary())))
+    checks.append(Check("collapsed chain: zero exceptions at every step: exceptions", exceptions, 0))
 
     preset = PRESETS["desk-small"]
     report_run = run_pipeline(preset, *desk_pipeline_inputs(preset))
     frac = report_run.final_failure_fraction
-    checks.append(
-        ("desk-small: final failure fraction <= 1% of even n", frac <= 0.01,
-         f"{report_run.final_failures}/{report_run.even_count} (fraction {frac:.4f})")
-    )
-    checks.append(
-        ("desk-small: pointwise domination step has zero violations",
-         report_run.step_positivity_violations == 0, "a*T+ >= omega*T+ everywhere")
-    )
-    checks.append(
-        ("desk-small: minorization violations exactly 0",
-         report_run.minorization_violations == 0, "nu <= a and omega <= a")
-    )
+    checks.append(Check("desk-small: final failure fraction <= 1% of even n", frac, 0.01))
+    checks.append(Check("desk-small: pointwise domination step (a*T+ >= omega*T+) violations",
+                        report_run.step_positivity_violations, 0))
+    checks.append(Check("desk-small: minorization (nu <= a and omega <= a) violations",
+                        report_run.minorization_violations, 0))
     total = preset.h + 1
-    step2_frac = report_run.exceptions_step2 / total
-    step4_frac = report_run.exceptions_step4 / total
-    checks.append(
-        ("desk-small: regression baselines for approximation steps",
-         frac <= constants.PIPELINE_FINAL_FAILURE_FRACTION_BASELINE
-         and step2_frac <= constants.PIPELINE_STEP2_EXCEPTION_FRACTION_BASELINE
-         and step4_frac <= constants.PIPELINE_STEP4_EXCEPTION_FRACTION_BASELINE,
-         f"step2 {step2_frac:.3f} (<= {constants.PIPELINE_STEP2_EXCEPTION_FRACTION_BASELINE}), "
-         f"step4 {step4_frac:.3f} (<= {constants.PIPELINE_STEP4_EXCEPTION_FRACTION_BASELINE})")
-    )
+    for name, value, baseline in (
+        ("final failure fraction", frac, constants.PIPELINE_FINAL_FAILURE_FRACTION_BASELINE),
+        ("step2 exception fraction", report_run.exceptions_step2 / total,
+         constants.PIPELINE_STEP2_EXCEPTION_FRACTION_BASELINE),
+        ("step4 exception fraction", report_run.exceptions_step4 / total,
+         constants.PIPELINE_STEP4_EXCEPTION_FRACTION_BASELINE),
+    ):
+        checks += regression(f"desk-small: regression baseline, {name}", value, baseline, preset, PRESETS["desk-small"])
 
     report("7 pipeline", checks)
 
@@ -392,8 +353,7 @@ def test_criterion_8_goldbach_ground_truth():
 
     full = list(exceptional_scan(1_000_000, 1_000_000 - 4).exceptions)
     checks.append(
-        ("E(10^6, 10^6 - 4) empty: every even in [4, 10^6] is a Goldbach number",
-         full == [], f"{len(full)} exceptions")
+        Check("E(10^6, 10^6 - 4) empty: every even in [4, 10^6] is a Goldbach number: exceptions", len(full), 0)
     )
 
     gen = np.random.default_rng(31337)
@@ -402,8 +362,7 @@ def test_criterion_8_goldbach_ground_truth():
         h = int(gen.integers(2, 10_001))
         x = int(gen.integers(h + 4, 1_000_001))
         worst_windows += len(exceptional_scan(x, h).exceptions)
-    checks.append(("20 random windows (X <= 10^6, H <= 10^4) all empty", worst_windows == 0,
-                   f"total exceptions = {worst_windows}"))
+    checks.append(Check("20 random windows (X <= 10^6, H <= 10^4) all empty: total exceptions", worst_windows, 0))
 
     report("8 Goldbach ground truth", checks)
 
@@ -418,21 +377,14 @@ def test_criterion_9_singular_series():
 
     values = np.array([singular_series_product(n, 100_000) for n in range(4, 10_001, 2)])
     checks.append(
-        ("singular series >= 1.3 for all even n <= 10^4", bool(values.min() >= 1.3),
-         f"min = {values.min():.6f}")
+        Check("singular series >= 1.3 for all even n <= 10^4: shortfall 1.3 - min", 1.3 - float(values.min()), 0)
     )
 
-    odd_ok = True
-    worst_odd = 0.0
-    for n in (3, 9, 15, 101, 999, 9999):
-        if singular_series_product(n, 100_000) != 0.0:
-            odd_ok = False
-        partial = abs(singular_series(n, 10_000))
-        worst_odd = max(worst_odd, partial)
-    checks.append(
-        ("odd n: product vanishes and partial sums <= 1e-2", odd_ok and worst_odd <= 1e-2,
-         f"max |partial| = {worst_odd:.2e}")
-    )
+    odd = (3, 9, 15, 101, 999, 9999)
+    nonzero = sum(singular_series_product(n, 100_000) != 0.0 for n in odd)
+    worst_odd = max(abs(singular_series(n, 10_000)) for n in odd)
+    checks.append(Check("odd n: product vanishes: n where it does not", nonzero, 0))
+    checks.append(Check("odd n: partial sums <= 1e-2: max |partial|", worst_odd, 1e-2))
 
     worst_pair = 0.0
     for n in (4, 30, 90, 210, 1024, 9998):
@@ -440,8 +392,7 @@ def test_criterion_9_singular_series():
         b = singular_series_product(n, 13)
         worst_pair = max(worst_pair, abs(a - b) / abs(b))
     checks.append(
-        ("series and product paths agree within 1e-6 over the same primes",
-         worst_pair <= 1e-6, f"max rel diff = {worst_pair:.2e}")
+        Check("series and product paths agree within 1e-6 over the same primes: max rel diff", worst_pair, 1e-6)
     )
 
     report("9 singular series", checks)

@@ -11,8 +11,9 @@ import numpy as np
 import pytest
 
 import cmlab
-from cmlab import arith, arithfn, cli, goldbach
+from cmlab import arith, arithfn, cli, constants, goldbach
 from cmlab.arith import rough_flags
+from cmlab.arithfn import ArithFn
 from cmlab.cli import main
 from cmlab.models import mertens_product
 from oracles import read_arithfn
@@ -194,7 +195,7 @@ class TestPipeline:
         assert summary["values_streamed"] == config.x + 1 + 2 * config.h
         assert summary["working_set_values"] == goldbach.pipeline_working_set(config)
         assert set(summary) == {
-            "subcommand", "seed", "params", "report", "passed", "segments_streamed", "values_streamed",
+            "subcommand", "seed", "params", "report", "checks", "passed", "segments_streamed", "values_streamed",
             "working_set_values",
         }
 
@@ -211,9 +212,8 @@ class TestPipeline:
     def test_explicit_y_sets_h_kappa_and_theta_target(self, tmp_path):
         # H = Y^{1/9 + 2 eps} and kappa = Y / log Y follow the Y given, not the
         # Y = X^{21/40} that --X alone would set (which gave h = 64, kappa = 321.2).
-        # The run holds about 100 MB, so it gets its own process: a child started
-        # by subprocess reports the test process's peak RSS as its own, and
-        # test_closeness_peak_rss_at_one_million reads a child's peak
+        # The run holds about 100 MB, so it gets its own process and leaves the
+        # test process's peak RSS where it was
         src = Path(cmlab.__file__).resolve().parents[1]
         argv = ["--out", str(tmp_path), "pipeline", "--X", "3000000", "--Y", "700000"]
         done = subprocess.run([sys.executable, "-m", "cmlab.cli", *argv], capture_output=True, text=True,
@@ -442,4 +442,95 @@ class TestReadme:
         commands = [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("cmlab ")]
         assert commands
         for i, argv in enumerate(commands):
-            assert run(["--out", str(tmp_path / str(i)), *argv]) == 0, argv
+            code = run(["--out", str(tmp_path / str(i)), *argv])
+            assert code == 0, argv
+            # one verdict shape: passed is the conjunction of the checks, and it sets the exit code
+            (path,) = (tmp_path / str(i)).glob("*-summary.json")
+            summary = json.loads(path.read_text())
+            assert all(set(check) == {"name", "value", "bound", "margin", "passed"} for check in summary["checks"])
+            assert summary["passed"] is all(check["passed"] for check in summary["checks"])
+            assert (code == 0) is summary["passed"]
+            assert (summary["checks"] == []) is (argv[0] in ("exceptional", "series", "model"))
+
+
+def _lower(name, value):
+    return lambda monkeypatch: monkeypatch.setattr(constants, name, value)
+
+
+def _omega_above_a(monkeypatch):
+    # omega = 1000 a on its window: omega <= a fails, (a - omega)*T+ turns
+    # negative, and omega*T outgrows a*a at every even n
+    def inputs(config):
+        nu, omega, a = goldbach.desk_pipeline_inputs(config)
+        return nu, ArithFn(omega.support_start, 1000.0 * omega.values), a
+
+    monkeypatch.setattr(cli, "desk_pipeline_inputs", inputs)
+
+
+def _zero(model):
+    def patch(monkeypatch):
+        def zero(params, *args):
+            return ArithFn(params.support_start, np.zeros(params.window[1] - params.window[0]))
+
+        monkeypatch.setattr(cli, model, zero)
+
+    return patch
+
+
+GALLAGHER_7 = ["verify", "gallagher", "--seed", "7"]
+DESK_SMALL = ["pipeline", "--preset", "desk-small"]
+PIPELINE_CHECKS = ["final failure fraction", "step positivity violations", "minorization violations"]
+PIPELINE_BASELINES = [f"{name} vs baseline" for name in (
+    "final failure fraction", "step2 exception fraction", "step4 exception fraction",
+)]
+
+
+class TestEveryCheckCanFail:
+    # one input per check name the CLI writes, on which that check fails
+    @pytest.mark.parametrize("argv, counter, name", [
+        (GALLAGHER_7, _lower("GALLAGHER_RATIO_CEILING", 4.0), "max ratio"),
+        (GALLAGHER_7, _lower("GALLAGHER_RANDOM_BASELINE", 3.8), "max ratio vs baseline"),
+        (["verify", "lambda_q_short"], _lower("SHORT_SUM_RATIO_CEILING", 0.01), "max ratio"),
+        (["verify", "lambda_q_short"], _lower("LAMBDA_Q_SWEEP_BASELINE", 0.01), "max ratio vs baseline"),
+        (["verify", "sieve_short"], _lower("SHORT_SUM_RATIO_CEILING", 0.1), "max ratio"),
+        (["verify", "sieve_short"], _lower("SIEVE_SWEEP_BASELINE", 0.1), "max ratio vs baseline"),
+        (["verify", "closeness", "--Y", "20000"], _zero("model_t_nu_plus"), "theta ordering"),
+        (["verify", "closeness"], _zero("model_t_nu"), "theta_primes_vs_model level"),
+        (["verify", "closeness"], _lower("THETA_PRIMES_VS_MODEL_BASELINE", 0.04), "theta_primes_vs_model vs baseline"),
+        (["verify", "closeness"], _lower("THETA_MODEL_VS_SIEVE_BASELINE", 0.006), "theta_model_vs_sieve vs baseline"),
+        (DESK_SMALL, _omega_above_a, "final failure fraction"),
+        (DESK_SMALL, _omega_above_a, "step positivity violations"),
+        (DESK_SMALL, _omega_above_a, "minorization violations"),
+        (DESK_SMALL, _omega_above_a, PIPELINE_BASELINES[0]),
+        (DESK_SMALL, _lower("PIPELINE_STEP2_EXCEPTION_FRACTION_BASELINE", 0.2), PIPELINE_BASELINES[1]),
+        (DESK_SMALL, _lower("PIPELINE_STEP4_EXCEPTION_FRACTION_BASELINE", 0.15), PIPELINE_BASELINES[2]),
+    ])
+    def test_counter_input_fails_the_check(self, tmp_path, monkeypatch, argv, counter, name):
+        counter(monkeypatch)
+        assert run(["--out", str(tmp_path), *argv]) == 1
+        (path,) = tmp_path.glob("*-summary.json")
+        summary = json.loads(path.read_text())
+        (check,) = [check for check in summary["checks"] if check["name"] == name]
+        assert check["passed"] is False and check["margin"] < 0
+        assert summary["passed"] is False
+
+    def test_gallagher_margin(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(constants, "GALLAGHER_RATIO_CEILING", 4.0)
+        assert run(["--out", str(tmp_path), *GALLAGHER_7]) == 1
+        checks = json.loads((tmp_path / "verify-gallagher-summary.json").read_text())["checks"]
+        assert checks[0]["name"] == "max ratio"
+        assert checks[0]["value"] == pytest.approx(4.2354, abs=1e-4)
+        assert checks[0]["margin"] == pytest.approx((4.0 - checks[0]["value"]) / 4.0)
+        assert checks[0]["margin"] == pytest.approx(-0.0588, abs=1e-4)
+
+    @pytest.mark.parametrize("argv, names", [
+        (GALLAGHER_7, ["max ratio", "max ratio vs baseline"]),
+        (["verify", "gallagher", "--seed", "8"], ["max ratio"]),  # the baseline was measured at seed 7
+        (DESK_SMALL, PIPELINE_CHECKS + PIPELINE_BASELINES),
+        (["pipeline", "--X", "200000"], PIPELINE_CHECKS + PIPELINE_BASELINES),  # the desk-small config
+        (["pipeline", "--X", "200000", "--Q", "11"], PIPELINE_CHECKS),
+    ])
+    def test_baselines_are_checked_where_they_were_measured(self, tmp_path, argv, names):
+        assert run(["--out", str(tmp_path), *argv]) == 0
+        (path,) = tmp_path.glob("*-summary.json")
+        assert [check["name"] for check in json.loads(path.read_text())["checks"]] == names

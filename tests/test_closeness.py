@@ -21,10 +21,10 @@ from cmlab.closeness import (
     farey_dissection,
     gallagher_lhs,
     gallagher_rhs,
-    verify_lambda_q_short_sums,
-    verify_sieve_short_sums,
+    verify_short_sums,
 )
 from cmlab.errors import DomainError
+from cmlab.models import lambda_q_short_sum, sieve_short_sum
 from oracles import containment_radius, contains, spot_probe_loop
 
 
@@ -285,28 +285,43 @@ class TestClosenessIntegral:
 
 class TestSweeps:
     def test_singleton_trivial_twist_is_exact(self):
-        report = verify_lambda_q_short_sums(
-            [{"t": 5000, "h_prime": 1000.0, "big_q": 1, "r": 0, "q_twist": 1}], ceiling=4.0
+        report = verify_short_sums(
+            lambda_q_short_sum, [(1, {"t": 5000, "h_prime": 1000.0, "big_q": 1, "r": 0, "q_twist": 1})]
         )
         assert report.max_ratio == 0.0
-        assert report.passed
 
     def test_default_lambda_q_sweep(self):
-        sweep = default_lambda_q_sweep(10, "small")
-        assert len(sweep) >= 100
-        report = verify_lambda_q_short_sums(sweep, ceiling=4.0)
-        assert report.passed
+        short_sum, sweep = default_lambda_q_sweep(10, "small")
+        assert short_sum is lambda_q_short_sum and len(sweep) >= 100
+        assert all(big_q == point["big_q"] == 10 for big_q, point in sweep)
+        report = verify_short_sums(short_sum, sweep)
         assert report.max_ratio <= 4.0
 
     def test_default_sieve_sweep(self):
-        sweep = default_sieve_sweep("small")
-        assert len(sweep) >= 100
-        report = verify_sieve_short_sums(sweep, ceiling=4.0)
-        assert report.passed
+        short_sum, sweep = default_sieve_sweep("small")
+        assert short_sum is sieve_short_sum and len(sweep) >= 100
+        assert all((point["beta"], point["level"], point["sift"]) == (s.beta, s.level, s.sift) for s, point in sweep)
+        report = verify_short_sums(short_sum, sweep)
+        assert report.max_ratio <= 4.0
+
+    def test_runner_calls_the_short_sum_at_each_point(self):
+        # the row is what short_sum returned at the point, under the point's parameters
+        calls = []
+
+        def short_sum(t, h_prime, model, r, q_twist):
+            calls.append((t, h_prime, model, r, q_twist))
+            return 3 + 4j, 0j, 2.0
+
+        point = {"t": 10, "h_prime": 5.0, "r": 1, "q_twist": 3, "tag": "x"}
+        report = verify_short_sums(short_sum, [("model", point)])
+        assert calls == [(10, 5.0, "model", 1, 3)]
+        assert report.rows[0].params == point
+        assert report.max_ratio == 2.5
+        assert report.summary() == {"points": 1, "max_ratio": 2.5, "worst_params": point}
 
     def test_csv_emission(self):
-        report = verify_lambda_q_short_sums(
-            [{"t": 5000, "h_prime": 100.0, "big_q": 5, "r": 1, "q_twist": 3}], ceiling=4.0
+        report = verify_short_sums(
+            lambda_q_short_sum, [(5, {"t": 5000, "h_prime": 100.0, "big_q": 5, "r": 1, "q_twist": 3})]
         )
         buf = io.StringIO()
         report.write_csv(buf)
@@ -429,13 +444,15 @@ class TestEstimatorAgainstExhaustiveGrid:
 CLOSENESS_PEAK_BOUND_MB = 125
 
 
-@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is counted in KB on Linux only")
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM from /proc/self/status")
 def test_closeness_peak_rss_at_one_million(tmp_path):
+    # VmHWM is the child's own high-water mark; ru_maxrss would not do, as on
+    # Linux it carries the parent's peak across fork and exec
     probe = (
-        "import resource, sys\n"
+        "import sys\n"
         "from cmlab.cli import main\n"
         "code = main(sys.argv[1:])\n"
-        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+        "print(next(line for line in open('/proc/self/status') if line.startswith('VmHWM:')).split()[1])\n"
         "sys.exit(code)\n"
     )
     src = Path(cmlab.__file__).resolve().parents[1]
@@ -443,5 +460,5 @@ def test_closeness_peak_rss_at_one_million(tmp_path):
     argv = ["--out", str(tmp_path), "verify", "closeness", "--Y", "1000000", "--h-exponent", "0.45", "--Q", "10"]
     done = subprocess.run([sys.executable, "-c", probe, *argv], capture_output=True, text=True, env=env, timeout=300)
     assert done.returncode == 0, done.stderr
-    peak_mb = int(done.stdout.split()[-1]) / 1024
+    peak_mb = int(done.stdout.split()[-1]) / 1024  # VmHWM is in kB
     assert peak_mb < CLOSENESS_PEAK_BOUND_MB
