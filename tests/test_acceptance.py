@@ -6,30 +6,28 @@ with its value, bound and margin.  Every check is a cmlab.constants.Check,
 value <= bound: a lower bound is written as a shortfall bounded by 0, and an
 exact property as a count of failures bounded by 0.  Tolerances are pinned
 here and in cmlab.constants; nothing is deferred to later calibration.
+
+Criteria 4-7 run their `cmlab` subcommand in process and print the checks it
+wrote, so each of those verdicts is decided once, in cmlab.cli.  Each of them
+also runs under a counter-input from tests/counters.py, on which it must fail.
 """
 
+import json
 import math
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from cmlab import arithfn, constants
+from cmlab import arithfn
 from cmlab.arith import rough_flags
-from cmlab.arithfn import ArithFn, convolve, l2_norm_sq
+from cmlab.arithfn import ArithFn, convolve
 from cmlab.characters import ramanujan_sum
-from cmlab.closeness import (
-    closeness_integral,
-    default_lambda_q_sweep,
-    default_sieve_sweep,
-    gallagher_lhs,
-    gallagher_rhs,
-    verify_short_sums,
-)
-from cmlab.constants import Check, regression
+from cmlab.cli import main
+from cmlab.constants import Check
 from cmlab.goldbach import (
-    PRESETS,
     PipelineConfig,
-    desk_pipeline_inputs,
     exceptional_scan,
     restricted_prime_fn,
     run_pipeline,
@@ -42,9 +40,9 @@ from cmlab.models import (
     lambda_q_window,
     mertens_product,
     model_t_nu,
-    model_t_nu_plus,
     untruncated_level,
 )
+from counters import LOWER_GALLAGHER_BOUND, LOWER_LAMBDA_Q_SWEEP_BOUND, LOWER_MODEL_VS_SIEVE_BOUND, _omega_above_a
 from oracles import (
     characters_mod,
     convolve_with_lambda_q_model,
@@ -62,6 +60,19 @@ def report(criterion: str, checks: list[Check]) -> None:
         print(f"  [{'ok' if check.passed else 'FAIL'}] {check.name}: "
               f"value {check.value:.6g}, bound {check.bound:.6g}, margin {check.margin:+.3g}")
     assert ok, f"acceptance criterion failed: {criterion}"
+
+
+def cli_summary(out: Path, argv: list[str], names: list[str]) -> dict:
+    """Run `cmlab --out <out> <argv>` in process and return its JSON summary with
+    the checks read back as Checks.  The exit code must agree with `passed`, and
+    the checks must be named `names`, in order, so a dropped check fails here."""
+    code = main(["--out", str(out), *argv])
+    (path,) = out.glob("*-summary.json")
+    summary = json.loads(path.read_text())
+    checks = [Check(row["name"], row["value"], row["bound"]) for row in summary["checks"]]
+    assert (code == 0) is summary["passed"] is all(check.passed for check in checks)
+    assert [check.name for check in checks] == names
+    return {**summary, "checks": checks}
 
 
 # -------------------------------------------------------------------------
@@ -229,19 +240,16 @@ def test_criterion_3_sieve_suite():
 # -------------------------------------------------------------------------
 
 
-def test_criterion_4_short_sum_sweeps():
-    ceiling = constants.SHORT_SUM_RATIO_CEILING
-    big_q, grid = 10, "small"
-    rep = verify_short_sums(*default_lambda_q_sweep(big_q=big_q, scale=grid))
-    rep2 = verify_short_sums(*default_sieve_sweep(scale=grid))
-    checks = [
-        Check(f"major-arc sweep ({len(rep.rows)} points) ratio <= 4.0: max ratio", rep.max_ratio, ceiling),
-        *regression("major-arc sweep non-regression", rep.max_ratio, constants.LAMBDA_Q_SWEEP_BASELINE,
-                    (big_q, grid), (10, "small")),
-        Check(f"sieve sweep ({len(rep2.rows)} points) ratio <= 4.0: max ratio", rep2.max_ratio, ceiling),
-        *regression("sieve sweep non-regression", rep2.max_ratio, constants.SIEVE_SWEEP_BASELINE, grid, "small"),
-    ]
-    assert len(rep.rows) >= 100 and len(rep2.rows) >= 100
+def test_criterion_4_short_sum_sweeps(tmp_path):
+    checks = []
+    for label, argv in (
+        ("major-arc sweep", ["verify", "lambda_q_short", "--Q", "10", "--grid", "small"]),
+        ("sieve sweep", ["verify", "sieve_short", "--grid", "small"]),
+    ):
+        summary = cli_summary(tmp_path / argv[1], argv, ["max ratio", "max ratio vs baseline"])
+        points = summary["report"]["points"]
+        assert points >= 100
+        checks += [replace(check, name=f"{label} ({points} points): {check.name}") for check in summary["checks"]]
 
     report("4 short-sum sweeps", checks)
 
@@ -251,21 +259,9 @@ def test_criterion_4_short_sum_sweeps():
 # -------------------------------------------------------------------------
 
 
-def test_criterion_5_gallagher():
-    delta, trials, span, start, seed = point = (50.0, 100, 10_000, 10_000, 7)
-    gen = np.random.default_rng(seed)
-    ratios = []
-    for _ in range(trials):
-        f = ArithFn(start, gen.choice([-1.0, 1.0], size=span))
-        ratios.append(gallagher_lhs(f, delta) / gallagher_rhs(f, delta))
-    worst = max(ratios)
-    checks = [
-        Check("max lhs/rhs over 100 seeded random functions <= 20: max ratio", worst,
-              constants.GALLAGHER_RATIO_CEILING),
-        *regression("non-regression", worst, constants.GALLAGHER_RANDOM_BASELINE,
-                    point, (50.0, 100, 10_000, 10_000, 7)),
-    ]
-    report("5 Gallagher inequality", checks)
+def test_criterion_5_gallagher(tmp_path):
+    summary = cli_summary(tmp_path, ["verify", "gallagher", "--seed", "7"], ["max ratio", "max ratio vs baseline"])
+    report("5 Gallagher inequality", summary["checks"])
 
 
 # -------------------------------------------------------------------------
@@ -273,28 +269,11 @@ def test_criterion_5_gallagher():
 # -------------------------------------------------------------------------
 
 
-def test_criterion_6_closeness_ordering():
-    y, h_exponent, big_q, c_nu = point = (100_000, 0.3, 10, 1.0)
-    h = y**h_exponent
-    params = LambdaQParams(big_q=big_q, window=(y, 2 * y), c_nu=c_nu)
-    primes_fn = restricted_prime_fn(2 * y, (y, 2 * y))
-    t_nu = model_t_nu(params)
-    t_plus = model_t_nu_plus(params, big_q)
-    ref = l2_norm_sq(primes_fn)
-
-    theta1 = closeness_integral(primes_fn, t_nu, h, reference_norm=ref).theta_effective
-    theta2 = closeness_integral(t_nu, t_plus, h, reference_norm=ref).theta_effective
-    measured_at = (100_000, 0.3, 10, 1.0)
-
-    checks = [
-        Check("theta(model, sieve model) <= theta(primes, model)", theta2, theta1),
-        Check("both <= 0.1 of ||weighted primes||_2^2: the larger", max(theta1, theta2), 0.1),
-        *regression("non-regression (primes vs model)", theta1, constants.THETA_PRIMES_VS_MODEL_BASELINE,
-                    point, measured_at),
-        *regression("non-regression (model vs sieve model)", theta2, constants.THETA_MODEL_VS_SIEVE_BASELINE,
-                    point, measured_at),
-    ]
-    report("6 closeness ordering", checks)
+def test_criterion_6_closeness_ordering(tmp_path):
+    summary = cli_summary(tmp_path, ["verify", "closeness"], [
+        "theta ordering", "theta_primes_vs_model vs baseline", "theta_model_vs_sieve vs baseline",
+    ])
+    report("6 closeness ordering", summary["checks"])
 
 
 # -------------------------------------------------------------------------
@@ -302,9 +281,7 @@ def test_criterion_6_closeness_ordering():
 # -------------------------------------------------------------------------
 
 
-def test_criterion_7_pipeline():
-    checks = []
-
+def test_criterion_7_pipeline(tmp_path):
     config = PipelineConfig(200_000, big_q=10)
     nu = restricted_prime_fn(config.x, config.nu_window)
     omega = restricted_prime_fn(config.x, config.omega_window)
@@ -320,27 +297,26 @@ def test_criterion_7_pipeline():
         + collapsed.minorization_violations
         + collapsed.step_positivity_violations
     )
-    checks.append(Check("collapsed chain: zero exceptions at every step: exceptions", exceptions, 0))
-
-    preset = PRESETS["desk-small"]
-    report_run = run_pipeline(preset, *desk_pipeline_inputs(preset))
-    frac = report_run.final_failure_fraction
-    checks.append(Check("desk-small: final failure fraction <= 1% of even n", frac, 0.01))
-    checks.append(Check("desk-small: pointwise domination step (a*T+ >= omega*T+) violations",
-                        report_run.step_positivity_violations, 0))
-    checks.append(Check("desk-small: minorization (nu <= a and omega <= a) violations",
-                        report_run.minorization_violations, 0))
-    total = preset.h + 1
-    for name, value, baseline in (
-        ("final failure fraction", frac, constants.PIPELINE_FINAL_FAILURE_FRACTION_BASELINE),
-        ("step2 exception fraction", report_run.exceptions_step2 / total,
-         constants.PIPELINE_STEP2_EXCEPTION_FRACTION_BASELINE),
-        ("step4 exception fraction", report_run.exceptions_step4 / total,
-         constants.PIPELINE_STEP4_EXCEPTION_FRACTION_BASELINE),
-    ):
-        checks += regression(f"desk-small: regression baseline, {name}", value, baseline, preset, PRESETS["desk-small"])
+    summary = cli_summary(tmp_path, ["pipeline", "--preset", "desk-small"], [
+        "final failure fraction", "step positivity violations", "minorization violations",
+        "final failure fraction vs baseline", "step2 exception fraction vs baseline",
+        "step4 exception fraction vs baseline",
+    ])
+    checks = [Check("collapsed chain: zero exceptions at every step: exceptions", exceptions, 0), *summary["checks"]]
 
     report("7 pipeline", checks)
+
+
+@pytest.mark.parametrize("criterion, counter", [
+    (test_criterion_4_short_sum_sweeps, LOWER_LAMBDA_Q_SWEEP_BOUND),
+    (test_criterion_5_gallagher, LOWER_GALLAGHER_BOUND),
+    (test_criterion_6_closeness_ordering, LOWER_MODEL_VS_SIEVE_BOUND),
+    (test_criterion_7_pipeline, _omega_above_a),
+])
+def test_counter_input_fails_the_criterion(tmp_path, monkeypatch, criterion, counter):
+    counter(monkeypatch)
+    with pytest.raises(AssertionError, match="acceptance criterion failed"):
+        criterion(tmp_path)
 
 
 # -------------------------------------------------------------------------

@@ -13,9 +13,9 @@ import pytest
 import cmlab
 from cmlab import arith, arithfn, cli, constants, goldbach
 from cmlab.arith import rough_flags
-from cmlab.arithfn import ArithFn
 from cmlab.cli import main
 from cmlab.models import mertens_product
+from counters import COUNTERS, DESK_SMALL, GALLAGHER_7, PIPELINE_BASELINES, PIPELINE_CHECKS
 from oracles import read_arithfn
 
 
@@ -77,6 +77,23 @@ class TestExitCodes:
         assert run(["--out", str(out), "--config", str(cfg), *argv]) == 2
         monkeypatch.setenv("CML_" + key.upper(), value)
         assert run(["--out", str(out), *argv]) == 2
+        assert not out.exists()
+
+    def test_max_final_fraction_outside_unit_interval_exits_2_and_writes_nothing(self, tmp_path, capsys):
+        # below 0 every run would fail, and from 1 on no run could
+        for value in ("-0.01", "1.0"):
+            assert run(["--out", str(tmp_path), "pipeline", "--max-final-fraction", value]) == 2
+            assert "max_final_fraction must lie in [0, 1)" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_unreadable_config_exits_2(self, tmp_path, capsys):
+        binary = tmp_path / "binary.cfg"
+        binary.write_bytes(b"x = 100\n\xff\n")
+        out = tmp_path / "out"
+        # a directory, a missing file and a file that is not text
+        for config in (tmp_path, tmp_path / "missing.cfg", binary):
+            assert run(["--out", str(out), "--config", str(config), "exceptional", "--X", "100"]) == 2
+            assert capsys.readouterr().err.startswith(f"error: cannot read config {str(config)!r}")
         assert not out.exists()
 
     def test_workers_belongs_to_closeness_only(self, tmp_path):
@@ -453,58 +470,8 @@ class TestReadme:
             assert (summary["checks"] == []) is (argv[0] in ("exceptional", "series", "model"))
 
 
-def _lower(name, value):
-    return lambda monkeypatch: monkeypatch.setattr(constants, name, value)
-
-
-def _omega_above_a(monkeypatch):
-    # omega = 1000 a on its window: omega <= a fails, (a - omega)*T+ turns
-    # negative, and omega*T outgrows a*a at every even n
-    def inputs(config):
-        nu, omega, a = goldbach.desk_pipeline_inputs(config)
-        return nu, ArithFn(omega.support_start, 1000.0 * omega.values), a
-
-    monkeypatch.setattr(cli, "desk_pipeline_inputs", inputs)
-
-
-def _zero(model):
-    def patch(monkeypatch):
-        def zero(params, *args):
-            return ArithFn(params.support_start, np.zeros(params.window[1] - params.window[0]))
-
-        monkeypatch.setattr(cli, model, zero)
-
-    return patch
-
-
-GALLAGHER_7 = ["verify", "gallagher", "--seed", "7"]
-DESK_SMALL = ["pipeline", "--preset", "desk-small"]
-PIPELINE_CHECKS = ["final failure fraction", "step positivity violations", "minorization violations"]
-PIPELINE_BASELINES = [f"{name} vs baseline" for name in (
-    "final failure fraction", "step2 exception fraction", "step4 exception fraction",
-)]
-
-
 class TestEveryCheckCanFail:
-    # one input per check name the CLI writes, on which that check fails
-    @pytest.mark.parametrize("argv, counter, name", [
-        (GALLAGHER_7, _lower("GALLAGHER_RATIO_CEILING", 4.0), "max ratio"),
-        (GALLAGHER_7, _lower("GALLAGHER_RANDOM_BASELINE", 3.8), "max ratio vs baseline"),
-        (["verify", "lambda_q_short"], _lower("SHORT_SUM_RATIO_CEILING", 0.01), "max ratio"),
-        (["verify", "lambda_q_short"], _lower("LAMBDA_Q_SWEEP_BASELINE", 0.01), "max ratio vs baseline"),
-        (["verify", "sieve_short"], _lower("SHORT_SUM_RATIO_CEILING", 0.1), "max ratio"),
-        (["verify", "sieve_short"], _lower("SIEVE_SWEEP_BASELINE", 0.1), "max ratio vs baseline"),
-        (["verify", "closeness", "--Y", "20000"], _zero("model_t_nu_plus"), "theta ordering"),
-        (["verify", "closeness"], _zero("model_t_nu"), "theta_primes_vs_model level"),
-        (["verify", "closeness"], _lower("THETA_PRIMES_VS_MODEL_BASELINE", 0.04), "theta_primes_vs_model vs baseline"),
-        (["verify", "closeness"], _lower("THETA_MODEL_VS_SIEVE_BASELINE", 0.006), "theta_model_vs_sieve vs baseline"),
-        (DESK_SMALL, _omega_above_a, "final failure fraction"),
-        (DESK_SMALL, _omega_above_a, "step positivity violations"),
-        (DESK_SMALL, _omega_above_a, "minorization violations"),
-        (DESK_SMALL, _omega_above_a, PIPELINE_BASELINES[0]),
-        (DESK_SMALL, _lower("PIPELINE_STEP2_EXCEPTION_FRACTION_BASELINE", 0.2), PIPELINE_BASELINES[1]),
-        (DESK_SMALL, _lower("PIPELINE_STEP4_EXCEPTION_FRACTION_BASELINE", 0.15), PIPELINE_BASELINES[2]),
-    ])
+    @pytest.mark.parametrize("argv, counter, name", COUNTERS)
     def test_counter_input_fails_the_check(self, tmp_path, monkeypatch, argv, counter, name):
         counter(monkeypatch)
         assert run(["--out", str(tmp_path), *argv]) == 1
