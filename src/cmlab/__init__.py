@@ -27,7 +27,6 @@ from .goldbach import (
     singular_series_product,
 )
 from .models import (
-    LambdaQParams,
     SieveSystem,
     beta_sieve_weights,
     lambda_q_short_sum,

@@ -29,9 +29,9 @@ from typing import Any, Callable, Optional
 import numpy as np
 
 from . import constants
-from .arithfn import ArithFn, l2_norm_sq, spectrum_size, write_arithfn
+from .arithfn import ArithFn, l2_norm_sq, write_arithfn
 from .closeness import (
-    OVERSAMPLE,
+    closeness_grid,
     closeness_integral,
     default_lambda_q_sweep,
     default_sieve_sweep,
@@ -51,7 +51,7 @@ from .goldbach import (
     singular_series_product,
 )
 from .constants import Check, regression
-from .models import LambdaQParams, lambda_q_window, model_t_nu, model_t_nu_plus, untruncated_level
+from .models import model_t_nu, model_t_nu_plus, untruncated_level
 
 ENV_PREFIX = "CML_"
 
@@ -146,7 +146,12 @@ def _resolve(args: argparse.Namespace) -> ExperimentSpec:
         else:
             params[key] = param.default(params) if callable(param.default) else param.default
     seed = params.pop("seed")
-    return ExperimentSpec(name=args.name, params=params, out=Path(args.out), seed=seed, given=frozenset(given))
+    out = Path(args.out)
+    # the reports go under the nearest existing path, so it must be a directory; checked before any work
+    existing = next(path for path in (out, *out.parents) if path.exists())
+    if not existing.is_dir():
+        raise DomainError(f"cannot write to --out {args.out!r}: {str(existing)!r} is not a directory")
+    return ExperimentSpec(name=args.name, params=params, out=out, seed=seed, given=frozenset(given))
 
 
 def _verdict(spec: ExperimentSpec, checks: list[Check], payload: dict) -> int:
@@ -255,11 +260,11 @@ def _cmd_verify_closeness(spec: ExperimentSpec) -> int:
     p = spec.params
     y, big_q = p["y"], p["big_q"]
     h = y ** p["h_exponent"]
-    spectrum_size(y, OVERSAMPLE)  # the grid of f - g on (Y, 2Y], checked before anything is sieved
-    params = LambdaQParams(big_q=big_q, window=(y, 2 * y), c_nu=p["c_nu"])
-    primes_fn = restricted_prime_fn(2 * y, (y, 2 * y))
-    t_nu = model_t_nu(params)
-    t_plus = model_t_nu_plus(params, big_q)
+    # f - g lives on (Y, 2Y]: its grid, and Y, Q and c_nu in model_t_nu, are checked before anything is sieved
+    closeness_grid(y)
+    t_nu = model_t_nu(y, big_q, p["c_nu"])
+    primes_fn = restricted_prime_fn((y, 2 * y))
+    t_plus = model_t_nu_plus(y, big_q, p["c_nu"])
     ref = l2_norm_sq(primes_fn)
     rep1 = closeness_integral(primes_fn, t_nu, h, reference_norm=ref)
     rep2 = closeness_integral(t_nu, t_plus, h, reference_norm=ref)
@@ -434,14 +439,14 @@ def _cmd_model(spec: ExperimentSpec) -> int:
     unread = [key for key in MODEL_UNREAD[which] if key in spec.given]
     if unread:
         raise DomainError(f"model {which!r} does not read {', '.join(unread)}")
-    # lambda_q reads no c_nu, but its Y and Q are checked here all the same
-    params = LambdaQParams(big_q=big_q, window=(y, 2 * y), c_nu=p["c_nu"] or 0.0)
     if which == "lambda_q":
-        fn = ArithFn(y + 1, lambda_q_window(y + 1, 2 * y + 1, big_q))
+        fn = model_t_nu(y, big_q)
     elif which == "t_nu":
-        fn = model_t_nu(params)
+        fn = model_t_nu(y, big_q, p["c_nu"])
+    elif big_q < 1:  # t_nu_plus reads Q only as the default of sift, and refuses a bad one all the same
+        raise DomainError("Q must be >= 1")
     else:
-        fn = model_t_nu_plus(params, p["sift"], p["level"], p["beta"])
+        fn = model_t_nu_plus(y, p["sift"], p["c_nu"], p["level"], p["beta"])
     path = _write_csv(spec, f"model-{which}.txt", lambda fh: write_arithfn(fn, fh))
     print(f"model: wrote {which} window of length {len(fn)} to {path}")
     return _verdict(spec, [], {"file": str(path), "length": len(fn)})

@@ -47,6 +47,7 @@ which a spectrum on 2 span points carries (see _gallagher_weights).
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -292,6 +293,13 @@ def _class_window_sums(cum: np.ndarray, c: int, r: int, lo: np.ndarray, hi: np.n
     return before(t1) - before(t0) + np.where(lo > hi, cum[-1], 0.0)
 
 
+def closeness_grid(span: int) -> int:
+    """M, the points of the spectrum grid closeness_integral reads for f - g of
+    the given span.  A grid beyond the cap raises CapacityError, so a caller can
+    check the span before it builds f and g."""
+    return spectrum_size(span, OVERSAMPLE)
+
+
 def closeness_integral(
     f: ArithFn,
     g: ArithFn,
@@ -307,7 +315,7 @@ def closeness_integral(
         raise DomainError("supports must span more than 2H")
     order = int(math.isqrt(int(h)))
     arcs = farey_dissection(order)
-    size = spectrum_size(span, OVERSAMPLE)
+    size = closeness_grid(span)
     ks = _spot_bins(size, arcs)
     radius = min(int(size / h), (size - 1) // 2)  # in bins
     lo, hi = (ks - radius) % size, (ks + radius) % size  # inclusive bin range, circular
@@ -420,29 +428,28 @@ def verify_short_sums(short_sum: Callable, sweep: Iterable[tuple[object, dict]])
 # ---------------------------------------------------------------------------
 
 
+def _sweep(scale: str, h_primes: tuple[float, float, float], cases: list[tuple]) -> list[tuple[object, dict]]:
+    """(model, point) pairs: each case (model, q', r, fields) at t = 100003, 500009
+    and the first two H' of h_primes at scale small, at t = 1000003 and all three
+    H' as well at scale medium; cases outermost, then t, then H'."""
+    if scale not in ("small", "medium"):
+        raise DomainError(f"unknown sweep scale {scale!r}")
+    n = 2 if scale == "small" else 3
+    return [
+        (model, {"t": t, "h_prime": h_prime, "r": r, "q_twist": q_twist, **fields})
+        for (model, q_twist, r, fields), t, h_prime in itertools.product(
+            cases, (100_003, 500_009, 1_000_003)[:n], h_primes[:n]
+        )
+    ]
+
+
 def default_lambda_q_sweep(big_q: int = 10, scale: str = "small") -> tuple[Callable, list[tuple[int, dict]]]:
     """lambda_q_short_sum and >= 100 (Q, point) pairs exercising both twist branches of its check."""
-    if scale == "small":
-        ts = [100_003, 500_009]
-        hs = [997.0, 10_000.0]
-    elif scale == "medium":
-        ts = [100_003, 500_009, 1_000_003]
-        hs = [997.0, 10_000.0, 50_000.0]
-    else:
-        raise DomainError(f"unknown sweep scale {scale!r}")
-    points = []
-    for q_twist in range(1, big_q + 1):
-        rs = [0] if q_twist == 1 else sorted({1, q_twist - 1, _smallest_coprime(q_twist, 2)})
-        for r in rs:
-            for t in ts:
-                for h in hs:
-                    points.append((big_q, {"t": t, "h_prime": h, "big_q": big_q, "r": r, "q_twist": q_twist}))
-    for q_twist in (big_q + 1, big_q + 3, 2 * big_q + 3, 97):
-        for r in (1, q_twist - 1):
-            for t in ts:
-                for h in hs:
-                    points.append((big_q, {"t": t, "h_prime": h, "big_q": big_q, "r": r, "q_twist": q_twist}))
-    return lambda_q_short_sum, points
+    twists = [(q, r) for q in range(1, big_q + 1)
+              for r in ([0] if q == 1 else sorted({1, q - 1, _smallest_coprime(q, 2)}))]
+    twists += [(q, r) for q in (big_q + 1, big_q + 3, 2 * big_q + 3, 97) for r in (1, q - 1)]
+    cases = [(big_q, q_twist, r, {"big_q": big_q}) for q_twist, r in twists]
+    return lambda_q_short_sum, _sweep(scale, (997.0, 10_000.0, 50_000.0), cases)
 
 
 def _smallest_coprime(q: int, start: int) -> int:
@@ -460,24 +467,11 @@ def default_sieve_sweep(scale: str = "small") -> tuple[Callable, list[tuple[Siev
         beta_sieve_weights(10_000.0, 12.0, beta=2),
         beta_sieve_weights(3_000.0, 30.0, beta=1),  # genuinely truncated
     ]
-    if scale == "small":
-        ts = [100_003, 500_009]
-        hs = [2_000.0, 10_000.0]
-    elif scale == "medium":
-        ts = [100_003, 500_009, 1_000_003]
-        hs = [2_000.0, 10_000.0, 30_000.0]
-    else:
-        raise DomainError(f"unknown sweep scale {scale!r}")
-    points = []
+    cases = []
     for sieve in systems:
         system = {"beta": sieve.beta, "level": sieve.level, "sift": sieve.sift}
         z = int(sieve.sift)
         small_q = [q for q in (1, 2, 3, 5, 7, 11, 13, 25) if q <= z]
         large_q = [q for q in (11, 13, 37, 101, 211) if q > z][:3]
-        for q_twist in small_q + large_q:
-            rs = [0] if q_twist == 1 else sorted({1, q_twist - 1})
-            for r in rs:
-                for t in ts:
-                    for h in hs:
-                        points.append((sieve, {"t": t, "h_prime": h, "r": r, "q_twist": q_twist, **system}))
-    return sieve_short_sum, points
+        cases += [(sieve, q, r, system) for q in small_q + large_q for r in ([0] if q == 1 else sorted({1, q - 1}))]
+    return sieve_short_sum, _sweep(scale, (2_000.0, 10_000.0, 30_000.0), cases)

@@ -46,7 +46,7 @@ from .arith import cached_primes, interval_prime_flags, mu_phi_table, prime_weig
 from .arithfn import ArithFn, convolve, convolve_valid, convolve_window, subtract, window_preimage
 from .characters import ramanujan_sum
 from .errors import CapacityError, ContractError, DomainError
-from .models import LambdaQParams, model_t_nu, model_t_nu_plus
+from .models import model_t_nu, model_t_nu_plus
 
 PIPELINE_SEGMENT = 1 << 18  # integers m whose a(m) run_pipeline reads at a time
 # integers m of a segment that one convolve_valid takes: at least this many,
@@ -233,9 +233,6 @@ class PipelineConfig:
     def omega_window(self) -> tuple[int, int]:
         return (self.x - 3 * self.y, self.x - self.y)
 
-    def lambda_q_params(self) -> LambdaQParams:
-        return LambdaQParams(big_q=self.big_q, window=self.nu_window, c_nu=self.c_nu)
-
     def to_dict(self) -> dict:
         return {
             "x": self.x, "h": self.h, "y": self.y, "big_q": self.big_q,
@@ -365,9 +362,9 @@ def run_pipeline(
     _require_support(omega, config.omega_window, "omega")
 
     if t_nu is None:
-        t_nu = model_t_nu(config.lambda_q_params())
+        t_nu = model_t_nu(config.y, config.big_q, config.c_nu)
     if t_nu_plus is None:
-        t_nu_plus = model_t_nu_plus(config.lambda_q_params(), config.big_q)
+        t_nu_plus = model_t_nu_plus(config.y, config.big_q, config.c_nu)
     if np.min(t_nu_plus.values, initial=0) < 0:
         raise ContractError("t_nu_plus must be nonnegative")
 
@@ -464,12 +461,10 @@ def run_pipeline(
     )
 
 
-def restricted_prime_fn(x: int, window: tuple[int, int]) -> ArithFn:
-    """The log-weighted prime function cut to the integers (lo, hi] <= x; only
-    that window is sieved."""
+def restricted_prime_fn(window: tuple[int, int]) -> ArithFn:
+    """The log-weighted prime function cut to the integers (lo, hi]; only that
+    window is sieved."""
     lo, hi = window
-    if hi > x:
-        raise DomainError("window exceeds x")
     return ArithFn(lo + 1, prime_weights(lo + 1, hi + 1))
 
 
@@ -486,6 +481,6 @@ def desk_pipeline_inputs(config: PipelineConfig) -> tuple[ArithFn, ArithFn, Bloc
     values raises CapacityError here, before anything is sieved.
     """
     _require_capacity(config)
-    nu = restricted_prime_fn(config.x, config.nu_window)
-    omega = restricted_prime_fn(config.x, config.omega_window)
+    nu = restricted_prime_fn(config.nu_window)
+    omega = restricted_prime_fn(config.omega_window)
     return nu, omega, prime_weights

@@ -79,32 +79,22 @@ def lambda_q_window(start: int, stop: int, big_q: int) -> np.ndarray:
     return _divisor_sum(start, stop, weights, np.float64)
 
 
-@dataclass(frozen=True)
-class LambdaQParams:
-    """Major-arc model parameters: modulus cutoff Q, window (lo, hi] and scale."""
-
-    big_q: int
-    window: tuple[int, int]  # integers n with window[0] < n <= window[1]
-    c_nu: float = 1.0
-
-    def __post_init__(self):
-        if self.big_q < 1:
-            raise DomainError("Q must be >= 1")
-        lo, hi = self.window
-        if hi <= lo:
-            raise DomainError("window must be nonempty")
-        if not self.c_nu >= 0:  # nan fails too
-            raise DomainError("c_nu must be >= 0")
-
-    @property
-    def support_start(self) -> int:
-        return self.window[0] + 1
+def _nu_window(y: int, c_nu: float) -> tuple[int, int]:
+    """[Y + 1, 2Y + 1), the integers of nu's window (Y, 2Y] that both models live
+    on, once Y >= 1 and the scale c_nu >= 0 are checked."""
+    if y < 1:
+        raise DomainError("Y must be >= 1")
+    if not c_nu >= 0:  # nan fails too
+        raise DomainError("c_nu must be >= 0")
+    return y + 1, 2 * y + 1
 
 
-def model_t_nu(params: LambdaQParams) -> ArithFn:
-    """c_nu * Lambda_Q on the window (lo, hi], zero elsewhere."""
-    vals = params.c_nu * lambda_q_window(params.support_start, params.window[1] + 1, params.big_q)
-    return ArithFn(params.support_start, vals)
+def model_t_nu(y: int, big_q: int, c_nu: float = 1.0) -> ArithFn:
+    """c_nu * Lambda_Q on (Y, 2Y], zero elsewhere."""
+    if big_q < 1:
+        raise DomainError("Q must be >= 1")
+    start, stop = _nu_window(y, c_nu)
+    return ArithFn(start, c_nu * lambda_q_window(start, stop, big_q))
 
 
 def lambda_q_short_sum(
@@ -236,9 +226,9 @@ def untruncated_level(sift: float, beta: int = 10) -> int:
 
 
 def model_t_nu_plus(
-    params: LambdaQParams, sift: float, level: Optional[float] = None, beta: int = 10
+    y: int, sift: float, c_nu: float = 1.0, level: Optional[float] = None, beta: int = 10
 ) -> ArithFn:
-    """c_nu * V(z)^{-1} * theta_n(D, z) on the window (lo, hi], zero elsewhere.
+    """c_nu * V(z)^{-1} * theta_n(D, z) on (Y, 2Y], zero elsewhere.
 
     With no level, or a level D >= untruncated_level(z, beta), theta is the
     z-rough indicator (see the module docstring).  That is the desk default:
@@ -248,16 +238,16 @@ def model_t_nu_plus(
     negative value would mean the sieve construction is broken, so that is
     checked outright.
     """
+    start, stop = _nu_window(y, c_nu)
     if sift < 2 or beta < 1:
         raise DomainError("need z >= 2 and beta >= 1")
-    start, stop = params.support_start, params.window[1] + 1
     if level is None or level >= untruncated_level(sift, beta):
         theta = rough_flags(start, stop, sift)
     else:
         theta = beta_sieve_weights(level, sift, beta).theta_window(start, stop)
         if theta.min(initial=0) < 0:
             raise ContractError("sieve weights are not an upper-bound system")
-    return ArithFn(start, (params.c_nu / mertens_product(sift)) * theta.astype(np.float64))
+    return ArithFn(start, (c_nu / mertens_product(sift)) * theta.astype(np.float64))
 
 
 def sieve_short_sum(

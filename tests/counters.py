@@ -1,17 +1,18 @@
-"""Counter-inputs: for each check a `cmlab` subcommand writes, an input on which it fails.
+"""Counter-inputs: for each check a `cmlab` subcommand writes, and for each
+acceptance criterion, an input on which it fails.
 
 A counter is a callable that takes pytest's monkeypatch and patches the
-package: a lowered constant, a zeroed model, an inflated omega.
+package: a lowered constant, a zeroed model, an inflated omega, a broken table.
 tests/test_cli.py runs every row of COUNTERS and asserts that the named check
-fails; tests/test_acceptance.py runs each criterion that prints CLI checks
-under one of the same counters and asserts that the criterion fails.
+fails; tests/test_acceptance.py runs each criterion that reads the package
+under one of these counters and asserts that the criterion fails.
 pytest names each parametrized test after its counter's __name__, so a
 renamed counter renames those tests.
 """
 
 import numpy as np
 
-from cmlab import cli, constants, goldbach
+from cmlab import arith, cli, constants, goldbach, models
 from cmlab.arithfn import ArithFn
 
 
@@ -31,12 +32,60 @@ def _omega_above_a(monkeypatch):
 
 def _zero(model):
     def patch(monkeypatch):
-        def zero(params, *args):
-            return ArithFn(params.support_start, np.zeros(params.window[1] - params.window[0]))
+        def zero(y, *args):
+            return ArithFn(y + 1, np.zeros(y))
 
         monkeypatch.setattr(cli, model, zero)
 
     return patch
+
+
+def _negate_mu_3(monkeypatch):
+    # mu(3) = +1 in the table models reads: Lambda_Q moves by 6.0 on [0, 1000] at Q = 10
+    def table(limit):
+        mu, phi = arith.mu_phi_table(limit)
+        if limit >= 3:
+            mu = mu.copy()
+            mu[3] = -mu[3]
+        return mu, phi
+
+    monkeypatch.setattr(models, "mu_phi_table", table)
+
+
+def _truncate_every_position(monkeypatch):
+    # the level condition at even positions as well: not an upper-bound sieve
+    # (theta(35) = -1 already at beta = 1, z = 10, D = 100; see the models docstring)
+    def weights(level, sift, beta=10):
+        primes = arith.cached_primes(int(sift)).tolist()[::-1]
+        lambdas = {1: 1}
+
+        def extend(prefix, idx, sign):
+            for i in range(idx, len(primes)):
+                if prefix * primes[i] ** (beta + 1) <= int(level):
+                    lambdas[prefix * primes[i]] = -sign
+                    extend(prefix * primes[i], i + 1, -sign)
+
+        extend(1, 0, 1)
+        return models.SieveSystem(beta=beta, level=float(level), sift=float(sift), weights=lambdas)
+
+    monkeypatch.setattr(models, "beta_sieve_weights", weights)
+
+
+def _miss_prime_3(monkeypatch):
+    # a prime sieve in goldbach that misses 3: 6 = 3 + 3 loses its only partition
+    def flags(lo, hi):
+        out = arith.interval_prime_flags(lo, hi)
+        if lo <= 3 <= hi:
+            out = out.copy()
+            out[3 - lo] = False
+        return out
+
+    monkeypatch.setattr(goldbach, "interval_prime_flags", flags)
+
+
+def _drop_prime_2(monkeypatch):
+    # goldbach's prime table without 2: the odd-n products lose their zero factor and the even ones halve
+    monkeypatch.setattr(goldbach, "cached_primes", lambda limit: arith.cached_primes(limit)[1:])
 
 
 GALLAGHER_7 = ["verify", "gallagher", "--seed", "7"]

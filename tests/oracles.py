@@ -23,7 +23,7 @@ from cmlab.characters import ramanujan_sum
 from cmlab.closeness import SPOT_ARCS, SPOT_SAMPLES_PER_ARC, FareyArc
 from cmlab.errors import CapacityError, ContractError, DomainError
 from cmlab.goldbach import _ascending_sum
-from cmlab.models import LambdaQParams, SieveSystem
+from cmlab.models import SieveSystem
 
 # ---------------------------------------------------------------------------
 # factorization and multiplicative functions
@@ -293,17 +293,17 @@ def exponential_from_characters(r: int, n: int, q: int) -> complex:
 # ---------------------------------------------------------------------------
 
 
-def convolve_with_lambda_q_model(omega: ArithFn, params: LambdaQParams, n: int) -> float:
-    """(omega * T)(n) for T = c_nu Lambda_Q restricted to the params window, as
+def convolve_with_lambda_q_model(omega: ArithFn, y: int, big_q: int, c_nu: float, n: int) -> float:
+    """(omega * T)(n) for T = c_nu Lambda_Q restricted to (Y, 2Y], as
     sum_{q <= Q} (mu(q)/phi(q)) sum_{n1} omega(n1) c_q(n - n1) over the n1 with
-    n - n1 inside the window; T is never materialized.  Requires omega to be
+    n - n1 inside (Y, 2Y]; T is never materialized.  Requires omega to be
     supported on Q-rough numbers (that is the hypothesis under which the
     expansion's character sums collapse to Ramanujan sums); raises ContractError
     otherwise.
     """
-    if not _is_rough_supported(omega, params.big_q):
+    if not _is_rough_supported(omega, big_q):
         raise ContractError("Ramanujan shortcut requires omega supported on Q-rough numbers")
-    lo, hi = params.window
+    lo, hi = y, 2 * y
     n1_lo, n1_hi = n - hi, n - lo  # n1 with lo < n - n1 <= hi, i.e. n1 in [n-hi, n-lo)
     w_lo = max(n1_lo, omega.support_start)
     w_hi = min(n1_hi, omega.support_stop)
@@ -312,10 +312,10 @@ def convolve_with_lambda_q_model(omega: ArithFn, params: LambdaQParams, n: int) 
     vals = omega.values[w_lo - omega.support_start : w_hi - omega.support_start]
     n1s = np.arange(w_lo, w_hi, dtype=np.int64)
     total = 0.0
-    mu, phi = mu_phi_table(params.big_q)
+    mu, phi = mu_phi_table(big_q)
     for q in np.flatnonzero(mu).tolist():
         total += int(mu[q]) / int(phi[q]) * float(np.sum(vals * ramanujan_sum(q, n - n1s).astype(np.float64)))
-    return params.c_nu * total
+    return c_nu * total
 
 
 def _is_rough_supported(omega: ArithFn, z: float) -> bool:

@@ -8,10 +8,12 @@ exact property as a count of failures bounded by 0.  Tolerances are pinned
 here and in cmlab.constants; nothing is deferred to later calibration.
 
 Criteria 4-7 run their `cmlab` subcommand in process and print the checks it
-wrote, so each of those verdicts is decided once, in cmlab.cli.  Each of them
-also runs under a counter-input from tests/counters.py, on which it must fail.
+wrote, so each of those verdicts is decided once, in cmlab.cli.  Every
+criterion that reads the package also runs under a counter-input from
+tests/counters.py, on which it must fail; criterion 2 reads only tests/oracles.py.
 """
 
+import inspect
 import json
 import math
 from dataclasses import replace
@@ -20,7 +22,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cmlab import arithfn
+from cmlab import arithfn, models
 from cmlab.arith import rough_flags
 from cmlab.arithfn import ArithFn, convolve
 from cmlab.characters import ramanujan_sum
@@ -35,14 +37,21 @@ from cmlab.goldbach import (
     singular_series_product,
 )
 from cmlab.models import (
-    LambdaQParams,
-    beta_sieve_weights,
     lambda_q_window,
     mertens_product,
     model_t_nu,
     untruncated_level,
 )
-from counters import LOWER_GALLAGHER_BOUND, LOWER_LAMBDA_Q_SWEEP_BOUND, LOWER_MODEL_VS_SIEVE_BOUND, _omega_above_a
+from counters import (
+    LOWER_GALLAGHER_BOUND,
+    LOWER_LAMBDA_Q_SWEEP_BOUND,
+    LOWER_MODEL_VS_SIEVE_BOUND,
+    _drop_prime_2,
+    _miss_prime_3,
+    _negate_mu_3,
+    _omega_above_a,
+    _truncate_every_position,
+)
 from oracles import (
     characters_mod,
     convolve_with_lambda_q_model,
@@ -80,7 +89,7 @@ def cli_summary(out: Path, argv: list[str], names: list[str]) -> dict:
 # -------------------------------------------------------------------------
 
 
-def test_criterion_1_oracle_equivalences(rng):
+def test_criterion_1_oracle_equivalences():
     checks = []
 
     # Ramanujan closed form vs direct exponential sum, all q, n <= 300
@@ -134,10 +143,9 @@ def test_criterion_1_oracle_equivalences(rng):
         if i % 2:
             omega = ArithFn(lo, np.where(rough, float(gen.uniform(0.05, 0.3)), 0.0))
         else:
-            omega = restricted_prime_fn(n, (lo - 1, hi - 1))
-        params = LambdaQParams(big_q=big_q, window=(y, 2 * y), c_nu=c_nu)
-        short = convolve_with_lambda_q_model(omega, params, n)
-        direct = convolve(omega, model_t_nu(params))(n)
+            omega = restricted_prime_fn((lo - 1, hi - 1))
+        short = convolve_with_lambda_q_model(omega, y, big_q, c_nu, n)
+        direct = convolve(omega, model_t_nu(y, big_q, c_nu))(n)
         scale = max(abs(direct), 1e-9)
         worst_model = max(worst_model, abs(short - direct) / scale)
     checks.append(Check("model convolution shortcut == direct (20 configs): max rel diff", worst_model, 1e-6))
@@ -151,6 +159,7 @@ def test_criterion_1_oracle_equivalences(rng):
 
 
 def test_criterion_2_characters():
+    """Reads only tests/oracles.py: no cmlab code runs, so no patch of the package can make it fail."""
     checks = []
 
     worst = 0.0
@@ -201,18 +210,18 @@ def test_criterion_3_sieve_suite():
     checks = []
 
     test_systems = [
-        beta_sieve_weights(10_000.0, 10.0, beta=3),
-        beta_sieve_weights(10_000.0, 12.0, beta=2),
-        beta_sieve_weights(3_000.0, 30.0, beta=1),
-        beta_sieve_weights(10_000.0, 10.0, beta=10),  # degenerate truncation, still a valid system
-        beta_sieve_weights(float(untruncated_level(7, 10)), 7.0, beta=10),
+        models.beta_sieve_weights(10_000.0, 10.0, beta=3),
+        models.beta_sieve_weights(10_000.0, 12.0, beta=2),
+        models.beta_sieve_weights(3_000.0, 30.0, beta=1),
+        models.beta_sieve_weights(10_000.0, 10.0, beta=10),  # degenerate truncation, still a valid system
+        models.beta_sieve_weights(float(untruncated_level(7, 10)), 7.0, beta=10),
     ]
     min_theta = min(int(s.theta_window(1, 1_000_001).min()) for s in test_systems)
     checks.append(Check("theta_n >= 0 for n <= 10^6, every test system: shortfall -min theta", -min_theta, 0))
 
     mismatches = 0
     for z in (2, 3, 5, 7):
-        sieve = beta_sieve_weights(float(untruncated_level(z, 10)), float(z), beta=10)
+        sieve = models.beta_sieve_weights(float(untruncated_level(z, 10)), float(z), beta=10)
         theta = sieve.theta_window(1, 1_000_001)
         rough = rough_flags(1, 1_000_001, z).astype(np.int64)
         mismatches += int(np.count_nonzero(theta != rough))
@@ -225,7 +234,7 @@ def test_criterion_3_sieve_suite():
     # system to the parity sieve); beta = 3 is the largest admissible value.
     z, level = 10.0, 10_000.0
     beta = int(math.log(level) / math.log(z)) - 1
-    sieve = beta_sieve_weights(level, z, beta=beta)
+    sieve = models.beta_sieve_weights(level, z, beta=beta)
     v = mertens_product(z)
     theta_mean = float(sieve.theta_window(10_001, 20_001).mean())
     rough_density = float(rough_flags(10_001, 20_001, z).mean())
@@ -283,8 +292,8 @@ def test_criterion_6_closeness_ordering(tmp_path):
 
 def test_criterion_7_pipeline(tmp_path):
     config = PipelineConfig(200_000, big_q=10)
-    nu = restricted_prime_fn(config.x, config.nu_window)
-    omega = restricted_prime_fn(config.x, config.omega_window)
+    nu = restricted_prime_fn(config.nu_window)
+    omega = restricted_prime_fn(config.omega_window)
     # a = nu + omega: nu*nu lives on (2Y, 4Y] and omega*omega beyond 2(X - 3Y) > X,
     # so a*a = 2 omega*nu on [X-H, X]
     both = ArithFn(nu.support_start, nu.embed(nu.support_start, omega.support_stop)
@@ -305,18 +314,6 @@ def test_criterion_7_pipeline(tmp_path):
     checks = [Check("collapsed chain: zero exceptions at every step: exceptions", exceptions, 0), *summary["checks"]]
 
     report("7 pipeline", checks)
-
-
-@pytest.mark.parametrize("criterion, counter", [
-    (test_criterion_4_short_sum_sweeps, LOWER_LAMBDA_Q_SWEEP_BOUND),
-    (test_criterion_5_gallagher, LOWER_GALLAGHER_BOUND),
-    (test_criterion_6_closeness_ordering, LOWER_MODEL_VS_SIEVE_BOUND),
-    (test_criterion_7_pipeline, _omega_above_a),
-])
-def test_counter_input_fails_the_criterion(tmp_path, monkeypatch, criterion, counter):
-    counter(monkeypatch)
-    with pytest.raises(AssertionError, match="acceptance criterion failed"):
-        criterion(tmp_path)
 
 
 # -------------------------------------------------------------------------
@@ -372,3 +369,26 @@ def test_criterion_9_singular_series():
     )
 
     report("9 singular series", checks)
+
+
+# -------------------------------------------------------------------------
+# every criterion that reads the package can fail
+# -------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("criterion, counter", [
+    (test_criterion_1_oracle_equivalences, _negate_mu_3),
+    (test_criterion_3_sieve_suite, _truncate_every_position),
+    (test_criterion_4_short_sum_sweeps, LOWER_LAMBDA_Q_SWEEP_BOUND),
+    (test_criterion_5_gallagher, LOWER_GALLAGHER_BOUND),
+    (test_criterion_6_closeness_ordering, LOWER_MODEL_VS_SIEVE_BOUND),
+    (test_criterion_7_pipeline, _omega_above_a),
+    (test_criterion_8_goldbach_ground_truth, _miss_prime_3),
+    (test_criterion_9_singular_series, _drop_prime_2),
+])
+def test_counter_input_fails_the_criterion(tmp_path, monkeypatch, criterion, counter):
+    counter(monkeypatch)
+    # criteria 4-7 write their subcommand's reports under tmp_path
+    args = (tmp_path,) if "tmp_path" in inspect.signature(criterion).parameters else ()
+    with pytest.raises(AssertionError, match="acceptance criterion failed"):
+        criterion(*args)

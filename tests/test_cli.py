@@ -96,6 +96,38 @@ class TestExitCodes:
             assert capsys.readouterr().err.startswith(f"error: cannot read config {str(config)!r}")
         assert not out.exists()
 
+    def test_out_that_is_not_a_directory_exits_2_before_any_work(self, tmp_path, monkeypatch, capsys):
+        def refuse(*args):
+            raise AssertionError("worked before --out was checked")
+
+        monkeypatch.setattr(cli, "singular_series", refuse)
+        afile = tmp_path / "afile"
+        afile.write_text("kept\n")
+        # a file, and a path through one
+        for out in (afile, afile / "sub"):
+            assert run(["--out", str(out), "series", "--n-stop", "10"]) == 2
+            err = capsys.readouterr().err
+            assert err == f"error: cannot write to --out {str(out)!r}: {str(afile)!r} is not a directory\n"
+        assert afile.read_text() == "kept\n"
+        assert list(tmp_path.iterdir()) == [afile]
+
+    @pytest.mark.parametrize("argv", [
+        *(["model", "--which", which, *bad] for which in ("lambda_q", "t_nu", "t_nu_plus")
+          for bad in (["--Y", "0"], ["--Q", "0"], ["--c-nu", "-1"])),
+        ["model", "--which", "t_nu_plus", "--Q", "0", "--sift", "10"],  # Q is only sift's default here
+        *([*command, *bad] for command in (["verify", "closeness"], ["pipeline"])
+          for bad in (["--Y", "0"], ["--Q", "0"], ["--c-nu", "-1"])),
+    ], ids=" ".join)
+    def test_bad_y_q_or_c_nu_exits_2_before_sieving(self, tmp_path, monkeypatch, capsys, argv):
+        def refuse(start, stop):
+            raise AssertionError("sieved before Y, Q and c_nu were checked")
+
+        monkeypatch.setattr(goldbach, "prime_weights", refuse)
+        out = tmp_path / "out"
+        assert run(["--out", str(out), *argv]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
     def test_workers_belongs_to_closeness_only(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             run(["--out", str(tmp_path), "series", "--workers", "3"])

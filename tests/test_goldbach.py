@@ -20,7 +20,6 @@ from cmlab.goldbach import (
     singular_series_product,
 )
 from cmlab.models import (
-    LambdaQParams,
     beta_sieve_weights,
     mertens_product,
     model_t_nu,
@@ -179,9 +178,8 @@ def test_c_q_paths_do_not_factorize(monkeypatch):
     monkeypatch.setattr(oracles, "factorize", refuse)
     assert singular_series(30, 1000) > 0
     assert len(lambda_q_window(1000, 1100, 30)) == 100
-    params = LambdaQParams(big_q=10, window=(1000, 2000), c_nu=1.0)
     omega = ArithFn(3000, np.where(rough_flags(3000, 4000, 10.0), 0.09, 0.0))
-    assert convolve_with_lambda_q_model(omega, params, 5000) > 0
+    assert convolve_with_lambda_q_model(omega, 1000, 10, 1.0, 5000) > 0
     assert lambda_q_short_sum(100_000, 1000.0, 10, r=1, q_twist=6)[1] == 1000.0 / 2
     sieve = beta_sieve_weights(1000.0, 10.0, 1)
     assert sieve_short_sum(100_000, 1000.0, sieve, r=1, q_twist=3)[1] == -1000.0 / 2
@@ -195,46 +193,41 @@ class TestModelConvolution:
         return ArithFn(lo, np.where(rough, c, 0.0))
 
     def test_q1_collapses_to_plain_sum(self):
-        params = LambdaQParams(big_q=1, window=(500, 1000), c_nu=0.8)
         omega = self._omega(2000, 500, z=1.0)
-        got = convolve_with_lambda_q_model(omega, params, 2000)
+        got = convolve_with_lambda_q_model(omega, 500, 1, 0.8, 2000)
         assert got == pytest.approx(0.8 * float(np.sum(omega.values)))
 
     def test_shortcut_equals_direct_convolution(self):
         y = 1000
-        params = LambdaQParams(big_q=10, window=(y, 2 * y), c_nu=1.0)
         n = 5000
         omega = self._omega(n, y)
-        short = convolve_with_lambda_q_model(omega, params, n)
-        direct = convolve(omega, model_t_nu(params))(n)
+        short = convolve_with_lambda_q_model(omega, y, 10, 1.0, n)
+        direct = convolve(omega, model_t_nu(y, 10))(n)
         assert short == pytest.approx(direct, rel=1e-6)
 
     def test_prime_omega_shortcut_vs_direct(self):
         # omega = weighted primes on the window (primes > Q are Q-rough)
         y = 1000
         n = 5000
-        params = LambdaQParams(big_q=10, window=(y, 2 * y), c_nu=0.5)
-        omega = restricted_prime_fn(2 * n, (n - 2 * y, n - y))
-        short = convolve_with_lambda_q_model(omega, params, n)
-        direct = convolve(omega, model_t_nu(params))(n)
+        omega = restricted_prime_fn((n - 2 * y, n - y))
+        short = convolve_with_lambda_q_model(omega, y, 10, 0.5, n)
+        direct = convolve(omega, model_t_nu(y, 10, 0.5))(n)
         assert short == pytest.approx(direct, rel=1e-6)
 
     def test_uniform_rough_omega_gives_partial_singular_series(self):
         y = 2000
         n = 10_000
         c_omega, c_nu = 0.09, 0.7
-        params = LambdaQParams(big_q=10, window=(y, 2 * y), c_nu=c_nu)
         omega = self._omega(n, y, c=c_omega)
-        got = convolve_with_lambda_q_model(omega, params, n)
+        got = convolve_with_lambda_q_model(omega, y, 10, c_nu, n)
         rough_count = int(np.sum(omega.values != 0))
         expected = c_omega * c_nu * singular_series(n, 10) * rough_count
         assert got == pytest.approx(expected, rel=0.02)
 
     def test_contract_error_for_non_rough_support(self):
-        params = LambdaQParams(big_q=10, window=(500, 1000), c_nu=1.0)
         omega = ArithFn(1200, np.ones(500))  # hits multiples of small primes
         with pytest.raises(ContractError):
-            convolve_with_lambda_q_model(omega, params, 2000)
+            convolve_with_lambda_q_model(omega, 500, 10, 1.0, 2000)
 
     def test_sieves_the_support_once_and_never_builds_t(self, monkeypatch):
         checks = []
@@ -250,9 +243,8 @@ class TestModelConvolution:
         monkeypatch.setattr(oracles, "_is_rough_supported", counted)
         for name in ("model_t_nu", "convolve", "convolve_window"):
             monkeypatch.setattr(oracles, name, refuse, raising=False)
-        params = LambdaQParams(big_q=10, window=(1000, 2000), c_nu=1.0)
         omega = self._omega(5000, 1000)
-        assert convolve_with_lambda_q_model(omega, params, 5000) > 0
+        assert convolve_with_lambda_q_model(omega, 1000, 10, 1.0, 5000) > 0
         assert checks == [10]
 
 
@@ -269,15 +261,11 @@ class TestRestrictedPrimeFn:
 
         interval = arith.interval_prime_flags
         monkeypatch.setattr(arith, "interval_prime_flags", recording)
-        f = restricted_prime_fn(200_000, window)
+        f = restricted_prime_fn(window)
         assert f.support_start == lo + 1
         assert np.array_equal(f.values, whole)
         # the window itself, and the base primes up to sqrt(hi)
         assert all(start >= lo + 1 or stop <= math.isqrt(hi) for start, stop in sieved)
-
-    def test_window_beyond_x_rejected(self):
-        with pytest.raises(DomainError):
-            restricted_prime_fn(1000, (500, 1001))
 
 
 class TestPipelineConfig:
@@ -318,7 +306,7 @@ class TestPipelineConfig:
         # the pipeline's default T+ (read from rough_flags) is the model of the
         # enumerated untruncated weights, bit for bit
         config = PRESETS["desk-small"]
-        t_plus = model_t_nu_plus(config.lambda_q_params(), config.big_q)
+        t_plus = model_t_nu_plus(config.y, config.big_q, config.c_nu)
         sieve = beta_sieve_weights(float(untruncated_level(config.big_q)), config.big_q)
         theta = sieve.theta_window(1001, 2001)
         assert np.array_equal(theta, rough_flags(1001, 2001, config.big_q).astype(np.int64))
@@ -330,8 +318,8 @@ class TestPipelineConfig:
 class TestPipeline:
     def test_collapsed_chain_is_exact(self):
         config = PipelineConfig(200_000, big_q=10)
-        nu = restricted_prime_fn(config.x, config.nu_window)
-        omega = restricted_prime_fn(config.x, config.omega_window)
+        nu = restricted_prime_fn(config.nu_window)
+        omega = restricted_prime_fn(config.omega_window)
         # a = nu + omega: nu*nu lives on (2Y, 4Y] and omega*omega beyond
         # 2(X - 3Y) > X, so a*a = 2 omega*nu on [X-H, X]
         both = ArithFn(nu.support_start, nu.embed(nu.support_start, omega.support_stop)

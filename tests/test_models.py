@@ -9,7 +9,6 @@ from cmlab.arith import prime_weights, rough_flags, sieve_primes
 from cmlab.arithfn import TWO_PI, ArithFn
 from cmlab.errors import ContractError, DomainError
 from cmlab.models import (
-    LambdaQParams,
     SieveSystem,
     beta_sieve_weights,
     lambda_q_short_sum,
@@ -217,71 +216,75 @@ class TestMertens:
 
 class TestModels:
     def test_zero_scale(self):
-        params = LambdaQParams(big_q=5, window=(100, 200), c_nu=0.0)
-        assert not model_t_nu(params).values.any()
+        assert not model_t_nu(100, 5, 0.0).values.any()
 
     @pytest.mark.parametrize("c_nu", [-1.0, math.nan])
     def test_scale_must_be_nonnegative(self, c_nu):
         # nan compares False with everything, so `c_nu < 0` alone let it through
-        with pytest.raises(DomainError):
-            LambdaQParams(big_q=5, window=(100, 200), c_nu=c_nu)
+        with pytest.raises(DomainError, match="c_nu must be >= 0"):
+            model_t_nu(100, 5, c_nu)
+        with pytest.raises(DomainError, match="c_nu must be >= 0"):
+            model_t_nu_plus(100, 5.0, c_nu)
+
+    @pytest.mark.parametrize("y", [0, -5])
+    def test_y_must_be_positive(self, y):
+        # the models live on (Y, 2Y], which is empty for Y < 1
+        with pytest.raises(DomainError, match="Y must be >= 1"):
+            model_t_nu(y, 5)
+        with pytest.raises(DomainError, match="Y must be >= 1"):
+            model_t_nu_plus(y, 5.0)
 
     @pytest.mark.parametrize("big_q", [10, 100])
     def test_t_nu_peak_is_two_windows(self, big_q):
         # Lambda_Q is one array of divisor sums and c_nu scales it into a
         # second; an index array or a gathered row per modulus would be a third
-        params = LambdaQParams(big_q=big_q, window=(10**6, 2 * 10**6))
         tracemalloc.start()
         try:
-            t = model_t_nu(params)
+            t = model_t_nu(10**6, big_q)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak <= 2 * t.values.nbytes + (1 << 16)
 
     def test_q1_constant(self):
-        params = LambdaQParams(big_q=1, window=(10, 30), c_nu=0.7)
-        t = model_t_nu(params)
+        t = model_t_nu(10, 1, 0.7)
         assert np.allclose(t.values, 0.7)
         assert t.support_start == 11
-        assert t.support_stop == 31
+        assert t.support_stop == 21
 
     def test_mean_agreement_of_both_models(self):
         # window (1e4, 2e4], Q = 10: the sieve model mean tracks the major-arc
         # model mean within 5% once the sieve is in its exact regime
         y = 10_000
-        params = LambdaQParams(big_q=10, window=(y, 2 * y), c_nu=1.0)
-        t_nu = model_t_nu(params)
-        t_plus = model_t_nu_plus(params, 10)
+        t_nu = model_t_nu(y, 10)
+        t_plus = model_t_nu_plus(y, 10)
         m1 = float(t_nu.values.mean())
         m2 = float(t_plus.values.mean())
         assert abs(m1 - m2) <= 0.05 * abs(m1)
 
     def test_t_plus_nonnegative_enforced(self, monkeypatch):
         # D = 10 is below untruncated_level(3, 2) = 27, so the weights are built
-        params = LambdaQParams(big_q=3, window=(100, 200), c_nu=1.0)
         broken = SieveSystem(beta=2, level=10.0, sift=3.0, weights={1: 1, 2: -1, 3: -1, 6: -1})
         monkeypatch.setattr(models, "beta_sieve_weights", lambda level, sift, beta: broken)
         with pytest.raises(ContractError, match="upper-bound"):
-            model_t_nu_plus(params, 3.0, 10.0, beta=2)
+            model_t_nu_plus(100, 3.0, level=10.0, beta=2)
 
     def test_t_plus_reads_the_level_it_is_given(self):
         # no level, or one at the untruncated level, reads rough_flags; a lower
         # level builds the truncated weights; both give c_nu / V(z) * theta
-        params = LambdaQParams(big_q=10, window=(1000, 3000), c_nu=0.7)
         cases = (
             ((10.0,), beta_sieve_weights(float(untruncated_level(10)), 10.0)),
             ((10.0, float(untruncated_level(10, 3)), 3), beta_sieve_weights(float(untruncated_level(10, 3)), 10.0, 3)),
             ((30.0, 3_000.0, 1), beta_sieve_weights(3_000.0, 30.0, 1)),
             ((10.0, 10_000.0, 10), beta_sieve_weights(10_000.0, 10.0, 10)),
         )
-        for args, sieve in cases:
-            t_plus = model_t_nu_plus(params, *args)
-            expected = (0.7 / mertens_product(sieve.sift)) * sieve.theta_window(1001, 3001).astype(np.float64)
+        for (sift, *args), sieve in cases:
+            t_plus = model_t_nu_plus(1000, sift, 0.7, *args)
+            expected = (0.7 / mertens_product(sieve.sift)) * sieve.theta_window(1001, 2001).astype(np.float64)
             assert t_plus.support_start == 1001
             assert np.array_equal(t_plus.values, expected), args
         with pytest.raises(DomainError):
-            model_t_nu_plus(params, 1.5)
+            model_t_nu_plus(1000, 1.5, 0.7)
 
 
 class TestSieveShortSum:
