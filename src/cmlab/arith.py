@@ -121,18 +121,18 @@ def rough_flags(start: int, stop: int, z: float) -> np.ndarray:
     return out
 
 
-def prime_weights(start: int, stop: int) -> np.ndarray:
-    """Lambda' on [start, stop) as a dense array: log n at primes n, 0 elsewhere.
+def prime_weights(start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
+    """Lambda' on [start, stop) as points: the ascending primes p in the range
+    and log p at each.
 
     Sieves only [max(start, 0), stop) with `interval_prime_flags`, so memory is
-    O(sqrt(stop) + stop - start).  It has the signature of `ArithFn.embed`
-    (start may be negative), so it and any bound f.embed are block sources.
+    O(sqrt(stop) + stop - start).  It has the signature of `ArithFn.points`
+    (start may be negative), so it and any bound f.points are block sources.
     """
     if stop < start:
         raise DomainError("stop < start")
-    out = np.zeros(stop - start)
     lo = max(start, 0)
-    if lo < stop:
-        idx = np.flatnonzero(interval_prime_flags(lo, stop - 1))
-        out[idx + (lo - start)] = np.log(idx + float(lo))
-    return out
+    if lo >= stop:
+        return np.array([], dtype=np.int64), np.array([])
+    primes = np.flatnonzero(interval_prime_flags(lo, stop - 1)) + lo
+    return primes, np.log(primes)

@@ -84,6 +84,24 @@ class ArithFn:
             out[lo - start : hi - start] = self.values[lo - self.support_start : hi - self.support_start]
         return out
 
+    def points(self, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
+        """(m, f(m)) for the ascending m in [start, stop) with f(m) != 0; start may be negative."""
+        if stop < start:
+            raise DomainError("stop < start")
+        lo = max(start, self.support_start)
+        hi = max(lo, min(stop, self.support_stop))
+        values = self.values[lo - self.support_start : hi - self.support_start]
+        at = np.flatnonzero(values)
+        return at + lo, values[at]
+
+
+def dense(points: tuple[np.ndarray, np.ndarray], start: int, stop: int) -> np.ndarray:
+    """The points (m, values), all m in [start, stop), as a dense array on [start, stop), 0 elsewhere."""
+    m, values = points
+    out = np.zeros(stop - start)
+    out[m - start] = values
+    return out
+
 
 def common_window(f: ArithFn, g: ArithFn) -> tuple[int, int]:
     start = min(f.support_start, g.support_start)
@@ -151,9 +169,16 @@ def convolve_valid(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     Direct, at (len(x) - len(y) + 1) * len(y) multiply-adds, or through the
     transform once those pass _WINDOW_FFT_RATIO * size * log2(size).
     """
-    size = _fft_size(len(x) + len(y) - 1)
-    direct = (len(x) - len(y) + 1) * len(y) <= _WINDOW_FFT_RATIO * size * math.log2(size)
+    direct = (len(x) - len(y) + 1) * len(y) <= convolve_valid_cost(len(x), len(y))
     return (_convolve_direct if direct else _convolve_fft)(x, y, "valid")
+
+
+def convolve_valid_cost(nx: int, ny: int) -> float:
+    """What convolve_valid pays on lengths nx >= ny, in multiply-adds: those of
+    its direct path, or _WINDOW_FFT_RATIO * size * log2(size) for the
+    transform, whichever is less."""
+    size = _fft_size(nx + ny - 1)
+    return min((nx - ny + 1) * ny, _WINDOW_FFT_RATIO * size * math.log2(size))
 
 
 _convolve_direct = np.convolve  # the direct path of convolve_valid

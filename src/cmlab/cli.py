@@ -51,7 +51,7 @@ from .goldbach import (
     singular_series_product,
 )
 from .constants import Check, regression
-from .models import model_t_nu, model_t_nu_plus, untruncated_level
+from .models import model_t_nu, model_t_nu_plus, require_sift, untruncated_level
 
 ENV_PREFIX = "CML_"
 
@@ -260,9 +260,11 @@ def _cmd_verify_closeness(spec: ExperimentSpec) -> int:
     p = spec.params
     y, big_q = p["y"], p["big_q"]
     h = y ** p["h_exponent"]
-    # f - g lives on (Y, 2Y]: its grid, and Y, Q and c_nu in model_t_nu, are checked before anything is sieved
+    # f - g lives on (Y, 2Y]: its grid, Y, Q and c_nu in model_t_nu, and the
+    # sieve model's z = Q are checked before anything is sieved
     closeness_grid(y)
     t_nu = model_t_nu(y, big_q, p["c_nu"])
+    require_sift(big_q)
     primes_fn = restricted_prime_fn((y, 2 * y))
     t_plus = model_t_nu_plus(y, big_q, p["c_nu"])
     ref = l2_norm_sq(primes_fn)
@@ -324,6 +326,7 @@ def _cmd_pipeline(spec: ExperimentSpec) -> int:
         config = PipelineConfig(**{key: p[key] for key in PRESET_FIXES})
     spec.params.update(config.to_dict())
 
+    require_sift(config.big_q)  # run_pipeline's T+ sifts to z = Q; refuse Q = 1 before the sieve
     report = run_pipeline(config, *desk_pipeline_inputs(config))
     _write_csv(spec, "pipeline-chain.csv", report.write_csv)
     frac = report.final_failure_fraction

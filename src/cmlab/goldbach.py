@@ -19,15 +19,20 @@ follow X and the resolved Y unless given, and a Y that would start omega's
 window below 0 (3Y > X + 1) is refused when the config is built.
 
 Only a*a reaches all of [0, X]; every other input lives in a window of size
-O(Y).  a is therefore a block source, read a segment at a time: a run holds
+O(Y).  a is therefore a block source, read a segment at a time as points, the
+m with a(m) != 0 (for Lambda', the primes): a run holds
 O(sqrt(X) + segment + H + Y) values (`pipeline_working_set`), and a working
 set above PIPELINE_CAP raises CapacityError before anything is sieved.
 a*a(n) is split at m0 = ceil((X-H)/2): the pairs (m, n-m) with one part below
 m0 come twice from [0, m0) against its mirror near X, the rest from one
-window of at most H+1 values around X/2.  So each integer of [0, X] is sieved
-once (H more per segment) and a*a makes about (H+1)(X+1)/2 multiply-adds.
-At Q = 10 on a 2-core machine, X = 10^8 ran in about 2.3 s and X = 10^9 in
-about 27 s, each under 50 MB peak RSS.
+window of at most H+1 values around X/2.  A segment meets its mirror as the
+pairs (p, q) with X-H <= p+q <= X, each added into bin p+q, unless the dense
+convolve_valid of the two blocks costs less (a dense a, or a long H).  So each
+integer of [0, X] is sieved once (H more per segment), and for Lambda' a*a
+sums about pi(m0)(H+1)/log X pairs, not the (H+1)(X+1)/2 multiply-adds of a
+dense pass.  At Q = 10 on a 2-core machine, in runs alternating with the
+dense stream, X = 10^8 took 1.2-1.7 s (dense 2.5-2.8 s) and X = 10^9
+20-21 s (dense 30-31 s), at 33 and 36 MB peak RSS (dense 40 and 43 MB).
 """
 
 from __future__ import annotations
@@ -43,7 +48,8 @@ from .arith import cached_primes, interval_prime_flags, mu_phi_table, prime_weig
 # `convolve` is not called here but stays bound: perfbench/test_perfbench.py checks
 # that the tracer wraps goldbach.convolve with arithfn.convolve, and
 # test_pipeline_makes_no_full_convolution patches it to show run_pipeline never calls it
-from .arithfn import ArithFn, convolve, convolve_valid, convolve_window, subtract, window_preimage
+from .arithfn import (ArithFn, convolve, convolve_valid, convolve_valid_cost, convolve_window, dense, subtract,
+                      window_preimage)
 from .characters import ramanujan_sum
 from .errors import CapacityError, ContractError, DomainError
 from .models import model_t_nu, model_t_nu_plus
@@ -53,6 +59,14 @@ PIPELINE_SEGMENT = 1 << 18  # integers m whose a(m) run_pipeline reads at a time
 # so that its H+1 outputs reuse cached values, and at least 4(H+1), so that the
 # H values of the mirror beyond the chunk stay a quarter of it at most
 PIPELINE_CHUNK = 1 << 16
+# prime pairs (p, q) of a segment and its mirror that the a*a stream sums at a
+# time; each holds 5 values while it is summed
+PAIR_BATCH = 1 << 13
+# what one such pair costs, in the units of convolve_valid_cost.  On a 2-vCPU
+# Xeon a pair took 20-55 ns, a direct multiply-add 0.3 ns and a transform unit
+# 0.7 ns; at X = 10^7 the two paths met between H = 3000 and H = 6000, and 32
+# puts the switch there
+PAIR_COST = 32
 PIPELINE_CAP = 10**8  # values a pipeline run holds at once (pipeline_working_set); 8 bytes each
 SCAN_BLOCK = 1 << 20  # integers of [X-H, X] that exceptional_scan sifts at a time; even
 SCAN_CAP = 10**8  # sqrt(X) + block + P in exceptional_scan; about 13 bytes each, 1.3 GB at the cap
@@ -254,8 +268,8 @@ PRESETS = {
 # ---------------------------------------------------------------------------
 
 
-# a(start, stop) is the function on [start, stop) as a dense array, like ArithFn.embed
-BlockSource = Callable[[int, int], np.ndarray]
+# a(start, stop) is (m, a(m)) at the ascending m in [start, stop) with a(m) != 0, like ArithFn.points
+BlockSource = Callable[[int, int], tuple[np.ndarray, np.ndarray]]
 
 
 @dataclass(frozen=True)
@@ -303,11 +317,14 @@ class PipelineReport:
 
 def pipeline_working_set(config: PipelineConfig) -> int:
     """Values a pipeline run holds at once: the base primes up to sqrt(X), two
-    blocks of the a*a stream (a segment of [0, m0) and the segment + H values
-    of its mirror), and at most ten windows of Y + H values (nu, omega, T, T+,
-    a on the step preimages and on omega's window, and the differences of one
-    step).  The middle window of a*a holds at most 2(H + 1) values."""
-    return math.isqrt(config.x) + 2 * PIPELINE_SEGMENT + 10 * (config.y + config.h)
+    blocks of the a*a stream, and at most ten windows of Y + H values (nu,
+    omega, T, T+, a on the step preimages and on omega's window, and the
+    differences of one step).  A segment that takes convolve_valid holds its
+    blocks dense, a segment of [0, m0) and the segment + H values of its
+    mirror; one summed as pairs holds, in their room, their points (for
+    Lambda', about one integer in log X) and PAIR_BATCH pairs of 5 values.
+    The middle window of a*a holds at most 2(H + 1) values."""
+    return math.isqrt(config.x) + max(2 * PIPELINE_SEGMENT, 5 * PAIR_BATCH) + 10 * (config.y + config.h)
 
 
 def _require_capacity(config: PipelineConfig) -> int:
@@ -346,16 +363,21 @@ def run_pipeline(
 
     nu must live on (Y, 2Y] and omega on (X-3Y, X-Y]; a must be nonnegative and
     dominate both.  a is a block source, such as `prime_weights` or a bound
-    f.embed.  t_nu / t_nu_plus default to the models built from the config
+    f.points.  t_nu / t_nu_plus default to the models built from the config
     (Lambda_Q scaled by c_nu, and the rescaled untruncated sieve at z = Q).
 
     a is read on nu's and omega's windows, on the m that step 2 and the
-    positivity step reach, and by the a*a stream.  a*a splits at
-    m0 = ceil((X-H)/2): each segment [s, s + PIPELINE_SEGMENT) of [0, m0)
-    meets its mirror near X, convolved in chunks, and the sum is doubled; one
-    window [m0, X - m0] holds the rest.  The stream reads X + 1 + segments * H
-    values (`values_streamed`).  Every read of a is checked nonnegative,
-    raising ContractError.
+    positivity step reach, and by the a*a stream; the windows are made dense
+    from its points.  a*a splits at m0 = ceil((X-H)/2): each segment
+    [s, s + PIPELINE_SEGMENT) of [0, m0) meets its mirror near X, and the sum
+    is doubled; one window [m0, X - m0] holds the rest.  Two searchsorted
+    calls find, for each point p of a segment, its partners q in the mirror
+    with X-H <= p+q <= X.  When PAIR_COST times their number is at most what
+    convolve_valid would pay on the dense blocks in chunks, the pairs are
+    summed by bincount, PAIR_BATCH at a time; otherwise the chunks are.  The
+    stream reads X + 1 + segments * H values (`values_streamed`).  Every read
+    of a is checked nonnegative and its points ascending inside the range
+    read, raising ContractError.
     """
     working_set = _require_capacity(config)
     _require_support(nu, config.nu_window, "nu")
@@ -370,17 +392,22 @@ def run_pipeline(
 
     values_read = 0
 
-    def read(start: int, stop: int) -> np.ndarray:
+    def read(start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
         nonlocal values_read
-        values = a(start, stop)
+        m, values = a(start, stop)
+        if len(m) and (m[0] < start or m[-1] >= stop or np.any(m[1:] <= m[:-1])):
+            raise ContractError(f"a must give ascending points inside [{start}, {stop})")
         if np.min(values, initial=0) < 0:
             raise ContractError("a must be nonnegative")
         values_read += stop - start
-        return values
+        return m, values
+
+    def read_dense(start: int, stop: int) -> np.ndarray:
+        return dense(read(start, stop), start, stop)
 
     # nu <= a and omega <= a on their windows; off them both are 0 <= a
-    minorization = int(np.sum(nu.values > read(nu.support_start, nu.support_stop) + 1e-12))
-    minorization += int(np.sum(omega.values > read(omega.support_start, omega.support_stop) + 1e-12))
+    minorization = int(np.sum(nu.values > read_dense(nu.support_start, nu.support_stop) + 1e-12))
+    minorization += int(np.sum(omega.values > read_dense(omega.support_start, omega.support_stop) + 1e-12))
 
     kappa = config.kappa
     lo, hi = config.x - config.h, config.x
@@ -391,7 +418,7 @@ def run_pipeline(
     step_cut, positivity_cut = window_preimage(nu_gap, lo, hi), window_preimage(t_nu_plus, lo, hi)
     start = max(min(step_cut[0], positivity_cut[0]), 0)
     stop = max(step_cut[1], positivity_cut[1])
-    a_near = ArithFn(start, read(start, stop))
+    a_near = ArithFn(start, read_dense(start, stop))
 
     # approximation steps, computed on the difference functions so that a
     # collapsed chain (nu = T = T+) is exactly zero
@@ -409,8 +436,8 @@ def run_pipeline(
 
     # a*a(n) = 2 sum_{m < m0} a(m) a(n-m) + sum_{m0 <= m <= n-m0} a(m) a(n-m) for
     # n >= lo >= 2 m0 - 1.  Each segment [s, stop) of [0, m0) meets its mirrored
-    # block [lo - stop + 1, hi - s]; the last sum is one window [m0, hi - m0] of
-    # at most H + 1 values.
+    # block [lo - stop + 1, hi - s], as pairs or densely, whichever costs less;
+    # the last sum is one window [m0, hi - m0] of at most H + 1 values.
     m0 = -(-lo // 2)
     chunk = max(PIPELINE_CHUNK, 4 * (config.h + 1))
     ab = np.zeros(hi - lo + 1)
@@ -418,16 +445,18 @@ def run_pipeline(
     before_stream = values_read
     for s in range(0, m0, PIPELINE_SEGMENT):
         stop = min(s + PIPELINE_SEGMENT, m0)
-        low = read(s, stop)
         base = lo - stop + 1
-        mirror = read(base, hi - s + 1)
-        for c in range(s, stop, chunk):
-            part = low[c - s : c - s + chunk]
-            cut = lo - c - len(part) + 1  # the chunk meets the mirror on [cut, hi - c]
-            ab += convolve_valid(mirror[cut - base : hi - c + 1 - base], part)
+        low, mirror = read(s, stop), read(base, hi - s + 1)
+        first, counts = _partners(low[0], mirror[0], lo, hi)
+        parts = [min(chunk, stop - c) for c in range(s, stop, chunk)]
+        dense_cost = sum(convolve_valid_cost(part + config.h, part) for part in parts)
+        if PAIR_COST * int(counts.sum()) <= dense_cost:
+            _add_pairs(ab, low, mirror, first, counts, lo)
+        else:
+            _add_chunks(ab, dense(low, s, stop), dense(mirror, base, hi - s + 1), s, lo, hi, chunk)
         segments += 1
     ab *= 2
-    middle = ArithFn(m0, read(m0, hi - m0 + 1))
+    middle = ArithFn(m0, read_dense(m0, hi - m0 + 1))
     ab += convolve_window(middle, middle, lo, hi)
     om = convolve_window(omega, t_nu, lo, hi)
 
@@ -461,24 +490,68 @@ def run_pipeline(
     )
 
 
+def _partners(p: np.ndarray, q: np.ndarray, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+    """For each p, the index of the first q with p + q >= lo, and the number of
+    q with lo <= p + q <= hi; p and q ascending."""
+    # searchsorted runs faster on ascending keys, and lo - p descends
+    first = np.searchsorted(q, lo - p[::-1])[::-1]
+    return first, np.searchsorted(q, hi - p[::-1], side="right")[::-1] - first
+
+
+def _add_pairs(ab: np.ndarray, low: tuple, mirror: tuple, first: np.ndarray, counts: np.ndarray, lo: int) -> None:
+    """ab[p + q - lo] += a(p) a(q) over the pairs of `_partners`, PAIR_BATCH at a time.
+
+    Pair j of the flat list belongs to p[i] for ends[i] - counts[i] <= j < ends[i],
+    and its q is q[first[i] + j - (ends[i] - counts[i])].
+    """
+    (p, ap), (q, aq) = low, mirror
+    ends = np.cumsum(counts)
+    starts = ends - counts
+    shift = first - starts
+    total = int(ends[-1]) if len(ends) else 0
+    for k in range(0, total, PAIR_BATCH):
+        e = min(k + PAIR_BATCH, total)
+        i, j = int(np.searchsorted(ends, k, side="right")), int(np.searchsorted(starts, e))  # the p met
+        owner = np.repeat(np.arange(i, j), np.minimum(ends[i:j], e) - np.maximum(starts[i:j], k))
+        partner = shift[owner]
+        partner += np.arange(k, e)
+        n = p[owner]
+        n += q[partner]
+        n -= lo
+        weight = ap[owner]
+        weight *= aq[partner]
+        ab += np.bincount(n, weight, minlength=len(ab))
+
+
+def _add_chunks(ab: np.ndarray, low: np.ndarray, mirror: np.ndarray, s: int, lo: int, hi: int, chunk: int) -> None:
+    """ab += the dense segment low on [s, s + len(low)) against its dense mirror
+    block, which starts at lo - s - len(low) + 1, one convolve_valid per chunk."""
+    base = lo - s - len(low) + 1
+    for c in range(s, s + len(low), chunk):
+        part = low[c - s : c - s + chunk]
+        cut = lo - c - len(part) + 1  # the chunk meets the mirror on [cut, hi - c]
+        ab += convolve_valid(mirror[cut - base : hi - c + 1 - base], part)
+
+
 def restricted_prime_fn(window: tuple[int, int]) -> ArithFn:
     """The log-weighted prime function cut to the integers (lo, hi]; only that
     window is sieved."""
     lo, hi = window
-    return ArithFn(lo + 1, prime_weights(lo + 1, hi + 1))
+    return ArithFn(lo + 1, dense(prime_weights(lo + 1, hi + 1), lo + 1, hi + 1))
 
 
 def desk_pipeline_inputs(config: PipelineConfig) -> tuple[ArithFn, ArithFn, BlockSource]:
     """(nu, omega, a) for the desk run: the trivial minorants nu = Lambda'
     restricted to (Y, 2Y] and omega = Lambda' restricted to (X-3Y, X-Y], each
     sieved on its window only, and a = `prime_weights`, the block source of
-    Lambda'.
+    Lambda', whose points are the primes.
 
     run_pipeline then sieves [0, X] once, a segment at a time (H more values
-    per segment), makes about (H+1)(X+1)/2 multiply-adds for a*a (or the
-    transforms of its chunks, when cheaper), and holds
-    O(sqrt(X) + segment + H + Y) values, `pipeline_working_set(config)`.  A working set above PIPELINE_CAP = 10^8
-    values raises CapacityError here, before anything is sieved.
+    per segment), sums about pi(m0)(H+1)/log X prime pairs for a*a (or takes
+    the dense convolve_valid of a segment's chunks, when cheaper), and holds
+    O(sqrt(X) + segment + H + Y) values, `pipeline_working_set(config)`.  A
+    working set above PIPELINE_CAP = 10^8 values raises CapacityError here,
+    before anything is sieved.
     """
     _require_capacity(config)
     nu = restricted_prime_fn(config.nu_window)

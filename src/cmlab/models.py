@@ -225,6 +225,12 @@ def untruncated_level(sift: float, beta: int = 10) -> int:
     return best
 
 
+def require_sift(sift: float, beta: int = 10) -> None:
+    """The sieve model's z and beta checked, so a caller can refuse them before it sieves anything."""
+    if sift < 2 or beta < 1:
+        raise DomainError("need z >= 2 and beta >= 1")
+
+
 def model_t_nu_plus(
     y: int, sift: float, c_nu: float = 1.0, level: Optional[float] = None, beta: int = 10
 ) -> ArithFn:
@@ -239,8 +245,7 @@ def model_t_nu_plus(
     checked outright.
     """
     start, stop = _nu_window(y, c_nu)
-    if sift < 2 or beta < 1:
-        raise DomainError("need z >= 2 and beta >= 1")
+    require_sift(sift, beta)
     if level is None or level >= untruncated_level(sift, beta):
         theta = rough_flags(start, stop, sift)
     else:

@@ -298,7 +298,7 @@ def test_criterion_7_pipeline(tmp_path):
     # so a*a = 2 omega*nu on [X-H, X]
     both = ArithFn(nu.support_start, nu.embed(nu.support_start, omega.support_stop)
                    + omega.embed(nu.support_start, omega.support_stop))
-    collapsed = run_pipeline(config, nu, omega, both.embed, t_nu=nu, t_nu_plus=nu)
+    collapsed = run_pipeline(config, nu, omega, both.points, t_nu=nu, t_nu_plus=nu)
     exceptions = (
         collapsed.exceptions_step2
         + collapsed.exceptions_step4

@@ -14,7 +14,7 @@ from cmlab.arith import (
     rough_flags,
     sieve_primes,
 )
-from cmlab.arithfn import ArithFn
+from cmlab.arithfn import ArithFn, dense
 from cmlab.errors import DomainError
 from oracles import FactoredInteger, euler_phi, factorize, is_rough, mobius
 
@@ -197,32 +197,37 @@ class TestRoughness:
 
 class TestWeightedPrimeFn:
     def test_window_of_ten(self):
-        f = ArithFn(2, prime_weights(2, 11))
+        f = ArithFn(2, dense(prime_weights(2, 11), 2, 11))
         nonzero = {n: f(n) for n in range(2, 11) if f(n) != 0}
         assert set(nonzero) == {2, 3, 5, 7}
         for p, v in nonzero.items():
             assert v == pytest.approx(math.log(p))
 
     def test_single_point(self):
-        f = ArithFn(2, prime_weights(2, 3))
+        f = ArithFn(2, dense(prime_weights(2, 3), 2, 3))
         assert len(f) == 1
         assert f(2) == pytest.approx(math.log(2))
 
     def test_pnt_mass(self):
         # direct summation oracle: sum of log p over primes <= 1e4
-        f = ArithFn(2, prime_weights(2, 10_001))
+        f = ArithFn(2, dense(prime_weights(2, 10_001), 2, 10_001))
         direct = sum(math.log(p) for p in trial_division_primes(10_000))
         assert float(np.sum(f.values)) == pytest.approx(direct, rel=1e-12)
         assert abs(float(np.sum(f.values)) - 10_000) / 10_000 < 0.03
 
     def test_log_only_at_primes_matches_dense_log(self, flags_1e6):
-        dense = np.where(flags_1e6[2:], np.log(np.arange(2, 1_000_001, dtype=np.float64)), 0.0)
-        assert np.array_equal(ArithFn(2, prime_weights(2, 1_000_001)).values, dense)
+        table = np.where(flags_1e6[2:], np.log(np.arange(2, 1_000_001, dtype=np.float64)), 0.0)
+        m, logs = prime_weights(2, 1_000_001)
+        assert np.array_equal(m, np.flatnonzero(table) + 2)
+        assert np.array_equal(logs, table[m - 2])
 
     @pytest.mark.parametrize("start, stop", [(-5, 20), (0, 0), (0, 1), (1, 3), (2, 3), (999_000, 1_000_001)])
     def test_prime_weights_is_the_embedding(self, start, stop):
-        whole = ArithFn(2, prime_weights(2, 1_000_001))
-        assert np.array_equal(prime_weights(start, stop), whole.embed(start, stop))
+        whole = ArithFn(2, dense(prime_weights(2, 1_000_001), 2, 1_000_001))
+        m, logs = prime_weights(start, stop)
+        assert m.dtype == np.int64
+        assert np.array_equal(dense((m, logs), start, stop), whole.embed(start, stop))
+        assert all(np.array_equal(x, y) for x, y in zip((m, logs), whole.points(start, stop)))
 
     def test_prime_weights_rejects_reversed_range(self):
         with pytest.raises(DomainError):

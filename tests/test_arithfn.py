@@ -11,7 +11,10 @@ from cmlab.arith import prime_weights
 from cmlab.arithfn import (
     ArithFn,
     convolve,
+    convolve_valid,
+    convolve_valid_cost,
     convolve_window,
+    dense,
     l2_norm_sq,
     power_spectrum,
     spectrum_classes,
@@ -43,7 +46,7 @@ class TestConvolve:
         assert out.values.tolist() == [1, 2, 3, 2, 1]
 
     def test_prime_pairs_at_100(self):
-        lam = ArithFn(2, prime_weights(2, 101))
+        lam = ArithFn(2, dense(prime_weights(2, 101), 2, 101))
         conv = convolve(lam, lam)
         direct = 0.0
         primes = [n for n in range(2, 101) if lam(n) != 0]
@@ -143,6 +146,18 @@ class TestConvolveWindow:
         got = convolve_window(big, big, 0, 6)
         assert got.dtype == np.float64
         assert got[3] == 4 * 2.0**80
+
+    @pytest.mark.parametrize("ny, direct", [(50, True), (12000, False)])
+    def test_cost_is_the_path_taken(self, rng, monkeypatch, ny, direct):
+        # what convolve_valid_cost reports is what the path convolve_valid takes pays
+        taken = []
+        monkeypatch.setattr(arithfn, "_convolve_direct", lambda *args: taken.append("direct") or np.zeros(1))
+        monkeypatch.setattr(arithfn, "_convolve_fft", lambda *args: taken.append("fft") or np.zeros(1))
+        nx = ny + 10_000
+        convolve_valid(rng.normal(size=nx), rng.normal(size=ny))
+        size = 1 << (nx + ny - 2).bit_length()
+        assert taken == ["direct" if direct else "fft"]
+        assert convolve_valid_cost(nx, ny) == ((nx - ny + 1) * ny if direct else 8 * size * math.log2(size))
 
     def test_domain(self):
         with pytest.raises(DomainError):
@@ -271,7 +286,7 @@ class TestNorms:
         assert l1_norm(f) == 3.0
 
     def test_weighted_primes_direct_loop(self):
-        f = ArithFn(2, prime_weights(2, 1001))
+        f = ArithFn(2, dense(prime_weights(2, 1001), 2, 1001))
         direct = sum(f(n) ** 2 for n in range(2, 1001))
         assert l2_norm_sq(f) == pytest.approx(direct, rel=1e-12)
 
@@ -312,6 +327,20 @@ class TestWindowAlgebra:
         d = subtract(f, g)
         assert d.support_start == 0
         assert d.embed(0, 6).tolist() == [1, 1, 0, 0, -1, -1]
+
+    @pytest.mark.parametrize("start, stop", [(-3, 12), (0, 5), (5, 9), (8, 20), (12, 30), (-9, -2), (4, 4)])
+    def test_points_are_the_nonzero_embedding(self, start, stop):
+        f = ArithFn(3, [0.0, 2.0, -1.5, 0.0, 0.0, 4.0, 0.0, 7.0, 0.0])
+        m, values = f.points(start, stop)
+        table = f.embed(start, stop)
+        assert m.dtype == np.int64
+        assert np.array_equal(m, np.flatnonzero(table) + start)
+        assert np.array_equal(values, table[m - start])
+        assert np.array_equal(dense((m, values), start, stop), table)
+
+    def test_points_reject_reversed_range(self):
+        with pytest.raises(DomainError):
+            ArithFn(0, [1.0]).points(3, 2)
 
     def test_values_are_immutable(self):
         f = ArithFn(0, np.ones(4))

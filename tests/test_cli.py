@@ -116,17 +116,27 @@ class TestExitCodes:
           for bad in (["--Y", "0"], ["--Q", "0"], ["--c-nu", "-1"])),
         ["model", "--which", "t_nu_plus", "--Q", "0", "--sift", "10"],  # Q is only sift's default here
         *([*command, *bad] for command in (["verify", "closeness"], ["pipeline"])
-          for bad in (["--Y", "0"], ["--Q", "0"], ["--c-nu", "-1"])),
+          for bad in (["--Y", "0"], ["--Q", "0"], ["--c-nu", "-1"], ["--Q", "1"])),  # Q = 1 is the sieve's z
     ], ids=" ".join)
     def test_bad_y_q_or_c_nu_exits_2_before_sieving(self, tmp_path, monkeypatch, capsys, argv):
-        def refuse(start, stop):
-            raise AssertionError("sieved before Y, Q and c_nu were checked")
-
-        monkeypatch.setattr(goldbach, "prime_weights", refuse)
+        monkeypatch.setattr(goldbach, "prime_weights", self._refuse)
         out = tmp_path / "out"
         assert run(["--out", str(out), *argv]) == 2
         assert capsys.readouterr().err.startswith("error: ")
         assert not out.exists()
+
+    @staticmethod
+    def _refuse(start, stop):
+        raise AssertionError("sieved before Y, Q and c_nu were checked")
+
+    @pytest.mark.parametrize("argv", [
+        ["pipeline", "--preset", "desk-small"], ["verify", "closeness"],
+    ], ids=" ".join)
+    def test_valid_runs_sieve_through_the_stub(self, tmp_path, monkeypatch, argv):
+        # the control of the test above: its stub is where these runs sieve
+        monkeypatch.setattr(goldbach, "prime_weights", self._refuse)
+        with pytest.raises(AssertionError, match="sieved before"):
+            run(["--out", str(tmp_path / "out"), *argv])
 
     def test_workers_belongs_to_closeness_only(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
@@ -216,6 +226,11 @@ class TestVerify:
         assert not list(tmp_path.iterdir())
 
 
+# peak RSS of `pipeline --X 1000000 --Y 200000 --H 100000 --Q 10`: 85 to 89 MB
+# on a 2-core x86-64 host with numpy 2.4, with a*a summed densely
+PIPELINE_LONG_H_PEAK_BOUND_MB = 120
+
+
 class TestPipeline:
     def test_preset_run(self, tmp_path):
         assert run(["--out", str(tmp_path), "pipeline", "--preset", "desk-small"]) == 0
@@ -247,6 +262,32 @@ class TestPipeline:
             "subcommand", "seed", "params", "report", "checks", "passed", "segments_streamed", "values_streamed",
             "working_set_values",
         }
+
+    @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM from /proc/self/status")
+    def test_long_h_peak_rss(self, tmp_path):
+        # At H = 10^5 a segment of 2^18 primes meets about 10^8 prime pairs: a*a
+        # must take the dense transform there, and expand any pairs in batches.
+        # Taking the pairs whenever they were under 1/16 of the direct
+        # multiply-adds, all at once, peaked at 5.2 GB on a 2-core x86-64 host
+        # with numpy 2.4; the dense path peaked at 89 MB.  The child may map
+        # 1 GB, so such a blow-up ends in a MemoryError.  VmHWM is the child's
+        # own high-water mark, as in test_closeness_peak_rss_at_one_million.
+        probe = (
+            "import resource, sys\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+            "from cmlab.cli import main\n"
+            "code = main(sys.argv[1:])\n"
+            "print(next(line for line in open('/proc/self/status') if line.startswith('VmHWM:')).split()[1])\n"
+            "sys.exit(code)\n"
+        )
+        src = Path(cmlab.__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": str(src), "OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1"}
+        argv = ["--out", str(tmp_path), "pipeline", "--X", "1000000", "--Y", "200000", "--H", "100000", "--Q", "10"]
+        done = subprocess.run([sys.executable, "-c", probe, *argv], capture_output=True, text=True, env=env,
+                              timeout=300)
+        assert done.returncode == 0, done.stderr
+        peak_mb = int(done.stdout.split()[-1]) / 1024  # VmHWM is in kB
+        assert peak_mb < PIPELINE_LONG_H_PEAK_BOUND_MB
 
     def test_working_set_over_cap_exits_2_before_sieving(self, tmp_path, monkeypatch, capsys):
         def refuse(start, stop):

@@ -7,7 +7,7 @@ import pytest
 
 from cmlab import arith, arithfn, goldbach
 from cmlab.arith import interval_prime_flags, prime_weights, rough_flags
-from cmlab.arithfn import ArithFn, convolve
+from cmlab.arithfn import ArithFn, convolve, dense
 from cmlab.errors import CapacityError, ContractError, DomainError
 from cmlab.goldbach import (
     PRESETS,
@@ -252,7 +252,7 @@ class TestRestrictedPrimeFn:
     @pytest.mark.parametrize("window", [(0, 500), (1, 500), (2, 500), (100_000, 200_000)])
     def test_equals_the_cut_of_the_whole_table(self, window, monkeypatch):
         lo, hi = window
-        whole = ArithFn(2, prime_weights(2, 200_001)).embed(lo + 1, hi + 1)
+        whole = ArithFn(2, dense(prime_weights(2, 200_001), 2, 200_001)).embed(lo + 1, hi + 1)
         sieved = []
 
         def recording(start, stop):
@@ -324,7 +324,7 @@ class TestPipeline:
         # 2(X - 3Y) > X, so a*a = 2 omega*nu on [X-H, X]
         both = ArithFn(nu.support_start, nu.embed(nu.support_start, omega.support_stop)
                        + omega.embed(nu.support_start, omega.support_stop))
-        report = run_pipeline(config, nu, omega, both.embed, t_nu=nu, t_nu_plus=nu)
+        report = run_pipeline(config, nu, omega, both.points, t_nu=nu, t_nu_plus=nu)
         assert report.exceptions_step2 == 0
         assert report.exceptions_step4 == 0
         assert report.final_failures == 0
@@ -360,7 +360,8 @@ class TestPipeline:
         # two independent code paths: a*a(n) > 0 versus the exhaustive search
         config = PRESETS["desk-small"]
         nu, omega, a = desk_pipeline_inputs(config)
-        conv = ArithFn(0, arithfn._convolve_fft(a(0, config.x + 1), a(0, config.x + 1)))
+        lam = dense(a(0, config.x + 1), 0, config.x + 1)
+        conv = ArithFn(0, arithfn._convolve_fft(lam, lam))
         missing = set(exceptional_scan(config.x, config.h).exceptions)
         for n in range(config.x - config.h, config.x + 1):
             if n % 2:
@@ -436,9 +437,22 @@ class TestPipelineScaling:
         config = PRESETS["desk-small"]
         nu, omega, a = desk_pipeline_inputs(config)
         report = run_pipeline(config, nu, omega, a)
-        full = ArithFn(0, arithfn._convolve_fft(a(0, config.x + 1), a(0, config.x + 1)))
+        lam = dense(a(0, config.x + 1), 0, config.x + 1)
+        full = ArithFn(0, arithfn._convolve_fft(lam, lam))
         ab = np.array([row[1] for row in report.rows])
         assert np.allclose(ab, [full(n) for n, *_ in report.rows], rtol=1e-12, atol=1e-6)
+
+    @staticmethod
+    def _count(monkeypatch, calls, *names):
+        """Wrap each named goldbach function so that its calls append its name to calls."""
+        def counted(name, fn):
+            def wrapped(*args):
+                calls.append(name)
+                return fn(*args)
+            return wrapped
+
+        for name in names:
+            monkeypatch.setattr(goldbach, name, counted(name, getattr(goldbach, name)))
 
     @pytest.mark.parametrize("preset", ["desk-small", "desk-medium"])
     def test_tiny_blocks_match_one_shot_convolution(self, preset, monkeypatch):
@@ -448,37 +462,71 @@ class TestPipelineScaling:
         inputs = desk_pipeline_inputs(config)
         whole = run_pipeline(config, *inputs)
         calls = []
-
-        def counted_window(f, g, lo, hi):
-            calls.append("window")
-            return convolve_window(f, g, lo, hi)
-
-        def counted_valid(x, y):
-            calls.append("valid")
-            return convolve_valid(x, y)
-
-        convolve_window, convolve_valid = goldbach.convolve_window, goldbach.convolve_valid
-        monkeypatch.setattr(goldbach, "convolve_window", counted_window)
-        monkeypatch.setattr(goldbach, "convolve_valid", counted_valid)
+        self._count(monkeypatch, calls, "convolve_window", "convolve_valid", "_add_pairs", "_add_chunks")
         monkeypatch.setattr(goldbach, "PIPELINE_SEGMENT", 1000)
         monkeypatch.setattr(goldbach, "PIPELINE_CHUNK", 1 << 7)
         report = run_pipeline(config, *inputs)
-        chunk = 4 * (config.h + 1)  # above 2^7
         m0 = -(-(config.x - config.h) // 2)
         lengths = [min(1000, m0 - s) for s in range(0, m0, 1000)]
         assert lengths[-1] == 968
         assert report.segments == len(lengths) == -(-m0 // 1000)
         # steps 2, 4, positivity, omega*T and the middle window take one
-        # convolve_window each, and each chunk of a segment is one
-        # convolve_valid against its mirror
-        assert calls.count("window") == 5
-        assert calls.count("valid") == sum(-(-n // chunk) for n in lengths)
+        # convolve_window each, and each segment meets its mirror as one sum of
+        # prime pairs, with no dense chunk
+        assert calls.count("convolve_window") == 5
+        assert calls.count("_add_pairs") == len(lengths)
+        assert calls.count("_add_chunks") == calls.count("convolve_valid") == 0
         assert report.summary() == whole.summary()
-        lam = ArithFn(2, prime_weights(2, config.x + 1))
+        lam = restricted_prime_fn((1, config.x))
         full = ArithFn(4, arithfn._convolve_fft(lam.values, lam.values))
         ab = np.array([row[1] for row in report.rows])
         assert np.allclose(ab, [full(n) for n, *_ in report.rows], rtol=1e-12, atol=1e-6)
         assert [row[3] for row in report.rows] == [row[3] for row in whole.rows]
+
+    @pytest.mark.parametrize("segment", [2492, 2500])
+    def test_pair_stream_is_the_convolution(self, segment, monkeypatch):
+        # at X = 20000, m0 = 9968 = 4 * 2492: the segments tile [0, m0) exactly,
+        # then with a short last one
+        config = PipelineConfig(20_000, big_q=10)
+        m0 = -(-(config.x - config.h) // 2)
+        assert (m0 % segment == 0) == (segment == 2492)
+        calls = []
+        self._count(monkeypatch, calls, "_add_pairs", "_add_chunks")
+        monkeypatch.setattr(goldbach, "PIPELINE_SEGMENT", segment)
+        report = run_pipeline(config, *desk_pipeline_inputs(config))
+        assert calls == ["_add_pairs"] * report.segments
+        assert report.segments == -(-m0 // segment)
+        lam = dense(prime_weights(0, config.x + 1), 0, config.x + 1)
+        want = np.convolve(lam, lam)[config.x - config.h : config.x + 1]
+        ab = np.array([row[1] for row in report.rows])
+        assert np.max(np.abs(ab - want)) <= 1e-12 * np.max(want)
+
+    def test_either_side_of_the_cost_rule_gives_the_same_rows(self, monkeypatch):
+        # PAIR_COST 0 sums every segment as pairs, 10^30 every one densely
+        config = PRESETS["desk-small"]
+        inputs = desk_pipeline_inputs(config)
+        calls = []
+        self._count(monkeypatch, calls, "convolve_valid", "_add_pairs", "_add_chunks")
+        monkeypatch.setattr(goldbach, "PIPELINE_SEGMENT", 1 << 14)
+        monkeypatch.setattr(goldbach, "PIPELINE_CHUNK", 1 << 12)
+        m0 = -(-(config.x - config.h) // 2)
+        lengths = [min(1 << 14, m0 - s) for s in range(0, m0, 1 << 14)]
+        reports = []
+        for cost in (0, 10**30):
+            monkeypatch.setattr(goldbach, "PAIR_COST", cost)
+            calls.clear()
+            reports.append(run_pipeline(config, *inputs))
+            if cost == 0:
+                assert calls == ["_add_pairs"] * len(lengths)
+            else:  # chunks of 2^12, as 4(H + 1) = 260 is less
+                assert calls.count("_add_chunks") == len(lengths)
+                assert calls.count("convolve_valid") == sum(-(-n // (1 << 12)) for n in lengths)
+        pairs, chunks = reports
+        assert pairs.summary() == chunks.summary()
+        assert [(n, om, verdict) for n, _, om, verdict in pairs.rows] == [
+            (n, om, verdict) for n, _, om, verdict in chunks.rows]
+        ab_pairs, ab_chunks = (np.array([row[1] for row in r.rows]) for r in reports)
+        assert np.max(np.abs(ab_pairs - ab_chunks)) <= 1e-12 * np.max(ab_chunks)
 
     @pytest.mark.parametrize("x", [200_000, 200_001])  # X - H even, then odd
     def test_half_stream_is_both_pairs(self, x, monkeypatch):
@@ -514,15 +562,23 @@ class TestPipelineScaling:
         nu, omega, _ = desk_pipeline_inputs(config)
 
         def ones(start, stop):
-            return np.ones(stop - start)
+            return np.arange(start, stop), np.ones(stop - start)
 
         def ramp(start, stop):
-            return 1.0 + np.arange(start, stop) % 7
+            m = np.arange(start, stop)
+            return m, 1.0 + m % 7
 
+        calls = []
+        self._count(monkeypatch, calls, "_add_pairs", "_add_chunks")
         monkeypatch.setattr(goldbach, "PIPELINE_SEGMENT", 1 << 12)
         for a in (ones, ramp):
+            calls.clear()
             report = run_pipeline(config, nu, omega, a)
-            full = arithfn._convolve_fft(a(0, x + 1), a(0, x + 1))
+            # every m is a point, with H + 1 partners: pairs would cost PAIR_COST
+            # times the multiply-adds of one dense convolve_valid
+            assert calls == ["_add_chunks"] * report.segments
+            lam = dense(a(0, x + 1), 0, x + 1)
+            full = arithfn._convolve_fft(lam, lam)
             ab = np.array([row[1] for row in report.rows])
             assert np.max(np.abs(ab - full[x - config.h : x + 1])) <= 1e-12 * np.max(ab)
 
@@ -536,10 +592,13 @@ class TestPipelineScaling:
         nu, omega, a = desk_pipeline_inputs(config)
 
         def dented(start, stop):
-            values = a(start, stop)
+            points, values = a(start, stop)
             if start <= m < stop:
-                values[m - start] = -1e-9
-            return values
+                # every listed m is even, so not a prime: the dent is a new point
+                at = int(np.searchsorted(points, m))
+                assert at == len(points) or points[at] != m
+                points, values = np.insert(points, at, m), np.insert(values, at, -1e-9)
+            return points, values
 
         monkeypatch.setattr(goldbach, "PIPELINE_SEGMENT", 1 << 16)
         with pytest.raises(ContractError, match="a must be nonnegative"):
@@ -560,6 +619,22 @@ class TestPipelineScaling:
         assert report.final_failures == 0
         assert longest[0] <= max(segment + config.h, 2 * config.y)
         assert longest[0] < config.x // 2
+
+    @pytest.mark.parametrize("bend", [
+        lambda start, stop: [start + 7, start + 5],
+        lambda start, stop: [start + 5, start + 5],
+        lambda start, stop: [start - 1, start + 5],
+        lambda start, stop: [start + 5, stop],
+    ], ids=["descending", "repeated", "before the range", "at its stop"])
+    def test_points_out_of_order_or_range_are_a_contract_error(self, bend):
+        config = PRESETS["desk-small"]
+        nu, omega, _ = desk_pipeline_inputs(config)
+
+        def bent(start, stop):
+            return np.array(bend(start, stop)), np.ones(2)
+
+        with pytest.raises(ContractError, match="ascending points inside"):
+            run_pipeline(config, nu, omega, bent)
 
 
 class TestMinorizationReporting:

@@ -6,7 +6,7 @@ import pytest
 
 from cmlab import models
 from cmlab.arith import prime_weights, rough_flags, sieve_primes
-from cmlab.arithfn import TWO_PI, ArithFn
+from cmlab.arithfn import TWO_PI, ArithFn, dense
 from cmlab.errors import ContractError, DomainError
 from cmlab.models import (
     SieveSystem,
@@ -67,7 +67,7 @@ class TestLambdaQ:
         n_max = 100_000
         big_q = 20
         model = lambda_q_window(1, n_max + 1, big_q)
-        primes = ArithFn(2, prime_weights(2, n_max + 1)).embed(1, n_max + 1)
+        primes = dense(prime_weights(1, n_max + 1), 1, n_max + 1)
         for q in range(1, big_q + 1):
             for a in range(q):
                 if math.gcd(a, q) != 1:
