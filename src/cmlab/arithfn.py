@@ -7,6 +7,10 @@ immutable after construction, so every operation here is a pure function.
 Window convention used across the package: "n in [t - w, t]" always means the
 half-open integer window  t - floor(w) < n <= t.  This single convention keeps
 short-interval sums, Gallagher windows and sieve windows aligned.
+
+Convolutions take the direct or the transform path by one cost rule.  The
+Fourier side is `spectrum_classes`, |x-hat|^2 on a grid of M points one residue
+class at a time; M and its cap belong to its caller, `closeness`.
 """
 
 from __future__ import annotations
@@ -20,10 +24,6 @@ import numpy as np
 from .errors import CapacityError, DomainError
 
 SUPPORT_BOUND = 1 << 40  # guards convolution index arithmetic
-# grid points of one power spectrum.  At the cap (`verify closeness --Y 10**7`)
-# spectrum_classes holds classes of M/16 points, and the run peaked at 0.8 GB
-# RSS with numpy 2.4; no larger grid has been measured
-SPECTRUM_CAP = 1 << 27
 
 TWO_PI = 2.0 * math.pi
 
@@ -125,9 +125,12 @@ def l2_norm_sq(f: ArithFn) -> float:
 # -- convolution -----------------------------------------------------------
 
 # convolve_valid goes direct while its multiply-adds stay below this many times
-# size * log2(size) of the transform.  On a 2-vCPU Xeon a multiply-add costs
-# 0.2-0.6 ns and a transform point 5-7 ns, so the two meet near 12-20.
-_WINDOW_FFT_RATIO = 8
+# size * log2(size) of the transform.  On a 2-vCPU Xeon, one thread, a chunk of
+# 2^16 against 2^16 + H values ran direct faster up to H = 1000 and through the
+# transform from H = 1400 (the two meet at a ratio of 15-24), and 16 switches
+# at H = 1151.  Against 2^18 values a multiply-add costs about 3 times more, and
+# the two meet nearer 7
+_WINDOW_FFT_RATIO = 16
 
 
 def convolve(f: ArithFn, g: ArithFn) -> ArithFn:
@@ -200,33 +203,6 @@ def _convolve_fft(a: np.ndarray, b: np.ndarray, mode: str = "full") -> np.ndarra
 
 
 # -- Fourier side -----------------------------------------------------------
-
-
-def spectrum_size(length: int, oversample: int) -> int:
-    """M, the smallest power of two >= max(oversample * length, 64).
-
-    M above SPECTRUM_CAP raises CapacityError, so no caller allocates a grid
-    beyond the cap.
-    """
-    if oversample < 1:
-        raise DomainError("oversample must be >= 1")
-    size = 1 << (max(length * oversample, 64) - 1).bit_length()
-    if size > SPECTRUM_CAP:
-        raise CapacityError(f"power spectrum grid of {size} points beyond the cap {SPECTRUM_CAP}")
-    return size
-
-
-def power_spectrum(f: ArithFn, oversample: int = 8) -> tuple[int, np.ndarray]:
-    """|f-hat|^2 sampled on the uniform grid k/M, M = spectrum_size(len(f), oversample).
-
-    The grid has at least `oversample` samples per 1/span.  Support offset only
-    changes the phase of f-hat, never the magnitude, so the window offset is
-    irrelevant here.  f is real, so the spectrum is even and only the half
-    k = 0..M/2 (M/2 + 1 bins) is returned, from one real transform of M points;
-    bin k of the full grid is bin min(k, M - k) of the half.
-    """
-    size = spectrum_size(len(f), oversample)
-    return size, np.abs(np.fft.rfft(f.values, size)) ** 2
 
 
 def spectrum_classes(x: np.ndarray, size: int) -> Iterator[tuple[int, np.ndarray]]:

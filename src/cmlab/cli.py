@@ -51,7 +51,7 @@ from .goldbach import (
     singular_series_product,
 )
 from .constants import Check, regression
-from .models import model_t_nu, model_t_nu_plus, require_sift, untruncated_level
+from .models import model_t_nu, model_t_nu_plus, untruncated_level
 
 ENV_PREFIX = "CML_"
 
@@ -259,14 +259,17 @@ CLOSENESS = (
 def _cmd_verify_closeness(spec: ExperimentSpec) -> int:
     p = spec.params
     y, big_q = p["y"], p["big_q"]
-    h = y ** p["h_exponent"]
-    # f - g lives on (Y, 2Y]: its grid, Y, Q and c_nu in model_t_nu, and the
-    # sieve model's z = Q are checked before anything is sieved
-    closeness_grid(y)
+    if y < 1:  # refused as the models refuse it, since Y^e is real only for Y > 0
+        raise DomainError("Y must be >= 1")
+    try:
+        h = y ** p["h_exponent"]
+    except OverflowError:  # an H beyond the float range, which no support spans
+        h = math.inf
+    # f - g on (Y, 2Y] at H, then the models' Y, Q, c_nu and z = Q, are checked before the sieve
+    closeness_grid(y, h)
     t_nu = model_t_nu(y, big_q, p["c_nu"])
-    require_sift(big_q)
-    primes_fn = restricted_prime_fn((y, 2 * y))
     t_plus = model_t_nu_plus(y, big_q, p["c_nu"])
+    primes_fn = restricted_prime_fn((y, 2 * y))
     ref = l2_norm_sq(primes_fn)
     rep1 = closeness_integral(primes_fn, t_nu, h, reference_norm=ref)
     rep2 = closeness_integral(t_nu, t_plus, h, reference_norm=ref)
@@ -326,7 +329,6 @@ def _cmd_pipeline(spec: ExperimentSpec) -> int:
         config = PipelineConfig(**{key: p[key] for key in PRESET_FIXES})
     spec.params.update(config.to_dict())
 
-    require_sift(config.big_q)  # run_pipeline's T+ sifts to z = Q; refuse Q = 1 before the sieve
     report = run_pipeline(config, *desk_pipeline_inputs(config))
     _write_csv(spec, "pipeline-chain.csv", report.write_csv)
     frac = report.final_failure_fraction

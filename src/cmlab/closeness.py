@@ -55,16 +55,32 @@ from typing import IO, Callable, Iterable, Optional
 
 import numpy as np
 
-from .arithfn import TWO_PI, ArithFn, l2_norm_sq, power_spectrum, spectrum_classes, spectrum_size, subtract
-from .errors import DomainError
+from .arithfn import TWO_PI, ArithFn, l2_norm_sq, spectrum_classes, subtract
+from .errors import CapacityError, DomainError
 from .models import SieveSystem, beta_sieve_weights, lambda_q_short_sum, sieve_short_sum
 
 # grid points per 1/span of the spectrum of closeness_integral, whose every 4th
 # point is a wrap-free grid for the autocorrelation, and of the trapezoid rule
 # of gallagher_lhs, which reads a spectrum of only 2 points per 1/span
 OVERSAMPLE = 8
+# grid points of one power spectrum.  At the cap (`verify closeness --Y 10**7`)
+# spectrum_classes holds classes of M/16 points, and the run peaked at 0.8 GB
+# RSS with numpy 2.4; no larger grid has been measured
+SPECTRUM_CAP = 1 << 27
 SPOT_ARCS = 16  # the spot check probes this many of the widest Farey arcs
 SPOT_SAMPLES_PER_ARC = 128  # at a stride of about 1/128 of each arc's width
+
+
+def spectrum_size(length: int, oversample: int) -> int:
+    """M, the smallest power of two >= max(oversample * length, 64).  M above
+    SPECTRUM_CAP raises CapacityError, so no caller allocates a grid beyond the cap."""
+    if oversample < 1:
+        raise DomainError("oversample must be >= 1")
+    size = 1 << (max(length * oversample, 64) - 1).bit_length()
+    if size > SPECTRUM_CAP:
+        raise CapacityError(f"power spectrum grid of {size} points beyond the cap {SPECTRUM_CAP}")
+    return size
+
 
 # ---------------------------------------------------------------------------
 # Farey dissection
@@ -165,13 +181,14 @@ def gallagher_lhs(f: ArithFn, delta: float) -> float:
     (8 samples per 1/span), over |k| <= k_hi = floor(M/Delta), plus the slivers
     between the outermost grid points and +-1/Delta.  It is linear in |f-hat|^2,
     so it is read as sum_h c(h) A(h) off the autocorrelation A of f (see
-    _gallagher_weights), through one transform of 2 * span points instead of M.
+    _gallagher_weights), through one real transform of spectrum_size(span, 2)
+    points instead of M.
     """
     span = len(f)
     if not (2 < delta < span / 2):
         raise DomainError("need 2 < Delta < span/2")
     weights = _gallagher_weights(span, float(delta))
-    _, spec = power_spectrum(f, oversample=2)
+    spec = np.abs(np.fft.rfft(f.values, spectrum_size(span, 2))) ** 2
     # each interior bin of the half spectrum stands for bins k and n - k
     return float(2.0 * np.einsum("i,i->", spec, weights) - spec[0] * weights[0] - spec[-1] * weights[-1])
 
@@ -293,11 +310,17 @@ def _class_window_sums(cum: np.ndarray, c: int, r: int, lo: np.ndarray, hi: np.n
     return before(t1) - before(t0) + np.where(lo > hi, cum[-1], 0.0)
 
 
-def closeness_grid(span: int) -> int:
+def closeness_grid(span: int, h: float) -> int:
     """M, the points of the spectrum grid closeness_integral reads for f - g of
-    the given span.  A grid beyond the cap raises CapacityError, so a caller can
-    check the span before it builds f and g."""
-    return spectrum_size(span, OVERSAMPLE)
+    the given span at H.  A grid beyond the cap raises CapacityError, H < 1 or
+    a span of at most 2H DomainError, so a caller can check the request before
+    it builds f and g."""
+    size = spectrum_size(span, OVERSAMPLE)
+    if h < 1:
+        raise DomainError("need H >= 1 so the dissection order is at least 1")
+    if span <= 2 * h:
+        raise DomainError("supports must span more than 2H")
+    return size
 
 
 def closeness_integral(
@@ -307,15 +330,10 @@ def closeness_integral(
     reference_norm: Optional[float] = None,
 ) -> ClosenessReport:
     """Estimate sup_alpha of the windowed L^2 closeness of f and g (see module docstring)."""
-    if h < 1:
-        raise DomainError("need H >= 1 so the dissection order is at least 1")
     diff = subtract(f, g)
-    span = len(diff)
-    if span <= 2 * h:
-        raise DomainError("supports must span more than 2H")
+    size = closeness_grid(len(diff), h)
     order = int(math.isqrt(int(h)))
     arcs = farey_dissection(order)
-    size = closeness_grid(span)
     ks = _spot_bins(size, arcs)
     radius = min(int(size / h), (size - 1) // 2)  # in bins
     lo, hi = (ks - radius) % size, (ks + radius) % size  # inclusive bin range, circular

@@ -14,15 +14,16 @@ lower bound a*a(n) >= omega*T(n) - 2 kappa.  Each step costs (H+1) times the
 length of its second factor, or one transform of about that length plus H
 when that is cheaper, never a full convolution of length up to 2X.
 
-`PipelineConfig` is the one place the geometry is derived: Y, H and kappa
-follow X and the resolved Y unless given, and a Y that would start omega's
-window below 0 (3Y > X + 1) is refused when the config is built.
+`PipelineConfig` is the one place the request is derived and checked: Y, H
+and kappa follow X and the resolved Y unless given, and a Y that would start
+omega's window below 0 (3Y > X + 1), a sieve model's z = Q below 2 and a
+working set above PIPELINE_CAP are refused when the config is built, before
+anything is sieved.
 
 Only a*a reaches all of [0, X]; every other input lives in a window of size
 O(Y).  a is therefore a block source, read a segment at a time as points, the
 m with a(m) != 0 (for Lambda', the primes): a run holds
-O(sqrt(X) + segment + H + Y) values (`pipeline_working_set`), and a working
-set above PIPELINE_CAP raises CapacityError before anything is sieved.
+O(sqrt(X) + segment + H + Y) values (`pipeline_working_set`).
 a*a(n) is split at m0 = ceil((X-H)/2): the pairs (m, n-m) with one part below
 m0 come twice from [0, m0) against its mirror near X, the rest from one
 window of at most H+1 values around X/2.  A segment meets its mirror as the
@@ -52,7 +53,7 @@ from .arithfn import (ArithFn, convolve, convolve_valid, convolve_valid_cost, co
                       window_preimage)
 from .characters import ramanujan_sum
 from .errors import CapacityError, ContractError, DomainError
-from .models import model_t_nu, model_t_nu_plus
+from .models import model_t_nu, model_t_nu_plus, require_sift
 
 PIPELINE_SEGMENT = 1 << 18  # integers m whose a(m) run_pipeline reads at a time
 # integers m of a segment that one convolve_valid takes: at least this many,
@@ -64,9 +65,10 @@ PIPELINE_CHUNK = 1 << 16
 PAIR_BATCH = 1 << 13
 # what one such pair costs, in the units of convolve_valid_cost.  On a 2-vCPU
 # Xeon a pair took 20-55 ns, a direct multiply-add 0.3 ns and a transform unit
-# 0.7 ns; at X = 10^7 the two paths met between H = 3000 and H = 6000, and 32
-# puts the switch there
-PAIR_COST = 32
+# 0.7 ns; at X = 10^7 the two paths met between H = 3000 and H = 6000, where
+# the dense side is priced as transforms, and 64 at a _WINDOW_FFT_RATIO of 16
+# puts the switch there (it scales with that ratio)
+PAIR_COST = 64
 PIPELINE_CAP = 10**8  # values a pipeline run holds at once (pipeline_working_set); 8 bytes each
 SCAN_BLOCK = 1 << 20  # integers of [X-H, X] that exceptional_scan sifts at a time; even
 SCAN_CAP = 10**8  # sqrt(X) + block + P in exceptional_scan; about 13 bytes each, 1.3 GB at the cap
@@ -199,6 +201,19 @@ A_POWER = 1.0  # A of Q = (log X)^A and of theta_target = (log Y)^-A
 EPS = 0.1  # eps of H = Y^{1/9 + 2 eps}
 
 
+def pipeline_working_set(config: PipelineConfig) -> int:
+    """Values a pipeline run holds at once: the base primes up to sqrt(X), two
+    blocks of the a*a stream, and at most ten windows of Y + H values (nu,
+    omega, T, T+, a on the step preimages and on omega's window, and the
+    differences of one step).  A segment that takes convolve_valid holds its
+    blocks dense, a segment of [0, m0) and the segment + H values of its
+    mirror; one summed as pairs holds, in their room, their points (for
+    Lambda', about one integer in log X) and PAIR_BATCH pairs of 5 values.
+    The middle window of a*a holds at most 2(H + 1) values.  PipelineConfig
+    refuses a config whose working set is above PIPELINE_CAP."""
+    return math.isqrt(config.x) + max(2 * PIPELINE_SEGMENT, 5 * PAIR_BATCH) + 10 * (config.y + config.h)
+
+
 @dataclass(frozen=True)
 class PipelineConfig:
     """Desk-scale parameters of the minorant-transfer pipeline.
@@ -238,6 +253,12 @@ class PipelineConfig:
             )
         if self.big_q < 1 or not self.kappa > 0 or not self.c_nu >= 0:  # nan fails too
             raise DomainError("need Q >= 1, kappa > 0, nonnegative densities")
+        require_sift(self.big_q)  # T+ sifts to z = Q
+        working_set = pipeline_working_set(self)
+        if working_set > PIPELINE_CAP:
+            raise CapacityError(
+                f"pipeline working set sqrt(X) + 2 segments + 10 (Y + H) = {working_set} beyond the cap {PIPELINE_CAP}"
+            )
 
     @property
     def nu_window(self) -> tuple[int, int]:
@@ -315,27 +336,6 @@ class PipelineReport:
             writer.writerow([n, f"{ab:.10g}", f"{om:.10g}", verdict])
 
 
-def pipeline_working_set(config: PipelineConfig) -> int:
-    """Values a pipeline run holds at once: the base primes up to sqrt(X), two
-    blocks of the a*a stream, and at most ten windows of Y + H values (nu,
-    omega, T, T+, a on the step preimages and on omega's window, and the
-    differences of one step).  A segment that takes convolve_valid holds its
-    blocks dense, a segment of [0, m0) and the segment + H values of its
-    mirror; one summed as pairs holds, in their room, their points (for
-    Lambda', about one integer in log X) and PAIR_BATCH pairs of 5 values.
-    The middle window of a*a holds at most 2(H + 1) values."""
-    return math.isqrt(config.x) + max(2 * PIPELINE_SEGMENT, 5 * PAIR_BATCH) + 10 * (config.y + config.h)
-
-
-def _require_capacity(config: PipelineConfig) -> int:
-    working_set = pipeline_working_set(config)
-    if working_set > PIPELINE_CAP:
-        raise CapacityError(
-            f"pipeline working set sqrt(X) + 2 segments + 10 (Y + H) = {working_set} beyond the cap {PIPELINE_CAP}"
-        )
-    return working_set
-
-
 def _require_support(f: ArithFn, window: tuple[int, int], name: str) -> None:
     lo, hi = window
     if len(f) == 0:
@@ -379,7 +379,6 @@ def run_pipeline(
     of a is checked nonnegative and its points ascending inside the range
     read, raising ContractError.
     """
-    working_set = _require_capacity(config)
     _require_support(nu, config.nu_window, "nu")
     _require_support(omega, config.omega_window, "omega")
 
@@ -485,7 +484,7 @@ def run_pipeline(
         odd_final_failures=odd_final_failures,
         segments=segments,
         values_streamed=values_read - before_stream,
-        working_set=working_set,
+        working_set=pipeline_working_set(config),
         rows=tuple(rows),
     )
 
@@ -549,11 +548,9 @@ def desk_pipeline_inputs(config: PipelineConfig) -> tuple[ArithFn, ArithFn, Bloc
     run_pipeline then sieves [0, X] once, a segment at a time (H more values
     per segment), sums about pi(m0)(H+1)/log X prime pairs for a*a (or takes
     the dense convolve_valid of a segment's chunks, when cheaper), and holds
-    O(sqrt(X) + segment + H + Y) values, `pipeline_working_set(config)`.  A
-    working set above PIPELINE_CAP = 10^8 values raises CapacityError here,
-    before anything is sieved.
+    O(sqrt(X) + segment + H + Y) values, `pipeline_working_set(config)`, which
+    the config was checked against when it was built.
     """
-    _require_capacity(config)
     nu = restricted_prime_fn(config.nu_window)
     omega = restricted_prime_fn(config.omega_window)
     return nu, omega, prime_weights

@@ -16,11 +16,11 @@ from cmlab.arithfn import (
     convolve_window,
     dense,
     l2_norm_sq,
-    power_spectrum,
     spectrum_classes,
     subtract,
     write_arithfn,
 )
+from cmlab.closeness import spectrum_size
 from cmlab.errors import CapacityError, DomainError
 from oracles import fourier_eval, l1_norm, read_arithfn
 
@@ -157,7 +157,8 @@ class TestConvolveWindow:
         convolve_valid(rng.normal(size=nx), rng.normal(size=ny))
         size = 1 << (nx + ny - 2).bit_length()
         assert taken == ["direct" if direct else "fft"]
-        assert convolve_valid_cost(nx, ny) == ((nx - ny + 1) * ny if direct else 8 * size * math.log2(size))
+        transform = arithfn._WINDOW_FFT_RATIO * size * math.log2(size)
+        assert convolve_valid_cost(nx, ny) == ((nx - ny + 1) * ny if direct else transform)
 
     def test_domain(self):
         with pytest.raises(DomainError):
@@ -203,34 +204,27 @@ class TestFourier:
         assert abs(lhs - rhs) <= 1e-8 * scale
 
     def test_parseval_on_grid(self, rng):
-        # mean of |f-hat|^2 over the full grid, read from the half: the
-        # interior bins stand for two grid points each
+        # mean of |f-hat|^2 over the full grid, read from the classes: the
+        # classes 0 < c < r/2 stand for class r - c as well
         for _ in range(10):
             f = fn(11, rng.normal(size=int(rng.integers(4, 200))))
-            size, spec = power_spectrum(f, oversample=2)
-            assert len(spec) == size // 2 + 1
-            mean_spec = (2.0 * np.sum(spec) - spec[0] - spec[-1]) / size
-            assert mean_spec == pytest.approx(l2_norm_sq(f), rel=1e-6)
+            size = spectrum_size(len(f), 2)
+            total = 0.0
+            for c, v in spectrum_classes(f.values, size):
+                total += (1 + (0 < c < size // len(v) // 2)) * np.sum(v)
+            assert total / size == pytest.approx(l2_norm_sq(f), rel=1e-6)
 
     def test_power_spectrum_matches_pointwise(self, rng):
         f = fn(4, rng.normal(size=37))
-        size, spec = power_spectrum(f, oversample=8)
-        assert len(spec) == size // 2 + 1
-        for k in (0, 1, size // 3, size // 2):
+        size = spectrum_size(37, 8)
+        spec = np.full(size, np.nan)
+        for c, v in spectrum_classes(f.values, size):
+            r = size // len(v)
+            spec[c::r] = v
+            if 0 < c < r // 2:
+                spec[r - c :: r] = v[::-1]  # class r - c is class c reversed
+        for k in (0, 1, size // 3, size // 2, size // 2 + 1, size - 2):
             assert spec[k] == pytest.approx(abs(fourier_eval(f, k / size)) ** 2, abs=1e-8)
-        # bins beyond M/2 mirror the half: |f-hat(-x)| = |f-hat(x)| for real f
-        for k in (size // 2 + 1, size - 2):
-            assert spec[size - k] == pytest.approx(abs(fourier_eval(f, k / size)) ** 2, abs=1e-8)
-
-    def test_real_spectrum_equals_complex_cast(self, rng):
-        # the real transform's half against the first M/2 + 1 bins of the full
-        # complex transform on the same grid
-        for length, oversample in ((1, 1), (37, 8), (64, 1), (1000, 8)):
-            vals = rng.normal(size=length)
-            size, spec = power_spectrum(fn(4, vals), oversample=oversample)
-            assert size == 2 * (len(spec) - 1)
-            spec_c = np.abs(np.fft.fft(vals.astype(np.complex128), size)) ** 2
-            assert np.max(np.abs(spec - spec_c[: size // 2 + 1])) <= 1e-12 * np.max(spec_c)
 
     # the classes k mod r have L = 2^(ceil(log2 len) - 1) points each, r = M/L
     # of them; lengths 1, 2, 3, 7 sit on the 64-point floor (r = 64, 64, 32,
@@ -242,7 +236,7 @@ class TestFourier:
     def test_split_spectrum_equals_one_transform(self, rng, length, oversample):
         length = length or 2 * int(rng.integers(50, 5000)) + 1
         vals = rng.normal(size=length)
-        size = arithfn.spectrum_size(length, oversample)
+        size = spectrum_size(length, oversample)
         grid = np.full(size, np.nan)
         classes = list(spectrum_classes(vals, size))
         r = size // len(classes[0][1])
@@ -257,26 +251,15 @@ class TestFourier:
 
     @pytest.mark.parametrize("oversample", [2, 8])
     def test_transforms_taken(self, monkeypatch, oversample):
-        # power_spectrum is one real transform of M points; spectrum_classes is
-        # one real transform of L = 512 points and r/2 complex ones, r = M/L,
-        # and never one of M points
+        # spectrum_classes is one real transform of L = 512 points and r/2
+        # complex ones, r = M/L, and never one of M points
         sizes, complex_calls = [], []
         rfft, fft = np.fft.rfft, np.fft.fft
         monkeypatch.setattr(np.fft, "rfft", lambda a, n=None, **kw: sizes.append(n or len(a)) or rfft(a, n, **kw))
         monkeypatch.setattr(np.fft, "fft", lambda a, *args, **kw: complex_calls.append(len(a)) or fft(a, *args, **kw))
-        size = arithfn.spectrum_size(1000, oversample)
-        power_spectrum(fn(0, np.ones(1000)), oversample=oversample)
-        assert (sizes, complex_calls) == ([size], [])
-        sizes.clear()
+        size = spectrum_size(1000, oversample)
         list(spectrum_classes(np.ones(1000), size))
         assert (sizes, complex_calls) == ([512], [512] * (size // 512 // 2))
-
-    def test_spectrum_over_cap_fails_up_front(self, monkeypatch):
-        f = fn(0, np.ones(1000))
-        monkeypatch.setattr(arithfn, "SPECTRUM_CAP", 8192)
-        assert power_spectrum(f, oversample=8)[0] == 8192
-        with pytest.raises(CapacityError):
-            power_spectrum(f, oversample=9)  # 9000 points round up to 2^14
 
 
 class TestNorms:

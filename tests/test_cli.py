@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import cmlab
-from cmlab import arith, arithfn, cli, constants, goldbach
+from cmlab import arith, cli, closeness, constants, goldbach
 from cmlab.arith import rough_flags
 from cmlab.cli import main
 from cmlab.models import mertens_product
@@ -117,6 +117,11 @@ class TestExitCodes:
         ["model", "--which", "t_nu_plus", "--Q", "0", "--sift", "10"],  # Q is only sift's default here
         *([*command, *bad] for command in (["verify", "closeness"], ["pipeline"])
           for bad in (["--Y", "0"], ["--Q", "0"], ["--c-nu", "-1"], ["--Q", "1"])),  # Q = 1 is the sieve's z
+        # H = Y^e below 1, at Y (a span of at most 2H), beyond the float range, and 0^e with e < 0
+        *(["verify", "closeness", *bad] for bad in (
+            ["--h-exponent", "-0.5"], ["--h-exponent", "1.0"], ["--h-exponent", "400"],
+            ["--Y", "0", "--h-exponent", "-0.5"],
+        )),
     ], ids=" ".join)
     def test_bad_y_q_or_c_nu_exits_2_before_sieving(self, tmp_path, monkeypatch, capsys, argv):
         monkeypatch.setattr(goldbach, "prime_weights", self._refuse)
@@ -127,7 +132,7 @@ class TestExitCodes:
 
     @staticmethod
     def _refuse(start, stop):
-        raise AssertionError("sieved before Y, Q and c_nu were checked")
+        raise AssertionError("sieved before Y, H, Q and c_nu were checked")
 
     @pytest.mark.parametrize("argv", [
         ["pipeline", "--preset", "desk-small"], ["verify", "closeness"],
@@ -211,7 +216,7 @@ class TestVerify:
         # Y = 1000: d = f - g spans 1000 points, a spectrum grid of 2^13
         argv = ["--out", str(tmp_path), "verify", "closeness", "--Y", "1000"]
         assert run(argv) == 0
-        monkeypatch.setattr(arithfn, "SPECTRUM_CAP", 1 << 12)
+        monkeypatch.setattr(closeness, "SPECTRUM_CAP", 1 << 12)
         assert run(argv) == 2
         assert "beyond the cap" in capsys.readouterr().err
 

@@ -11,19 +11,23 @@ import numpy as np
 import pytest
 
 import cmlab
-from cmlab.arithfn import ArithFn, power_spectrum, spectrum_classes, subtract
+from cmlab import closeness
+from cmlab.arithfn import ArithFn, spectrum_classes, subtract
 from cmlab.closeness import (
+    OVERSAMPLE,
     FareyArc,
     _gallagher_weights,
+    closeness_grid,
     closeness_integral,
     default_lambda_q_sweep,
     default_sieve_sweep,
     farey_dissection,
     gallagher_lhs,
     gallagher_rhs,
+    spectrum_size,
     verify_short_sums,
 )
-from cmlab.errors import DomainError
+from cmlab.errors import CapacityError, DomainError
 from cmlab.models import lambda_q_short_sum, sieve_short_sum
 from oracles import containment_radius, contains, spot_probe_loop
 
@@ -156,7 +160,7 @@ class TestGallagher:
         # more than the sum; the reduction must give the dot's value
         f = ArithFn(10_000, rng.choice([-1.0, 1.0], size=10_000))
         weights = _gallagher_weights(10_000, 50.0)
-        _, spec = power_spectrum(f, oversample=2)
+        spec = np.abs(np.fft.rfft(f.values, spectrum_size(10_000, 2))) ** 2
         dot = 2.0 * np.dot(spec, weights) - spec[0] * weights[0] - spec[-1] * weights[-1]
 
         def refuse(*args, **kwargs):
@@ -195,6 +199,36 @@ class TestGallagher:
             gallagher_rhs(f, 2.0)
         with pytest.raises(DomainError):
             gallagher_lhs(f, 60.0)
+
+
+class TestClosenessGrid:
+    def test_grid_size(self):
+        # M is the smallest power of two >= max(oversample * span, 64)
+        assert [spectrum_size(n, 8) for n in (1, 8, 37, 1024, 1025)] == [64, 64, 512, 8192, 16384]
+        assert spectrum_size(1000, 2) == 2048
+        with pytest.raises(DomainError, match="oversample must be >= 1"):
+            spectrum_size(1000, 0)
+        assert closeness_grid(1000, 64.0) == spectrum_size(1000, OVERSAMPLE) == 8192
+
+    def test_spectrum_over_cap_fails_up_front(self, rng, monkeypatch):
+        monkeypatch.setattr(closeness, "SPECTRUM_CAP", 8192)
+        assert spectrum_size(1000, 8) == 8192
+        with pytest.raises(CapacityError):
+            spectrum_size(1000, 9)  # 9000 points round up to 2^14
+        f = ArithFn(0, rng.normal(size=1025))
+        for request in (lambda: closeness_grid(1025, 0.5), lambda: closeness_integral(f, f, 64.0)):
+            with pytest.raises(CapacityError):  # the cap is checked before H
+                request()
+
+    @pytest.mark.parametrize("span, h, named", [
+        (1000, 0.5, "need H >= 1"), (128, 64.0, "span more than 2H"), (1000, math.inf, "span more than 2H"),
+    ])
+    def test_h_is_checked_with_the_grid(self, rng, span, h, named):
+        with pytest.raises(DomainError, match=named):
+            closeness_grid(span, h)
+        f = ArithFn(0, rng.normal(size=span))
+        with pytest.raises(DomainError, match=named):
+            closeness_integral(f, f, h)
 
 
 class TestClosenessIntegral:
@@ -334,8 +368,6 @@ class TestEstimatorAgainstExhaustiveGrid:
     def test_reported_sup_tracks_full_grid_sup(self):
         # oracle: the window integral evaluated at EVERY grid frequency, not
         # just the sampled arcs; the report must stay within a tight factor
-        from cmlab.arithfn import power_spectrum, subtract
-
         rng = np.random.default_rng(5)
         for _ in range(8):
             span = int(rng.integers(1500, 4000))
@@ -345,7 +377,8 @@ class TestEstimatorAgainstExhaustiveGrid:
             rep = closeness_integral(f, g, h)
 
             d = subtract(f, g)
-            size, half_spec = power_spectrum(d, oversample=8)
+            size = spectrum_size(len(d), 8)
+            half_spec = np.abs(np.fft.rfft(d.values, size)) ** 2
             spec = np.concatenate([half_spec, half_spec[-2:0:-1]])  # the even spectrum on all M bins
             half = min(int(size / h), (size - 1) // 2)
             csum = np.concatenate([[0.0], np.cumsum(spec)])
@@ -364,10 +397,9 @@ class TestEstimatorAgainstExhaustiveGrid:
         # oracle: the spot probe on the mirrored full grid, prefix sums over
         # all M bins, the same windows; the 0/1 arc's windows wrap bin 0 and
         # the 1/2 arc's windows straddle bin M/2
-        from cmlab.arithfn import power_spectrum
-
         def full_grid_probe(d, h):
-            size, half_spec = power_spectrum(d, oversample=8)
+            size = spectrum_size(len(d), 8)
+            half_spec = np.abs(np.fft.rfft(d.values, size)) ** 2
             spec = np.concatenate([half_spec, half_spec[-2:0:-1]])
             csum = np.concatenate([[0.0], np.cumsum(spec)])
             half = min(int(size / h), (size - 1) // 2)

@@ -287,6 +287,11 @@ class TestPipelineConfig:
         with pytest.raises(DomainError, match="need 2 < H < Y < X"):
             PipelineConfig(x, big_q=10, y=y)
 
+    def test_sift_below_two_is_a_domain_error(self):
+        # T+ sifts to z = Q, so Q = 1 is refused with the config
+        with pytest.raises(DomainError, match="need z >= 2"):
+            PipelineConfig(200_000, big_q=1)
+
     def test_window_arithmetic(self):
         config = PipelineConfig(200_000, big_q=10)
         assert config.nu_window == (1000, 2000)
@@ -369,30 +374,20 @@ class TestPipeline:
             assert (abs(conv(n)) < 1.0) == (n in missing)
 
     def test_inputs_beyond_desk_cap_fail_up_front(self, monkeypatch):
-        config = PRESETS["desk-small"]
-        nu, omega, a = desk_pipeline_inputs(config)
-        reads = []
-
-        def source(start, stop):
-            reads.append((start, stop))
-            return prime_weights(start, stop)
-
-        monkeypatch.setattr(goldbach, "prime_weights", source)
-        monkeypatch.setattr(goldbach, "PIPELINE_CAP", goldbach.pipeline_working_set(config) - 1)
-        with pytest.raises(CapacityError):
-            desk_pipeline_inputs(config)
-        with pytest.raises(CapacityError):
-            run_pipeline(config, nu, omega, source)
-        assert reads == []
-        monkeypatch.setattr(goldbach, "PIPELINE_CAP", goldbach.pipeline_working_set(config))
+        # the cap is checked when the config is built, so no config over it reaches the inputs or the run
+        working_set = goldbach.pipeline_working_set(PRESETS["desk-small"])
+        monkeypatch.setattr(goldbach, "PIPELINE_CAP", working_set - 1)
+        with pytest.raises(CapacityError, match="beyond the cap"):
+            PipelineConfig(200_000, big_q=10)
+        monkeypatch.setattr(goldbach, "PIPELINE_CAP", working_set)
+        config = PipelineConfig(200_000, big_q=10)
         assert run_pipeline(config, *desk_pipeline_inputs(config)).working_set == goldbach.PIPELINE_CAP
-        assert reads
 
     def test_working_set_counts_y_not_x(self):
         # about 10^6 values at X = 10^9 (8 MB), the base primes, two segments and 10(Y + H)
         assert goldbach.pipeline_working_set(PipelineConfig(10**9, big_q=10)) < 1_100_000
         with pytest.raises(CapacityError):
-            desk_pipeline_inputs(PipelineConfig(4 * 10**7, big_q=10, y=10**7))
+            PipelineConfig(4 * 10**7, big_q=10, y=10**7)
 
     def test_support_misconfiguration_rejected(self):
         config = PipelineConfig(200_000, big_q=10)
