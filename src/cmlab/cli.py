@@ -31,8 +31,8 @@ import numpy as np
 from . import constants
 from .arithfn import ArithFn, l2_norm_sq, write_arithfn
 from .closeness import (
-    closeness_grid,
     closeness_integral,
+    closeness_models,
     default_lambda_q_sweep,
     default_sieve_sweep,
     gallagher_lhs,
@@ -259,16 +259,7 @@ CLOSENESS = (
 def _cmd_verify_closeness(spec: ExperimentSpec) -> int:
     p = spec.params
     y, big_q = p["y"], p["big_q"]
-    if y < 1:  # refused as the models refuse it, since Y^e is real only for Y > 0
-        raise DomainError("Y must be >= 1")
-    try:
-        h = y ** p["h_exponent"]
-    except OverflowError:  # an H beyond the float range, which no support spans
-        h = math.inf
-    # f - g on (Y, 2Y] at H, then the models' Y, Q, c_nu and z = Q, are checked before the sieve
-    closeness_grid(y, h)
-    t_nu = model_t_nu(y, big_q, p["c_nu"])
-    t_plus = model_t_nu_plus(y, big_q, p["c_nu"])
+    h, t_nu, t_plus = closeness_models(y, p["h_exponent"], big_q, p["c_nu"])
     primes_fn = restricted_prime_fn((y, 2 * y))
     ref = l2_norm_sq(primes_fn)
     rep1 = closeness_integral(primes_fn, t_nu, h, reference_norm=ref)

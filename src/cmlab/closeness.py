@@ -57,7 +57,7 @@ import numpy as np
 
 from .arithfn import TWO_PI, ArithFn, l2_norm_sq, spectrum_classes, subtract
 from .errors import CapacityError, DomainError
-from .models import SieveSystem, beta_sieve_weights, lambda_q_short_sum, sieve_short_sum
+from .models import SieveSystem, beta_sieve_weights, lambda_q_short_sum, model_t_nu, model_t_nu_plus, sieve_short_sum
 
 # grid points per 1/span of the spectrum of closeness_integral, whose every 4th
 # point is a wrap-free grid for the autocorrelation, and of the trapezoid rule
@@ -321,6 +321,21 @@ def closeness_grid(span: int, h: float) -> int:
     if span <= 2 * h:
         raise DomainError("supports must span more than 2H")
     return size
+
+
+def closeness_models(y: int, h_exponent: float, big_q: int, c_nu: float) -> tuple[float, ArithFn, ArithFn]:
+    """H = Y^h_exponent and the models T and T+ on (Y, 2Y] that `verify closeness`
+    sets against the primes there, with the request checked before they are
+    sieved: the grid of f - g against the cap, then Q, Y, c_nu and z = Q as the
+    models are built, then H (one beyond the float range as infinite)."""
+    spectrum_size(y, OVERSAMPLE)
+    t_nu, t_plus = model_t_nu(y, big_q, c_nu), model_t_nu_plus(y, big_q, c_nu)
+    try:
+        h = y ** h_exponent
+    except OverflowError:
+        h = math.inf
+    closeness_grid(y, h)
+    return h, t_nu, t_plus
 
 
 def closeness_integral(

@@ -65,10 +65,9 @@ PIPELINE_CHUNK = 1 << 16
 PAIR_BATCH = 1 << 13
 # what one such pair costs, in the units of convolve_valid_cost.  On a 2-vCPU
 # Xeon a pair took 20-55 ns, a direct multiply-add 0.3 ns and a transform unit
-# 0.7 ns; at X = 10^7 the two paths met between H = 3000 and H = 6000, where
-# the dense side is priced as transforms, and 64 at a _WINDOW_FFT_RATIO of 16
-# puts the switch there (it scales with that ratio)
-PAIR_COST = 64
+# 0.7 ns; at X = 10^7 the two paths met between H = 3000 and H = 6000, and 32
+# puts the switch there
+PAIR_COST = 32
 PIPELINE_CAP = 10**8  # values a pipeline run holds at once (pipeline_working_set); 8 bytes each
 SCAN_BLOCK = 1 << 20  # integers of [X-H, X] that exceptional_scan sifts at a time; even
 SCAN_CAP = 10**8  # sqrt(X) + block + P in exceptional_scan; about 13 bytes each, 1.3 GB at the cap

@@ -12,7 +12,7 @@ renamed counter renames those tests.
 
 import numpy as np
 
-from cmlab import arith, cli, constants, goldbach, models
+from cmlab import arith, cli, closeness, constants, goldbach, models
 from cmlab.arithfn import ArithFn
 
 
@@ -35,7 +35,7 @@ def _zero(model):
         def zero(y, *args):
             return ArithFn(y + 1, np.zeros(y))
 
-        monkeypatch.setattr(cli, model, zero)
+        monkeypatch.setattr(closeness, model, zero)  # verify closeness builds its models there
 
     return patch
 

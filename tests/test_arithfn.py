@@ -157,8 +157,7 @@ class TestConvolveWindow:
         convolve_valid(rng.normal(size=nx), rng.normal(size=ny))
         size = 1 << (nx + ny - 2).bit_length()
         assert taken == ["direct" if direct else "fft"]
-        transform = arithfn._WINDOW_FFT_RATIO * size * math.log2(size)
-        assert convolve_valid_cost(nx, ny) == ((nx - ny + 1) * ny if direct else transform)
+        assert convolve_valid_cost(nx, ny) == ((nx - ny + 1) * ny if direct else 8 * size * math.log2(size))
 
     def test_domain(self):
         with pytest.raises(DomainError):

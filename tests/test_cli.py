@@ -130,6 +130,18 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith("error: ")
         assert not out.exists()
 
+    @pytest.mark.parametrize("bad, message", [
+        (["--Y", "100000000", "--Q", "0"], "power spectrum grid of 1073741824 points beyond the cap 134217728"),
+        (["--Y", "0", "--Q", "0"], "Q must be >= 1"),
+        (["--Q", "0", "--h-exponent", "1.0"], "Q must be >= 1"),
+        (["--Q", "1", "--h-exponent", "-0.5"], "need z >= 2 and beta >= 1"),
+    ], ids=["grid and Q", "Y and Q", "Q and H", "z and H"])
+    def test_closeness_checks_the_grid_then_the_models_then_h(self, tmp_path, monkeypatch, capsys, bad, message):
+        # with two faults at once, the one checked first names the error
+        monkeypatch.setattr(goldbach, "prime_weights", self._refuse)
+        assert run(["--out", str(tmp_path), "verify", "closeness", *bad]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     @staticmethod
     def _refuse(start, stop):
         raise AssertionError("sieved before Y, H, Q and c_nu were checked")
