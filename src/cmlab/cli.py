@@ -18,13 +18,14 @@ Exit codes: 0 all assertions passed, 1 an assertion failed, 2 invalid usage.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import math
 import os
 import sys
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Any, Callable, Optional
+from typing import Any, Callable, Iterable, Optional
 
 import numpy as np
 
@@ -96,12 +97,6 @@ class ExperimentSpec:
         """The parameters reports embed; keys resolved to None stay unset."""
         return {key: value for key, value in sorted(self.params.items()) if value is not None}
 
-    def header_lines(self) -> list[str]:
-        lines = [f"# subcommand = {self.name}", f"# seed = {self.seed}"]
-        for key, value in self.echo().items():
-            lines.append(f"# {key} = {value}")
-        return lines
-
 
 def _cast(param: Param, raw: str):
     try:
@@ -167,14 +162,27 @@ def _verdict(spec: ExperimentSpec, checks: list[Check], payload: dict) -> int:
     return 0 if passed else 1
 
 
-def _write_csv(spec: ExperimentSpec, name: str, write_body: Callable) -> Path:
+def _write_report(spec: ExperimentSpec, name: str, write_body: Callable) -> Path:
+    """Write spec.out/name: the `# key = value` parameter lines, then write_body(fh).
+    Every command computes its table first, so a run that exits 2 writes no report."""
     spec.out.mkdir(parents=True, exist_ok=True)
     path = spec.out / name
     with open(path, "w", newline="") as fh:
-        for line in spec.header_lines():
-            fh.write(line + "\n")
+        fh.write(f"# subcommand = {spec.name}\n# seed = {spec.seed}\n")
+        fh.writelines(f"# {key} = {value}\n" for key, value in spec.echo().items())
         write_body(fh)
     return path
+
+
+def _write_csv(spec: ExperimentSpec, name: str, columns: tuple, rows: Iterable) -> Path:
+    """A report table: the header row, then the rows streamed, every line ending in \\n."""
+
+    def body(fh):
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(columns)
+        writer.writerows(rows)
+
+    return _write_report(spec, name, body)
 
 
 BIG_Q = Param("big_q", "--Q", int, 10)
@@ -196,7 +204,7 @@ GALLAGHER = (
 
 def _cmd_verify_gallagher(spec: ExperimentSpec) -> int:
     p = spec.params
-    if p["trials"] < 1:  # checked before the CSV is opened, as in series
+    if p["trials"] < 1:  # an empty table has no max ratio
         raise DomainError(f"trials must be >= 1, got {p['trials']}")
     rng = np.random.default_rng(spec.seed)
     ratios = []
@@ -207,13 +215,7 @@ def _cmd_verify_gallagher(spec: ExperimentSpec) -> int:
         rhs = gallagher_rhs(f, p["delta"])
         ratios.append(lhs / rhs)
     worst = max(ratios)
-
-    def body(fh):
-        fh.write("trial,ratio\n")
-        for i, ratio in enumerate(ratios):
-            fh.write(f"{i},{ratio:.10g}\n")
-
-    _write_csv(spec, "gallagher-ratios.csv", body)
+    _write_csv(spec, "gallagher-ratios.csv", ("trial", "ratio"), ((i, f"{r:.10g}") for i, r in enumerate(ratios)))
     checks = [
         Check("max ratio", worst, constants.GALLAGHER_RATIO_CEILING),
         *regression("max ratio vs baseline", worst, constants.GALLAGHER_RANDOM_BASELINE,
@@ -225,7 +227,13 @@ def _cmd_verify_gallagher(spec: ExperimentSpec) -> int:
 
 def _sweep_verdict(spec: ExperimentSpec, name: str, report, baseline: float, point, measured_at) -> int:
     """Write a short-sum sweep's CSV and its verdict: the max ratio under the ceiling and the baseline."""
-    _write_csv(spec, f"{name.replace('_', '-')}-short-sums.csv", report.write_csv)
+    keys = sorted(report.rows[0].params)
+    rows = ([row.params[k] for k in keys]
+            + [f"{v:.10g}" for v in (row.actual.real, row.actual.imag, row.predicted.real,
+                                     row.error, row.budget, row.ratio)]
+            for row in report.rows)
+    _write_csv(spec, f"{name.replace('_', '-')}-short-sums.csv",
+               (*keys, "actual_re", "actual_im", "predicted_re", "error", "budget", "ratio"), rows)
     print(f"{name}_short: max ratio {report.max_ratio:.4f} over {len(report.rows)} points")
     return _verdict(spec, [
         Check("max ratio", report.max_ratio, constants.SHORT_SUM_RATIO_CEILING),
@@ -264,8 +272,9 @@ def _cmd_verify_closeness(spec: ExperimentSpec) -> int:
     ref = l2_norm_sq(primes_fn)
     rep1 = closeness_integral(primes_fn, t_nu, h, reference_norm=ref)
     rep2 = closeness_integral(t_nu, t_plus, h, reference_norm=ref)
-    _write_csv(spec, "closeness-primes-vs-model-arcs.csv", lambda fh: rep1.write_arc_csv(fh))
-    _write_csv(spec, "closeness-model-vs-sieve-arcs.csv", lambda fh: rep2.write_arc_csv(fh))
+    for name, rep in (("primes-vs-model", rep1), ("model-vs-sieve", rep2)):
+        rows = ([arc.q, arc.r] + [f"{v:.12g}" for v in (arc.center, arc.lo, arc.hi, value)] for arc, value in rep.per_arc)
+        _write_csv(spec, f"closeness-{name}-arcs.csv", ("q", "r", "center", "lo", "hi", "contribution"), rows)
     theta1, theta2 = float(rep1.theta_effective), float(rep2.theta_effective)
     # the ordering (sieve model at least as close as the raw primes) must hold at any
     # scale; the baselines are pinned at the canonical point
@@ -321,7 +330,8 @@ def _cmd_pipeline(spec: ExperimentSpec) -> int:
     spec.params.update(config.to_dict())
 
     report = run_pipeline(config, *desk_pipeline_inputs(config))
-    _write_csv(spec, "pipeline-chain.csv", report.write_csv)
+    _write_csv(spec, "pipeline-chain.csv", ("n", "lambda_conv", "omega_model_conv", "verdict"),
+               ((n, f"{ab:.10g}", f"{om:.10g}", verdict) for n, ab, om, verdict in report.rows))
     frac = report.final_failure_fraction
     step2, step4 = report.exceptions_step2 / (config.h + 1), report.exceptions_step4 / (config.h + 1)
     checks = [
@@ -357,13 +367,7 @@ EXCEPTIONAL = (
 def _cmd_exceptional(spec: ExperimentSpec) -> int:
     x, h = spec.params["x"], spec.params["h"]
     scan = exceptional_scan(x, h)
-
-    def body(fh):
-        fh.write("n\n")
-        for n in scan.exceptions:
-            fh.write(f"{n}\n")
-
-    _write_csv(spec, "exceptional-set.csv", body)
+    _write_csv(spec, "exceptional-set.csv", ("n",), ((n,) for n in scan.exceptions))
     print(f"exceptional: |E({x}, {h})| = {len(scan.exceptions)}")
     return _verdict(spec, [], scan.summary())
 
@@ -379,21 +383,17 @@ SERIES = (
 
 def _cmd_series(spec: ExperimentSpec) -> int:
     p = spec.params
-    # checked before the CSV is opened, so a bad bound leaves no file behind
+    # singular_series and singular_series_product refuse a bad n, q_max or prime_bound;
+    # the step and the range reach neither, so they are checked here
     if p["n_step"] < 1:
         raise DomainError(f"n_step must be >= 1, got {p['n_step']}")
-    if p["n_start"] < 2 or p["q_max"] < 1 or p["prime_bound"] < 2:
-        raise DomainError("need n_start >= 2, q_max >= 1 and prime_bound >= 2")
     if p["n_stop"] < p["n_start"]:
         raise DomainError(f"empty range: n_stop {p['n_stop']} < n_start {p['n_start']}")
     ns = range(p["n_start"], p["n_stop"] + 1, p["n_step"])
-
-    def body(fh):
-        fh.write("n,partial_sum,euler_product\n")
-        for n in ns:
-            fh.write(f"{n},{singular_series(n, p['q_max']):.10g},{singular_series_product(n, p['prime_bound']):.10g}\n")
-
-    _write_csv(spec, "singular-series.csv", body)
+    # a list, not a generator: a refused bound or table must stop the run before the file opens
+    rows = [(n, f"{singular_series(n, p['q_max']):.10g}", f"{singular_series_product(n, p['prime_bound']):.10g}")
+            for n in ns]
+    _write_csv(spec, "singular-series.csv", ("n", "partial_sum", "euler_product"), rows)
     print(f"series: wrote singular series for n = {p['n_start']}..{p['n_stop']}")
     return _verdict(spec, [], {"rows": len(ns)})
 
@@ -443,7 +443,7 @@ def _cmd_model(spec: ExperimentSpec) -> int:
         raise DomainError("Q must be >= 1")
     else:
         fn = model_t_nu_plus(y, p["sift"], p["c_nu"], p["level"], p["beta"])
-    path = _write_csv(spec, f"model-{which}.txt", lambda fh: write_arithfn(fn, fh))
+    path = _write_report(spec, f"model-{which}.txt", lambda fh: write_arithfn(fn, fh))
     print(f"model: wrote {which} window of length {len(fn)} to {path}")
     return _verdict(spec, [], {"file": str(path), "length": len(fn)})
 

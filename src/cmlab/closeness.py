@@ -46,12 +46,11 @@ which a spectrum on 2 span points carries (see _gallagher_weights).
 
 from __future__ import annotations
 
-import csv
 import itertools
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import IO, Callable, Iterable, Optional
+from typing import Callable, Iterable, Optional
 
 import numpy as np
 
@@ -130,8 +129,6 @@ def farey_dissection(order: int) -> list[FareyArc]:
     """
     if order < 1:
         raise DomainError("order must be >= 1")
-    if order == 1:
-        return [FareyArc(q=1, r=0, lo=-0.5, hi=0.5, order=1)]
     fracs = _farey_fractions(order)
     arcs = []
     for i, (r, q) in enumerate(fracs[:-1]):  # drop 1/1: same circle point as 0/1
@@ -267,12 +264,6 @@ class ClosenessReport:
             "spot_alpha": self.spot_alpha,
             "farey_over_spot": self.farey_bound / self.spot_estimate if self.spot_estimate else None,
         }
-
-    def write_arc_csv(self, fh: IO[str]) -> None:
-        writer = csv.writer(fh)
-        writer.writerow(["q", "r", "center", "lo", "hi", "contribution"])
-        for arc, value in self.per_arc:
-            writer.writerow([arc.q, arc.r, f"{arc.center:.12g}", f"{arc.lo:.12g}", f"{arc.hi:.12g}", f"{value:.12g}"])
 
 
 def _arc_width(q: int, h: float) -> int:
@@ -422,25 +413,6 @@ class SweepReport:
     @property
     def max_ratio(self) -> float:
         return max((row.ratio for row in self.rows), default=0.0)
-
-    def write_csv(self, fh: IO[str]) -> None:
-        if not self.rows:
-            return
-        keys = sorted(self.rows[0].params)
-        writer = csv.writer(fh)
-        writer.writerow(keys + ["actual_re", "actual_im", "predicted_re", "error", "budget", "ratio"])
-        for row in self.rows:
-            writer.writerow(
-                [row.params[k] for k in keys]
-                + [
-                    f"{row.actual.real:.10g}",
-                    f"{row.actual.imag:.10g}",
-                    f"{row.predicted.real:.10g}",
-                    f"{row.error:.10g}",
-                    f"{row.budget:.10g}",
-                    f"{row.ratio:.10g}",
-                ]
-            )
 
     def summary(self) -> dict:
         worst = max(self.rows, key=lambda r: r.ratio, default=None)

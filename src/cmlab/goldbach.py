@@ -38,10 +38,9 @@ dense stream, X = 10^8 took 1.2-1.7 s (dense 2.5-2.8 s) and X = 10^9
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
-from typing import IO, Callable, Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -327,12 +326,6 @@ class PipelineReport:
             "odd_count": self.odd_count,
             "odd_final_failures": self.odd_final_failures,
         }
-
-    def write_csv(self, fh: IO[str]) -> None:
-        writer = csv.writer(fh)
-        writer.writerow(["n", "lambda_conv", "omega_model_conv", "verdict"])
-        for n, ab, om, verdict in self.rows:
-            writer.writerow([n, f"{ab:.10g}", f"{om:.10g}", verdict])
 
 
 def _require_support(f: ArithFn, window: tuple[int, int], name: str) -> None:

@@ -23,6 +23,11 @@ def run(argv):
     return main(argv)
 
 
+def table(path):
+    """The header row and the rows of a report CSV, under its `# key = value` lines."""
+    return [line.split(",") for line in path.read_text().splitlines() if not line.startswith("#")]
+
+
 class TestExitCodes:
     def test_unknown_flag_exits_2(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
@@ -198,6 +203,16 @@ class TestVerify:
         assert code == 0
         summary = json.loads((tmp_path / "verify-closeness-summary.json").read_text())
         assert summary["theta_model_vs_sieve"] <= summary["theta_primes_vs_model"]
+        # one row per Farey arc, and the summary's Farey bound is the largest contribution
+        for name, key in (("primes-vs-model", "primes_vs_model"), ("model-vs-sieve", "model_vs_sieve")):
+            rows = table(tmp_path / f"closeness-{name}-arcs.csv")
+            assert rows[0] == ["q", "r", "center", "lo", "hi", "contribution"]
+            order = max(int(row[0]) for row in rows[1:])
+            pairs = [(int(row[0]), int(row[1])) for row in rows[1:]]
+            assert sorted(pairs) == [(q, r) for q in range(1, order + 1) for r in range(q) if math.gcd(r, q) == 1]
+            best = max(rows[1:], key=lambda row: float(row[-1]))
+            assert [int(best[0]), int(best[1])] == summary[key]["farey_arc"]
+            assert float(best[-1]) == pytest.approx(summary[key]["farey_bound"], rel=1e-11)
 
     def test_closeness_summary_says_what_set_theta(self, tmp_path):
         # at the canonical point the spot probe, not the Farey bound, sets theta
@@ -414,8 +429,11 @@ class TestSeries:
         # a fresh table for q <= 1000 holds 1001 entries of 9 bytes
         monkeypatch.setattr(arith, "_mu_phi", (np.zeros(1, dtype=np.int8), np.zeros(1, dtype=np.int64)))
         monkeypatch.setattr(arith, "MU_PHI_CAP", 9000)
-        assert run(argv) == 2
+        fresh = tmp_path / "over"
+        assert run(["--out", str(fresh), *argv[2:]]) == 2
         assert "beyond the cap 9000 bytes" in capsys.readouterr().err
+        assert not (fresh / "singular-series.csv").exists()
+        assert not (fresh / "series-summary.json").exists()
 
 
 class TestModelDump:
@@ -529,6 +547,26 @@ class TestParameterResolution:
         monkeypatch.setenv("CML_X", "12000")
         assert run(["--out", str(tmp_path), "exceptional", "--X", "9000", "--H", "50"]) == 0
         assert "# x = 9000" in (tmp_path / "exceptional-set.csv").read_text()
+
+
+class TestReportFormat:
+    @pytest.mark.parametrize("argv", [
+        ["verify", "gallagher", "--trials", "3", "--span", "2000"],
+        ["verify", "lambda_q_short"],
+        ["verify", "sieve_short"],
+        ["verify", "closeness", "--Y", "20000", "--Q", "5"],
+        ["pipeline", "--preset", "desk-small"],
+        ["exceptional", "--X", "10000", "--H", "200"],
+        ["series", "--n-start", "4", "--n-stop", "20"],
+    ], ids=" ".join)
+    def test_every_line_ends_in_newline(self, tmp_path, argv):
+        assert run(["--out", str(tmp_path), *argv]) == 0
+        tables = list(tmp_path.glob("*.csv"))
+        assert tables
+        for path in tables:
+            body = path.read_bytes()
+            assert b"\r" not in body, path.name
+            assert body.endswith(b"\n")
 
 
 class TestSeedPlacement:

@@ -1,4 +1,4 @@
-import io
+import json
 import math
 import os
 import subprocess
@@ -13,6 +13,7 @@ import pytest
 import cmlab
 from cmlab import closeness
 from cmlab.arithfn import ArithFn, spectrum_classes, subtract
+from cmlab.cli import main
 from cmlab.closeness import (
     OVERSAMPLE,
     FareyArc,
@@ -310,11 +311,6 @@ class TestClosenessIntegral:
         assert payload["farey_arc"] in [[arc.q, arc.r] for arc, _ in rep.per_arc]
         assert 0.0 <= payload["spot_alpha"] <= 0.5
         assert payload["farey_over_spot"] == pytest.approx(rep.farey_bound / rep.spot_estimate)
-        buf = io.StringIO()
-        rep.write_arc_csv(buf)
-        lines = buf.getvalue().splitlines()
-        assert lines[0] == "q,r,center,lo,hi,contribution"
-        assert len(lines) == 1 + len(rep.per_arc)
 
 
 class TestSweeps:
@@ -353,15 +349,16 @@ class TestSweeps:
         assert report.max_ratio == 2.5
         assert report.summary() == {"points": 1, "max_ratio": 2.5, "worst_params": point}
 
-    def test_csv_emission(self):
-        report = verify_short_sums(
-            lambda_q_short_sum, [(5, {"t": 5000, "h_prime": 100.0, "big_q": 5, "r": 1, "q_twist": 3})]
-        )
-        buf = io.StringIO()
-        report.write_csv(buf)
-        header = buf.getvalue().splitlines()[0]
-        assert "ratio" in header and "budget" in header
-        assert report.summary()["points"] == 1
+    def test_csv_emission(self, tmp_path):
+        # the cli writes the sweep's table: the exact header, then one row per point
+        assert main(["--out", str(tmp_path), "verify", "lambda_q_short", "--Q", "10", "--grid", "small"]) == 0
+        lines = (tmp_path / "lambda-q-short-sums.csv").read_text().splitlines()
+        rows = [line.split(",") for line in lines if not line.startswith("#")]
+        assert rows[0] == ["big_q", "h_prime", "q_twist", "r", "t",
+                           "actual_re", "actual_im", "predicted_re", "error", "budget", "ratio"]
+        summary = json.loads((tmp_path / "verify-lambda_q_short-summary.json").read_text())
+        assert len(rows) == 1 + summary["report"]["points"]
+        assert max(float(row[-1]) for row in rows[1:]) == pytest.approx(summary["report"]["max_ratio"], rel=1e-9)
 
 
 class TestEstimatorAgainstExhaustiveGrid:

@@ -1,4 +1,4 @@
-import io
+import json
 import math
 import sys
 
@@ -8,6 +8,7 @@ import pytest
 from cmlab import arith, arithfn, goldbach
 from cmlab.arith import interval_prime_flags, prime_weights, rough_flags
 from cmlab.arithfn import ArithFn, convolve, dense
+from cmlab.cli import main
 from cmlab.errors import CapacityError, ContractError, DomainError
 from cmlab.goldbach import (
     PRESETS,
@@ -405,17 +406,17 @@ class TestPipeline:
         report = run_pipeline(config, inflated, omega, a)
         assert report.minorization_violations > 0
 
-    def test_csv_and_json_reports(self):
+    def test_csv_and_json_reports(self, tmp_path):
+        # the cli writes the report: the `# key = value` lines, then the table
+        assert main(["--out", str(tmp_path), "pipeline", "--preset", "desk-small"]) == 0
+        lines = (tmp_path / "pipeline-chain.csv").read_text().splitlines()
+        rows = [line.split(",") for line in lines if not line.startswith("#")]
+        assert rows[0] == ["n", "lambda_conv", "omega_model_conv", "verdict"]
+        # one row per n in [X - H, X]
         config = PRESETS["desk-small"]
-        nu, omega, a = desk_pipeline_inputs(config)
-        report = run_pipeline(config, nu, omega, a)
-        buf = io.StringIO()
-        report.write_csv(buf)
-        # the config comments are the CLI's header; the report writes the table only
-        rows = buf.getvalue().splitlines()
-        assert rows[0] == "n,lambda_conv,omega_model_conv,verdict"
-        assert len(rows) == 1 + config.h + 1
-        assert report.summary()["final_failures"] == 0
+        assert [int(row[0]) for row in rows[1:]] == list(range(config.x - config.h, config.x + 1))
+        summary = json.loads((tmp_path / "pipeline-summary.json").read_text())
+        assert summary["report"]["final_failures"] == 0
 
 
 class TestPipelineScaling:
