@@ -3,7 +3,7 @@
 All integer quantities are exact 64-bit (or Python int); floating point enters
 only through the natural-log weights of the prime function.  The prime cache
 and the mu/phi table are immutable after construction and shared read-only, so
-everything here is safe for concurrent use.
+everything here is safe for concurrent use.  Each grows once its bytes fit the cap.
 """
 
 from __future__ import annotations
@@ -12,10 +12,15 @@ import math
 
 import numpy as np
 
-from .errors import CapacityError, DomainError
+from .errors import DomainError, require_memory
 
 _SEGMENT = 1 << 20
-MU_PHI_CAP = 1 << 27  # bytes of the mu/phi table, 9 per entry: q up to about 1.5*10^7
+# bytes per prime of the cache, its build and a reader's list of ints or float
+# temporaries (measured: 50 per prime up to sqrt(10^15), 33 up to 10^8)
+PRIME_BYTES = 64
+# bytes per mu/phi entry: 9 of its own, its build's and a whole-table reader's
+# temporaries (32 measured in singular_series; lambda_q_window counts its own)
+MU_PHI_BYTES = 48
 
 
 def interval_prime_flags(lo: int, hi: int) -> np.ndarray:
@@ -63,7 +68,8 @@ def cached_primes(limit: int) -> np.ndarray:
     """
     global _prime_cache
     if limit > _prime_cache[0]:
-        size = max(limit, 2 * _prime_cache[0], 1 << 10)
+        size = int(max(limit, 2 * _prime_cache[0], 1 << 10))
+        require_memory(f"the primes up to {size}", primes_bytes(size))
         root = math.isqrt(size)
         if root > _prime_cache[0]:
             flags = np.ones(root + 1, dtype=bool)
@@ -75,6 +81,12 @@ def cached_primes(limit: int) -> np.ndarray:
         _prime_cache = (size, _read_only(sieve_primes(size)))
     primes = _prime_cache[1]
     return primes[: int(np.searchsorted(primes, limit, side="right"))]
+
+
+def primes_bytes(limit: int) -> int:
+    """PRIME_BYTES for each of 2 limit / log2(limit) primes, more than the pi(limit)
+    primes up to limit (pi(x) < 1.26 x / log x, Rosser and Schoenfeld 1962)."""
+    return PRIME_BYTES * 2 * limit // max(1, limit.bit_length() - 1)
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -89,14 +101,13 @@ _mu_phi = (np.zeros(1, dtype=np.int8), np.zeros(1, dtype=np.int64))
 def mu_phi_table(limit: int) -> tuple[np.ndarray, np.ndarray]:
     """Read-only (mu, phi) on [0, limit] with mu[0] = phi[0] = 0, one strided pass
     per prime p (phi[m] -= phi[m] // p stays exact: p still divides phi[m] then).
-    Raises CapacityError rather than allocate beyond MU_PHI_CAP bytes.
+    A table grows at least twofold, its MU_PHI_BYTES per entry met before it is built.
     """
     global _mu_phi
     mu, phi = _mu_phi
     if limit >= len(mu):
-        size = max(limit + 1, min(max(2 * len(mu), 1 << 10), MU_PHI_CAP // 9))
-        if 9 * size > MU_PHI_CAP:
-            raise CapacityError(f"mu/phi table of {size} entries beyond the cap {MU_PHI_CAP} bytes")
+        size = max(limit + 1, 2 * len(mu), 1 << 10)
+        require_memory(f"the mu/phi table up to {size - 1}", MU_PHI_BYTES * size)
         mu, phi = np.ones(size, dtype=np.int8), np.arange(size, dtype=np.int64)
         mu[0] = 0
         for p in cached_primes(size - 1).tolist():

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import CapacityError, DomainError
 
-SUPPORT_BOUND = 1 << 40  # guards convolution index arithmetic
+SUPPORT_BOUND = 1 << 40  # guards convolution index arithmetic, not memory
 
 TWO_PI = 2.0 * math.pi
 
@@ -128,6 +128,7 @@ def l2_norm_sq(f: ArithFn) -> float:
 # size * log2(size) of the transform.  On a 2-vCPU Xeon a multiply-add costs
 # 0.2-0.6 ns and a transform point 5-7 ns, so the two meet near 12-20.
 _WINDOW_FFT_RATIO = 8
+TRANSFORM_BYTES = 32  # bytes the transform holds per point of its size (measured with numpy 2.4)
 
 
 def convolve(f: ArithFn, g: ArithFn) -> ArithFn:
@@ -169,8 +170,17 @@ def convolve_valid(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     Direct, at (len(x) - len(y) + 1) * len(y) multiply-adds, or through the
     transform once those pass _WINDOW_FFT_RATIO * size * log2(size).
     """
-    direct = (len(x) - len(y) + 1) * len(y) <= convolve_valid_cost(len(x), len(y))
-    return (_convolve_direct if direct else _convolve_fft)(x, y, "valid")
+    return (_convolve_direct if _direct(len(x), len(y)) else _convolve_fft)(x, y, "valid")
+
+
+def _direct(nx: int, ny: int) -> bool:
+    """Whether convolve_valid takes the direct path on lengths nx >= ny."""
+    return (nx - ny + 1) * ny <= convolve_valid_cost(nx, ny)
+
+
+def convolve_valid_bytes(nx: int, ny: int) -> int:
+    """Bytes beyond its inputs that convolve_valid holds on lengths nx >= ny; 0 on the direct path."""
+    return 0 if _direct(nx, ny) else TRANSFORM_BYTES * _fft_size(nx + ny - 1)
 
 
 def convolve_valid_cost(nx: int, ny: int) -> float:

@@ -38,6 +38,7 @@ from .closeness import (
     default_sieve_sweep,
     gallagher_lhs,
     gallagher_rhs,
+    require_gallagher,
     verify_short_sums,
 )
 from .errors import CapacityError, ContractError, DomainError
@@ -190,9 +191,7 @@ C_NU = Param("c_nu", "--c-nu", finite_float, 1.0)
 GRID = Param("grid", "--grid", str, "small", ("small", "medium"))
 
 
-# ---------------------------------------------------------------------------
-# verify subcommands
-# ---------------------------------------------------------------------------
+# -- verify subcommands ----------------------------------------------------
 
 GALLAGHER = (
     Param("delta", "--delta", finite_float, 50.0),
@@ -206,6 +205,9 @@ def _cmd_verify_gallagher(spec: ExperimentSpec) -> int:
     p = spec.params
     if p["trials"] < 1:  # an empty table has no max ratio
         raise DomainError(f"trials must be >= 1, got {p['trials']}")
+    if p["start"] < 0:
+        raise DomainError(f"start must be >= 0, got {p['start']}")
+    require_gallagher(p["span"], p["delta"])  # before anything is drawn
     rng = np.random.default_rng(spec.seed)
     ratios = []
     for _ in range(p["trials"]):
@@ -298,9 +300,7 @@ def _cmd_verify_closeness(spec: ExperimentSpec) -> int:
     })
 
 
-# ---------------------------------------------------------------------------
-# pipeline / exceptional / series / model
-# ---------------------------------------------------------------------------
+# -- pipeline / exceptional / series / model -------------------------------
 
 PIPELINE = (
     Param("preset", "--preset", str, None, tuple(sorted(PRESETS))),
@@ -448,9 +448,7 @@ def _cmd_model(spec: ExperimentSpec) -> int:
     return _verdict(spec, [], {"file": str(path), "length": len(fn)})
 
 
-# ---------------------------------------------------------------------------
-# argument wiring
-# ---------------------------------------------------------------------------
+# -- argument wiring -------------------------------------------------------
 
 # (subcommand, help, handler, parameter table)
 COMMANDS = (

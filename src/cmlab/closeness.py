@@ -38,10 +38,6 @@ one residue class k = c mod r at a time (r = 16 once span >= 8), each a
 transform of M/r points.  Each class c = 0 mod 4 adds its share of A(h), and
 every class adds its bins in each sampled window of the spot check, off its
 running sums (class r - c is class c reversed and reads the same sums).
-
-Gallagher's quadrature (gallagher_lhs) keeps the trapezoid rule on the same
-M-point grid but never builds it: the rule is a fixed weighting of A(h),
-which a spectrum on 2 span points carries (see _gallagher_weights).
 """
 
 from __future__ import annotations
@@ -55,35 +51,30 @@ from typing import Callable, Iterable, Optional
 import numpy as np
 
 from .arithfn import TWO_PI, ArithFn, l2_norm_sq, spectrum_classes, subtract
-from .errors import CapacityError, DomainError
+from .errors import DomainError, require_memory
 from .models import SieveSystem, beta_sieve_weights, lambda_q_short_sum, model_t_nu, model_t_nu_plus, sieve_short_sum
 
 # grid points per 1/span of the spectrum of closeness_integral, whose every 4th
 # point is a wrap-free grid for the autocorrelation, and of the trapezoid rule
 # of gallagher_lhs, which reads a spectrum of only 2 points per 1/span
 OVERSAMPLE = 8
-# grid points of one power spectrum.  At the cap (`verify closeness --Y 10**7`)
-# spectrum_classes holds classes of M/16 points, and the run peaked at 0.8 GB
-# RSS with numpy 2.4; no larger grid has been measured
-SPECTRUM_CAP = 1 << 27
 SPOT_ARCS = 16  # the spot check probes this many of the widest Farey arcs
 SPOT_SAMPLES_PER_ARC = 128  # at a stride of about 1/128 of each arc's width
+# bytes per integer of the span and per grid point that `verify closeness`
+# holds (a fit to Y = 1.5*10^6 and 2*10^6 gave 49 and 3.2), per point of the
+# span and of the spectrum of a Gallagher trial (70 and 27 at spans of
+# 1.1*10^6 and 2*10^6), and per point of a short-sum sweep (400)
+SPAN_BYTES, GRID_BYTES, DRAW_BYTES, TRIAL_SPECTRUM_BYTES, POINT_BYTES = 64, 4, 96, 32, 512
 
 
 def spectrum_size(length: int, oversample: int) -> int:
-    """M, the smallest power of two >= max(oversample * length, 64).  M above
-    SPECTRUM_CAP raises CapacityError, so no caller allocates a grid beyond the cap."""
+    """M, the smallest power of two >= max(oversample * length, 64)."""
     if oversample < 1:
         raise DomainError("oversample must be >= 1")
-    size = 1 << (max(length * oversample, 64) - 1).bit_length()
-    if size > SPECTRUM_CAP:
-        raise CapacityError(f"power spectrum grid of {size} points beyond the cap {SPECTRUM_CAP}")
-    return size
+    return 1 << (max(length * oversample, 64) - 1).bit_length()
 
 
-# ---------------------------------------------------------------------------
-# Farey dissection
-# ---------------------------------------------------------------------------
+# -- Farey dissection ------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -144,9 +135,7 @@ def farey_dissection(order: int) -> list[FareyArc]:
     return arcs
 
 
-# ---------------------------------------------------------------------------
-# Gallagher's inequality
-# ---------------------------------------------------------------------------
+# -- Gallagher's inequality ------------------------------------------------
 
 
 def _window_sums(values: np.ndarray, width: int) -> np.ndarray:
@@ -162,11 +151,18 @@ def _window_sums(values: np.ndarray, width: int) -> np.ndarray:
     return out
 
 
-def gallagher_rhs(f: ArithFn, delta: float) -> float:
-    """Delta^{-2} sum_t |sum_{t - floor(Delta/2) < n <= t} f(n)|^2."""
-    span = len(f)
+def require_gallagher(span: int, delta: float) -> None:
+    """A Gallagher trial on span points at Delta, checked before its data exists:
+    2 < Delta < span/2, then the bytes gallagher_lhs and gallagher_rhs hold."""
     if not (2 < delta < span / 2):
         raise DomainError("need 2 < Delta < span/2")
+    require_memory(f"a Gallagher trial over a span of {span}",
+                   DRAW_BYTES * span + TRIAL_SPECTRUM_BYTES * spectrum_size(span, 2))
+
+
+def gallagher_rhs(f: ArithFn, delta: float) -> float:
+    """Delta^{-2} sum_t |sum_{t - floor(Delta/2) < n <= t} f(n)|^2."""
+    require_gallagher(len(f), delta)
     sums = _window_sums(f.values, int(delta / 2))
     return float(np.sum(sums**2) / delta**2)
 
@@ -182,8 +178,7 @@ def gallagher_lhs(f: ArithFn, delta: float) -> float:
     points instead of M.
     """
     span = len(f)
-    if not (2 < delta < span / 2):
-        raise DomainError("need 2 < Delta < span/2")
+    require_gallagher(span, delta)
     weights = _gallagher_weights(span, float(delta))
     spec = np.abs(np.fft.rfft(f.values, spectrum_size(span, 2))) ** 2
     # each interior bin of the half spectrum stands for bins k and n - k
@@ -223,9 +218,7 @@ def _gallagher_weights(span: int, delta: float) -> np.ndarray:
     return weights
 
 
-# ---------------------------------------------------------------------------
-# The closeness functional
-# ---------------------------------------------------------------------------
+# -- The closeness functional ----------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -301,25 +294,31 @@ def _class_window_sums(cum: np.ndarray, c: int, r: int, lo: np.ndarray, hi: np.n
     return before(t1) - before(t0) + np.where(lo > hi, cum[-1], 0.0)
 
 
+def closeness_bytes(span: int) -> int:
+    """Bytes a `verify closeness` run over span integers holds at once:
+    SPAN_BYTES per integer and GRID_BYTES per point of its spectrum grid."""
+    return SPAN_BYTES * span + GRID_BYTES * spectrum_size(span, OVERSAMPLE)
+
+
 def closeness_grid(span: int, h: float) -> int:
     """M, the points of the spectrum grid closeness_integral reads for f - g of
-    the given span at H.  A grid beyond the cap raises CapacityError, H < 1 or
-    a span of at most 2H DomainError, so a caller can check the request before
-    it builds f and g."""
-    size = spectrum_size(span, OVERSAMPLE)
+    the given span at H.  closeness_bytes(span) beyond the cap raises
+    CapacityError, H < 1 or a span of at most 2H DomainError, so a caller can
+    check the request before it builds f and g."""
+    require_memory(f"a closeness run over a span of {span}", closeness_bytes(span))
     if h < 1:
         raise DomainError("need H >= 1 so the dissection order is at least 1")
     if span <= 2 * h:
         raise DomainError("supports must span more than 2H")
-    return size
+    return spectrum_size(span, OVERSAMPLE)
 
 
 def closeness_models(y: int, h_exponent: float, big_q: int, c_nu: float) -> tuple[float, ArithFn, ArithFn]:
     """H = Y^h_exponent and the models T and T+ on (Y, 2Y] that `verify closeness`
     sets against the primes there, with the request checked before they are
-    sieved: the grid of f - g against the cap, then Q, Y, c_nu and z = Q as the
+    sieved: the run's bytes against the cap, then Q, Y, c_nu and z = Q as the
     models are built, then H (one beyond the float range as infinite)."""
-    spectrum_size(y, OVERSAMPLE)
+    require_memory(f"verify closeness at Y = {y}", closeness_bytes(y))
     t_nu, t_plus = model_t_nu(y, big_q, c_nu), model_t_nu_plus(y, big_q, c_nu)
     try:
         h = y ** h_exponent
@@ -385,9 +384,7 @@ def closeness_integral(
     )
 
 
-# ---------------------------------------------------------------------------
-# short-sum verification sweeps
-# ---------------------------------------------------------------------------
+# -- short-sum verification sweeps -----------------------------------------
 
 
 @dataclass(frozen=True)
@@ -428,9 +425,7 @@ def verify_short_sums(short_sum: Callable, sweep: Iterable[tuple[object, dict]])
     ))
 
 
-# ---------------------------------------------------------------------------
-# default sweep grids (deterministic)
-# ---------------------------------------------------------------------------
+# -- default sweep grids (deterministic) -----------------------------------
 
 
 def _sweep(scale: str, h_primes: tuple[float, float, float], cases: list[tuple]) -> list[tuple[object, dict]]:
@@ -449,7 +444,9 @@ def _sweep(scale: str, h_primes: tuple[float, float, float], cases: list[tuple])
 
 
 def default_lambda_q_sweep(big_q: int = 10, scale: str = "small") -> tuple[Callable, list[tuple[int, dict]]]:
-    """lambda_q_short_sum and >= 100 (Q, point) pairs exercising both twist branches of its check."""
+    """lambda_q_short_sum and >= 100 (Q, point) pairs exercising both twist branches of its check.
+    At most 3 twists per q <= Q and 8 beyond, each at up to 9 points, are met against the cap first."""
+    require_memory(f"the short-sum sweep at Q = {big_q}", POINT_BYTES * 9 * (3 * big_q + 8))
     twists = [(q, r) for q in range(1, big_q + 1)
               for r in ([0] if q == 1 else sorted({1, q - 1, _smallest_coprime(q, 2)}))]
     twists += [(q, r) for q in (big_q + 1, big_q + 3, 2 * big_q + 3, 97) for r in (1, q - 1)]

@@ -16,42 +16,35 @@ when that is cheaper, never a full convolution of length up to 2X.
 
 `PipelineConfig` is the one place the request is derived and checked: Y, H
 and kappa follow X and the resolved Y unless given, and a Y that would start
-omega's window below 0 (3Y > X + 1), a sieve model's z = Q below 2 and a
-working set above PIPELINE_CAP are refused when the config is built, before
-anything is sieved.
+omega's window below 0 (3Y > X + 1), a sieve model's z = Q below 2 and a run
+whose bytes (`pipeline_bytes`) pass errors.MEMORY_CAP are refused when the
+config is built, before anything is sieved.
 
 Only a*a reaches all of [0, X]; every other input lives in a window of size
 O(Y).  a is therefore a block source, read a segment at a time as points, the
-m with a(m) != 0 (for Lambda', the primes): a run holds
-O(sqrt(X) + segment + H + Y) values (`pipeline_working_set`).
-a*a(n) is split at m0 = ceil((X-H)/2): the pairs (m, n-m) with one part below
-m0 come twice from [0, m0) against its mirror near X, the rest from one
-window of at most H+1 values around X/2.  A segment meets its mirror as the
-pairs (p, q) with X-H <= p+q <= X, each added into bin p+q, unless the dense
-convolve_valid of the two blocks costs less (a dense a, or a long H).  So each
-integer of [0, X] is sieved once (H more per segment), and for Lambda' a*a
-sums about pi(m0)(H+1)/log X pairs, not the (H+1)(X+1)/2 multiply-adds of a
-dense pass.  At Q = 10 on a 2-core machine, in runs alternating with the
-dense stream, X = 10^8 took 1.2-1.7 s (dense 2.5-2.8 s) and X = 10^9
-20-21 s (dense 30-31 s), at 33 and 36 MB peak RSS (dense 40 and 43 MB).
+m with a(m) != 0 (for Lambda', the primes), and a run holds
+O(sqrt(X) + segment + H + Y) values (`pipeline_working_set`).  Each integer
+of [0, X] is sieved once (H more per segment), and for Lambda' a*a sums about
+pi(m0)(H+1)/log X prime pairs (see run_pipeline), not the (H+1)(X+1)/2
+multiply-adds of a dense pass.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Callable, Optional
 
 import numpy as np
 
-from .arith import cached_primes, interval_prime_flags, mu_phi_table, prime_weights
+from .arith import cached_primes, interval_prime_flags, mu_phi_table, prime_weights, primes_bytes
 # `convolve` is not called here but stays bound: perfbench/test_perfbench.py checks
 # that the tracer wraps goldbach.convolve with arithfn.convolve, and
 # test_pipeline_makes_no_full_convolution patches it to show run_pipeline never calls it
-from .arithfn import (ArithFn, convolve, convolve_valid, convolve_valid_cost, convolve_window, dense, subtract,
-                      window_preimage)
+from .arithfn import (ArithFn, convolve, convolve_valid, convolve_valid_bytes, convolve_valid_cost, convolve_window,
+                      dense, subtract, window_preimage)
 from .characters import ramanujan_sum
-from .errors import CapacityError, ContractError, DomainError
+from .errors import ContractError, DomainError, require_memory
 from .models import model_t_nu, model_t_nu_plus, require_sift
 
 PIPELINE_SEGMENT = 1 << 18  # integers m whose a(m) run_pipeline reads at a time
@@ -67,9 +60,13 @@ PAIR_BATCH = 1 << 13
 # 0.7 ns; at X = 10^7 the two paths met between H = 3000 and H = 6000, and 32
 # puts the switch there
 PAIR_COST = 32
-PIPELINE_CAP = 10**8  # values a pipeline run holds at once (pipeline_working_set); 8 bytes each
+# bytes per value of pipeline_working_set: 8 of its own and the copies that
+# build and scale the windows (10 measured at --X 4000000 --Y 900000)
+VALUE_BYTES = 14
 SCAN_BLOCK = 1 << 20  # integers of [X-H, X] that exceptional_scan sifts at a time; even
-SCAN_CAP = 10**8  # sqrt(X) + block + P in exceptional_scan; about 13 bytes each, 1.3 GB at the cap
+# bytes exceptional_scan holds per integer of a block and of [0, P]: the flags
+# and the int64 n the sift cuts (14 measured per integer of a 2^20 block)
+SCAN_BYTES = 24
 # Every even 4 <= n <= 4*10^18 is p + q with a prime p < 10^4 (Oliveira e Silva,
 # Herzog, Pardi, Math. Comp. 83 (2014)), so the first pass of exceptional_scan
 # decides every desk-scale n; larger bounds are tried only so that the result
@@ -77,9 +74,7 @@ SCAN_CAP = 10**8  # sqrt(X) + block + P in exceptional_scan; about 13 bytes each
 LEAST_PRIME_START = 10**4
 
 
-# ---------------------------------------------------------------------------
-# ground truth: exceptional sets
-# ---------------------------------------------------------------------------
+# -- ground truth: exceptional sets ----------------------------------------
 
 
 @dataclass(frozen=True)
@@ -97,12 +92,7 @@ class ExceptionalScan:
     max_least_n: Optional[int]
 
     def summary(self) -> dict:
-        return {
-            "count": len(self.exceptions),
-            "p_bound": self.p_bound,
-            "max_least_prime": self.max_least_prime,
-            "max_least_n": self.max_least_n,
-        }
+        return {"count": len(self.exceptions), **{k: v for k, v in asdict(self).items() if k != "exceptions"}}
 
 
 def exceptional_scan(x: int, h: int) -> ExceptionalScan:
@@ -112,8 +102,9 @@ def exceptional_scan(x: int, h: int) -> ExceptionalScan:
     only [block start - P, block end] and the primes p <= P, then drops, one
     vectorised step per ascending p, every n with n - p >= 2 prime.  If an n is
     left for which primes above P remain untried, P grows 16-fold and the block
-    reruns, so the result is exact.  Memory is O(sqrt(x) + min(h, SCAN_BLOCK) + P);
-    a working set over SCAN_CAP raises CapacityError before it is allocated.
+    reruns, so the result is exact.  Memory is O(sqrt(x) + min(h, SCAN_BLOCK) + P):
+    the primes up to sqrt(x) and SCAN_BYTES per integer of the block and of
+    [0, P], met against the cap before each block is sifted.
     """
     if h < 0 or x - h < 4:
         raise DomainError("need H >= 0 and X - H >= 4")
@@ -123,11 +114,8 @@ def exceptional_scan(x: int, h: int) -> ExceptionalScan:
     for first in range(x - h + (x - h) % 2, x + 1, SCAN_BLOCK):
         last = min(first + SCAN_BLOCK - 1, x)
         while True:
-            working_set = math.isqrt(x) + last - first + p_bound
-            if working_set > SCAN_CAP:
-                raise CapacityError(
-                    f"E(X, H) working set sqrt(X) + block + P = {working_set} beyond the cap {SCAN_CAP}"
-                )
+            require_memory(f"E(X, H) at X = {x} in blocks of {last - first + 1} with P = {p_bound}",
+                           primes_bytes(math.isqrt(x)) + SCAN_BYTES * (last - first + 1 + p_bound))
             left, p, n = _sift_partitions(first, last, p_bound)
             if len(left) == 0 or int(left[-1]) - 2 <= p_bound:
                 break
@@ -157,9 +145,7 @@ def _sift_partitions(start: int, x: int, p_bound: int) -> tuple[np.ndarray, Opti
     return left, least_p, least_n
 
 
-# ---------------------------------------------------------------------------
-# singular series
-# ---------------------------------------------------------------------------
+# -- singular series -------------------------------------------------------
 
 
 def singular_series(n: int, q_max: int) -> float:
@@ -190,9 +176,7 @@ def singular_series_product(n: int, prime_bound: int) -> float:
     return float(np.prod(1.0 + c_p / (ps - 1.0) ** 2))
 
 
-# ---------------------------------------------------------------------------
-# pipeline configuration
-# ---------------------------------------------------------------------------
+# -- pipeline configuration ------------------------------------------------
 
 
 A_POWER = 1.0  # A of Q = (log X)^A and of theta_target = (log Y)^-A
@@ -201,15 +185,20 @@ EPS = 0.1  # eps of H = Y^{1/9 + 2 eps}
 
 def pipeline_working_set(config: PipelineConfig) -> int:
     """Values a pipeline run holds at once: the base primes up to sqrt(X), two
-    blocks of the a*a stream, and at most ten windows of Y + H values (nu,
+    dense blocks of the a*a stream (or, in their room, a segment's points and
+    PAIR_BATCH pairs of 5 values), and at most ten windows of Y + H values (nu,
     omega, T, T+, a on the step preimages and on omega's window, and the
-    differences of one step).  A segment that takes convolve_valid holds its
-    blocks dense, a segment of [0, m0) and the segment + H values of its
-    mirror; one summed as pairs holds, in their room, their points (for
-    Lambda', about one integer in log X) and PAIR_BATCH pairs of 5 values.
-    The middle window of a*a holds at most 2(H + 1) values.  PipelineConfig
-    refuses a config whose working set is above PIPELINE_CAP."""
+    differences of one step); the middle window of a*a is at most 2(H + 1)."""
     return math.isqrt(config.x) + max(2 * PIPELINE_SEGMENT, 5 * PAIR_BATCH) + 10 * (config.y + config.h)
+
+
+def pipeline_bytes(config: PipelineConfig) -> int:
+    """Bytes a pipeline run holds at once: VALUE_BYTES per value of
+    pipeline_working_set and the larger transform, where convolve_valid takes
+    one, of a step (Y + H values against Y) and of an a*a chunk."""
+    part = min(max(PIPELINE_CHUNK, 4 * (config.h + 1)), PIPELINE_SEGMENT)  # the widest chunk of a*a
+    transform = max(convolve_valid_bytes(n + config.h, n) for n in (config.y, part))
+    return VALUE_BYTES * pipeline_working_set(config) + transform
 
 
 @dataclass(frozen=True)
@@ -252,11 +241,7 @@ class PipelineConfig:
         if self.big_q < 1 or not self.kappa > 0 or not self.c_nu >= 0:  # nan fails too
             raise DomainError("need Q >= 1, kappa > 0, nonnegative densities")
         require_sift(self.big_q)  # T+ sifts to z = Q
-        working_set = pipeline_working_set(self)
-        if working_set > PIPELINE_CAP:
-            raise CapacityError(
-                f"pipeline working set sqrt(X) + 2 segments + 10 (Y + H) = {working_set} beyond the cap {PIPELINE_CAP}"
-            )
+        require_memory(f"a pipeline run at X = {self.x}, Y = {self.y}, H = {self.h}", pipeline_bytes(self))
 
     @property
     def nu_window(self) -> tuple[int, int]:
@@ -282,9 +267,7 @@ PRESETS = {
 }
 
 
-# ---------------------------------------------------------------------------
-# pipeline
-# ---------------------------------------------------------------------------
+# -- pipeline --------------------------------------------------------------
 
 
 # a(start, stop) is (m, a(m)) at the ascending m in [start, stop) with a(m) != 0, like ArithFn.points
@@ -314,18 +297,10 @@ class PipelineReport:
         return self.final_failures / self.even_count if self.even_count else 0.0
 
     def summary(self) -> dict:
-        return {
-            "config": self.config.to_dict(),
-            "exceptions_step2": self.exceptions_step2,
-            "exceptions_step4": self.exceptions_step4,
-            "final_failures": self.final_failures,
-            "final_failure_fraction": self.final_failure_fraction,
-            "minorization_violations": self.minorization_violations,
-            "step_positivity_violations": self.step_positivity_violations,
-            "even_count": self.even_count,
-            "odd_count": self.odd_count,
-            "odd_final_failures": self.odd_final_failures,
-        }
+        """The counts, the config and final_failure_fraction; not the stream's figures or the rows."""
+        skip = ("config", "segments", "values_streamed", "working_set", "rows")
+        return {**{f.name: getattr(self, f.name) for f in fields(self) if f.name not in skip},
+                "config": self.config.to_dict(), "final_failure_fraction": self.final_failure_fraction}
 
 
 def _require_support(f: ArithFn, window: tuple[int, int], name: str) -> None:
@@ -359,17 +334,14 @@ def run_pipeline(
     (Lambda_Q scaled by c_nu, and the rescaled untruncated sieve at z = Q).
 
     a is read on nu's and omega's windows, on the m that step 2 and the
-    positivity step reach, and by the a*a stream; the windows are made dense
-    from its points.  a*a splits at m0 = ceil((X-H)/2): each segment
-    [s, s + PIPELINE_SEGMENT) of [0, m0) meets its mirror near X, and the sum
-    is doubled; one window [m0, X - m0] holds the rest.  Two searchsorted
-    calls find, for each point p of a segment, its partners q in the mirror
-    with X-H <= p+q <= X.  When PAIR_COST times their number is at most what
-    convolve_valid would pay on the dense blocks in chunks, the pairs are
-    summed by bincount, PAIR_BATCH at a time; otherwise the chunks are.  The
-    stream reads X + 1 + segments * H values (`values_streamed`).  Every read
-    of a is checked nonnegative and its points ascending inside the range
-    read, raising ContractError.
+    positivity step reach, and by the a*a stream.  a*a splits at
+    m0 = ceil((X-H)/2): each segment [s, s + PIPELINE_SEGMENT) of [0, m0) meets
+    its mirror near X as the prime pairs with X-H <= p+q <= X, summed by
+    bincount PAIR_BATCH at a time, or as dense chunks through convolve_valid
+    when PAIR_COST per pair costs more; the sum is doubled, and one window
+    [m0, X - m0] holds the rest.  The stream reads X + 1 + segments * H values
+    (`values_streamed`).  Every read of a is checked nonnegative and its points
+    ascending inside the range read, raising ContractError.
     """
     _require_support(nu, config.nu_window, "nu")
     _require_support(omega, config.omega_window, "omega")
@@ -535,14 +507,7 @@ def desk_pipeline_inputs(config: PipelineConfig) -> tuple[ArithFn, ArithFn, Bloc
     """(nu, omega, a) for the desk run: the trivial minorants nu = Lambda'
     restricted to (Y, 2Y] and omega = Lambda' restricted to (X-3Y, X-Y], each
     sieved on its window only, and a = `prime_weights`, the block source of
-    Lambda', whose points are the primes.
-
-    run_pipeline then sieves [0, X] once, a segment at a time (H more values
-    per segment), sums about pi(m0)(H+1)/log X prime pairs for a*a (or takes
-    the dense convolve_valid of a segment's chunks, when cheaper), and holds
-    O(sqrt(X) + segment + H + Y) values, `pipeline_working_set(config)`, which
-    the config was checked against when it was built.
-    """
+    Lambda', whose points are the primes."""
     nu = restricted_prime_fn(config.nu_window)
     omega = restricted_prime_fn(config.omega_window)
     return nu, omega, prime_weights

@@ -39,13 +39,17 @@ from typing import Iterable, Optional
 
 import numpy as np
 
+from . import errors
 from .arith import cached_primes, mu_phi_table, rough_flags
 from .arithfn import ArithFn, TWO_PI
-from .errors import CapacityError, ContractError, DomainError
+from .errors import ContractError, DomainError, require_memory
 
-# ---------------------------------------------------------------------------
-# Lambda_Q
-# ---------------------------------------------------------------------------
+# bytes per integer of (Y, 2Y] a model holds (18 measured at Y = 2*10^6), per
+# d <= Q that lambda_q_window reads with the mu/phi table (73 at Q = 2*10^6),
+# and per sieve weight, 4 more per 30 bits of its key d <= D (136 at 84 bits)
+WINDOW_BYTES, DIVISOR_BYTES, WEIGHT_BYTES = 24, 96, 192
+
+# -- Lambda_Q --------------------------------------------------------------
 
 
 def _mu_phi(q: int) -> tuple[int, int]:
@@ -70,22 +74,27 @@ def lambda_q_window(start: int, stop: int, big_q: int) -> np.ndarray:
     """
     if stop < start or start < 0 or big_q < 1:
         raise DomainError("bad window or Q")
+    require_memory(f"Lambda_Q at Q = {big_q}", DIVISOR_BYTES * big_q)
     mu, phi = mu_phi_table(big_q)
     inv_phi = np.where(mu != 0, 1.0 / np.maximum(phi, 1), 0.0)  # mu(m)^2 / phi(m)
-    weights = []
-    for d in np.flatnonzero(mu).tolist():
-        m = np.arange(1, big_q // d + 1)
-        weights.append((d, d * mu[d] / phi[d] * inv_phi[m][np.gcd(m, d) == 1].sum()))
-    return _divisor_sum(start, stop, weights, np.float64)
+
+    def weights():  # one at a time, as _divisor_sum adds them
+        for d in np.flatnonzero(mu).tolist():
+            m = np.arange(1, big_q // d + 1)
+            # int(mu[d]): d times an int8 would cast d to int8, which fails from d = 128 on
+            yield d, d * int(mu[d]) / phi[d] * inv_phi[m][np.gcd(m, d) == 1].sum()
+
+    return _divisor_sum(start, stop, weights(), np.float64)
 
 
 def _nu_window(y: int, c_nu: float) -> tuple[int, int]:
     """[Y + 1, 2Y + 1), the integers of nu's window (Y, 2Y] that both models live
-    on, once Y >= 1 and the scale c_nu >= 0 are checked."""
+    on, once Y >= 1, the scale c_nu >= 0 and the window's bytes are checked."""
     if y < 1:
         raise DomainError("Y must be >= 1")
     if not c_nu >= 0:  # nan fails too
         raise DomainError("c_nu must be >= 0")
+    require_memory(f"a model on (Y, 2Y] at Y = {y}", WINDOW_BYTES * y)
     return y + 1, 2 * y + 1
 
 
@@ -134,9 +143,7 @@ def _twisted_short_sum(t: int, h_prime: float, r: int, q_twist: int, window) -> 
     return complex(np.dot(classes, np.exp((TWO_PI * 1j / q_twist) * phases)))
 
 
-# ---------------------------------------------------------------------------
-# Mertens product and the sieve
-# ---------------------------------------------------------------------------
+# -- Mertens product and the sieve -----------------------------------------
 
 
 def mertens_product(z: float) -> float:
@@ -147,9 +154,6 @@ def mertens_product(z: float) -> float:
     for p in cached_primes(int(z)):
         value *= 1.0 - 1.0 / int(p)
     return value
-
-
-_MAX_WEIGHTS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -182,6 +186,7 @@ def beta_sieve_weights(level: float, sift: float, beta: int = 10) -> SieveSystem
 
     lambda_d = mu(d) for admitted squarefree z-smooth d, 0 otherwise.  Admission
     uses exact integer comparisons against floor(D), so D and z may be real.
+    The weights the cap admits are counted once per call; one more raises CapacityError.
     """
     if sift < 2 or level < sift:
         raise DomainError("need z >= 2 and D >= z")
@@ -190,6 +195,8 @@ def beta_sieve_weights(level: float, sift: float, beta: int = 10) -> SieveSystem
     d_floor = int(level)
     primes = cached_primes(int(sift)).tolist()[::-1]  # descending
     weights: dict[int, int] = {1: 1}
+    weight_bytes = WEIGHT_BYTES + d_floor.bit_length() // 7
+    most = errors.MEMORY_CAP // weight_bytes
 
     def extend(prefix_prod: int, idx: int, pos: int, sign: int):
         for i in range(idx, len(primes)):
@@ -201,8 +208,8 @@ def beta_sieve_weights(level: float, sift: float, beta: int = 10) -> SieveSystem
                 continue
             d = prefix_prod * p
             weights[d] = -sign
-            if len(weights) > _MAX_WEIGHTS:
-                raise CapacityError("sieve support too large")
+            if len(weights) > most:
+                require_memory(f"the sieve weights at D = {level:g}, z = {sift:g}", weight_bytes * len(weights))
             extend(d, i + 1, m, -sign)
 
     extend(1, 0, 0, 1)

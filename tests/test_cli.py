@@ -11,10 +11,11 @@ import numpy as np
 import pytest
 
 import cmlab
-from cmlab import arith, cli, closeness, constants, goldbach
+from cmlab import arith, cli, closeness, constants, errors, goldbach
 from cmlab.arith import rough_flags
 from cmlab.cli import main
 from cmlab.models import mertens_product
+from conftest import measure_cli, skip_without_proc
 from counters import COUNTERS, DESK_SMALL, GALLAGHER_7, PIPELINE_BASELINES, PIPELINE_CHECKS
 from oracles import read_arithfn
 
@@ -136,7 +137,8 @@ class TestExitCodes:
         assert not out.exists()
 
     @pytest.mark.parametrize("bad, message", [
-        (["--Y", "100000000", "--Q", "0"], "power spectrum grid of 1073741824 points beyond the cap 134217728"),
+        (["--Y", "100000000", "--Q", "0"],
+         f"verify closeness at Y = 100000000 needs {closeness.closeness_bytes(10**8)} bytes, beyond the cap 2147483648 bytes"),
         (["--Y", "0", "--Q", "0"], "Q must be >= 1"),
         (["--Q", "0", "--h-exponent", "1.0"], "Q must be >= 1"),
         (["--Q", "1", "--h-exponent", "-0.5"], "need z >= 2 and beta >= 1"),
@@ -146,6 +148,23 @@ class TestExitCodes:
         monkeypatch.setattr(goldbach, "prime_weights", self._refuse)
         assert run(["--out", str(tmp_path), "verify", "closeness", *bad]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("bad", [
+        ["--trials", "0"], ["--span", "-5"], ["--delta", "1"], ["--delta", "5000"], ["--start", "-1"],
+        ["--span", "200000000", "--trials", "1"],  # bytes over the cap
+    ], ids=" ".join)
+    def test_gallagher_checks_its_request_before_it_draws(self, tmp_path, monkeypatch, capsys, bad):
+        def refuse(seed):
+            raise AssertionError("drew before the request was checked")
+
+        monkeypatch.setattr(np.random, "default_rng", refuse)
+        out = tmp_path / "out"
+        assert run(["--out", str(out), "verify", "gallagher", *bad]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+        # the control: a valid request draws through the stub
+        with pytest.raises(AssertionError, match="drew before"):
+            run(["--out", str(out), "verify", "gallagher", "--trials", "1"])
 
     @staticmethod
     def _refuse(start, stop):
@@ -234,25 +253,27 @@ class TestVerify:
 
 
     def test_closeness_beyond_q_72(self, tmp_path):
-        # pi(73) = 21, so enumerating the untruncated sieve would pass the 2^20
-        # weight cap; Y = 10^4 because at Y = 1000 the ordering itself fails
-        # (at Q = 71 as at Q = 100)
+        # pi(73) = 21, so the untruncated sieve would enumerate 2^21 weights or
+        # more; Y = 10^4 because at Y = 1000 the ordering itself fails (at
+        # Q = 71 as at Q = 100)
         assert run(["--out", str(tmp_path), "verify", "closeness", "--Y", "10000", "--Q", "100"]) == 0
 
     def test_closeness_spectrum_over_cap_exits_2(self, tmp_path, monkeypatch, capsys):
-        # Y = 1000: d = f - g spans 1000 points, a spectrum grid of 2^13
+        # Y = 1000: d = f - g spans 1000 points, a spectrum grid of 2^13; the run's largest estimate
         argv = ["--out", str(tmp_path), "verify", "closeness", "--Y", "1000"]
+        estimate = closeness.closeness_bytes(1000)
+        monkeypatch.setattr(errors, "MEMORY_CAP", estimate)
         assert run(argv) == 0
-        monkeypatch.setattr(closeness, "SPECTRUM_CAP", 1 << 12)
+        monkeypatch.setattr(errors, "MEMORY_CAP", estimate - 1)
         assert run(argv) == 2
-        assert "beyond the cap" in capsys.readouterr().err
+        assert f"verify closeness at Y = 1000 needs {estimate} bytes, beyond the cap" in capsys.readouterr().err
 
     def test_closeness_spectrum_over_cap_exits_2_before_sieving(self, tmp_path, monkeypatch, capsys):
         def refuse(x, window):
             raise AssertionError("sieved before the capacity check")
 
         monkeypatch.setattr(cli, "restricted_prime_fn", refuse)
-        # Y = 2*10^7: a grid of 2^28 points, over the 2^27 of the cap
+        # Y = 2*10^7 and a grid of 2^28 points: SPAN_BYTES Y + GRID_BYTES M is over the cap
         assert run(["--out", str(tmp_path), "verify", "closeness", "--Y", "20000000"]) == 2
         assert "beyond the cap" in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
@@ -280,6 +301,10 @@ class TestPipeline:
     def test_beyond_q_72(self, tmp_path):
         assert run(["--out", str(tmp_path), "pipeline", "--X", "200000", "--Q", "100"]) == 0
 
+    def test_beyond_q_128(self, tmp_path):
+        # Lambda_Q reads mu(d) for d > 127, beyond the int8 range of the table
+        assert run(["--out", str(tmp_path), "pipeline", "--X", "200000", "--Q", "130"]) == 0
+
     def test_summary_reports_the_stream(self, tmp_path, monkeypatch):
         monkeypatch.setattr(goldbach, "PIPELINE_SEGMENT", 1 << 16)
         assert run(["--out", str(tmp_path), "pipeline", "--preset", "desk-small"]) == 0
@@ -295,39 +320,26 @@ class TestPipeline:
             "working_set_values",
         }
 
-    @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM from /proc/self/status")
+    @skip_without_proc
     def test_long_h_peak_rss(self, tmp_path):
         # At H = 10^5 a segment of 2^18 primes meets about 10^8 prime pairs: a*a
         # must take the dense transform there, and expand any pairs in batches.
         # Taking the pairs whenever they were under 1/16 of the direct
         # multiply-adds, all at once, peaked at 5.2 GB on a 2-core x86-64 host
         # with numpy 2.4; the dense path peaked at 89 MB.  The child may map
-        # 1 GB, so such a blow-up ends in a MemoryError.  VmHWM is the child's
-        # own high-water mark, as in test_closeness_peak_rss_at_one_million.
-        probe = (
-            "import resource, sys\n"
-            "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
-            "from cmlab.cli import main\n"
-            "code = main(sys.argv[1:])\n"
-            "print(next(line for line in open('/proc/self/status') if line.startswith('VmHWM:')).split()[1])\n"
-            "sys.exit(code)\n"
-        )
-        src = Path(cmlab.__file__).resolve().parents[1]
-        env = {**os.environ, "PYTHONPATH": str(src), "OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1"}
-        argv = ["--out", str(tmp_path), "pipeline", "--X", "1000000", "--Y", "200000", "--H", "100000", "--Q", "10"]
-        done = subprocess.run([sys.executable, "-c", probe, *argv], capture_output=True, text=True, env=env,
-                              timeout=300)
-        assert done.returncode == 0, done.stderr
-        peak_mb = int(done.stdout.split()[-1]) / 1024  # VmHWM is in kB
-        assert peak_mb < PIPELINE_LONG_H_PEAK_BOUND_MB
+        # 1 GB, so such a blow-up ends in a MemoryError.
+        argv = ["--out", tmp_path, "pipeline", "--X", "1000000", "--Y", "200000", "--H", "100000", "--Q", "10"]
+        done = measure_cli(argv, address_space=1 << 30)
+        assert done.code == 0, done.stderr
+        assert done.peak_mb < PIPELINE_LONG_H_PEAK_BOUND_MB
 
     def test_working_set_over_cap_exits_2_before_sieving(self, tmp_path, monkeypatch, capsys):
         def refuse(start, stop):
             raise AssertionError("sieved before the capacity check")
 
         monkeypatch.setattr(goldbach, "prime_weights", refuse)
-        # 10 (Y + H) alone is over the 10^8 values of the cap
-        assert run(["--out", str(tmp_path), "pipeline", "--X", "40000000", "--Y", "10000000"]) == 2
+        # 10 (Y + H) values alone, at VALUE_BYTES each, are over the cap
+        assert run(["--out", str(tmp_path), "pipeline", "--X", "80000000", "--Y", "20000000"]) == 2
         assert "beyond the cap" in capsys.readouterr().err
         assert not (tmp_path / "pipeline-chain.csv").exists()
 
@@ -424,14 +436,16 @@ class TestSeries:
             assert "n_step must be >= 1" in capsys.readouterr().err
 
     def test_mu_phi_table_over_cap_exits_2(self, tmp_path, monkeypatch, capsys):
-        argv = ["--out", str(tmp_path), "series", "--q-max", "1000"]
-        assert run(argv) == 0
-        # a fresh table for q <= 1000 holds 1001 entries of 9 bytes
-        monkeypatch.setattr(arith, "_mu_phi", (np.zeros(1, dtype=np.int8), np.zeros(1, dtype=np.int64)))
-        monkeypatch.setattr(arith, "MU_PHI_CAP", 9000)
+        argv = ["--out", str(tmp_path), "series", "--q-max", "1000", "--prime-bound", "1000"]
+        # a fresh table for q <= 1000 holds 1024 entries, the largest estimate of the run
+        estimate = arith.MU_PHI_BYTES * 1024
+        for cap in (estimate, estimate - 1):
+            monkeypatch.setattr(arith, "_mu_phi", (np.zeros(1, dtype=np.int8), np.zeros(1, dtype=np.int64)))
+            monkeypatch.setattr(errors, "MEMORY_CAP", cap)
+            assert run(argv) == (0 if cap == estimate else 2)
+        assert f"the mu/phi table up to 1023 needs {estimate} bytes, beyond the cap {estimate - 1} bytes" in capsys.readouterr().err
         fresh = tmp_path / "over"
         assert run(["--out", str(fresh), *argv[2:]]) == 2
-        assert "beyond the cap 9000 bytes" in capsys.readouterr().err
         assert not (fresh / "singular-series.csv").exists()
         assert not (fresh / "series-summary.json").exists()
 
@@ -576,6 +590,41 @@ class TestSeedPlacement:
         assert code == 0
         text = (tmp_path / "gallagher-ratios.csv").read_text()
         assert "# seed = 3" in text and text.count("seed") == 1
+
+
+class TestMemoryCap:
+    @skip_without_proc
+    @pytest.mark.parametrize("argv", [
+        ["series", "--prime-bound", "3000000000"],  # the prime cache
+        ["model", "--which", "t_nu_plus", "--sift", "1e300", "--beta", "100"],  # the primes of the default level
+        ["model", "--which", "t_nu", "--Y", "1000000000"],  # the model's window
+        ["verify", "gallagher", "--span", "200000000", "--trials", "1"],  # the draw
+        ["verify", "lambda_q_short", "--Q", "10000000"],  # the sweep's points
+    ], ids=" ".join)
+    def test_request_over_the_cap_exits_2_before_it_allocates(self, tmp_path, argv):
+        # in a child that may map 1 GB, so an allocation the cap misses ends in a MemoryError (exit 1)
+        done = measure_cli(["--out", tmp_path / "out", *argv], address_space=1 << 30)
+        assert done.code == 2, done.stderr
+        assert done.stderr.startswith("error: ") and "beyond the cap 2147483648 bytes" in done.stderr
+        assert not (tmp_path / "out").exists()
+
+    @skip_without_proc
+    def test_estimates_bound_the_measured_peak(self, tmp_path):
+        # one point per subcommand that sizes memory, each estimated at 50 MB or more: what the
+        # child held above its imports (VmHWM) is at most the largest estimate it met against the cap
+        points = [
+            ["verify", "gallagher", "--span", "500000", "--trials", "1"],
+            ["verify", "closeness", "--Y", "600000"],
+            ["pipeline", "--X", "1200000", "--Y", "400000"],
+            ["exceptional", "--X", "100000000000000", "--H", "10"],
+            ["series", "--q-max", "1200000", "--n-stop", "10"],
+            ["model", "--which", "t_nu_plus", "--Y", "2500000"],
+        ]
+        for i, argv in enumerate(points):
+            done = measure_cli(["--out", tmp_path / str(i), *argv])
+            assert done.code == 0, done.stderr
+            assert done.peak_mb - done.base_mb <= done.estimate_mb, argv
+            assert done.estimate_mb >= 50, argv
 
 
 class TestReadme:

@@ -1,17 +1,12 @@
 import json
 import math
-import os
-import subprocess
-import sys
 import tracemalloc
 from fractions import Fraction
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-import cmlab
-from cmlab import closeness
+from cmlab import closeness, errors
 from cmlab.arithfn import ArithFn, spectrum_classes, subtract
 from cmlab.cli import main
 from cmlab.closeness import (
@@ -30,6 +25,7 @@ from cmlab.closeness import (
 )
 from cmlab.errors import CapacityError, DomainError
 from cmlab.models import lambda_q_short_sum, sieve_short_sum
+from conftest import measure_cli, skip_without_proc
 from oracles import containment_radius, contains, spot_probe_loop
 
 
@@ -212,13 +208,15 @@ class TestClosenessGrid:
         assert closeness_grid(1000, 64.0) == spectrum_size(1000, OVERSAMPLE) == 8192
 
     def test_spectrum_over_cap_fails_up_front(self, rng, monkeypatch):
-        monkeypatch.setattr(closeness, "SPECTRUM_CAP", 8192)
-        assert spectrum_size(1000, 8) == 8192
-        with pytest.raises(CapacityError):
-            spectrum_size(1000, 9)  # 9000 points round up to 2^14
-        f = ArithFn(0, rng.normal(size=1025))
-        for request in (lambda: closeness_grid(1025, 0.5), lambda: closeness_integral(f, f, 64.0)):
-            with pytest.raises(CapacityError):  # the cap is checked before H
+        # a span of 1000 on a grid of 8192 points
+        estimate = closeness.closeness_bytes(1000)
+        assert estimate == closeness.SPAN_BYTES * 1000 + closeness.GRID_BYTES * 8192
+        monkeypatch.setattr(errors, "MEMORY_CAP", estimate)
+        assert closeness_grid(1000, 64.0) == 8192
+        monkeypatch.setattr(errors, "MEMORY_CAP", estimate - 1)
+        f = ArithFn(0, rng.normal(size=1000))
+        for request in (lambda: closeness_grid(1000, 0.5), lambda: closeness_integral(f, f, 64.0)):
+            with pytest.raises(CapacityError, match=f"needs {estimate} bytes"):  # the cap is checked before H
                 request()
 
     @pytest.mark.parametrize("span, h, named", [
@@ -473,21 +471,9 @@ class TestEstimatorAgainstExhaustiveGrid:
 CLOSENESS_PEAK_BOUND_MB = 125
 
 
-@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM from /proc/self/status")
+@skip_without_proc
 def test_closeness_peak_rss_at_one_million(tmp_path):
-    # VmHWM is the child's own high-water mark; ru_maxrss would not do, as on
-    # Linux it carries the parent's peak across fork and exec
-    probe = (
-        "import sys\n"
-        "from cmlab.cli import main\n"
-        "code = main(sys.argv[1:])\n"
-        "print(next(line for line in open('/proc/self/status') if line.startswith('VmHWM:')).split()[1])\n"
-        "sys.exit(code)\n"
-    )
-    src = Path(cmlab.__file__).resolve().parents[1]
-    env = {**os.environ, "PYTHONPATH": str(src), "OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1"}
-    argv = ["--out", str(tmp_path), "verify", "closeness", "--Y", "1000000", "--h-exponent", "0.45", "--Q", "10"]
-    done = subprocess.run([sys.executable, "-c", probe, *argv], capture_output=True, text=True, env=env, timeout=300)
-    assert done.returncode == 0, done.stderr
-    peak_mb = int(done.stdout.split()[-1]) / 1024  # VmHWM is in kB
-    assert peak_mb < CLOSENESS_PEAK_BOUND_MB
+    argv = ["--out", tmp_path, "verify", "closeness", "--Y", "1000000", "--h-exponent", "0.45", "--Q", "10"]
+    done = measure_cli(argv)
+    assert done.code == 0, done.stderr
+    assert done.peak_mb < CLOSENESS_PEAK_BOUND_MB

@@ -5,8 +5,8 @@ import sys
 import numpy as np
 import pytest
 
-from cmlab import arith, arithfn, goldbach
-from cmlab.arith import interval_prime_flags, prime_weights, rough_flags
+from cmlab import arith, arithfn, errors, goldbach
+from cmlab.arith import interval_prime_flags, prime_weights, primes_bytes, rough_flags
 from cmlab.arithfn import ArithFn, convolve, dense
 from cmlab.cli import main
 from cmlab.errors import CapacityError, ContractError, DomainError
@@ -97,19 +97,24 @@ class TestExceptionalSet:
 
     def test_working_set_over_cap_fails_up_front(self, monkeypatch):
         with pytest.raises(CapacityError):
-            exceptional_scan(10**17, 10)  # sqrt(X) alone is over the cap
-        # sqrt(10^6) + block + 10^4 against a cap of 2 * 10^4
-        monkeypatch.setattr(goldbach, "SCAN_CAP", 20_000)
+            exceptional_scan(10**19, 10)  # the primes up to sqrt(X) alone are over the cap
+        # the primes up to sqrt(10^6), then a block of 11 and [0, 10^4], at SCAN_BYTES per integer
+        estimate = primes_bytes(1000) + goldbach.SCAN_BYTES * (11 + 10**4)
+        monkeypatch.setattr(errors, "MEMORY_CAP", estimate)
         assert exceptional_scan(10**6, 10).exceptions == ()
         with pytest.raises(CapacityError):
             exceptional_scan(10**6, 10_000)
+        monkeypatch.setattr(errors, "MEMORY_CAP", estimate - 1)
+        with pytest.raises(CapacityError, match=f"needs {estimate} bytes"):
+            exceptional_scan(10**6, 10)
 
     def test_blocks_bound_the_working_set_not_h(self, monkeypatch, flags_1e6):
         # the record n = 503222 is the last even n of the first 1024-block
         whole = exceptional_scan(504_200, 2000)
         assert whole.max_least_n == 503_222
         monkeypatch.setattr(goldbach, "SCAN_BLOCK", 1024)
-        monkeypatch.setattr(goldbach, "SCAN_CAP", 12_000)  # sqrt(X) + 1023 + 10^4 fits, H does not
+        # a block of 1024 and [0, 10^4] fit, one of H + 1 does not
+        monkeypatch.setattr(errors, "MEMORY_CAP", primes_bytes(710) + goldbach.SCAN_BYTES * (1024 + 10**4))
         assert exceptional_scan(504_200, 2000) == whole
         monkeypatch.setattr(goldbach, "LEAST_PRIME_START", 3)
         grown = exceptional_scan(5000, 4000)
@@ -376,19 +381,25 @@ class TestPipeline:
 
     def test_inputs_beyond_desk_cap_fail_up_front(self, monkeypatch):
         # the cap is checked when the config is built, so no config over it reaches the inputs or the run
-        working_set = goldbach.pipeline_working_set(PRESETS["desk-small"])
-        monkeypatch.setattr(goldbach, "PIPELINE_CAP", working_set - 1)
-        with pytest.raises(CapacityError, match="beyond the cap"):
+        estimate = goldbach.pipeline_bytes(PRESETS["desk-small"])
+        assert estimate == goldbach.VALUE_BYTES * goldbach.pipeline_working_set(PRESETS["desk-small"])  # no transform
+        monkeypatch.setattr(errors, "MEMORY_CAP", estimate - 1)
+        with pytest.raises(CapacityError, match=f"needs {estimate} bytes, beyond the cap"):
             PipelineConfig(200_000, big_q=10)
-        monkeypatch.setattr(goldbach, "PIPELINE_CAP", working_set)
+        monkeypatch.setattr(errors, "MEMORY_CAP", estimate)
         config = PipelineConfig(200_000, big_q=10)
-        assert run_pipeline(config, *desk_pipeline_inputs(config)).working_set == goldbach.PIPELINE_CAP
+        assert run_pipeline(config, *desk_pipeline_inputs(config)).working_set * goldbach.VALUE_BYTES == estimate
+
+    def test_bytes_count_the_transforms_the_run_takes(self):
+        # H = 10^5: the steps' transform of 2^19 points and the chunks' of 2^20, 32 bytes a point
+        config = PipelineConfig(1_000_000, big_q=10, y=200_000, h=100_000)
+        assert goldbach.pipeline_bytes(config) == goldbach.VALUE_BYTES * goldbach.pipeline_working_set(config) + (32 << 20)
 
     def test_working_set_counts_y_not_x(self):
         # about 10^6 values at X = 10^9 (8 MB), the base primes, two segments and 10(Y + H)
         assert goldbach.pipeline_working_set(PipelineConfig(10**9, big_q=10)) < 1_100_000
         with pytest.raises(CapacityError):
-            PipelineConfig(4 * 10**7, big_q=10, y=10**7)
+            PipelineConfig(8 * 10**7, big_q=10, y=2 * 10**7)
 
     def test_support_misconfiguration_rejected(self):
         config = PipelineConfig(200_000, big_q=10)

@@ -4,10 +4,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from cmlab import models
+from cmlab import errors, models
 from cmlab.arith import prime_weights, rough_flags, sieve_primes
 from cmlab.arithfn import TWO_PI, ArithFn, dense
-from cmlab.errors import ContractError, DomainError
+from cmlab.errors import CapacityError, ContractError, DomainError
 from cmlab.models import (
     SieveSystem,
     beta_sieve_weights,
@@ -55,6 +55,11 @@ class TestLambdaQ:
         for n in (0, 1, 17, 100, 841):
             for big_q in (3, 12, 25):
                 assert lambda_q_window(n, n + 1, big_q)[0] == pytest.approx(lambda_q_direct(n, big_q), abs=1e-8)
+
+    def test_q_beyond_the_int8_range(self):
+        # mu is an int8 table, and d * mu[d] would cast d = 128 and up to int8
+        window = lambda_q_window(1000, 1006, 130)
+        assert window == pytest.approx([lambda_q_direct(n, 130) for n in range(1000, 1006)], abs=1e-8)
 
     def test_window_matches_scalar(self):
         window = lambda_q_window(100, 200, 15)
@@ -195,6 +200,16 @@ class TestBetaSieve:
         sieve = beta_sieve_weights(100.0, 10.0, beta=1)
         assert 35 in sieve.weights
         assert oracles.theta(sieve, 35) == 0
+
+    def test_weights_over_cap_fail(self, monkeypatch):
+        # the cap admits MEMORY_CAP // (WEIGHT_BYTES + bits of D // 7) weights; the one past them is refused
+        count = len(beta_sieve_weights(3_000.0, 30.0, beta=1).weights)
+        estimate = (models.WEIGHT_BYTES + 1) * count  # 3000 has 12 bits
+        monkeypatch.setattr(errors, "MEMORY_CAP", estimate)
+        assert len(beta_sieve_weights(3_000.0, 30.0, beta=1).weights) == count
+        monkeypatch.setattr(errors, "MEMORY_CAP", estimate - 1)
+        with pytest.raises(CapacityError, match=f"needs {estimate} bytes"):
+            beta_sieve_weights(3_000.0, 30.0, beta=1)
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):
