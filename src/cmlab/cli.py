@@ -24,6 +24,7 @@ import math
 import os
 import sys
 from dataclasses import asdict, dataclass
+from functools import lru_cache
 from pathlib import Path
 from typing import Any, Callable, Iterable, Optional
 
@@ -463,7 +464,9 @@ COMMANDS = (
 )
 
 
+@lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """One parser per process: parsing leaves it as it was, and handlers look up what they call as they run."""
     parser = argparse.ArgumentParser(prog="cmlab", description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--out", default="cmlab-out", help="output directory for reports")

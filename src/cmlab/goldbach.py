@@ -64,8 +64,10 @@ PAIR_COST = 32
 # build and scale the windows (10 measured at --X 4000000 --Y 900000)
 VALUE_BYTES = 14
 SCAN_BLOCK = 1 << 20  # integers of [X-H, X] that exceptional_scan sifts at a time; even
-# bytes exceptional_scan holds per integer of a block and of [0, P]: the flags
-# and the int64 n the sift cuts (14 measured per integer of a 2^20 block)
+SURVIVOR_SHARE = 64  # the sift lists its survivors once fewer than 1/64 of a block's even n are left
+# bytes exceptional_scan may hold per integer of a block and of [0, P]: the
+# flags, their halves by parity and the flags of the even n (under 3 measured
+# per integer of a 2^20 block; 24 refuses what the int64 sift refused)
 SCAN_BYTES = 24
 # Every even 4 <= n <= 4*10^18 is p + q with a prime p < 10^4 (Oliveira e Silva,
 # Herzog, Pardi, Math. Comp. 83 (2014)), so the first pass of exceptional_scan
@@ -128,17 +130,36 @@ def exceptional_scan(x: int, h: int) -> ExceptionalScan:
 
 def _sift_partitions(start: int, x: int, p_bound: int) -> tuple[np.ndarray, Optional[int], Optional[int]]:
     """The even n in [start, x] with no partition n = p + q, p <= p_bound, and
-    the largest least p among the others with its smallest n."""
+    the largest least p among the others with its smallest n.  Each p updates
+    alive in place from the slice of the flags of one parity that holds the
+    n - p; once under 1/SURVIVOR_SHARE of the n are left, it cuts their list instead."""
     lo = max(0, start - p_bound)
     flags = interval_prime_flags(lo, x)
-    left = np.arange(start, x + 1, 2, dtype=np.int64)
+    halves = [flags[k::2].copy() for k in (0, 1)]  # halves[k][j] flags lo + k + 2j
+    del flags
+    alive = np.ones((x - start) // 2 + 1, dtype=bool)  # alive[i] flags n = start + 2i
+    primes = iter(cached_primes(p_bound).tolist())
     least_p = least_n = None
-    for p in cached_primes(p_bound).tolist():
+    for p in primes:
+        i = max(0, (p + 3 - start) // 2)  # alive[i:] are the n with n - p >= 2
+        if i >= len(alive):
+            break
+        tail = alive[i:]
+        m = start + 2 * i - p - lo  # n - p - lo at n = start + 2i
+        hit = tail & halves[m % 2][m // 2 : m // 2 + len(tail)]
+        j = int(hit.argmax())
+        if hit[j]:
+            least_p, least_n = p, start + 2 * (i + j)
+            tail ^= hit
+            if SURVIVOR_SHARE * np.count_nonzero(alive) < len(alive):
+                break
+    left = start + 2 * np.flatnonzero(alive)
+    for p in primes:  # the primes after the one the flags stopped at
         k = int(np.searchsorted(left, p + 2))  # left[k:] are the n with n - p >= 2
         if k == len(left):
             break
         tail = left[k:]
-        hit = flags[tail - (p + lo)]
+        hit = halves[(p + lo) % 2][(tail - (p + lo)) // 2]
         if hit.any():
             least_p, least_n = p, int(tail[hit][0])
             left = np.concatenate((left[:k], tail[~hit]))

@@ -34,14 +34,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 from types import MappingProxyType
-from typing import Iterable, Optional
+from typing import Optional
 
 import numpy as np
 
 from . import errors
 from .arith import cached_primes, mu_phi_table, rough_flags
-from .arithfn import ArithFn, TWO_PI
+from .arithfn import ArithFn
 from .errors import ContractError, DomainError, require_memory
 
 # bytes per integer of (Y, 2Y] a model holds (18 measured at Y = 2*10^6), per
@@ -57,34 +58,43 @@ def _mu_phi(q: int) -> tuple[int, int]:
     return int(mu[q]), int(phi[q])
 
 
-def _divisor_sum(start: int, stop: int, weights: Iterable[tuple[int, float]], dtype) -> np.ndarray:
+def _divisor_sum(start: int, stop: int, weights: tuple[np.ndarray, np.ndarray], dtype) -> np.ndarray:
     """sum_{d | n} w(d) for n in [start, stop), one strided pass per pair (d, w(d))."""
     out = np.zeros(stop - start, dtype=dtype)
-    for d, w in weights:
+    for d, w in zip(*(a.tolist() for a in weights)):
         out[-start % d :: d] += w
     return out
 
 
-def lambda_q_window(start: int, stop: int, big_q: int) -> np.ndarray:
-    """Lambda_Q(n) for n in [start, stop), as a divisor sum over d <= Q.
+@lru_cache(maxsize=1)
+def lambda_q_weights(big_q: int) -> tuple[np.ndarray, np.ndarray]:
+    """(d, d g(d)) over the squarefree d <= Q, read-only; Lambda_Q(n) sums d g(d) over the d | n.
 
     As c_q(n) = sum_{d | (q, n)} d mu(q/d), Lambda_Q(n) = sum_{d | n, d <= Q} d g(d)
     with g(d) = sum_{q <= Q, d | q} mu(q) mu(q/d) / phi(q).  Only q = d m with
     gcd(m, d) = 1 count, so g(d) = (mu(d)/phi(d)) sum_{m <= Q/d, (m, d) = 1} mu(m)^2 / phi(m).
     """
-    if stop < start or start < 0 or big_q < 1:
+    if big_q < 1:
         raise DomainError("bad window or Q")
     require_memory(f"Lambda_Q at Q = {big_q}", DIVISOR_BYTES * big_q)
     mu, phi = mu_phi_table(big_q)
     inv_phi = np.where(mu != 0, 1.0 / np.maximum(phi, 1), 0.0)  # mu(m)^2 / phi(m)
+    d = np.flatnonzero(mu)
+    w = np.empty(len(d))
+    for i, k in enumerate(d.tolist()):
+        m = np.arange(1, big_q // k + 1)
+        # int(mu[k]): k times an int8 would cast k to int8, which fails from k = 128 on
+        w[i] = k * int(mu[k]) / phi[k] * inv_phi[m][np.gcd(m, k) == 1].sum()
+    d.setflags(write=False)
+    w.setflags(write=False)
+    return d, w
 
-    def weights():  # one at a time, as _divisor_sum adds them
-        for d in np.flatnonzero(mu).tolist():
-            m = np.arange(1, big_q // d + 1)
-            # int(mu[d]): d times an int8 would cast d to int8, which fails from d = 128 on
-            yield d, d * int(mu[d]) / phi[d] * inv_phi[m][np.gcd(m, d) == 1].sum()
 
-    return _divisor_sum(start, stop, weights(), np.float64)
+def lambda_q_window(start: int, stop: int, big_q: int) -> np.ndarray:
+    """Lambda_Q(n) for n in [start, stop), by strided accumulation of `lambda_q_weights`."""
+    if stop < start or start < 0:
+        raise DomainError("bad window or Q")
+    return _divisor_sum(start, stop, lambda_q_weights(big_q), np.float64)
 
 
 def _nu_window(y: int, c_nu: float) -> tuple[int, int]:
@@ -116,31 +126,51 @@ def lambda_q_short_sum(
     otherwise; the budget is Q^3 resp. q'Q + Q^3 (up to the empirical constant
     pinned in `constants`).
     """
-    actual = _twisted_short_sum(t, h_prime, r, q_twist, lambda lo, hi: lambda_q_window(lo, hi, big_q))
+    actual = _twisted_short_sum(t, h_prime, r, q_twist, lambda: lambda_q_weights(big_q))
     if q_twist <= big_q:
         mu, phi = _mu_phi(q_twist)
         return actual, complex(mu * h_prime / phi), float(big_q**3)
     return actual, 0j, float(q_twist * big_q + big_q**3)
 
 
-def _twisted_short_sum(t: int, h_prime: float, r: int, q_twist: int, window) -> complex:
-    """sum_{t - floor(H') < n <= t} v(n) e(r n / q') with v = window(lo, t + 1) on [lo, t].
+def _twisted_short_sum(t: int, h_prime: float, r: int, q_twist: int, weights) -> complex:
+    """sum_{t - floor(H') < n <= t} v(n) e(r n / q') for v(n) = sum_{d | n} w(d), (d, w(d)) = weights().
 
-    e(r n / q') depends on n mod q' only, so v is summed per residue class
-    first and each class sum twisted once.  Checks the twist r/q' and the
-    window for both model short sums.
+    That is sum_d w(d) sum_{first <= m <= t // d} e(a m / q') with a = r d mod q'
+    and first = ceil(lo / d): k terms that sum to k when a = 0 and otherwise to
+    e((2 a first + a (k - 1)) / 2q') sin(pi a k / q') / sin(pi a / q').  Each
+    exponent is reduced in integers and read from one table of roots of unity,
+    so a point costs O(number of weights).  Checks the twist r/q', then t and
+    H', for both model short sums, before weights() is called.
     """
     if q_twist < 1 or math.gcd(r, q_twist) != 1:
         raise DomainError("twist must be a reduced fraction r/q' with q' >= 1")
     if h_prime <= 0 or t <= h_prime:
         raise DomainError("need H' > 0 and t > H'")
     lo = t - int(h_prime) + 1
-    values = window(lo, t + 1)
+    d, w = weights()
+    ints = d if t < 1 << 63 else d.astype(object)  # Python ints past the int64 range
+    first = -(-lo // ints)
+    count = (t // ints - first + 1).astype(np.int64)
     if q_twist == 1:
-        return complex(np.sum(values))
-    classes = np.bincount(np.arange(lo, t + 1) % q_twist, weights=values, minlength=q_twist)
-    phases = (r % q_twist) * np.arange(q_twist) % q_twist  # r a mod q' for the class a
-    return complex(np.dot(classes, np.exp((TWO_PI * 1j / q_twist) * phases)))
+        return complex(np.dot(w, count))
+    q, q2, roots = q_twist, 2 * q_twist, _half_roots(q_twist)  # roots[j] = e(j / 2q')
+    a = ((r % q) * (ints % q) % q).astype(np.int64)
+    geo = a != 0
+    a, k, first = a[geo], count[geo], (first[geo] % q).astype(np.int64)
+    # sin(pi u / q) for u = a k mod 2q and u = a, read at an angle of at most
+    # pi / 2 (u mod q or q - that), so that the small ones keep their digits
+    u = np.stack((a * (k % q2) % q2, a))
+    sines = np.where(u < q, 1.0, -1.0) * roots[np.minimum(u % q, q - u % q)].imag
+    inner = count.astype(complex)
+    inner[geo] = roots[(2 * a * first + a * ((k - 1) % q2)) % q2] * (sines[0] / sines[1])
+    return complex(np.dot(w, inner))
+
+
+@lru_cache(maxsize=1)
+def _half_roots(q: int) -> np.ndarray:
+    """e(j / 2q) for 0 <= j < 2q."""
+    return np.exp((np.pi * 1j / q) * np.arange(2 * q))
 
 
 # -- Mertens product and the sieve -----------------------------------------
@@ -174,11 +204,16 @@ class SieveSystem:
             raise ContractError("weights must be supported on d <= D")
         object.__setattr__(self, "weights", MappingProxyType(dict(self.weights)))
 
+    @cached_property
+    def divisors(self) -> tuple[np.ndarray, np.ndarray]:
+        """The weights as arrays (d, lambda_d), built once per system."""
+        return np.array(list(self.weights)), np.array(list(self.weights.values()), dtype=np.int64)
+
     def theta_window(self, start: int, stop: int) -> np.ndarray:
         """theta_n for n in [start, stop), by strided accumulation."""
         if start < 1 or stop < start:
             raise DomainError("need 1 <= start <= stop")
-        return _divisor_sum(start, stop, self.weights.items(), np.int64)
+        return _divisor_sum(start, stop, self.divisors, np.int64)
 
 
 def beta_sieve_weights(level: float, sift: float, beta: int = 10) -> SieveSystem:
@@ -271,7 +306,7 @@ def sieve_short_sum(
     budget H' e^{-log D / log z} + q D for q <= z, else 0 with the divisor-sum
     budget (H'/q + D + q) log(q H').
     """
-    actual = _twisted_short_sum(t, h_prime, r, q_twist, sieve.theta_window) / mertens_product(sieve.sift)
+    actual = _twisted_short_sum(t, h_prime, r, q_twist, lambda: sieve.divisors) / mertens_product(sieve.sift)
     if q_twist <= sieve.sift:
         mu, phi = _mu_phi(q_twist)
         budget = h_prime * math.exp(-math.log(sieve.level) / math.log(sieve.sift)) + q_twist * sieve.level

@@ -527,6 +527,20 @@ class TestModelDump:
         assert run(argv) == 0
 
 
+class TestParser:
+    def test_one_parser_per_process_reaches_patched_names(self, tmp_path, monkeypatch):
+        # the handlers look up what they call when they run, so a patch made
+        # after the parser was built still reaches them
+        calls = []
+        monkeypatch.setattr(cli, "singular_series", lambda n, q_max: calls.append(n) or 1.0)
+        cli.build_parser.cache_clear()
+        for out in ("first", "second"):
+            assert run(["--out", str(tmp_path / out), "series", "--n-start", "4", "--n-stop", "8"]) == 0
+        assert (cli.build_parser.cache_info().misses, cli.build_parser.cache_info().hits) == (1, 1)
+        assert calls == [4, 6, 8, 4, 6, 8]
+        assert table(tmp_path / "second" / "singular-series.csv")[1][1] == "1"
+
+
 class TestParameterResolution:
     def test_config_file(self, tmp_path):
         cfg = tmp_path / "run.cfg"

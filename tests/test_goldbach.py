@@ -122,6 +122,31 @@ class TestExceptionalSet:
         assert list(grown.exceptions) == [n for n in range(1000, 5001, 2) if goldbach_count(n, flags_1e6) == 0]
 
 
+    @pytest.mark.parametrize("share", [1, 64, 10**9])
+    def test_both_phases_of_the_sift_agree_with_the_oracle(self, monkeypatch, flags_1e6, share):
+        # share 1 lists the survivors after the first p that decides an n, 10^9
+        # sifts every block on the flags to the end; X - H = 4801 and 99939 are
+        # odd, the first window's block starts below P = 10^4 and the second's above
+        monkeypatch.setattr(goldbach, "SURVIVOR_SHARE", share)
+        for x, h in [(5000, 199), (99_990, 51)]:
+            want = [n for n in range(x - h + (x - h) % 2, x + 1, 2) if goldbach_count(n, flags_1e6) == 0]
+            assert list(exceptional_scan(x, h).exceptions) == want
+        # blocks of 64 and a prime bound that has to grow leave survivors in either phase
+        monkeypatch.setattr(goldbach, "SCAN_BLOCK", 64)
+        monkeypatch.setattr(goldbach, "LEAST_PRIME_START", 3)
+        grown = exceptional_scan(5000, 399)
+        assert grown.p_bound > 3
+        assert list(grown.exceptions) == [n for n in range(4602, 5001, 2) if goldbach_count(n, flags_1e6) == 0]
+
+    @pytest.mark.parametrize("x, h, record", [
+        (10**6, 10**6 - 4, (523, 503_222)),
+        (5 * 10**7, 10**5, (521, 49_934_824)),
+        (10**7, 10**7 - 4, (751, 3_807_404)),
+    ])
+    def test_full_scans_keep_their_results(self, x, h, record):
+        assert exceptional_scan(x, h) == goldbach.ExceptionalScan((), goldbach.LEAST_PRIME_START, *record)
+
+
 class TestSingularSeries:
     def test_odd_vanishes_in_product_form(self):
         for n in (3, 9, 15, 1001):

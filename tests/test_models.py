@@ -7,6 +7,7 @@ import pytest
 from cmlab import errors, models
 from cmlab.arith import prime_weights, rough_flags, sieve_primes
 from cmlab.arithfn import TWO_PI, ArithFn, dense
+from cmlab.closeness import default_lambda_q_sweep, default_sieve_sweep
 from cmlab.errors import CapacityError, ContractError, DomainError
 from cmlab.models import (
     SieveSystem,
@@ -126,26 +127,45 @@ def fsum_twisted_sum(values, lo, r, q):
     )
 
 
-@pytest.mark.parametrize("q_twist", [1, 2, 97, 211])
+@pytest.mark.parametrize("q_twist", [1, 2, 6, 30, 97, 211, 2864])
 def test_short_sums_match_fsum_oracle(q_twist):
-    # r = q' - 1 and r = -1 are the same twist; H' = 150 < q' = 211 leaves
-    # residue classes the window never reaches; the sieve is truncated, so
-    # theta takes values beyond 0 and 1
+    # r = q' - 1, r = -1 and r = -q' - 1 are the same twist; q' = 6 and 30
+    # divide r d for the weights d = 6 and 30, whose inner sums are counts;
+    # H' = 150 < q' = 211 leaves residue classes the window never reaches, and
+    # H' = 7.5 leaves most weights d without a multiple in the window; Q = 130
+    # reads weights d >= 128, past the int8 range of mu; at Q = 3000 and
+    # q' = 2864, r = -1 makes sin(pi r d / q') small for the small d; the
+    # sieve is the 145-weight truncated one, so theta takes values beyond 0 and 1
     sieve = beta_sieve_weights(3_000.0, 30.0, beta=1)
-    rs = {0} if q_twist == 1 else {1, -1, q_twist - 1, q_twist // 2 + 1}
-    for t, h in ((100_003, 997.0), (500_009, 10_000.0), (5_000, 150.0)):
+    assert len(sieve.weights) == 145
+    rs = {0} if q_twist == 1 else {1, -1, -q_twist - 1, q_twist - 1, q_twist // 2 + 1}
+    windows = ((100_003, 997.0), (500_009, 10_000.0), (5_000, 150.0), (77_777, 1234.5), (1_000_003, 7.5))
+    for t, h in windows:
         lo = t - int(h) + 1
-        lam = lambda_q_window(lo, t + 1, 10)
         theta = sieve.theta_window(lo, t + 1) / mertens_product(sieve.sift)
+        lams = {big_q: lambda_q_window(lo, t + 1, big_q) for big_q in (10, 130, 3000)}
         for r in rs:
             if math.gcd(r, q_twist) != 1:
                 continue
-            actual = lambda_q_short_sum(t, h, 10, r=r, q_twist=q_twist)[0]
-            oracle = fsum_twisted_sum(lam, lo, r, q_twist)
-            assert abs(actual - oracle) <= 1e-12 * abs(oracle)
+            for big_q, lam in lams.items():
+                actual = lambda_q_short_sum(t, h, big_q, r=r, q_twist=q_twist)[0]
+                oracle = fsum_twisted_sum(lam, lo, r, q_twist)
+                assert abs(actual - oracle) <= 1e-12 * abs(oracle), (t, h, r, big_q)
             actual = sieve_short_sum(t, h, sieve, r=r, q_twist=q_twist)[0]
             oracle = fsum_twisted_sum(theta, lo, r, q_twist)
-            assert abs(actual - oracle) <= 1e-12 * abs(oracle)
+            assert abs(actual - oracle) <= 1e-12 * abs(oracle), (t, h, r)
+
+
+def test_default_sweeps_sum_from_the_divisor_side(monkeypatch):
+    # a sweep point costs O(number of weights): no short sum builds a window
+    def refuse(*args):
+        raise AssertionError("a short sum built a window")
+
+    monkeypatch.setattr(models, "lambda_q_window", refuse)
+    monkeypatch.setattr(SieveSystem, "theta_window", refuse)
+    for short_sum, sweep in (default_lambda_q_sweep(10, "small"), default_sieve_sweep("small")):
+        for model, point in sweep:
+            short_sum(point["t"], point["h_prime"], model, r=point["r"], q_twist=point["q_twist"])
 
 
 class TestBetaSieve:
