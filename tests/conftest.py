@@ -22,9 +22,10 @@ def rng():
 
 
 # Runs `cmlab.cli.main(argv)` and prints the child's VmHWM after the imports,
-# its VmHWM at the end and the largest nbytes any require_memory call was
-# given.  VmHWM is the child's own high-water mark; ru_maxrss would not do, as
-# on Linux it carries the parent's peak across fork and exec.
+# its VmHWM at the end, the largest nbytes any require_memory call was given
+# and the minor page faults the child took in all.  VmHWM is the child's own
+# high-water mark; ru_maxrss would not do, as on Linux it carries the parent's
+# peak across fork and exec.
 _PROBE = """
 import resource, sys
 limit = int(sys.argv[1])
@@ -52,7 +53,7 @@ for name, module in list(sys.modules.items()):
     if name.split('.')[0] == 'cmlab' and getattr(module, 'require_memory', None) is check:
         module.require_memory = recorded
 code = cli.main(sys.argv[2:])
-print(base, peak_kb(), largest)
+print(base, peak_kb(), largest, resource.getrusage(resource.RUSAGE_SELF).ru_minflt)
 sys.exit(code)
 """
 
@@ -62,6 +63,7 @@ class Measured(NamedTuple):
     peak_mb: Optional[float]  # None when the child died before it could print
     base_mb: Optional[float]  # the peak after the imports, before main ran
     estimate_mb: Optional[float]  # the largest estimate met against the cap
+    minor_faults: Optional[int]  # the child's ru_minflt, imports included
     stderr: str
 
 
@@ -72,11 +74,11 @@ def measure_cli(argv: list, address_space: Optional[int] = None, timeout: float 
     env = {**os.environ, "PYTHONPATH": str(src), "OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1"}
     done = subprocess.run([sys.executable, "-c", _PROBE, str(address_space or 0), *map(str, argv)],
                           capture_output=True, text=True, env=env, timeout=timeout)
-    fields = done.stdout.split()[-3:]
-    if len(fields) < 3:
-        return Measured(done.returncode, None, None, None, done.stderr)
-    base_kb, peak_kb, largest = map(int, fields)
-    return Measured(done.returncode, peak_kb / 1024, base_kb / 1024, largest / 2**20, done.stderr)
+    fields = done.stdout.split()[-4:]
+    if len(fields) < 4:
+        return Measured(done.returncode, None, None, None, None, done.stderr)
+    base_kb, peak_kb, largest, faults = map(int, fields)
+    return Measured(done.returncode, peak_kb / 1024, base_kb / 1024, largest / 2**20, faults, done.stderr)
 
 
 skip_without_proc = pytest.mark.skipif(not Path("/proc/self/status").exists(),

@@ -1,3 +1,4 @@
+import ctypes
 import json
 import math
 import os
@@ -606,6 +607,24 @@ class TestSeedPlacement:
         assert "# seed = 3" in text and text.count("seed") == 1
 
 
+def _unloadable(name):
+    raise OSError(f"{name}: cannot open shared object file")
+
+
+class TestAllocatorPolicy:
+    @pytest.mark.parametrize("cdll", [_unloadable, lambda name: object()], ids=["unloadable", "without mallopt"])
+    def test_main_runs_where_mallopt_is_missing(self, tmp_path, monkeypatch, cdll):
+        # main keeps its freed heap through glibc's mallopt; where libc cannot be
+        # loaded, or has no mallopt (as on macOS), it writes the same files
+        assert run(["--out", str(tmp_path / "glibc"), *DESK_SMALL]) == 0
+        monkeypatch.setattr(ctypes, "CDLL", cdll)
+        assert run(["--out", str(tmp_path / "other"), *DESK_SMALL]) == 0
+        written = sorted(path.name for path in (tmp_path / "glibc").iterdir())
+        assert sorted(path.name for path in (tmp_path / "other").iterdir()) == written
+        for name in written:
+            assert (tmp_path / "other" / name).read_bytes() == (tmp_path / "glibc" / name).read_bytes(), name
+
+
 class TestMemoryCap:
     @skip_without_proc
     @pytest.mark.parametrize("argv", [
@@ -624,8 +643,9 @@ class TestMemoryCap:
 
     @skip_without_proc
     def test_estimates_bound_the_measured_peak(self, tmp_path):
-        # one point per subcommand that sizes memory, each estimated at 50 MB or more: what the
-        # child held above its imports (VmHWM) is at most the largest estimate it met against the cap
+        # one point per subcommand that sizes memory, and one for Lambda_Q, each estimated at 50 MB or
+        # more: what the child held above its imports (VmHWM) is at most the largest estimate it met
+        # against the cap
         points = [
             ["verify", "gallagher", "--span", "500000", "--trials", "1"],
             ["verify", "closeness", "--Y", "600000"],
@@ -633,6 +653,9 @@ class TestMemoryCap:
             ["exceptional", "--X", "100000000000000", "--H", "10"],
             ["series", "--q-max", "1200000", "--n-stop", "10"],
             ["model", "--which", "t_nu_plus", "--Y", "2500000"],
+            # Lambda_Q's weights: with cli.main's mmap and trim thresholds at 16 and 32 MB in place of
+            # 8 and 16, the child held 56.8 MB here, over the 54.9 MB estimate
+            ["model", "--which", "lambda_q", "--Y", "1000", "--Q", "600000"],
         ]
         for i, argv in enumerate(points):
             done = measure_cli(["--out", tmp_path / str(i), *argv])
