@@ -23,7 +23,7 @@ config is built, before anything is sieved.
 Only a*a reaches all of [0, X]; every other input lives in a window of size
 O(Y).  a is therefore a block source, read a segment at a time as points, the
 m with a(m) != 0 (for Lambda', the primes), and a run holds
-O(sqrt(X) + segment + H + Y) values (`pipeline_working_set`).  Each integer
+O(sqrt(X) + segment + H + Y) values (`pipeline_working_set`).  Each odd integer
 of [0, X] is sieved once (H more per segment), and for Lambda' a*a sums about
 pi(m0)(H+1)/log X prime pairs (see run_pipeline), not the (H+1)(X+1)/2
 multiply-adds of a dense pass.
@@ -37,7 +37,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .arith import cached_primes, interval_prime_flags, mu_phi_table, prime_weights, primes_bytes
+from .arith import cached_primes, mu_phi_table, odd_prime_flags, prime_weights, primes_bytes
 # `convolve` is not called here but stays bound: perfbench/test_perfbench.py checks
 # that the tracer wraps goldbach.convolve with arithfn.convolve, and
 # test_pipeline_makes_no_full_convolution patches it to show run_pipeline never calls it
@@ -66,8 +66,8 @@ VALUE_BYTES = 14
 SCAN_BLOCK = 1 << 20  # integers of [X-H, X] that exceptional_scan sifts at a time; even
 SURVIVOR_SHARE = 64  # the sift lists its survivors once fewer than 1/64 of a block's even n are left
 # bytes exceptional_scan may hold per integer of a block and of [0, P]: the
-# flags, their halves by parity and the flags of the even n (under 3 measured
-# per integer of a 2^20 block; 24 refuses what the int64 sift refused)
+# flags of the odd n, of the even n and of their hits (2 traced per integer
+# of a 2^20 block; 24 refuses what the int64 sift refused)
 SCAN_BYTES = 24
 # Every even 4 <= n <= 4*10^18 is p + q with a prime p < 10^4 (Oliveira e Silva,
 # Herzog, Pardi, Math. Comp. 83 (2014)), so the first pass of exceptional_scan
@@ -101,8 +101,8 @@ def exceptional_scan(x: int, h: int) -> ExceptionalScan:
     """Even n in [x-h, x] that are not a sum of two primes (exhaustive check).
 
     Works through [x-h, x] in blocks of SCAN_BLOCK integers.  Each block sieves
-    only [block start - P, block end] and the primes p <= P, then drops, one
-    vectorised step per ascending p, every n with n - p >= 2 prime.  If an n is
+    only the odd n of [block start - P, block end] and the primes p <= P, then
+    drops, one vectorised step per ascending p, every n with n - p >= 2 prime.  If an n is
     left for which primes above P remain untried, P grows 16-fold and the block
     reruns, so the result is exact.  Memory is O(sqrt(x) + min(h, SCAN_BLOCK) + P):
     the primes up to sqrt(x) and SCAN_BYTES per integer of the block and of
@@ -130,26 +130,25 @@ def exceptional_scan(x: int, h: int) -> ExceptionalScan:
 
 def _sift_partitions(start: int, x: int, p_bound: int) -> tuple[np.ndarray, Optional[int], Optional[int]]:
     """The even n in [start, x] with no partition n = p + q, p <= p_bound, and
-    the largest least p among the others with its smallest n.  Each p updates
-    alive in place from the slice of the flags of one parity that holds the
-    n - p; once under 1/SURVIVOR_SHARE of the n are left, it cuts their list instead."""
-    lo = max(0, start - p_bound)
-    flags = interval_prime_flags(lo, x)
-    halves = [flags[k::2].copy() for k in (0, 1)]  # halves[k][j] flags lo + k + 2j
-    del flags
+    the largest least p among the others with its smallest n.  Only 4 = 2 + 2
+    has p = 2; each odd p updates alive in place from the slice of the odd prime
+    flags that holds the n - p, or cuts their list once under 1/SURVIVOR_SHARE are left."""
+    base, flags = odd_prime_flags(max(0, start - p_bound), x)  # flags[j] flags base + 2j
     alive = np.ones((x - start) // 2 + 1, dtype=bool)  # alive[i] flags n = start + 2i
-    primes = iter(cached_primes(p_bound).tolist())
     least_p = least_n = None
+    if start == 4:
+        alive[0], least_p, least_n = False, 2, 4
+    primes = iter(cached_primes(p_bound)[1:].tolist())
     for p in primes:
         i = max(0, (p + 3 - start) // 2)  # alive[i:] are the n with n - p >= 2
         if i >= len(alive):
             break
         tail = alive[i:]
-        m = start + 2 * i - p - lo  # n - p - lo at n = start + 2i
-        hit = tail & halves[m % 2][m // 2 : m // 2 + len(tail)]
-        j = int(hit.argmax())
-        if hit[j]:
-            least_p, least_n = p, start + 2 * (i + j)
+        j = (start + 2 * i - p - base) // 2  # n - p = base + 2j at n = start + 2i
+        hit = tail & flags[j : j + len(tail)]
+        k = int(hit.argmax())
+        if hit[k]:
+            least_p, least_n = p, start + 2 * (i + k)
             tail ^= hit
             if SURVIVOR_SHARE * np.count_nonzero(alive) < len(alive):
                 break
@@ -159,7 +158,7 @@ def _sift_partitions(start: int, x: int, p_bound: int) -> tuple[np.ndarray, Opti
         if k == len(left):
             break
         tail = left[k:]
-        hit = halves[(p + lo) % 2][(tail - (p + lo)) // 2]
+        hit = flags[(tail - p - base) // 2]
         if hit.any():
             least_p, least_n = p, int(tail[hit][0])
             left = np.concatenate((left[:k], tail[~hit]))

@@ -8,12 +8,15 @@ import numpy as np
 import pytest
 
 import cmlab
-from cmlab.arith import interval_prime_flags
+from oracles import odd_only_sieve
 
 
 @pytest.fixture(scope="session")
 def flags_1e6():
-    return interval_prime_flags(0, 1_000_000)
+    """flags[n] = (n is prime) for n <= 10^6, from the sieve that does not read cmlab's."""
+    flags = np.zeros(1_000_001, dtype=bool)
+    flags[odd_only_sieve(1_000_000)] = True
+    return flags
 
 
 @pytest.fixture(scope="session")

@@ -74,13 +74,12 @@ def _truncate_every_position(monkeypatch):
 def _miss_prime_3(monkeypatch):
     # a prime sieve in goldbach that misses 3: 6 = 3 + 3 loses its only partition
     def flags(lo, hi):
-        out = arith.interval_prime_flags(lo, hi)
-        if lo <= 3 <= hi:
-            out = out.copy()
-            out[3 - lo] = False
-        return out
+        first, out = arith.odd_prime_flags(lo, hi)
+        if first <= 3 <= hi:
+            out[(3 - first) // 2] = False
+        return first, out
 
-    monkeypatch.setattr(goldbach, "interval_prime_flags", flags)
+    monkeypatch.setattr(goldbach, "odd_prime_flags", flags)
 
 
 def _drop_prime_2(monkeypatch):

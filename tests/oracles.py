@@ -1,12 +1,13 @@
 """Reference implementations that the tests check cmlab against.
 
-No `cmlab` subcommand reaches these: trial-division factorization and the
-multiplicative functions built on it, the Fourier transform at one point, the
-model file reader, Lambda_Q as a direct double sum, theta_n of a sieve at one n,
-the Dirichlet character tables with Gauss sums, the Ramanujan shortcut for
-omega * T, Goldbach counts, the singular series as a sum over all smooth q, and
-the containment geometry of a Farey arc.  Each is kept as it stood in the
-package, so every figure the acceptance suite prints is unchanged.
+No `cmlab` subcommand reaches these: a plain odd-wheel sieve, trial-division
+factorization and the multiplicative functions built on it, the Fourier
+transform at one point, the model file reader, Lambda_Q as a direct double sum,
+theta_n of a sieve at one n, the Dirichlet character tables with Gauss sums,
+the Ramanujan shortcut for omega * T, Goldbach counts, the singular series as a
+sum over all smooth q, and the containment geometry of a Farey arc.  Each is
+kept as it stood in the package, so every figure the acceptance suite prints
+is unchanged.
 """
 
 from __future__ import annotations
@@ -26,8 +27,22 @@ from cmlab.goldbach import _ascending_sum
 from cmlab.models import SieveSystem
 
 # ---------------------------------------------------------------------------
-# factorization and multiplicative functions
+# primes, factorization and multiplicative functions
 # ---------------------------------------------------------------------------
+
+
+def odd_only_sieve(limit: int) -> list[int]:
+    """The primes <= limit by a second, independent sieve (odd wheel, not segmented)."""
+    if limit < 2:
+        return []
+    flags = np.ones((limit - 1) // 2 + 1, dtype=bool)  # index i -> 2i+1
+    flags[0] = False
+    for i in range(1, (int(math.isqrt(limit)) - 1) // 2 + 1):
+        if flags[i]:
+            p = 2 * i + 1
+            first = (p * p - 1) // 2
+            flags[first::p] = False
+    return [2] + (2 * np.flatnonzero(flags) + 1).tolist()
 
 
 @dataclass(frozen=True)

@@ -8,15 +8,15 @@ from hypothesis import strategies as st
 from cmlab import arith
 from cmlab.arith import (
     cached_primes,
-    interval_prime_flags,
     mu_phi_table,
+    odd_prime_flags,
     prime_weights,
     rough_flags,
     sieve_primes,
 )
 from cmlab.arithfn import ArithFn, dense
 from cmlab.errors import DomainError
-from oracles import FactoredInteger, euler_phi, factorize, is_rough, mobius
+from oracles import FactoredInteger, euler_phi, factorize, is_rough, mobius, odd_only_sieve
 
 
 def trial_division_primes(limit):
@@ -51,18 +51,19 @@ def miller_rabin(n):
     return True
 
 
-def odd_only_sieve(limit):
-    """Independent second sieve (odd-wheel, non-segmented)."""
-    if limit < 2:
-        return []
-    flags = np.ones((limit - 1) // 2 + 1, dtype=bool)  # index i -> 2i+1
-    flags[0] = False
-    for i in range(1, (int(math.isqrt(limit)) - 1) // 2 + 1):
-        if flags[i]:
-            p = 2 * i + 1
-            first = (p * p - 1) // 2
-            flags[first::p] = False
-    return [2] + (2 * np.flatnonzero(flags) + 1).tolist()
+def is_prime(n):
+    """By trial division (oracles.factorize)."""
+    return n >= 2 and factorize(n).factors == ((n, 1),)
+
+
+def odd_part(flags, lo, hi):
+    """What odd_prime_flags(lo, hi) must return, read off flags indexed by n."""
+    return lo | 1, flags[lo | 1 : hi + 1 : 2]
+
+
+def assert_odd_flags(lo, hi, want):
+    first, flags = odd_prime_flags(lo, hi)
+    assert first == want[0] and np.array_equal(flags, want[1]), (lo, hi)
 
 
 class TestSievePrimes:
@@ -76,6 +77,17 @@ class TestSievePrimes:
     def test_against_trial_division(self):
         assert sieve_primes(10_000).tolist() == trial_division_primes(10_000)
 
+    def test_every_small_limit(self):
+        # the base primes of sieve_primes(limit) are sieve_primes(sqrt(limit)),
+        # so the limits around the squares 4, 9, 25 and 49 change its recursion
+        for limit in range(-1, 60):
+            assert sieve_primes(limit).tolist() == trial_division_primes(limit), limit
+
+    def test_segment_boundaries(self, monkeypatch):
+        monkeypatch.setattr(arith, "_SEGMENT", 7)
+        for limit in (16, 17, 18, 10_000):
+            assert sieve_primes(limit).tolist() == trial_division_primes(limit), limit
+
     def test_against_second_sieve_at_1e6(self):
         primes = sieve_primes(1_000_000)
         assert len(primes) == 78_498
@@ -83,15 +95,18 @@ class TestSievePrimes:
 
 
 class TestIntervalPrimeFlags:
+    """odd_prime_flags: the prime flags of the odd n of an interval [lo, hi]."""
+
     def test_windows_match_full_flags(self, flags_1e6):
         windows = [(0, 0), (0, 1), (0, 2), (2, 2), (4, 3), (7, 7), (0, 1000), (123_456, 124_000), (990_000, 1_000_000)]
         for lo, hi in windows:
-            assert np.array_equal(interval_prime_flags(lo, hi), flags_1e6[lo : hi + 1])
+            assert_odd_flags(lo, hi, odd_part(flags_1e6, lo, hi))
 
     def test_far_window_against_miller_rabin(self):
         lo = 10**12 - 2000
-        flags = interval_prime_flags(lo, 10**12)
-        assert flags.tolist() == [miller_rabin(n) for n in range(lo, 10**12 + 1)]
+        first, flags = odd_prime_flags(lo, 10**12)
+        assert first == lo + 1
+        assert flags.tolist() == [miller_rabin(n) for n in range(first, 10**12 + 1, 2)]
 
     def test_against_plain_sieve_at_low_starts_and_across_squares(self):
         plain = np.zeros(10**6 + 3, dtype=bool)
@@ -99,22 +114,39 @@ class TestIntervalPrimeFlags:
         windows = [(lo, hi) for lo in range(5) for hi in range(lo - 1, 60)]
         windows += [(p * p - d, p * p + e) for p in (2, 3, 5, 7, 11, 97, 997) for d in (0, 1, 2) for e in (-1, 0, 1, 2)]
         for lo, hi in windows:
-            assert np.array_equal(interval_prime_flags(lo, hi), plain[lo : hi + 1]), (lo, hi)
+            assert_odd_flags(lo, hi, odd_part(plain, lo, hi))
+
+    @pytest.mark.parametrize("lo, hi", [(lo, hi) for lo in range(4) for hi in (lo - 1, lo, 30, 31)]
+                             + [(10**9 - 1000, 10**9), (10**9 - 999, 10**9 - 2)])
+    def test_against_trial_division(self, lo, hi):
+        first, flags = odd_prime_flags(lo, hi)
+        assert first == lo | 1
+        assert flags.tolist() == [is_prime(n) for n in range(first, hi + 1, 2)]
+        primes, logs = prime_weights(lo, hi + 1)
+        assert primes.tolist() == [n for n in range(lo, hi + 1) if is_prime(n)]
+        assert logs.tolist() == pytest.approx([math.log(p) for p in primes.tolist()], rel=1e-15)
+
+    def test_base_primes_in_small_batches(self, monkeypatch, flags_1e6):
+        monkeypatch.setattr(arith, "_BASE_BATCH", 3)
+        for lo, hi in [(0, 1000), (990_001, 1_000_000)]:
+            assert_odd_flags(lo, hi, odd_part(flags_1e6, lo, hi))
 
     def test_cold_prime_cache_grows_without_recursing(self, monkeypatch):
-        # interval_prime_flags reads its base primes from cached_primes, which
-        # grows through sieve_primes and so through interval_prime_flags
+        # odd_prime_flags reads its base primes from cached_primes, which grows
+        # through sieve_primes; that takes its own from sieve_primes(sqrt(limit))
         monkeypatch.setattr(arith, "_prime_cache", (0, np.array([], dtype=np.int64)))
         assert cached_primes(5).tolist() == [2, 3, 5]
         assert cached_primes(10**5).tolist() == odd_only_sieve(10**5)
+        assert not cached_primes(10).flags.writeable
         monkeypatch.setattr(arith, "_prime_cache", (0, np.array([], dtype=np.int64)))
-        assert interval_prime_flags(10**6 - 100, 10**6).tolist() == [miller_rabin(n) for n in range(10**6 - 100, 10**6 + 1)]
+        first, flags = odd_prime_flags(10**6 - 100, 10**6)
+        assert flags.tolist() == [miller_rabin(n) for n in range(first, 10**6 + 1, 2)]
 
     def test_domain(self):
         with pytest.raises(DomainError):
-            interval_prime_flags(-1, 5)
+            odd_prime_flags(-1, 5)
         with pytest.raises(DomainError):
-            interval_prime_flags(10, 8)
+            odd_prime_flags(10, 8)
 
 
 class TestMultiplicativeFunctions:
@@ -193,6 +225,13 @@ class TestRoughness:
         flags = rough_flags(1, 2000, 7)
         for n in range(1, 2000):
             assert flags[n - 1] == is_rough(n, 7)
+
+    @pytest.mark.parametrize("z", [1.5, 2, 3, 10, 97])
+    def test_rough_flags_match_is_rough(self, z):
+        # starts of both parities, empty and one-long windows among them
+        for start in (1, 2, 97, 98, 10_000, 10_001):
+            for stop in (start, start + 1, start + 2, start + 501):
+                assert rough_flags(start, stop, z).tolist() == [is_rough(n, z) for n in range(start, stop)], (start, stop)
 
 
 class TestWeightedPrimeFn:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from cmlab import arith, arithfn, errors, goldbach
-from cmlab.arith import interval_prime_flags, prime_weights, primes_bytes, rough_flags
+from cmlab.arith import prime_weights, primes_bytes, rough_flags
 from cmlab.arithfn import ArithFn, convolve, dense
 from cmlab.cli import main
 from cmlab.errors import CapacityError, ContractError, DomainError
@@ -34,6 +34,7 @@ import oracles
 from oracles import (
     convolve_with_lambda_q_model,
     euler_phi,
+    factorize,
     goldbach_count,
     mobius,
     singular_series_smooth_sum,
@@ -68,12 +69,23 @@ class TestExceptionalSet:
         assert scan.p_bound == goldbach.LEAST_PRIME_START
         assert scan.max_least_prime < 10**4
         partner = scan.max_least_n - scan.max_least_prime
-        assert interval_prime_flags(partner, partner)[0]
+        assert factorize(partner).factors == ((partner, 1),)  # prime, by trial division
 
     def test_least_prime_record(self):
         # 503222 is the first even n whose least partition prime is 523
         scan = exceptional_scan(1_000_000, 1_000_000 - 4)
         assert (scan.max_least_prime, scan.max_least_n) == (523, 503_222)
+
+    @pytest.mark.parametrize("x", [4, 5, 6, 7, 8, 9, 10, 12, 13, 100, 1001])
+    def test_scan_from_four_against_brute_force(self, x, flags_1e6):
+        # 4 = 2 + 2 is the one partition whose p is even; it must keep 4 out of E
+        least = {n: next((p for p in range(2, n - 1) if flags_1e6[p] and flags_1e6[n - p]), None)
+                 for n in range(4, x + 1, 2)}
+        record = max(p for p in least.values() if p is not None)
+        scan = exceptional_scan(x, x - 4)
+        assert 4 not in scan.exceptions
+        assert list(scan.exceptions) == [n for n, p in least.items() if p is None]
+        assert (scan.max_least_prime, scan.max_least_n) == (record, min(n for n, p in least.items() if p == record))
 
     def test_record_tie_across_blocks_keeps_the_smallest_n(self, monkeypatch, flags_1e6):
         # on [4200, 4600] the largest least prime is attained at three n, each
@@ -288,15 +300,16 @@ class TestRestrictedPrimeFn:
 
         def recording(start, stop):
             sieved.append((start, stop))
-            return interval(start, stop)
+            return odd_flags(start, stop)
 
-        interval = arith.interval_prime_flags
-        monkeypatch.setattr(arith, "interval_prime_flags", recording)
+        odd_flags = arith.odd_prime_flags
+        monkeypatch.setattr(arith, "odd_prime_flags", recording)
         f = restricted_prime_fn(window)
         assert f.support_start == lo + 1
         assert np.array_equal(f.values, whole)
-        # the window itself, and the base primes up to sqrt(hi)
-        assert all(start >= lo + 1 or stop <= math.isqrt(hi) for start, stop in sieved)
+        # the window itself, once; the base primes come from the cache, which
+        # sieve_primes fills without passing through odd_prime_flags
+        assert sieved == [(lo + 1, hi)]
 
 
 class TestPipelineConfig:
