@@ -28,26 +28,31 @@ At levels D >= untruncated_level(z, beta) every squarefree z-smooth d is
 admitted, so theta_n = sum_{d | gcd(n, P(z))} mu(d) is exactly the indicator of
 z-rough n.  `model_t_nu_plus` reads that indicator from `rough_flags` instead
 of enumerating the 2^pi(z) weights, and builds weights only below that level.
+
+A SieveSystem holds the admitted d and lambda_d beside them as two read-only
+arrays, the d int64 while floor(D) < 2^62 and Python ints beyond, so every d is
+exact.  `beta_sieve_weights` builds them one prime position at a time: each d
+of position m - 1 takes a prime p below its smallest one, at an odd position m
+only if p^(beta+1) <= floor(D) // d.  It counts each position before it stores
+it, so the cap refuses a position that would pass it before it is built.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
-from types import MappingProxyType
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
 
-from . import errors
 from .arith import cached_primes, mu_phi_table, rough_flags
 from .arithfn import ArithFn
 from .errors import ContractError, DomainError, require_memory
 
 # bytes per integer of (Y, 2Y] a model holds (18 measured at Y = 2*10^6), per
 # d <= Q that lambda_q_window reads with the mu/phi table (73 at Q = 2*10^6),
-# and per sieve weight, 4 more per 30 bits of its key d <= D (136 at 84 bits)
+# and per sieve weight, 4 more per 30-bit digit of D (69 at 62 bits, 86 at 85: 10^6 weights at z = 71)
 WINDOW_BYTES, DIVISOR_BYTES, WEIGHT_BYTES = 24, 96, 192
 
 # -- Lambda_Q --------------------------------------------------------------
@@ -186,34 +191,32 @@ def mertens_product(z: float) -> float:
     return value
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SieveSystem:
-    """Upper-bound sieve weights lambda_d for level D and sifting range z."""
+    """Upper-bound sieve weights for level D and sifting range z: one read-only
+    pair of arrays, the admitted d and lambda_d = mu(d) beside them."""
 
     beta: int
     level: float  # D
     sift: float  # z
-    weights: dict[int, int] = field(repr=False)
+    divisors: np.ndarray = field(repr=False)
+    weights: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        if self.weights.get(1) != 1:
+        if self.weights[self.divisors == 1].tolist() != [1]:
             raise ContractError("lambda_1 must be 1")
-        if any(abs(v) > 1 for v in self.weights.values()):
+        if np.any(np.abs(self.weights) > 1):
             raise ContractError("|lambda_d| must be <= 1")
-        if any(d > self.level for d in self.weights):
+        if np.any(self.divisors > int(self.level)):
             raise ContractError("weights must be supported on d <= D")
-        object.__setattr__(self, "weights", MappingProxyType(dict(self.weights)))
-
-    @cached_property
-    def divisors(self) -> tuple[np.ndarray, np.ndarray]:
-        """The weights as arrays (d, lambda_d), built once per system."""
-        return np.array(list(self.weights)), np.array(list(self.weights.values()), dtype=np.int64)
+        self.divisors.setflags(write=False)
+        self.weights.setflags(write=False)
 
     def theta_window(self, start: int, stop: int) -> np.ndarray:
         """theta_n for n in [start, stop), by strided accumulation."""
         if start < 1 or stop < start:
             raise DomainError("need 1 <= start <= stop")
-        return _divisor_sum(start, stop, self.divisors, np.int64)
+        return _divisor_sum(start, stop, (self.divisors, self.weights), np.int64)
 
 
 def beta_sieve_weights(level: float, sift: float, beta: int = 10) -> SieveSystem:
@@ -221,34 +224,28 @@ def beta_sieve_weights(level: float, sift: float, beta: int = 10) -> SieveSystem
 
     lambda_d = mu(d) for admitted squarefree z-smooth d, 0 otherwise.  Admission
     uses exact integer comparisons against floor(D), so D and z may be real.
-    The weights the cap admits are counted once per call; one more raises CapacityError.
     """
-    if sift < 2 or level < sift:
-        raise DomainError("need z >= 2 and D >= z")
-    if beta < 1:
-        raise DomainError("beta must be >= 1")
+    require_sift(sift, beta)
+    if level < sift:
+        raise DomainError("need D >= z")
     d_floor = int(level)
-    primes = cached_primes(int(sift)).tolist()[::-1]  # descending
-    weights: dict[int, int] = {1: 1}
     weight_bytes = WEIGHT_BYTES + d_floor.bit_length() // 7
-    most = errors.MEMORY_CAP // weight_bytes
-
-    def extend(prefix_prod: int, idx: int, pos: int, sign: int):
-        for i in range(idx, len(primes)):
-            p = primes[i]
-            m = pos + 1
-            if m % 2 == 1 and prefix_prod * p ** (beta + 1) > d_floor:
-                # odd-position truncation: this p (and only this p) is barred,
-                # smaller primes may still be admissible
-                continue
-            d = prefix_prod * p
-            weights[d] = -sign
-            if len(weights) > most:
-                require_memory(f"the sieve weights at D = {level:g}, z = {sift:g}", weight_bytes * len(weights))
-            extend(d, i + 1, m, -sign)
-
-    extend(1, 0, 0, 1)
-    return SieveSystem(beta=beta, level=float(level), sift=float(sift), weights=weights)
+    dtype = np.int64 if d_floor < 1 << 62 else object
+    primes = cached_primes(int(sift)).astype(dtype)  # ascending
+    # p^(beta+1), capped at floor(D) + 1 so that it fits wherever D does
+    powers = np.array([min(p ** (beta + 1), d_floor + 1) for p in primes.tolist()], dtype=dtype)
+    # the d of each position; each d of the last one may take primes[:top], the primes below its smallest
+    positions, top, total = [np.ones(1, dtype)], np.array([len(primes)]), 1
+    while len(top):
+        d = positions[-1]
+        counts = np.minimum(top, np.searchsorted(powers, d_floor // d, side="right")) if len(positions) % 2 else top
+        size = int(counts.sum())
+        total += size
+        require_memory(f"the sieve weights at D = {level:g}, z = {sift:g}", weight_bytes * total)
+        top = np.arange(size) - np.repeat(np.cumsum(counts) - counts, counts)
+        positions.append(np.repeat(d, counts) * primes[top])
+    signs = np.repeat((-1) ** np.arange(len(positions)), [len(d) for d in positions])  # mu(d) = (-1)^position
+    return SieveSystem(beta, float(level), float(sift), np.concatenate(positions), signs)
 
 
 def untruncated_level(sift: float, beta: int = 10) -> int:
@@ -306,7 +303,8 @@ def sieve_short_sum(
     budget H' e^{-log D / log z} + q D for q <= z, else 0 with the divisor-sum
     budget (H'/q + D + q) log(q H').
     """
-    actual = _twisted_short_sum(t, h_prime, r, q_twist, lambda: sieve.divisors) / mertens_product(sieve.sift)
+    actual = _twisted_short_sum(t, h_prime, r, q_twist, lambda: (sieve.divisors, sieve.weights))
+    actual /= mertens_product(sieve.sift)
     if q_twist <= sieve.sift:
         mu, phi = _mu_phi(q_twist)
         budget = h_prime * math.exp(-math.log(sieve.level) / math.log(sieve.sift)) + q_twist * sieve.level

@@ -66,7 +66,8 @@ def _truncate_every_position(monkeypatch):
                     extend(prefix * primes[i], i + 1, -sign)
 
         extend(1, 0, 1)
-        return models.SieveSystem(beta=beta, level=float(level), sift=float(sift), weights=lambdas)
+        divisors, weights = np.array(list(lambdas)), np.array(list(lambdas.values()))
+        return models.SieveSystem(beta, float(level), float(sift), divisors, weights)
 
     monkeypatch.setattr(models, "beta_sieve_weights", weights)
 

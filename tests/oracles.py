@@ -3,7 +3,8 @@
 No `cmlab` subcommand reaches these: a plain odd-wheel sieve, trial-division
 factorization and the multiplicative functions built on it, the Fourier
 transform at one point, the model file reader, Lambda_Q as a direct double sum,
-theta_n of a sieve at one n, the Dirichlet character tables with Gauss sums,
+theta_n of a sieve at one n and its admitted weights by walking every subset of
+the primes <= z, the Dirichlet character tables with Gauss sums,
 the Ramanujan shortcut for omega * T, Goldbach counts, the singular series as a
 sum over all smooth q, and the containment geometry of a Farey arc.  Each is
 kept as it stood in the package, so every figure the acceptance suite prints
@@ -12,7 +13,9 @@ is unchanged.
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import IO
 
@@ -186,7 +189,24 @@ def theta(sieve: SieveSystem, n: int) -> int:
     """theta_n = sum over admitted d | n of lambda_d."""
     if n < 1:
         raise DomainError("theta requires n >= 1")
-    return sum(lam for d, lam in sieve.weights.items() if n % d == 0)
+    return sum(lam for d, lam in zip(sieve.divisors.tolist(), sieve.weights.tolist()) if n % d == 0)
+
+
+def admitted_weights(level: float, sift: float, beta: int) -> dict[int, int]:
+    """{d: mu(d)} over the squarefree z-smooth d the sieve admits: every subset
+    of the primes <= z, its primes p_1 > ... > p_r, kept iff
+    p_1 ... p_m * p_m^beta <= floor(D) at every odd position m (z <= 30)."""
+    if sift > 30:
+        raise CapacityError("admitted_weights walks all 2^pi(z) subsets; z <= 30")
+    primes, bound = odd_only_sieve(int(sift))[::-1], int(level)
+    out = {}
+    for r in range(len(primes) + 1):
+        for chosen in itertools.combinations(primes, r):  # in the order of primes: decreasing
+            prefixes = itertools.accumulate(chosen, operator.mul)
+            # index i is position i + 1, so the even i are the odd positions
+            if all(prefix * p**beta <= bound for i, (prefix, p) in enumerate(zip(prefixes, chosen)) if i % 2 == 0):
+                out[math.prod(chosen)] = (-1) ** r
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -502,6 +502,14 @@ class TestModelDump:
         err = capsys.readouterr().err
         assert "sift = 800.0" in err and "beta = 10" in err
 
+    def test_t_nu_plus_level_past_int64(self, tmp_path):
+        # floor(D) >= 2^63: the weights' d are Python ints, so the strided sums can slice by them
+        argv = ["model", "--which", "t_nu_plus", "--Y", "1000", "--sift", "60", "--beta", "1", "--level", "1.5e19"]
+        assert run(["--out", str(tmp_path), *argv]) == 0
+        with open(tmp_path / "model-t_nu_plus.txt") as fh:
+            fn = read_arithfn(fh)
+        assert fn.support_start == 1001 and float(fn.values.min()) >= 0.0
+
     def test_lambda_q_header_omits_sieve_parameters(self, tmp_path):
         assert run(["--out", str(tmp_path), "model", "--which", "lambda_q", "--Y", "1000", "--Q", "5"]) == 0
         text = (tmp_path / "model-lambda_q.txt").read_text()
@@ -633,6 +641,7 @@ class TestMemoryCap:
         ["model", "--which", "t_nu", "--Y", "1000000000"],  # the model's window
         ["verify", "gallagher", "--span", "200000000", "--trials", "1"],  # the draw
         ["verify", "lambda_q_short", "--Q", "10000000"],  # the sweep's points
+        ["model", "--which", "t_nu_plus", "--Y", "1000", "--sift", "3000", "--beta", "1", "--level", "1e300"],  # the weights
     ], ids=" ".join)
     def test_request_over_the_cap_exits_2_before_it_allocates(self, tmp_path, argv):
         # in a child that may map 1 GB, so an allocation the cap misses ends in a MemoryError (exit 1)
@@ -643,9 +652,9 @@ class TestMemoryCap:
 
     @skip_without_proc
     def test_estimates_bound_the_measured_peak(self, tmp_path):
-        # one point per subcommand that sizes memory, and one for Lambda_Q, each estimated at 50 MB or
-        # more: what the child held above its imports (VmHWM) is at most the largest estimate it met
-        # against the cap
+        # one point per subcommand that sizes memory, one for Lambda_Q and one for the sieve weights, each
+        # estimated at 50 MB or more: what the child held above its imports (VmHWM) is at most the
+        # largest estimate it met against the cap
         points = [
             ["verify", "gallagher", "--span", "500000", "--trials", "1"],
             ["verify", "closeness", "--Y", "600000"],
@@ -656,6 +665,8 @@ class TestMemoryCap:
             # Lambda_Q's weights: with cli.main's mmap and trim thresholds at 16 and 32 MB in place of
             # 8 and 16, the child held 56.8 MB here, over the 54.9 MB estimate
             ["model", "--which", "lambda_q", "--Y", "1000", "--Q", "600000"],
+            # the truncated sieve's 524207 weights, their d past the int64 range
+            ["model", "--which", "t_nu_plus", "--Y", "1000", "--sift", "67", "--beta", "1", "--level", "1e23"],
         ]
         for i, argv in enumerate(points):
             done = measure_cli(["--out", tmp_path / str(i), *argv])

@@ -168,6 +168,11 @@ def test_default_sweeps_sum_from_the_divisor_side(monkeypatch):
             short_sum(point["t"], point["h_prime"], model, r=point["r"], q_twist=point["q_twist"])
 
 
+def weights_of(sieve):
+    """The sieve's weights as {d: lambda_d}."""
+    return dict(zip(sieve.divisors.tolist(), sieve.weights.tolist()))
+
+
 class TestBetaSieve:
     def test_untruncated_is_exact_rough_indicator(self):
         # the identity model_t_nu_plus relies on when it reads rough_flags
@@ -184,7 +189,7 @@ class TestBetaSieve:
 
     def test_z2_weights(self):
         sieve = beta_sieve_weights(2048.0, 2.0, beta=10)
-        assert sieve.weights == {1: 1, 2: -1}
+        assert weights_of(sieve) == {1: 1, 2: -1}
         theta = sieve.theta_window(1, 1001)
         assert np.array_equal(theta, np.arange(1, 1001) % 2)
 
@@ -192,7 +197,7 @@ class TestBetaSieve:
         # at z = 10, D = 10^4 the level condition p * p^10 <= D bars every
         # prime above 2, so the system collapses to the parity sieve
         sieve = beta_sieve_weights(10_000.0, 10.0, beta=10)
-        assert sieve.weights == {1: 1, 2: -1}
+        assert weights_of(sieve) == {1: 1, 2: -1}
 
     def test_nonnegative_and_prime_value(self):
         for sieve in (
@@ -209,20 +214,56 @@ class TestBetaSieve:
 
     def test_weight_invariants(self):
         sieve = beta_sieve_weights(3_000.0, 30.0, beta=1)
-        assert sieve.weights[1] == 1
-        assert all(abs(v) <= 1 for v in sieve.weights.values())
-        assert all(d <= sieve.level for d in sieve.weights)
+        lambdas = weights_of(sieve)
+        assert len(lambdas) == len(sieve.weights) == 145
+        assert lambdas[1] == 1
+        assert all(abs(v) <= 1 for v in lambdas.values())
+        assert all(d <= sieve.level for d in lambdas)
+        assert not sieve.divisors.flags.writeable and not sieve.weights.flags.writeable
 
     def test_odd_position_rule_is_required_for_nonnegativity(self):
         # all-positions admission at beta=1, z=10, D=100 would reject 35 while
         # keeping 5 and 7, giving theta(35) = -1; the odd-position rule admits
         # 35 and stays nonnegative
         sieve = beta_sieve_weights(100.0, 10.0, beta=1)
-        assert 35 in sieve.weights
+        assert 35 in weights_of(sieve)
         assert oracles.theta(sieve, 35) == 0
 
+    @pytest.mark.parametrize("sift", [2.0, 3.0, 10.0, 12.0, 30.0])
+    @pytest.mark.parametrize("beta", [1, 2, 3, 10])
+    def test_admitted_set_matches_subset_walk(self, sift, beta):
+        top = float(untruncated_level(sift, beta))
+        for level in (sift, 100.0, 3_000.0, 10_000.0, 1e9, math.nextafter(top, 0), top):
+            if level >= sift:
+                assert weights_of(beta_sieve_weights(level, sift, beta)) == oracles.admitted_weights(level, sift, beta)
+
+    def test_level_past_int64(self):
+        # floor(D) >= 2^63: the d are Python ints, which float64 would round
+        sieve = beta_sieve_weights(1.5e19, 60.0, beta=1)
+        assert len(sieve.weights) == 130963 and max(sieve.divisors.tolist()) > 1 << 63
+        n = 29 * math.prod(sieve_primes(47).tolist())  # 1.8e19, a multiple of every prime <= 47
+        assert sieve.theta_window(n - 20, n + 21).tolist() == [oracles.theta(sieve, m) for m in range(n - 20, n + 21)]
+        for t, h in ((n + 20, 41.0), (100_003, 997.0)):
+            lo = t - int(h) + 1
+            theta = sieve.theta_window(lo, t + 1) / mertens_product(sieve.sift)
+            for r, q_twist in ((0, 1), (1, 97), (-1, 2864)):
+                actual = sieve_short_sum(t, h, sieve, r=r, q_twist=q_twist)[0]
+                oracle = fsum_twisted_sum(theta, lo, r, q_twist)
+                assert abs(actual - oracle) <= 1e-12 * abs(oracle), (t, r, q_twist)
+
+    @pytest.mark.parametrize("divisors, weights, message", [
+        ([2, 3], [-1, -1], "lambda_1 must be 1"),
+        ([1, 2], [1, -2], "must be <= 1"),
+        ([1, 2, 11], [1, -1, -1], "supported on d <= D"),
+        ([1, 2, (1 << 63) + 1], [1, -1, -1], "supported on d <= D"),
+    ])
+    def test_system_checks(self, divisors, weights, message):
+        with pytest.raises(ContractError, match=message):
+            SieveSystem(1, 10.0, 3.0, np.array(divisors, dtype=object), np.array(weights))
+
     def test_weights_over_cap_fail(self, monkeypatch):
-        # the cap admits MEMORY_CAP // (WEIGHT_BYTES + bits of D // 7) weights; the one past them is refused
+        # each prime position is met against the cap before it is stored, at WEIGHT_BYTES + bits of D // 7
+        # per weight up to it: a cap one byte below the estimate of all 145 refuses the last position
         count = len(beta_sieve_weights(3_000.0, 30.0, beta=1).weights)
         estimate = (models.WEIGHT_BYTES + 1) * count  # 3000 has 12 bits
         monkeypatch.setattr(errors, "MEMORY_CAP", estimate)
@@ -299,7 +340,7 @@ class TestModels:
 
     def test_t_plus_nonnegative_enforced(self, monkeypatch):
         # D = 10 is below untruncated_level(3, 2) = 27, so the weights are built
-        broken = SieveSystem(beta=2, level=10.0, sift=3.0, weights={1: 1, 2: -1, 3: -1, 6: -1})
+        broken = SieveSystem(2, 10.0, 3.0, divisors=np.array([1, 2, 3, 6]), weights=np.array([1, -1, -1, -1]))
         monkeypatch.setattr(models, "beta_sieve_weights", lambda level, sift, beta: broken)
         with pytest.raises(ContractError, match="upper-bound"):
             model_t_nu_plus(100, 3.0, level=10.0, beta=2)
