@@ -24,9 +24,9 @@ Only a*a reaches all of [0, X]; every other input lives in a window of size
 O(Y).  a is therefore a block source, read a segment at a time as points, the
 m with a(m) != 0 (for Lambda', the primes), and a run holds
 O(sqrt(X) + segment + H + Y) values (`pipeline_working_set`).  Each odd integer
-of [0, X] is sieved once (H more per segment), and for Lambda' a*a sums about
-pi(m0)(H+1)/log X prime pairs (see run_pipeline), not the (H+1)(X+1)/2
-multiply-adds of a dense pass.
+of [0, X] is sieved once (H more per segment), and for Lambda' a*a meets each
+prime p < m0 with the H+1 values of a on [X-H-p, X-p] as one row of a matrix
+product: about pi(m0)(H+1) multiply-adds, not the (H+1)(X+1)/2 of a dense pass.
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ from dataclasses import asdict, dataclass, field, fields
 from typing import Callable, Optional
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .arith import cached_primes, mu_phi_table, odd_prime_flags, prime_weights, primes_bytes
 # `convolve` is not called here but stays bound: perfbench/test_perfbench.py checks
@@ -52,14 +53,14 @@ PIPELINE_SEGMENT = 1 << 18  # integers m whose a(m) run_pipeline reads at a time
 # so that its H+1 outputs reuse cached values, and at least 4(H+1), so that the
 # H values of the mirror beyond the chunk stay a quarter of it at most
 PIPELINE_CHUNK = 1 << 16
-# prime pairs (p, q) of a segment and its mirror that the a*a stream sums at a
-# time; each holds 5 values while it is summed
-PAIR_BATCH = 1 << 13
-# what one such pair costs, in the units of convolve_valid_cost.  On a 2-vCPU
-# Xeon a pair took 20-55 ns, a direct multiply-add 0.3 ns and a transform unit
-# 0.7 ns; at X = 10^7 the two paths met between H = 3000 and H = 6000, and 32
-# puts the switch there
-PAIR_COST = 32
+# integers of a segment whose points meet one dense piece of their ROW_SPAN + H mirror
+# values as rows (2^15 took a tenth less time at X = 3*10^6, with 0.13 MB more peak RSS)
+ROW_SPAN = 1 << 14
+ROW_VALUES = 1 << 15  # row values gathered at a time for one matrix product (at least one row)
+# what one gathered row value costs, in units of convolve_valid_cost: on a 2-vCPU Xeon,
+# under cli.main's allocator policy, the rows and the dense chunks of a segment met at
+# 1.5-2.2 times at X = 10^7 and 10^8 and H = 2000 to 8000
+ROW_COST = 2
 # bytes per value of pipeline_working_set: 8 of its own and the copies that
 # build and scale the windows (10 measured at --X 4000000 --Y 900000)
 VALUE_BYTES = 14
@@ -205,11 +206,12 @@ EPS = 0.1  # eps of H = Y^{1/9 + 2 eps}
 
 def pipeline_working_set(config: PipelineConfig) -> int:
     """Values a pipeline run holds at once: the base primes up to sqrt(X), two
-    dense blocks of the a*a stream (or, in their room, a segment's points and
-    PAIR_BATCH pairs of 5 values), and at most ten windows of Y + H values (nu,
-    omega, T, T+, a on the step preimages and on omega's window, and the
-    differences of one step); the middle window of a*a is at most 2(H + 1)."""
-    return math.isqrt(config.x) + max(2 * PIPELINE_SEGMENT, 5 * PAIR_BATCH) + 10 * (config.y + config.h)
+    dense blocks of the a*a stream (or a segment's points, a piece of ROW_SPAN + H
+    values and its gathered rows, ROW_VALUES or one row), and at most ten windows
+    of Y + H values (nu, omega, T, T+, a on the step preimages and on omega's
+    window, and the differences of one step); the middle window of a*a is at most 2(H + 1)."""
+    rows = ROW_SPAN + config.h + max(ROW_VALUES, config.h + 1)
+    return math.isqrt(config.x) + max(2 * PIPELINE_SEGMENT, rows) + 10 * (config.y + config.h)
 
 
 def pipeline_bytes(config: PipelineConfig) -> int:
@@ -356,12 +358,13 @@ def run_pipeline(
     a is read on nu's and omega's windows, on the m that step 2 and the
     positivity step reach, and by the a*a stream.  a*a splits at
     m0 = ceil((X-H)/2): each segment [s, s + PIPELINE_SEGMENT) of [0, m0) meets
-    its mirror near X as the prime pairs with X-H <= p+q <= X, summed by
-    bincount PAIR_BATCH at a time, or as dense chunks through convolve_valid
-    when PAIR_COST per pair costs more; the sum is doubled, and one window
-    [m0, X - m0] holds the rest.  The stream reads X + 1 + segments * H values
-    (`values_streamed`).  Every read of a is checked nonnegative and its points
-    ascending inside the range read, raising ContractError.
+    its mirror near X as rows, each point p of the segment against the H+1
+    values of a on [X-H-p, X-p] in one matrix product, or as dense chunks
+    through convolve_valid when ROW_COST per row value costs more; the sum is
+    doubled, and one window [m0, X - m0] holds the rest.  The stream reads
+    X + 1 + segments * H values (`values_streamed`).  Every read of a is checked
+    nonnegative and its points ascending inside the range read, raising
+    ContractError.
     """
     _require_support(nu, config.nu_window, "nu")
     _require_support(omega, config.omega_window, "omega")
@@ -419,7 +422,7 @@ def run_pipeline(
 
     # a*a(n) = 2 sum_{m < m0} a(m) a(n-m) + sum_{m0 <= m <= n-m0} a(m) a(n-m) for
     # n >= lo >= 2 m0 - 1.  Each segment [s, stop) of [0, m0) meets its mirrored
-    # block [lo - stop + 1, hi - s], as pairs or densely, whichever costs less;
+    # block [lo - stop + 1, hi - s], as rows or densely, whichever costs less;
     # the last sum is one window [m0, hi - m0] of at most H + 1 values.
     m0 = -(-lo // 2)
     chunk = max(PIPELINE_CHUNK, 4 * (config.h + 1))
@@ -430,11 +433,10 @@ def run_pipeline(
         stop = min(s + PIPELINE_SEGMENT, m0)
         base = lo - stop + 1
         low, mirror = read(s, stop), read(base, hi - s + 1)
-        first, counts = _partners(low[0], mirror[0], lo, hi)
         parts = [min(chunk, stop - c) for c in range(s, stop, chunk)]
         dense_cost = sum(convolve_valid_cost(part + config.h, part) for part in parts)
-        if PAIR_COST * int(counts.sum()) <= dense_cost:
-            _add_pairs(ab, low, mirror, first, counts, lo)
+        if ROW_COST * len(low[0]) * (config.h + 1) <= dense_cost:
+            _add_rows(ab, low, mirror, lo, hi)
         else:
             _add_chunks(ab, dense(low, s, stop), dense(mirror, base, hi - s + 1), s, lo, hi, chunk)
         segments += 1
@@ -473,37 +475,29 @@ def run_pipeline(
     )
 
 
-def _partners(p: np.ndarray, q: np.ndarray, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
-    """For each p, the index of the first q with p + q >= lo, and the number of
-    q with lo <= p + q <= hi; p and q ascending."""
-    # searchsorted runs faster on ascending keys, and lo - p descends
-    first = np.searchsorted(q, lo - p[::-1])[::-1]
-    return first, np.searchsorted(q, hi - p[::-1], side="right")[::-1] - first
-
-
-def _add_pairs(ab: np.ndarray, low: tuple, mirror: tuple, first: np.ndarray, counts: np.ndarray, lo: int) -> None:
-    """ab[p + q - lo] += a(p) a(q) over the pairs of `_partners`, PAIR_BATCH at a time.
-
-    Pair j of the flat list belongs to p[i] for ends[i] - counts[i] <= j < ends[i],
-    and its q is q[first[i] + j - (ends[i] - counts[i])].
-    """
+def _add_rows(ab: np.ndarray, low: tuple, mirror: tuple, lo: int, hi: int) -> None:
+    """ab[n - lo] += a(p) a(n - p) over the points p of low and the n in [lo, hi],
+    mirror holding the points of a on [lo - max p, hi - min p].  The p of each
+    ROW_SPAN integers meet one dense piece of the mirror, in which the row of p is
+    its H + 1 values on [lo - p, hi - p]: ab += a(p) @ rows, ROW_VALUES values (or
+    one row) gathered at a time."""
     (p, ap), (q, aq) = low, mirror
-    ends = np.cumsum(counts)
-    starts = ends - counts
-    shift = first - starts
-    total = int(ends[-1]) if len(ends) else 0
-    for k in range(0, total, PAIR_BATCH):
-        e = min(k + PAIR_BATCH, total)
-        i, j = int(np.searchsorted(ends, k, side="right")), int(np.searchsorted(starts, e))  # the p met
-        owner = np.repeat(np.arange(i, j), np.minimum(ends[i:j], e) - np.maximum(starts[i:j], k))
-        partner = shift[owner]
-        partner += np.arange(k, e)
-        n = p[owner]
-        n += q[partner]
-        n -= lo
-        weight = ap[owner]
-        weight *= aq[partner]
-        ab += np.bincount(n, weight, minlength=len(ab))
+    piece = np.zeros(ROW_SPAN - 1 + len(ab))  # zero again after each span
+    rows = sliding_window_view(piece, len(ab))
+    step = max(1, ROW_VALUES // len(ab))  # rows per product
+    i = 0
+    while i < len(p):
+        first = int(p[i])
+        j = int(np.searchsorted(p, first + ROW_SPAN))
+        last = int(p[j - 1])
+        k, stop = np.searchsorted(q, (lo - last, hi - first + 1))
+        at = q[k:stop] - (lo - last)
+        piece[at] = aq[k:stop]
+        for b in range(i, j, step):
+            e = min(b + step, j)
+            ab += ap[b:e] @ rows[last - p[b:e]]
+        piece[at] = 0
+        i = j
 
 
 def _add_chunks(ab: np.ndarray, low: np.ndarray, mirror: np.ndarray, s: int, lo: int, hi: int, chunk: int) -> None:

@@ -64,9 +64,12 @@ def _mu_phi(q: int) -> tuple[int, int]:
 
 
 def _divisor_sum(start: int, stop: int, weights: tuple[np.ndarray, np.ndarray], dtype) -> np.ndarray:
-    """sum_{d | n} w(d) for n in [start, stop), one strided pass per pair (d, w(d))."""
+    """sum_{d | n} w(d) for n in [start, stop), one strided pass per pair (d, w(d))
+    whose d has a multiple there."""
     out = np.zeros(stop - start, dtype=dtype)
-    for d, w in zip(*(a.tolist() for a in weights)):
+    ds, ws = weights
+    hit = -start % ds < stop - start  # the first multiple of d from start lies before stop
+    for d, w in zip(ds[hit].tolist(), ws[hit].tolist()):
         out[-start % d :: d] += w
     return out
 

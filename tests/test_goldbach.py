@@ -1,6 +1,7 @@
 import json
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -507,7 +508,7 @@ class TestPipelineScaling:
         inputs = desk_pipeline_inputs(config)
         whole = run_pipeline(config, *inputs)
         calls = []
-        self._count(monkeypatch, calls, "convolve_window", "convolve_valid", "_add_pairs", "_add_chunks")
+        self._count(monkeypatch, calls, "convolve_window", "convolve_valid", "_add_rows", "_add_chunks")
         monkeypatch.setattr(goldbach, "PIPELINE_SEGMENT", 1000)
         monkeypatch.setattr(goldbach, "PIPELINE_CHUNK", 1 << 7)
         report = run_pipeline(config, *inputs)
@@ -517,9 +518,9 @@ class TestPipelineScaling:
         assert report.segments == len(lengths) == -(-m0 // 1000)
         # steps 2, 4, positivity, omega*T and the middle window take one
         # convolve_window each, and each segment meets its mirror as one sum of
-        # prime pairs, with no dense chunk
+        # rows, with no dense chunk
         assert calls.count("convolve_window") == 5
-        assert calls.count("_add_pairs") == len(lengths)
+        assert calls.count("_add_rows") == len(lengths)
         assert calls.count("_add_chunks") == calls.count("convolve_valid") == 0
         assert report.summary() == whole.summary()
         lam = restricted_prime_fn((1, config.x))
@@ -529,17 +530,17 @@ class TestPipelineScaling:
         assert [row[3] for row in report.rows] == [row[3] for row in whole.rows]
 
     @pytest.mark.parametrize("segment", [2492, 2500])
-    def test_pair_stream_is_the_convolution(self, segment, monkeypatch):
+    def test_row_stream_is_the_convolution(self, segment, monkeypatch):
         # at X = 20000, m0 = 9968 = 4 * 2492: the segments tile [0, m0) exactly,
         # then with a short last one
         config = PipelineConfig(20_000, big_q=10)
         m0 = -(-(config.x - config.h) // 2)
         assert (m0 % segment == 0) == (segment == 2492)
         calls = []
-        self._count(monkeypatch, calls, "_add_pairs", "_add_chunks")
+        self._count(monkeypatch, calls, "_add_rows", "_add_chunks")
         monkeypatch.setattr(goldbach, "PIPELINE_SEGMENT", segment)
         report = run_pipeline(config, *desk_pipeline_inputs(config))
-        assert calls == ["_add_pairs"] * report.segments
+        assert calls == ["_add_rows"] * report.segments
         assert report.segments == -(-m0 // segment)
         lam = dense(prime_weights(0, config.x + 1), 0, config.x + 1)
         want = np.convolve(lam, lam)[config.x - config.h : config.x + 1]
@@ -547,31 +548,31 @@ class TestPipelineScaling:
         assert np.max(np.abs(ab - want)) <= 1e-12 * np.max(want)
 
     def test_either_side_of_the_cost_rule_gives_the_same_rows(self, monkeypatch):
-        # PAIR_COST 0 sums every segment as pairs, 10^30 every one densely
+        # ROW_COST 0 sums every segment as rows, 10^30 every one densely
         config = PRESETS["desk-small"]
         inputs = desk_pipeline_inputs(config)
         calls = []
-        self._count(monkeypatch, calls, "convolve_valid", "_add_pairs", "_add_chunks")
+        self._count(monkeypatch, calls, "convolve_valid", "_add_rows", "_add_chunks")
         monkeypatch.setattr(goldbach, "PIPELINE_SEGMENT", 1 << 14)
         monkeypatch.setattr(goldbach, "PIPELINE_CHUNK", 1 << 12)
         m0 = -(-(config.x - config.h) // 2)
         lengths = [min(1 << 14, m0 - s) for s in range(0, m0, 1 << 14)]
         reports = []
         for cost in (0, 10**30):
-            monkeypatch.setattr(goldbach, "PAIR_COST", cost)
+            monkeypatch.setattr(goldbach, "ROW_COST", cost)
             calls.clear()
             reports.append(run_pipeline(config, *inputs))
             if cost == 0:
-                assert calls == ["_add_pairs"] * len(lengths)
+                assert calls == ["_add_rows"] * len(lengths)
             else:  # chunks of 2^12, as 4(H + 1) = 260 is less
                 assert calls.count("_add_chunks") == len(lengths)
                 assert calls.count("convolve_valid") == sum(-(-n // (1 << 12)) for n in lengths)
-        pairs, chunks = reports
-        assert pairs.summary() == chunks.summary()
-        assert [(n, om, verdict) for n, _, om, verdict in pairs.rows] == [
+        by_rows, chunks = reports
+        assert by_rows.summary() == chunks.summary()
+        assert [(n, om, verdict) for n, _, om, verdict in by_rows.rows] == [
             (n, om, verdict) for n, _, om, verdict in chunks.rows]
-        ab_pairs, ab_chunks = (np.array([row[1] for row in r.rows]) for r in reports)
-        assert np.max(np.abs(ab_pairs - ab_chunks)) <= 1e-12 * np.max(ab_chunks)
+        ab_rows, ab_chunks = (np.array([row[1] for row in r.rows]) for r in reports)
+        assert np.max(np.abs(ab_rows - ab_chunks)) <= 1e-12 * np.max(ab_chunks)
 
     @pytest.mark.parametrize("x", [200_000, 200_001])  # X - H even, then odd
     def test_half_stream_is_both_pairs(self, x, monkeypatch):
@@ -614,12 +615,12 @@ class TestPipelineScaling:
             return m, 1.0 + m % 7
 
         calls = []
-        self._count(monkeypatch, calls, "_add_pairs", "_add_chunks")
+        self._count(monkeypatch, calls, "_add_rows", "_add_chunks")
         monkeypatch.setattr(goldbach, "PIPELINE_SEGMENT", 1 << 12)
         for a in (ones, ramp):
             calls.clear()
             report = run_pipeline(config, nu, omega, a)
-            # every m is a point, with H + 1 partners: pairs would cost PAIR_COST
+            # every m is a point, whose row of H + 1 values would cost ROW_COST
             # times the multiply-adds of one dense convolve_valid
             assert calls == ["_add_chunks"] * report.segments
             lam = dense(a(0, x + 1), 0, x + 1)
@@ -680,6 +681,90 @@ class TestPipelineScaling:
 
         with pytest.raises(ContractError, match="ascending points inside"):
             run_pipeline(config, nu, omega, bent)
+
+    def test_rows_on_a_sparse_source_of_both_parities(self, monkeypatch):
+        # every segment as rows, on points of both parities that no sieve would give
+        config = PipelineConfig(20_000, big_q=10)
+        nu, omega, _ = desk_pipeline_inputs(config)
+        rng = np.random.default_rng(3)
+        a = np.where(rng.random(config.x + 1) < 0.2, rng.uniform(0.5, 2.0, config.x + 1), 0.0)
+
+        def sparse(start, stop):
+            m = start + np.flatnonzero(a[start:stop])
+            return m, a[m]
+
+        calls = []
+        self._count(monkeypatch, calls, "_add_rows", "_add_chunks")
+        monkeypatch.setattr(goldbach, "ROW_COST", 0)
+        monkeypatch.setattr(goldbach, "PIPELINE_SEGMENT", 1 << 12)
+        report = run_pipeline(config, nu, omega, sparse)
+        assert calls == ["_add_rows"] * report.segments
+        want = np.convolve(a, a)[config.x - config.h : config.x + 1]
+        ab = np.array([row[1] for row in report.rows])
+        assert np.max(np.abs(ab - want)) <= 1e-12 * np.max(want)
+
+    def test_rows_hold_bounded_memory_at_long_h(self, monkeypatch):
+        # The rows counterpart of test_long_h_peak_rss: at H = 10^4 every segment
+        # meets its mirror as rows, and gathering the rows of the 4675 primes below
+        # m0 at once would hold 4675 (H + 1) values, 374 MB.  The stream holds a
+        # piece of ROW_SPAN + H values and ROW_VALUES gathered ones at a time
+        config = PipelineConfig(100_000, big_q=10, y=30_000, h=10_000)
+        inputs = desk_pipeline_inputs(config)
+        calls = []
+        self._count(monkeypatch, calls, "_add_rows", "_add_chunks")
+        monkeypatch.setattr(goldbach, "ROW_COST", 0)
+        tracemalloc.start()
+        try:
+            run_pipeline(config, *inputs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert calls == ["_add_rows"]
+        assert peak < goldbach.pipeline_bytes(config)
+
+
+class TestAddRows:
+    """_add_rows against a double loop over every point p of a segment [s, stop)
+    and every q of its mirror block [LO - stop + 1, HI - s] with LO <= p + q <= HI."""
+
+    LO, HI = 1000, 1012  # H = 12
+
+    @staticmethod
+    def double_loop(low, mirror, lo, hi):
+        ab = np.zeros(hi - lo + 1)
+        for p, ap in zip(*low):
+            for q, aq in zip(*mirror):
+                if lo <= p + q <= hi:
+                    ab[p + q - lo] += ap * aq
+        return ab
+
+    @pytest.mark.parametrize("span, values", [(8, 1), (8, 30), (5, 13), (goldbach.ROW_SPAN, goldbach.ROW_VALUES)],
+                             ids=["one row a product", "two rows a product", "spans of 5", "defaults"])
+    @pytest.mark.parametrize("s, stop, ms", [
+        (0, 500, range(0, 1013)),  # every m
+        (0, 500, np.flatnonzero(np.random.default_rng(1).random(1013) < 0.4)),  # both parities at random
+        (0, 500, [1, 2, *range(3, 1013, 2)]),  # the point 2 and the odd m
+        (137, 431, [311, *range(570, 1013)]),  # one point
+        (137, 431, [137, 144, 145, 152, 153, 160, 161, 300, 430, *range(570, 876)]),  # on the edges of spans of 8
+        (137, 431, range(431, 1013)),  # an empty low segment
+        (137, 431, range(0, 570)),  # an empty mirror
+    ], ids=["every m", "both parities", "2 and the odd m", "one point", "span edges", "empty low", "empty mirror"])
+    def test_matches_a_double_loop(self, monkeypatch, span, values, s, stop, ms):
+        monkeypatch.setattr(goldbach, "ROW_SPAN", span)
+        monkeypatch.setattr(goldbach, "ROW_VALUES", values)
+        ms = np.array(ms, dtype=np.int64)
+        weights = np.random.default_rng(2).uniform(0.5, 2.0, len(ms))
+
+        def a(start, stop):
+            inside = (ms >= start) & (ms < stop)
+            return ms[inside], weights[inside]
+
+        low, mirror = a(s, stop), a(self.LO - stop + 1, self.HI - s + 1)
+        ab = np.zeros(self.HI - self.LO + 1)
+        goldbach._add_rows(ab, low, mirror, self.LO, self.HI)
+        want = self.double_loop(low, mirror, self.LO, self.HI)
+        assert np.allclose(ab, want, rtol=1e-13, atol=0)
+        assert (ab == 0).all() == (len(low[0]) == 0 or len(mirror[0]) == 0)
 
 
 class TestMinorizationReporting:

@@ -279,6 +279,37 @@ class TestBetaSieve:
             beta_sieve_weights(100.0, 1.5)
 
 
+class TestDivisorSum:
+    """models._divisor_sum passes only over the d with a multiple in the window."""
+
+    @staticmethod
+    def every_d(start, stop, weights, dtype):
+        """sum_{d | n} w(d) on [start, stop), one strided pass for every d (oracle)."""
+        out = np.zeros(stop - start, dtype=dtype)
+        for d, w in zip(*(a.tolist() for a in weights)):
+            out[-start % d :: d] += w
+        return out
+
+    @pytest.mark.parametrize("level, sift", [(3_000.0, 30.0), (1.5e19, 60.0)], ids=["int64", "past int64"])
+    def test_sieve_weights_match_every_d(self, level, sift):
+        sieve = beta_sieve_weights(level, sift, beta=1)
+        weights = (sieve.divisors, sieve.weights)
+        top = max(sieve.divisors.tolist())
+        assert (top > 1 << 63) == (level > 2**63) and (sieve.divisors.dtype == object) == (level > 2**63)
+        # windows shorter than most d, ones that end or start at a multiple of the largest d,
+        # one just past its multiple 2 top, and an empty one
+        for start, stop in ((1, 2), (1, 200), (1001, 1010), (top - 5, top + 1), (top, top + 3),
+                            (2 * top + 1, 2 * top + 2000), (top + 7, top + 7)):
+            got = models._divisor_sum(start, stop, weights, np.int64)
+            assert got.tolist() == self.every_d(start, stop, weights, np.int64).tolist()
+
+    def test_lambda_q_weights_match_every_d(self):
+        weights = models.lambda_q_weights(300)
+        for start, stop in ((1, 50), (997, 1003), (30_031, 30_032), (10**6, 10**6 + 400)):
+            assert np.array_equal(models._divisor_sum(start, stop, weights, np.float64),
+                                  self.every_d(start, stop, weights, np.float64))
+
+
 class TestMertens:
     def test_value_and_monotonicity(self):
         assert mertens_product(1) == 1.0
