@@ -168,7 +168,9 @@ def convolve_valid(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     (np.convolve's "valid" mode), for len(x) >= len(y) >= 1.
 
     Direct, at (len(x) - len(y) + 1) * len(y) multiply-adds, or through the
-    transform once those pass _WINDOW_FFT_RATIO * size * log2(size).
+    transform once those pass _WINDOW_FFT_RATIO * size * log2(size).  The
+    transform path gives no sign guarantee: a sum of nonnegative products can
+    read slightly negative through it.
     """
     return (_convolve_direct if _direct(len(x), len(y)) else _convolve_fft)(x, y, "valid")
 

@@ -56,7 +56,7 @@ from .models import SieveSystem, beta_sieve_weights, lambda_q_short_sum, model_t
 
 # grid points per 1/span of the spectrum of closeness_integral, whose every 4th
 # point is a wrap-free grid for the autocorrelation, and of the trapezoid rule
-# of gallagher_lhs, which reads a spectrum of only 2 points per 1/span
+# of gallagher_lhs, which reads a spectrum of only about 2 points per 1/span
 OVERSAMPLE = 8
 SPOT_ARCS = 16  # the spot check probes this many of the widest Farey arcs
 SPOT_SAMPLES_PER_ARC = 128  # at a stride of about 1/128 of each arc's width
@@ -65,6 +65,7 @@ SPOT_SAMPLES_PER_ARC = 128  # at a stride of about 1/128 of each arc's width
 # span and of the spectrum of a Gallagher trial (70 and 27 at spans of
 # 1.1*10^6 and 2*10^6), and per point of a short-sum sweep (400)
 SPAN_BYTES, GRID_BYTES, DRAW_BYTES, TRIAL_SPECTRUM_BYTES, POINT_BYTES = 64, 4, 96, 32, 512
+GALLAGHER_BLOCK = 20_000  # values of Gallagher trials drawn and transformed at once (one trial at the least)
 
 
 def spectrum_size(length: int, oversample: int) -> int:
@@ -139,50 +140,75 @@ def farey_dissection(order: int) -> list[FareyArc]:
 
 
 def _window_sums(values: np.ndarray, width: int) -> np.ndarray:
-    """S[j] = sum of values[j-width+1 .. j] extended over windows touching the support.
+    """S[..., j] = sum of values[..., j-width+1 .. j], over every window touching the support.
 
     Output index j corresponds to t = support_start + j for j in
-    0 .. len(values)+width-1, i.e. all t with (t-width, t] intersecting the window.
+    0 .. span+width-1, i.e. all t with (t-width, t] intersecting the window.
     """
-    padded = np.concatenate([values, np.zeros(width)])
-    csum = np.cumsum(padded)
+    csum = np.concatenate([values, np.zeros(values.shape[:-1] + (width,))], axis=-1)
+    np.cumsum(csum, axis=-1, out=csum)
     out = csum.copy()
-    out[width:] -= csum[:-width]
+    out[..., width:] -= csum[..., :-width]
     return out
 
 
-def require_gallagher(span: int, delta: float) -> None:
-    """A Gallagher trial on span points at Delta, checked before its data exists:
-    2 < Delta < span/2, then the bytes gallagher_lhs and gallagher_rhs hold."""
+def gallagher_size(span: int) -> int:
+    """n, the least integer >= 2 span - 1 of the form 2^k, 3 2^k or 5 2^k (k >= 1): the
+    transform length of gallagher_lhs, long enough that the autocorrelation does not wrap."""
+    need = 2 * span - 1
+    return min(m << max(1, (-(-need // m) - 1).bit_length()) for m in (1, 3, 5))
+
+
+def require_gallagher(span: int, delta: float, trials: int = 1) -> int:
+    """Gallagher trials on span points at Delta, checked before their data exists:
+    2 < Delta < span/2, then the bytes of one block of them, which the return value
+    counts: GALLAGHER_BLOCK values of draws at most, and one trial at the least."""
     if not (2 < delta < span / 2):
         raise DomainError("need 2 < Delta < span/2")
-    require_memory(f"a Gallagher trial over a span of {span}",
-                   DRAW_BYTES * span + TRIAL_SPECTRUM_BYTES * spectrum_size(span, 2))
+    rows = max(1, min(trials, GALLAGHER_BLOCK // span))
+    require_memory(f"a block of {rows} Gallagher trials over a span of {span}",
+                   rows * (DRAW_BYTES * span + TRIAL_SPECTRUM_BYTES * gallagher_size(span)))
+    return rows
 
 
-def gallagher_rhs(f: ArithFn, delta: float) -> float:
-    """Delta^{-2} sum_t |sum_{t - floor(Delta/2) < n <= t} f(n)|^2."""
-    require_gallagher(len(f), delta)
-    sums = _window_sums(f.values, int(delta / 2))
-    return float(np.sum(sums**2) / delta**2)
+def _trials(f) -> np.ndarray:
+    """The values of one trial (an ArithFn) or of a block of them (the rows of an array)."""
+    return f.values if isinstance(f, ArithFn) else np.asarray(f, dtype=np.float64)
 
 
-def gallagher_lhs(f: ArithFn, delta: float) -> float:
-    """integral_{-1/Delta}^{1/Delta} |f-hat(beta)|^2 d beta by trapezoid quadrature.
+def gallagher_rhs(f, delta: float):
+    """Delta^{-2} sum_t |sum_{t - floor(Delta/2) < n <= t} f(n)|^2, one value per trial.
+
+    f is an ArithFn (a float comes back) or an array whose last axis holds the
+    values of each trial; the sum is translation invariant, so no start is needed."""
+    values = _trials(f)
+    require_gallagher(values.shape[-1], delta)
+    sums = _window_sums(values, int(delta / 2))
+    out = np.sum(np.square(sums, out=sums), axis=-1) / delta**2
+    return float(out) if out.ndim == 0 else out
+
+
+def gallagher_lhs(f, delta: float):
+    """integral_{-1/Delta}^{1/Delta} |f-hat(beta)|^2 d beta by trapezoid quadrature, one value per trial.
 
     The rule is the trapezoid on the grid k/M, M = spectrum_size(span, OVERSAMPLE)
     (8 samples per 1/span), over |k| <= k_hi = floor(M/Delta), plus the slivers
     between the outermost grid points and +-1/Delta.  It is linear in |f-hat|^2,
     so it is read as sum_h c(h) A(h) off the autocorrelation A of f (see
-    _gallagher_weights), through one real transform of spectrum_size(span, 2)
-    points instead of M.
+    _gallagher_weights), through one real transform of gallagher_size(span)
+    points instead of M.  f is an ArithFn (a float comes back) or an array whose
+    last axis holds the values of each trial, transformed all at once.
     """
-    span = len(f)
+    values = _trials(f)
+    span = values.shape[-1]
     require_gallagher(span, delta)
     weights = _gallagher_weights(span, float(delta))
-    spec = np.abs(np.fft.rfft(f.values, spectrum_size(span, 2))) ** 2
-    # each interior bin of the half spectrum stands for bins k and n - k
-    return float(2.0 * np.einsum("i,i->", spec, weights) - spec[0] * weights[0] - spec[-1] * weights[-1])
+    spec = np.abs(np.fft.rfft(values, gallagher_size(span), axis=-1))
+    spec **= 2
+    # each interior bin of the half spectrum stands for bins k and n - k; einsum, not
+    # np.dot, as OpenBLAS's threads cost more than a sum of this length
+    out = 2.0 * np.einsum("...i,i->...", spec, weights) - spec[..., 0] * weights[0] - spec[..., -1] * weights[-1]
+    return float(out) if out.ndim == 0 else out
 
 
 @lru_cache(maxsize=8)
@@ -199,7 +225,8 @@ def _gallagher_weights(span: int, delta: float) -> np.ndarray:
     On a grid of n >= 2 span - 1 points A(h) is the inverse transform of the
     spectrum free of wrap-around, so sum_h c(h) A(h) = (1/n) sum_k |f-hat(k/n)|^2 C(k)
     with C the transform of c laid on that grid (c(-h) at n - h).  C is real
-    and even; the weights are C/n on k = 0..n/2, built once per (span, Delta).
+    and even; the weights are C/n on k = 0..n/2, n = gallagher_size(span), built
+    once per (span, Delta).
     """
     size = spectrum_size(span, OVERSAMPLE)
     k_hi = math.floor(size / delta)  # >= 16, as M >= 8 span and Delta < span/2
@@ -209,7 +236,7 @@ def _gallagher_weights(span: int, delta: float) -> np.ndarray:
     c = np.empty(span)
     c[0] = 2 * k_hi / size + 2 * sliver
     c[1:] = (np.sin((2 * k_hi + 1) * x) / np.sin(x) - edge) / size + 2 * sliver * edge
-    n = spectrum_size(span, 2)
+    n = gallagher_size(span)
     circ = np.zeros(n)
     circ[:span] = c
     circ[n - span + 1 :] = c[:0:-1]  # c(-h) = c(h) at grid point n - h
@@ -412,17 +439,30 @@ class SweepReport:
         return max((row.ratio for row in self.rows), default=0.0)
 
     def summary(self) -> dict:
+        """The count, the max ratio and the parameters of the first row that attains it (twin
+        twists r and q' - r tie exactly, and the sweeps list the smaller r first)."""
         worst = max(self.rows, key=lambda r: r.ratio, default=None)
         return {"points": len(self.rows), "max_ratio": self.max_ratio, "worst_params": worst.params if worst else None}
 
 
 def verify_short_sums(short_sum: Callable, sweep: Iterable[tuple[object, dict]]) -> SweepReport:
-    """Run a short-sum check over (model, point) pairs: short_sum(t, h_prime, model,
-    r=, q_twist=) gives (actual, predicted, budget), and the point is the row's parameters."""
-    return SweepReport(rows=tuple(
-        SweepRow(point, *short_sum(point["t"], point["h_prime"], model, r=point["r"], q_twist=point["q_twist"]))
-        for model, point in sweep
-    ))
+    """Run a short-sum check over (model, point) pairs, one call per model:
+    short_sum(t, h_prime, model, r=, q_twist=) takes the arrays of its points'
+    parameters and gives the arrays (actual, predicted, budget), and each row
+    carries its point's parameters, in the order of the sweep."""
+    sweep = list(sweep)
+    groups: dict = {}
+    for i, (model, _) in enumerate(sweep):
+        groups.setdefault(model, []).append(i)
+    rows: list = [None] * len(sweep)
+    for model, at in groups.items():
+        points = [sweep[i][1] for i in at]
+        t, h_prime, r, q_twist = ([point[key] for point in points] for key in ("t", "h_prime", "r", "q_twist"))
+        results = short_sum(np.array(t, dtype=object), np.array(h_prime, dtype=np.float64), model,
+                            r=np.array(r), q_twist=np.array(q_twist))
+        for i, point, actual, predicted, budget in zip(at, points, *results):
+            rows[i] = SweepRow(point, complex(actual), complex(predicted), float(budget))
+    return SweepReport(rows=tuple(rows))
 
 
 # -- default sweep grids (deterministic) -----------------------------------

@@ -58,11 +58,6 @@ WINDOW_BYTES, DIVISOR_BYTES, WEIGHT_BYTES = 24, 96, 192
 # -- Lambda_Q --------------------------------------------------------------
 
 
-def _mu_phi(q: int) -> tuple[int, int]:
-    mu, phi = mu_phi_table(q)
-    return int(mu[q]), int(phi[q])
-
-
 def _divisor_sum(start: int, stop: int, weights: tuple[np.ndarray, np.ndarray], dtype) -> np.ndarray:
     """sum_{d | n} w(d) for n in [start, stop), one strided pass per pair (d, w(d))
     whose d has a multiple there."""
@@ -124,55 +119,115 @@ def model_t_nu(y: int, big_q: int, c_nu: float = 1.0) -> ArithFn:
     return ArithFn(start, c_nu * lambda_q_window(start, stop, big_q))
 
 
-def lambda_q_short_sum(
-    t: int, h_prime: float, big_q: int, r: int = 0, q_twist: int = 1
-) -> tuple[complex, complex, float]:
+def lambda_q_short_sum(t, h_prime, big_q: int, r=0, q_twist=1) -> tuple:
     """Twisted short sum of Lambda_Q over t - floor(H') < n <= t.
 
     Returns (actual, predicted main term, error budget).  The main term is
     mu(q') H' / phi(q') when the twist denominator q' is at most Q, and 0
     otherwise; the budget is Q^3 resp. q'Q + Q^3 (up to the empirical constant
-    pinned in `constants`).
+    pinned in `constants`).  t, H', r and q' broadcast: arrays of points give a
+    triple of arrays, scalars one triple, as `_twisted_short_sum` does.
     """
     actual = _twisted_short_sum(t, h_prime, r, q_twist, lambda: lambda_q_weights(big_q))
-    if q_twist <= big_q:
-        mu, phi = _mu_phi(q_twist)
-        return actual, complex(mu * h_prime / phi), float(big_q**3)
-    return actual, 0j, float(q_twist * big_q + big_q**3)
+    h, q = np.asarray(h_prime, dtype=np.float64), np.asarray(q_twist)
+    mu, phi = mu_phi_table(int(q.max(initial=1)))
+    inside = q <= big_q
+    predicted = np.where(inside, mu[q] * h / phi[q], 0.0)
+    budget = np.where(inside, float(big_q**3), q * float(big_q) + float(big_q**3))
+    return _triple(actual, predicted, budget)
 
 
-def _twisted_short_sum(t: int, h_prime: float, r: int, q_twist: int, weights) -> complex:
-    """sum_{t - floor(H') < n <= t} v(n) e(r n / q') for v(n) = sum_{d | n} w(d), (d, w(d)) = weights().
+def _triple(actual, predicted, budget) -> tuple:
+    """(actual, predicted, budget) as a complex, a complex and a float at one point, as arrays at many."""
+    if np.ndim(actual) == 0:
+        return complex(actual), complex(predicted), float(budget)
+    return actual, predicted.astype(complex), budget.astype(np.float64)
+
+
+# points x weights that one block of _twisted_short_sum holds (one point at the least): the
+# desk sweeps fit one block, where the 24004 distinct points at Q = 3000 (1824 weights)
+# would hold 44 million values in each of its arrays
+POINT_VALUES = 1 << 16
+
+
+def _twisted_short_sum(t, h_prime, r, q_twist, weights):
+    """sum_{t - floor(H') < n <= t} v(n) e(r n / q') for v(n) = sum_{d | n} w(d), (d, w(d)) = weights(),
+    at each point of the broadcast t, H', r and q' (an array of no dimension when all four are scalars).
 
     That is sum_d w(d) sum_{first <= m <= t // d} e(a m / q') with a = r d mod q'
     and first = ceil(lo / d): k terms that sum to k when a = 0 and otherwise to
     e((2 a first + a (k - 1)) / 2q') sin(pi a k / q') / sin(pi a / q').  Each
-    exponent is reduced in integers and read from one table of roots of unity,
-    so a point costs O(number of weights).  Checks the twist r/q', then t and
-    H', for both model short sums, before weights() is called.
+    exponent is reduced in integers and read from a table of roots of unity, so
+    a point costs O(number of weights), and a block of points meets the weights
+    in one broadcast of at most POINT_VALUES values.  v is real, so the twists r
+    and q' - r give conjugate sums: each distinct point (t, floor(H'), min(r, q' - r), q')
+    is summed once, and its twin is its conjugate.  t past the int64 range is
+    summed in Python ints.  Checks the twist r/q', then t and H', for both model
+    short sums, before weights() is called.
     """
-    if q_twist < 1 or math.gcd(r, q_twist) != 1:
+    t, h, r, q = np.broadcast_arrays(np.array(t, dtype=object), np.asarray(h_prime, dtype=np.float64),
+                                     np.asarray(r, dtype=np.int64), np.asarray(q_twist, dtype=np.int64))
+    shape = t.shape
+    t, h, r, q = (x.ravel() for x in (t, h, r, q))
+    if np.any(q < 1) or np.any(np.gcd(r, q) != 1):
         raise DomainError("twist must be a reduced fraction r/q' with q' >= 1")
-    if h_prime <= 0 or t <= h_prime:
+    if np.any(h <= 0) or np.any(t <= h):
         raise DomainError("need H' > 0 and t > H'")
-    lo = t - int(h_prime) + 1
+    lo = np.array([ti - int(hi) + 1 for ti, hi in zip(t.tolist(), h.tolist())], dtype=object)
+    r = r % q
+    twin = 2 * r > q
+    r = np.where(twin, q - r, r)
+    # copy[i], the first point with the key of point i (np.unique would import numpy.ma,
+    # which costs a desk sweep more than its sums)
+    firsts: dict = {}
+    keys = zip(t.tolist(), lo.tolist(), r.tolist(), q.tolist())
+    copy = np.array([firsts.setdefault(key, i) for i, key in enumerate(keys)], dtype=np.intp)
+    distinct = np.flatnonzero(copy == np.arange(len(copy)))
     d, w = weights()
-    ints = d if t < 1 << 63 else d.astype(object)  # Python ints past the int64 range
-    first = -(-lo // ints)
-    count = (t // ints - first + 1).astype(np.int64)
-    if q_twist == 1:
-        return complex(np.dot(w, count))
-    q, q2, roots = q_twist, 2 * q_twist, _half_roots(q_twist)  # roots[j] = e(j / 2q')
-    a = ((r % q) * (ints % q) % q).astype(np.int64)
+    if len(t) and max(t) >= 1 << 63:
+        d = d.astype(object)  # Python ints past the int64 range
+    else:
+        t, lo = t.astype(np.int64), lo.astype(np.int64)
+    step = max(1, POINT_VALUES // max(1, len(d)))
+    out = np.empty(len(copy), dtype=complex)
+    for b in range(0, len(distinct), step):
+        at = distinct[b : b + step]
+        out[at] = _block_sums(t[at, None], lo[at, None], r[at, None], q[at, None], d, w)
+    out = out[copy]
+    out[twin] = out[twin].conj() + 0.0  # + 0.0: a conjugate 0 reads 0, not -0
+    return out.reshape(shape)
+
+
+def _block_sums(t, lo, r, q, d, w) -> np.ndarray:
+    """The sums of _twisted_short_sum at a block of points, given as columns t,
+    lo = t - floor(H') + 1, r reduced mod q and q', against the weights (d, w)."""
+    first = -(-lo // d)
+    count = (t // d - first + 1).astype(np.int64)
+    inner = count.astype(complex)
+    for twist in sorted(set(q.ravel().tolist())):
+        rows = np.flatnonzero(q == twist)
+        if twist > 1:
+            inner[rows] = _terms(r[rows], count[rows], first[rows], d, twist)
+    # one dot per point, so that a point sums alike in any block (a matrix product would
+    # not); at q' = 1 every term is a count, and the dot stays real
+    return np.array([np.dot(w, counts if one else terms)
+                     for one, counts, terms in zip((q == 1).ravel().tolist(), count, inner)], dtype=complex)
+
+
+def _terms(r, count, first, d, q: int) -> np.ndarray:
+    """sum_{first <= m < first + count} e(a m / q) with a = r d mod q, for rows of points sharing q > 1."""
+    a = (r * (d % q) % q).astype(np.int64)
     geo = a != 0
+    inner = count.astype(complex)
+    q2, roots = 2 * q, _half_roots(q)  # roots[j] = e(j / 2q)
     a, k, first = a[geo], count[geo], (first[geo] % q).astype(np.int64)
     # sin(pi u / q) for u = a k mod 2q and u = a, read at an angle of at most
     # pi / 2 (u mod q or q - that), so that the small ones keep their digits
     u = np.stack((a * (k % q2) % q2, a))
-    sines = np.where(u < q, 1.0, -1.0) * roots[np.minimum(u % q, q - u % q)].imag
-    inner = count.astype(complex)
+    m = u % q
+    sines = np.where(u < q, 1.0, -1.0) * roots[np.minimum(m, q - m)].imag
     inner[geo] = roots[(2 * a * first + a * ((k - 1) % q2)) % q2] * (sines[0] / sines[1])
-    return complex(np.dot(w, inner))
+    return inner
 
 
 @lru_cache(maxsize=1)
@@ -297,19 +352,27 @@ def model_t_nu_plus(
     return ArithFn(start, (c_nu / mertens_product(sift)) * theta.astype(np.float64))
 
 
-def sieve_short_sum(
-    t: int, h_prime: float, sieve: SieveSystem, r: int = 0, q_twist: int = 1
-) -> tuple[complex, complex, float]:
+def sieve_short_sum(t, h_prime, sieve: SieveSystem, r=0, q_twist=1) -> tuple:
     """V(z)^{-1}-scaled twisted short sum of theta_n over t - floor(H') < n <= t.
 
     Returns (actual, predicted, error budget): main term mu(q) H' / phi(q) with
     budget H' e^{-log D / log z} + q D for q <= z, else 0 with the divisor-sum
-    budget (H'/q + D + q) log(q H').
+    budget (H'/q + D + q) log(q H').  t, H', r and q broadcast as in
+    `lambda_q_short_sum`.
     """
     actual = _twisted_short_sum(t, h_prime, r, q_twist, lambda: (sieve.divisors, sieve.weights))
-    actual /= mertens_product(sieve.sift)
-    if q_twist <= sieve.sift:
-        mu, phi = _mu_phi(q_twist)
-        budget = h_prime * math.exp(-math.log(sieve.level) / math.log(sieve.sift)) + q_twist * sieve.level
-        return actual, complex(mu * h_prime / phi), float(budget)
-    return actual, 0j, float((h_prime / q_twist + sieve.level + q_twist) * math.log(q_twist * h_prime))
+    # each part on its own, as a complex scalar divides by a float; a complex array
+    # would multiply by its reciprocal and round the last bit the other way
+    scale = mertens_product(sieve.sift)
+    actual.real /= scale
+    actual.imag /= scale
+    h, q = np.asarray(h_prime, dtype=np.float64), np.asarray(q_twist)
+    mu, phi = mu_phi_table(int(q.max(initial=1)))
+    inside = q <= sieve.sift
+    predicted = np.where(inside, mu[q] * h / phi[q], 0.0)
+    # math.log, not np.log, whose vector loop may round the last bit the other way
+    qh = q * h
+    log_qh = np.reshape([math.log(x) for x in np.ravel(qh).tolist()], qh.shape)
+    budget = np.where(inside, h * math.exp(-math.log(sieve.level) / math.log(sieve.sift)) + q * sieve.level,
+                      (h / q + sieve.level + q) * log_qh)
+    return _triple(actual, predicted, budget)

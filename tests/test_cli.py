@@ -541,7 +541,7 @@ class TestParser:
         # the handlers look up what they call when they run, so a patch made
         # after the parser was built still reaches them
         calls = []
-        monkeypatch.setattr(cli, "singular_series", lambda n, q_max: calls.append(n) or 1.0)
+        monkeypatch.setattr(cli, "singular_series", lambda ns, q_max: calls.extend(ns.tolist()) or np.ones(len(ns)))
         cli.build_parser.cache_clear()
         for out in ("first", "second"):
             assert run(["--out", str(tmp_path / out), "series", "--n-start", "4", "--n-stop", "8"]) == 0

@@ -22,6 +22,7 @@ from cmlab.closeness import (
     farey_dissection,
     gallagher_lhs,
     gallagher_rhs,
+    gallagher_size,
     spectrum_size,
     verify_short_sums,
 )
@@ -155,11 +156,11 @@ class TestGallagher:
             assert gallagher_lhs(f, delta) == pytest.approx(trapezoid(f, delta), rel=1e-12)
 
     def test_lhs_reads_its_weights_outside_blas(self, rng, monkeypatch):
-        # np.dot of 16,385 floats goes through OpenBLAS, whose threads cost
+        # np.dot of 10,241 floats goes through OpenBLAS, whose threads cost
         # more than the sum; the reduction must give the dot's value
         f = ArithFn(10_000, rng.choice([-1.0, 1.0], size=10_000))
         weights = _gallagher_weights(10_000, 50.0)
-        spec = np.abs(np.fft.rfft(f.values, spectrum_size(10_000, 2))) ** 2
+        spec = np.abs(np.fft.rfft(f.values, gallagher_size(10_000))) ** 2
         dot = 2.0 * np.dot(spec, weights) - spec[0] * weights[0] - spec[-1] * weights[-1]
 
         def refuse(*args, **kwargs):
@@ -167,6 +168,34 @@ class TestGallagher:
 
         monkeypatch.setattr(np, "dot", refuse)
         assert gallagher_lhs(f, 50.0) == pytest.approx(dot, rel=1e-12)
+
+    def test_transform_size(self):
+        # the least n >= 2 span - 1 among 2^k, 3 2^k and 5 2^k, k >= 1, against a scan of them all
+        forms = sorted(m << k for m in (1, 3, 5) for k in range(1, 24))
+        for span in [*range(3, 3000), 4097, 10_000, 500_000]:
+            assert gallagher_size(span) == next(n for n in forms if n >= 2 * span - 1), span
+        assert gallagher_size(10_000) == 20_480 < spectrum_size(10_000, 2) == 32_768
+
+    @pytest.mark.parametrize("span", [2_000, 4_097, 10_000])
+    def test_block_equals_one_trial_at_a_time(self, span):
+        # a block of rows draws what as many draws of one row each do, and gives each
+        # row the ratio the row alone gets; two blocks and a short one
+        rows = closeness.require_gallagher(span, 50.0, 10**6)
+        assert rows == max(1, closeness.GALLAGHER_BLOCK // span)
+        trials = 2 * rows + 1
+        block_rng, one_rng = np.random.default_rng(3), np.random.default_rng(3)
+        blocks = [block_rng.choice([-1.0, 1.0], size=(min(rows, trials - done), span))
+                  for done in range(0, trials, rows)]
+        singles = [one_rng.choice([-1.0, 1.0], size=span) for _ in range(trials)]
+        assert [len(block) for block in blocks] == [rows, rows, 1]
+        assert np.array_equal(np.concatenate(blocks), np.array(singles))
+        lhs = np.concatenate([gallagher_lhs(block, 50.0) for block in blocks])
+        rhs = np.concatenate([gallagher_rhs(block, 50.0) for block in blocks])
+        for i, values in enumerate(singles):
+            f = ArithFn(10_000, values)
+            assert lhs[i] == pytest.approx(gallagher_lhs(f, 50.0), rel=1e-12)
+            assert rhs[i] == gallagher_rhs(f, 50.0)  # exact cumsum window sums
+            assert lhs[i] / rhs[i] == pytest.approx(gallagher_lhs(f, 50.0) / gallagher_rhs(f, 50.0), rel=1e-12)
 
     def test_rhs_point_mass_window_membership(self):
         # windows (t - w, t] with w = floor(13.7 / 2) = 6: a unit mass lies in w
@@ -335,19 +364,34 @@ class TestSweeps:
         assert report.max_ratio <= 4.0
 
     def test_runner_calls_the_short_sum_at_each_point(self):
-        # the row is what short_sum returned at the point, under the point's parameters
+        # one call per model with the arrays of its points, and each row is what short_sum
+        # returned at its point, under the point's parameters, in the order of the sweep
         calls = []
 
         def short_sum(t, h_prime, model, r, q_twist):
-            calls.append((t, h_prime, model, r, q_twist))
-            return 3 + 4j, 0j, 2.0
+            calls.append((t.tolist(), h_prime.tolist(), model, r.tolist(), q_twist.tolist()))
+            return np.array(t, dtype=float) + 4j, np.zeros(len(t), dtype=complex), np.full(len(t), 2.0)
 
-        point = {"t": 10, "h_prime": 5.0, "r": 1, "q_twist": 3, "tag": "x"}
-        report = verify_short_sums(short_sum, [("model", point)])
-        assert calls == [(10, 5.0, "model", 1, 3)]
-        assert report.rows[0].params == point
-        assert report.max_ratio == 2.5
-        assert report.summary() == {"points": 1, "max_ratio": 2.5, "worst_params": point}
+        points = [{"t": t, "h_prime": 5.0, "r": 1, "q_twist": 3, "tag": t} for t in (3, 10, 4)]
+        report = verify_short_sums(short_sum, [("a", points[0]), ("b", points[1]), ("a", points[2])])
+        assert calls == [([3, 4], [5.0, 5.0], "a", [1, 1], [3, 3]), ([10], [5.0], "b", [1], [3])]
+        assert [row.params for row in report.rows] == points
+        assert [row.actual for row in report.rows] == [3 + 4j, 10 + 4j, 4 + 4j]
+        assert report.max_ratio == abs(10 + 4j) / 2.0
+        assert report.summary() == {"points": 3, "max_ratio": report.max_ratio, "worst_params": points[1]}
+
+    def test_twins_are_conjugates_and_the_worst_names_the_smaller_r(self):
+        # the twists r and q' - r of a real model give conjugate sums, equal ratios,
+        # and the summary names the first of the tied rows, the smaller r
+        for big_q, twins in ((10, 48), (30, 128)):
+            report = verify_short_sums(*default_lambda_q_sweep(big_q, "small"))
+            rows = {tuple(row.params[k] for k in ("t", "h_prime", "r", "q_twist")): row for row in report.rows}
+            pairs = [(row, rows[t, h, q - r, q]) for (t, h, r, q), row in rows.items() if 2 * r > q]
+            assert len(pairs) == twins
+            assert all(row.actual == other.actual.conjugate() and row.ratio == other.ratio for row, other in pairs)
+            worst = report.summary()["worst_params"]
+            assert 2 * worst["r"] <= worst["q_twist"]
+            assert [row.ratio for row in report.rows].count(report.max_ratio) == 1 + (2 * worst["r"] < worst["q_twist"])
 
     def test_csv_emission(self, tmp_path):
         # the cli writes the sweep's table: the exact header, then one row per point

@@ -211,6 +211,37 @@ class TestSingularSeries:
                 total += mobius(qg) * (euler_phi(q) // euler_phi(qg)) / euler_phi(q) ** 2
             assert singular_series(n, q_max) == total
 
+    @pytest.mark.parametrize("q_max, block", [(97, goldbach.SERIES_VALUES), (1000, goldbach.SERIES_VALUES), (1000, 1)])
+    def test_array_equals_the_scalar_ascending_loop(self, monkeypatch, q_max, block):
+        # a table of n at once, in blocks of one n (block 1) or of many, sums each n
+        # exactly as the loop over q does
+        monkeypatch.setattr(goldbach, "SERIES_VALUES", block)
+        ns = np.array([2, 3, 4, 9, 30, 97, 1024, 9999, 30030, 30031])
+        loop = []
+        for n in ns.tolist():
+            total = 0.0
+            for q in range(1, q_max + 1):
+                if mobius(q) != 0:
+                    qg = q // math.gcd(q, n)
+                    total += mobius(qg) * (euler_phi(q) // euler_phi(qg)) / euler_phi(q) ** 2
+            loop.append(total)
+        assert singular_series(ns, q_max).tolist() == loop
+        assert singular_series(ns.reshape(2, 5), q_max).tolist() == [loop[:5], loop[5:]]
+
+    @pytest.mark.parametrize("bound", [13, 100, 100_000])
+    @pytest.mark.parametrize("block", [goldbach.SERIES_VALUES, 1])
+    def test_product_equals_the_direct_product(self, monkeypatch, bound, block):
+        # oracle: the product of 1 + c_p(n) / (p - 1)^2 over every p <= bound, one n at a time
+        monkeypatch.setattr(goldbach, "SERIES_VALUES", block)
+        ns = np.array([*range(2, 64), 1024, 2310, 9999, 15015, 30030])
+        ps = arith.cached_primes(bound)
+        direct = [np.prod(1.0 + np.where(n % ps == 0, ps - 1.0, -1.0) / (ps - 1.0) ** 2) for n in ns.tolist()]
+        got = singular_series_product(ns, bound)
+        for n, value, want in zip(ns.tolist(), got.tolist(), direct):
+            assert (value == 0.0) == (n % 2 == 1) == (want == 0.0)
+            assert abs(value - want) <= 1e-14 * abs(want), n
+            assert singular_series_product(n, bound) == value
+
 
 def test_c_q_paths_do_not_factorize(monkeypatch):
     def refuse(n):
@@ -516,10 +547,10 @@ class TestPipelineScaling:
         lengths = [min(1000, m0 - s) for s in range(0, m0, 1000)]
         assert lengths[-1] == 968
         assert report.segments == len(lengths) == -(-m0 // 1000)
-        # steps 2, 4, positivity, omega*T and the middle window take one
-        # convolve_window each, and each segment meets its mirror as one sum of
-        # rows, with no dense chunk
-        assert calls.count("convolve_window") == 5
+        # steps 2, 4, omega*T and the middle window take one convolve_window each
+        # (the positivity step takes the direct path, np.convolve), and each segment
+        # meets its mirror as one sum of rows, with no dense chunk
+        assert calls.count("convolve_window") == 4
         assert calls.count("_add_rows") == len(lengths)
         assert calls.count("_add_chunks") == calls.count("convolve_valid") == 0
         assert report.summary() == whole.summary()
@@ -780,6 +811,28 @@ class TestMinorizationReporting:
         report = run_pipeline(config, nu, ArithFn(omega.support_start, bumped), a)
         assert report.step_positivity_violations > 0
         assert report.minorization_violations > 0
+
+    def test_positivity_is_sign_exact_at_long_h(self):
+        # desk-medium at H = 1024, where convolve_valid's cost rule takes the transform:
+        # with every 50th prime of omega set to 0, omega <= a and T+ >= 0 hold, so
+        # (a - omega) * T+ >= 0 exactly (it is 0 at most n); the transform read 64 of
+        # those zeros as negative, the direct path reads none
+        config = PipelineConfig(1_000_000, big_q=10, h=1024)
+        nu, omega, a = desk_pipeline_inputs(config)
+        preimage = arithfn.window_preimage(model_t_nu_plus(config.y, config.big_q), config.x - config.h, config.x)
+        assert not arithfn._direct(preimage[1] - preimage[0], config.y)
+        values = omega.values.copy()
+        primes = np.flatnonzero(values)
+        values[primes[::50]] = 0.0
+        report = run_pipeline(config, nu, ArithFn(omega.support_start, values), a)
+        assert (report.step_positivity_violations, report.minorization_violations) == (0, 0)
+        # the control: omega above a at one prime the step reads still counts
+        m = primes[len(primes) // 2]
+        values[m] *= 2.0
+        assert preimage[0] <= omega.support_start + m < preimage[1]
+        report = run_pipeline(config, nu, ArithFn(omega.support_start, values), a)
+        assert report.step_positivity_violations > 0
+        assert report.minorization_violations == 1
 
     def test_omega_exceeding_a_is_counted_not_fatal(self):
         config = PipelineConfig(200_000, big_q=10)

@@ -168,6 +168,42 @@ def test_default_sweeps_sum_from_the_divisor_side(monkeypatch):
             short_sum(point["t"], point["h_prime"], model, r=point["r"], q_twist=point["q_twist"])
 
 
+@pytest.mark.parametrize("budget", [models.POINT_VALUES, 20])
+def test_broadcast_equals_the_scalar_call_at_every_point(monkeypatch, budget):
+    # one call per model with arrays of points gives, at each point, what the call at
+    # that point alone gives; a budget of 20 values holds 2 points of Lambda_Q at Q = 10
+    # (7 weights) and at most one of a sieve, so blocks end inside each model and
+    # between twins; the extra points are past 2^63 and at both twist branches
+    monkeypatch.setattr(models, "POINT_VALUES", budget)
+    big = 1 << 63
+    extra = [(10, {"t": t, "h_prime": h, "r": r, "q_twist": q})
+             for t in (big - 5, big + 999, 3 * big) for h in (100.0, 1000.5)
+             for q, r in ((1, 0), (7, 3), (7, 4), (97, 1), (97, 96))]
+    for short_sum, sweep in (default_lambda_q_sweep(10, "medium"), default_sieve_sweep("medium"),
+                             (lambda_q_short_sum, extra)):
+        by_model: dict = {}
+        for model, point in sweep:
+            by_model.setdefault(model, []).append(point)
+        for model, points in by_model.items():
+            t, h, r, q = ([point[key] for point in points] for key in ("t", "h_prime", "r", "q_twist"))
+            got = short_sum(np.array(t, dtype=object), np.array(h), model, r=np.array(r), q_twist=np.array(q))
+            for i, point in enumerate(points):
+                one = short_sum(point["t"], point["h_prime"], model, r=point["r"], q_twist=point["q_twist"])
+                assert (complex(got[0][i]), complex(got[1][i]), float(got[2][i])) == one, point
+
+
+def test_big_t_sums_match_the_fsum_oracle():
+    # t past 2^63 is summed in Python ints; the window of Lambda_Q there, by its divisor sum in Python ints
+    t, h, big_q = (1 << 63) + 999, 300.0, 10
+    lo = t - int(h) + 1
+    weights = list(zip(*(x.tolist() for x in models.lambda_q_weights(big_q))))
+    lam = np.array([math.fsum(w for d, w in weights if n % d == 0) for n in range(lo, t + 1)])
+    for r, q_twist in ((0, 1), (3, 7), (4, 7), (96, 97)):
+        actual = lambda_q_short_sum(t, h, big_q, r=r, q_twist=q_twist)[0]
+        oracle = fsum_twisted_sum(lam, lo, r, q_twist)
+        assert abs(actual - oracle) <= 1e-12 * abs(oracle), (r, q_twist)
+
+
 def weights_of(sieve):
     """The sieve's weights as {d: lambda_d}."""
     return dict(zip(sieve.divisors.tolist(), sieve.weights.tolist()))
