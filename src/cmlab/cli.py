@@ -32,7 +32,7 @@ from typing import Any, Callable, Iterable, Optional
 import numpy as np
 
 from . import constants
-from .arithfn import SUPPORT_BOUND, l2_norm_sq, write_arithfn
+from .arithfn import l2_norm_sq, write_arithfn
 from .closeness import (
     closeness_integral,
     closeness_models,
@@ -199,7 +199,6 @@ GALLAGHER = (
     Param("delta", "--delta", finite_float, 50.0),
     Param("trials", "--trials", int, 100),
     Param("span", "--span", int, 10_000),
-    Param("start", "--start", int, 10_000),
 )
 
 
@@ -207,10 +206,6 @@ def _cmd_verify_gallagher(spec: ExperimentSpec) -> int:
     p = spec.params
     if p["trials"] < 1:  # an empty table has no max ratio
         raise DomainError(f"trials must be >= 1, got {p['trials']}")
-    if p["start"] < 0:
-        raise DomainError(f"start must be >= 0, got {p['start']}")
-    if p["start"] + p["span"] > SUPPORT_BOUND:
-        raise CapacityError("support exceeds the global index bound 2**40")
     rows = require_gallagher(p["span"], p["delta"], p["trials"])  # before anything is drawn
     rng = np.random.default_rng(spec.seed)
     ratios: list = []
@@ -224,7 +219,7 @@ def _cmd_verify_gallagher(spec: ExperimentSpec) -> int:
     checks = [
         Check("max ratio", worst, constants.GALLAGHER_RATIO_CEILING),
         *regression("max ratio vs baseline", worst, constants.GALLAGHER_RANDOM_BASELINE,
-                    (p["delta"], p["trials"], p["span"], p["start"], spec.seed), (50.0, 100, 10_000, 10_000, 7)),
+                    (p["delta"], p["trials"], p["span"], spec.seed), (50.0, 100, 10_000, 7)),
     ]
     print(f"gallagher: max lhs/rhs ratio {worst:.4f} over {p['trials']} trials (ceiling {constants.GALLAGHER_RATIO_CEILING})")
     return _verdict(spec, checks, {"max_ratio": worst})

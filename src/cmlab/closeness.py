@@ -68,11 +68,9 @@ SPAN_BYTES, GRID_BYTES, DRAW_BYTES, TRIAL_SPECTRUM_BYTES, POINT_BYTES = 64, 4, 9
 GALLAGHER_BLOCK = 20_000  # values of Gallagher trials drawn and transformed at once (one trial at the least)
 
 
-def spectrum_size(length: int, oversample: int) -> int:
-    """M, the smallest power of two >= max(oversample * length, 64)."""
-    if oversample < 1:
-        raise DomainError("oversample must be >= 1")
-    return 1 << (max(length * oversample, 64) - 1).bit_length()
+def spectrum_size(length: int) -> int:
+    """M, the smallest power of two >= max(OVERSAMPLE * length, 64)."""
+    return 1 << (max(length * OVERSAMPLE, 64) - 1).bit_length()
 
 
 # -- Farey dissection ------------------------------------------------------
@@ -191,7 +189,7 @@ def gallagher_rhs(f, delta: float):
 def gallagher_lhs(f, delta: float):
     """integral_{-1/Delta}^{1/Delta} |f-hat(beta)|^2 d beta by trapezoid quadrature, one value per trial.
 
-    The rule is the trapezoid on the grid k/M, M = spectrum_size(span, OVERSAMPLE)
+    The rule is the trapezoid on the grid k/M, M = spectrum_size(span)
     (8 samples per 1/span), over |k| <= k_hi = floor(M/Delta), plus the slivers
     between the outermost grid points and +-1/Delta.  It is linear in |f-hat|^2,
     so it is read as sum_h c(h) A(h) off the autocorrelation A of f (see
@@ -228,7 +226,7 @@ def _gallagher_weights(span: int, delta: float) -> np.ndarray:
     and even; the weights are C/n on k = 0..n/2, n = gallagher_size(span), built
     once per (span, Delta).
     """
-    size = spectrum_size(span, OVERSAMPLE)
+    size = spectrum_size(span)
     k_hi = math.floor(size / delta)  # >= 16, as M >= 8 span and Delta < span/2
     sliver = 1.0 / delta - k_hi / size
     x = np.pi * np.arange(1, span) / size
@@ -324,7 +322,7 @@ def _class_window_sums(cum: np.ndarray, c: int, r: int, lo: np.ndarray, hi: np.n
 def closeness_bytes(span: int) -> int:
     """Bytes a `verify closeness` run over span integers holds at once:
     SPAN_BYTES per integer and GRID_BYTES per point of its spectrum grid."""
-    return SPAN_BYTES * span + GRID_BYTES * spectrum_size(span, OVERSAMPLE)
+    return SPAN_BYTES * span + GRID_BYTES * spectrum_size(span)
 
 
 def closeness_grid(span: int, h: float) -> int:
@@ -337,7 +335,7 @@ def closeness_grid(span: int, h: float) -> int:
         raise DomainError("need H >= 1 so the dissection order is at least 1")
     if span <= 2 * h:
         raise DomainError("supports must span more than 2H")
-    return spectrum_size(span, OVERSAMPLE)
+    return spectrum_size(span)
 
 
 def closeness_models(y: int, h_exponent: float, big_q: int, c_nu: float) -> tuple[float, ArithFn, ArithFn]:

@@ -10,9 +10,11 @@ is the prime weight both summands of a binary Goldbach partition carry, and
 nu <= a and omega <= a are its two minorants.  The two >= steps are pointwise
 inequalities and must never fail; the two ~ steps are approximations whose
 violations at slack kappa are counted.  The final verdict per even n is the
-lower bound a*a(n) >= omega*T(n) - 2 kappa.  Each step costs (H+1) times the
-length of its second factor, or one transform of about that length plus H
-when that is cheaper, never a full convolution of length up to 2X.
+lower bound a*a(n) >= omega*T(n) - 2 kappa.  Every sum of the chain goes
+through one chooser, `arithfn.add_convolution`: rows, at (H+1) multiply-adds
+per point of the sparser factor, or dense chunks of the shorter factor, direct
+or by transform, whichever costs less; never a full convolution of length up
+to 2X.
 
 `PipelineConfig` is the one place the request is derived and checked: Y, H
 and kappa follow X and the resolved Y unless given, and a Y that would start
@@ -36,31 +38,18 @@ from dataclasses import asdict, dataclass, field, fields
 from typing import Callable, Optional
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .arith import cached_primes, mu_phi_table, odd_prime_flags, prime_weights, primes_bytes
 # `convolve` is not called here but stays bound: perfbench/test_perfbench.py checks
 # that the tracer wraps goldbach.convolve with arithfn.convolve, and
 # test_pipeline_makes_no_full_convolution patches it to show run_pipeline never calls it
-from .arithfn import (ArithFn, convolve, convolve_valid, convolve_valid_bytes, convolve_valid_cost, convolve_window,
-                      dense, subtract, window_preimage)
+from .arithfn import (ArithFn, add_convolution, add_rows, chunk_length, convolve, convolve_valid_bytes, convolve_window,
+                      dense, rows_values, subtract, window_preimage)
 from .characters import ramanujan_sum
 from .errors import ContractError, DomainError, require_memory
 from .models import model_t_nu, model_t_nu_plus, require_sift
 
 PIPELINE_SEGMENT = 1 << 18  # integers m whose a(m) run_pipeline reads at a time
-# integers m of a segment that one convolve_valid takes: at least this many,
-# so that its H+1 outputs reuse cached values, and at least 4(H+1), so that the
-# H values of the mirror beyond the chunk stay a quarter of it at most
-PIPELINE_CHUNK = 1 << 16
-# integers of a segment whose points meet one dense piece of their ROW_SPAN + H mirror
-# values as rows (2^15 took a tenth less time at X = 3*10^6, with 0.13 MB more peak RSS)
-ROW_SPAN = 1 << 14
-ROW_VALUES = 1 << 15  # row values gathered at a time for one matrix product (at least one row)
-# what one gathered row value costs, in units of convolve_valid_cost: on a 2-vCPU Xeon,
-# under cli.main's allocator policy, the rows and the dense chunks of a segment met at
-# 1.5-2.2 times at X = 10^7 and 10^8 and H = 2000 to 8000
-ROW_COST = 2
 # bytes per value of pipeline_working_set: 8 of its own and the copies that
 # build and scale the windows (10 measured at --X 4000000 --Y 900000)
 VALUE_BYTES = 14
@@ -236,19 +225,19 @@ EPS = 0.1  # eps of H = Y^{1/9 + 2 eps}
 
 def pipeline_working_set(config: PipelineConfig) -> int:
     """Values a pipeline run holds at once: the base primes up to sqrt(X), two
-    dense blocks of the a*a stream (or a segment's points, a piece of ROW_SPAN + H
-    values and its gathered rows, ROW_VALUES or one row), and at most ten windows
-    of Y + H values (nu, omega, T, T+, a on the step preimages and on omega's
-    window, and the differences of one step); the middle window of a*a is at most 2(H + 1)."""
-    rows = ROW_SPAN + config.h + max(ROW_VALUES, config.h + 1)
-    return math.isqrt(config.x) + max(2 * PIPELINE_SEGMENT, rows) + 10 * (config.y + config.h)
+    dense blocks of the a*a stream (or a segment's points and what its rows
+    hold, `arithfn.rows_values`), and at most ten windows of Y + H values (nu,
+    omega, T, T+, a on the step preimages and on omega's window, and the
+    differences of one step); the middle window of a*a is at most 2(H + 1)."""
+    return math.isqrt(config.x) + max(2 * PIPELINE_SEGMENT, rows_values(config.h)) + 10 * (config.y + config.h)
 
 
 def pipeline_bytes(config: PipelineConfig) -> int:
     """Bytes a pipeline run holds at once: VALUE_BYTES per value of
     pipeline_working_set and the larger transform, where convolve_valid takes
-    one, of a step (Y + H values against Y) and of an a*a chunk."""
-    part = min(max(PIPELINE_CHUNK, 4 * (config.h + 1)), PIPELINE_SEGMENT)  # the widest chunk of a*a
+    one, of a step's whole window (Y + H values against Y) and of one chunk of
+    the dense path (`arithfn.chunk_length`)."""
+    part = min(chunk_length(config.h), PIPELINE_SEGMENT)  # the widest chunk of a*a
     transform = max(convolve_valid_bytes(n + config.h, n) for n in (config.y, part))
     return VALUE_BYTES * pipeline_working_set(config) + transform
 
@@ -388,13 +377,12 @@ def run_pipeline(
     a is read on nu's and omega's windows, on the m that step 2 and the
     positivity step reach, and by the a*a stream.  a*a splits at
     m0 = ceil((X-H)/2): each segment [s, s + PIPELINE_SEGMENT) of [0, m0) meets
-    its mirror near X as rows, each point p of the segment against the H+1
-    values of a on [X-H-p, X-p] in one matrix product, or as dense chunks
-    through convolve_valid when ROW_COST per row value costs more; the sum is
-    doubled, and one window [m0, X - m0] holds the rest.  The stream reads
-    X + 1 + segments * H values (`values_streamed`).  Every read of a is checked
-    nonnegative and its points ascending inside the range read, raising
-    ContractError.
+    its mirror near X through `arithfn.add_convolution`, as rows (each point p
+    of the segment against the H+1 values of a on [X-H-p, X-p]) or as dense
+    chunks, whichever costs less; the sum is doubled, and one window
+    [m0, X - m0] holds the rest.  The stream reads X + 1 + segments * H values
+    (`values_streamed`).  Every read of a is checked nonnegative and its points
+    ascending inside the range read, raising ContractError.
     """
     _require_support(nu, config.nu_window, "nu")
     _require_support(omega, config.omega_window, "omega")
@@ -438,42 +426,31 @@ def run_pipeline(
 
     # approximation steps, computed on the difference functions so that a
     # collapsed chain (nu = T = T+) is exactly zero
-    step2 = np.abs(convolve_window(a_near, nu_gap, lo, hi))
-    step4 = np.abs(convolve_window(omega, subtract(t_nu_plus, t_nu), lo, hi))
-    exceptions_step2 = int(np.sum(step2 > kappa))
-    exceptions_step4 = int(np.sum(step4 > kappa))
+    exceptions_step2 = int(np.sum(np.abs(convolve_window(a_near, nu_gap, lo, hi)) > kappa))
+    exceptions_step4 = int(np.sum(np.abs(convolve_window(omega, subtract(t_nu_plus, t_nu), lo, hi)) > kappa))
 
-    # pointwise step a*T+ >= omega*T+, computed as (a - omega) * T+ on the direct
-    # path whatever convolve_valid's cost rule says, at (H+1) len(T+) multiply-adds,
-    # none where a = omega on the whole preimage (as at the desk inputs).  When the
-    # minorization omega <= a holds, every product is nonnegative and a sum of
-    # them cannot read negative, so "exactly zero violations" needs no tolerance;
-    # the transform path gives no such guarantee (at desk-medium with H = 1024 it
-    # read 64 exact zeros as negative).  A genuine minorization breach shows up
-    # here and in the minorization count.
-    gap = subtract(a_near, omega).embed(*positivity_cut)
-    positivity_violations = int(np.sum(np.convolve(gap, t_nu_plus.values, "valid") < 0)) if gap.any() else 0
+    # pointwise step a*T+ >= omega*T+, as (a - omega) * T+ by rows over the points of
+    # a - omega whatever the cost rule says: none where a = omega (as at the desk inputs).
+    # With omega <= a every product is nonnegative and no sum of them reads negative, so
+    # "exactly zero violations" needs no tolerance; the transform gives no such guarantee
+    # (at desk-medium with H = 1024 it read 64 exact zeros as negative).  A genuine
+    # minorization breach shows up here and in the minorization count.
+    positivity = np.zeros(hi - lo + 1)
+    add_rows(positivity, subtract(a_near, omega).points(*positivity_cut),
+             t_nu_plus.points(t_nu_plus.support_start, t_nu_plus.support_stop), lo, hi)
+    positivity_violations = int(np.sum(positivity < 0))
 
     # a*a(n) = 2 sum_{m < m0} a(m) a(n-m) + sum_{m0 <= m <= n-m0} a(m) a(n-m) for
-    # n >= lo >= 2 m0 - 1.  Each segment [s, stop) of [0, m0) meets its mirrored
-    # block [lo - stop + 1, hi - s], as rows or densely, whichever costs less;
-    # the last sum is one window [m0, hi - m0] of at most H + 1 values.
+    # n >= lo >= 2 m0 - 1.  Each segment [s, stop) of [0, m0) meets its mirrored block
+    # [lo - stop + 1, hi - s], by rows over the segment's points or densely; the last
+    # sum is one window [m0, hi - m0] of at most H + 1 values.
     m0 = -(-lo // 2)
-    chunk = max(PIPELINE_CHUNK, 4 * (config.h + 1))
     ab = np.zeros(hi - lo + 1)
-    segments = 0
     before_stream = values_read
     for s in range(0, m0, PIPELINE_SEGMENT):
         stop = min(s + PIPELINE_SEGMENT, m0)
         base = lo - stop + 1
-        low, mirror = read(s, stop), read(base, hi - s + 1)
-        parts = [min(chunk, stop - c) for c in range(s, stop, chunk)]
-        dense_cost = sum(convolve_valid_cost(part + config.h, part) for part in parts)
-        if ROW_COST * len(low[0]) * (config.h + 1) <= dense_cost:
-            _add_rows(ab, low, mirror, lo, hi)
-        else:
-            _add_chunks(ab, dense(low, s, stop), dense(mirror, base, hi - s + 1), s, lo, hi, chunk)
-        segments += 1
+        add_convolution(ab, (read(s, stop), s, stop), (read(base, hi - s + 1), base, hi - s + 1), lo, hi)
     ab *= 2
     middle = ArithFn(m0, read_dense(m0, hi - m0 + 1))
     ab += convolve_window(middle, middle, lo, hi)
@@ -484,13 +461,8 @@ def run_pipeline(
     final_failures = int(np.sum(fails & even))
     odd_final_failures = int(np.sum(fails & ~even))
 
-    rows = []
-    for i, n in enumerate(ns):
-        if even[i]:
-            verdict = "fail" if fails[i] else "ok"
-        else:
-            verdict = "odd-fail" if fails[i] else "odd"
-        rows.append((int(n), float(ab[i]), float(om[i]), verdict))
+    verdicts = np.where(even, np.where(fails, "fail", "ok"), np.where(fails, "odd-fail", "odd"))
+    rows = tuple(zip(ns.tolist(), ab.tolist(), om.tolist(), verdicts.tolist()))
 
     return PipelineReport(
         config=config,
@@ -502,46 +474,11 @@ def run_pipeline(
         even_count=int(np.sum(even)),
         odd_count=int(np.sum(~even)),
         odd_final_failures=odd_final_failures,
-        segments=segments,
+        segments=len(range(0, m0, PIPELINE_SEGMENT)),
         values_streamed=values_read - before_stream,
         working_set=pipeline_working_set(config),
-        rows=tuple(rows),
+        rows=rows,
     )
-
-
-def _add_rows(ab: np.ndarray, low: tuple, mirror: tuple, lo: int, hi: int) -> None:
-    """ab[n - lo] += a(p) a(n - p) over the points p of low and the n in [lo, hi],
-    mirror holding the points of a on [lo - max p, hi - min p].  The p of each
-    ROW_SPAN integers meet one dense piece of the mirror, in which the row of p is
-    its H + 1 values on [lo - p, hi - p]: ab += a(p) @ rows, ROW_VALUES values (or
-    one row) gathered at a time."""
-    (p, ap), (q, aq) = low, mirror
-    piece = np.zeros(ROW_SPAN - 1 + len(ab))  # zero again after each span
-    rows = sliding_window_view(piece, len(ab))
-    step = max(1, ROW_VALUES // len(ab))  # rows per product
-    i = 0
-    while i < len(p):
-        first = int(p[i])
-        j = int(np.searchsorted(p, first + ROW_SPAN))
-        last = int(p[j - 1])
-        k, stop = np.searchsorted(q, (lo - last, hi - first + 1))
-        at = q[k:stop] - (lo - last)
-        piece[at] = aq[k:stop]
-        for b in range(i, j, step):
-            e = min(b + step, j)
-            ab += ap[b:e] @ rows[last - p[b:e]]
-        piece[at] = 0
-        i = j
-
-
-def _add_chunks(ab: np.ndarray, low: np.ndarray, mirror: np.ndarray, s: int, lo: int, hi: int, chunk: int) -> None:
-    """ab += the dense segment low on [s, s + len(low)) against its dense mirror
-    block, which starts at lo - s - len(low) + 1, one convolve_valid per chunk."""
-    base = lo - s - len(low) + 1
-    for c in range(s, s + len(low), chunk):
-        part = low[c - s : c - s + chunk]
-        cut = lo - c - len(part) + 1  # the chunk meets the mirror on [cut, hi - c]
-        ab += convolve_valid(mirror[cut - base : hi - c + 1 - base], part)
 
 
 def restricted_prime_fn(window: tuple[int, int]) -> ArithFn:

@@ -60,9 +60,10 @@ WINDOW_BYTES, DIVISOR_BYTES, WEIGHT_BYTES = 24, 96, 192
 
 def _divisor_sum(start: int, stop: int, weights: tuple[np.ndarray, np.ndarray], dtype) -> np.ndarray:
     """sum_{d | n} w(d) for n in [start, stop), one strided pass per pair (d, w(d))
-    whose d has a multiple there."""
+    whose d has a multiple there (Python-int d once start passes the int64 range)."""
     out = np.zeros(stop - start, dtype=dtype)
     ds, ws = weights
+    ds = ds if start < 1 << 63 else ds.astype(object)
     hit = -start % ds < stop - start  # the first multiple of d from start lies before stop
     for d, w in zip(ds[hit].tolist(), ws[hit].tolist()):
         out[-start % d :: d] += w

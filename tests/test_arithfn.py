@@ -20,7 +20,6 @@ from cmlab.arithfn import (
     subtract,
     write_arithfn,
 )
-from cmlab.closeness import spectrum_size
 from cmlab.errors import CapacityError, DomainError
 from oracles import fourier_eval, l1_norm, read_arithfn
 
@@ -166,6 +165,60 @@ class TestConvolveWindow:
             convolve_window(ArithFn(1, [1.0]), ArithFn(1, [1.0]), 3, 2)
 
 
+class TestAddConvolution:
+    """add_convolution against np.convolve on each of its paths, with spans, row
+    blocks and chunks small enough to split the inputs part way: at H = 4 a
+    chunk holds max(CHUNK, 4(H + 1)) = 20 integers, a span 7 and a product
+    ROW_VALUES // (H + 1) = 4 rows."""
+
+    LO, HI = 250, 254
+    # ROW_COST and _WINDOW_FFT_RATIO that force each path, and the function it calls
+    PATHS = {"rows": (0, 8, "add_rows"), "direct": (10**30, 10**30, "_convolve_direct"),
+             "transform": (10**30, 0, "_convolve_fft")}
+
+    @pytest.mark.parametrize("shape, chunks", [("window", 6), ("segment", 2)])
+    @pytest.mark.parametrize("density", [0.3, 1.0], ids=["sparse", "dense"])
+    @pytest.mark.parametrize("path", ["rows", "direct", "transform"])
+    def test_matches_np_convolve(self, monkeypatch, shape, chunks, density, path):
+        row_cost, ratio, called = self.PATHS[path]
+        for name, value in [("ROW_COST", row_cost), ("_WINDOW_FFT_RATIO", ratio), ("ROW_SPAN", 7),
+                            ("ROW_VALUES", 20), ("CHUNK", 16)]:
+            monkeypatch.setattr(arithfn, name, value)
+        taken = []
+        for name in ("add_rows", "_convolve_direct", "_convolve_fft"):
+            monkeypatch.setattr(arithfn, name, lambda *args, name=name, fn=getattr(arithfn, name): (
+                taken.append(name) or fn(*args)))
+        rng = np.random.default_rng(11)
+        f = fn(40, np.where(rng.random(300) < density, rng.normal(size=300), 0.0))
+        g = fn(7, np.where(rng.random(120) < density, rng.normal(size=120), 0.0))
+        if shape == "window":  # g, of 120 values, is the shorter: six chunks of 20
+            got = convolve_window(f, g, self.LO, self.HI)
+            full = ArithFn(47, np.convolve(f.values, g.values))
+        else:  # f on [200, 230), the shorter, against g on its preimage [21, 55): chunks of 20 and 10
+            got = np.zeros(self.HI - self.LO + 1)
+            cut = (self.LO - 229, self.HI - 200 + 1)
+            arithfn.add_convolution(got, (f.points(200, 230), 200, 230), (g.points(*cut), *cut), self.LO, self.HI)
+            full = ArithFn(207, np.convolve(f.embed(200, 230), g.values))
+        want = full.embed(self.LO, self.HI + 1)
+        assert want.all() and np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+        assert taken == ([called] if path == "rows" else [called] * chunks)
+
+    def test_rows_are_priced_by_the_points_of_the_first_factor(self, monkeypatch):
+        # the points 1007 and 1407 of sparse reach [1500, 1550] through 1000 values at H = 50:
+        # rows over them cost 2 * 2 * 51 multiply-adds, the direct path 51 * 1000; with the
+        # factors swapped the rows would go over the 1000 points of full, at 2 * 1000 * 51
+        taken = []
+        monkeypatch.setattr(arithfn, "add_rows", lambda out, f, *args, fn=arithfn.add_rows: (
+            taken.append(f[0].tolist()) or fn(out, f, *args)))
+        sparse = fn(1000, np.where(np.arange(1000) % 400 == 7, 2.0, 0.0))
+        full = fn(0, np.linspace(1.0, 2.0, 1000))
+        for f, g, path in [(sparse, full, [[1007, 1407]]), (full, sparse, [])]:
+            taken.clear()
+            got = convolve_window(f, g, 1500, 1550)
+            assert taken == path
+            assert np.allclose(got, ArithFn(1000, np.convolve(sparse.values, full.values)).embed(1500, 1551), rtol=1e-13)
+
+
 class TestFourier:
     def test_delta_is_unimodular(self):
         f = ArithFn(0, [1.0])
@@ -207,7 +260,7 @@ class TestFourier:
         # classes 0 < c < r/2 stand for class r - c as well
         for _ in range(10):
             f = fn(11, rng.normal(size=int(rng.integers(4, 200))))
-            size = spectrum_size(len(f), 2)
+            size = 1 << (max(2 * len(f), 64) - 1).bit_length()  # the least power of two >= 2 len(f), 64
             total = 0.0
             for c, v in spectrum_classes(f.values, size):
                 total += (1 + (0 < c < size // len(v) // 2)) * np.sum(v)
@@ -215,7 +268,7 @@ class TestFourier:
 
     def test_power_spectrum_matches_pointwise(self, rng):
         f = fn(4, rng.normal(size=37))
-        size = spectrum_size(37, 8)
+        size = 512  # the least power of two >= 8 * 37
         spec = np.full(size, np.nan)
         for c, v in spectrum_classes(f.values, size):
             r = size // len(v)
@@ -226,16 +279,17 @@ class TestFourier:
             assert spec[k] == pytest.approx(abs(fourier_eval(f, k / size)) ** 2, abs=1e-8)
 
     # the classes k mod r have L = 2^(ceil(log2 len) - 1) points each, r = M/L
-    # of them; lengths 1, 2, 3, 7 sit on the 64-point floor (r = 64, 64, 32,
-    # 16), 1024 and 1025 on either side of a power of two, and None draws an
-    # odd length, at r = 2, 4 and 16
+    # of them; lengths 1, 2, 3, 7 on a 64-point grid (r = 64, 64, 32, 16), 1024
+    # and 1025 on either side of a power of two on M = 8192 and 16384, and None
+    # draws an odd length, on the least power of two >= 1, 2 and 8 times it
+    # (r = 2, 4 and 16)
     @pytest.mark.parametrize("length, oversample", [
         (1, 8), (2, 8), (3, 8), (7, 8), (1024, 8), (1025, 8), (None, 1), (None, 2), (None, 8),
     ])
     def test_split_spectrum_equals_one_transform(self, rng, length, oversample):
         length = length or 2 * int(rng.integers(50, 5000)) + 1
         vals = rng.normal(size=length)
-        size = spectrum_size(length, oversample)
+        size = 1 << (max(oversample * length, 64) - 1).bit_length()
         grid = np.full(size, np.nan)
         classes = list(spectrum_classes(vals, size))
         r = size // len(classes[0][1])
@@ -256,7 +310,7 @@ class TestFourier:
         rfft, fft = np.fft.rfft, np.fft.fft
         monkeypatch.setattr(np.fft, "rfft", lambda a, n=None, **kw: sizes.append(n or len(a)) or rfft(a, n, **kw))
         monkeypatch.setattr(np.fft, "fft", lambda a, *args, **kw: complex_calls.append(len(a)) or fft(a, *args, **kw))
-        size = spectrum_size(1000, oversample)
+        size = 1 << (oversample * 1000 - 1).bit_length()
         list(spectrum_classes(np.ones(1000), size))
         assert (sizes, complex_calls) == ([512], [512] * (size // 512 // 2))
 

@@ -151,7 +151,7 @@ class TestExitCodes:
         assert capsys.readouterr().err == f"error: {message}\n"
 
     @pytest.mark.parametrize("bad", [
-        ["--trials", "0"], ["--span", "-5"], ["--delta", "1"], ["--delta", "5000"], ["--start", "-1"],
+        ["--trials", "0"], ["--span", "-5"], ["--delta", "1"], ["--delta", "5000"],
         ["--span", "200000000", "--trials", "1"],  # bytes over the cap
     ], ids=" ".join)
     def test_gallagher_checks_its_request_before_it_draws(self, tmp_path, monkeypatch, capsys, bad):

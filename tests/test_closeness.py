@@ -174,7 +174,7 @@ class TestGallagher:
         forms = sorted(m << k for m in (1, 3, 5) for k in range(1, 24))
         for span in [*range(3, 3000), 4097, 10_000, 500_000]:
             assert gallagher_size(span) == next(n for n in forms if n >= 2 * span - 1), span
-        assert gallagher_size(10_000) == 20_480 < spectrum_size(10_000, 2) == 32_768
+        assert gallagher_size(10_000) == 20_480 < 32_768  # the least power of two >= 2 span - 1
 
     @pytest.mark.parametrize("span", [2_000, 4_097, 10_000])
     def test_block_equals_one_trial_at_a_time(self, span):
@@ -231,12 +231,10 @@ class TestGallagher:
 
 class TestClosenessGrid:
     def test_grid_size(self):
-        # M is the smallest power of two >= max(oversample * span, 64)
-        assert [spectrum_size(n, 8) for n in (1, 8, 37, 1024, 1025)] == [64, 64, 512, 8192, 16384]
-        assert spectrum_size(1000, 2) == 2048
-        with pytest.raises(DomainError, match="oversample must be >= 1"):
-            spectrum_size(1000, 0)
-        assert closeness_grid(1000, 64.0) == spectrum_size(1000, OVERSAMPLE) == 8192
+        # M is the smallest power of two >= max(8 span, 64)
+        assert OVERSAMPLE == 8
+        assert [spectrum_size(n) for n in (1, 8, 37, 1024, 1025)] == [64, 64, 512, 8192, 16384]
+        assert closeness_grid(1000, 64.0) == spectrum_size(1000) == 8192
 
     def test_spectrum_over_cap_fails_up_front(self, rng, monkeypatch):
         # a span of 1000 on a grid of 8192 points
@@ -418,7 +416,7 @@ class TestEstimatorAgainstExhaustiveGrid:
             rep = closeness_integral(f, g, h)
 
             d = subtract(f, g)
-            size = spectrum_size(len(d), 8)
+            size = spectrum_size(len(d))
             half_spec = np.abs(np.fft.rfft(d.values, size)) ** 2
             spec = np.concatenate([half_spec, half_spec[-2:0:-1]])  # the even spectrum on all M bins
             half = min(int(size / h), (size - 1) // 2)
@@ -439,7 +437,7 @@ class TestEstimatorAgainstExhaustiveGrid:
         # all M bins, the same windows; the 0/1 arc's windows wrap bin 0 and
         # the 1/2 arc's windows straddle bin M/2
         def full_grid_probe(d, h):
-            size = spectrum_size(len(d), 8)
+            size = spectrum_size(len(d))
             half_spec = np.abs(np.fft.rfft(d.values, size)) ** 2
             spec = np.concatenate([half_spec, half_spec[-2:0:-1]])
             csum = np.concatenate([[0.0], np.cumsum(spec)])

@@ -531,6 +531,34 @@ class TestPipelineScaling:
         for name in names:
             monkeypatch.setattr(goldbach, name, counted(name, getattr(goldbach, name)))
 
+    @staticmethod
+    def _segment_paths(monkeypatch, *names):
+        """One list per a*a segment of the calls it made to the named arithfn
+        functions, in order: goldbach.add_convolution, which the stream alone
+        calls, opens each list, and the steps' calls are not listed."""
+        paths, inside = [], [False]
+
+        def segment(*args):
+            paths.append([])
+            inside[0] = True
+            try:
+                return chooser(*args)
+            finally:
+                inside[0] = False
+
+        def counted(name, fn):
+            def wrapped(*args):
+                if inside[0]:
+                    paths[-1].append(name)
+                return fn(*args)
+            return wrapped
+
+        chooser = goldbach.add_convolution
+        monkeypatch.setattr(goldbach, "add_convolution", segment)
+        for name in names:
+            monkeypatch.setattr(arithfn, name, counted(name, getattr(arithfn, name)))
+        return paths
+
     @pytest.mark.parametrize("preset", ["desk-small", "desk-medium"])
     def test_tiny_blocks_match_one_shot_convolution(self, preset, monkeypatch):
         # a*a streams [0, m0), m0 = ceil((X - H) / 2) = X/2 - 32 at both presets,
@@ -539,20 +567,20 @@ class TestPipelineScaling:
         inputs = desk_pipeline_inputs(config)
         whole = run_pipeline(config, *inputs)
         calls = []
-        self._count(monkeypatch, calls, "convolve_window", "convolve_valid", "_add_rows", "_add_chunks")
+        self._count(monkeypatch, calls, "convolve_window")
+        paths = self._segment_paths(monkeypatch, "convolve_valid", "add_rows")
         monkeypatch.setattr(goldbach, "PIPELINE_SEGMENT", 1000)
-        monkeypatch.setattr(goldbach, "PIPELINE_CHUNK", 1 << 7)
+        monkeypatch.setattr(arithfn, "CHUNK", 1 << 7)
         report = run_pipeline(config, *inputs)
         m0 = -(-(config.x - config.h) // 2)
         lengths = [min(1000, m0 - s) for s in range(0, m0, 1000)]
         assert lengths[-1] == 968
         assert report.segments == len(lengths) == -(-m0 // 1000)
         # steps 2, 4, omega*T and the middle window take one convolve_window each
-        # (the positivity step takes the direct path, np.convolve), and each segment
-        # meets its mirror as one sum of rows, with no dense chunk
+        # (the positivity step takes the rows directly), and each segment meets its
+        # mirror as one sum of rows, with no dense chunk
         assert calls.count("convolve_window") == 4
-        assert calls.count("_add_rows") == len(lengths)
-        assert calls.count("_add_chunks") == calls.count("convolve_valid") == 0
+        assert paths == [["add_rows"]] * len(lengths)
         assert report.summary() == whole.summary()
         lam = restricted_prime_fn((1, config.x))
         full = ArithFn(4, arithfn._convolve_fft(lam.values, lam.values))
@@ -567,11 +595,10 @@ class TestPipelineScaling:
         config = PipelineConfig(20_000, big_q=10)
         m0 = -(-(config.x - config.h) // 2)
         assert (m0 % segment == 0) == (segment == 2492)
-        calls = []
-        self._count(monkeypatch, calls, "_add_rows", "_add_chunks")
+        paths = self._segment_paths(monkeypatch, "add_rows", "convolve_valid")
         monkeypatch.setattr(goldbach, "PIPELINE_SEGMENT", segment)
         report = run_pipeline(config, *desk_pipeline_inputs(config))
-        assert calls == ["_add_rows"] * report.segments
+        assert paths == [["add_rows"]] * report.segments
         assert report.segments == -(-m0 // segment)
         lam = dense(prime_weights(0, config.x + 1), 0, config.x + 1)
         want = np.convolve(lam, lam)[config.x - config.h : config.x + 1]
@@ -579,25 +606,31 @@ class TestPipelineScaling:
         assert np.max(np.abs(ab - want)) <= 1e-12 * np.max(want)
 
     def test_either_side_of_the_cost_rule_gives_the_same_rows(self, monkeypatch):
-        # ROW_COST 0 sums every segment as rows, 10^30 every one densely
+        # ROW_COST 0 sums every segment as rows, 10^30 every one densely; the cost
+        # holds inside the segments only, so the steps take their usual paths
         config = PRESETS["desk-small"]
         inputs = desk_pipeline_inputs(config)
-        calls = []
-        self._count(monkeypatch, calls, "convolve_valid", "_add_rows", "_add_chunks")
+        chooser, cost = goldbach.add_convolution, None
+
+        def priced(*args):
+            with monkeypatch.context() as patch:
+                patch.setattr(arithfn, "ROW_COST", cost)
+                return chooser(*args)
+
+        monkeypatch.setattr(goldbach, "add_convolution", priced)
+        paths = self._segment_paths(monkeypatch, "convolve_valid", "add_rows")
         monkeypatch.setattr(goldbach, "PIPELINE_SEGMENT", 1 << 14)
-        monkeypatch.setattr(goldbach, "PIPELINE_CHUNK", 1 << 12)
+        monkeypatch.setattr(arithfn, "CHUNK", 1 << 12)
         m0 = -(-(config.x - config.h) // 2)
         lengths = [min(1 << 14, m0 - s) for s in range(0, m0, 1 << 14)]
         reports = []
         for cost in (0, 10**30):
-            monkeypatch.setattr(goldbach, "ROW_COST", cost)
-            calls.clear()
+            paths.clear()
             reports.append(run_pipeline(config, *inputs))
             if cost == 0:
-                assert calls == ["_add_rows"] * len(lengths)
+                assert paths == [["add_rows"]] * len(lengths)
             else:  # chunks of 2^12, as 4(H + 1) = 260 is less
-                assert calls.count("_add_chunks") == len(lengths)
-                assert calls.count("convolve_valid") == sum(-(-n // (1 << 12)) for n in lengths)
+                assert paths == [["convolve_valid"] * -(-n // (1 << 12)) for n in lengths]
         by_rows, chunks = reports
         assert by_rows.summary() == chunks.summary()
         assert [(n, om, verdict) for n, _, om, verdict in by_rows.rows] == [
@@ -645,15 +678,14 @@ class TestPipelineScaling:
             m = np.arange(start, stop)
             return m, 1.0 + m % 7
 
-        calls = []
-        self._count(monkeypatch, calls, "_add_rows", "_add_chunks")
+        paths = self._segment_paths(monkeypatch, "add_rows", "convolve_valid")
         monkeypatch.setattr(goldbach, "PIPELINE_SEGMENT", 1 << 12)
         for a in (ones, ramp):
-            calls.clear()
+            paths.clear()
             report = run_pipeline(config, nu, omega, a)
             # every m is a point, whose row of H + 1 values would cost ROW_COST
             # times the multiply-adds of one dense convolve_valid
-            assert calls == ["_add_chunks"] * report.segments
+            assert paths == [["convolve_valid"]] * report.segments
             lam = dense(a(0, x + 1), 0, x + 1)
             full = arithfn._convolve_fft(lam, lam)
             ab = np.array([row[1] for row in report.rows])
@@ -724,12 +756,11 @@ class TestPipelineScaling:
             m = start + np.flatnonzero(a[start:stop])
             return m, a[m]
 
-        calls = []
-        self._count(monkeypatch, calls, "_add_rows", "_add_chunks")
-        monkeypatch.setattr(goldbach, "ROW_COST", 0)
+        paths = self._segment_paths(monkeypatch, "add_rows", "convolve_valid")
+        monkeypatch.setattr(arithfn, "ROW_COST", 0)
         monkeypatch.setattr(goldbach, "PIPELINE_SEGMENT", 1 << 12)
         report = run_pipeline(config, nu, omega, sparse)
-        assert calls == ["_add_rows"] * report.segments
+        assert paths == [["add_rows"]] * report.segments
         want = np.convolve(a, a)[config.x - config.h : config.x + 1]
         ab = np.array([row[1] for row in report.rows])
         assert np.max(np.abs(ab - want)) <= 1e-12 * np.max(want)
@@ -737,25 +768,24 @@ class TestPipelineScaling:
     def test_rows_hold_bounded_memory_at_long_h(self, monkeypatch):
         # The rows counterpart of test_long_h_peak_rss: at H = 10^4 every segment
         # meets its mirror as rows, and gathering the rows of the 4675 primes below
-        # m0 at once would hold 4675 (H + 1) values, 374 MB.  The stream holds a
+        # m0 at once would hold 4675 (H + 1) values, 374 MB.  The rows hold a
         # piece of ROW_SPAN + H values and ROW_VALUES gathered ones at a time
         config = PipelineConfig(100_000, big_q=10, y=30_000, h=10_000)
         inputs = desk_pipeline_inputs(config)
-        calls = []
-        self._count(monkeypatch, calls, "_add_rows", "_add_chunks")
-        monkeypatch.setattr(goldbach, "ROW_COST", 0)
+        paths = self._segment_paths(monkeypatch, "add_rows", "convolve_valid")
+        monkeypatch.setattr(arithfn, "ROW_COST", 0)
         tracemalloc.start()
         try:
             run_pipeline(config, *inputs)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert calls == ["_add_rows"]
+        assert paths == [["add_rows"]]
         assert peak < goldbach.pipeline_bytes(config)
 
 
 class TestAddRows:
-    """_add_rows against a double loop over every point p of a segment [s, stop)
+    """arithfn.add_rows against a double loop over every point p of a segment [s, stop)
     and every q of its mirror block [LO - stop + 1, HI - s] with LO <= p + q <= HI."""
 
     LO, HI = 1000, 1012  # H = 12
@@ -769,7 +799,7 @@ class TestAddRows:
                     ab[p + q - lo] += ap * aq
         return ab
 
-    @pytest.mark.parametrize("span, values", [(8, 1), (8, 30), (5, 13), (goldbach.ROW_SPAN, goldbach.ROW_VALUES)],
+    @pytest.mark.parametrize("span, values", [(8, 1), (8, 30), (5, 13), (arithfn.ROW_SPAN, arithfn.ROW_VALUES)],
                              ids=["one row a product", "two rows a product", "spans of 5", "defaults"])
     @pytest.mark.parametrize("s, stop, ms", [
         (0, 500, range(0, 1013)),  # every m
@@ -781,8 +811,8 @@ class TestAddRows:
         (137, 431, range(0, 570)),  # an empty mirror
     ], ids=["every m", "both parities", "2 and the odd m", "one point", "span edges", "empty low", "empty mirror"])
     def test_matches_a_double_loop(self, monkeypatch, span, values, s, stop, ms):
-        monkeypatch.setattr(goldbach, "ROW_SPAN", span)
-        monkeypatch.setattr(goldbach, "ROW_VALUES", values)
+        monkeypatch.setattr(arithfn, "ROW_SPAN", span)
+        monkeypatch.setattr(arithfn, "ROW_VALUES", values)
         ms = np.array(ms, dtype=np.int64)
         weights = np.random.default_rng(2).uniform(0.5, 2.0, len(ms))
 
@@ -792,7 +822,7 @@ class TestAddRows:
 
         low, mirror = a(s, stop), a(self.LO - stop + 1, self.HI - s + 1)
         ab = np.zeros(self.HI - self.LO + 1)
-        goldbach._add_rows(ab, low, mirror, self.LO, self.HI)
+        arithfn.add_rows(ab, low, mirror, self.LO, self.HI)
         want = self.double_loop(low, mirror, self.LO, self.HI)
         assert np.allclose(ab, want, rtol=1e-13, atol=0)
         assert (ab == 0).all() == (len(low[0]) == 0 or len(mirror[0]) == 0)
@@ -816,7 +846,7 @@ class TestMinorizationReporting:
         # desk-medium at H = 1024, where convolve_valid's cost rule takes the transform:
         # with every 50th prime of omega set to 0, omega <= a and T+ >= 0 hold, so
         # (a - omega) * T+ >= 0 exactly (it is 0 at most n); the transform read 64 of
-        # those zeros as negative, the direct path reads none
+        # those zeros as negative, the rows read none
         config = PipelineConfig(1_000_000, big_q=10, h=1024)
         nu, omega, a = desk_pipeline_inputs(config)
         preimage = arithfn.window_preimage(model_t_nu_plus(config.y, config.big_q), config.x - config.h, config.x)
@@ -833,6 +863,34 @@ class TestMinorizationReporting:
         report = run_pipeline(config, nu, ArithFn(omega.support_start, values), a)
         assert report.step_positivity_violations > 0
         assert report.minorization_violations == 1
+
+    def test_positivity_rows_run_over_the_gap_at_long_h(self, monkeypatch):
+        # X = 10^6, Y = 2*10^5, H = 10^5, every 50th prime of omega at 0: the rows of
+        # the positivity step run over exactly those primes in the preimage of T+,
+        # (H+1) multiply-adds each, and read no violation
+        config = PipelineConfig(1_000_000, big_q=10, y=200_000, h=100_000)
+        nu, omega, a = desk_pipeline_inputs(config)
+        cut = arithfn.window_preimage(model_t_nu_plus(config.y, config.big_q), config.x - config.h, config.x)
+        values = omega.values.copy()
+        zeroed = np.flatnonzero(values)[::50]
+        values[zeroed] = 0.0
+        rows = []
+        add_rows = goldbach.add_rows
+        monkeypatch.setattr(goldbach, "add_rows", lambda out, f, *args: rows.append(f[0]) or add_rows(out, f, *args))
+        report = run_pipeline(config, nu, ArithFn(omega.support_start, values), a)
+        assert (report.step_positivity_violations, report.minorization_violations) == (0, 0)
+        m = omega.support_start + zeroed
+        assert len(rows) == 1 and rows[0].tolist() == m[(cut[0] <= m) & (m < cut[1])].tolist()
+        # the control: omega = a but doubled at one prime the step reads counts in both,
+        # its one row the only one
+        values = omega.values.copy()
+        m = zeroed[len(zeroed) // 2]
+        assert cut[0] <= omega.support_start + m < cut[1]
+        values[m] *= 2.0
+        report = run_pipeline(config, nu, ArithFn(omega.support_start, values), a)
+        assert report.step_positivity_violations > 0
+        assert report.minorization_violations == 1
+        assert rows[1].tolist() == [omega.support_start + m]
 
     def test_omega_exceeding_a_is_counted_not_fatal(self):
         config = PipelineConfig(200_000, big_q=10)

@@ -62,6 +62,11 @@ class TestLambdaQ:
         window = lambda_q_window(1000, 1006, 130)
         assert window == pytest.approx([lambda_q_direct(n, 130) for n in range(1000, 1006)], abs=1e-8)
 
+    @pytest.mark.parametrize("start", [2**63 - 150, 2**63 + 700], ids=["straddles 2^63", "past 2^63"])
+    def test_window_past_the_int64_range(self, start):
+        window = lambda_q_window(start, start + 300, 10)
+        assert window == pytest.approx([lambda_q_direct(n, 10) for n in range(start, start + 300)], abs=1e-8)
+
     def test_window_matches_scalar(self):
         window = lambda_q_window(100, 200, 15)
         for i, n in enumerate(range(100, 200)):
