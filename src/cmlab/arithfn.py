@@ -12,7 +12,9 @@ Every windowed convolution goes through one chooser, `add_convolution`, which
 prices rows over the points of its first factor against dense chunks of the
 shorter factor, each direct or by transform, and takes the cheaper.  The
 Fourier side is `spectrum_classes`, |x-hat|^2 on a grid of M points one residue
-class at a time; M and its cap belong to its caller, `closeness`.
+class at a time, each class a transform of at most CLASS_POINTS points and the
+classes computed in blocks of at most BLOCK_POINTS values; M and its cap belong
+to its caller, `closeness`.
 """
 
 from __future__ import annotations
@@ -205,9 +207,13 @@ def add_rows(out: np.ndarray, f: tuple, g: tuple, lo: int, hi: int) -> None:
     f and g given as points (m, value), m ascending.  The p of each ROW_SPAN
     integers meet one dense piece of g, in which the row of p is its H + 1
     values on [lo - p, hi - p]: out += f(p) @ rows, ROW_VALUES values (or one
-    row) gathered at a time."""
+    row) gathered at a time.  The piece holds span + H values, span the
+    integers the p reach, ROW_SPAN at most."""
     (p, fp), (q, gq) = f, g
-    piece = np.zeros(ROW_SPAN - 1 + len(out))  # zero again after each span
+    if len(p) == 0:
+        return
+    span = min(ROW_SPAN, int(p[-1] - p[0]) + 1)
+    piece = np.zeros(span - 1 + len(out))  # zero again after each span
     rows = sliding_window_view(piece, len(out))
     step = max(1, ROW_VALUES // len(out))  # rows per product
     i = 0
@@ -226,8 +232,8 @@ def add_rows(out: np.ndarray, f: tuple, g: tuple, lo: int, hi: int) -> None:
 
 
 def rows_values(h: int) -> int:
-    """Values add_rows holds beyond its inputs for H = h: its piece of
-    ROW_SPAN + h and its gathered rows, ROW_VALUES or one row."""
+    """Values add_rows holds beyond its inputs for H = h, at most: its piece
+    of ROW_SPAN + h and its gathered rows, ROW_VALUES or one row."""
     return ROW_SPAN + h + max(ROW_VALUES, h + 1)
 
 
@@ -282,29 +288,43 @@ def _convolve_fft(a: np.ndarray, b: np.ndarray, mode: str = "full") -> np.ndarra
 # -- Fourier side -----------------------------------------------------------
 
 
+CLASS_POINTS = 1 << 16  # the longest class transform of spectrum_classes: 1 MB, which a core's L2 holds
+BLOCK_POINTS = 1 << 18  # values of one block of its classes: 4 MB, under the CLI's mmap threshold
+
+
 def spectrum_classes(x: np.ndarray, size: int) -> Iterator[tuple[int, np.ndarray]]:
     """|x-hat|^2 on the grid k/M, M = size a power of two >= len(x), one residue
     class of k mod r at a time (the four-step split of D. H. Bailey, "FFTs in
     external or hierarchical memory", J. Supercomputing 4, 1990).
 
-    With L = 2^(ceil(log2 len(x)) - 1) and r = M/L, class c is the array
-    v_c[t] = |x-hat((r t + c)/M)|^2, t < L.  As e(-m (r t + c)/M) =
-    e(-m c/M) e(-m t/L) and e(-L c/M) = e(-c/r), v_c is |the L-point transform
-    of e(-m c/M) (x(m) + e(-c/r) x(m + L))|^2, so no M-point transform or
-    buffer is held.  Class 0 is one real transform.  x is real, so class r - c
-    is class c reversed (M - (r t + r - c) = r (L - 1 - t) + c), and only the
-    pairs (c, v_c) for c = 0..r/2 are yielded, each v_c a fresh array.
+    With L = min(2^(ceil(log2 len(x)) - 1), CLASS_POINTS) and r = M/L, class c
+    is the array v_c[t] = |x-hat((r t + c)/M)|^2, t < L.  As e(-m (r t + c)/M)
+    = e(-m c/M) e(-m t/L) and e(-L c/M) = e(-c/r), v_c is |the L-point
+    transform of e(-m c/M) sum_j e(-j c/r) x(m + j L)|^2 over the p = ceil(len(x)/L)
+    pieces x(m + j L), m < L, so no M-point transform or buffer is held.
+    Class 0 is one real transform.  x is real, so class r - c is class c
+    reversed (M - (r t + r - c) = r (L - 1 - t) + c), and only the pairs
+    (c, v_c) for c = 0..r/2 are yielded, each v_c an array of its own.
+
+    Up to len(x) = 2 CLASS_POINTS there are two pieces, and each class is
+    folded and transformed on its own.  Beyond, L = CLASS_POINTS and the
+    complex classes come in blocks of as many values as one uncapped class
+    would hold, BLOCK_POINTS at most: the phases e(-j c/r) of a block meet the
+    pieces, read as views of x, in matrix products (`_fold`), and the block is
+    twisted and transformed at once.
     """
     n = len(x)
     if size < n or size & (size - 1):
         raise DomainError("size must be a power of two >= len(x)")
     piece = 1 << max(0, (n - 1).bit_length() - 1)
+    if piece > CLASS_POINTS:
+        yield from _folded_classes(x, size, min(piece, BLOCK_POINTS) // CLASS_POINTS)
+        return
     r = size // piece
     fold = x[:piece].copy()
     fold[: n - piece] += x[piece:]
-    half = np.abs(np.fft.rfft(fold)) ** 2
-    yield 0, np.concatenate([half, half[1 : piece - len(half) + 1][::-1]])  # v_0[L - t] = v_0[t]
-    del fold, half  # before the buffer of the complex classes is made
+    yield 0, _real_class(fold)
+    del fold  # before the buffer of the complex classes is made
     z = np.empty(piece, dtype=np.complex128)
     for c in range(1, r // 2 + 1):
         upper = np.exp(-1j * TWO_PI * c / r)  # e(-L c/M)
@@ -316,12 +336,66 @@ def spectrum_classes(x: np.ndarray, size: int) -> Iterator[tuple[int, np.ndarray
         yield c, np.abs(z) ** 2
 
 
-def _twist(z: np.ndarray, turn: float) -> None:
-    """z[m] *= e(-m turn) in place, len(z) a power of two, by two tables of about sqrt(len(z)) phases."""
-    cols = 1 << ((len(z).bit_length() - 1) // 2)
-    grid = z.reshape(-1, cols)
-    grid *= np.exp(-1j * TWO_PI * turn * cols * np.arange(len(grid)))[:, None]
-    grid *= np.exp(-1j * TWO_PI * turn * np.arange(cols))
+def _real_class(fold: np.ndarray) -> np.ndarray:
+    """Class 0 of spectrum_classes, |the transform of the real fold|^2, from its
+    half spectrum: v_0[L - t] = v_0[t]."""
+    half = np.abs(np.fft.rfft(fold)) ** 2
+    return np.concatenate([half, half[1 : len(fold) - len(half) + 1][::-1]])
+
+
+def _pieces(x: np.ndarray, length: int) -> tuple[np.ndarray, np.ndarray]:
+    """The p = ceil(len(x)/length) pieces x(m + j length) as two views of x:
+    head[j, m] for the m < e = len(x) - (p - 1) length, which all p pieces
+    reach, and tail[j, m - e] for the m >= e, which only the first p - 1 do."""
+    e = len(x) - (len(x) - 1) // length * length
+    return sliding_window_view(x, e)[::length], x[e:].reshape(-1, length)[:, : length - e]
+
+
+def _folded_classes(x: np.ndarray, size: int, rows: int) -> Iterator[tuple[int, np.ndarray]]:
+    """The classes of spectrum_classes at L = CLASS_POINTS, from the pieces of
+    x as `_pieces` gives them: class 0, then c = 1..r/2, rows of them at a time."""
+    length, r = CLASS_POINTS, size // CLASS_POINTS
+    head, tail = _pieces(x, length)
+    e = head.shape[1]
+    yield 0, _real_class(np.concatenate([head.sum(axis=0), tail.sum(axis=0)]))
+    turns = TWO_PI / r * np.arange(1, r // 2 + 1)[:, None] * np.arange(len(head))
+    cos, sin = np.cos(turns), -np.sin(turns)  # e(-c j / r) for c = 1..r/2
+    z = np.empty((rows, length), dtype=np.complex128)
+    for c in range(1, r // 2 + 1, rows):
+        phases = np.concatenate([cos[c - 1 : c - 1 + rows], sin[c - 1 : c - 1 + rows]])
+        _fold(z[:, :e], head, phases)
+        _fold(z[:, e:], tail, phases[:, : len(tail)])
+        _twist(z, np.arange(c, c + rows) / size)
+        np.fft.fft(z, axis=1, out=z)
+        v = np.abs(z)
+        yield from enumerate(np.square(v, out=v), start=c)
+
+
+# columns of the pieces that one matrix product of _fold takes: its result, 2 rows x
+# FOLD_COLUMNS values, stays cached for the copy into the complex rows.  At 2^16
+# columns and 4 classes (2-vCPU Xeon, OpenBLAS 0.3.31) a block folded in 0.67 ms
+# from 7 pieces and 3.4 ms from 46, against 1.1 and 3.6 ms by one product and copy.
+FOLD_COLUMNS = 1 << 12
+
+
+def _fold(z: np.ndarray, pieces: np.ndarray, phases: np.ndarray) -> None:
+    """z[c] = sum_j (phases[c, j] + i phases[rows + c, j]) pieces[j] for each of
+    the rows c of z: the real parts of the complex phases, then the imaginary."""
+    rows, folds = len(z), np.empty((len(phases), FOLD_COLUMNS))
+    for s in range(0, z.shape[1], FOLD_COLUMNS):
+        part = np.matmul(phases, pieces[:, s : s + FOLD_COLUMNS], out=folds[:, : min(FOLD_COLUMNS, z.shape[1] - s)])
+        z.real[:, s : s + FOLD_COLUMNS], z.imag[:, s : s + FOLD_COLUMNS] = part[:rows], part[rows:]
+
+
+def _twist(z: np.ndarray, turn) -> None:
+    """z[..., m] *= e(-m turn) in place, for rows z[...] of a power-of-two length
+    and a turn per row (an array of z.shape[:-1], or one float for a single
+    row), by two tables of about sqrt(length) phases per row."""
+    cols = 1 << ((z.shape[-1].bit_length() - 1) // 2)
+    grid = z.reshape(*z.shape[:-1], -1, cols)
+    turn = (-1j * TWO_PI * np.asarray(turn))[..., None, None]
+    grid *= np.exp(turn * cols * np.arange(grid.shape[-2])[:, None])
+    grid *= np.exp(turn * np.arange(cols))
 
 
 # -- serialization -------------------------------------------------------------

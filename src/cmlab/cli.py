@@ -490,14 +490,16 @@ def build_parser() -> argparse.ArgumentParser:
 def _keep_freed_heap() -> None:
     """Have glibc keep the heap a run frees, in place of unmapping it.
 
-    Each transform of `arithfn.spectrum_classes` takes megabytes of scratch
-    inside pocketfft and frees it.  Under glibc's default dynamic thresholds
-    that memory goes back to the kernel after each transform and is faulted
-    in, zeroed, by the next: `verify closeness --Y 400000 --h-exponent 0.45
-    --Q 10` took 47k minor faults at a 62 MB peak.  Serving blocks under
-    8 MB from the heap and trimming its top only past 16 MB (glibc's own 1:2
-    ratio) keeps that scratch mapped, and the run takes 13k.  Larger
-    thresholds raise the peak of `model --which lambda_q` past its estimate.
+    Each block of `arithfn.spectrum_classes` takes up to 4 MB for its classes
+    and megabytes of scratch inside pocketfft, and frees them.  Under glibc's
+    default dynamic thresholds that memory can go back to the kernel after
+    each transform and be faulted in, zeroed, by the next: `verify closeness
+    --Y 400000 --h-exponent 0.45 --Q 10` took 53k minor faults at a 62 MB
+    peak with one class of 2^18 points at a time, and takes 16k at 56 MB with
+    blocks of four classes of 2^16.  Serving blocks under 8 MB from the heap
+    and trimming its top only past 16 MB (glibc's own 1:2 ratio) keeps that
+    memory mapped: 18k and 12k.  Larger thresholds raise the peak of
+    `model --which lambda_q` past its estimate.
     A process-wide policy, so `main` sets it and importing cmlab does not; a
     no-op where libc has no `mallopt`.
     """

@@ -34,10 +34,12 @@ wrap-around for h <= M - span.  The spot check's grid has M >= OVERSAMPLE
 span = 8 span points, its bins 4j are a grid of M/4 >= 2 span points, and
 w <= H/3 < span/6; so A(h), h < w, is read off those bins and each arc costs
 O(w).  No array of M or M/2 points is held: spectrum_classes gives the grid
-one residue class k = c mod r at a time (r = 16 once span >= 8), each a
-transform of M/r points.  Each class c = 0 mod 4 adds its share of A(h), and
-every class adds its bins in each sampled window of the spot check, off its
-running sums (class r - c is class c reversed and reads the same sums).
+one residue class k = c mod r at a time, each a transform of L = M/r points:
+r = 16 for spans from 8 to 2^17, and L = CLASS_POINTS = 2^16 beyond.  Each
+class c = 0 mod 4 adds its share of A(h), read off the class's inverse
+transform at h mod L, as w may pass L/2 once L is capped; and every class
+adds its bins in each sampled window of the spot check, off its running sums
+(class r - c is class c reversed and reads the same sums).
 """
 
 from __future__ import annotations
@@ -305,6 +307,16 @@ def _spot_bins(size: int, arcs: list[FareyArc]) -> np.ndarray:
     return np.concatenate(bins)
 
 
+def _periodic_read(half: np.ndarray, length: int, lags: int) -> np.ndarray:
+    """v-hat(h) = sum_t v[t] e(-t h / L) for 0 <= h < lags, a fresh array, off
+    half = rfft(v) of a real v of L = length points: v-hat is L-periodic, and
+    v-hat(h) = conj(v-hat(L - h)) reads the h mod L past L/2."""
+    h = np.arange(lags) % length
+    out = half[np.minimum(h, length - h)]
+    np.conjugate(out, out=out, where=h > length // 2)
+    return out
+
+
 def _class_window_sums(cum: np.ndarray, c: int, r: int, lo: np.ndarray, hi: np.ndarray, mirror: bool) -> np.ndarray:
     """Sums over the bins k = c mod r of each window [lo, hi] (lo > hi wraps past M - 1), off the running
     sums cum[t] = v[0] + ... + v[t] of class c, or with mirror of the class that is class c reversed."""
@@ -375,8 +387,8 @@ def closeness_integral(
         mirrored = 0 < c < r // 2  # class r - c is v reversed
         if c % 4 == 0:
             # A(h) = (4/M) sum_j |d-hat(4j/M)|^2 e(4jh/M) (module docstring), of which
-            # the bins r t + c carry (4/M) Re[e(ch/M) conj(v-hat(h))]
-            vhat = np.fft.rfft(v)[: len(acf)].copy()  # the copy frees the whole transform at once
+            # the bins r t + c carry (4/M) Re[e(ch/M) conj(v-hat(h))]; v-hat is L-periodic
+            vhat = _periodic_read(np.fft.rfft(v), len(v), len(acf))
             acf += (4.0 / size) * (1 + mirrored) * (np.cos(c * turn) * vhat.real + np.sin(c * turn) * vhat.imag)
         np.cumsum(v, out=v)
         totals += _class_window_sums(v, c, r, lo, hi, mirror=False)

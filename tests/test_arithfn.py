@@ -278,6 +278,21 @@ class TestFourier:
         for k in (0, 1, size // 3, size // 2, size // 2 + 1, size - 2):
             assert spec[k] == pytest.approx(abs(fourier_eval(f, k / size)) ** 2, abs=1e-8)
 
+    @staticmethod
+    def _assert_grid(classes, vals, size):
+        """The classes (c, v_c), r/2 + 1 of L points, fill all M bins of one M-point transform of vals."""
+        r = size // len(classes[0][1])
+        assert [c for c, _ in classes] == list(range(r // 2 + 1))
+        grid = np.full(size, np.nan)
+        for c, v in classes:
+            assert v.shape == classes[0][1].shape
+            grid[c::r] = v
+            if 0 < c < r // 2:
+                grid[r - c :: r] = v[::-1]  # class r - c is class c reversed
+        half = np.abs(np.fft.rfft(vals, size)) ** 2
+        ref = np.concatenate([half, half[-2:0:-1]])  # all M bins
+        assert np.max(np.abs(grid - ref)) <= 1e-12 * np.max(ref)
+
     # the classes k mod r have L = 2^(ceil(log2 len) - 1) points each, r = M/L
     # of them; lengths 1, 2, 3, 7 on a 64-point grid (r = 64, 64, 32, 16), 1024
     # and 1025 on either side of a power of two on M = 8192 and 16384, and None
@@ -290,29 +305,70 @@ class TestFourier:
         length = length or 2 * int(rng.integers(50, 5000)) + 1
         vals = rng.normal(size=length)
         size = 1 << (max(oversample * length, 64) - 1).bit_length()
-        grid = np.full(size, np.nan)
-        classes = list(spectrum_classes(vals, size))
-        r = size // len(classes[0][1])
-        assert [c for c, _ in classes] == list(range(r // 2 + 1))
-        for c, v in classes:
-            grid[c::r] = v
-            if 0 < c < r // 2:
-                grid[r - c :: r] = v[::-1]  # class r - c is class c reversed
-        half = np.abs(np.fft.rfft(vals, size)) ** 2
-        ref = np.concatenate([half, half[-2:0:-1]])  # all M bins
-        assert np.max(np.abs(grid - ref)) <= 1e-12 * np.max(ref)
+        self._assert_grid(list(spectrum_classes(vals, size)), vals, size)
 
+    # with the classes capped at 32 points, lengths on and around multiples of
+    # L = 32 fold p = 2 to 41 pieces, the last one whole or cut short; the
+    # least power of two >= 1, 2 and 8 times the length gives r/2 from 2 to
+    # 256 classes, and blocks of min(2^(ceil(log2 len) - 1), BLOCK_POINTS) / 32
+    # of them.  Up to 64 = 2 CLASS_POINTS the classes are the uncapped ones.
+    @pytest.mark.parametrize("length", [33, 63, 64, 65, 96, 97, 127, 129, 200, 1279, 1280, 1281, 1311])
+    @pytest.mark.parametrize("oversample", [1, 2, 8])
+    def test_capped_classes_equal_one_transform(self, monkeypatch, length, oversample):
+        monkeypatch.setattr(arithfn, "CLASS_POINTS", 32)
+        vals = np.random.default_rng(length).normal(size=length)
+        size = 1 << (max(oversample * length, 64) - 1).bit_length()
+        classes = list(spectrum_classes(vals, size))
+        assert len(classes[0][1]) == min(32, 1 << (length - 1).bit_length() - 1)
+        self._assert_grid(classes, vals, size)
+
+    # a block folds its pieces FOLD_COLUMNS columns at a time; 24 columns cut
+    # the 59 of the head and the 5 of the tail of 64-point classes part way
+    @pytest.mark.parametrize("pieces", [3, 17, 40])
+    @pytest.mark.parametrize("fold_columns", [24, 1 << 12])
+    def test_folds_in_column_chunks_equal_one_transform(self, monkeypatch, pieces, fold_columns):
+        monkeypatch.setattr(arithfn, "CLASS_POINTS", 64)
+        monkeypatch.setattr(arithfn, "FOLD_COLUMNS", fold_columns)
+        vals = np.random.default_rng(pieces).normal(size=64 * pieces - 5)
+        size = 1 << (8 * len(vals) - 1).bit_length()
+        self._assert_grid(list(spectrum_classes(vals, size)), vals, size)
+
+    def test_capped_classes_fold_views_of_x(self):
+        # the 32 pieces of 32 points that 1000 values make are read in place
+        x = np.arange(1000.0)
+        x.setflags(write=False)
+        head, tail = arithfn._pieces(x, 32)
+        assert np.shares_memory(head, x) and np.shares_memory(tail, x)
+        assert head.shape == (32, 8) and tail.shape == (31, 24)
+        assert head[31].tolist() == list(range(992, 1000)) and tail[30].tolist() == list(range(968, 992))
+
+    # spectrum_classes is one real transform of L points and complex ones of L
+    # points that cover the M/2 bins of the classes c = 1..r/2, never one
+    # longer than the cap: L = 512 uncapped at 1000 points, and L = 128 with
+    # the cap at 128, in blocks of up to 512/128 = 4 rows
     @pytest.mark.parametrize("oversample", [2, 8])
     def test_transforms_taken(self, monkeypatch, oversample):
-        # spectrum_classes is one real transform of L = 512 points and r/2
-        # complex ones, r = M/L, and never one of M points
-        sizes, complex_calls = [], []
         rfft, fft = np.fft.rfft, np.fft.fft
-        monkeypatch.setattr(np.fft, "rfft", lambda a, n=None, **kw: sizes.append(n or len(a)) or rfft(a, n, **kw))
-        monkeypatch.setattr(np.fft, "fft", lambda a, *args, **kw: complex_calls.append(len(a)) or fft(a, *args, **kw))
+
+        def record(calls, transform):
+            def call(a, n=None, axis=-1, **kw):
+                a = np.asarray(a)
+                calls.append((n or a.shape[axis], a.size // a.shape[axis]))
+                return transform(a, n, axis, **kw)
+            return call
+
         size = 1 << (oversample * 1000 - 1).bit_length()
-        list(spectrum_classes(np.ones(1000), size))
-        assert (sizes, complex_calls) == ([512], [512] * (size // 512 // 2))
+        for cap in (1 << 16, 128):
+            real, complex_ = [], []  # (length, rows) of each transform
+            monkeypatch.setattr(arithfn, "CLASS_POINTS", cap)
+            monkeypatch.setattr(np.fft, "rfft", record(real, rfft))
+            monkeypatch.setattr(np.fft, "fft", record(complex_, fft))
+            list(spectrum_classes(np.ones(1000), size))
+            length = min(512, cap)
+            assert real == [(length, 1)]
+            assert all(n == length for n, _ in complex_)
+            assert sum(n * rows for n, rows in complex_) == size // 2
+            assert max(rows for _, rows in complex_) == 512 // length
 
 
 class TestNorms:

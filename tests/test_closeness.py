@@ -8,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from cmlab import closeness, errors
+from cmlab import arithfn, closeness, errors
 from cmlab.arithfn import ArithFn, spectrum_classes, subtract
 from cmlab.cli import main
 from cmlab.closeness import (
@@ -330,6 +330,24 @@ class TestClosenessIntegral:
                 assert value == pytest.approx(oracle, rel=1e-10)
             assert (min(widths) == 1) == (h == 4.0)
 
+    # span 3000 at H = 400: order 20 and arcs up to w = 133 lags.  With the
+    # classes capped at 256 points w passes L/2 + 1 = 129, with 64 it passes L
+    # itself, so the autocorrelation is read off the L-periodic inverse of each
+    # class; the uncapped classes have L = 2048
+    @pytest.mark.parametrize("cap", [256, 64])
+    def test_capped_classes_give_the_uncapped_report(self, monkeypatch, cap):
+        f, g = self._pair(np.random.default_rng(cap), span=3_000)
+        whole = closeness_integral(f, g, 400.0)
+        monkeypatch.setattr(arithfn, "CLASS_POINTS", cap)
+        capped = closeness_integral(f, g, 400.0)
+        assert max(arc.q for arc, _ in capped.per_arc) == 20
+        assert (capped.farey_arc, capped.spot_alpha) == (whole.farey_arc, whole.spot_alpha)
+        assert capped.farey_bound == pytest.approx(whole.farey_bound, rel=1e-12)
+        assert capped.spot_estimate == pytest.approx(whole.spot_estimate, rel=1e-12)
+        for (arc, value), (same, expected) in zip(capped.per_arc, whole.per_arc):
+            assert (arc.q, arc.r) == (same.q, same.r)
+            assert value == pytest.approx(expected, rel=1e-12)
+
     def test_report_serialization(self, rng):
         f, g = self._pair(rng)
         rep = closeness_integral(f, g, 64.0)
@@ -511,7 +529,8 @@ class TestEstimatorAgainstExhaustiveGrid:
 # 2-core x86-64 host with numpy 2.4: 262 MB with one rfft of the 2^23-point
 # grid, 150 MB with its half built from pieces of 2^20 points, 101 MB with
 # the grid read by residue class, 2^19 points at a time; the bound sits halfway
-# between the last two, so either side of it is far from the host's noise
+# between the last two, so either side of it is far from the host's noise.
+# Classes capped at CLASS_POINTS = 2^16 points read 74 MB.
 CLOSENESS_PEAK_BOUND_MB = 125
 
 
@@ -537,9 +556,24 @@ def test_closeness_keeps_its_transform_scratch_mapped(tmp_path):
     # default thresholds that memory goes back to the kernel and the next
     # transform faults it in again: 51.9k minor faults against a peak of 15.8k
     # pages (3.3 times) on a 2-core x86-64 host with numpy 2.4, and 18.3k (1.2
-    # times) with the heap kept by `cli.main`.
+    # times) with the heap kept by `cli.main`; 11k (0.8 times) once the
+    # classes are blocks of 2^16-point transforms.
     argv = ["--out", tmp_path, "verify", "closeness", "--Y", "400000", "--h-exponent", "0.45", "--Q", "10"]
     done = measure_cli(argv)
     assert done.code == 0, done.stderr
     peak_pages = done.peak_mb * 2**20 / resource.getpagesize()
     assert done.minor_faults < 2 * peak_pages
+
+
+@skip_without_proc
+def test_closeness_beyond_two_million_faults_less_than_its_peak(tmp_path):
+    # Classes of 2^(ceil(log2 span) - 1) points held 2^21 complex values at
+    # Y = 3*10^6, 32 MB, four times the 8 MB mmap threshold of `cli.main`, so
+    # each class transform mapped fresh pages: 352k-360k minor faults against a
+    # peak of 62k pages on a 2-core x86-64 host with numpy 2.4.  Classes of at
+    # most CLASS_POINTS points, in blocks of 4 MB at most, stay on the kept
+    # heap: 18k faults against a peak of 41k pages.
+    argv = ["--out", tmp_path, "verify", "closeness", "--Y", "3000000", "--h-exponent", "0.45", "--Q", "10"]
+    done = measure_cli(argv)
+    assert done.code == 0, done.stderr
+    assert done.minor_faults < done.peak_mb * 2**20 / resource.getpagesize()
