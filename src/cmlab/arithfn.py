@@ -10,11 +10,11 @@ short-interval sums, Gallagher windows and sieve windows aligned.
 
 Every windowed convolution goes through one chooser, `add_convolution`, which
 prices rows over the points of its first factor against dense chunks of the
-shorter factor, each direct or by transform, and takes the cheaper.  The
-Fourier side is `spectrum_classes`, |x-hat|^2 on a grid of M points one residue
-class at a time, each class a transform of at most CLASS_POINTS points and the
-classes computed in blocks of at most BLOCK_POINTS values; M and its cap belong
-to its caller, `closeness`.
+shorter factor, each one transform, and takes the cheaper.  The Fourier side
+is `spectrum_classes`, |x-hat|^2 on a grid of M points one residue class at a
+time, each class a transform of at most CLASS_POINTS points and the classes
+computed in blocks of at most BLOCK_POINTS values; M and its cap belong to its
+caller, `closeness`.
 """
 
 from __future__ import annotations
@@ -127,9 +127,9 @@ def l2_norm_sq(f: ArithFn) -> float:
 
 # -- convolution -----------------------------------------------------------
 
-# convolve_valid goes direct while its multiply-adds stay below this many times
-# size * log2(size) of the transform.  On a 2-vCPU Xeon a multiply-add costs
-# 0.2-0.6 ns and a transform point 5-7 ns, so the two meet near 12-20.
+# the transform's price: convolve_valid_cost charges this many times size * log2(size)
+# for a transform of size points, in the unit in which one gathered row value of
+# add_rows costs ROW_COST; add_convolution weighs rows against transforms by the pair
 _WINDOW_FFT_RATIO = 8
 TRANSFORM_BYTES = 32  # bytes the transform holds per point of its size (measured with numpy 2.4)
 # what one gathered row value costs, in units of convolve_valid_cost: on a 2-vCPU Xeon,
@@ -141,8 +141,8 @@ ROW_COST = 2
 ROW_SPAN = 1 << 14
 ROW_VALUES = 1 << 15  # row values gathered at a time for one matrix product (at least one row)
 # integers of the shorter factor that one convolve_valid of the dense path takes: at
-# least this many, so that its H+1 outputs reuse cached values, and at least 4(H+1),
-# so that the H values of the other factor beyond the chunk stay a quarter of it at most
+# least this many, and at least 4(H+1), so that the H values of the other factor
+# beyond the chunk stay a quarter of it at most
 CHUNK = 1 << 16
 
 
@@ -168,7 +168,8 @@ def convolve_window(f: ArithFn, g: ArithFn, lo: int, hi: int) -> np.ndarray:
     """(f*g)(n) for the integers lo <= n <= hi only, as a dense float64 array:
     `add_convolution` of the points of f on `window_preimage(g, lo, hi)`, which
     the rows go over, and every integer of g's support, which the dense path
-    reads uncopied.  n outside the support of f*g reads 0."""
+    reads uncopied.  n outside the support of f*g reads 0 on the rows, and 0
+    up to the transform's rounding on the dense path."""
     if len(f) == 0 or len(g) == 0 or hi < lo:
         raise DomainError("convolve_window requires nonempty supports and lo <= hi")
     out = np.zeros(hi - lo + 1)
@@ -239,50 +240,28 @@ def rows_values(h: int) -> int:
 
 def convolve_valid(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """The len(x) - len(y) + 1 values of x*y at which y lies wholly inside x
-    (np.convolve's "valid" mode), for len(x) >= len(y) >= 1.
-
-    Direct, at (len(x) - len(y) + 1) * len(y) multiply-adds, or through the
-    transform once those pass _WINDOW_FFT_RATIO * size * log2(size).  The
-    transform path gives no sign guarantee: a sum of nonnegative products can
-    read slightly negative through it.
+    (np.convolve's "valid" mode), for len(x) >= len(y) >= 1, through one real
+    transform of _fft_size(len(x) + len(y) - 1) points.  It gives no sign
+    guarantee: a sum of nonnegative products can read slightly negative through it.
     """
-    return (_convolve_direct if _direct(len(x), len(y)) else _convolve_fft)(x, y, "valid")
-
-
-def _direct(nx: int, ny: int) -> bool:
-    """Whether convolve_valid takes the direct path on lengths nx >= ny."""
-    return (nx - ny + 1) * ny <= convolve_valid_cost(nx, ny)
+    size = _fft_size(len(x) + len(y) - 1)
+    return np.fft.irfft(np.fft.rfft(x, size) * np.fft.rfft(y, size), size)[len(y) - 1 : len(x)]
 
 
 def convolve_valid_bytes(nx: int, ny: int) -> int:
-    """Bytes beyond its inputs that convolve_valid holds on lengths nx >= ny; 0 on the direct path."""
-    return 0 if _direct(nx, ny) else TRANSFORM_BYTES * _fft_size(nx + ny - 1)
+    """Bytes beyond its inputs that convolve_valid holds on lengths nx >= ny."""
+    return TRANSFORM_BYTES * _fft_size(nx + ny - 1)
 
 
 def convolve_valid_cost(nx: int, ny: int) -> float:
-    """What convolve_valid pays on lengths nx >= ny, in multiply-adds: those of
-    its direct path, or _WINDOW_FFT_RATIO * size * log2(size) for the
-    transform, whichever is less."""
+    """What convolve_valid pays on lengths nx >= ny, in the unit of ROW_COST:
+    _WINDOW_FFT_RATIO * size * log2(size) for its transform of size points."""
     size = _fft_size(nx + ny - 1)
-    return min((nx - ny + 1) * ny, _WINDOW_FFT_RATIO * size * math.log2(size))
-
-
-_convolve_direct = np.convolve  # the direct path of convolve_valid
+    return _WINDOW_FFT_RATIO * size * math.log2(size)
 
 
 def _fft_size(out_len: int) -> int:
     return 1 << max(1, (out_len - 1).bit_length())
-
-
-def _convolve_fft(a: np.ndarray, b: np.ndarray, mode: str = "full") -> np.ndarray:
-    """a*b through the real transform; mode as in np.convolve ("full" or "valid")."""
-    out_len = len(a) + len(b) - 1
-    size = _fft_size(out_len)
-    out = np.fft.irfft(np.fft.rfft(a, size) * np.fft.rfft(b, size), size)[:out_len]
-    if mode == "valid":
-        short, long = sorted((len(a), len(b)))
-        out = out[short - 1 : long]
-    return out
 
 
 # -- Fourier side -----------------------------------------------------------

@@ -12,9 +12,9 @@ inequalities and must never fail; the two ~ steps are approximations whose
 violations at slack kappa are counted.  The final verdict per even n is the
 lower bound a*a(n) >= omega*T(n) - 2 kappa.  Every sum of the chain goes
 through one chooser, `arithfn.add_convolution`: rows, at (H+1) multiply-adds
-per point of the sparser factor, or dense chunks of the shorter factor, direct
-or by transform, whichever costs less; never a full convolution of length up
-to 2X.
+per point of the sparser factor, or dense chunks of the shorter factor, each
+one transform, whichever costs less; never a full convolution of length up to
+2X.
 
 `PipelineConfig` is the one place the request is derived and checked: Y, H
 and kappa follow X and the resolved Y unless given, and a Y that would start
@@ -202,11 +202,10 @@ def singular_series_product(n, prime_bound: int):
     ns = np.asarray(n, dtype=np.int64)
     if ns.min(initial=2) < 2 or prime_bound < 2:
         raise DomainError("need n >= 2 and prime_bound >= 2")
-    ps = cached_primes(prime_bound)
-    odd = ps[ps > 2]
+    odd = cached_primes(prime_bound)[1:]  # prime_bound >= 2, so the primes start at 2
     flat = ns.ravel()
     # the p = 2 factor 1 + c_2(n) is 2 for even n and 0 for odd n
-    out = np.where(flat % 2 == 0, 2.0, 0.0) if len(ps) and ps[0] == 2 else np.ones(len(flat))
+    out = np.where(flat % 2 == 0, 2.0, 0.0)
     out *= np.prod(1.0 - 1.0 / (odd - 1.0) ** 2)
     odd = odd[: np.searchsorted(odd, flat.max(initial=0), side="right")]
     ratios = (odd - 1.0) / (odd - 2.0)
@@ -234,12 +233,12 @@ def pipeline_working_set(config: PipelineConfig) -> int:
 
 def pipeline_bytes(config: PipelineConfig) -> int:
     """Bytes a pipeline run holds at once: VALUE_BYTES per value of
-    pipeline_working_set and the larger transform, where convolve_valid takes
-    one, of a step's whole window (Y + H values against Y) and of one chunk of
-    the dense path (`arithfn.chunk_length`)."""
-    part = min(chunk_length(config.h), PIPELINE_SEGMENT)  # the widest chunk of a*a
-    transform = max(convolve_valid_bytes(n + config.h, n) for n in (config.y, part))
-    return VALUE_BYTES * pipeline_working_set(config) + transform
+    pipeline_working_set and the transform of the widest chunk any sum can
+    take, against the chunk and H more values: `arithfn.chunk_length(H)`
+    integers, or the whole shorter factor where that is less, at most Y values
+    (the steps, omega*T) or PIPELINE_SEGMENT (an a*a segment)."""
+    chunk = min(chunk_length(config.h), max(config.y, PIPELINE_SEGMENT))
+    return VALUE_BYTES * pipeline_working_set(config) + convolve_valid_bytes(chunk + config.h, chunk)
 
 
 @dataclass(frozen=True)

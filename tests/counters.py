@@ -84,7 +84,9 @@ def _miss_prime_3(monkeypatch):
 
 
 def _drop_prime_2(monkeypatch):
-    # goldbach's prime table without 2: the odd-n products lose their zero factor and the even ones halve
+    # goldbach's prime table without 2: the product takes the p = 2 factor in closed form and its
+    # odd primes as the table after its first entry, so it loses the factor at 3 and no longer
+    # meets the series over the same primes
     monkeypatch.setattr(goldbach, "cached_primes", lambda limit: arith.cached_primes(limit)[1:])
 
 

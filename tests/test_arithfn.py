@@ -56,12 +56,26 @@ class TestConvolve:
         assert conv(100) == pytest.approx(direct, rel=1e-12)
 
     def test_methods_agree_on_random_instances(self, rng):
+        # convolve_valid's transform against np.convolve's direct sum, in "valid" mode
         for _ in range(50):
-            a, b = rng.normal(size=rng.integers(1, 128)), rng.normal(size=rng.integers(1, 128))
-            d = arithfn._convolve_direct(a, b)
-            t = arithfn._convolve_fft(a, b)
+            a, b = sorted((rng.normal(size=rng.integers(1, 128)), rng.normal(size=rng.integers(1, 128))),
+                          key=len, reverse=True)
+            d = np.convolve(a, b, "valid")
+            t = convolve_valid(a, b)
             scale = np.max(np.abs(d))
             assert np.max(np.abs(d - t)) <= 1e-6 * max(scale, 1e-12)
+
+    # nx + ny - 1 one less than a power of two, the power itself and one more: the
+    # transform has a point to spare, is just long enough, or doubles
+    @pytest.mark.parametrize("nx, ny", [(1, 1), (2, 1), (2, 2), (512, 512), (513, 512), (513, 513),
+                                        (700, 324), (700, 325), (700, 326), (10000, 6384), (10000, 6385),
+                                        (10000, 6386)])
+    def test_valid_values_around_a_power_of_two(self, nx, ny):
+        gen = np.random.default_rng(nx + ny)
+        x, y = gen.normal(size=nx), gen.normal(size=ny)
+        got, want = convolve_valid(x, y), np.convolve(x, y, "valid")
+        assert got.shape == want.shape == (nx - ny + 1,)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.linalg.norm(x) * np.linalg.norm(y)
 
     def test_empty_is_domain_error(self):
         with pytest.raises(DomainError):
@@ -97,7 +111,7 @@ class TestConvolve:
 
 class TestConvolveWindow:
     def _read(self, f, g, lo, hi):
-        full = fn(f.support_start + g.support_start, arithfn._convolve_direct(f.values, g.values))
+        full = fn(f.support_start + g.support_start, np.convolve(f.values, g.values))
         return np.array([full(n) for n in range(lo, hi + 1)])
 
     def _cases(self, rng):
@@ -109,7 +123,10 @@ class TestConvolveWindow:
 
     def test_matches_full_convolution(self, rng):
         # f*g lives on [47, 395] in every case; windows inside, straddling
-        # either end, covering everything, and wholly outside
+        # either end, covering everything, and wholly outside.  A window the
+        # transform takes is off by about u log2(size) |f|_2 |g|_2 (N. J. Higham,
+        # Accuracy and Stability of Numerical Algorithms, 2nd ed., ch. 24):
+        # at these sizes, up to 5.3e-17 |f|_2 |g|_2 in a trial with other draws
         windows = [(100, 164), (0, 60), (380, 450), (0, 500), (47, 47), (395, 395), (0, 46), (396, 900)]
         for f, g in self._cases(rng):
             for lo, hi in windows:
@@ -117,19 +134,24 @@ class TestConvolveWindow:
                 want = self._read(f, g, lo, hi)
                 assert len(got) == hi - lo + 1
                 assert got.dtype == np.float64
-                assert np.allclose(got, want, rtol=0, atol=1e-9)
+                assert np.allclose(got, want, rtol=0, atol=1e-13 * np.linalg.norm(f.values) * np.linalg.norm(g.values))
 
     def test_long_window_takes_the_transform(self, rng, monkeypatch):
-        # (H + 1) * len(g) = 1.2 * 10**8 multiply-adds: the direct path would
-        # cost several times the transform of the cut f against g
+        # rows over the 22000 points of the cut f would cost ROW_COST (H + 1) = 20002
+        # each, 4.4 * 10**8 in all: the one transform of the cut f against g, of 2^15
+        # points, costs 3.9 * 10**6
         def refuse(*args, **kwargs):
-            raise AssertionError("direct path taken for a long window")
+            raise AssertionError("rows taken for a long window of dense factors")
 
         f_real, g_real = fn(3, rng.normal(size=24000)), fn(11, rng.normal(size=12000))
         lo, hi = 15000, 24999
         want_real = self._read(f_real, g_real, lo, hi)
-        monkeypatch.setattr(arithfn, "_convolve_direct", refuse)
+        taken = []
+        monkeypatch.setattr(arithfn, "add_rows", refuse)
+        monkeypatch.setattr(arithfn, "convolve_valid", lambda x, y, fn=convolve_valid: (
+            taken.append((len(x), len(y))) or fn(x, y)))
         got_real = convolve_window(f_real, g_real, lo, hi)
+        assert taken == [(21999, 12000)]
         assert np.allclose(got_real, want_real, rtol=0, atol=1e-8)
 
     def test_outside_support_is_zero(self, rng):
@@ -146,17 +168,18 @@ class TestConvolveWindow:
         assert got.dtype == np.float64
         assert got[3] == 4 * 2.0**80
 
-    @pytest.mark.parametrize("ny, direct", [(50, True), (12000, False)])
-    def test_cost_is_the_path_taken(self, rng, monkeypatch, ny, direct):
-        # what convolve_valid_cost reports is what the path convolve_valid takes pays
-        taken = []
-        monkeypatch.setattr(arithfn, "_convolve_direct", lambda *args: taken.append("direct") or np.zeros(1))
-        monkeypatch.setattr(arithfn, "_convolve_fft", lambda *args: taken.append("fft") or np.zeros(1))
+    @pytest.mark.parametrize("ny", [50, 12000])
+    def test_cost_is_the_path_taken(self, rng, monkeypatch, ny):
+        # what convolve_valid_cost and convolve_valid_bytes report is what its one
+        # transform pays: two real transforms of size points and their product
+        sizes = []
+        monkeypatch.setattr(np.fft, "rfft", lambda a, n, fn=np.fft.rfft: sizes.append(n) or fn(a, n))
         nx = ny + 10_000
         convolve_valid(rng.normal(size=nx), rng.normal(size=ny))
         size = 1 << (nx + ny - 2).bit_length()
-        assert taken == ["direct" if direct else "fft"]
-        assert convolve_valid_cost(nx, ny) == ((nx - ny + 1) * ny if direct else 8 * size * math.log2(size))
+        assert sizes == [size, size]
+        assert convolve_valid_cost(nx, ny) == 8 * size * math.log2(size)
+        assert arithfn.convolve_valid_bytes(nx, ny) == 32 * size
 
     def test_domain(self):
         with pytest.raises(DomainError):
@@ -172,20 +195,18 @@ class TestAddConvolution:
     ROW_VALUES // (H + 1) = 4 rows."""
 
     LO, HI = 250, 254
-    # ROW_COST and _WINDOW_FFT_RATIO that force each path, and the function it calls
-    PATHS = {"rows": (0, 8, "add_rows"), "direct": (10**30, 10**30, "_convolve_direct"),
-             "transform": (10**30, 0, "_convolve_fft")}
+    # the ROW_COST that forces each path, and the function it calls
+    PATHS = {"rows": (0, "add_rows"), "transform": (10**30, "convolve_valid")}
 
     @pytest.mark.parametrize("shape, chunks", [("window", 6), ("segment", 2)])
     @pytest.mark.parametrize("density", [0.3, 1.0], ids=["sparse", "dense"])
-    @pytest.mark.parametrize("path", ["rows", "direct", "transform"])
+    @pytest.mark.parametrize("path", ["rows", "transform"])
     def test_matches_np_convolve(self, monkeypatch, shape, chunks, density, path):
-        row_cost, ratio, called = self.PATHS[path]
-        for name, value in [("ROW_COST", row_cost), ("_WINDOW_FFT_RATIO", ratio), ("ROW_SPAN", 7),
-                            ("ROW_VALUES", 20), ("CHUNK", 16)]:
+        row_cost, called = self.PATHS[path]
+        for name, value in [("ROW_COST", row_cost), ("ROW_SPAN", 7), ("ROW_VALUES", 20), ("CHUNK", 16)]:
             monkeypatch.setattr(arithfn, name, value)
         taken = []
-        for name in ("add_rows", "_convolve_direct", "_convolve_fft"):
+        for name in ("add_rows", "convolve_valid"):
             monkeypatch.setattr(arithfn, name, lambda *args, name=name, fn=getattr(arithfn, name): (
                 taken.append(name) or fn(*args)))
         rng = np.random.default_rng(11)
@@ -203,20 +224,38 @@ class TestAddConvolution:
         assert want.all() and np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
         assert taken == ([called] if path == "rows" else [called] * chunks)
 
+    def test_short_last_chunk_is_a_transform_too(self, monkeypatch):
+        # a shorter factor of CHUNK + 100 integers at H = 100 splits into chunks of
+        # CHUNK and 100 integers; the last, whose 101 * 100 multiply-adds once went
+        # direct against a transform of 512 points, is a transform like the first
+        n, h = arithfn.CHUNK + 100, 100
+        gen = np.random.default_rng(12)
+        f, g = gen.normal(size=n), gen.normal(size=n + h)  # f on [0, n), g on its preimage [1, n + h + 1)
+        taken = []
+        monkeypatch.setattr(arithfn, "ROW_COST", 10**30)
+        monkeypatch.setattr(arithfn, "convolve_valid", lambda x, y, fn=convolve_valid: (
+            taken.append((len(x), len(y))) or fn(x, y)))
+        got = np.zeros(h + 1)
+        arithfn.add_convolution(got, ((np.arange(n), f), 0, n), ((np.arange(1, n + h + 1), g), 1, n + h + 1), n, n + h)
+        assert taken == [(arithfn.CHUNK + h, arithfn.CHUNK), (2 * h, h)]
+        want = np.convolve(g, f, "valid")  # (f*g)(n + k) = sum_j f(j) g(n + k - j)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.linalg.norm(f) * np.linalg.norm(g)
+
     def test_rows_are_priced_by_the_points_of_the_first_factor(self, monkeypatch):
-        # the points 1007 and 1407 of sparse reach [1500, 1550] through 1000 values at H = 50:
-        # rows over them cost 2 * 2 * 51 multiply-adds, the direct path 51 * 1000; with the
-        # factors swapped the rows would go over the 1000 points of full, at 2 * 1000 * 51
+        # the points 1007, 1407 and 1807 of sparse reach [2500, 2900] through 3000 values at
+        # H = 400: rows over them cost 2 * 3 * 401, the transform of 2^13 points 8 * 8192 * 13;
+        # with the factors swapped the rows would go over the 1400 points of full on
+        # [501, 1901), at 2 * 1400 * 401, more than the transform of 2^12 points, 8 * 4096 * 12
         taken = []
         monkeypatch.setattr(arithfn, "add_rows", lambda out, f, *args, fn=arithfn.add_rows: (
             taken.append(f[0].tolist()) or fn(out, f, *args)))
         sparse = fn(1000, np.where(np.arange(1000) % 400 == 7, 2.0, 0.0))
-        full = fn(0, np.linspace(1.0, 2.0, 1000))
-        for f, g, path in [(sparse, full, [[1007, 1407]]), (full, sparse, [])]:
+        full = fn(0, np.linspace(1.0, 2.0, 3000))
+        for f, g, path in [(sparse, full, [[1007, 1407, 1807]]), (full, sparse, [])]:
             taken.clear()
-            got = convolve_window(f, g, 1500, 1550)
+            got = convolve_window(f, g, 2500, 2900)
             assert taken == path
-            assert np.allclose(got, ArithFn(1000, np.convolve(sparse.values, full.values)).embed(1500, 1551), rtol=1e-13)
+            assert np.allclose(got, ArithFn(1000, np.convolve(sparse.values, full.values)).embed(2500, 2901), rtol=1e-13)
 
 
 class TestFourier:

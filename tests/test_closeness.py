@@ -126,16 +126,31 @@ class TestGallagher:
             ratio = gallagher_lhs(f, 50.0) / gallagher_rhs(f, 50.0)
             assert ratio <= 20.0
 
-    def test_lhs_against_dense_quadrature(self, rng):
-        # independent oracle: direct Riemann sum of |f-hat|^2 on a fine grid
-        vals = rng.normal(size=64)
-        f = ArithFn(10, vals)
-        delta = 8.0
+    def test_lhs_against_dense_quadrature(self):
+        # independent oracle: the trapezoid of |f-hat|^2 on 4001 points of [-1/Delta, 1/Delta].
+        # |f-hat(beta)|^2 = sum_h A(h) e(beta h), A the autocorrelation of f, has a second
+        # derivative of at most (2 pi)^2 sum_h h^2 |A(h)|, so a trapezoid of spacing s on
+        # [-1/Delta, 1/Delta] is off by at most (2/Delta) s^2 / 12 times that.  The rule of
+        # gallagher_lhs has spacing 1/M, M = spectrum_size(64) = 512, and at Delta = 8 its
+        # ends fall on the grid, with no sliver.  Each draw is a run of 16 positive weights,
+        # as the prime weights are, in a window of 64: the bound of both rules then stays
+        # near 2.5e-3 of the integral, so the check can still fail (64 normal values would
+        # put it near 0.1, and normal runs of 16 up to 0.03 where the integral is small)
+        gen = np.random.default_rng(129)
+        delta, span, run = 8.0, 64, 16
+        assert spectrum_size(span) / delta == 64
         grid = np.linspace(-1 / delta, 1 / delta, 4001)
-        ns = np.arange(10, 74)
-        fhat = np.exp(2j * np.pi * np.outer(grid, ns)) @ vals
-        oracle = np.trapezoid(np.abs(fhat) ** 2, grid)
-        assert gallagher_lhs(f, delta) == pytest.approx(oracle, rel=1e-3)
+        lags = np.arange(1 - span, span)
+        for _ in range(24):
+            vals = np.zeros(span)
+            start = int(gen.integers(0, span - run + 1))
+            vals[start : start + run] = gen.uniform(0.5, 1.5, size=run)
+            fhat = np.exp(2j * np.pi * np.outer(grid, np.arange(10, 10 + span))) @ vals
+            oracle = np.trapezoid(np.abs(fhat) ** 2, grid)
+            curvature = (2 * np.pi) ** 2 * np.sum(lags**2 * np.abs(np.correlate(vals, vals, "full")))
+            bound = (2 / delta) / 12 * curvature * (1 / spectrum_size(span) ** 2 + (grid[1] - grid[0]) ** 2)
+            assert bound < 1e-2 * oracle
+            assert abs(gallagher_lhs(ArithFn(10, vals), delta) - oracle) <= bound
 
     @pytest.mark.parametrize("span", [64, 1000, 10_000])
     def test_lhs_equals_full_grid_trapezoid(self, rng, span):

@@ -42,6 +42,14 @@ from oracles import (
 )
 
 
+def square_window(lam: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """(lam*lam)(n) for lo <= n <= hi, lam given densely from 0 on at least
+    [0, hi]: np.convolve's "valid" mode of lam on [lo - hi, hi] (0 below 0)
+    against lam on [0, hi], at (hi - lo + 1)(hi + 1) multiply-adds."""
+    lam = lam[: hi + 1]
+    return np.convolve(np.concatenate([np.zeros(hi - lo), lam]), lam, "valid")
+
+
 class TestExceptionalSet:
     def test_small_window_all_goldbach(self):
         assert exceptional_scan(100, 96).exceptions == ()
@@ -442,23 +450,24 @@ class TestPipeline:
         config = PRESETS["desk-small"]
         nu, omega, a = desk_pipeline_inputs(config)
         lam = dense(a(0, config.x + 1), 0, config.x + 1)
-        conv = ArithFn(0, arithfn._convolve_fft(lam, lam))
+        conv = square_window(lam, config.x - config.h, config.x)
         missing = set(exceptional_scan(config.x, config.h).exceptions)
-        for n in range(config.x - config.h, config.x + 1):
+        for n, value in enumerate(conv, start=config.x - config.h):
             if n % 2:
                 continue
-            assert (abs(conv(n)) < 1.0) == (n in missing)
+            assert (value == 0) == (n in missing)
 
     def test_inputs_beyond_desk_cap_fail_up_front(self, monkeypatch):
         # the cap is checked when the config is built, so no config over it reaches the inputs or the run
+        # (the transform of a segment's chunk of 2^16 integers and H = 64 more: 2^18 points, 8 MB)
         estimate = goldbach.pipeline_bytes(PRESETS["desk-small"])
-        assert estimate == goldbach.VALUE_BYTES * goldbach.pipeline_working_set(PRESETS["desk-small"])  # no transform
+        assert estimate == goldbach.VALUE_BYTES * goldbach.pipeline_working_set(PRESETS["desk-small"]) + (8 << 20)
         monkeypatch.setattr(errors, "MEMORY_CAP", estimate - 1)
         with pytest.raises(CapacityError, match=f"needs {estimate} bytes, beyond the cap"):
             PipelineConfig(200_000, big_q=10)
         monkeypatch.setattr(errors, "MEMORY_CAP", estimate)
         config = PipelineConfig(200_000, big_q=10)
-        assert run_pipeline(config, *desk_pipeline_inputs(config)).working_set * goldbach.VALUE_BYTES == estimate
+        assert run_pipeline(config, *desk_pipeline_inputs(config)).working_set * goldbach.VALUE_BYTES + (8 << 20) == estimate
 
     def test_bytes_count_the_transforms_the_run_takes(self):
         # H = 10^5: the steps' transform of 2^19 points and the chunks' of 2^20, 32 bytes a point
@@ -515,9 +524,8 @@ class TestPipelineScaling:
         nu, omega, a = desk_pipeline_inputs(config)
         report = run_pipeline(config, nu, omega, a)
         lam = dense(a(0, config.x + 1), 0, config.x + 1)
-        full = ArithFn(0, arithfn._convolve_fft(lam, lam))
         ab = np.array([row[1] for row in report.rows])
-        assert np.allclose(ab, [full(n) for n, *_ in report.rows], rtol=1e-12, atol=1e-6)
+        assert np.allclose(ab, square_window(lam, config.x - config.h, config.x), rtol=1e-12, atol=1e-6)
 
     @staticmethod
     def _count(monkeypatch, calls, *names):
@@ -582,10 +590,9 @@ class TestPipelineScaling:
         assert calls.count("convolve_window") == 4
         assert paths == [["add_rows"]] * len(lengths)
         assert report.summary() == whole.summary()
-        lam = restricted_prime_fn((1, config.x))
-        full = ArithFn(4, arithfn._convolve_fft(lam.values, lam.values))
+        lam = restricted_prime_fn((1, config.x)).embed(0, config.x + 1)
         ab = np.array([row[1] for row in report.rows])
-        assert np.allclose(ab, [full(n) for n, *_ in report.rows], rtol=1e-12, atol=1e-6)
+        assert np.allclose(ab, square_window(lam, config.x - config.h, config.x), rtol=1e-12, atol=1e-6)
         assert [row[3] for row in report.rows] == [row[3] for row in whole.rows]
 
     @pytest.mark.parametrize("segment", [2492, 2500])
@@ -680,16 +687,17 @@ class TestPipelineScaling:
 
         paths = self._segment_paths(monkeypatch, "add_rows", "convolve_valid")
         monkeypatch.setattr(goldbach, "PIPELINE_SEGMENT", 1 << 12)
-        for a in (ones, ramp):
-            paths.clear()
-            report = run_pipeline(config, nu, omega, a)
-            # every m is a point, whose row of H + 1 values would cost ROW_COST
-            # times the multiply-adds of one dense convolve_valid
-            assert paths == [["convolve_valid"]] * report.segments
-            lam = dense(a(0, x + 1), 0, x + 1)
-            full = arithfn._convolve_fft(lam, lam)
-            ab = np.array([row[1] for row in report.rows])
-            assert np.max(np.abs(ab - full[x - config.h : x + 1])) <= 1e-12 * np.max(ab)
+        # every m is a point: at H = 64 the rows of a segment cost 2 * 4096 * 65 against
+        # 8 * 2^14 * 14 for its transform, and a ROW_COST of 10^30 sends it to the transform
+        for cost, path in [(arithfn.ROW_COST, "add_rows"), (10**30, "convolve_valid")]:
+            monkeypatch.setattr(arithfn, "ROW_COST", cost)
+            for a in (ones, ramp):
+                paths.clear()
+                report = run_pipeline(config, nu, omega, a)
+                assert paths == [[path]] * report.segments
+                lam = dense(a(0, x + 1), 0, x + 1)
+                ab = np.array([row[1] for row in report.rows])
+                assert np.max(np.abs(ab - square_window(lam, x - config.h, x))) <= 1e-12 * np.max(ab)
 
     @pytest.mark.parametrize("m", [10, 150_000, 197_500, 199_500, 99_968, 100_032, 200_000])
     def test_negative_a_on_any_read_is_a_contract_error(self, m, monkeypatch):
@@ -783,6 +791,28 @@ class TestPipelineScaling:
         assert paths == [["add_rows"]]
         assert peak < goldbach.pipeline_bytes(config)
 
+    def test_chunks_hold_bounded_memory_at_long_h(self, monkeypatch):
+        # The dense counterpart: at Y = 3*10^5 and H = 10^4 both steps and omega*T take
+        # 4 chunks of 2^16 integers and one of 37856, the a*a segments 4 of 2^16 and
+        # 3 of 2^16 and one of 36248, and the middle window one of H + 1, every one a
+        # transform: the run holds one transform of at most a chunk at a time (20 MB
+        # traced, against an estimate of 59 MB)
+        config = PipelineConfig(1_000_000, big_q=10, y=300_000, h=10_000)
+        inputs = desk_pipeline_inputs(config)
+        taken = []
+        monkeypatch.setattr(arithfn, "add_rows", lambda *args: taken.append("rows"))
+        monkeypatch.setattr(arithfn, "convolve_valid", lambda x, y, fn=arithfn.convolve_valid: (
+            taken.append(len(y)) or fn(x, y)))
+        tracemalloc.start()
+        try:
+            run_pipeline(config, *inputs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(taken) == 24 and "rows" not in taken
+        assert taken.count(arithfn.CHUNK) == 19 and max(taken) == arithfn.CHUNK
+        assert peak < goldbach.pipeline_bytes(config)
+
 
 class TestAddRows:
     """arithfn.add_rows against a double loop over every point p of a segment [s, stop)
@@ -842,15 +872,24 @@ class TestMinorizationReporting:
         assert report.step_positivity_violations > 0
         assert report.minorization_violations > 0
 
-    def test_positivity_is_sign_exact_at_long_h(self):
-        # desk-medium at H = 1024, where convolve_valid's cost rule takes the transform:
+    def test_positivity_is_sign_exact_at_long_h(self, monkeypatch):
+        # desk-medium at H = 1024, where the chooser would sum a difference a - omega
+        # that is nonzero on the whole preimage of T+ (2437 rows) by one transform:
         # with every 50th prime of omega set to 0, omega <= a and T+ >= 0 hold, so
         # (a - omega) * T+ >= 0 exactly (it is 0 at most n); the transform read 64 of
         # those zeros as negative, the rows read none
         config = PipelineConfig(1_000_000, big_q=10, h=1024)
         nu, omega, a = desk_pipeline_inputs(config)
-        preimage = arithfn.window_preimage(model_t_nu_plus(config.y, config.big_q), config.x - config.h, config.x)
-        assert not arithfn._direct(preimage[1] - preimage[0], config.y)
+        t_plus = model_t_nu_plus(config.y, config.big_q)
+        preimage = arithfn.window_preimage(t_plus, config.x - config.h, config.x)
+        gap = ((np.arange(*preimage), np.ones(preimage[1] - preimage[0])), *preimage)
+        model = (t_plus.points(t_plus.support_start, t_plus.support_stop), t_plus.support_start, t_plus.support_stop)
+        taken = []
+        with monkeypatch.context() as patch:
+            patch.setattr(arithfn, "add_rows", lambda *args: taken.append("rows"))
+            patch.setattr(arithfn, "convolve_valid", lambda x, y: taken.append("transform") or 0.0)
+            arithfn.add_convolution(np.zeros(config.h + 1), gap, model, config.x - config.h, config.x)
+        assert taken == ["transform"]
         values = omega.values.copy()
         primes = np.flatnonzero(values)
         values[primes[::50]] = 0.0
