@@ -10,11 +10,13 @@ short-interval sums, Gallagher windows and sieve windows aligned.
 
 Every windowed convolution goes through one chooser, `add_convolution`, which
 prices rows over the points of its first factor against dense chunks of the
-shorter factor, each one transform, and takes the cheaper.  The Fourier side
-is `spectrum_classes`, |x-hat|^2 on a grid of M points one residue class at a
-time, each class a transform of at most CLASS_POINTS points and the classes
-computed in blocks of at most BLOCK_POINTS values; M and its cap belong to its
-caller, `closeness`.
+shorter factor, each one transform, and takes the cheaper.  One rule,
+`transform_size`, gives the length of every transform of a convolution or an
+autocorrelation in the package: the least 2^k, 3 2^k or 5 2^k at or above
+what it must hold.  The Fourier side is `spectrum_classes`, |x-hat|^2 on a
+grid of M points one residue class at a time, each class a transform of at
+most CLASS_POINTS points and the classes computed in blocks of at most
+BLOCK_POINTS values; M and its cap belong to its caller, `closeness`.
 """
 
 from __future__ import annotations
@@ -127,15 +129,15 @@ def l2_norm_sq(f: ArithFn) -> float:
 
 # -- convolution -----------------------------------------------------------
 
-# the transform's price: convolve_valid_cost charges this many times size * log2(size)
-# for a transform of size points, in the unit in which one gathered row value of
-# add_rows costs ROW_COST; add_convolution weighs rows against transforms by the pair
-_WINDOW_FFT_RATIO = 8
-TRANSFORM_BYTES = 32  # bytes the transform holds per point of its size (measured with numpy 2.4)
-# what one gathered row value costs, in units of convolve_valid_cost: on a 2-vCPU Xeon,
-# under cli.main's allocator policy, the rows and the dense chunks of a pipeline's a*a
-# segment met at 1.5-2.2 times at X = 10^7 and 10^8 and H = 2000 to 8000
-ROW_COST = 2
+# bytes convolve_valid holds beyond its inputs per point of its transform: 33.7-35.1
+# measured at 2^18 to 2^19 points, its output included (numpy 2.4.6, VmHWM)
+TRANSFORM_BYTES = 36
+# what a transform of size points costs per size * log2(size), in units of one row value
+# that add_rows gathers.  Fitted on a 2-vCPU Xeon under cli.main's allocator policy, where
+# the rows and the dense chunks of a pipeline's a*a segment met at prices of 3.6 to 5.3
+# at X = 10^7 and 10^8 and H = 2000 to 8000; the transforms then took a power of two
+# >= len(x) + len(y) - 1 points, and the price is not refit to transform_size yet
+TRANSFORM_COST = 4
 # integers of the first factor whose rows share one dense piece of ROW_SPAN + H values of
 # the second (2^15 took a tenth less time at X = 3*10^6, with 0.13 MB more peak RSS)
 ROW_SPAN = 1 << 14
@@ -144,16 +146,6 @@ ROW_VALUES = 1 << 15  # row values gathered at a time for one matrix product (at
 # least this many, and at least 4(H+1), so that the H values of the other factor
 # beyond the chunk stay a quarter of it at most
 CHUNK = 1 << 16
-
-
-def convolve(f: ArithFn, g: ArithFn) -> ArithFn:
-    """Additive convolution (f*g)(n) = sum_{a+b=n} f(a) g(b) on its whole support.
-
-    This is `convolve_window` over every n the two supports can reach, so the
-    same rule picks the path.
-    """
-    lo = f.support_start + g.support_start
-    return ArithFn(lo, convolve_window(f, g, lo, lo + len(f) + len(g) - 2))
 
 
 def window_preimage(g: ArithFn, lo: int, hi: int) -> tuple[int, int]:
@@ -184,14 +176,14 @@ def add_convolution(out: np.ndarray, f: tuple, g: tuple, lo: int, hi: int) -> No
     f and g are each (points, start, stop): the points (m, value), m ascending
     in [start, stop), of a function that is 0 off them.  The rows (`add_rows`)
     go over the points of f, so the caller puts the sparser factor first, at
-    ROW_COST (H+1) per point; a sum of nonnegative products never reads
-    negative through them.  The dense path takes the shorter range in chunks of
+    H+1 per point; a sum of nonnegative products never reads negative through
+    them.  The dense path takes the shorter range in chunks of
     `chunk_length(H)` integers, each against the other factor on its preimage
     through convolve_valid, at the summed convolve_valid_cost of the chunks."""
     h, size = hi - lo, chunk_length(hi - lo)
     (short, start, stop), (other, *_) = (f, g) if f[2] - f[1] < g[2] - g[1] else (g, f)
     chunks = [(c, min(c + size, stop)) for c in range(start, stop, size)]
-    if ROW_COST * len(f[0][0]) * (h + 1) <= sum(convolve_valid_cost(e - c + h, e - c) for c, e in chunks):
+    if len(f[0][0]) * (h + 1) <= sum(convolve_valid_cost(e - c + h) for c, e in chunks):
         add_rows(out, f[0], g[0], lo, hi)
         return
     for c, e in chunks:  # the chunk [c, e) meets the other factor on [lo - e + 1, hi - c]
@@ -241,27 +233,34 @@ def rows_values(h: int) -> int:
 def convolve_valid(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """The len(x) - len(y) + 1 values of x*y at which y lies wholly inside x
     (np.convolve's "valid" mode), for len(x) >= len(y) >= 1, through one real
-    transform of _fft_size(len(x) + len(y) - 1) points.  It gives no sign
-    guarantee: a sum of nonnegative products can read slightly negative through it.
+    transform of transform_size(len(x)) points: the circular convolution of
+    that length wraps only into its first len(y) - 1 values, which valid mode
+    drops.  It gives no sign guarantee: a sum of nonnegative products can read
+    slightly negative through it.
     """
-    size = _fft_size(len(x) + len(y) - 1)
+    size = transform_size(len(x))
     return np.fft.irfft(np.fft.rfft(x, size) * np.fft.rfft(y, size), size)[len(y) - 1 : len(x)]
 
 
-def convolve_valid_bytes(nx: int, ny: int) -> int:
-    """Bytes beyond its inputs that convolve_valid holds on lengths nx >= ny."""
-    return TRANSFORM_BYTES * _fft_size(nx + ny - 1)
+def convolve_valid_bytes(nx: int) -> int:
+    """Bytes beyond its inputs that convolve_valid holds on a first factor of nx values."""
+    return TRANSFORM_BYTES * transform_size(nx)
 
 
-def convolve_valid_cost(nx: int, ny: int) -> float:
-    """What convolve_valid pays on lengths nx >= ny, in the unit of ROW_COST:
-    _WINDOW_FFT_RATIO * size * log2(size) for its transform of size points."""
-    size = _fft_size(nx + ny - 1)
-    return _WINDOW_FFT_RATIO * size * math.log2(size)
+def convolve_valid_cost(nx: int) -> float:
+    """What convolve_valid pays on a first factor of nx values, in row values of
+    add_rows: TRANSFORM_COST * size * log2(size) for its transform of size points."""
+    size = transform_size(nx)
+    return TRANSFORM_COST * size * math.log2(size)
 
 
-def _fft_size(out_len: int) -> int:
-    return 1 << max(1, (out_len - 1).bit_length())
+def transform_size(need: int) -> int:
+    """The least n >= need of the form 2^k, 3 2^k or 5 2^k (k >= 0), the length of
+    every transform of a convolution or an autocorrelation here: mixed-radix lengths,
+    as in M. Frigo and S. G. Johnson, "The design and implementation of FFTW3",
+    Proc. IEEE 93, 2005, pad need by less than a third, where a power of two may nearly
+    double it."""
+    return min(m << (-(-need // m) - 1).bit_length() for m in (1, 3, 5))
 
 
 # -- Fourier side -----------------------------------------------------------
@@ -285,34 +284,33 @@ def spectrum_classes(x: np.ndarray, size: int) -> Iterator[tuple[int, np.ndarray
     reversed (M - (r t + r - c) = r (L - 1 - t) + c), and only the pairs
     (c, v_c) for c = 0..r/2 are yielded, each v_c an array of its own.
 
-    Up to len(x) = 2 CLASS_POINTS there are two pieces, and each class is
-    folded and transformed on its own.  Beyond, L = CLASS_POINTS and the
-    complex classes come in blocks of as many values as one uncapped class
-    would hold, BLOCK_POINTS at most: the phases e(-j c/r) of a block meet the
-    pieces, read as views of x, in matrix products (`_fold`), and the block is
-    twisted and transformed at once.
+    The pieces are read in place, as views of x (`_pieces`); while L is under
+    the cap there are two of them.  The complex classes come in blocks of as
+    many values as one uncapped class, of 2^(ceil(log2 len(x)) - 1) points,
+    would hold, BLOCK_POINTS at most, so one class at a time while L is under
+    the cap: the phases e(-j c/r) of a block meet the pieces in matrix
+    products (`_fold`), and the block is twisted and transformed at once.
     """
     n = len(x)
     if size < n or size & (size - 1):
         raise DomainError("size must be a power of two >= len(x)")
     piece = 1 << max(0, (n - 1).bit_length() - 1)
-    if piece > CLASS_POINTS:
-        yield from _folded_classes(x, size, min(piece, BLOCK_POINTS) // CLASS_POINTS)
-        return
-    r = size // piece
-    fold = x[:piece].copy()
-    fold[: n - piece] += x[piece:]
-    yield 0, _real_class(fold)
-    del fold  # before the buffer of the complex classes is made
-    z = np.empty(piece, dtype=np.complex128)
-    for c in range(1, r // 2 + 1):
-        upper = np.exp(-1j * TWO_PI * c / r)  # e(-L c/M)
-        z.real, z.imag = x[:piece], 0.0
-        z.real[: n - piece] += upper.real * x[piece:]
-        z.imag[: n - piece] = upper.imag * x[piece:]
-        _twist(z, c / size)
-        np.fft.fft(z, out=z)
-        yield c, np.abs(z) ** 2
+    length = min(piece, CLASS_POINTS)
+    r, rows = size // length, min(piece, BLOCK_POINTS) // length
+    head, tail = _pieces(x, length)
+    e = head.shape[1]
+    yield 0, _real_class(np.concatenate([head.sum(axis=0), tail.sum(axis=0)]))
+    turns = TWO_PI / r * np.arange(1, r // 2 + 1)[:, None] * np.arange(len(head))
+    cos, sin = np.cos(turns), -np.sin(turns)  # e(-c j / r) for c = 1..r/2
+    z = np.empty((rows, length), dtype=np.complex128)
+    for c in range(1, r // 2 + 1, rows):
+        phases = np.concatenate([cos[c - 1 : c - 1 + rows], sin[c - 1 : c - 1 + rows]])
+        _fold(z[:, :e], head, phases)
+        _fold(z[:, e:], tail, phases[:, : len(tail)])
+        _twist(z, np.arange(c, c + rows) / size)
+        np.fft.fft(z, axis=1, out=z)
+        v = np.abs(z)
+        yield from enumerate(np.square(v, out=v), start=c)
 
 
 def _real_class(fold: np.ndarray) -> np.ndarray:
@@ -328,26 +326,6 @@ def _pieces(x: np.ndarray, length: int) -> tuple[np.ndarray, np.ndarray]:
     reach, and tail[j, m - e] for the m >= e, which only the first p - 1 do."""
     e = len(x) - (len(x) - 1) // length * length
     return sliding_window_view(x, e)[::length], x[e:].reshape(-1, length)[:, : length - e]
-
-
-def _folded_classes(x: np.ndarray, size: int, rows: int) -> Iterator[tuple[int, np.ndarray]]:
-    """The classes of spectrum_classes at L = CLASS_POINTS, from the pieces of
-    x as `_pieces` gives them: class 0, then c = 1..r/2, rows of them at a time."""
-    length, r = CLASS_POINTS, size // CLASS_POINTS
-    head, tail = _pieces(x, length)
-    e = head.shape[1]
-    yield 0, _real_class(np.concatenate([head.sum(axis=0), tail.sum(axis=0)]))
-    turns = TWO_PI / r * np.arange(1, r // 2 + 1)[:, None] * np.arange(len(head))
-    cos, sin = np.cos(turns), -np.sin(turns)  # e(-c j / r) for c = 1..r/2
-    z = np.empty((rows, length), dtype=np.complex128)
-    for c in range(1, r // 2 + 1, rows):
-        phases = np.concatenate([cos[c - 1 : c - 1 + rows], sin[c - 1 : c - 1 + rows]])
-        _fold(z[:, :e], head, phases)
-        _fold(z[:, e:], tail, phases[:, : len(tail)])
-        _twist(z, np.arange(c, c + rows) / size)
-        np.fft.fft(z, axis=1, out=z)
-        v = np.abs(z)
-        yield from enumerate(np.square(v, out=v), start=c)
 
 
 # columns of the pieces that one matrix product of _fold takes: its result, 2 rows x
@@ -368,8 +346,8 @@ def _fold(z: np.ndarray, pieces: np.ndarray, phases: np.ndarray) -> None:
 
 def _twist(z: np.ndarray, turn) -> None:
     """z[..., m] *= e(-m turn) in place, for rows z[...] of a power-of-two length
-    and a turn per row (an array of z.shape[:-1], or one float for a single
-    row), by two tables of about sqrt(length) phases per row."""
+    and a turn per row (an array of z.shape[:-1]), by two tables of about
+    sqrt(length) phases per row."""
     cols = 1 << ((z.shape[-1].bit_length() - 1) // 2)
     grid = z.reshape(*z.shape[:-1], -1, cols)
     turn = (-1j * TWO_PI * np.asarray(turn))[..., None, None]

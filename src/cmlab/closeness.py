@@ -39,7 +39,12 @@ r = 16 for spans from 8 to 2^17, and L = CLASS_POINTS = 2^16 beyond.  Each
 class c = 0 mod 4 adds its share of A(h), read off the class's inverse
 transform at h mod L, as w may pass L/2 once L is capped; and every class
 adds its bins in each sampled window of the spot check, off its running sums
-(class r - c is class c reversed and reads the same sums).
+(class r - c is class c reversed and reads the same sums).  Capped or not,
+every class is folded from views of d by the one path of spectrum_classes.
+
+The Gallagher trials read their autocorrelation off one real transform of
+arithfn.transform_size(2 span - 1) points, the rule that sizes every
+convolution of the package.
 """
 
 from __future__ import annotations
@@ -52,7 +57,7 @@ from typing import Callable, Iterable, Optional
 
 import numpy as np
 
-from .arithfn import TWO_PI, ArithFn, l2_norm_sq, spectrum_classes, subtract
+from .arithfn import TWO_PI, ArithFn, l2_norm_sq, spectrum_classes, subtract, transform_size
 from .errors import DomainError, require_memory
 from .models import SieveSystem, beta_sieve_weights, lambda_q_short_sum, model_t_nu, model_t_nu_plus, sieve_short_sum
 
@@ -152,13 +157,6 @@ def _window_sums(values: np.ndarray, width: int) -> np.ndarray:
     return out
 
 
-def gallagher_size(span: int) -> int:
-    """n, the least integer >= 2 span - 1 of the form 2^k, 3 2^k or 5 2^k (k >= 1): the
-    transform length of gallagher_lhs, long enough that the autocorrelation does not wrap."""
-    need = 2 * span - 1
-    return min(m << max(1, (-(-need // m) - 1).bit_length()) for m in (1, 3, 5))
-
-
 def require_gallagher(span: int, delta: float, trials: int = 1) -> int:
     """Gallagher trials on span points at Delta, checked before their data exists:
     2 < Delta < span/2, then the bytes of one block of them, which the return value
@@ -167,7 +165,7 @@ def require_gallagher(span: int, delta: float, trials: int = 1) -> int:
         raise DomainError("need 2 < Delta < span/2")
     rows = max(1, min(trials, GALLAGHER_BLOCK // span))
     require_memory(f"a block of {rows} Gallagher trials over a span of {span}",
-                   rows * (DRAW_BYTES * span + TRIAL_SPECTRUM_BYTES * gallagher_size(span)))
+                   rows * (DRAW_BYTES * span + TRIAL_SPECTRUM_BYTES * transform_size(2 * span - 1)))
     return rows
 
 
@@ -195,15 +193,16 @@ def gallagher_lhs(f, delta: float):
     (8 samples per 1/span), over |k| <= k_hi = floor(M/Delta), plus the slivers
     between the outermost grid points and +-1/Delta.  It is linear in |f-hat|^2,
     so it is read as sum_h c(h) A(h) off the autocorrelation A of f (see
-    _gallagher_weights), through one real transform of gallagher_size(span)
-    points instead of M.  f is an ArithFn (a float comes back) or an array whose
-    last axis holds the values of each trial, transformed all at once.
+    _gallagher_weights), through one real transform of transform_size(2 span - 1)
+    points instead of M, long enough that the autocorrelation does not wrap.
+    f is an ArithFn (a float comes back) or an array whose last axis holds the
+    values of each trial, transformed all at once.
     """
     values = _trials(f)
     span = values.shape[-1]
     require_gallagher(span, delta)
     weights = _gallagher_weights(span, float(delta))
-    spec = np.abs(np.fft.rfft(values, gallagher_size(span), axis=-1))
+    spec = np.abs(np.fft.rfft(values, transform_size(2 * span - 1), axis=-1))
     spec **= 2
     # each interior bin of the half spectrum stands for bins k and n - k; einsum, not
     # np.dot, as OpenBLAS's threads cost more than a sum of this length
@@ -225,8 +224,8 @@ def _gallagher_weights(span: int, delta: float) -> np.ndarray:
     On a grid of n >= 2 span - 1 points A(h) is the inverse transform of the
     spectrum free of wrap-around, so sum_h c(h) A(h) = (1/n) sum_k |f-hat(k/n)|^2 C(k)
     with C the transform of c laid on that grid (c(-h) at n - h).  C is real
-    and even; the weights are C/n on k = 0..n/2, n = gallagher_size(span), built
-    once per (span, Delta).
+    and even; the weights are C/n on k = 0..n/2, n = transform_size(2 span - 1),
+    built once per (span, Delta).
     """
     size = spectrum_size(span)
     k_hi = math.floor(size / delta)  # >= 16, as M >= 8 span and Delta < span/2
@@ -236,7 +235,7 @@ def _gallagher_weights(span: int, delta: float) -> np.ndarray:
     c = np.empty(span)
     c[0] = 2 * k_hi / size + 2 * sliver
     c[1:] = (np.sin((2 * k_hi + 1) * x) / np.sin(x) - edge) / size + 2 * sliver * edge
-    n = gallagher_size(span)
+    n = transform_size(2 * span - 1)
     circ = np.zeros(n)
     circ[:span] = c
     circ[n - span + 1 :] = c[:0:-1]  # c(-h) = c(h) at grid point n - h

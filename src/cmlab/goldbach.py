@@ -40,11 +40,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .arith import cached_primes, mu_phi_table, odd_prime_flags, prime_weights, primes_bytes
-# `convolve` is not called here but stays bound: perfbench/test_perfbench.py checks
-# that the tracer wraps goldbach.convolve with arithfn.convolve, and
-# test_pipeline_makes_no_full_convolution patches it to show run_pipeline never calls it
-from .arithfn import (ArithFn, add_convolution, add_rows, chunk_length, convolve, convolve_valid_bytes, convolve_window,
-                      dense, rows_values, subtract, window_preimage)
+from .arithfn import (ArithFn, add_convolution, add_rows, chunk_length, convolve_valid_bytes, convolve_window, dense,
+                      rows_values, subtract, window_preimage)
 from .characters import ramanujan_sum
 from .errors import ContractError, DomainError, require_memory
 from .models import model_t_nu, model_t_nu_plus, require_sift
@@ -233,12 +230,13 @@ def pipeline_working_set(config: PipelineConfig) -> int:
 
 def pipeline_bytes(config: PipelineConfig) -> int:
     """Bytes a pipeline run holds at once: VALUE_BYTES per value of
-    pipeline_working_set and the transform of the widest chunk any sum can
-    take, against the chunk and H more values: `arithfn.chunk_length(H)`
-    integers, or the whole shorter factor where that is less, at most Y values
-    (the steps, omega*T) or PIPELINE_SEGMENT (an a*a segment)."""
+    pipeline_working_set and of the two dense factors of the widest chunk any
+    sum can take, and that chunk's transform.  The chunk is
+    `arithfn.chunk_length(H)` integers, or the whole shorter factor where that
+    is less, at most Y values (the steps, omega*T) or PIPELINE_SEGMENT (an a*a
+    segment), and the other factor holds the chunk and H more values."""
     chunk = min(chunk_length(config.h), max(config.y, PIPELINE_SEGMENT))
-    return VALUE_BYTES * pipeline_working_set(config) + convolve_valid_bytes(chunk + config.h, chunk)
+    return VALUE_BYTES * (pipeline_working_set(config) + 2 * chunk + config.h) + convolve_valid_bytes(chunk + config.h)
 
 
 @dataclass(frozen=True)

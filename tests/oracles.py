@@ -2,7 +2,8 @@
 
 No `cmlab` subcommand reaches these: a plain odd-wheel sieve, trial-division
 factorization and the multiplicative functions built on it, the Fourier
-transform at one point, the model file reader, Lambda_Q as a direct double sum,
+transform at one point, the convolution on its whole support, the model file
+reader, Lambda_Q as a direct double sum,
 theta_n of a sieve at one n and its admitted weights by walking every subset of
 the primes <= z, the Dirichlet character tables with Gauss sums,
 the Ramanujan shortcut for omega * T, Goldbach counts, the singular series as a
@@ -22,7 +23,7 @@ from typing import IO
 import numpy as np
 
 from cmlab.arith import cached_primes, mu_phi_table, rough_flags
-from cmlab.arithfn import TWO_PI, ArithFn
+from cmlab.arithfn import TWO_PI, ArithFn, convolve_window
 from cmlab.characters import ramanujan_sum
 from cmlab.closeness import SPOT_ARCS, SPOT_SAMPLES_PER_ARC, FareyArc
 from cmlab.errors import CapacityError, ContractError, DomainError
@@ -133,12 +134,19 @@ def is_rough(n: int, z: float) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# arithmetic functions: l1 norm, the transform at one point, the file reader
+# arithmetic functions: l1 norm, the transform at one point, the whole
+# convolution, the file reader
 # ---------------------------------------------------------------------------
 
 
 def l1_norm(f: ArithFn) -> float:
     return float(np.sum(np.abs(f.values)))
+
+
+def convolve(f: ArithFn, g: ArithFn) -> ArithFn:
+    """f*g on its whole support: convolve_window over every n the two supports reach."""
+    lo = f.support_start + g.support_start
+    return ArithFn(lo, convolve_window(f, g, lo, lo + len(f) + len(g) - 2))
 
 
 def fourier_eval(f: ArithFn, alpha: float) -> complex:

@@ -24,7 +24,7 @@ import pytest
 
 from cmlab import arithfn, models
 from cmlab.arith import rough_flags
-from cmlab.arithfn import ArithFn, convolve
+from cmlab.arithfn import ArithFn
 from cmlab.characters import ramanujan_sum
 from cmlab.cli import main
 from cmlab.constants import Check
@@ -54,6 +54,7 @@ from counters import (
 )
 from oracles import (
     characters_mod,
+    convolve,
     convolve_with_lambda_q_model,
     euler_phi,
     gauss_sum,

@@ -10,7 +10,6 @@ from cmlab import arithfn
 from cmlab.arith import prime_weights
 from cmlab.arithfn import (
     ArithFn,
-    convolve,
     convolve_valid,
     convolve_valid_cost,
     convolve_window,
@@ -18,10 +17,11 @@ from cmlab.arithfn import (
     l2_norm_sq,
     spectrum_classes,
     subtract,
+    transform_size,
     write_arithfn,
 )
 from cmlab.errors import CapacityError, DomainError
-from oracles import fourier_eval, l1_norm, read_arithfn
+from oracles import convolve, fourier_eval, l1_norm, read_arithfn
 
 small_values = st.lists(
     st.integers(-9, 9) | st.floats(-4, 4, allow_nan=False, width=32), min_size=1, max_size=64
@@ -65,8 +65,8 @@ class TestConvolve:
             scale = np.max(np.abs(d))
             assert np.max(np.abs(d - t)) <= 1e-6 * max(scale, 1e-12)
 
-    # nx + ny - 1 one less than a power of two, the power itself and one more: the
-    # transform has a point to spare, is just long enough, or doubles
+    # nx + ny - 1 one less than a power of two, the power itself and one more, where a
+    # transform of nx + ny - 1 points would have a point to spare, just fit, or double
     @pytest.mark.parametrize("nx, ny", [(1, 1), (2, 1), (2, 2), (512, 512), (513, 512), (513, 513),
                                         (700, 324), (700, 325), (700, 326), (10000, 6384), (10000, 6385),
                                         (10000, 6386)])
@@ -76,6 +76,28 @@ class TestConvolve:
         got, want = convolve_valid(x, y), np.convolve(x, y, "valid")
         assert got.shape == want.shape == (nx - ny + 1,)
         assert np.max(np.abs(got - want)) <= 1e-12 * np.linalg.norm(x) * np.linalg.norm(y)
+
+    # len(x) on, one below and one above 2^k, 3 2^k and 5 2^k, where the transform of
+    # transform_size(len(x)) points just fits, has a point to spare or moves to the
+    # next form; len(y) from one value to all of x
+    @pytest.mark.parametrize("k", range(13))
+    @pytest.mark.parametrize("form", [1, 3, 5])
+    def test_valid_values_around_each_transform_length(self, form, k):
+        gen = np.random.default_rng(16 * form + k)
+        for nx in {(form << k) + d for d in (-1, 0, 1)} - {0}:
+            x = gen.normal(size=nx)
+            for ny in sorted({1, 2, nx // 2, nx} & set(range(1, nx + 1))):
+                y = gen.normal(size=ny)
+                got, want = convolve_valid(x, y), np.convolve(x, y, "valid")
+                assert got.shape == want.shape == (nx - ny + 1,)
+                assert np.max(np.abs(got - want)) <= 1e-12 * np.linalg.norm(x) * np.linalg.norm(y), (nx, ny)
+
+    def test_transform_size(self):
+        # the least n >= need among 2^k, 3 2^k and 5 2^k, against a scan of them all
+        forms = sorted(m << k for m in (1, 3, 5) for k in range(24))
+        for need in [*range(1, 5001), 8193, 19_999, 999_999]:
+            assert transform_size(need) == next(n for n in forms if n >= need), need
+        assert transform_size(19_999) == 20_480 < 32_768  # the least power of two >= 19999
 
     def test_empty_is_domain_error(self):
         with pytest.raises(DomainError):
@@ -137,9 +159,9 @@ class TestConvolveWindow:
                 assert np.allclose(got, want, rtol=0, atol=1e-13 * np.linalg.norm(f.values) * np.linalg.norm(g.values))
 
     def test_long_window_takes_the_transform(self, rng, monkeypatch):
-        # rows over the 22000 points of the cut f would cost ROW_COST (H + 1) = 20002
-        # each, 4.4 * 10**8 in all: the one transform of the cut f against g, of 2^15
-        # points, costs 3.9 * 10**6
+        # rows over the 22000 points of the cut f would cost H + 1 = 10001 each, 2.2 * 10**8
+        # in all: the one transform of the cut f against g, of transform_size(21999) =
+        # 3 * 2^13 points, costs TRANSFORM_COST * 24576 * log2(24576) = 1.4 * 10**6
         def refuse(*args, **kwargs):
             raise AssertionError("rows taken for a long window of dense factors")
 
@@ -171,15 +193,16 @@ class TestConvolveWindow:
     @pytest.mark.parametrize("ny", [50, 12000])
     def test_cost_is_the_path_taken(self, rng, monkeypatch, ny):
         # what convolve_valid_cost and convolve_valid_bytes report is what its one
-        # transform pays: two real transforms of size points and their product
+        # transform pays: two real transforms of transform_size(nx) points and their
+        # product, 10050 -> 10240 and 22000 -> 24576 points
         sizes = []
         monkeypatch.setattr(np.fft, "rfft", lambda a, n, fn=np.fft.rfft: sizes.append(n) or fn(a, n))
         nx = ny + 10_000
         convolve_valid(rng.normal(size=nx), rng.normal(size=ny))
-        size = 1 << (nx + ny - 2).bit_length()
-        assert sizes == [size, size]
-        assert convolve_valid_cost(nx, ny) == 8 * size * math.log2(size)
-        assert arithfn.convolve_valid_bytes(nx, ny) == 32 * size
+        size = transform_size(nx)
+        assert sizes == [size, size] and nx <= size < 4 * nx / 3
+        assert convolve_valid_cost(nx) == arithfn.TRANSFORM_COST * size * math.log2(size)
+        assert arithfn.convolve_valid_bytes(nx) == arithfn.TRANSFORM_BYTES * size
 
     def test_domain(self):
         with pytest.raises(DomainError):
@@ -195,15 +218,15 @@ class TestAddConvolution:
     ROW_VALUES // (H + 1) = 4 rows."""
 
     LO, HI = 250, 254
-    # the ROW_COST that forces each path, and the function it calls
-    PATHS = {"rows": (0, "add_rows"), "transform": (10**30, "convolve_valid")}
+    # the TRANSFORM_COST that forces each path, and the function it calls
+    PATHS = {"rows": (10**30, "add_rows"), "transform": (0, "convolve_valid")}
 
     @pytest.mark.parametrize("shape, chunks", [("window", 6), ("segment", 2)])
     @pytest.mark.parametrize("density", [0.3, 1.0], ids=["sparse", "dense"])
     @pytest.mark.parametrize("path", ["rows", "transform"])
     def test_matches_np_convolve(self, monkeypatch, shape, chunks, density, path):
-        row_cost, called = self.PATHS[path]
-        for name, value in [("ROW_COST", row_cost), ("ROW_SPAN", 7), ("ROW_VALUES", 20), ("CHUNK", 16)]:
+        transform_cost, called = self.PATHS[path]
+        for name, value in [("TRANSFORM_COST", transform_cost), ("ROW_SPAN", 7), ("ROW_VALUES", 20), ("CHUNK", 16)]:
             monkeypatch.setattr(arithfn, name, value)
         taken = []
         for name in ("add_rows", "convolve_valid"):
@@ -232,7 +255,7 @@ class TestAddConvolution:
         gen = np.random.default_rng(12)
         f, g = gen.normal(size=n), gen.normal(size=n + h)  # f on [0, n), g on its preimage [1, n + h + 1)
         taken = []
-        monkeypatch.setattr(arithfn, "ROW_COST", 10**30)
+        monkeypatch.setattr(arithfn, "TRANSFORM_COST", 0)
         monkeypatch.setattr(arithfn, "convolve_valid", lambda x, y, fn=convolve_valid: (
             taken.append((len(x), len(y))) or fn(x, y)))
         got = np.zeros(h + 1)
@@ -243,14 +266,16 @@ class TestAddConvolution:
 
     def test_rows_are_priced_by_the_points_of_the_first_factor(self, monkeypatch):
         # the points 1007, 1407 and 1807 of sparse reach [2500, 2900] through 3000 values at
-        # H = 400: rows over them cost 2 * 3 * 401, the transform of 2^13 points 8 * 8192 * 13;
-        # with the factors swapped the rows would go over the 1400 points of full on
-        # [501, 1901), at 2 * 1400 * 401, more than the transform of 2^12 points, 8 * 4096 * 12
+        # H = 400: rows over them cost 3 * 401, the transform of 3400 values, on 2^12 points,
+        # 4 * 4096 * 12; with the factors swapped the rows would go over the 1400 points of
+        # full on [501, 1901), at 1400 * 401, more than the transform of 1400 values, on
+        # 3 * 2^9 points, 4 * 1536 * log2(1536)
         taken = []
         monkeypatch.setattr(arithfn, "add_rows", lambda out, f, *args, fn=arithfn.add_rows: (
             taken.append(f[0].tolist()) or fn(out, f, *args)))
         sparse = fn(1000, np.where(np.arange(1000) % 400 == 7, 2.0, 0.0))
         full = fn(0, np.linspace(1.0, 2.0, 3000))
+        assert 3 * 401 <= convolve_valid_cost(3400) and 1400 * 401 > convolve_valid_cost(1400)
         for f, g, path in [(sparse, full, [[1007, 1407, 1807]]), (full, sparse, [])]:
             taken.clear()
             got = convolve_window(f, g, 2500, 2900)
@@ -350,7 +375,7 @@ class TestFourier:
     # L = 32 fold p = 2 to 41 pieces, the last one whole or cut short; the
     # least power of two >= 1, 2 and 8 times the length gives r/2 from 2 to
     # 256 classes, and blocks of min(2^(ceil(log2 len) - 1), BLOCK_POINTS) / 32
-    # of them.  Up to 64 = 2 CLASS_POINTS the classes are the uncapped ones.
+    # of them.  Up to 64 = 2 CLASS_POINTS the classes are uncapped, one per block.
     @pytest.mark.parametrize("length", [33, 63, 64, 65, 96, 97, 127, 129, 200, 1279, 1280, 1281, 1311])
     @pytest.mark.parametrize("oversample", [1, 2, 8])
     def test_capped_classes_equal_one_transform(self, monkeypatch, length, oversample):

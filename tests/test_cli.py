@@ -659,6 +659,9 @@ class TestMemoryCap:
             ["verify", "gallagher", "--span", "500000", "--trials", "1"],
             ["verify", "closeness", "--Y", "600000"],
             ["pipeline", "--X", "1200000", "--Y", "400000"],
+            # long H, where the dense chunks set the peak: without their two dense factors the
+            # estimate read 100.4 MB against 107.7 MB held
+            ["pipeline", "--X", "1000000", "--Y", "300000", "--H", "250000"],
             ["exceptional", "--X", "100000000000000", "--H", "10"],
             ["series", "--q-max", "1200000", "--n-stop", "10"],
             ["model", "--which", "t_nu_plus", "--Y", "2500000"],

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from cmlab import arithfn, closeness, errors
-from cmlab.arithfn import ArithFn, spectrum_classes, subtract
+from cmlab.arithfn import ArithFn, spectrum_classes, subtract, transform_size
 from cmlab.cli import main
 from cmlab.closeness import (
     OVERSAMPLE,
@@ -22,7 +22,6 @@ from cmlab.closeness import (
     farey_dissection,
     gallagher_lhs,
     gallagher_rhs,
-    gallagher_size,
     spectrum_size,
     verify_short_sums,
 )
@@ -175,7 +174,7 @@ class TestGallagher:
         # more than the sum; the reduction must give the dot's value
         f = ArithFn(10_000, rng.choice([-1.0, 1.0], size=10_000))
         weights = _gallagher_weights(10_000, 50.0)
-        spec = np.abs(np.fft.rfft(f.values, gallagher_size(10_000))) ** 2
+        spec = np.abs(np.fft.rfft(f.values, transform_size(2 * 10_000 - 1))) ** 2
         dot = 2.0 * np.dot(spec, weights) - spec[0] * weights[0] - spec[-1] * weights[-1]
 
         def refuse(*args, **kwargs):
@@ -183,13 +182,6 @@ class TestGallagher:
 
         monkeypatch.setattr(np, "dot", refuse)
         assert gallagher_lhs(f, 50.0) == pytest.approx(dot, rel=1e-12)
-
-    def test_transform_size(self):
-        # the least n >= 2 span - 1 among 2^k, 3 2^k and 5 2^k, k >= 1, against a scan of them all
-        forms = sorted(m << k for m in (1, 3, 5) for k in range(1, 24))
-        for span in [*range(3, 3000), 4097, 10_000, 500_000]:
-            assert gallagher_size(span) == next(n for n in forms if n >= 2 * span - 1), span
-        assert gallagher_size(10_000) == 20_480 < 32_768  # the least power of two >= 2 span - 1
 
     @pytest.mark.parametrize("span", [2_000, 4_097, 10_000])
     def test_block_equals_one_trial_at_a_time(self, span):

@@ -8,7 +8,7 @@ import pytest
 
 from cmlab import arith, arithfn, errors, goldbach
 from cmlab.arith import prime_weights, primes_bytes, rough_flags
-from cmlab.arithfn import ArithFn, convolve, dense
+from cmlab.arithfn import ArithFn, dense
 from cmlab.cli import main
 from cmlab.errors import CapacityError, ContractError, DomainError
 from cmlab.goldbach import (
@@ -33,6 +33,7 @@ from cmlab.models import (
 )
 import oracles
 from oracles import (
+    convolve,
     convolve_with_lambda_q_model,
     euler_phi,
     factorize,
@@ -459,20 +460,29 @@ class TestPipeline:
 
     def test_inputs_beyond_desk_cap_fail_up_front(self, monkeypatch):
         # the cap is checked when the config is built, so no config over it reaches the inputs or the run
-        # (the transform of a segment's chunk of 2^16 integers and H = 64 more: 2^18 points, 8 MB)
+        # (a segment's chunk of 2^16 integers and H = 64 more: their 2^17 + 64 dense values and the
+        # transform on 5 * 2^14 points, 2.8 MiB)
+        chunk = arithfn.chunk_length(64)
+        transform = arithfn.TRANSFORM_BYTES * arithfn.transform_size(chunk + 64) + goldbach.VALUE_BYTES * (2 * chunk + 64)
         estimate = goldbach.pipeline_bytes(PRESETS["desk-small"])
-        assert estimate == goldbach.VALUE_BYTES * goldbach.pipeline_working_set(PRESETS["desk-small"]) + (8 << 20)
+        assert estimate == goldbach.VALUE_BYTES * goldbach.pipeline_working_set(PRESETS["desk-small"]) + transform
         monkeypatch.setattr(errors, "MEMORY_CAP", estimate - 1)
         with pytest.raises(CapacityError, match=f"needs {estimate} bytes, beyond the cap"):
             PipelineConfig(200_000, big_q=10)
         monkeypatch.setattr(errors, "MEMORY_CAP", estimate)
         config = PipelineConfig(200_000, big_q=10)
-        assert run_pipeline(config, *desk_pipeline_inputs(config)).working_set * goldbach.VALUE_BYTES + (8 << 20) == estimate
+        assert run_pipeline(config, *desk_pipeline_inputs(config)).working_set * goldbach.VALUE_BYTES + transform == estimate
 
     def test_bytes_count_the_transforms_the_run_takes(self):
-        # H = 10^5: the steps' transform of 2^19 points and the chunks' of 2^20, 32 bytes a point
+        # H = 10^5: an a*a segment of 2^18 integers is one chunk, held dense with the H more
+        # values it meets and transformed on 3 * 2^17 points (13.5 MiB), more than the
+        # steps' Y + H values take
         config = PipelineConfig(1_000_000, big_q=10, y=200_000, h=100_000)
-        assert goldbach.pipeline_bytes(config) == goldbach.VALUE_BYTES * goldbach.pipeline_working_set(config) + (32 << 20)
+        segment, steps = goldbach.PIPELINE_SEGMENT, config.y
+        transform = arithfn.TRANSFORM_BYTES * arithfn.transform_size(segment + config.h)
+        assert transform >= arithfn.TRANSFORM_BYTES * arithfn.transform_size(steps + config.h)
+        values = goldbach.pipeline_working_set(config) + 2 * segment + config.h
+        assert goldbach.pipeline_bytes(config) == goldbach.VALUE_BYTES * values + transform
 
     def test_working_set_counts_y_not_x(self):
         # about 10^6 values at X = 10^9 (8 MB), the base primes, two segments and 10(Y + H)
@@ -510,14 +520,17 @@ class TestPipeline:
 
 
 class TestPipelineScaling:
-    def test_pipeline_makes_no_full_convolution(self, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("run_pipeline must read [X-H, X] through convolve_window")
-
-        monkeypatch.setattr(goldbach, "convolve", refuse)
-        config = PRESETS["desk-small"]
+    def test_transforms_hold_a_chunk_and_h_values_at_most(self, monkeypatch):
+        # run_pipeline reads [X-H, X] through windows, never a full convolution: where
+        # every sum goes dense, each transform's first factor holds one chunk of the
+        # shorter factor and the H values beyond it at most, not Y or X values
+        config = PipelineConfig(1_000_000, big_q=10, y=300_000, h=10_000)
+        lengths = []
+        monkeypatch.setattr(arithfn, "convolve_valid", lambda x, y, fn=arithfn.convolve_valid: (
+            lengths.append(len(x)) or fn(x, y)))
         report = run_pipeline(config, *desk_pipeline_inputs(config))
         assert report.final_failures == 0
+        assert len(lengths) == 24 and max(lengths) <= arithfn.chunk_length(config.h) + config.h
 
     def test_trimmed_steps_match_full_convolutions(self):
         config = PRESETS["desk-small"]
@@ -613,7 +626,7 @@ class TestPipelineScaling:
         assert np.max(np.abs(ab - want)) <= 1e-12 * np.max(want)
 
     def test_either_side_of_the_cost_rule_gives_the_same_rows(self, monkeypatch):
-        # ROW_COST 0 sums every segment as rows, 10^30 every one densely; the cost
+        # TRANSFORM_COST 10^30 sums every segment as rows, 0 every one densely; the cost
         # holds inside the segments only, so the steps take their usual paths
         config = PRESETS["desk-small"]
         inputs = desk_pipeline_inputs(config)
@@ -621,7 +634,7 @@ class TestPipelineScaling:
 
         def priced(*args):
             with monkeypatch.context() as patch:
-                patch.setattr(arithfn, "ROW_COST", cost)
+                patch.setattr(arithfn, "TRANSFORM_COST", cost)
                 return chooser(*args)
 
         monkeypatch.setattr(goldbach, "add_convolution", priced)
@@ -631,10 +644,10 @@ class TestPipelineScaling:
         m0 = -(-(config.x - config.h) // 2)
         lengths = [min(1 << 14, m0 - s) for s in range(0, m0, 1 << 14)]
         reports = []
-        for cost in (0, 10**30):
+        for cost in (10**30, 0):
             paths.clear()
             reports.append(run_pipeline(config, *inputs))
-            if cost == 0:
+            if cost:
                 assert paths == [["add_rows"]] * len(lengths)
             else:  # chunks of 2^12, as 4(H + 1) = 260 is less
                 assert paths == [["convolve_valid"] * -(-n // (1 << 12)) for n in lengths]
@@ -687,14 +700,19 @@ class TestPipelineScaling:
 
         paths = self._segment_paths(monkeypatch, "add_rows", "convolve_valid")
         monkeypatch.setattr(goldbach, "PIPELINE_SEGMENT", 1 << 12)
-        # every m is a point: at H = 64 the rows of a segment cost 2 * 4096 * 65 against
-        # 8 * 2^14 * 14 for its transform, and a ROW_COST of 10^30 sends it to the transform
-        for cost, path in [(arithfn.ROW_COST, "add_rows"), (10**30, "convolve_valid")]:
-            monkeypatch.setattr(arithfn, "ROW_COST", cost)
+        # every m is a point: at H = 64 the rows of a segment of n integers cost n * 65
+        # against convolve_valid_cost(n + 64) for its transform; the price as it stands
+        # takes one path or the other, TRANSFORM_COST 0 forces the transform and 10^30 the rows
+        m0 = -(-(x - config.h) // 2)
+        lengths = [min(1 << 12, m0 - s) for s in range(0, m0, 1 << 12)]
+        priced = [["add_rows" if n * 65 <= arithfn.convolve_valid_cost(n + 64) else "convolve_valid"] for n in lengths]
+        for cost, path in [(arithfn.TRANSFORM_COST, priced), (0, [["convolve_valid"]] * len(lengths)),
+                           (10**30, [["add_rows"]] * len(lengths))]:
+            monkeypatch.setattr(arithfn, "TRANSFORM_COST", cost)
             for a in (ones, ramp):
                 paths.clear()
                 report = run_pipeline(config, nu, omega, a)
-                assert paths == [[path]] * report.segments
+                assert paths == path and report.segments == len(lengths)
                 lam = dense(a(0, x + 1), 0, x + 1)
                 ab = np.array([row[1] for row in report.rows])
                 assert np.max(np.abs(ab - square_window(lam, x - config.h, x))) <= 1e-12 * np.max(ab)
@@ -765,7 +783,7 @@ class TestPipelineScaling:
             return m, a[m]
 
         paths = self._segment_paths(monkeypatch, "add_rows", "convolve_valid")
-        monkeypatch.setattr(arithfn, "ROW_COST", 0)
+        monkeypatch.setattr(arithfn, "TRANSFORM_COST", 10**30)
         monkeypatch.setattr(goldbach, "PIPELINE_SEGMENT", 1 << 12)
         report = run_pipeline(config, nu, omega, sparse)
         assert paths == [["add_rows"]] * report.segments
@@ -781,7 +799,7 @@ class TestPipelineScaling:
         config = PipelineConfig(100_000, big_q=10, y=30_000, h=10_000)
         inputs = desk_pipeline_inputs(config)
         paths = self._segment_paths(monkeypatch, "add_rows", "convolve_valid")
-        monkeypatch.setattr(arithfn, "ROW_COST", 0)
+        monkeypatch.setattr(arithfn, "TRANSFORM_COST", 10**30)
         tracemalloc.start()
         try:
             run_pipeline(config, *inputs)
@@ -795,8 +813,8 @@ class TestPipelineScaling:
         # The dense counterpart: at Y = 3*10^5 and H = 10^4 both steps and omega*T take
         # 4 chunks of 2^16 integers and one of 37856, the a*a segments 4 of 2^16 and
         # 3 of 2^16 and one of 36248, and the middle window one of H + 1, every one a
-        # transform: the run holds one transform of at most a chunk at a time (20 MB
-        # traced, against an estimate of 59 MB)
+        # transform: the run holds one transform of at most a chunk at a time (19 MB
+        # traced, against an estimate of 56 MB)
         config = PipelineConfig(1_000_000, big_q=10, y=300_000, h=10_000)
         inputs = desk_pipeline_inputs(config)
         taken = []

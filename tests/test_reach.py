@@ -19,11 +19,7 @@ import cmlab
 SRC = Path(cmlab.__file__).parent
 
 # public definitions that stay although no subcommand reaches them, each with its reason
-ALLOWED = {
-    # perfbench/test_perfbench.py asserts that the tracer wraps arithfn.convolve
-    # at both of its bindings, arithfn.convolve and goldbach.convolve
-    "arithfn.convolve",
-}
+ALLOWED: set = set()
 
 
 def _definitions():
