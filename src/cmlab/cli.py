@@ -34,6 +34,7 @@ import numpy as np
 from . import constants
 from .arithfn import l2_norm_sq, write_arithfn
 from .closeness import (
+    GALLAGHER_BLOCK,
     closeness_integral,
     closeness_models,
     default_lambda_q_sweep,
@@ -206,7 +207,9 @@ def _cmd_verify_gallagher(spec: ExperimentSpec) -> int:
     p = spec.params
     if p["trials"] < 1:  # an empty table has no max ratio
         raise DomainError(f"trials must be >= 1, got {p['trials']}")
-    rows = require_gallagher(p["span"], p["delta"], p["trials"])  # before anything is drawn
+    require_gallagher(p["span"], p["delta"], 0)  # Delta first, as the block rule divides by the span
+    rows = max(1, min(p["trials"], GALLAGHER_BLOCK // p["span"]))  # GALLAGHER_BLOCK values, one trial at the least
+    require_gallagher(p["span"], p["delta"], rows)  # the bytes of one block, before anything is drawn
     rng = np.random.default_rng(spec.seed)
     ratios: list = []
     # a block of rows draws the values of as many draws of one row each; both sums are
@@ -226,15 +229,15 @@ def _cmd_verify_gallagher(spec: ExperimentSpec) -> int:
 
 
 def _sweep_verdict(spec: ExperimentSpec, name: str, report, baseline: float, point, measured_at) -> int:
-    """Write a short-sum sweep's CSV and its verdict: the max ratio under the ceiling and the baseline."""
-    keys = sorted(report.rows[0].params)
-    rows = ([row.params[k] for k in keys]
-            + [f"{v:.10g}" for v in (row.actual.real, row.actual.imag, row.predicted.real,
-                                     row.error, row.budget, row.ratio)]
-            for row in report.rows)
+    """Write a short-sum sweep's CSV, a row per point from the report's columns, and its verdict:
+    the max ratio under the ceiling and the baseline."""
+    keys = sorted(report.columns)
+    values = (report.actual.real, report.actual.imag, report.predicted.real, report.error, report.budget, report.ratio)
+    rows = ([*params, *(f"{v:.10g}" for v in numbers)]
+            for params, numbers in zip(zip(*(report.columns[k] for k in keys)), zip(*(v.tolist() for v in values))))
     _write_csv(spec, f"{name.replace('_', '-')}-short-sums.csv",
                (*keys, "actual_re", "actual_im", "predicted_re", "error", "budget", "ratio"), rows)
-    print(f"{name}_short: max ratio {report.max_ratio:.4f} over {len(report.rows)} points")
+    print(f"{name}_short: max ratio {report.max_ratio:.4f} over {len(report.budget)} points")
     return _verdict(spec, [
         Check("max ratio", report.max_ratio, constants.SHORT_SUM_RATIO_CEILING),
         *regression("max ratio vs baseline", report.max_ratio, baseline, point, measured_at),

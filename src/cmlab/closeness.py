@@ -157,57 +157,44 @@ def _window_sums(values: np.ndarray, width: int) -> np.ndarray:
     return out
 
 
-def require_gallagher(span: int, delta: float, trials: int = 1) -> int:
-    """Gallagher trials on span points at Delta, checked before their data exists:
-    2 < Delta < span/2, then the bytes of one block of them, which the return value
-    counts: GALLAGHER_BLOCK values of draws at most, and one trial at the least."""
+def require_gallagher(span: int, delta: float, trials: int) -> None:
+    """A block of Gallagher trials on span points at Delta, checked before its data
+    exists: 2 < Delta < span/2, then the bytes of exactly that many trials."""
     if not (2 < delta < span / 2):
         raise DomainError("need 2 < Delta < span/2")
-    rows = max(1, min(trials, GALLAGHER_BLOCK // span))
-    require_memory(f"a block of {rows} Gallagher trials over a span of {span}",
-                   rows * (DRAW_BYTES * span + TRIAL_SPECTRUM_BYTES * transform_size(2 * span - 1)))
-    return rows
+    require_memory(f"a block of {trials} Gallagher trials over a span of {span}",
+                   trials * (DRAW_BYTES * span + TRIAL_SPECTRUM_BYTES * transform_size(2 * span - 1)))
 
 
-def _trials(f) -> np.ndarray:
-    """The values of one trial (an ArithFn) or of a block of them (the rows of an array)."""
-    return f.values if isinstance(f, ArithFn) else np.asarray(f, dtype=np.float64)
-
-
-def gallagher_rhs(f, delta: float):
-    """Delta^{-2} sum_t |sum_{t - floor(Delta/2) < n <= t} f(n)|^2, one value per trial.
-
-    f is an ArithFn (a float comes back) or an array whose last axis holds the
-    values of each trial; the sum is translation invariant, so no start is needed."""
-    values = _trials(f)
-    require_gallagher(values.shape[-1], delta)
+def gallagher_rhs(values: np.ndarray, delta: float) -> np.ndarray:
+    """Delta^{-2} sum_t |sum_{t - floor(Delta/2) < n <= t} f(n)|^2 for a block of trials,
+    whose values lie on the last axis, one value per trial; the sum is translation
+    invariant, so no start is needed."""
+    require_gallagher(values.shape[-1], delta, math.prod(values.shape[:-1]))
     sums = _window_sums(values, int(delta / 2))
-    out = np.sum(np.square(sums, out=sums), axis=-1) / delta**2
-    return float(out) if out.ndim == 0 else out
+    return np.sum(np.square(sums, out=sums), axis=-1) / delta**2
 
 
-def gallagher_lhs(f, delta: float):
-    """integral_{-1/Delta}^{1/Delta} |f-hat(beta)|^2 d beta by trapezoid quadrature, one value per trial.
+def gallagher_lhs(values: np.ndarray, delta: float) -> np.ndarray:
+    """integral_{-1/Delta}^{1/Delta} |f-hat(beta)|^2 d beta by trapezoid quadrature for a
+    block of trials, whose values lie on the last axis, one value per trial.
 
     The rule is the trapezoid on the grid k/M, M = spectrum_size(span)
     (8 samples per 1/span), over |k| <= k_hi = floor(M/Delta), plus the slivers
     between the outermost grid points and +-1/Delta.  It is linear in |f-hat|^2,
     so it is read as sum_h c(h) A(h) off the autocorrelation A of f (see
     _gallagher_weights), through one real transform of transform_size(2 span - 1)
-    points instead of M, long enough that the autocorrelation does not wrap.
-    f is an ArithFn (a float comes back) or an array whose last axis holds the
-    values of each trial, transformed all at once.
+    points instead of M, long enough that the autocorrelation does not wrap; the
+    block is transformed all at once.
     """
-    values = _trials(f)
     span = values.shape[-1]
-    require_gallagher(span, delta)
+    require_gallagher(span, delta, math.prod(values.shape[:-1]))
     weights = _gallagher_weights(span, float(delta))
     spec = np.abs(np.fft.rfft(values, transform_size(2 * span - 1), axis=-1))
     spec **= 2
     # each interior bin of the half spectrum stands for bins k and n - k; einsum, not
     # np.dot, as OpenBLAS's threads cost more than a sum of this length
-    out = 2.0 * np.einsum("...i,i->...", spec, weights) - spec[..., 0] * weights[0] - spec[..., -1] * weights[-1]
-    return float(out) if out.ndim == 0 else out
+    return 2.0 * np.einsum("...i,i->...", spec, weights) - spec[..., 0] * weights[0] - spec[..., -1] * weights[-1]
 
 
 @lru_cache(maxsize=8)
@@ -424,83 +411,76 @@ def closeness_integral(
 
 
 @dataclass(frozen=True)
-class SweepRow:
-    params: dict
-    actual: complex
-    predicted: complex
-    budget: float
-
-    @property
-    def error(self) -> float:
-        return abs(self.actual - self.predicted)
-
-    @property
-    def ratio(self) -> float:
-        return self.error / self.budget
-
-
-@dataclass(frozen=True)
 class SweepReport:
-    rows: tuple
+    """A short-sum sweep: the parameter columns of its points, in the order of its
+    tables, beside the arrays of the model's actual sum, predicted main term and
+    error budget at each point."""
+
+    columns: dict
+    actual: np.ndarray
+    predicted: np.ndarray
+    budget: np.ndarray
+
+    @property
+    def error(self) -> np.ndarray:
+        gap = self.actual - self.predicted
+        return np.hypot(gap.real, gap.imag)  # |gap| as Python's abs(complex) rounds it; np.abs may not
+
+    @property
+    def ratio(self) -> np.ndarray:
+        return self.error / self.budget
 
     @property
     def max_ratio(self) -> float:
-        return max((row.ratio for row in self.rows), default=0.0)
+        return float(self.ratio.max())
 
     def summary(self) -> dict:
-        """The count, the max ratio and the parameters of the first row that attains it (twin
+        """The count, the max ratio and the parameters of the first point that attains it (twin
         twists r and q' - r tie exactly, and the sweeps list the smaller r first)."""
-        worst = max(self.rows, key=lambda r: r.ratio, default=None)
-        return {"points": len(self.rows), "max_ratio": self.max_ratio, "worst_params": worst.params if worst else None}
+        worst = int(np.argmax(self.ratio))
+        return {"points": len(self.budget), "max_ratio": self.max_ratio,
+                "worst_params": {key: column[worst] for key, column in self.columns.items()}}
 
 
-def verify_short_sums(short_sum: Callable, sweep: Iterable[tuple[object, dict]]) -> SweepReport:
-    """Run a short-sum check over (model, point) pairs, one call per model:
-    short_sum(t, h_prime, model, r=, q_twist=) takes the arrays of its points'
-    parameters and gives the arrays (actual, predicted, budget), and each row
-    carries its point's parameters, in the order of the sweep."""
-    sweep = list(sweep)
-    groups: dict = {}
-    for i, (model, _) in enumerate(sweep):
-        groups.setdefault(model, []).append(i)
-    rows: list = [None] * len(sweep)
-    for model, at in groups.items():
-        points = [sweep[i][1] for i in at]
-        t, h_prime, r, q_twist = ([point[key] for point in points] for key in ("t", "h_prime", "r", "q_twist"))
-        results = short_sum(np.array(t, dtype=object), np.array(h_prime, dtype=np.float64), model,
-                            r=np.array(r), q_twist=np.array(q_twist))
-        for i, point, actual, predicted, budget in zip(at, points, *results):
-            rows[i] = SweepRow(point, complex(actual), complex(predicted), float(budget))
-    return SweepReport(rows=tuple(rows))
+def verify_short_sums(short_sum: Callable, tables: Iterable[tuple[object, dict]]) -> SweepReport:
+    """Run a short-sum check over column tables (model, columns), one call per table:
+    short_sum(t, h_prime, model, r=, q_twist=) takes the arrays of the columns t,
+    h_prime, r and q_twist and gives the arrays (actual, predicted, budget).  The
+    report joins the tables' columns and results in the order of the tables."""
+    tables = list(tables)
+    results = [short_sum(np.array(columns["t"], dtype=object), np.array(columns["h_prime"], dtype=np.float64),
+                         model, r=np.array(columns["r"]), q_twist=np.array(columns["q_twist"]))
+               for model, columns in tables]
+    columns = {key: [value for _, table in tables for value in table[key]] for key in tables[0][1]}
+    return SweepReport(columns, *(np.concatenate(parts) for parts in zip(*results)))
 
 
 # -- default sweep grids (deterministic) -----------------------------------
 
 
-def _sweep(scale: str, h_primes: tuple[float, float, float], cases: list[tuple]) -> list[tuple[object, dict]]:
-    """(model, point) pairs: each case (model, q', r, fields) at t = 100003, 500009
-    and the first two H' of h_primes at scale small, at t = 1000003 and all three
-    H' as well at scale medium; cases outermost, then t, then H'."""
+def _sweep(scale: str, h_primes: tuple[float, float, float], model, twists: list[tuple[int, int]],
+           fields: dict) -> tuple[object, dict]:
+    """The column table (model, {"t", "h_prime", "r", "q_twist", **fields}) of each twist
+    (q', r) at t = 100003, 500009 and the first two H' of h_primes at scale small, at
+    t = 1000003 and all three H' as well at scale medium; twists outermost, then t,
+    then H'; each field is a column of one value."""
     if scale not in ("small", "medium"):
         raise DomainError(f"unknown sweep scale {scale!r}")
     n = 2 if scale == "small" else 3
-    return [
-        (model, {"t": t, "h_prime": h_prime, "r": r, "q_twist": q_twist, **fields})
-        for (model, q_twist, r, fields), t, h_prime in itertools.product(
-            cases, (100_003, 500_009, 1_000_003)[:n], h_primes[:n]
-        )
-    ]
+    points = list(itertools.product(twists, (100_003, 500_009, 1_000_003)[:n], h_primes[:n]))
+    columns = {"t": [t for _, t, _ in points], "h_prime": [h for _, _, h in points],
+               "r": [r for (_, r), _, _ in points], "q_twist": [q for (q, _), _, _ in points]}
+    return model, {**columns, **{key: [value] * len(points) for key, value in fields.items()}}
 
 
 def default_lambda_q_sweep(big_q: int = 10, scale: str = "small") -> tuple[Callable, list[tuple[int, dict]]]:
-    """lambda_q_short_sum and >= 100 (Q, point) pairs exercising both twist branches of its check.
-    At most 3 twists per q <= Q and 8 beyond, each at up to 9 points, are met against the cap first."""
+    """lambda_q_short_sum and one column table of Q: >= 100 points exercising both twist branches of
+    its check.  At most 3 twists per q <= Q and 8 beyond, each at up to 9 points, are met against the cap first."""
     require_memory(f"the short-sum sweep at Q = {big_q}", POINT_BYTES * 9 * (3 * big_q + 8))
     twists = [(q, r) for q in range(1, big_q + 1)
               for r in ([0] if q == 1 else sorted({1, q - 1, _smallest_coprime(q, 2)}))]
     twists += [(q, r) for q in (big_q + 1, big_q + 3, 2 * big_q + 3, 97) for r in (1, q - 1)]
-    cases = [(big_q, q_twist, r, {"big_q": big_q}) for q_twist, r in twists]
-    return lambda_q_short_sum, _sweep(scale, (997.0, 10_000.0, 50_000.0), cases)
+    return lambda_q_short_sum, [_sweep(scale, (997.0, 10_000.0, 50_000.0), big_q, twists, {"big_q": big_q})]
 
 
 def _smallest_coprime(q: int, start: int) -> int:
@@ -511,18 +491,19 @@ def _smallest_coprime(q: int, start: int) -> int:
 
 
 def default_sieve_sweep(scale: str = "small") -> tuple[Callable, list[tuple[SieveSystem, dict]]]:
-    """sieve_short_sum and its (sieve, point) pairs: systems in the regime log D / log z >= beta + 1
-    plus both twist branches; each point names its system's beta, level and sift."""
+    """sieve_short_sum and a column table per system: systems in the regime log D / log z >= beta + 1
+    plus both twist branches; each table names its system's beta, level and sift."""
     systems = [
         beta_sieve_weights(10_000.0, 10.0, beta=3),  # untruncated at this level
         beta_sieve_weights(10_000.0, 12.0, beta=2),
         beta_sieve_weights(3_000.0, 30.0, beta=1),  # genuinely truncated
     ]
-    cases = []
+    tables = []
     for sieve in systems:
-        system = {"beta": sieve.beta, "level": sieve.level, "sift": sieve.sift}
         z = int(sieve.sift)
         small_q = [q for q in (1, 2, 3, 5, 7, 11, 13, 25) if q <= z]
         large_q = [q for q in (11, 13, 37, 101, 211) if q > z][:3]
-        cases += [(sieve, q, r, system) for q in small_q + large_q for r in ([0] if q == 1 else sorted({1, q - 1}))]
-    return sieve_short_sum, _sweep(scale, (2_000.0, 10_000.0, 30_000.0), cases)
+        twists = [(q, r) for q in small_q + large_q for r in ([0] if q == 1 else sorted({1, q - 1}))]
+        system = {"beta": sieve.beta, "level": sieve.level, "sift": sieve.sift}
+        tables.append(_sweep(scale, (2_000.0, 10_000.0, 30_000.0), sieve, twists, system))
+    return sieve_short_sum, tables

@@ -33,8 +33,10 @@ A SieveSystem holds the admitted d and lambda_d beside them as two read-only
 arrays, the d int64 while floor(D) < 2^62 and Python ints beyond, so every d is
 exact.  `beta_sieve_weights` builds them one prime position at a time: each d
 of position m - 1 takes a prime p below its smallest one, at an odd position m
-only if p^(beta+1) <= floor(D) // d.  It counts each position before it stores
-it, so the cap refuses a position that would pass it before it is built.
+only if p^(beta+1) <= floor(D) // d.  Before it stores a position it meets the
+weights stored, and at the least the next position or the 2^top - 1 extensions
+under each d whose every extension is admitted, against the cap: a sieve that
+must pass it is refused once that lower bound does, one that fits never.
 """
 
 from __future__ import annotations
@@ -237,7 +239,6 @@ def _mod(x: np.ndarray, q: int) -> np.ndarray:
     return x - (x // q) * q
 
 
-@lru_cache(maxsize=1)
 def _half_roots(q: int) -> np.ndarray:
     """e(j / 2q) for 0 <= j < 2q."""
     return np.exp((np.pi * 1j / q) * np.arange(2 * q))
@@ -299,14 +300,27 @@ def beta_sieve_weights(level: float, sift: float, beta: int = 10) -> SieveSystem
     primes = cached_primes(int(sift)).astype(dtype)  # ascending
     # p^(beta+1), capped at floor(D) + 1 so that it fits wherever D does
     powers = np.array([min(p ** (beta + 1), d_floor + 1) for p in primes.tolist()], dtype=dtype)
+    # limits[t, k] = floor(D) // U, U the largest p_1 ... p_i * p_i^beta over the chains of i = k mod 2 primes
+    # of primes[:t] (1 for none), capped at floor(D) + 1: the i largest maximize every factor, as in
+    # untruncated_level, and they are primes[t - 1] before the i - 1 largest of primes[:t - 1]
+    limits, odd, even = np.zeros((len(primes) + 1, 2), dtype), 1, 1
+    for t, (p, power) in enumerate(zip([1, *primes.tolist()], [1, *powers.tolist()])):
+        odd, even = min(max(power, p * even), d_floor + 1), min(p * odd, d_floor + 1) if t > 1 else 1
+        if min(odd, even) > d_floor:  # and so at every larger t, where no d >= 1 is whole
+            break
+        limits[t] = d_floor // even, d_floor // odd
     # the d of each position; each d of the last one may take primes[:top], the primes below its smallest
     positions, top, total = [np.ones(1, dtype)], np.array([len(primes)]), 1
     while len(top):
         d = positions[-1]
         counts = np.minimum(top, np.searchsorted(powers, d_floor // d, side="right")) if len(positions) % 2 else top
         size = int(counts.sum())
+        # the weights there will be at the least: those stored, and the next position or the 2^top - 1
+        # extensions of each d that reaches the odd positions by i = k mod 2 more primes, when d <= limits[top, k]
+        whole = np.bincount(top[d <= limits[top, len(positions) % 2]]).tolist()
+        ahead = max(size, sum(count * ((1 << t) - 1) for t, count in enumerate(whole)))
+        require_memory(f"the sieve weights at D = {level:g}, z = {sift:g}", weight_bytes * (total + ahead))
         total += size
-        require_memory(f"the sieve weights at D = {level:g}, z = {sift:g}", weight_bytes * total)
         top = np.arange(size) - np.repeat(np.cumsum(counts) - counts, counts)
         positions.append(np.repeat(d, counts) * primes[top])
     signs = np.repeat((-1) ** np.arange(len(positions)), [len(d) for d in positions])  # mu(d) = (-1)^position

@@ -1,3 +1,4 @@
+import csv
 import ctypes
 import json
 import math
@@ -8,7 +9,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from cmlab import arithfn, closeness, errors
+from cmlab import arithfn, cli, closeness, errors
 from cmlab.arithfn import ArithFn, spectrum_classes, subtract, transform_size
 from cmlab.cli import main
 from cmlab.closeness import (
@@ -26,7 +27,7 @@ from cmlab.closeness import (
     verify_short_sums,
 )
 from cmlab.errors import CapacityError, DomainError
-from cmlab.models import lambda_q_short_sum, sieve_short_sum
+from cmlab.models import beta_sieve_weights, lambda_q_short_sum, sieve_short_sum
 from conftest import measure_cli, skip_without_proc
 from oracles import containment_radius, contains, spot_probe_loop
 
@@ -106,23 +107,22 @@ class TestGallagher:
     def test_point_mass_closed_form(self):
         values = np.zeros(10_000)
         values[2500] = 1.0
-        f = ArithFn(5_000, values)
         delta = 50.0
-        lhs = gallagher_lhs(f, delta)
-        rhs = gallagher_rhs(f, delta)
+        lhs = gallagher_lhs(values, delta)
+        rhs = gallagher_rhs(values, delta)
         assert lhs == pytest.approx(2 / delta, rel=1e-12)  # |f-hat| = 1 everywhere
         assert rhs == pytest.approx(int(delta / 2) / delta**2, rel=1e-12)
         assert lhs / rhs == pytest.approx(4.0, rel=1e-9)
 
     def test_zero_function(self):
-        f = ArithFn(0, np.zeros(100))
-        assert gallagher_lhs(f, 10.0) == 0.0
-        assert gallagher_rhs(f, 10.0) == 0.0
+        values = np.zeros(100)
+        assert gallagher_lhs(values, 10.0) == 0.0
+        assert gallagher_rhs(values, 10.0) == 0.0
 
     def test_random_ratio_bounded(self, rng):
         for _ in range(20):
-            f = ArithFn(10_000, rng.choice([-1.0, 1.0], size=10_000))
-            ratio = gallagher_lhs(f, 50.0) / gallagher_rhs(f, 50.0)
+            values = rng.choice([-1.0, 1.0], size=10_000)
+            ratio = gallagher_lhs(values, 50.0) / gallagher_rhs(values, 50.0)
             assert ratio <= 20.0
 
     def test_lhs_against_dense_quadrature(self):
@@ -149,7 +149,7 @@ class TestGallagher:
             curvature = (2 * np.pi) ** 2 * np.sum(lags**2 * np.abs(np.correlate(vals, vals, "full")))
             bound = (2 / delta) / 12 * curvature * (1 / spectrum_size(span) ** 2 + (grid[1] - grid[0]) ** 2)
             assert bound < 1e-2 * oracle
-            assert abs(gallagher_lhs(ArithFn(10, vals), delta) - oracle) <= bound
+            assert abs(gallagher_lhs(vals, delta) - oracle) <= bound
 
     @pytest.mark.parametrize("span", [64, 1000, 10_000])
     def test_lhs_equals_full_grid_trapezoid(self, rng, span):
@@ -167,7 +167,7 @@ class TestGallagher:
             if not 2 < delta < span / 2:
                 continue
             f = ArithFn(17, rng.normal(size=span))
-            assert gallagher_lhs(f, delta) == pytest.approx(trapezoid(f, delta), rel=1e-12)
+            assert gallagher_lhs(f.values, delta) == pytest.approx(trapezoid(f, delta), rel=1e-12)
 
     def test_lhs_reads_its_weights_outside_blas(self, rng, monkeypatch):
         # np.dot of 10,241 floats goes through OpenBLAS, whose threads cost
@@ -181,14 +181,13 @@ class TestGallagher:
             raise AssertionError("np.dot called")
 
         monkeypatch.setattr(np, "dot", refuse)
-        assert gallagher_lhs(f, 50.0) == pytest.approx(dot, rel=1e-12)
+        assert gallagher_lhs(f.values, 50.0) == pytest.approx(dot, rel=1e-12)
 
     @pytest.mark.parametrize("span", [2_000, 4_097, 10_000])
-    def test_block_equals_one_trial_at_a_time(self, span):
-        # a block of rows draws what as many draws of one row each do, and gives each
-        # row the ratio the row alone gets; two blocks and a short one
-        rows = closeness.require_gallagher(span, 50.0, 10**6)
-        assert rows == max(1, closeness.GALLAGHER_BLOCK // span)
+    def test_block_equals_one_trial_at_a_time(self, span, tmp_path, monkeypatch):
+        # a block of rows, as many as the cli draws at once, draws what as many draws of one
+        # row each do, and gives each row the ratio the row alone gets; two blocks and a short one
+        rows = max(1, closeness.GALLAGHER_BLOCK // span)
         trials = 2 * rows + 1
         block_rng, one_rng = np.random.default_rng(3), np.random.default_rng(3)
         blocks = [block_rng.choice([-1.0, 1.0], size=(min(rows, trials - done), span))
@@ -199,10 +198,23 @@ class TestGallagher:
         lhs = np.concatenate([gallagher_lhs(block, 50.0) for block in blocks])
         rhs = np.concatenate([gallagher_rhs(block, 50.0) for block in blocks])
         for i, values in enumerate(singles):
-            f = ArithFn(10_000, values)
-            assert lhs[i] == pytest.approx(gallagher_lhs(f, 50.0), rel=1e-12)
-            assert rhs[i] == gallagher_rhs(f, 50.0)  # exact cumsum window sums
-            assert lhs[i] / rhs[i] == pytest.approx(gallagher_lhs(f, 50.0) / gallagher_rhs(f, 50.0), rel=1e-12)
+            assert lhs[i] == pytest.approx(gallagher_lhs(values, 50.0), rel=1e-12)
+            assert rhs[i] == gallagher_rhs(values, 50.0)  # exact cumsum window sums
+            assert lhs[i] / rhs[i] == pytest.approx(gallagher_lhs(values, 50.0) / gallagher_rhs(values, 50.0),
+                                                    rel=1e-12)
+        # the cli draws and sums the same blocks at seed 3
+        shapes = []
+
+        def recorded(values, delta):
+            shapes.append(values.shape)
+            return gallagher_lhs(values, delta)
+
+        monkeypatch.setattr(cli, "gallagher_lhs", recorded)
+        assert main(["--out", str(tmp_path), "--seed", "3", "verify", "gallagher",
+                     "--span", str(span), "--trials", str(trials)]) == 0
+        assert shapes == [block.shape for block in blocks]
+        written = (tmp_path / "gallagher-ratios.csv").read_text().splitlines()[-trials:]
+        assert written == [f"{i},{ratio:.10g}" for i, ratio in enumerate((lhs / rhs).tolist())]
 
     def test_rhs_point_mass_window_membership(self):
         # windows (t - w, t] with w = floor(13.7 / 2) = 6: a unit mass lies in w
@@ -210,12 +222,12 @@ class TestGallagher:
         delta, w = 13.7, 6
         single = np.zeros(100)
         single[49] = 1.0  # n = 50 on a support starting at 1
-        assert gallagher_rhs(ArithFn(1, single), delta) == w / delta**2
+        assert gallagher_rhs(single, delta) == w / delta**2
         for d in range(1, 9):
             pair = single.copy()
             pair[49 + d] = 1.0
             shared = max(0, w - d)
-            assert gallagher_rhs(ArithFn(1, pair), delta) == pytest.approx((2 * w + 2 * shared) / delta**2, rel=1e-15)
+            assert gallagher_rhs(pair, delta) == pytest.approx((2 * w + 2 * shared) / delta**2, rel=1e-15)
 
     def test_rhs_against_double_loop(self, rng):
         # non-integer Delta on an offset support; t over every window meeting it
@@ -226,14 +238,27 @@ class TestGallagher:
         for t in range(17, 17 + 300 + width):
             total += sum(f(n) for n in range(t - width + 1, t + 1)) ** 2
         assert total > 0
-        assert gallagher_rhs(f, delta) == pytest.approx(total / delta**2, rel=1e-12)
+        assert gallagher_rhs(f.values, delta) == pytest.approx(total / delta**2, rel=1e-12)
 
     def test_domain(self):
-        f = ArithFn(0, np.ones(100))
+        values = np.ones(100)
         with pytest.raises(DomainError):
-            gallagher_rhs(f, 2.0)
+            gallagher_rhs(values, 2.0)
         with pytest.raises(DomainError):
-            gallagher_lhs(f, 60.0)
+            gallagher_lhs(values, 60.0)
+
+    @pytest.mark.parametrize("sums", [gallagher_lhs, gallagher_rhs], ids=lambda fn: fn.__name__)
+    def test_block_is_checked_at_its_number_of_trials(self, monkeypatch, sums):
+        # the cap between the bytes of one trial and of two: a block of two trials is
+        # refused before it is transformed, a block of one and a lone trial are not
+        span = 2_000
+        one = closeness.DRAW_BYTES * span + closeness.TRIAL_SPECTRUM_BYTES * transform_size(2 * span - 1)
+        values = np.random.default_rng(5).choice([-1.0, 1.0], size=(2, span))
+        monkeypatch.setattr(errors, "MEMORY_CAP", one + one // 2)
+        with pytest.raises(CapacityError, match=f"a block of 2 Gallagher trials over a span of 2000 needs {2 * one} "):
+            sums(values, 50.0)
+        assert sums(values[:1], 50.0).shape == (1,)
+        assert sums(values[0], 50.0) == sums(values[:1], 50.0)[0]
 
 
 class TestClosenessGrid:
@@ -368,53 +393,61 @@ class TestClosenessIntegral:
 class TestSweeps:
     def test_singleton_trivial_twist_is_exact(self):
         report = verify_short_sums(
-            lambda_q_short_sum, [(1, {"t": 5000, "h_prime": 1000.0, "big_q": 1, "r": 0, "q_twist": 1})]
+            lambda_q_short_sum, [(1, {"t": [5000], "h_prime": [1000.0], "big_q": [1], "r": [0], "q_twist": [1]})]
         )
         assert report.max_ratio == 0.0
 
     def test_default_lambda_q_sweep(self):
-        short_sum, sweep = default_lambda_q_sweep(10, "small")
-        assert short_sum is lambda_q_short_sum and len(sweep) >= 100
-        assert all(big_q == point["big_q"] == 10 for big_q, point in sweep)
-        report = verify_short_sums(short_sum, sweep)
+        short_sum, tables = default_lambda_q_sweep(10, "small")
+        [(big_q, columns)] = tables
+        assert short_sum is lambda_q_short_sum and len(columns["t"]) >= 100
+        assert big_q == 10 and set(columns["big_q"]) == {10}
+        assert {len(column) for column in columns.values()} == {len(columns["t"])}
+        report = verify_short_sums(short_sum, tables)
         assert report.max_ratio <= 4.0
 
     def test_default_sieve_sweep(self):
-        short_sum, sweep = default_sieve_sweep("small")
-        assert short_sum is sieve_short_sum and len(sweep) >= 100
-        assert all((point["beta"], point["level"], point["sift"]) == (s.beta, s.level, s.sift) for s, point in sweep)
-        report = verify_short_sums(short_sum, sweep)
+        short_sum, tables = default_sieve_sweep("small")
+        assert short_sum is sieve_short_sum and sum(len(columns["t"]) for _, columns in tables) >= 100
+        for s, columns in tables:
+            assert {len(column) for column in columns.values()} == {len(columns["t"])}
+            assert set(zip(columns["beta"], columns["level"], columns["sift"])) == {(s.beta, s.level, s.sift)}
+        report = verify_short_sums(short_sum, tables)
         assert report.max_ratio <= 4.0
 
     def test_runner_calls_the_short_sum_at_each_point(self):
-        # one call per model with the arrays of its points, and each row is what short_sum
-        # returned at its point, under the point's parameters, in the order of the sweep
+        # one call per table with the arrays of its columns, and each row is what short_sum
+        # returned at its point, under the point's parameters, in the order of the tables
         calls = []
 
         def short_sum(t, h_prime, model, r, q_twist):
             calls.append((t.tolist(), h_prime.tolist(), model, r.tolist(), q_twist.tolist()))
             return np.array(t, dtype=float) + 4j, np.zeros(len(t), dtype=complex), np.full(len(t), 2.0)
 
-        points = [{"t": t, "h_prime": 5.0, "r": 1, "q_twist": 3, "tag": t} for t in (3, 10, 4)]
-        report = verify_short_sums(short_sum, [("a", points[0]), ("b", points[1]), ("a", points[2])])
+        tables = [("a", {"t": [3, 4], "h_prime": [5.0, 5.0], "r": [1, 1], "q_twist": [3, 3], "tag": [3, 4]}),
+                  ("b", {"t": [10], "h_prime": [5.0], "r": [1], "q_twist": [3], "tag": [10]})]
+        report = verify_short_sums(short_sum, tables)
         assert calls == [([3, 4], [5.0, 5.0], "a", [1, 1], [3, 3]), ([10], [5.0], "b", [1], [3])]
-        assert [row.params for row in report.rows] == points
-        assert [row.actual for row in report.rows] == [3 + 4j, 10 + 4j, 4 + 4j]
+        assert report.columns == {"t": [3, 4, 10], "h_prime": [5.0] * 3, "r": [1] * 3, "q_twist": [3] * 3,
+                                  "tag": [3, 4, 10]}
+        assert report.actual.tolist() == [3 + 4j, 4 + 4j, 10 + 4j]
         assert report.max_ratio == abs(10 + 4j) / 2.0
-        assert report.summary() == {"points": 3, "max_ratio": report.max_ratio, "worst_params": points[1]}
+        assert report.summary() == {"points": 3, "max_ratio": report.max_ratio,
+                                    "worst_params": {"t": 10, "h_prime": 5.0, "r": 1, "q_twist": 3, "tag": 10}}
 
     def test_twins_are_conjugates_and_the_worst_names_the_smaller_r(self):
         # the twists r and q' - r of a real model give conjugate sums, equal ratios,
         # and the summary names the first of the tied rows, the smaller r
         for big_q, twins in ((10, 48), (30, 128)):
             report = verify_short_sums(*default_lambda_q_sweep(big_q, "small"))
-            rows = {tuple(row.params[k] for k in ("t", "h_prime", "r", "q_twist")): row for row in report.rows}
-            pairs = [(row, rows[t, h, q - r, q]) for (t, h, r, q), row in rows.items() if 2 * r > q]
+            ratio = report.ratio
+            at = {key: i for i, key in enumerate(zip(*(report.columns[k] for k in ("t", "h_prime", "r", "q_twist"))))}
+            pairs = [(i, at[t, h, q - r, q]) for (t, h, r, q), i in at.items() if 2 * r > q]
             assert len(pairs) == twins
-            assert all(row.actual == other.actual.conjugate() and row.ratio == other.ratio for row, other in pairs)
+            assert all(report.actual[i] == report.actual[j].conjugate() and ratio[i] == ratio[j] for i, j in pairs)
             worst = report.summary()["worst_params"]
             assert 2 * worst["r"] <= worst["q_twist"]
-            assert [row.ratio for row in report.rows].count(report.max_ratio) == 1 + (2 * worst["r"] < worst["q_twist"])
+            assert ratio.tolist().count(report.max_ratio) == 1 + (2 * worst["r"] < worst["q_twist"])
 
     def test_csv_emission(self, tmp_path):
         # the cli writes the sweep's table: the exact header, then one row per point
@@ -426,6 +459,32 @@ class TestSweeps:
         summary = json.loads((tmp_path / "verify-lambda_q_short-summary.json").read_text())
         assert len(rows) == 1 + summary["report"]["points"]
         assert max(float(row[-1]) for row in rows[1:]) == pytest.approx(summary["report"]["max_ratio"], rel=1e-9)
+
+    @pytest.mark.parametrize("argv, name", [
+        (["lambda_q_short", "--Q", "10", "--grid", "small"], "lambda-q-short-sums.csv"),
+        (["sieve_short", "--grid", "small"], "sieve-short-sums.csv"),
+    ], ids=lambda value: value if isinstance(value, str) else None)
+    def test_csv_rows_are_the_scalar_sums_at_their_parameters(self, tmp_path, argv, name):
+        # every row the cli writes, read back: the short sum called at that row's
+        # parameters alone prints the row's six figures
+        assert main(["--out", str(tmp_path), "verify", *argv]) == 0
+        lines = [line for line in (tmp_path / name).read_text().splitlines() if not line.startswith("#")]
+        rows = list(csv.DictReader(lines))
+        assert len(rows) >= 100
+        sieves: dict = {}
+        for row in rows:
+            t, h, r, q = int(row["t"]), float(row["h_prime"]), int(row["r"]), int(row["q_twist"])
+            if "big_q" in row:
+                actual, predicted, budget = lambda_q_short_sum(t, h, int(row["big_q"]), r=r, q_twist=q)
+            else:
+                system = (float(row["level"]), float(row["sift"]), int(row["beta"]))
+                if system not in sieves:
+                    sieves[system] = beta_sieve_weights(*system)
+                actual, predicted, budget = sieve_short_sum(t, h, sieves[system], r=r, q_twist=q)
+            error = abs(actual - predicted)
+            expected = (actual.real, actual.imag, predicted.real, error, budget, error / budget)
+            assert [row[key] for key in ("actual_re", "actual_im", "predicted_re", "error", "budget", "ratio")] == [
+                f"{v:.10g}" for v in expected], row
 
 
 class TestEstimatorAgainstExhaustiveGrid:

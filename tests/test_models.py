@@ -21,6 +21,7 @@ from cmlab.models import (
     untruncated_level,
 )
 import oracles
+from conftest import measure_cli, skip_without_proc
 from oracles import euler_phi, lambda_q_direct, mobius
 
 
@@ -168,32 +169,29 @@ def test_default_sweeps_sum_from_the_divisor_side(monkeypatch):
 
     monkeypatch.setattr(models, "lambda_q_window", refuse)
     monkeypatch.setattr(SieveSystem, "theta_window", refuse)
-    for short_sum, sweep in (default_lambda_q_sweep(10, "small"), default_sieve_sweep("small")):
-        for model, point in sweep:
-            short_sum(point["t"], point["h_prime"], model, r=point["r"], q_twist=point["q_twist"])
+    for short_sum, tables in (default_lambda_q_sweep(10, "small"), default_sieve_sweep("small")):
+        for model, columns in tables:
+            for t, h, r, q in zip(*(columns[key] for key in ("t", "h_prime", "r", "q_twist"))):
+                short_sum(t, h, model, r=r, q_twist=q)
 
 
 @pytest.mark.parametrize("budget", [models.POINT_VALUES, 20])
 def test_broadcast_equals_the_scalar_call_at_every_point(monkeypatch, budget):
-    # one call per model with arrays of points gives, at each point, what the call at
+    # one call per table with the arrays of its points gives, at each point, what the call at
     # that point alone gives; a budget of 20 values holds 2 points of Lambda_Q at Q = 10
-    # (7 weights) and at most one of a sieve, so blocks end inside each model and
+    # (7 weights) and at most one of a sieve, so blocks end inside each table and
     # between twins; the extra points are past 2^63 and at both twist branches
     monkeypatch.setattr(models, "POINT_VALUES", budget)
     big = 1 << 63
-    extra = [(10, {"t": t, "h_prime": h, "r": r, "q_twist": q})
-             for t in (big - 5, big + 999, 3 * big) for h in (100.0, 1000.5)
-             for q, r in ((1, 0), (7, 3), (7, 4), (97, 1), (97, 96))]
-    for short_sum, sweep in (default_lambda_q_sweep(10, "medium"), default_sieve_sweep("medium"),
-                             (lambda_q_short_sum, extra)):
-        by_model: dict = {}
-        for model, point in sweep:
-            by_model.setdefault(model, []).append(point)
-        for model, points in by_model.items():
-            t, h, r, q = ([point[key] for point in points] for key in ("t", "h_prime", "r", "q_twist"))
+    extra = list(zip(*((t, h, r, q) for t in (big - 5, big + 999, 3 * big) for h in (100.0, 1000.5)
+                       for q, r in ((1, 0), (7, 3), (7, 4), (97, 1), (97, 96)))))
+    for short_sum, tables in (default_lambda_q_sweep(10, "medium"), default_sieve_sweep("medium"),
+                              (lambda_q_short_sum, [(10, dict(zip(("t", "h_prime", "r", "q_twist"), extra)))])):
+        for model, columns in tables:
+            t, h, r, q = (columns[key] for key in ("t", "h_prime", "r", "q_twist"))
             got = short_sum(np.array(t, dtype=object), np.array(h), model, r=np.array(r), q_twist=np.array(q))
-            for i, point in enumerate(points):
-                one = short_sum(point["t"], point["h_prime"], model, r=point["r"], q_twist=point["q_twist"])
+            for i, point in enumerate(zip(t, h, r, q)):
+                one = short_sum(point[0], point[1], model, r=point[2], q_twist=point[3])
                 assert (complex(got[0][i]), complex(got[1][i]), float(got[2][i])) == one, point
 
 
@@ -312,6 +310,35 @@ class TestBetaSieve:
         monkeypatch.setattr(errors, "MEMORY_CAP", estimate - 1)
         with pytest.raises(CapacityError, match=f"needs {estimate} bytes"):
             beta_sieve_weights(3_000.0, 30.0, beta=1)
+
+    @pytest.mark.parametrize("sift", [2.0, 3.0, 10.0, 12.0, 30.0])
+    @pytest.mark.parametrize("beta", [1, 2, 3, 10])
+    def test_cap_at_the_weights_builds_them(self, monkeypatch, sift, beta):
+        # the cap refuses once the weights stored and a lower bound on those to come pass it, so a
+        # cap that holds exactly the sieve's weights builds them, and one byte less refuses that count
+        top = float(untruncated_level(sift, beta))
+        for level in (sift, 100.0, 3_000.0, 10_000.0, 1e9, math.nextafter(top, 0), top):
+            if level < sift:
+                continue
+            count = len(beta_sieve_weights(level, sift, beta).weights)
+            estimate = (models.WEIGHT_BYTES + int(level).bit_length() // 7) * count
+            monkeypatch.setattr(errors, "MEMORY_CAP", estimate)
+            assert len(beta_sieve_weights(level, sift, beta).weights) == count
+            monkeypatch.setattr(errors, "MEMORY_CAP", estimate - 1)
+            with pytest.raises(CapacityError, match=f"needs {estimate} bytes"):
+                beta_sieve_weights(level, sift, beta)
+            monkeypatch.undo()
+
+    @skip_without_proc
+    def test_weights_past_the_cap_are_refused_before_the_positions_are_built(self, tmp_path):
+        # z = 100, D = 10^40: more weights than the cap holds, but ten positions of 7.1 million d
+        # fit under it; under each d with every extension admitted its 2^top - 1 extensions are counted
+        # ahead, which passes the cap before the third position is built
+        done = measure_cli(["--out", tmp_path / "out", "model", "--which", "t_nu_plus", "--Y", "1000", "--Q", "100",
+                            "--level", "1e40"])
+        assert done.code == 2 and "the sieve weights at D = 1e+40" in done.stderr
+        assert done.peak_mb - done.base_mb < 50
+        assert not (tmp_path / "out").exists()
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):
