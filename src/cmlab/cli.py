@@ -5,12 +5,12 @@ Subcommands:
   pipeline      run the minorant-transfer chain and emit CSV + JSON reports
   exceptional   exhaustive Goldbach exceptional-set scan E(X, H)
   series        singular-series table (partial sum and Euler product)
-  model         dump a model window (lambda_q / t_nu / t_nu_plus) as text
+  model         dump a model window (lambda_q / t_nu_plus) as text
 
 Parameters resolve in order: defaults < config file (--config, key=value
 lines) < environment (CML_<KEY>) < command-line flags.  Unknown config keys
-are rejected.  Every report embeds the resolved parameter set, and a fixed
-seed makes reruns byte-identical.
+are rejected.  Every report embeds the resolved parameter set, and reruns
+with the same parameters are byte-identical.
 
 Exit codes: 0 all assertions passed, 1 an assertion failed, 2 invalid usage.
 """
@@ -74,9 +74,6 @@ class Param:
     choices: Optional[tuple] = None
 
 
-SEED = Param("seed", "--seed", int, 0)
-
-
 def finite_float(raw) -> float:
     """The type of every float parameter: nan and +-inf raise DomainError, so
     argparse and _cast alike refuse them as invalid usage (exit 2)."""
@@ -88,13 +85,12 @@ def finite_float(raw) -> float:
 
 @dataclass
 class ExperimentSpec:
-    """Resolved invocation: subcommand, typed parameter map, output dir, seed,
-    and the keys set by config, environment or flag rather than by default."""
+    """Resolved invocation: subcommand, typed parameter map, output dir, and the
+    keys set by config, environment or flag rather than by default."""
 
     name: str
     params: dict
     out: Path
-    seed: int
     given: frozenset
 
     def echo(self) -> dict:
@@ -113,7 +109,7 @@ def _cast(param: Param, raw: str):
 
 
 def _resolve(args: argparse.Namespace) -> ExperimentSpec:
-    rows = {param.key: param for param in (*args.table, SEED)}
+    rows = {param.key: param for param in args.table}
     given: dict = {}
     if args.config:
         try:
@@ -144,20 +140,19 @@ def _resolve(args: argparse.Namespace) -> ExperimentSpec:
             params[key] = given[key]
         else:
             params[key] = param.default(params) if callable(param.default) else param.default
-    seed = params.pop("seed")
     out = Path(args.out)
     # the reports go under the nearest existing path, so it must be a directory; checked before any work
     existing = next(path for path in (out, *out.parents) if path.exists())
     if not existing.is_dir():
         raise DomainError(f"cannot write to --out {args.out!r}: {str(existing)!r} is not a directory")
-    return ExperimentSpec(name=args.name, params=params, out=out, seed=seed, given=frozenset(given))
+    return ExperimentSpec(name=args.name, params=params, out=out, given=frozenset(given))
 
 
 def _verdict(spec: ExperimentSpec, checks: list[Check], payload: dict) -> int:
     """Write the JSON summary: the payload, each check and passed, their conjunction.
     The exit code is 1 when a check failed."""
     passed = all(check.passed for check in checks)
-    body = {"subcommand": spec.name, "seed": spec.seed, "params": {k: str(v) for k, v in spec.echo().items()}}
+    body = {"subcommand": spec.name, "params": {k: str(v) for k, v in spec.echo().items()}}
     rows = [{**asdict(check), "margin": check.margin, "passed": check.passed} for check in checks]
     body.update(payload, checks=rows, passed=passed)
     spec.out.mkdir(parents=True, exist_ok=True)
@@ -172,7 +167,7 @@ def _write_report(spec: ExperimentSpec, name: str, write_body: Callable) -> Path
     spec.out.mkdir(parents=True, exist_ok=True)
     path = spec.out / name
     with open(path, "w", newline="") as fh:
-        fh.write(f"# subcommand = {spec.name}\n# seed = {spec.seed}\n")
+        fh.write(f"# subcommand = {spec.name}\n")
         fh.writelines(f"# {key} = {value}\n" for key, value in spec.echo().items())
         write_body(fh)
     return path
@@ -190,7 +185,6 @@ def _write_csv(spec: ExperimentSpec, name: str, columns: tuple, rows: Iterable) 
 
 
 BIG_Q = Param("big_q", "--Q", int, 10)
-C_NU = Param("c_nu", "--c-nu", finite_float, 1.0)
 GRID = Param("grid", "--grid", str, "small", ("small", "medium"))
 
 
@@ -200,6 +194,7 @@ GALLAGHER = (
     Param("delta", "--delta", finite_float, 50.0),
     Param("trials", "--trials", int, 100),
     Param("span", "--span", int, 10_000),
+    Param("seed", "--seed", int, 0),
 )
 
 
@@ -210,7 +205,7 @@ def _cmd_verify_gallagher(spec: ExperimentSpec) -> int:
     require_gallagher(p["span"], p["delta"], 0)  # Delta first, as the block rule divides by the span
     rows = max(1, min(p["trials"], GALLAGHER_BLOCK // p["span"]))  # GALLAGHER_BLOCK values, one trial at the least
     require_gallagher(p["span"], p["delta"], rows)  # the bytes of one block, before anything is drawn
-    rng = np.random.default_rng(spec.seed)
+    rng = np.random.default_rng(p["seed"])
     ratios: list = []
     # a block of rows draws the values of as many draws of one row each; both sums are
     # translation invariant, so the trials need no start
@@ -222,7 +217,7 @@ def _cmd_verify_gallagher(spec: ExperimentSpec) -> int:
     checks = [
         Check("max ratio", worst, constants.GALLAGHER_RATIO_CEILING),
         *regression("max ratio vs baseline", worst, constants.GALLAGHER_RANDOM_BASELINE,
-                    (p["delta"], p["trials"], p["span"], spec.seed), (50.0, 100, 10_000, 7)),
+                    (p["delta"], p["trials"], p["span"], p["seed"]), (50.0, 100, 10_000, 7)),
     ]
     print(f"gallagher: max lhs/rhs ratio {worst:.4f} over {p['trials']} trials (ceiling {constants.GALLAGHER_RATIO_CEILING})")
     return _verdict(spec, checks, {"max_ratio": worst})
@@ -259,7 +254,6 @@ CLOSENESS = (
     Param("y", "--Y", int, 100_000),
     Param("h_exponent", "--h-exponent", finite_float, 0.3),
     BIG_Q,
-    C_NU,
     # accepted and ignored: each Farey arc costs O(width) after one transform,
     # so there is no per-arc work to spread over threads; kept so command lines
     # that pass it (the benchmark workloads pass --workers 1) still parse
@@ -270,7 +264,7 @@ CLOSENESS = (
 def _cmd_verify_closeness(spec: ExperimentSpec) -> int:
     p = spec.params
     y, big_q = p["y"], p["big_q"]
-    h, t_nu, t_plus = closeness_models(y, p["h_exponent"], big_q, p["c_nu"])
+    h, t_nu, t_plus = closeness_models(y, p["h_exponent"], big_q)
     primes_fn = restricted_prime_fn((y, 2 * y))
     ref = l2_norm_sq(primes_fn)
     rep1 = closeness_integral(primes_fn, t_nu, h, reference_norm=ref)
@@ -281,7 +275,7 @@ def _cmd_verify_closeness(spec: ExperimentSpec) -> int:
     theta1, theta2 = float(rep1.theta_effective), float(rep2.theta_effective)
     # the ordering (sieve model at least as close as the raw primes) must hold at any
     # scale; the baselines are pinned at the canonical point
-    point, canonical = (y, p["h_exponent"], big_q, p["c_nu"]), (100_000, 0.3, 10, 1.0)
+    point, canonical = (y, p["h_exponent"], big_q), (100_000, 0.3, 10)
     checks = [
         Check("theta ordering", theta2, theta1),
         *regression("theta_primes_vs_model vs baseline", theta1, constants.THETA_PRIMES_VS_MODEL_BASELINE,
@@ -309,18 +303,14 @@ PIPELINE = (
     Param("y", "--Y", int),
     Param("h", "--H", int),
     BIG_Q,
-    C_NU,
     Param("kappa", "--kappa", finite_float),
-    Param("max_final_fraction", "--max-final-fraction", finite_float, 0.01),
 )
 # the model rows, PipelineConfig's fields: a preset fixes them all, so none may be set alongside it
-PRESET_FIXES = tuple(p.key for p in PIPELINE if p.key not in ("preset", "max_final_fraction"))
+PRESET_FIXES = tuple(p.key for p in PIPELINE if p.key != "preset")
 
 
 def _cmd_pipeline(spec: ExperimentSpec) -> int:
     p = spec.params
-    if not 0 <= p["max_final_fraction"] < 1:  # below 0 every run fails, from 1 on none can
-        raise DomainError(f"max_final_fraction must lie in [0, 1), got {p['max_final_fraction']}")
     if p["preset"] is not None:
         conflicts = [key for key in PRESET_FIXES if key in spec.given]
         if conflicts:
@@ -336,7 +326,7 @@ def _cmd_pipeline(spec: ExperimentSpec) -> int:
     frac = report.final_failure_fraction
     step2, step4 = report.exceptions_step2 / (config.h + 1), report.exceptions_step4 / (config.h + 1)
     checks = [
-        Check("final failure fraction", frac, p["max_final_fraction"]),
+        Check("final failure fraction", frac, constants.PIPELINE_FINAL_FAILURE_FRACTION_CEILING),
         Check("step positivity violations", report.step_positivity_violations, 0),
         Check("minorization violations", report.minorization_violations, 0),
     ]
@@ -390,7 +380,10 @@ def _cmd_series(spec: ExperimentSpec) -> int:
         raise DomainError(f"n_step must be >= 1, got {p['n_step']}")
     if p["n_stop"] < p["n_start"]:
         raise DomainError(f"empty range: n_stop {p['n_stop']} < n_start {p['n_start']}")
-    ns = np.arange(p["n_start"], p["n_stop"] + 1, p["n_step"])
+    if p["n_stop"] >= 2**63:
+        raise DomainError(f"n_stop {p['n_stop']} lies past the int64 range: n must be below 2**63")
+    # Python's range is exact where np.arange is not: it gives float64 once stop + 1 leaves int64
+    ns = np.fromiter(range(p["n_start"], p["n_stop"] + 1, p["n_step"]), np.int64)
     # both columns first: a refused bound or table must stop the run before the file opens
     partial, product = singular_series(ns, p["q_max"]).tolist(), singular_series_product(ns, p["prime_bound"]).tolist()
     rows = [(n, f"{s:.10g}", f"{e:.10g}") for n, s, e in zip(ns.tolist(), partial, product)]
@@ -416,18 +409,17 @@ def _untruncated_level(p: dict) -> Optional[float]:
 
 
 MODEL = (
-    Param("which", "--which", str, "lambda_q", ("lambda_q", "t_nu", "t_nu_plus")),
+    Param("which", "--which", str, "lambda_q", ("lambda_q", "t_nu_plus")),
     Param("y", "--Y", int, 10_000),
     BIG_Q,
-    # lambda_q is unscaled and only t_nu_plus builds a sieve, so the other models
-    # leave these unset and unechoed, and reject them when given (MODEL_UNREAD);
-    # the level defaults to the untruncated one at the resolved beta
-    Param("c_nu", "--c-nu", finite_float, lambda p: 1.0 if p["which"] != "lambda_q" else None),
+    # only t_nu_plus builds a sieve, so lambda_q leaves these unset and unechoed,
+    # and rejects them when given (MODEL_UNREAD); the level defaults to the
+    # untruncated one at the resolved beta
     Param("beta", "--beta", int, lambda p: 10 if p["which"] == "t_nu_plus" else None),
     Param("sift", "--sift", finite_float, lambda p: float(p["big_q"]) if p["which"] == "t_nu_plus" else None),
     Param("level", "--level", finite_float, _untruncated_level),
 )
-MODEL_UNREAD = {"lambda_q": ("c_nu", "beta", "sift", "level"), "t_nu": ("beta", "sift", "level"), "t_nu_plus": ()}
+MODEL_UNREAD = {"lambda_q": ("beta", "sift", "level"), "t_nu_plus": ()}
 
 
 def _cmd_model(spec: ExperimentSpec) -> int:
@@ -438,12 +430,10 @@ def _cmd_model(spec: ExperimentSpec) -> int:
         raise DomainError(f"model {which!r} does not read {', '.join(unread)}")
     if which == "lambda_q":
         fn = model_t_nu(y, big_q)
-    elif which == "t_nu":
-        fn = model_t_nu(y, big_q, p["c_nu"])
     elif big_q < 1:  # t_nu_plus reads Q only as the default of sift, and refuses a bad one all the same
         raise DomainError("Q must be >= 1")
     else:
-        fn = model_t_nu_plus(y, p["sift"], p["c_nu"], p["level"], p["beta"])
+        fn = model_t_nu_plus(y, p["sift"], p["level"], p["beta"])
     path = _write_report(spec, f"model-{which}.txt", lambda fh: write_arithfn(fn, fh))
     print(f"model: wrote {which} window of length {len(fn)} to {path}")
     return _verdict(spec, [], {"file": str(path), "length": len(fn)})
@@ -471,7 +461,6 @@ def build_parser() -> argparse.ArgumentParser:
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--out", default="cmlab-out", help="output directory for reports")
     parser.add_argument("--config", default=None, help="key=value config file")
-    parser.add_argument("--seed", type=int, default=None, help="seed for randomized sweeps")
     sub = parser.add_subparsers(dest="command", required=True)
     verify = sub.add_parser("verify", help="run a verification harness")
     vsub = verify.add_subparsers(dest="harness", required=True)
@@ -485,7 +474,6 @@ def build_parser() -> argparse.ArgumentParser:
         # the top-level value unless the flag actually appears here
         sp.add_argument("--out", default=argparse.SUPPRESS, help=argparse.SUPPRESS)
         sp.add_argument("--config", default=argparse.SUPPRESS, help=argparse.SUPPRESS)
-        sp.add_argument("--seed", type=int, default=argparse.SUPPRESS, help=argparse.SUPPRESS)
         sp.set_defaults(handler=handler, name=name, table=table)
     return parser
 

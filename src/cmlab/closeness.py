@@ -336,13 +336,13 @@ def closeness_grid(span: int, h: float) -> int:
     return spectrum_size(span)
 
 
-def closeness_models(y: int, h_exponent: float, big_q: int, c_nu: float) -> tuple[float, ArithFn, ArithFn]:
+def closeness_models(y: int, h_exponent: float, big_q: int) -> tuple[float, ArithFn, ArithFn]:
     """H = Y^h_exponent and the models T and T+ on (Y, 2Y] that `verify closeness`
     sets against the primes there, with the request checked before they are
-    sieved: the run's bytes against the cap, then Q, Y, c_nu and z = Q as the
+    sieved: the run's bytes against the cap, then Q, Y and z = Q as the
     models are built, then H (one beyond the float range as infinite)."""
     require_memory(f"verify closeness at Y = {y}", closeness_bytes(y))
-    t_nu, t_plus = model_t_nu(y, big_q, c_nu), model_t_nu_plus(y, big_q, c_nu)
+    t_nu, t_plus = model_t_nu(y, big_q), model_t_nu_plus(y, big_q)
     try:
         h = y ** h_exponent
     except OverflowError:

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 # hard ceilings, asserted on every run
 SHORT_SUM_RATIO_CEILING = 4.0  # major-arc and sieve short-sum sweeps
 GALLAGHER_RATIO_CEILING = 20.0  # lhs/rhs over seeded random +-1 functions
+PIPELINE_FINAL_FAILURE_FRACTION_CEILING = 0.01  # even n of [X-H, X] whose final bound fails
 
 # reruns must stay within this factor of the recorded baseline
 REGRESSION_HEADROOM = 1.10
@@ -27,7 +28,7 @@ LAMBDA_Q_SWEEP_BASELINE = 0.0140
 SIEVE_SWEEP_BASELINE = 0.190
 # 100 random +-1 functions, span 10^4 at start 10^4, Delta = 50, seed 7; measured 4.23536
 GALLAGHER_RANDOM_BASELINE = 4.30
-# closeness at Y = 10^5, H = Y^0.3, Q = 10, c_nu = 1, reference ||weighted primes||_2^2;
+# closeness at Y = 10^5, H = Y^0.3, Q = 10, reference ||weighted primes||_2^2;
 # measured 0.047973 and 0.006905
 THETA_PRIMES_VS_MODEL_BASELINE = 0.0500
 THETA_MODEL_VS_SIEVE_BASELINE = 0.00750

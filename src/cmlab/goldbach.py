@@ -5,7 +5,7 @@ The pipeline evaluates, by windowed convolution on [X-H, X], the chain
 
     a*a(n)  >=  a*nu(n)  ~  a*T+(n)  >=  omega*T+(n)  ~  omega*T(n)
 
-where T = c_nu Lambda_Q on (Y, 2Y], T+ is the nonnegative sieve model, a >= 0
+where T = Lambda_Q on (Y, 2Y], T+ is the nonnegative sieve model, a >= 0
 is the prime weight both summands of a binary Goldbach partition carry, and
 nu <= a and omega <= a are its two minorants.  The two >= steps are pointwise
 inequalities and must never fail; the two ~ steps are approximations whose
@@ -18,9 +18,10 @@ one transform, whichever costs less; never a full convolution of length up to
 
 `PipelineConfig` is the one place the request is derived and checked: Y, H
 and kappa follow X and the resolved Y unless given, and a Y that would start
-omega's window below 0 (3Y > X + 1), a sieve model's z = Q below 2 and a run
-whose bytes (`pipeline_bytes`) pass errors.MEMORY_CAP are refused when the
-config is built, before anything is sieved.
+omega's window below 0 (3Y > X + 1), an X that would end it past
+arithfn.SUPPORT_BOUND, a sieve model's z = Q below 2 and a run whose bytes
+(`pipeline_bytes`) pass errors.MEMORY_CAP are refused when the config is
+built, before anything is sieved.
 
 Only a*a reaches all of [0, X]; every other input lives in a window of size
 O(Y).  a is therefore a block source, read a segment at a time as points, the
@@ -40,10 +41,10 @@ from typing import Callable, Optional
 import numpy as np
 
 from .arith import cached_primes, mu_phi_table, odd_prime_flags, prime_weights, primes_bytes
-from .arithfn import (ArithFn, add_convolution, add_rows, chunk_length, convolve_valid_bytes, convolve_window, dense,
-                      rows_values, subtract, window_preimage)
+from .arithfn import (SUPPORT_BOUND, ArithFn, add_convolution, add_rows, chunk_length, convolve_valid_bytes,
+                      convolve_window, dense, rows_values, subtract, window_preimage)
 from .characters import ramanujan_sum
-from .errors import ContractError, DomainError, require_memory
+from .errors import CapacityError, ContractError, DomainError, require_memory
 from .models import model_t_nu, model_t_nu_plus, require_sift
 
 PIPELINE_SEGMENT = 1 << 18  # integers m whose a(m) run_pipeline reads at a time
@@ -253,7 +254,6 @@ class PipelineConfig:
 
     x: int
     big_q: int
-    c_nu: float = 1.0
     y: Optional[int] = None
     h: Optional[int] = None
     kappa: Optional[float] = None
@@ -276,8 +276,10 @@ class PipelineConfig:
             raise DomainError(
                 f"omega's window (X - 3Y, X - Y] starts below 0: 3Y = {3 * self.y} > X + 1 = {self.x + 1}"
             )
-        if self.big_q < 1 or not self.kappa > 0 or not self.c_nu >= 0:  # nan fails too
-            raise DomainError("need Q >= 1, kappa > 0, nonnegative densities")
+        if self.x - self.y + 1 > SUPPORT_BOUND:  # omega's window is the furthest support a run builds
+            raise CapacityError(f"X = {self.x} ends omega's window (X - 3Y, X - Y] past the index bound 2**40")
+        if self.big_q < 1 or not self.kappa > 0:  # nan fails too
+            raise DomainError("need Q >= 1 and kappa > 0")
         require_sift(self.big_q)  # T+ sifts to z = Q
         require_memory(f"a pipeline run at X = {self.x}, Y = {self.y}, H = {self.h}", pipeline_bytes(self))
 
@@ -292,7 +294,7 @@ class PipelineConfig:
     def to_dict(self) -> dict:
         return {
             "x": self.x, "h": self.h, "y": self.y, "big_q": self.big_q,
-            "a_power": A_POWER, "c_nu": self.c_nu,
+            "a_power": A_POWER,
             "kappa": self.kappa, "theta_target": math.log(self.y) ** (-A_POWER),
             "ideal": {"y": self.x ** (21.0 / 40.0), "h": self.y ** (1.0 / 9.0 + 2 * EPS),
                       "big_q": math.log(self.x) ** A_POWER},
@@ -369,7 +371,7 @@ def run_pipeline(
     nu must live on (Y, 2Y] and omega on (X-3Y, X-Y]; a must be nonnegative and
     dominate both.  a is a block source, such as `prime_weights` or a bound
     f.points.  t_nu / t_nu_plus default to the models built from the config
-    (Lambda_Q scaled by c_nu, and the rescaled untruncated sieve at z = Q).
+    (Lambda_Q, and the rescaled untruncated sieve at z = Q).
 
     a is read on nu's and omega's windows, on the m that step 2 and the
     positivity step reach, and by the a*a stream.  a*a splits at
@@ -385,9 +387,9 @@ def run_pipeline(
     _require_support(omega, config.omega_window, "omega")
 
     if t_nu is None:
-        t_nu = model_t_nu(config.y, config.big_q, config.c_nu)
+        t_nu = model_t_nu(config.y, config.big_q)
     if t_nu_plus is None:
-        t_nu_plus = model_t_nu_plus(config.y, config.big_q, config.c_nu)
+        t_nu_plus = model_t_nu_plus(config.y, config.big_q)
     if np.min(t_nu_plus.values, initial=0) < 0:
         raise ContractError("t_nu_plus must be nonnegative")
 

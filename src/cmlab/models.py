@@ -103,23 +103,22 @@ def lambda_q_window(start: int, stop: int, big_q: int) -> np.ndarray:
     return _divisor_sum(start, stop, lambda_q_weights(big_q), np.float64)
 
 
-def _nu_window(y: int, c_nu: float) -> tuple[int, int]:
+def _nu_window(y: int) -> tuple[int, int]:
     """[Y + 1, 2Y + 1), the integers of nu's window (Y, 2Y] that both models live
-    on, once Y >= 1, the scale c_nu >= 0 and the window's bytes are checked."""
+    on, once Y >= 1 and the window's bytes are checked."""
     if y < 1:
         raise DomainError("Y must be >= 1")
-    if not c_nu >= 0:  # nan fails too
-        raise DomainError("c_nu must be >= 0")
     require_memory(f"a model on (Y, 2Y] at Y = {y}", WINDOW_BYTES * y)
     return y + 1, 2 * y + 1
 
 
-def model_t_nu(y: int, big_q: int, c_nu: float = 1.0) -> ArithFn:
-    """c_nu * Lambda_Q on (Y, 2Y], zero elsewhere."""
+def model_t_nu(y: int, big_q: int) -> ArithFn:
+    """Lambda_Q on (Y, 2Y], zero elsewhere.  Its scale is 1: nu is Lambda' itself
+    on that window, and a minorant's density is computed, never set."""
     if big_q < 1:
         raise DomainError("Q must be >= 1")
-    start, stop = _nu_window(y, c_nu)
-    return ArithFn(start, c_nu * lambda_q_window(start, stop, big_q))
+    start, stop = _nu_window(y)
+    return ArithFn(start, lambda_q_window(start, stop, big_q))
 
 
 def lambda_q_short_sum(t, h_prime, big_q: int, r=0, q_twist=1) -> tuple:
@@ -349,10 +348,8 @@ def require_sift(sift: float, beta: int = 10) -> None:
         raise DomainError("need z >= 2 and beta >= 1")
 
 
-def model_t_nu_plus(
-    y: int, sift: float, c_nu: float = 1.0, level: Optional[float] = None, beta: int = 10
-) -> ArithFn:
-    """c_nu * V(z)^{-1} * theta_n(D, z) on (Y, 2Y], zero elsewhere.
+def model_t_nu_plus(y: int, sift: float, level: Optional[float] = None, beta: int = 10) -> ArithFn:
+    """V(z)^{-1} * theta_n(D, z) on (Y, 2Y], zero elsewhere.
 
     With no level, or a level D >= untruncated_level(z, beta), theta is the
     z-rough indicator (see the module docstring).  That is the desk default:
@@ -362,7 +359,7 @@ def model_t_nu_plus(
     negative value would mean the sieve construction is broken, so that is
     checked outright.
     """
-    start, stop = _nu_window(y, c_nu)
+    start, stop = _nu_window(y)
     require_sift(sift, beta)
     if level is None or level >= untruncated_level(sift, beta):
         theta = rough_flags(start, stop, sift)
@@ -370,7 +367,8 @@ def model_t_nu_plus(
         theta = beta_sieve_weights(level, sift, beta).theta_window(start, stop)
         if theta.min(initial=0) < 0:
             raise ContractError("sieve weights are not an upper-bound system")
-    return ArithFn(start, (c_nu / mertens_product(sift)) * theta.astype(np.float64))
+    # 1/V(z) first: theta / V(z) rounds differently in the last bit
+    return ArithFn(start, (1.0 / mertens_product(sift)) * theta.astype(np.float64))
 
 
 def sieve_short_sum(t, h_prime, sieve: SieveSystem, r=0, q_twist=1) -> tuple:

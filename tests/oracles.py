@@ -336,8 +336,8 @@ def exponential_from_characters(r: int, n: int, q: int) -> complex:
 # ---------------------------------------------------------------------------
 
 
-def convolve_with_lambda_q_model(omega: ArithFn, y: int, big_q: int, c_nu: float, n: int) -> float:
-    """(omega * T)(n) for T = c_nu Lambda_Q restricted to (Y, 2Y], as
+def convolve_with_lambda_q_model(omega: ArithFn, y: int, big_q: int, c: float, n: int) -> float:
+    """(omega * T)(n) for T = c Lambda_Q restricted to (Y, 2Y], as
     sum_{q <= Q} (mu(q)/phi(q)) sum_{n1} omega(n1) c_q(n - n1) over the n1 with
     n - n1 inside (Y, 2Y]; T is never materialized.  Requires omega to be
     supported on Q-rough numbers (that is the hypothesis under which the
@@ -358,7 +358,7 @@ def convolve_with_lambda_q_model(omega: ArithFn, y: int, big_q: int, c_nu: float
     mu, phi = mu_phi_table(big_q)
     for q in np.flatnonzero(mu).tolist():
         total += int(mu[q]) / int(phi[q]) * float(np.sum(vals * ramanujan_sum(q, n - n1s).astype(np.float64)))
-    return c_nu * total
+    return c * total
 
 
 def _is_rough_supported(omega: ArithFn, z: float) -> bool:

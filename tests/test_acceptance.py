@@ -138,7 +138,7 @@ def test_criterion_1_oracle_equivalences():
     for i in range(20):
         y = int(gen.integers(400, 1500))
         big_q = int(gen.integers(2, 12))
-        c_nu = float(gen.uniform(0.05, 1.5))
+        c = float(gen.uniform(0.05, 1.5))
         n = int(gen.integers(4 * y, 6 * y))
         lo, hi = n - 2 * y, n - y
         rough = rough_flags(lo, hi, big_q)
@@ -146,8 +146,8 @@ def test_criterion_1_oracle_equivalences():
             omega = ArithFn(lo, np.where(rough, float(gen.uniform(0.05, 0.3)), 0.0))
         else:
             omega = restricted_prime_fn((lo - 1, hi - 1))
-        short = convolve_with_lambda_q_model(omega, y, big_q, c_nu, n)
-        direct = convolve(omega, model_t_nu(y, big_q, c_nu))(n)
+        short = convolve_with_lambda_q_model(omega, y, big_q, c, n)
+        direct = c * convolve(omega, model_t_nu(y, big_q))(n)
         scale = max(abs(direct), 1e-9)
         worst_model = max(worst_model, abs(short - direct) / scale)
     checks.append(Check("model convolution shortcut == direct (20 configs): max rel diff", worst_model, 1e-6))

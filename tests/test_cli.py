@@ -63,11 +63,11 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("argv", [
         ["pipeline", "--kappa", "nan"],  # every `ab < om - 2*kappa` was False: "passed"
-        ["pipeline", "--c-nu", "nan"],
-        ["pipeline", "--c-nu", "inf"],
+        ["pipeline", "--kappa", "inf"],
+        ["verify", "gallagher", "--delta", "nan"],
         ["verify", "closeness", "--h-exponent", "nan"],  # a traceback converting nan to int
-        ["model", "--which", "t_nu", "--Y", "1000", "--c-nu", "nan"],  # a NaN dump
-        ["pipeline", "--max-final-fraction", "nan"],
+        ["model", "--which", "t_nu_plus", "--Y", "1000", "--sift", "inf"],
+        ["model", "--which", "t_nu_plus", "--Y", "1000", "--level", "nan"],
     ])
     def test_non_finite_float_exits_2_and_writes_nothing(self, tmp_path, argv):
         with pytest.raises(SystemExit) as exc:
@@ -75,9 +75,9 @@ class TestExitCodes:
         assert exc.value.code == 2
         assert list(tmp_path.iterdir()) == []
 
-    @pytest.mark.parametrize("key, value", [("kappa", "nan"), ("c_nu", "-inf"), ("h_exponent", "NaN")])
+    @pytest.mark.parametrize("key, value", [("kappa", "nan"), ("delta", "-inf"), ("h_exponent", "NaN")])
     def test_non_finite_float_from_env_or_config_exits_2(self, tmp_path, monkeypatch, key, value):
-        argv = ["verify", "closeness"] if key == "h_exponent" else ["pipeline"]
+        argv = {"kappa": ["pipeline"], "delta": ["verify", "gallagher"], "h_exponent": ["verify", "closeness"]}[key]
         cfg = tmp_path / "run.cfg"
         cfg.write_text(f"{key} = {value}\n")
         out = tmp_path / "out"
@@ -85,13 +85,6 @@ class TestExitCodes:
         monkeypatch.setenv("CML_" + key.upper(), value)
         assert run(["--out", str(out), *argv]) == 2
         assert not out.exists()
-
-    def test_max_final_fraction_outside_unit_interval_exits_2_and_writes_nothing(self, tmp_path, capsys):
-        # below 0 every run would fail, and from 1 on no run could
-        for value in ("-0.01", "1.0"):
-            assert run(["--out", str(tmp_path), "pipeline", "--max-final-fraction", value]) == 2
-            assert "max_final_fraction must lie in [0, 1)" in capsys.readouterr().err
-        assert list(tmp_path.iterdir()) == []
 
     def test_unreadable_config_exits_2(self, tmp_path, capsys):
         binary = tmp_path / "binary.cfg"
@@ -119,11 +112,10 @@ class TestExitCodes:
         assert list(tmp_path.iterdir()) == [afile]
 
     @pytest.mark.parametrize("argv", [
-        *(["model", "--which", which, *bad] for which in ("lambda_q", "t_nu", "t_nu_plus")
-          for bad in (["--Y", "0"], ["--Q", "0"], ["--c-nu", "-1"])),
+        *(["model", "--which", which, *bad] for which in ("lambda_q", "t_nu_plus") for bad in (["--Y", "0"], ["--Q", "0"])),
         ["model", "--which", "t_nu_plus", "--Q", "0", "--sift", "10"],  # Q is only sift's default here
         *([*command, *bad] for command in (["verify", "closeness"], ["pipeline"])
-          for bad in (["--Y", "0"], ["--Q", "0"], ["--c-nu", "-1"], ["--Q", "1"])),  # Q = 1 is the sieve's z
+          for bad in (["--Y", "0"], ["--Q", "0"], ["--Q", "1"])),  # Q = 1 is the sieve's z
         # H = Y^e below 1, at Y (a span of at most 2H), beyond the float range, and 0^e with e < 0
         *(["verify", "closeness", *bad] for bad in (
             ["--h-exponent", "-0.5"], ["--h-exponent", "1.0"], ["--h-exponent", "400"],
@@ -169,7 +161,7 @@ class TestExitCodes:
 
     @staticmethod
     def _refuse(start, stop):
-        raise AssertionError("sieved before Y, H, Q and c_nu were checked")
+        raise AssertionError("sieved before Y, H and Q were checked")
 
     @pytest.mark.parametrize("argv", [
         ["pipeline", "--preset", "desk-small"], ["verify", "closeness"],
@@ -180,6 +172,21 @@ class TestExitCodes:
         with pytest.raises(AssertionError, match="sieved before"):
             run(["--out", str(tmp_path / "out"), *argv])
 
+    @pytest.mark.parametrize("argv", [
+        ["verify", "closeness", "--c-nu", "0.9"],
+        ["pipeline", "--c-nu", "0.9"],
+        ["model", "--which", "t_nu_plus", "--c-nu", "0.9"],
+        ["pipeline", "--max-final-fraction", "0.5"],
+        ["model", "--which", "t_nu"],
+        ["--seed", "7", "verify", "gallagher"],
+        *([*name.split(), "--seed", "7"] for name, *_ in cli.COMMANDS if name != "verify gallagher"),
+    ], ids=" ".join)
+    def test_settings_that_moved_nothing_or_only_a_verdict_exit_2(self, tmp_path, argv):
+        with pytest.raises(SystemExit) as exc:
+            run(["--out", str(tmp_path / "out"), *argv])
+        assert exc.value.code == 2
+        assert not (tmp_path / "out").exists()
+
     def test_workers_belongs_to_closeness_only(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             run(["--out", str(tmp_path), "series", "--workers", "3"])
@@ -189,8 +196,8 @@ class TestExitCodes:
 class TestVerify:
     def test_gallagher(self, tmp_path):
         code = run([
-            "--out", str(tmp_path), "--seed", "7",
-            "verify", "gallagher", "--delta", "50", "--trials", "10",
+            "--out", str(tmp_path),
+            "verify", "gallagher", "--delta", "50", "--trials", "10", "--seed", "7",
         ])
         assert code == 0
         summary = json.loads((tmp_path / "verify-gallagher-summary.json").read_text())
@@ -198,7 +205,7 @@ class TestVerify:
         assert summary["max_ratio"] <= 20.0
 
     def test_gallagher_deterministic_output(self, tmp_path):
-        args = ["--seed", "11", "verify", "gallagher", "--trials", "5", "--span", "2000"]
+        args = ["verify", "gallagher", "--trials", "5", "--span", "2000", "--seed", "11"]
         run(["--out", str(tmp_path / "a")] + args)
         run(["--out", str(tmp_path / "b")] + args)
         a = (tmp_path / "a" / "gallagher-ratios.csv").read_bytes()
@@ -317,7 +324,7 @@ class TestPipeline:
         assert summary["values_streamed"] == config.x + 1 + 2 * config.h
         assert summary["working_set_values"] == goldbach.pipeline_working_set(config)
         assert set(summary) == {
-            "subcommand", "seed", "params", "report", "checks", "passed", "segments_streamed", "values_streamed",
+            "subcommand", "params", "report", "checks", "passed", "segments_streamed", "values_streamed",
             "working_set_values",
         }
 
@@ -377,6 +384,16 @@ class TestPipeline:
         # at 3Y = X - 1, omega's window (X - 3Y, X - Y] starts at 1
         assert run(["--out", str(tmp_path), "pipeline", "--X", "10000", "--Y", "3333"]) == 0
 
+    def test_x_past_the_index_bound_exits_2_before_sieving(self, tmp_path, monkeypatch, capsys):
+        # omega's window ends at X - Y + 1 > 2**40: refused by the config, not by the first ArithFn built
+        def refuse(lo, hi):
+            raise AssertionError("sieved before the index bound was checked")
+
+        monkeypatch.setattr(arith, "odd_prime_flags", refuse)
+        assert run(["--out", str(tmp_path), "pipeline", "--X", "1100000000000", "--Q", "10"]) == 2
+        assert capsys.readouterr().err.startswith("error: X = 1100000000000 ends omega's window")
+        assert not list(tmp_path.iterdir())
+
     def test_preset_is_its_x(self, tmp_path):
         assert run(["--out", str(tmp_path / "preset"), "pipeline", "--preset", "desk-small"]) == 0
         assert run(["--out", str(tmp_path / "x"), "pipeline", "--X", "200000"]) == 0
@@ -430,6 +447,23 @@ class TestSeries:
         assert run(["--out", str(tmp_path), "series", flag, value]) == 2
         assert not (tmp_path / "singular-series.csv").exists()
         assert not (tmp_path / "series-summary.json").exists()
+
+    def test_n_at_the_int64_edge(self, tmp_path):
+        # np.arange passed 2**63 at n_stop + 1 and gave float64: every n read 9.223372036854774e+18
+        start, stop = 9223372036854774000, 2**63 - 1
+        argv = ["series", "--n-start", str(start), "--n-stop", str(stop), "--q-max", "10", "--prime-bound", "100"]
+        assert run(["--out", str(tmp_path), *argv]) == 0
+        header, *rows = table(tmp_path / "singular-series.csv")
+        assert [int(row[0]) for row in rows] == list(range(start, stop + 1, 2))
+        for row in (rows[0], rows[-1]):
+            n = int(row[0])
+            assert row[1:] == [f"{goldbach.singular_series(n, 10):.10g}", f"{goldbach.singular_series_product(n, 100):.10g}"]
+
+    @pytest.mark.parametrize("start, stop", [(2**63 - 10, 2**63), (2**63, 2**63 + 2)])
+    def test_n_past_int64_exits_2_and_writes_nothing(self, tmp_path, capsys, start, stop):
+        assert run(["--out", str(tmp_path), "series", "--n-start", str(start), "--n-stop", str(stop)]) == 2
+        assert capsys.readouterr().err == f"error: n_stop {stop} lies past the int64 range: n must be below 2**63\n"
+        assert not list(tmp_path.iterdir())
 
     def test_step_below_one_exits_2(self, tmp_path, capsys):
         for step in ("0", "-2"):
@@ -514,11 +548,9 @@ class TestModelDump:
         assert run(["--out", str(tmp_path), "model", "--which", "lambda_q", "--Y", "1000", "--Q", "5"]) == 0
         text = (tmp_path / "model-lambda_q.txt").read_text()
         assert "# beta" not in text and "# sift" not in text and "# level" not in text
-        assert "# c_nu" not in text
 
     @pytest.mark.parametrize("which, extra, named", [
-        ("t_nu", ["--beta", "3", "--sift", "7", "--level", "99"], "beta, sift, level"),
-        ("lambda_q", ["--c-nu", "2"], "c_nu"),
+        ("lambda_q", ["--beta", "3", "--sift", "7", "--level", "99"], "beta, sift, level"),
     ])
     def test_parameters_the_model_does_not_read_exit_2(self, tmp_path, capsys, which, extra, named):
         argv = ["--out", str(tmp_path), "model", "--which", which, "--Y", "100", "--Q", "5"]
@@ -527,9 +559,9 @@ class TestModelDump:
 
     def test_unread_parameter_from_env_or_config_exits_2(self, tmp_path, monkeypatch):
         argv = ["--out", str(tmp_path), "model", "--which", "lambda_q", "--Y", "100"]
-        monkeypatch.setenv("CML_C_NU", "2")
+        monkeypatch.setenv("CML_BETA", "2")
         assert run(argv) == 2
-        monkeypatch.delenv("CML_C_NU")
+        monkeypatch.delenv("CML_BETA")
         cfg = tmp_path / "run.cfg"
         cfg.write_text("sift = 7\n")
         assert run(["--config", str(cfg)] + argv) == 2
@@ -586,6 +618,74 @@ class TestParameterResolution:
         assert "# x = 9000" in (tmp_path / "exceptional-set.csv").read_text()
 
 
+# (subcommand, key): the command line a row is varied on, and one valid desk value other than its default.
+# The sieve rows of `model` are read only at --which t_nu_plus, and --beta moves it only below the
+# untruncated level, which follows beta by default.
+OTHER_VALUE = {
+    ("verify gallagher", "delta"): ([], "20"),
+    ("verify gallagher", "trials"): ([], "50"),
+    ("verify gallagher", "span"): ([], "5000"),
+    ("verify gallagher", "seed"): ([], "7"),
+    ("verify lambda_q_short", "big_q"): ([], "11"),
+    ("verify lambda_q_short", "grid"): ([], "medium"),
+    ("verify sieve_short", "grid"): ([], "medium"),
+    ("verify closeness", "y"): ([], "50000"),
+    ("verify closeness", "h_exponent"): ([], "0.35"),
+    ("verify closeness", "big_q"): ([], "11"),
+    ("verify closeness", "workers"): ([], "2"),
+    ("pipeline", "preset"): ([], "desk-medium"),  # desk-small is the default --X 200000
+    ("pipeline", "x"): ([], "300000"),
+    ("pipeline", "y"): ([], "2000"),
+    ("pipeline", "h"): ([], "100"),
+    ("pipeline", "big_q"): ([], "11"),
+    ("pipeline", "kappa"): ([], "10"),
+    ("exceptional", "x"): ([], "100000"),
+    ("exceptional", "h"): ([], "1000"),
+    ("series", "n_start"): ([], "10"),
+    ("series", "n_stop"): ([], "50"),
+    ("series", "n_step"): ([], "4"),
+    ("series", "q_max"): ([], "10"),
+    ("series", "prime_bound"): ([], "10"),
+    ("model", "which"): ([], "t_nu_plus"),
+    ("model", "y"): ([], "5000"),
+    ("model", "big_q"): ([], "11"),
+    ("model", "beta"): (["--which", "t_nu_plus", "--level", "1000"], "3"),
+    ("model", "sift"): (["--which", "t_nu_plus"], "20"),
+    ("model", "level"): (["--which", "t_nu_plus"], "1000"),
+}
+# accepted and ignored, as the benchmark's closeness tasks pass it
+MOVES_NOTHING = {("verify closeness", "workers")}
+
+
+def computed(out):
+    """What a run computed: the data rows of each report, and its summary without the
+    echoed parameters and pipeline config (the model file by its name, not its path)."""
+    found = {}
+    for path in out.iterdir():
+        if path.name.endswith("-summary.json"):
+            summary = json.loads(path.read_text())
+            del summary["params"]
+            summary.get("report", {}).pop("config", None)
+            if "file" in summary:
+                summary["file"] = Path(summary["file"]).name
+            found[path.name] = summary
+        else:
+            found[path.name] = [line for line in path.read_text().splitlines() if not line.startswith("#")]
+    return found
+
+
+@pytest.mark.parametrize("name, param", [(name, param) for name, _, _, table in cli.COMMANDS for param in table],
+                         ids=lambda value: value if isinstance(value, str) else value.flag)
+def test_every_setting_moves_an_output(tmp_path, name, param):
+    # a setting that moves no data row and no summary value computes nothing
+    base, value = OTHER_VALUE[name, param.key]
+    argv = [*name.split(), *base]
+    assert run(["--out", str(tmp_path / "default"), *argv]) == 0
+    assert run(["--out", str(tmp_path / "other"), *argv, param.flag, value]) == 0
+    moved = computed(tmp_path / "default") != computed(tmp_path / "other")
+    assert moved is ((name, param.key) not in MOVES_NOTHING)
+
+
 class TestReportFormat:
     @pytest.mark.parametrize("argv", [
         ["verify", "gallagher", "--trials", "3", "--span", "2000"],
@@ -638,7 +738,7 @@ class TestMemoryCap:
     @pytest.mark.parametrize("argv", [
         ["series", "--prime-bound", "3000000000"],  # the prime cache
         ["model", "--which", "t_nu_plus", "--sift", "1e300", "--beta", "100"],  # the primes of the default level
-        ["model", "--which", "t_nu", "--Y", "1000000000"],  # the model's window
+        ["model", "--which", "lambda_q", "--Y", "1000000000"],  # the model's window
         ["verify", "gallagher", "--span", "200000000", "--trials", "1"],  # the draw
         ["verify", "lambda_q_short", "--Q", "10000000"],  # the sweep's points
         ["model", "--which", "t_nu_plus", "--Y", "1000", "--sift", "3000", "--beta", "1", "--level", "1e300"],  # the weights

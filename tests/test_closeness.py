@@ -14,7 +14,6 @@ from cmlab.arithfn import ArithFn, spectrum_classes, subtract, transform_size
 from cmlab.cli import main
 from cmlab.closeness import (
     OVERSAMPLE,
-    FareyArc,
     _gallagher_weights,
     closeness_grid,
     closeness_integral,
@@ -210,8 +209,8 @@ class TestGallagher:
             return gallagher_lhs(values, delta)
 
         monkeypatch.setattr(cli, "gallagher_lhs", recorded)
-        assert main(["--out", str(tmp_path), "--seed", "3", "verify", "gallagher",
-                     "--span", str(span), "--trials", str(trials)]) == 0
+        assert main(["--out", str(tmp_path), "verify", "gallagher",
+                     "--span", str(span), "--trials", str(trials), "--seed", "3"]) == 0
         assert shapes == [block.shape for block in blocks]
         written = (tmp_path / "gallagher-ratios.csv").read_text().splitlines()[-trials:]
         assert written == [f"{i},{ratio:.10g}" for i, ratio in enumerate((lhs / rhs).tolist())]

@@ -295,17 +295,17 @@ class TestModelConvolution:
         n = 5000
         omega = restricted_prime_fn((n - 2 * y, n - y))
         short = convolve_with_lambda_q_model(omega, y, 10, 0.5, n)
-        direct = convolve(omega, model_t_nu(y, 10, 0.5))(n)
+        direct = 0.5 * convolve(omega, model_t_nu(y, 10))(n)
         assert short == pytest.approx(direct, rel=1e-6)
 
     def test_uniform_rough_omega_gives_partial_singular_series(self):
         y = 2000
         n = 10_000
-        c_omega, c_nu = 0.09, 0.7
+        c_omega, c = 0.09, 0.7
         omega = self._omega(n, y, c=c_omega)
-        got = convolve_with_lambda_q_model(omega, y, 10, c_nu, n)
+        got = convolve_with_lambda_q_model(omega, y, 10, c, n)
         rough_count = int(np.sum(omega.values != 0))
-        expected = c_omega * c_nu * singular_series(n, 10) * rough_count
+        expected = c_omega * c * singular_series(n, 10) * rough_count
         assert got == pytest.approx(expected, rel=0.02)
 
     def test_contract_error_for_non_rough_support(self):
@@ -386,7 +386,7 @@ class TestPipelineConfig:
         with pytest.raises(DomainError):
             PipelineConfig(x=100, h=10, y=200, big_q=3, kappa=10.0)
 
-    @pytest.mark.parametrize("field", ["kappa", "c_nu"])
+    @pytest.mark.parametrize("field", ["kappa"])
     def test_nan_fails_validation(self, field):
         # nan compares False with everything, so `kappa <= 0` alone let it through
         with pytest.raises(DomainError):
@@ -396,11 +396,11 @@ class TestPipelineConfig:
         # the pipeline's default T+ (read from rough_flags) is the model of the
         # enumerated untruncated weights, bit for bit
         config = PRESETS["desk-small"]
-        t_plus = model_t_nu_plus(config.y, config.big_q, config.c_nu)
+        t_plus = model_t_nu_plus(config.y, config.big_q)
         sieve = beta_sieve_weights(float(untruncated_level(config.big_q)), config.big_q)
         theta = sieve.theta_window(1001, 2001)
         assert np.array_equal(theta, rough_flags(1001, 2001, config.big_q).astype(np.int64))
-        expected = (config.c_nu / mertens_product(config.big_q)) * theta.astype(np.float64)
+        expected = (1.0 / mertens_product(config.big_q)) * theta.astype(np.float64)
         assert t_plus.support_start == 1001
         assert np.array_equal(t_plus.values, expected)
 

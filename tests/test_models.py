@@ -6,7 +6,7 @@ import pytest
 
 from cmlab import errors, models
 from cmlab.arith import prime_weights, rough_flags, sieve_primes
-from cmlab.arithfn import TWO_PI, ArithFn, dense
+from cmlab.arithfn import TWO_PI, dense
 from cmlab.closeness import default_lambda_q_sweep, default_sieve_sweep
 from cmlab.errors import CapacityError, ContractError, DomainError
 from cmlab.models import (
@@ -390,17 +390,6 @@ class TestMertens:
 
 
 class TestModels:
-    def test_zero_scale(self):
-        assert not model_t_nu(100, 5, 0.0).values.any()
-
-    @pytest.mark.parametrize("c_nu", [-1.0, math.nan])
-    def test_scale_must_be_nonnegative(self, c_nu):
-        # nan compares False with everything, so `c_nu < 0` alone let it through
-        with pytest.raises(DomainError, match="c_nu must be >= 0"):
-            model_t_nu(100, 5, c_nu)
-        with pytest.raises(DomainError, match="c_nu must be >= 0"):
-            model_t_nu_plus(100, 5.0, c_nu)
-
     @pytest.mark.parametrize("y", [0, -5])
     def test_y_must_be_positive(self, y):
         # the models live on (Y, 2Y], which is empty for Y < 1
@@ -411,8 +400,8 @@ class TestModels:
 
     @pytest.mark.parametrize("big_q", [10, 100])
     def test_t_nu_peak_is_two_windows(self, big_q):
-        # Lambda_Q is one array of divisor sums and c_nu scales it into a
-        # second; an index array or a gathered row per modulus would be a third
+        # Lambda_Q is one array of divisor sums and ArithFn holds a copy of
+        # it; an index array or a gathered row per modulus would be a third
         tracemalloc.start()
         try:
             t = model_t_nu(10**6, big_q)
@@ -422,8 +411,8 @@ class TestModels:
         assert peak <= 2 * t.values.nbytes + (1 << 16)
 
     def test_q1_constant(self):
-        t = model_t_nu(10, 1, 0.7)
-        assert np.allclose(t.values, 0.7)
+        t = model_t_nu(10, 1)
+        assert np.array_equal(t.values, np.ones(10))
         assert t.support_start == 11
         assert t.support_stop == 21
 
@@ -446,7 +435,7 @@ class TestModels:
 
     def test_t_plus_reads_the_level_it_is_given(self):
         # no level, or one at the untruncated level, reads rough_flags; a lower
-        # level builds the truncated weights; both give c_nu / V(z) * theta
+        # level builds the truncated weights; both give V(z)^-1 * theta
         cases = (
             ((10.0,), beta_sieve_weights(float(untruncated_level(10)), 10.0)),
             ((10.0, float(untruncated_level(10, 3)), 3), beta_sieve_weights(float(untruncated_level(10, 3)), 10.0, 3)),
@@ -454,12 +443,12 @@ class TestModels:
             ((10.0, 10_000.0, 10), beta_sieve_weights(10_000.0, 10.0, 10)),
         )
         for (sift, *args), sieve in cases:
-            t_plus = model_t_nu_plus(1000, sift, 0.7, *args)
-            expected = (0.7 / mertens_product(sieve.sift)) * sieve.theta_window(1001, 2001).astype(np.float64)
+            t_plus = model_t_nu_plus(1000, sift, *args)
+            expected = (1.0 / mertens_product(sieve.sift)) * sieve.theta_window(1001, 2001).astype(np.float64)
             assert t_plus.support_start == 1001
             assert np.array_equal(t_plus.values, expected), args
         with pytest.raises(DomainError):
-            model_t_nu_plus(1000, 1.5, 0.7)
+            model_t_nu_plus(1000, 1.5)
 
 
 class TestSieveShortSum:
